@@ -38,25 +38,41 @@ def _parse_slope(text):
 def _parse_cf(text):
     try:
         terms = json.loads(text)
-        assert (isinstance(terms, list) and terms
-                and all(isinstance(t, int) and t >= 1 for t in terms))
-        assert len(terms) % 2 == 1
-        return terms
-    except (AssertionError, ValueError):
+    except ValueError:
+        terms = None
+    if not (isinstance(terms, list) and len(terms) % 2 == 1
+            and all(isinstance(t, int) and t >= 1 for t in terms)):
         raise argparse.ArgumentTypeError(
             f"bad continued fraction {text!r}: need an odd-length JSON "
             "list of positive integers, e.g. [1,2,4]")
+    return terms
 
 
 def _parse_colors(text):
+    error = argparse.ArgumentTypeError(
+        f"bad color range {text!r}: expected A..B")
     try:
-        lo, hi = text.split("..")
-        lo, hi = int(lo), int(hi)
-        assert 0 <= lo <= hi
-        return lo, hi
-    except (AssertionError, ValueError):
-        raise argparse.ArgumentTypeError(
-            f"bad color range {text!r}: expected A..B")
+        lo, hi = map(int, text.split(".."))
+    except ValueError:
+        raise error from None
+    if not 0 <= lo <= hi:
+        raise error
+    return lo, hi
+
+
+def _int_at_least(low):
+    """Argument type for an integer option with a lower bound."""
+    def parse(text):
+        error = argparse.ArgumentTypeError(
+            f"bad value {text!r}: expected an integer >= {low}")
+        try:
+            value = int(text)
+        except ValueError:
+            raise error from None
+        if value < low:
+            raise error
+        return value
+    return parse
 
 
 def _parse_frame(text):
@@ -126,11 +142,11 @@ def _output_frame_shift(qd, frame, convention):
         return 0
     if isinstance(frame, int):
         return frame - qd.framing
-    n = qd.n
     if convention == "sym":
-        return -max(qd.Q[i][l] + (0 if i == l else 1)
-                    for i in range(n) for l in range(n))
-    return -min(qd.Q[i][l] for i in range(n) for l in range(n))
+        # q_invert maps Q_il to -Q_il - 1 + [i = l]
+        return -1 - max(max(row[:i] + (row[i] - 1,) + row[i + 1:])
+                        for i, row in enumerate(qd.Q))
+    return -min(map(min, qd.Q))
 
 
 def compute_payload(slope, terms, pipeline, frame, convention):
@@ -229,6 +245,9 @@ def _cmd_verify(args, parser):
                                        or DEFAULT_LINK_ORDER))
     text = "".join(r.to_json() + "\n" for r in reports)
     _emit(text, args.out)
+    sys.stderr.write("verify: " + ", ".join(
+        f"{r.pipeline} route to order {r.order_checked} in {r.timing:.2f}s"
+        for r in reports) + "\n")
     return 0 if all(r.ok for r in reports) else 1
 
 
@@ -278,7 +297,7 @@ def build_parser():
     compute.add_argument("--frame", type=_parse_frame, default="canonical")
     compute.add_argument("--convention", choices=("anti", "sym"),
                          default="sym")
-    compute.add_argument("--order", type=int, default=0,
+    compute.add_argument("--order", type=_int_at_least(0), default=0,
                          help="also verify against the oracle to this order")
     compute.add_argument("--out", default=None)
 
@@ -294,18 +313,19 @@ def build_parser():
                              help="cross-check quiver data vs the oracle")
     _add_input_args(verify)
     verify.add_argument("--pipeline", choices=("knot", "link"), default=None)
-    verify.add_argument("--order", type=int, default=0,
+    verify.add_argument("--order", type=_int_at_least(0), default=0,
                         help="0 = per-pipeline default")
     verify.add_argument("--out", default=None)
 
     enum = subs.add_parser("enumerate",
                            help="list canonical rational knots (JSONL)")
-    enum.add_argument("--max-crossings", type=int, default=12)
+    enum.add_argument("--max-crossings", type=_int_at_least(3), default=12)
     enum.add_argument("--out", default=None)
 
     batch = subs.add_parser("batch",
                             help="compute quiver data for the whole corpus")
-    batch.add_argument("--max-crossings", type=int, default=12)
+    batch.add_argument("--max-crossings", type=_int_at_least(3),
+                       default=12)
     batch.add_argument("--frame", type=_parse_frame, default="canonical")
     batch.add_argument("--convention", choices=("anti", "sym"),
                        default="sym")

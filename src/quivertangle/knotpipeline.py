@@ -26,8 +26,8 @@ from .quiverstate import (IndexRecord, QuiverData, QuiverState,
                           absorb_pochhammer, apply_twist, mirror_quiver,
                           resolve_terms, symmetrize, trivial_state, _freeze)
 from .skein import writhe
-from .tangles import (OP, RI, UP, Slope, boundary_after, cf_expand,
-                      cf_value, is_knot, twist_sequence)
+from .tangles import (OP, RI, UP, Slope, boundary_after, boundary_walk,
+                      cf_value, is_knot)
 
 
 @dataclass(frozen=True)
@@ -370,15 +370,9 @@ def signature(slope_or_terms):
             return -signature(terms)
     else:
         terms = list(slope_or_terms)
-    boundary = UP
-    sig = 1
-    for kind in twist_sequence(terms):
-        if kind == "R":
-            sig += 1
-        if (boundary, kind) in ((UP, "T"), (UP, "R"), (OP, "R")):
-            sig -= 1
-        boundary = boundary_after(boundary, kind)
-    return sig
+    # only top twists at UP and right twists at RI shift the grading
+    steps = list(boundary_walk(terms))
+    return 1 - steps.count((UP, "T")) + steps.count((RI, "R"))
 
 
 def homology_generators(qd):

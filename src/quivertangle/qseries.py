@@ -427,9 +427,6 @@ class QFraction:
             den = den * shift
         return QFraction(num, den)
 
-    def subs_q_inverse(self):
-        return self.map_both(lambda p: p.subs_q_inverse())
-
     def subs_a_q2(self):
         return QFraction(self.num.subs_a_q2(), self.den)
 
@@ -584,20 +581,9 @@ class TruncatedSeries:
 
     __rmul__ = __mul__
 
-    def map_coeffs(self, fn):
-        return TruncatedSeries(self.order, [fn(c) for c in self.coeffs])
-
     def __str__(self):
         return " + ".join(f"({c})*x^{i}" for i, c in enumerate(self.coeffs))
 
     def __repr__(self):
         return f"TruncatedSeries({self})"
 
-
-def series_ops(a, b, op):
-    """Combine two truncated series; op is 'add' or 'mul'."""
-    if op == "add":
-        return a + b
-    if op == "mul":
-        return a * b
-    raise ValueError(f"unknown op {op!r}")

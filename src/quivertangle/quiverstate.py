@@ -93,10 +93,10 @@ class QuiverData:
         return len(self.q_vec)
 
     def __post_init__(self):
-        assert len(self.Q) == len(self.a_vec) == len(self.q_vec)
-        for i in range(self.n):
-            for l in range(self.n):
-                assert self.Q[i][l] == self.Q[l][i], "Q must be symmetric"
+        if not len(self.Q) == len(self.a_vec) == len(self.q_vec):
+            raise ValueError("Q, a_vec and q_vec need one entry per vertex")
+        if tuple(zip(*self.Q)) != tuple(map(tuple, self.Q)):
+            raise ValueError("Q must be symmetric")
 
 
 def _freeze(M):
@@ -389,6 +389,20 @@ def close_link(st, origin=None):
                       tuple(out.s_vec()), 0, "antisymmetric", origin)
 
 
+def _affine(qd, sigma, c, e, q_shift, a_vec, framing, convention):
+    """The one family of maps on quiver data: Q_il -> sigma Q_il + c +
+    e [i = l] and q_i -> sigma q_i + q_shift, with a_vec, framing and
+    color convention as given."""
+    Q = []
+    for i, row in enumerate(qd.Q):
+        row = [sigma * x + c for x in row]
+        row[i] += e
+        Q.append(tuple(row))
+    return QuiverData(tuple(Q), a_vec,
+                      tuple(sigma * x + q_shift for x in qd.q_vec),
+                      framing, convention, qd.origin)
+
+
 def mirror_quiver(qd, *, polynomial):
     """Mirror image at the quiver-data level (q -> q^{-1}, a -> a^{-1}
     on the invariants the data encodes); negates the recorded framing.
@@ -397,24 +411,16 @@ def mirror_quiver(qd, *, polynomial):
     of x^j) * (q^2;q^2)_j: inverting q in the positive multinomial
     [j; d]_+ costs q^{-2 e2(d)}, a quadratic form with zero diagonal and
     all-(-1) off-diagonal, so Q -> -Q with off-diagonal decrements and
-    q_vec -> -q_vec.  polynomial=False mirrors the bare coefficients:
-    each denominator flips by (q^{-2};q^{-2})_d = (-1)^d q^{-d(d+1)}
-    (q^2;q^2)_d, contributing (-1)^d q^{d(d+1)} per index, so Q -> -Q
-    with diagonal increments and q_vec -> 1 - q_vec."""
+    q_vec -> -q_vec (the reflection q_invert also applies).
+    polynomial=False mirrors the bare coefficients: each denominator
+    flips by (q^{-2};q^{-2})_d = (-1)^d q^{-d(d+1)} (q^2;q^2)_d,
+    contributing (-1)^d q^{d(d+1)} per index, so Q -> -Q with diagonal
+    increments and q_vec -> 1 - q_vec."""
     if qd.color_convention != "antisymmetric":
         raise ValueError("mirror acts on antisymmetric-convention data")
-    n = qd.n
-    if polynomial:
-        Q = [[-qd.Q[i][l] - (0 if i == l else 1) for l in range(n)]
-             for i in range(n)]
-        q_vec = tuple(-x for x in qd.q_vec)
-    else:
-        Q = [[-qd.Q[i][l] + (1 if i == l else 0) for l in range(n)]
-             for i in range(n)]
-        q_vec = tuple(1 - x for x in qd.q_vec)
-    return replace(qd, Q=_freeze(Q), q_vec=q_vec,
-                   a_vec=tuple(-x for x in qd.a_vec),
-                   framing=-qd.framing)
+    c, q_shift = (-1, 0) if polynomial else (0, 1)
+    return _affine(qd, -1, c, 1, q_shift, tuple(-x for x in qd.a_vec),
+                   -qd.framing, qd.color_convention)
 
 
 def resolve_terms(slope_or_terms):
@@ -450,11 +456,8 @@ def framing_shift(qd, f):
     (-q)^{-j} a^{-j} q^{j^2}."""
     if not f:
         return qd
-    Q = [[x + f for x in row] for row in qd.Q]
-    return replace(qd, Q=_freeze(Q),
-                   a_vec=tuple(x - f for x in qd.a_vec),
-                   q_vec=tuple(x - f for x in qd.q_vec),
-                   framing=qd.framing + f)
+    return _affine(qd, 1, f, 0, -f, tuple(x - f for x in qd.a_vec),
+                   qd.framing + f, qd.color_convention)
 
 
 def q_invert(qd):
@@ -463,16 +466,7 @@ def q_invert(qd):
     asymmetry of the q-Pochhammer denominators."""
     if qd.color_convention != "antisymmetric":
         raise ValueError("data already in symmetric-color convention")
-    n = qd.n
-    Q = [[-qd.Q[i][l] - (0 if i == l else 1) for l in range(n)]
-         for i in range(n)]
-    return replace(qd, Q=_freeze(Q), q_vec=tuple(-x for x in qd.q_vec),
-                   color_convention="symmetric")
-
-
-def jones_specialize(series):
-    """Substitute a = q^2 in every coefficient of a truncated series."""
-    return series.map_coeffs(lambda c: c.subs_a_q2())
+    return _affine(qd, -1, -1, 1, 0, qd.a_vec, qd.framing, "symmetric")
 
 
 def _row_key(qd, i):
@@ -489,6 +483,10 @@ def permutation_equal(qd1, qd2):
     n = qd1.n
     cands = [[j for j in range(n) if _row_key(qd1, i) == _row_key(qd2, j)]
              for i in range(n)]
+    # place the most constrained vertices first
+    order = sorted(range(n), key=lambda i: len(cands[i]))
+    qd1 = _permute(qd1, order)
+    cands = [cands[i] for i in order]
     perm = [None] * n
     used = [False] * n
 
@@ -511,13 +509,6 @@ def permutation_equal(qd1, qd2):
             used[j] = False
         return False
 
-    order = sorted(range(n), key=lambda i: len(cands[i]))
-    # reorder so the most constrained vertices are placed first
-    remap = {v: i for i, v in enumerate(order)}
-    qd1r = _permute(qd1, order)
-    cands = [[j for j in range(n) if _row_key(qd1r, i) == _row_key(qd2, j)]
-             for i in range(n)]
-    qd1 = qd1r
     return place(0)
 
 

@@ -16,8 +16,8 @@ from dataclasses import dataclass
 
 from .qseries import (LaurentPoly, QFraction, ZERO, a_pow, neg_q_pow,
                       pochhammer, poch_q2, q_pow, qbinom_plus)
-from .tangles import (OP, RI, UP, Slope, boundary_after, cf_expand,
-                      good_representative, twist_sequence)
+from .tangles import (OP, RI, UP, Slope, boundary_after, boundary_walk,
+                      cf_expand, good_representative, twist_sequence)
 
 
 @dataclass
@@ -160,12 +160,7 @@ WRITHE_SIGN = {
 
 def writhe(terms):
     """Writhe of the standard diagram built from the CF terms."""
-    w = 0
-    boundary = UP
-    for kind in twist_sequence(terms):
-        w += WRITHE_SIGN[(boundary, kind)]
-        boundary = boundary_after(boundary, kind)
-    return w
+    return sum(WRITHE_SIGN[step] for step in boundary_walk(terms))
 
 
 def framing_factor(j, n):

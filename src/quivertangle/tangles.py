@@ -60,17 +60,11 @@ def cf_value(terms):
     return Slope(value.numerator, value.denominator)
 
 
-def cf_expand(slope):
-    """Odd-length all-positive continued fraction of a slope.
-
-    The raw Euclidean expansion is computed first; if its length is even
-    the leading term is rewritten via [a1+1, ...] = [1, a1, ...] so the
-    result has odd length.  cf_value(cf_expand(s)) == s always.
-    """
-    p, q = slope.p, slope.q
-    # Euclidean expansion read off from the evaluation order: peel the
-    # integer part repeatedly, collecting terms right to left.
-    rev = []  # [ar, a_{r-1}, ...]
+def _euclidean_terms(p, q):
+    """Minimal continued fraction of p/q read off from the evaluation
+    order, right to left: [ar, a_{r-1}, ..., a1]."""
+    # peel the integer part repeatedly, collecting terms right to left
+    rev = []
     num, den = p, q
     while den:
         rev.append(num // den)
@@ -80,7 +74,17 @@ def cf_expand(slope):
         # fold [.., x, 1] into [.., x+1] to get the minimal expansion.
         rev.pop()
         rev[-1] += 1
-    terms = list(reversed(rev))
+    return rev
+
+
+def cf_expand(slope):
+    """Odd-length all-positive continued fraction of a slope.
+
+    The raw Euclidean expansion is computed first; if its length is even
+    the leading term is rewritten via [a1+1, ...] = [1, a1, ...] so the
+    result has odd length.  cf_value(cf_expand(s)) == s always.
+    """
+    terms = _euclidean_terms(slope.p, slope.q)[::-1]
     if any(t < 1 for t in terms):
         raise ValueError("slope must be >= 1")
     if len(terms) % 2 == 0:
@@ -90,16 +94,6 @@ def cf_expand(slope):
             terms = [terms[1] + 1] + terms[2:]
     assert cf_value(terms) == slope
     return terms
-
-
-# The six (boundary, connectivity) states sit on a cycle whose edges are
-# alternately top and right twists; each twist kind is an involution.
-_T_EDGES = {(UP, LINK): (UP, KNOT), (UP, KNOT): (UP, LINK),
-            (OP, KNOT): (RI, LINK), (RI, LINK): (OP, KNOT),
-            (RI, KNOT): (OP, LINK), (OP, LINK): (RI, KNOT)}
-_R_EDGES = {(UP, KNOT): (OP, KNOT), (OP, KNOT): (UP, KNOT),
-            (RI, LINK): (RI, KNOT), (RI, KNOT): (RI, LINK),
-            (OP, LINK): (UP, LINK), (UP, LINK): (OP, LINK)}
 
 
 def boundary_after(boundary, kind):
@@ -119,12 +113,26 @@ def twist_sequence(terms):
     return word
 
 
-def classify(terms):
-    """Run the six-state automaton over the building word of a CF."""
-    state = (UP, LINK)  # trivial tangle
+def boundary_walk(terms):
+    """(boundary before the twist, twist kind) for each twist of the
+    building word of [a1,...,ar], starting from the trivial UP tangle."""
+    boundary = UP
     for kind in twist_sequence(terms):
-        state = _T_EDGES[state] if kind == "T" else _R_EDGES[state]
-    return TangleClass(*state)
+        yield boundary, kind
+        boundary = boundary_after(boundary, kind)
+
+
+def classify(terms):
+    """Run the six-state automaton over the building word of a CF.  The
+    states sit on a cycle whose edges are alternately top and right
+    twists: connectivity flips on every top twist and on a right twist
+    at an RI boundary."""
+    boundary, knot = UP, False  # trivial tangle
+    for before, kind in boundary_walk(terms):
+        if kind == "T" or before == RI:
+            knot = not knot
+        boundary = boundary_after(before, kind)
+    return TangleClass(boundary, KNOT if knot else LINK)
 
 
 def is_knot(slope):
@@ -135,16 +143,7 @@ def is_knot(slope):
 def _cf_weight(p, q):
     """Sum of the Euclidean continued fraction terms of p/q (the twist
     count of the standard alternating diagram)."""
-    total = 0
-    num, den = p, q
-    rev = []
-    while den:
-        rev.append(num // den)
-        num, den = den, num - (num // den) * den
-    if rev[-1] == 1 and len(rev) > 1:
-        rev.pop()
-        rev[-1] += 1
-    return sum(rev)
+    return sum(_euclidean_terms(p, q))
 
 
 def ends_ri(slope):

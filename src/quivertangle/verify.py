@@ -69,7 +69,7 @@ class VerificationReport:
     pipeline: str  # knot | link
     order_checked: int
     matches: list  # exact-equality boolean per color 0..order_checked
-    timing: float  # seconds
+    timing: float  # seconds, reported on stderr only
     first_mismatch: int | None = None
     difference: str | None = None
 
@@ -84,7 +84,6 @@ class VerificationReport:
             "order_checked": self.order_checked,
             "matches": list(self.matches),
             "ok": self.ok,
-            "timing": self.timing,
         }
         if self.first_mismatch is not None:
             out["first_mismatch"] = self.first_mismatch

@@ -2,9 +2,13 @@
 determinism, and exit codes."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import quivertangle
 from quivertangle import cli
 from quivertangle.verify import VerificationReport
 
@@ -134,6 +138,9 @@ class TestBatchAndDeterminism:
         _, first, _ = run(capsys, "compute", "13/3")
         _, second, _ = run(capsys, "compute", "13/3")
         assert first == second
+        _, first, _ = run(capsys, "verify", "3/1", "--order", "1")
+        _, second, _ = run(capsys, "verify", "3/1", "--order", "1")
+        assert first == second
         _, a, _ = run(capsys, "enumerate", "--max-crossings", "6")
         _, b, _ = run(capsys, "enumerate", "--max-crossings", "6")
         assert a == b
@@ -161,6 +168,10 @@ class TestExitCodes:
         ["compute", "[2,2]"],
         ["oracle", "3/1", "--colors", "5..2"],
         ["compute", "3/1", "--frame", "wide"],
+        ["compute", "3/1", "--order", "-1"],
+        ["verify", "3/1", "--order", "-2"],
+        ["enumerate", "--max-crossings", "2"],
+        ["batch", "--max-crossings", "2"],
     ])
     def test_parse_errors_exit_2(self, argv, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -171,3 +182,27 @@ class TestExitCodes:
         with pytest.raises(SystemExit) as exc:
             cli.main(["compute", "4/1", "--pipeline", "knot"])
         assert exc.value.code == 2
+
+    def test_validation_survives_optimized_mode(self):
+        # python -O strips assert statements; input checks must not rely
+        # on them
+        src = os.path.dirname(os.path.dirname(quivertangle.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+
+        def run_optimized(*args):
+            return subprocess.run([sys.executable, "-O", *args], env=env,
+                                  capture_output=True, text=True,
+                                  timeout=60)
+
+        for argv in (["compute", "[1,2]"],
+                     ["oracle", "3/1", "--colors", "3..1"]):
+            proc = run_optimized("-m", "quivertangle.cli", *argv)
+            assert proc.returncode == 2, (argv, proc.stderr)
+        proc = run_optimized("-c", (
+            "from quivertangle.quiverstate import QuiverData\n"
+            "try:\n"
+            "    QuiverData(((0, 1), (2, 0)), (0, 0), (0, 0), 0,\n"
+            "               'antisymmetric')\n"
+            "except ValueError:\n"
+            "    raise SystemExit(3)\n"))
+        assert proc.returncode == 3, proc.stderr

@@ -89,6 +89,26 @@ class TestAutomaton:
                 if cls.boundary != RI:
                     assert (cls.connectivity == KNOT) == (p % 2 == 1)
 
+    def test_classify_matches_six_state_tables(self):
+        # reference: the (boundary, connectivity) cycle written out edge
+        # by edge; each twist kind is an involution on the six states
+        t_edges = {(UP, LINK): (UP, KNOT), (UP, KNOT): (UP, LINK),
+                   (OP, KNOT): (RI, LINK), (RI, LINK): (OP, KNOT),
+                   (RI, KNOT): (OP, LINK), (OP, LINK): (RI, KNOT)}
+        r_edges = {(UP, KNOT): (OP, KNOT), (OP, KNOT): (UP, KNOT),
+                   (RI, LINK): (RI, KNOT), (RI, KNOT): (RI, LINK),
+                   (OP, LINK): (UP, LINK), (UP, LINK): (OP, LINK)}
+        cfs = odd_cfs(10)
+        assert len(cfs) == 512
+        seen = set()
+        for cf in cfs:
+            state = (UP, LINK)
+            for kind in twist_sequence(cf):
+                seen.add((state, kind))
+                state = (t_edges if kind == "T" else r_edges)[state]
+            assert classify(cf) == TangleClass(*state), cf
+        assert len(seen) == 12  # every edge of both tables is exercised
+
     def test_trefoil_and_its_flip(self):
         assert classify([1]).boundary == UP
         assert classify([3]) == TangleClass(UP, KNOT)
