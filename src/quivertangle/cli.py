@@ -17,7 +17,8 @@ from concurrent.futures import ProcessPoolExecutor
 
 from .knotpipeline import (delta_vector, homology_generators, knot_quiver,
                            signature)
-from .quiverstate import framing_shift, link_quiver, q_invert
+from .quiverstate import (canonical_shift, framing_shift, link_quiver,
+                          q_invert)
 from .skein import oracle_homfly
 from .tangles import (Slope, cf_expand, cf_value, crossing_number,
                       enumerate_rational_knots, is_knot)
@@ -134,19 +135,13 @@ def _fraction_obj(frac):
 def _output_frame_shift(qd, frame, convention):
     """Framing shift turning raw-frame data into the requested frame.
 
-    canonical: the minimum entry of the output-convention Q becomes 0
-    (entries are affine in the shift, increasing for the antisymmetric
-    convention and decreasing after q-inversion, so the shift is read
-    off the extreme entry).  raw: no shift.  integer: that frame."""
+    canonical: the minimum entry of the output-convention Q becomes 0.
+    raw: no shift.  integer: that frame."""
     if frame == "raw":
         return 0
     if isinstance(frame, int):
         return frame - qd.framing
-    if convention == "sym":
-        # q_invert maps Q_il to -Q_il - 1 + [i = l]
-        return -1 - max(max(row[:i] + (row[i] - 1,) + row[i + 1:])
-                        for i, row in enumerate(qd.Q))
-    return -min(map(min, qd.Q))
+    return canonical_shift(qd, symmetric=convention == "sym")
 
 
 def compute_payload(slope, terms, pipeline, frame, convention):
@@ -329,7 +324,8 @@ def build_parser():
     batch.add_argument("--frame", type=_parse_frame, default="canonical")
     batch.add_argument("--convention", choices=("anti", "sym"),
                        default="sym")
-    batch.add_argument("--jobs", type=int, default=None)
+    batch.add_argument("--jobs", type=_int_at_least(0), default=None,
+                       help="worker processes (0 = default)")
     batch.add_argument("--out", default=None)
 
     return parser

@@ -23,9 +23,8 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 from .quiverstate import (IndexRecord, QuiverData, QuiverState,
-                          absorb_pochhammer, apply_twist, mirror_quiver,
+                          absorb_pochhammer, apply_twist, quiver_route,
                           resolve_terms, symmetrize, trivial_state, _freeze)
-from .skein import writhe
 from .tangles import (OP, RI, UP, Slope, boundary_after, boundary_walk,
                       cf_value, is_knot)
 
@@ -263,7 +262,9 @@ def reduce_cf(terms, with_ops=False):
     withholding the final top crossing (it is consumed by the closure).
     Returns the pre-final state (and the PairedOp log if with_ops)."""
     terms = list(terms)
-    assert len(terms) % 2 == 1 and all(t >= 1 for t in terms)
+    if len(terms) % 2 == 0 or any(t < 1 for t in terms):
+        raise ValueError(f"bad continued fraction {terms}: need an "
+                         "odd-length list of positive integers")
     if not is_knot(cf_value(terms)):
         raise ValueError("two-component link: the p-vertex pipeline "
                          "needs an odd numerator")
@@ -307,10 +308,10 @@ def reduce_cf(terms, with_ops=False):
     return (st, ops) if with_ops else st
 
 
-def final_close(st, origin=None):
+def final_close(st, origin=None, framing=0):
     """Consume the withheld top crossing and close the tangle,
-    producing quiver data in the diagram frame with antisymmetric color
-    convention."""
+    producing quiver data in the diagram frame (recorded as framing)
+    with antisymmetric color convention."""
     if st.obj == UP:
         assert _k_type(st)
         out = _apply_template(st, ("close", UP))
@@ -323,7 +324,7 @@ def final_close(st, origin=None):
             "use an equivalent slope representative")
     return QuiverData(symmetrize([list(r) for r in out.M]),
                       tuple(out.a_vec()), tuple(out.s_vec()),
-                      0, "antisymmetric", origin)
+                      framing, "antisymmetric", origin)
 
 
 def knot_quiver(slope_or_terms, origin=None):
@@ -334,12 +335,12 @@ def knot_quiver(slope_or_terms, origin=None):
     automatically; when only a mirror representative closes, the data
     is mirrored back at the quiver level so the output always presents
     the requested slope."""
-    terms, mirrored = resolve_terms(slope_or_terms)
-    if origin is None and isinstance(slope_or_terms, Slope):
-        origin = slope_or_terms
-    st = reduce_cf(terms)
-    qd = replace(final_close(st, origin), framing=writhe(terms))
-    return mirror_quiver(qd, polynomial=True) if mirrored else qd
+    return quiver_route(slope_or_terms, origin, _reduce_and_close,
+                        polynomial=True)
+
+
+def _reduce_and_close(terms, origin, framing):
+    return final_close(reduce_cf(terms), origin, framing)
 
 
 def delta_vector(qd):

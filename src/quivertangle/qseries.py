@@ -1,6 +1,5 @@
 """Exact arithmetic for Laurent polynomials in q and a, q-rational
-functions, Pochhammer symbols, quantum binomials and multinomials, and
-truncated power series in a counting variable x.
+functions, Pochhammer symbols, quantum binomials and multinomials.
 
 Coefficients are arbitrary-precision integers throughout; nothing in this
 module (or anything built on it) touches floating point.
@@ -521,69 +520,3 @@ def _reduce_fraction(num, den):
 
 QF_ZERO = QFraction(0)
 QF_ONE = QFraction(1)
-
-
-class TruncatedSeries:
-    """Power series in x truncated at a fixed order, with QFraction
-    coefficients.  Arithmetic on two series truncates to the minimum of
-    their orders."""
-
-    __slots__ = ("order", "coeffs")
-
-    def __init__(self, order, coeffs=None):
-        if order < 0:
-            raise ValueError("order must be non-negative")
-        self.order = order
-        if coeffs is None:
-            coeffs = [QF_ZERO] * (order + 1)
-        else:
-            coeffs = [c if isinstance(c, QFraction) else QFraction(c)
-                      for c in coeffs]
-            if len(coeffs) != order + 1:
-                raise ValueError("need exactly order+1 coefficients")
-        self.coeffs = coeffs
-
-    @classmethod
-    def one(cls, order):
-        s = cls(order)
-        s.coeffs[0] = QF_ONE
-        return s
-
-    def __eq__(self, other):
-        if not isinstance(other, TruncatedSeries):
-            return NotImplemented
-        n = min(self.order, other.order)
-        return all(self.coeffs[i] == other.coeffs[i] for i in range(n + 1))
-
-    def __add__(self, other):
-        n = min(self.order, other.order)
-        return TruncatedSeries(
-            n, [self.coeffs[i] + other.coeffs[i] for i in range(n + 1)])
-
-    def __sub__(self, other):
-        n = min(self.order, other.order)
-        return TruncatedSeries(
-            n, [self.coeffs[i] - other.coeffs[i] for i in range(n + 1)])
-
-    def __mul__(self, other):
-        if isinstance(other, (int, LaurentPoly, QFraction)):
-            return TruncatedSeries(self.order,
-                                   [c * other for c in self.coeffs])
-        n = min(self.order, other.order)
-        out = [QF_ZERO] * (n + 1)
-        for i in range(n + 1):
-            if not self.coeffs[i]:
-                continue
-            for j in range(n + 1 - i):
-                if other.coeffs[j]:
-                    out[i + j] = out[i + j] + self.coeffs[i] * other.coeffs[j]
-        return TruncatedSeries(n, out)
-
-    __rmul__ = __mul__
-
-    def __str__(self):
-        return " + ".join(f"({c})*x^{i}" for i, c in enumerate(self.coeffs))
-
-    def __repr__(self):
-        return f"TruncatedSeries({self})"
-

@@ -26,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 from .qseries import (LaurentPoly, ZERO, poch_q2, q_pow, qmultinomial)
-from .skein import SkeinElement, _mono, writhe
+from .skein import SkeinElement, writhe
 from .tangles import (OP, RI, UP, Slope, boundary_after, cf_expand,
                       ends_ri, good_representative, twist_sequence)
 
@@ -112,17 +112,6 @@ def trivial_state():
     return QuiverState(UP, (IndexRecord(False, 0, 0, 0),), ((0,),))
 
 
-def compositions(total, parts):
-    """All tuples of `parts` non-negative integers summing to `total`."""
-    if parts == 0:
-        if total == 0:
-            yield ()
-        return
-    for first in range(total + 1):
-        for rest in compositions(total - first, parts - 1):
-            yield (first,) + rest
-
-
 def _e2(d):
     total, acc = 0, 0
     for x in d:
@@ -137,29 +126,48 @@ def bal_multinomial(total, parts):
 
 
 def state_expand(st, N, balanced=True):
-    """Brute-force expansion: rescaled skein elements for colors j <= N.
+    """Expansion of a state: rescaled skein elements for colors j <= N.
 
     The coefficient of X[j,k] accumulates every index tuple d with
     sum d = j and sum_active d = k.  balanced selects which multinomial
     convention the state is read in (the two conventions differ by the
-    folded strictly-upper all-ones quadratic form)."""
-    S, A, K = st.s_vec(), st.a_vec(), st.k_vec()
-    act = set(st.actives())
-    out = []
-    for j in range(N + 1):
-        coeffs = [ZERO] * (j + 1)
-        for d in compositions(j, st.n):
-            k = sum(x for i, x in enumerate(d) if i in act)
-            sdot = sum(s * x for s, x in zip(S, d))
-            adot = sum(a * x for a, x in zip(A, d))
-            quad = sum(st.M[i][l] * d[i] * d[l]
-                       for i in range(st.n) for l in range(st.n) if d[i] and d[l])
-            kdot = sum(kk * x for kk, x in zip(K, d))
-            mult = bal_multinomial(j, d) if balanced else qmultinomial(j, d)
-            w = _mono(sdot, quad, adot) * poch_q2(kdot) * mult
-            coeffs[k] = coeffs[k] + w
-        out.append(SkeinElement(j, st.obj, coeffs))
-    return out
+    folded strictly-upper all-ones quadratic form).
+
+    One walk visits every d with |d| <= N through its nonzero entries
+    only, adding the quadratic form incrementally: a new entry x at
+    index i adds M_ii x^2 + x sum_l (M_il + M_li) d_l.  Monomials are
+    summed as raw exponent dicts per (j, k, K.d, sorted nonzero parts
+    of d); the Pochhammer (q^2;q^2)_{K.d} and the multinomial depend
+    only on that key, so each group is multiplied by them once."""
+    n, M = st.n, st.M
+    recs = st.indices
+    groups = {}
+    support = []  # (index, entry) pairs of the nonzero entries of d
+
+    def walk(start, j, k, kdot, sdot, adot, quad):
+        key = (j, k, kdot, tuple(sorted(x for _, x in support)))
+        raw = groups.setdefault(key, {})
+        mono = (sdot + quad, adot)
+        raw[mono] = raw.get(mono, 0) + (-1 if sdot % 2 else 1)
+        if j == N:
+            return
+        for i in range(start, n):
+            r, row = recs[i], M[i]
+            cross = sum((row[l] + M[l][i]) * y for l, y in support)
+            for x in range(1, N - j + 1):
+                support.append((i, x))
+                walk(i + 1, j + x, k + x if r.active else k,
+                     kdot + x * r.extra_poch, sdot + x * r.s, adot + x * r.a,
+                     quad + row[i] * x * x + cross * x)
+                support.pop()
+
+    walk(0, 0, 0, 0, 0, 0, 0)
+    coeffs = [[ZERO] * (j + 1) for j in range(N + 1)]
+    multinomial = bal_multinomial if balanced else qmultinomial
+    for (j, k, kdot, parts), raw in groups.items():
+        coeffs[j][k] = (coeffs[j][k] + LaurentPoly(raw) * poch_q2(kdot)
+                        * multinomial(j, parts))
+    return [SkeinElement(j, st.obj, c) for j, c in enumerate(coeffs)]
 
 
 def absorb_pochhammer(st, coeff, const_a, const_q, targets, *, refine=True,
@@ -347,14 +355,15 @@ def symmetrize(M):
     return _freeze(Q)
 
 
-def close_link(st, origin=None):
+def close_link(st, origin=None, framing=0):
     """Closure of a full tangle state (the link-route algorithm):
     substitute the closure scalar for X[j,k], cancel the rescaling
     numerator (q^2;q^2)_j against the closure denominator, absorb the
     remaining Pochhammer numerators, and export quiver data.
 
-    The output is in the frame of the twist diagram (framing recorded
-    as 0 here; callers shift by the writhe for the zero frame)."""
+    The output is in the frame of the twist diagram; framing records
+    that frame (the diagram writhe; callers shift by it for the zero
+    frame)."""
     assert st.obj in (UP, OP), f"cannot close {st.obj} North-South"
     assert all(r.extra_poch == 0 for r in st.indices)
     act, inact = st.actives(), st.inactives()
@@ -386,7 +395,12 @@ def close_link(st, origin=None):
                                 [i for i in inact], refine=False)
 
     return QuiverData(symmetrize(_thaw(out.M)), tuple(out.a_vec()),
-                      tuple(out.s_vec()), 0, "antisymmetric", origin)
+                      tuple(out.s_vec()), framing, "antisymmetric", origin)
+
+
+# (sigma, c, e) of the reflection Q_il -> -Q_il - 1 + [i = l] that
+# q_invert and mirror_quiver(polynomial=True) apply
+_Q_INVERT = (-1, -1, 1)
 
 
 def _affine(qd, sigma, c, e, q_shift, a_vec, framing, convention):
@@ -418,9 +432,10 @@ def mirror_quiver(qd, *, polynomial):
     increments and q_vec -> 1 - q_vec."""
     if qd.color_convention != "antisymmetric":
         raise ValueError("mirror acts on antisymmetric-convention data")
-    c, q_shift = (-1, 0) if polynomial else (0, 1)
-    return _affine(qd, -1, c, 1, q_shift, tuple(-x for x in qd.a_vec),
-                   -qd.framing, qd.color_convention)
+    sigma, c, e = _Q_INVERT if polynomial else (-1, 0, 1)
+    return _affine(qd, sigma, c, e, 0 if polynomial else 1,
+                   tuple(-x for x in qd.a_vec), -qd.framing,
+                   qd.color_convention)
 
 
 def resolve_terms(slope_or_terms):
@@ -436,19 +451,33 @@ def resolve_terms(slope_or_terms):
     return list(slope_or_terms), False
 
 
+def quiver_route(slope_or_terms, origin, close, polynomial):
+    """The tail both routes share: resolve the input to closable CF
+    terms, build quiver data with close(terms, origin, framing) in the
+    diagram frame (framing = diagram writhe), and mirror it back with
+    mirror_quiver(polynomial=...) when only a mirror representative
+    closes.  Slope input is the default origin."""
+    terms, mirrored = resolve_terms(slope_or_terms)
+    if origin is None and isinstance(slope_or_terms, Slope):
+        origin = slope_or_terms
+    qd = close(terms, origin, writhe(terms))
+    return mirror_quiver(qd, polynomial=polynomial) if mirrored else qd
+
+
+def _twist_and_close(terms, origin, framing):
+    st = trivial_state()
+    for kind in twist_sequence(terms):
+        st = apply_twist(st, kind)
+    return close_link(st, origin, framing)
+
+
 def link_quiver(slope_or_terms, origin=None):
     """Quiver data via the one-crossing-at-a-time route: plain twists
     followed by close_link.  Output is in the diagram frame with the
     framing field recording the diagram writhe; mirror representatives
     (needed for some slopes) are substituted at the data level."""
-    terms, mirrored = resolve_terms(slope_or_terms)
-    if origin is None and isinstance(slope_or_terms, Slope):
-        origin = slope_or_terms
-    st = trivial_state()
-    for kind in twist_sequence(terms):
-        st = apply_twist(st, kind)
-    qd = replace(close_link(st, origin), framing=writhe(terms))
-    return mirror_quiver(qd, polynomial=False) if mirrored else qd
+    return quiver_route(slope_or_terms, origin, _twist_and_close,
+                        polynomial=False)
 
 
 def framing_shift(qd, f):
@@ -466,7 +495,19 @@ def q_invert(qd):
     asymmetry of the q-Pochhammer denominators."""
     if qd.color_convention != "antisymmetric":
         raise ValueError("data already in symmetric-color convention")
-    return _affine(qd, -1, -1, 1, 0, qd.a_vec, qd.framing, "symmetric")
+    return _affine(qd, *_Q_INVERT, 0, qd.a_vec, qd.framing, "symmetric")
+
+
+def canonical_shift(qd, symmetric):
+    """Framing shift after which the smallest entry of Q is 0 in the
+    output convention: as it stands, or after q_invert when symmetric.
+    The output entries sigma (Q_il + f) + c + e [i = l] are affine in
+    the shift f, so it is read off the extreme entry."""
+    sigma, c, e = _Q_INVERT if symmetric else (1, 0, 0)
+    pick = min if sigma > 0 else max
+    extreme = pick(pick(row[:i] + (row[i] + sigma * e,) + row[i + 1:])
+                   for i, row in enumerate(qd.Q))
+    return -extreme - sigma * c
 
 
 def _row_key(qd, i):

@@ -12,10 +12,11 @@ import time
 from dataclasses import dataclass
 
 from .knotpipeline import knot_quiver
-from .qseries import QFraction, TruncatedSeries, poch_q2, qmultinomial
-from .quiverstate import compositions, framing_shift, link_quiver
-from .skein import _mono, oracle_homfly
-from .tangles import Slope, cf_value, is_knot
+from .qseries import QFraction, poch_q2
+from .quiverstate import (IndexRecord, QuiverState, framing_shift,
+                          link_quiver, state_expand)
+from .skein import oracle_homfly
+from .tangles import UP, Slope, cf_value, is_knot
 
 DEFAULT_KNOT_ORDER = 3
 DEFAULT_LINK_ORDER = 2
@@ -43,23 +44,16 @@ def expand_motivic(qd, N):
     as the coefficient of x^j, where [j; d]_+ is the positive
     q-multinomial (the per-index Pochhammers gathered over a single
     (q^2;q^2)_j).  This is the form computed here; coefficients are
-    exact QFractions.  Enumeration cost is binom(N + n, n) dimension
-    vectors, so keep N small (<= ~5) for large quivers.
+    exact QFractions, returned as the list of the N+1 coefficients.
+    The expansion is state_expand's, on the state with one inactive,
+    unflagged index per vertex (q_vec, a_vec) and quadratic form Q, read
+    at k = 0.  Its cost is binom(N + n, n) dimension vectors, so keep N
+    small (<= ~5) for large quivers.
     """
-    n = qd.n
-    numerators = [None] * (N + 1)
-    for j in range(N + 1):
-        acc = None
-        for d in compositions(j, n):
-            quad = sum(qd.Q[i][l] * d[i] * d[l]
-                       for i in range(n) for l in range(n) if d[i] and d[l])
-            sdot = sum(s * x for s, x in zip(qd.q_vec, d))
-            adot = sum(a * x for a, x in zip(qd.a_vec, d))
-            term = _mono(sdot, quad, adot) * qmultinomial(j, d)
-            acc = term if acc is None else acc + term
-        numerators[j] = acc
-    return TruncatedSeries(N, [QFraction(num, poch_q2(j))
-                               for j, num in enumerate(numerators)])
+    st = QuiverState(UP, tuple(IndexRecord(False, 0, s, a)
+                               for s, a in zip(qd.q_vec, qd.a_vec)), qd.Q)
+    return [QFraction(e.coeffs[0], poch_q2(j))
+            for j, e in enumerate(state_expand(st, N, balanced=False))]
 
 
 @dataclass
@@ -94,12 +88,11 @@ class VerificationReport:
         return json.dumps(self.as_dict())
 
 
-def _compare(series, oracle_coeff):
+def _compare(coeffs, oracle_coeff):
     """Exact per-color comparison; records the first differing color
     and the cleared polynomial difference on mismatch."""
     matches, first, diff = [], None, None
-    for j in range(series.order + 1):
-        got = series.coeffs[j]
+    for j, got in enumerate(coeffs):
         want = oracle_coeff(j)
         ok = got == want
         matches.append(ok)
@@ -118,15 +111,7 @@ def verify_knot(s, N=DEFAULT_KNOT_ORDER):
     s = _as_slope(s)
     if not is_knot(s):
         raise ValueError(f"{s} is a two-component link; use verify_link")
-    start = time.perf_counter()
-    qd = knot_quiver(s)
-    series = expand_motivic(framing_shift(qd, -qd.framing), N)
-    cleared = TruncatedSeries(
-        N, [c * poch_q2(j) for j, c in enumerate(series.coeffs)])
-    matches, first, diff = _compare(cleared, lambda j: oracle_homfly(s, j))
-    elapsed = time.perf_counter() - start
-    return VerificationReport(str(s), "knot", N, matches, elapsed,
-                              first, diff)
+    return _verify(s, N, "knot")
 
 
 def verify_link(s, N=DEFAULT_LINK_ORDER):
@@ -134,13 +119,20 @@ def verify_link(s, N=DEFAULT_LINK_ORDER):
     rational link: the coefficient of x^j must equal the reduced
     j-colored invariant directly (no per-color clearing) for every
     j <= N, both sides in the zero frame."""
-    s = _as_slope(s)
+    return _verify(_as_slope(s), N, "link")
+
+
+def _verify(s, N, pipeline):
+    """The check both routes share: the knot route's color j is cleared
+    by (q^2;q^2)_j before the comparison, the link route's is not."""
     start = time.perf_counter()
-    qd = link_quiver(s)
-    series = expand_motivic(framing_shift(qd, -qd.framing), N)
-    matches, first, diff = _compare(series, lambda j: oracle_homfly(s, j))
+    qd = knot_quiver(s) if pipeline == "knot" else link_quiver(s)
+    coeffs = expand_motivic(framing_shift(qd, -qd.framing), N)
+    if pipeline == "knot":
+        coeffs = [c * poch_q2(j) for j, c in enumerate(coeffs)]
+    matches, first, diff = _compare(coeffs, lambda j: oracle_homfly(s, j))
     elapsed = time.perf_counter() - start
-    return VerificationReport(str(s), "link", N, matches, elapsed,
+    return VerificationReport(str(s), pipeline, N, matches, elapsed,
                               first, diff)
 
 

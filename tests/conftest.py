@@ -1,13 +1,47 @@
-"""Shared test helpers: brute-force quiver expansion, continued
-fraction generators, and an independent Goeritz-matrix signature
-oracle."""
+"""Shared test helpers: brute-force quiver and state expansions,
+continued fraction generators, and an independent Goeritz-matrix
+signature oracle."""
 
 from fractions import Fraction
 
 from quivertangle.qseries import QFraction, ZERO, poch_q2, qmultinomial
-from quivertangle.quiverstate import compositions
-from quivertangle.skein import _mono
+from quivertangle.quiverstate import bal_multinomial
+from quivertangle.skein import SkeinElement, _mono
 from quivertangle.tangles import cf_value, is_knot
+
+
+def compositions(total, parts):
+    """All tuples of `parts` non-negative integers summing to `total`."""
+    if parts == 0:
+        if total == 0:
+            yield ()
+        return
+    for first in range(total + 1):
+        for rest in compositions(total - first, parts - 1):
+            yield (first,) + rest
+
+
+def state_expand_reference(st, N, balanced=True):
+    """Brute-force reference for quiverstate.state_expand: one full
+    term, with its own Pochhammer and multinomial, per composition d of
+    each color j into st.n parts."""
+    S, A, K = st.s_vec(), st.a_vec(), st.k_vec()
+    act = set(st.actives())
+    out = []
+    for j in range(N + 1):
+        coeffs = [ZERO] * (j + 1)
+        for d in compositions(j, st.n):
+            k = sum(x for i, x in enumerate(d) if i in act)
+            sdot = sum(s * x for s, x in zip(S, d))
+            adot = sum(a * x for a, x in zip(A, d))
+            quad = sum(st.M[i][l] * d[i] * d[l]
+                       for i in range(st.n) for l in range(st.n))
+            kdot = sum(kk * x for kk, x in zip(K, d))
+            mult = bal_multinomial(j, d) if balanced else qmultinomial(j, d)
+            coeffs[k] = (coeffs[k]
+                         + _mono(sdot, quad, adot) * poch_q2(kdot) * mult)
+        out.append(SkeinElement(j, st.obj, coeffs))
+    return out
 
 
 def quiver_numerator(qd, j):

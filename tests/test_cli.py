@@ -172,6 +172,7 @@ class TestExitCodes:
         ["verify", "3/1", "--order", "-2"],
         ["enumerate", "--max-crossings", "2"],
         ["batch", "--max-crossings", "2"],
+        ["batch", "--max-crossings", "3", "--jobs", "-3"],
     ])
     def test_parse_errors_exit_2(self, argv, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -205,4 +206,13 @@ class TestExitCodes:
             "               'antisymmetric')\n"
             "except ValueError:\n"
             "    raise SystemExit(3)\n"))
+        assert proc.returncode == 3, proc.stderr
+        # an even-length CF must be refused up front, not later as an
+        # unclosable state
+        proc = run_optimized("-c", (
+            "from quivertangle.knotpipeline import knot_quiver\n"
+            "try:\n"
+            "    knot_quiver([1, 2])\n"
+            "except ValueError as exc:\n"
+            "    raise SystemExit(3 if 'odd-length' in str(exc) else 4)\n"))
         assert proc.returncode == 3, proc.stderr

@@ -6,9 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quivertangle.qseries import (A, ONE, Q, QF_ONE, QF_ZERO, LaurentPoly,
-                                  QFraction, TruncatedSeries, ZERO, a_pow,
-                                  balanced_from_plus, neg_q_pow, pochhammer,
-                                  poch_q2, q_pow, qbinom_plus, qmultinomial)
+                                  QFraction, ZERO, a_pow, balanced_from_plus,
+                                  neg_q_pow, pochhammer, poch_q2, q_pow,
+                                  qbinom_plus, qmultinomial)
+
+from conftest import compositions
 
 
 def poly(*terms):
@@ -146,21 +148,6 @@ class TestQFraction:
         assert "q" in str(QFraction(Q, ONE - Q**2))
 
 
-class TestTruncatedSeries:
-    def test_ops(self):
-        one = TruncatedSeries.one(3)
-        x = TruncatedSeries(3, [QF_ZERO, QF_ONE, QF_ZERO, QF_ZERO])
-        assert (one + x) - x == one
-        sq = x * x
-        assert sq.coeffs[2] == QF_ONE
-        assert sq.coeffs[1] == QF_ZERO
-
-    def test_truncation_to_min_order(self):
-        a = TruncatedSeries(2, [QF_ZERO, QF_ZERO, QF_ONE])
-        b = TruncatedSeries(5)
-        assert (a * b).order == 2
-
-
 @settings(max_examples=200, deadline=None)
 @given(st.integers(0, 10))
 def test_binomial_pochhammer_expansion(k):
@@ -225,7 +212,6 @@ def test_multinomial_splitting(data):
             if all(x == 0 for x in rows_left):
                 yield []
             return
-        from quivertangle.quiverstate import compositions
         for col in compositions(a[u], p):
             if all(col[l] <= rows_left[l] for l in range(p)):
                 rest = [rows_left[l] - col[l] for l in range(p)]
@@ -254,8 +240,6 @@ def test_two_index_vs_one_index_resummation(d, order):
             lhs_c[a + b] = lhs_c[a + b] + QFraction(
                 neg_q_pow(a) * q_pow(a * a + 2 * d * a),
                 poch_q2(a) * poch_q2(b))
-    lhs = TruncatedSeries(order, lhs_c)
-    rhs = TruncatedSeries(order, [
-        QFraction(poch_q2(c + d), poch_q2(c) * poch_q2(d))
-        for c in range(order + 1)])
-    assert lhs == rhs
+    rhs_c = [QFraction(poch_q2(c + d), poch_q2(c) * poch_q2(d))
+             for c in range(order + 1)]
+    assert lhs_c == rhs_c

@@ -3,20 +3,24 @@ state expansion must track the rescaled skein element after every
 twist, and the closed quiver data must reproduce the oracle."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hs
 
 from quivertangle.qseries import QFraction, q_pow
 from quivertangle.quiverstate import (IndexRecord, QuiverState, _e2,
                                       apply_twist, bal_multinomial, close_link,
-                                      compositions, framing_shift, link_quiver,
+                                      framing_shift, link_quiver,
                                       mirror_quiver, permutation_equal,
                                       q_invert, resolve_terms, state_expand,
                                       symmetrize, trivial_state)
 from quivertangle.skein import (basis_element, framing_factor, oracle_homfly,
                                 raw_closure, rescale, twist, writhe)
 from quivertangle.qseries import qmultinomial
-from quivertangle.tangles import Slope, UP, cf_expand, cf_value, twist_sequence
+from quivertangle.tangles import (OP, RI, Slope, UP, cf_expand, cf_value,
+                                  twist_sequence)
 
-from conftest import link_route_coeff, odd_cfs
+from conftest import (compositions, link_route_coeff, odd_cfs,
+                      state_expand_reference)
 
 
 STEP_ORDER = 3
@@ -57,6 +61,29 @@ class TestCombinatoricHelpers:
             b = bal_multinomial(4, d)
             assert b == q_pow(-_e2(d)) * qmultinomial(4, d)
             assert b.subs_q_inverse() == b
+
+
+@hs.composite
+def small_states(draw):
+    """Random small states: non-symmetric M, mixed active and
+    extra-Pochhammer flags."""
+    n = draw(hs.integers(1, 4))
+    records = tuple(IndexRecord(draw(hs.booleans()), draw(hs.integers(0, 1)),
+                                draw(hs.integers(-3, 3)),
+                                draw(hs.integers(-2, 2)))
+                    for _ in range(n))
+    M = tuple(tuple(draw(hs.integers(-3, 3)) for _ in range(n))
+              for _ in range(n))
+    return QuiverState(draw(hs.sampled_from((UP, OP, RI))), records, M)
+
+
+@settings(max_examples=80, deadline=None)
+@given(small_states(), hs.integers(0, 3), hs.booleans())
+def test_state_expand_matches_brute_force(st, N, balanced):
+    got = state_expand(st, N, balanced=balanced)
+    want = state_expand_reference(st, N, balanced=balanced)
+    assert [(e.color, e.boundary, e.coeffs) for e in got] \
+        == [(e.color, e.boundary, e.coeffs) for e in want]
 
 
 class TestStateInvariant:

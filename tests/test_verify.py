@@ -7,15 +7,14 @@ import pytest
 
 from quivertangle.knotpipeline import knot_quiver
 from quivertangle.qseries import QF_ONE, QFraction, poch_q2
-from quivertangle.quiverstate import (compositions, framing_shift, link_quiver,
-                                      q_invert)
+from quivertangle.quiverstate import framing_shift, link_quiver, q_invert
 from quivertangle.skein import _mono, oracle_homfly
 from quivertangle.tangles import Slope
 from quivertangle.verify import (DEFAULT_KNOT_ORDER, DEFAULT_LINK_ORDER,
                                  VerificationReport, expand_motivic,
                                  verify_knot, verify_link)
 
-from conftest import quiver_numerator
+from conftest import compositions, quiver_numerator
 
 
 def euler_form_expansion(qd, N):
@@ -43,7 +42,7 @@ class TestExpandMotivic:
         qd = framing_shift(knot_quiver(Slope(1, 1)), -1)
         series = expand_motivic(qd, 4)
         for j in range(5):
-            assert series.coeffs[j] == QFraction(1, poch_q2(j))
+            assert series[j] == QFraction(1, poch_q2(j))
 
     @pytest.mark.parametrize("slope", [Slope(3, 1), Slope(5, 2), Slope(4, 1)])
     def test_matches_definition_with_split_denominators(self, slope):
@@ -51,13 +50,13 @@ class TestExpandMotivic:
         series = expand_motivic(qd, 2)
         split = euler_form_expansion(qd, 2)
         for j in range(3):
-            assert series.coeffs[j] == split[j], (slope, j)
+            assert series[j] == split[j], (slope, j)
 
     def test_coefficient_numerators(self):
         qd = knot_quiver(Slope(3, 1))
         series = expand_motivic(qd, 3)
         for j in range(4):
-            assert series.coeffs[j] == QFraction(quiver_numerator(qd, j),
+            assert series[j] == QFraction(quiver_numerator(qd, j),
                                                  poch_q2(j))
 
 
@@ -99,8 +98,8 @@ class TestVerification:
             ks = expand_motivic(framing_shift(kd, -kd.framing), 2)
             ls = expand_motivic(framing_shift(ld, -ld.framing), 2)
             for j in range(3):
-                assert (ks.coeffs[j] * QFraction(poch_q2(j))
-                        == ls.coeffs[j]), (slope, j)
+                assert (ks[j] * QFraction(poch_q2(j))
+                        == ls[j]), (slope, j)
 
     def test_mismatch_reported_on_corrupted_data(self):
         qd = knot_quiver(Slope(3, 1))
