@@ -25,8 +25,6 @@ from .tangles import (Slope, cf_expand, cf_value, crossing_number,
 from .verify import (DEFAULT_KNOT_ORDER, DEFAULT_LINK_ORDER, verify_knot,
                      verify_link)
 
-JOBS_ENV = "QUIVERTANGLE_JOBS"
-
 
 def _parse_slope(text):
     try:
@@ -111,16 +109,6 @@ def _resolve_input(args, parser):
     if isinstance(value, Slope):
         return value, cf_expand(value)
     return cf_value(value), list(value)
-
-
-def _default_jobs():
-    env = os.environ.get(JOBS_ENV)
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            pass
-    return os.cpu_count() or 1
 
 
 def _fraction_obj(frac):
@@ -265,9 +253,10 @@ def _batch_worker(task):
 def _cmd_batch(args, parser):
     slopes = enumerate_rational_knots(args.max_crossings)
     tasks = [(s.p, s.q, args.frame, args.convention) for s in slopes]
+    jobs = args.jobs or os.cpu_count() or 1
     start = time.perf_counter()
-    if args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+    if jobs > 1:
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
             results = list(pool.map(_batch_worker, tasks, chunksize=8))
     else:
         results = [_batch_worker(t) for t in tasks]
@@ -275,7 +264,7 @@ def _cmd_batch(args, parser):
     _emit("".join(line + "\n" for line in results), args.out)
     sys.stderr.write(
         f"batch: {len(results)} knots in {elapsed:.2f}s "
-        f"({args.jobs} worker{'s' if args.jobs != 1 else ''})\n")
+        f"({jobs} worker{'s' if jobs != 1 else ''})\n")
     return 0
 
 
@@ -324,8 +313,8 @@ def build_parser():
     batch.add_argument("--frame", type=_parse_frame, default="canonical")
     batch.add_argument("--convention", choices=("anti", "sym"),
                        default="sym")
-    batch.add_argument("--jobs", type=_int_at_least(0), default=None,
-                       help="worker processes (0 = default)")
+    batch.add_argument("--jobs", type=_int_at_least(0), default=0,
+                       help="worker processes (0 = CPU count, the default)")
     batch.add_argument("--out", default=None)
 
     return parser
@@ -334,9 +323,6 @@ def build_parser():
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "jobs", None) in (None, 0):
-        if args.command == "batch":
-            args.jobs = _default_jobs()
     handler = {
         "compute": _cmd_compute,
         "oracle": _cmd_oracle,

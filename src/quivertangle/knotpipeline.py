@@ -44,112 +44,74 @@ class HomologyGenerator:
     t_degree: int
 
 
-def _block_split(st):
-    """Permute the state to (actives..., inactives...) order; the
-    denotation is permutation-covariant."""
-    order = st.actives() + st.inactives()
-    records = tuple(st.indices[i] for i in order)
-    M = tuple(tuple(st.M[i][l] for l in order) for i in order)
-    return QuiverState(st.obj, records, M)
-
-
-# Block transforms: (input objects, required K position, output object,
-# output blocks, M template).  Output blocks are
-# (active, k_flag, source, s_shift, a_shift) with source "+"/"-".
-# M template entries are (row_source, col_source, shift, tri) with tri
-# in (None, "L", "U").
+# Block transforms, keyed by (pair, boundary before): (boundary after,
+# or None for the closure; output blocks; M template).  Output blocks
+# are (active, k_flag, source, s_shift, a_shift) with source "+"/"-".
+# M template entry (shift, tri) of output blocks (b, c) is the input
+# block (source of b, source of c) plus shift, plus the strictly lower
+# (tri "L") or upper (tri "U") all-ones block.
 
 _P, _M_ = "+", "-"
-
-
-def _row(*entries):
-    return tuple(entries)
-
 
 _TRANSFORMS = {
     ("TT", UP): (UP, [(1, 1, _P, 0, 0), (1, 1, _M_, -1, 0),
                       (0, 0, _M_, -2, 0)],
-                 [_row((_P, _P, 2, None), (_P, _M_, 0, None), (_P, _M_, 0, None)),
-                  _row((_M_, _P, 0, None), (_M_, _M_, 0, None), (_M_, _M_, 0, "L")),
-                  _row((_M_, _P, 0, None), (_M_, _M_, 0, "U"), (_M_, _M_, 0, None))]),
-    ("TT", OP): (OP, [(1, 1, _P, 2, 2), (1, 1, _M_, 1, 1),
-                      (0, 0, _M_, 0, 0)],
-                 [_row((_P, _P, -2, None), (_P, _M_, -3, None), (_P, _M_, -2, None)),
-                  _row((_M_, _P, -3, None), (_M_, _M_, -2, None), (_M_, _M_, -1, "L")),
-                  _row((_M_, _P, -2, None), (_M_, _M_, -1, "U"), (_M_, _M_, 0, None))]),
+                 [((2, None), (0, None), (0, None)),
+                  ((0, None), (0, None), (0, "L")),
+                  ((0, None), (0, "U"), (0, None))]),
+    ("TT", OP): (OP, [(1, 1, _P, 2, 2), (1, 1, _M_, 1, 1), (0, 0, _M_, 0, 0)],
+                 [((-2, None), (-3, None), (-2, None)),
+                  ((-3, None), (-2, None), (-1, "L")),
+                  ((-2, None), (-1, "U"), (0, None))]),
     ("RR", OP): (OP, [(1, 0, _P, 0, 0), (0, 1, _P, -2, -1),
                       (0, 1, _M_, -2, -2)],
-                 [_row((_P, _P, 0, None), (_P, _P, 1, "L"), (_P, _M_, 2, None)),
-                  _row((_P, _P, 1, "U"), (_P, _P, 1, None), (_P, _M_, 1, None)),
-                  _row((_M_, _P, 2, None), (_M_, _P, 1, None), (_M_, _M_, 2, None))]),
-    ("RR", RI): (RI, [(1, 0, _P, 2, 0), (0, 1, _P, 0, 0),
-                      (0, 1, _M_, 0, 0)],
-                 [_row((_P, _P, 0, None), (_P, _P, 0, "L"), (_P, _M_, 0, None)),
-                  _row((_P, _P, 0, "U"), (_P, _P, -1, None), (_P, _M_, -2, None)),
-                  _row((_M_, _P, 0, None), (_M_, _P, -2, None), (_M_, _M_, -2, None))]),
+                 [((0, None), (1, "L"), (2, None)),
+                  ((1, "U"), (1, None), (1, None)),
+                  ((2, None), (1, None), (2, None))]),
+    ("RR", RI): (RI, [(1, 0, _P, 2, 0), (0, 1, _P, 0, 0), (0, 1, _M_, 0, 0)],
+                 [((0, None), (0, "L"), (0, None)),
+                  ((0, "U"), (-1, None), (-2, None)),
+                  ((0, None), (-2, None), (-2, None))]),
     ("TR", OP): (UP, [(1, 1, _P, -1, 0), (1, 1, _M_, -1, -1),
                       (0, 0, _P, -2, 0), (0, 0, _M_, -2, -1),
                       (0, 0, _M_, -1, -1)],
-                 [_row((_P, _P, 0, None), (_P, _M_, 0, None), (_P, _P, 0, "L"),
-                       (_P, _M_, 0, None), (_P, _M_, 1, None)),
-                  _row((_M_, _P, 0, None), (_M_, _M_, 1, None), (_M_, _P, 1, None),
-                       (_M_, _M_, 1, "L"), (_M_, _M_, 2, "L")),
-                  _row((_P, _P, 0, "U"), (_P, _M_, 1, None), (_P, _P, 0, None),
-                       (_P, _M_, 0, None), (_P, _M_, 0, None)),
-                  _row((_M_, _P, 0, None), (_M_, _M_, 1, "U"), (_M_, _P, 0, None),
-                       (_M_, _M_, 1, None), (_M_, _M_, 1, "U")),
-                  _row((_M_, _P, 1, None), (_M_, _M_, 2, "U"), (_M_, _P, 0, None),
-                       (_M_, _M_, 1, "L"), (_M_, _M_, 2, None))]),
-    ("TR", RI): (OP, [(1, 1, _P, 1, 1), (1, 1, _M_, 1, 1),
-                      (0, 0, _P, 0, 0), (0, 0, _M_, 0, 0),
-                      (0, 0, _M_, 1, 0)],
-                 [_row((_P, _P, -2, None), (_P, _M_, -3, None), (_P, _P, -1, "L"),
-                       (_P, _M_, -2, None), (_P, _M_, -1, None)),
-                  _row((_M_, _P, -3, None), (_M_, _M_, -3, None), (_M_, _P, -1, None),
-                       (_M_, _M_, -2, "L"), (_M_, _M_, -1, "L")),
-                  _row((_P, _P, -1, "U"), (_P, _M_, -1, None), (_P, _P, 0, None),
-                       (_P, _M_, -1, None), (_P, _M_, -1, None)),
-                  _row((_M_, _P, -2, None), (_M_, _M_, -2, "U"), (_M_, _P, -1, None),
-                       (_M_, _M_, -1, None), (_M_, _M_, -1, "U")),
-                  _row((_M_, _P, -1, None), (_M_, _M_, -1, "U"), (_M_, _P, -1, None),
-                       (_M_, _M_, -1, "L"), (_M_, _M_, 0, None))]),
-    ("RT", UP): (OP, [(1, 0, _P, 0, 0), (1, 0, _P, 1, 0),
-                      (1, 0, _M_, 0, 0), (0, 1, _P, -1, -1),
-                      (0, 1, _M_, -2, -1)],
-                 [_row((_P, _P, 1, None), (_P, _P, 1, "U"), (_P, _M_, 0, None),
-                       (_P, _P, 2, "L"), (_P, _M_, 1, None)),
-                  _row((_P, _P, 1, "L"), (_P, _P, 2, None), (_P, _M_, 0, None),
-                       (_P, _P, 3, "L"), (_P, _M_, 1, None)),
-                  _row((_M_, _P, 0, None), (_M_, _P, 0, None), (_M_, _M_, 0, None),
-                       (_M_, _P, 2, None), (_M_, _M_, 1, "L")),
-                  _row((_P, _P, 2, "U"), (_P, _P, 3, "U"), (_P, _M_, 2, None),
-                       (_P, _P, 3, None), (_P, _M_, 1, None)),
-                  _row((_M_, _P, 1, None), (_M_, _P, 1, None), (_M_, _M_, 1, "U"),
-                       (_M_, _P, 1, None), (_M_, _M_, 1, None))]),
-    ("RT", OP): (RI, [(1, 0, _P, 2, 1), (1, 0, _P, 3, 1),
-                      (1, 0, _M_, 2, 0), (0, 1, _P, 1, 1),
-                      (0, 1, _M_, 0, 0)],
-                 [_row((_P, _P, -1, None), (_P, _P, -1, "U"), (_P, _M_, -1, None),
-                       (_P, _P, -1, "L"), (_P, _M_, -1, None)),
-                  _row((_P, _P, -1, "L"), (_P, _P, 0, None), (_P, _M_, -1, None),
-                       (_P, _P, 0, "L"), (_P, _M_, -1, None)),
-                  _row((_M_, _P, -1, None), (_M_, _P, -1, None), (_M_, _M_, 0, None),
-                       (_M_, _P, 0, None), (_M_, _M_, 0, "L")),
-                  _row((_P, _P, -1, "U"), (_P, _P, 0, "U"), (_P, _M_, 0, None),
-                       (_P, _P, -1, None), (_P, _M_, -2, None)),
-                  _row((_M_, _P, -1, None), (_M_, _P, -1, None), (_M_, _M_, 0, "U"),
-                       (_M_, _P, -2, None), (_M_, _M_, -1, None))]),
+                 [((0, None), (0, None), (0, "L"), (0, None), (1, None)),
+                  ((0, None), (1, None), (1, None), (1, "L"), (2, "L")),
+                  ((0, "U"), (1, None), (0, None), (0, None), (0, None)),
+                  ((0, None), (1, "U"), (0, None), (1, None), (1, "U")),
+                  ((1, None), (2, "U"), (0, None), (1, "L"), (2, None))]),
+    ("TR", RI): (OP, [(1, 1, _P, 1, 1), (1, 1, _M_, 1, 1), (0, 0, _P, 0, 0),
+                      (0, 0, _M_, 0, 0), (0, 0, _M_, 1, 0)],
+                 [((-2, None), (-3, None), (-1, "L"), (-2, None), (-1, None)),
+                  ((-3, None), (-3, None), (-1, None), (-2, "L"), (-1, "L")),
+                  ((-1, "U"), (-1, None), (0, None), (-1, None), (-1, None)),
+                  ((-2, None), (-2, "U"), (-1, None), (-1, None), (-1, "U")),
+                  ((-1, None), (-1, "U"), (-1, None), (-1, "L"), (0, None))]),
+    ("RT", UP): (OP, [(1, 0, _P, 0, 0), (1, 0, _P, 1, 0), (1, 0, _M_, 0, 0),
+                      (0, 1, _P, -1, -1), (0, 1, _M_, -2, -1)],
+                 [((1, None), (1, "U"), (0, None), (2, "L"), (1, None)),
+                  ((1, "L"), (2, None), (0, None), (3, "L"), (1, None)),
+                  ((0, None), (0, None), (0, None), (2, None), (1, "L")),
+                  ((2, "U"), (3, "U"), (2, None), (3, None), (1, None)),
+                  ((1, None), (1, None), (1, "U"), (1, None), (1, None))]),
+    ("RT", OP): (RI, [(1, 0, _P, 2, 1), (1, 0, _P, 3, 1), (1, 0, _M_, 2, 0),
+                      (0, 1, _P, 1, 1), (0, 1, _M_, 0, 0)],
+                 [((-1, None), (-1, "U"), (-1, None), (-1, "L"), (-1, None)),
+                  ((-1, "L"), (0, None), (-1, None), (0, "L"), (-1, None)),
+                  ((-1, None), (-1, None), (0, None), (0, None), (0, "L")),
+                  ((-1, "U"), (0, "U"), (0, None), (-1, None), (-2, None)),
+                  ((-1, None), (-1, None), (0, "U"), (-2, None), (-1, None))]),
     # Final top crossing + North-South closure.
     ("close", UP): (None, [(0, 1, _P, 0, -1), (0, 1, _M_, -1, -1),
                            (0, 1, _P, 1, 1)],
-                    [_row((_P, _P, 3, None), (_P, _M_, 1, None), (_P, _P, 1, "L")),
-                     _row((_M_, _P, 1, None), (_M_, _M_, 1, None), (_M_, _P, 0, None)),
-                     _row((_P, _P, 1, "U"), (_P, _M_, 0, None), (_P, _P, 0, None))]),
+                    [((3, None), (1, None), (1, "L")),
+                     ((1, None), (1, None), (0, None)),
+                     ((1, "U"), (0, None), (0, None))]),
     ("close", RI): (None, [(0, 1, _P, 1, 1), (0, 1, _M_, 0, -1),
                            (0, 1, _M_, 1, 1)],
-                    [_row((_P, _P, -1, None), (_P, _M_, -1, None), (_P, _M_, -2, None)),
-                     _row((_M_, _P, -1, None), (_M_, _M_, 1, None), (_M_, _M_, -1, "L")),
-                     _row((_M_, _P, -2, None), (_M_, _M_, -1, "U"), (_M_, _M_, -2, None))]),
+                    [((-1, None), (-1, None), (-2, None)),
+                     ((-1, None), (1, None), (-1, "L")),
+                     ((-2, None), (-1, "U"), (-2, None))]),
 }
 
 
@@ -164,51 +126,41 @@ def _k_type(st):
     off_act = all(r.extra_poch == 0 for r in st.indices if r.active)
     if on_in and off_act:
         return False
-    raise AssertionError("state bookkeeping is neither k nor j-k type")
+    raise ValueError("state bookkeeping is neither k nor j-k type")
+
+
+def _require_type(st, k_type, step):
+    if _k_type(st) != k_type:
+        raise ValueError(f"{step} needs {'k' if k_type else '(j-k)'}-type "
+                         "bookkeeping")
 
 
 def _apply_template(st, key):
+    """The block transform _TRANSFORMS[key] of st, whose actives form
+    the "+" block and whose inactives form the "-" block, each in state
+    order (the denotation is permutation-covariant)."""
     out_obj, blocks, mspec = _TRANSFORMS[key]
-    bl = _block_split(st)
-    plus = [bl.indices[i] for i in range(bl.n) if bl.indices[i].active]
-    minus = [bl.indices[i] for i in range(bl.n) if not bl.indices[i].active]
-    m, n = len(plus), len(minus)
-    size = {_P: m, _M_: n}
-    src_recs = {_P: plus, _M_: minus}
-    # base quadratic-form blocks of the block-ordered input
-    off = {_P: 0, _M_: m}
-
-    def base(rs, cs, i, l):
-        return bl.M[off[rs] + i][off[cs] + l]
-
-    records = []
+    members = {_P: st.actives(), _M_: st.inactives()}
+    records, spans = [], []
     for active, kflag, src, ds, da in blocks:
-        for r in src_recs[src]:
+        spans.append((len(records), members[src]))
+        for i in members[src]:
+            r = st.indices[i]
             records.append(IndexRecord(bool(active), kflag,
                                        r.s + ds, r.a + da))
-
-    spans = []
-    pos = 0
-    for active, kflag, src, ds, da in blocks:
-        spans.append((src, pos, size[src]))
-        pos += size[src]
-    total = pos
-
-    M = [[0] * total for _ in range(total)]
-    for bi, (rsrcblk, rpos, rsz) in enumerate(spans):
-        for bj, (csrcblk, cpos, csz) in enumerate(spans):
-            rs, cs, shift, tri = mspec[bi][bj]
-            assert size[rs] == rsz and size[cs] == csz
-            for i in range(rsz):
-                for l in range(csz):
-                    v = base(rs, cs, i, l) + shift
+    M = [[0] * len(records) for _ in records]
+    for (rpos, rows), mrow in zip(spans, mspec):
+        for (cpos, cols), (shift, tri) in zip(spans, mrow):
+            for i, x in enumerate(rows):
+                base, out = st.M[x], M[rpos + i]
+                for l, y in enumerate(cols):
+                    v = base[y] + shift
                     if tri == "L" and i > l:
                         v += 1
                     elif tri == "U" and i < l:
                         v += 1
-                    M[rpos + i][cpos + l] = v
-    new_obj = out_obj
-    return QuiverState(new_obj or st.obj, tuple(records), _freeze(M))
+                    out[cpos + l] = v
+    return QuiverState(out_obj or st.obj, tuple(records), _freeze(M))
 
 
 def apply_pair(st, pair):
@@ -217,13 +169,14 @@ def apply_pair(st, pair):
     bookkeeping type (k for TT/RT, j-k for RR/TR)."""
     if isinstance(pair, PairedOp):
         pair = pair.kind
-    if pair in ("TT", "RT"):
-        assert _k_type(st), f"{pair} needs k-type bookkeeping"
-    else:
-        assert not _k_type(st), f"{pair} needs (j-k)-type bookkeeping"
+    if (pair, st.obj) not in _TRANSFORMS:
+        raise ValueError(f"no {pair} transform at boundary {st.obj}")
+    _require_type(st, pair in ("TT", "RT"), pair)
     out = _apply_template(st, (pair, st.obj))
     expected = boundary_after(boundary_after(st.obj, pair[1]), pair[0])
-    assert out.obj == expected
+    if out.obj != expected:
+        raise RuntimeError(f"{pair} template at {st.obj} ends on "
+                           f"{out.obj}, not {expected}")
     return out
 
 
@@ -296,8 +249,8 @@ def reduce_cf(terms, with_ops=False):
             log(kind * 2, before, st.obj)
             x -= 2
         if x == 1:
-            assert i + 1 < len(counts) and counts[i + 1] >= 1, \
-                "dangling single twist cannot be paired"
+            if i + 1 == len(counts) or counts[i + 1] < 1:
+                raise ValueError("dangling single twist cannot be paired")
             other = "R" if kind == "T" else "T"
             pair = other + kind  # kind acts first
             before = st.obj
@@ -308,26 +261,22 @@ def reduce_cf(terms, with_ops=False):
     return (st, ops) if with_ops else st
 
 
-def final_close(st, origin=None, framing=0):
+def final_close(st, framing=0):
     """Consume the withheld top crossing and close the tangle,
     producing quiver data in the diagram frame (recorded as framing)
     with antisymmetric color convention."""
-    if st.obj == UP:
-        assert _k_type(st)
-        out = _apply_template(st, ("close", UP))
-    elif st.obj == RI:
-        assert not _k_type(st)
-        out = _apply_template(st, ("close", RI))
-    else:
+    if st.obj not in (UP, RI):
         raise ValueError(
             f"pre-final state of type {st.obj} is not closable; "
             "use an equivalent slope representative")
+    _require_type(st, st.obj == UP, f"closing at {st.obj}")
+    out = _apply_template(st, ("close", st.obj))
     return QuiverData(symmetrize([list(r) for r in out.M]),
                       tuple(out.a_vec()), tuple(out.s_vec()),
-                      framing, "antisymmetric", origin)
+                      framing, "antisymmetric")
 
 
-def knot_quiver(slope_or_terms, origin=None):
+def knot_quiver(slope_or_terms):
     """Quiver data (p vertices) for a rational knot, in the frame of
     the standard twist diagram (framing field = diagram writhe).
 
@@ -335,12 +284,11 @@ def knot_quiver(slope_or_terms, origin=None):
     automatically; when only a mirror representative closes, the data
     is mirrored back at the quiver level so the output always presents
     the requested slope."""
-    return quiver_route(slope_or_terms, origin, _reduce_and_close,
-                        polynomial=True)
+    return quiver_route(slope_or_terms, _reduce_and_close, polynomial=True)
 
 
-def _reduce_and_close(terms, origin, framing):
-    return final_close(reduce_cf(terms), origin, framing)
+def _reduce_and_close(terms, framing):
+    return final_close(reduce_cf(terms), framing)
 
 
 def delta_vector(qd):
@@ -349,14 +297,6 @@ def delta_vector(qd):
     with framing)."""
     return tuple(qd.q_vec[i] - qd.Q[i][i] - 2 * qd.a_vec[i]
                  for i in range(qd.n))
-
-
-def delta_homogeneous(qd):
-    """(is_homogeneous, common value or None) for the delta-grading."""
-    values = set(delta_vector(qd))
-    if len(values) == 1:
-        return True, values.pop()
-    return False, None
 
 
 def signature(slope_or_terms):

@@ -319,13 +319,6 @@ def qmultinomial(N, parts):
     return result
 
 
-def balanced_from_plus(j, k):
-    """Balanced q-binomial q^{-k(j-k)} [j,k]_+."""
-    if not 0 <= k <= j:
-        raise ValueError("need 0 <= k <= j")
-    return q_pow(-k * (j - k)) * qbinom_plus(j, k)
-
-
 class QFraction:
     """Quotient of a LaurentPoly by a q-only LaurentPoly.
 

@@ -39,7 +39,8 @@ class IndexRecord:
     a: int  # linear exponent of a
 
     def __post_init__(self):
-        assert self.extra_poch in (0, 1)
+        if self.extra_poch not in (0, 1):
+            raise ValueError("extra_poch must be 0 or 1")
 
 
 @dataclass(frozen=True)
@@ -49,8 +50,9 @@ class QuiverState:
     M: tuple  # tuple of tuples, integer, not necessarily symmetric
 
     def __post_init__(self):
-        assert len(self.M) == len(self.indices)
-        assert all(len(row) == len(self.indices) for row in self.M)
+        n = len(self.indices)
+        if len(self.M) != n or any(len(row) != n for row in self.M):
+            raise ValueError("M must be square with one row per index")
 
     @property
     def n(self):
@@ -86,7 +88,6 @@ class QuiverData:
     q_vec: tuple
     framing: int
     color_convention: str  # antisymmetric | symmetric
-    origin: object = None
 
     @property
     def n(self):
@@ -184,9 +185,12 @@ def absorb_pochhammer(st, coeff, const_a, const_q, targets, *, refine=True,
     coarse indices is rewritten over the split ones, which costs one
     extra alpha-beta cross unit.  alpha_active/beta_active override the
     activity flags of the split halves (None keeps the parent's)."""
-    assert const_q % 2 == 0, "per-unit sign must be a power of -q"
+    if const_q % 2:
+        raise ValueError("const_q must be even: the per-unit sign must "
+                         "be a power of -q")
     targets = list(targets)
-    assert len(set(targets)) == len(targets)
+    if len(set(targets)) != len(targets):
+        raise ValueError("absorb targets must be distinct")
     n = st.n
     alpha_at = {t: n + i for i, t in enumerate(targets)}
     parent = list(range(n)) + targets
@@ -355,7 +359,7 @@ def symmetrize(M):
     return _freeze(Q)
 
 
-def close_link(st, origin=None, framing=0):
+def close_link(st, framing=0):
     """Closure of a full tangle state (the link-route algorithm):
     substitute the closure scalar for X[j,k], cancel the rescaling
     numerator (q^2;q^2)_j against the closure denominator, absorb the
@@ -364,8 +368,11 @@ def close_link(st, origin=None, framing=0):
     The output is in the frame of the twist diagram; framing records
     that frame (the diagram writhe; callers shift by it for the zero
     frame)."""
-    assert st.obj in (UP, OP), f"cannot close {st.obj} North-South"
-    assert all(r.extra_poch == 0 for r in st.indices)
+    if st.obj not in (UP, OP):
+        raise ValueError(f"cannot close {st.obj} North-South")
+    if any(r.extra_poch for r in st.indices):
+        raise ValueError("close_link needs a state with no extra "
+                         "Pochhammer flags")
     act, inact = st.actives(), st.inactives()
     allpos = list(range(st.n))
     records = list(st.indices)
@@ -395,7 +402,7 @@ def close_link(st, origin=None, framing=0):
                                 [i for i in inact], refine=False)
 
     return QuiverData(symmetrize(_thaw(out.M)), tuple(out.a_vec()),
-                      tuple(out.s_vec()), framing, "antisymmetric", origin)
+                      tuple(out.s_vec()), framing, "antisymmetric")
 
 
 # (sigma, c, e) of the reflection Q_il -> -Q_il - 1 + [i = l] that
@@ -414,7 +421,7 @@ def _affine(qd, sigma, c, e, q_shift, a_vec, framing, convention):
         Q.append(tuple(row))
     return QuiverData(tuple(Q), a_vec,
                       tuple(sigma * x + q_shift for x in qd.q_vec),
-                      framing, convention, qd.origin)
+                      framing, convention)
 
 
 def mirror_quiver(qd, *, polynomial):
@@ -451,33 +458,30 @@ def resolve_terms(slope_or_terms):
     return list(slope_or_terms), False
 
 
-def quiver_route(slope_or_terms, origin, close, polynomial):
+def quiver_route(slope_or_terms, close, polynomial):
     """The tail both routes share: resolve the input to closable CF
-    terms, build quiver data with close(terms, origin, framing) in the
-    diagram frame (framing = diagram writhe), and mirror it back with
+    terms, build quiver data with close(terms, framing) in the diagram
+    frame (framing = diagram writhe), and mirror it back with
     mirror_quiver(polynomial=...) when only a mirror representative
-    closes.  Slope input is the default origin."""
+    closes."""
     terms, mirrored = resolve_terms(slope_or_terms)
-    if origin is None and isinstance(slope_or_terms, Slope):
-        origin = slope_or_terms
-    qd = close(terms, origin, writhe(terms))
+    qd = close(terms, writhe(terms))
     return mirror_quiver(qd, polynomial=polynomial) if mirrored else qd
 
 
-def _twist_and_close(terms, origin, framing):
+def _twist_and_close(terms, framing):
     st = trivial_state()
     for kind in twist_sequence(terms):
         st = apply_twist(st, kind)
-    return close_link(st, origin, framing)
+    return close_link(st, framing)
 
 
-def link_quiver(slope_or_terms, origin=None):
+def link_quiver(slope_or_terms):
     """Quiver data via the one-crossing-at-a-time route: plain twists
     followed by close_link.  Output is in the diagram frame with the
     framing field recording the diagram writhe; mirror representatives
     (needed for some slopes) are substituted at the data level."""
-    return quiver_route(slope_or_terms, origin, _twist_and_close,
-                        polynomial=False)
+    return quiver_route(slope_or_terms, _twist_and_close, polynomial=False)
 
 
 def framing_shift(qd, f):
@@ -509,52 +513,3 @@ def canonical_shift(qd, symmetric):
                    for i, row in enumerate(qd.Q))
     return -extreme - sigma * c
 
-
-def _row_key(qd, i):
-    return (qd.q_vec[i], qd.a_vec[i], qd.Q[i][i],
-            tuple(sorted(qd.Q[i])))
-
-
-def permutation_equal(qd1, qd2):
-    """Equality of quiver data up to a simultaneous permutation of the
-    vertices (backtracking on sorted-profile candidate matches)."""
-    if (qd1.n != qd2.n or qd1.framing != qd2.framing
-            or qd1.color_convention != qd2.color_convention):
-        return False
-    n = qd1.n
-    cands = [[j for j in range(n) if _row_key(qd1, i) == _row_key(qd2, j)]
-             for i in range(n)]
-    # place the most constrained vertices first
-    order = sorted(range(n), key=lambda i: len(cands[i]))
-    qd1 = _permute(qd1, order)
-    cands = [cands[i] for i in order]
-    perm = [None] * n
-    used = [False] * n
-
-    def place(i):
-        if i == n:
-            return True
-        for j in cands[i]:
-            if used[j]:
-                continue
-            if any(perm[l] is not None
-                   and (qd1.Q[i][l] != qd2.Q[j][perm[l]]
-                        or qd1.Q[l][i] != qd2.Q[perm[l]][j])
-                   for l in range(n)):
-                continue
-            perm[i] = j
-            used[j] = True
-            if place(i + 1):
-                return True
-            perm[i] = None
-            used[j] = False
-        return False
-
-    return place(0)
-
-
-def _permute(qd, order):
-    Q = [[qd.Q[i][l] for l in order] for i in order]
-    return replace(qd, Q=_freeze(Q),
-                   a_vec=tuple(qd.a_vec[i] for i in order),
-                   q_vec=tuple(qd.q_vec[i] for i in order))

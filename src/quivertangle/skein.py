@@ -14,8 +14,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .qseries import (LaurentPoly, QFraction, ZERO, a_pow, neg_q_pow,
-                      pochhammer, poch_q2, q_pow, qbinom_plus)
+from .qseries import (LaurentPoly, QFraction, ZERO, a_pow, pochhammer,
+                      poch_q2, q_pow, qbinom_plus)
 from .tangles import (OP, RI, UP, Slope, boundary_after, boundary_walk,
                       cf_expand, good_representative, twist_sequence)
 
@@ -27,7 +27,8 @@ class SkeinElement:
     coeffs: list  # j+1 LaurentPoly values, coefficient of X[j,k]
 
     def __post_init__(self):
-        assert len(self.coeffs) == self.color + 1
+        if len(self.coeffs) != self.color + 1:
+            raise ValueError("a color-j element has j+1 coefficients")
 
 
 def basis_element(j, boundary=UP, k=0):
@@ -85,57 +86,30 @@ def twist(e, kind):
     return SkeinElement(j, boundary_after(e.boundary, kind), coeffs)
 
 
-def closure_scalar(boundary, direction, j, k):
-    """Reduced evaluation of the closed basis web X[j,k], a QFraction."""
-    a2 = 2
+def closure_scalar(boundary, j, k):
+    """Reduced North-South evaluation of the closed basis web X[j,k], a
+    QFraction.  RI webs do not close North-South."""
     if boundary == UP:
-        if direction != "NS":
-            raise ValueError("UP closes only North-South")
         num = (a_pow(-j) * q_pow(j * j + k * k)
-               * pochhammer(LaurentPoly.mono(1, 2 - 2 * j - 2 * k, a2), 2, j)
-               * qbinom_plus(j, k))
-        return QFraction(num, poch_q2(j))
-    if boundary == RI:
-        if direction != "EW":
-            raise ValueError("RI closes only East-West")
-        num = (a_pow(-j) * q_pow(j * j + (j - k) ** 2)
-               * pochhammer(LaurentPoly.mono(1, 2 - 4 * j + 2 * k, a2), 2, j)
+               * pochhammer(LaurentPoly.mono(1, 2 - 2 * j - 2 * k, 2), 2, j)
                * qbinom_plus(j, k))
         return QFraction(num, poch_q2(j))
     if boundary == OP:
-        base = pochhammer(LaurentPoly.mono(1, 2 - 2 * j, a2), 2,
-                          j - k if direction == "NS" else k)
-        if direction == "NS":
-            num = a_pow(k - j) * q_pow((j - k) ** 2) * base * qbinom_plus(j, k)
-            return QFraction(num, poch_q2(j - k))
-        if direction == "EW":
-            num = a_pow(-k) * q_pow(k * k) * base * qbinom_plus(j, k)
-            return QFraction(num, poch_q2(k))
-    raise ValueError(f"illegal closure {boundary}/{direction}")
+        num = (a_pow(k - j) * q_pow((j - k) ** 2)
+               * pochhammer(LaurentPoly.mono(1, 2 - 2 * j, 2), 2, j - k)
+               * qbinom_plus(j, k))
+        return QFraction(num, poch_q2(j - k))
+    raise ValueError(f"{boundary} does not close North-South")
 
 
-def close(e, direction="NS"):
-    """Close a skein element; returns the reduced evaluation."""
+def close(e):
+    """Close a skein element North-South; returns the reduced
+    evaluation."""
     total = QFraction(0)
     for k, c in enumerate(e.coeffs):
         if c:
-            total = total + closure_scalar(e.boundary, direction,
-                                           e.color, k) * c
+            total = total + closure_scalar(e.boundary, e.color, k) * c
     return total
-
-
-def rescale(e):
-    """Multiply coefficient k by the positive binomial [j,k]_+."""
-    return SkeinElement(e.color, e.boundary,
-                        [c * qbinom_plus(e.color, k)
-                         for k, c in enumerate(e.coeffs)])
-
-
-def unrescale(e):
-    """Exact inverse of rescale."""
-    return SkeinElement(e.color, e.boundary,
-                        [c.divide_exact(qbinom_plus(e.color, k)) if c else c
-                         for k, c in enumerate(e.coeffs)])
 
 
 def tangle_element(terms, j):
@@ -173,36 +147,22 @@ def raw_closure(terms, j):
     e = tangle_element(terms, j)
     if e.boundary == RI:
         raise ValueError("odd-length CF cannot end on an RI boundary")
-    return close(e, "NS")
+    return close(e)
 
 
-def reduced_homfly(slope, j, frame="zero"):
-    """Reduced j-colored HOMFLY-PT polynomial of the rational link p/q.
-
-    frame="zero" corrects by the diagram writhe so the unknot gives 1;
-    frame="raw" returns the diagram-framed evaluation; an integer frame
-    applies that many extra framing factors f(j) on top of "zero".
-    """
-    if isinstance(slope, Slope):
-        terms = cf_expand(slope)
-    else:
-        terms = list(slope)
-    value = raw_closure(terms, j)
-    if frame == "raw":
-        return value
-    shift = -writhe(terms) + (frame if isinstance(frame, int) else 0)
-    return value * framing_factor(j, shift)
+def reduced_homfly(slope, j):
+    """Reduced j-colored HOMFLY-PT polynomial of the rational link p/q
+    in the zero frame: the diagram evaluation corrected by the writhe,
+    so the unknot gives 1."""
+    terms = cf_expand(slope) if isinstance(slope, Slope) else list(slope)
+    return raw_closure(terms, j) * framing_factor(j, -writhe(terms))
 
 
-def oracle_homfly(slope, j, frame="zero"):
-    """Reduced j-colored HOMFLY-PT polynomial for any rational slope:
-    substitutes a closable equivalent representative, mirroring the
-    result (q -> q^{-1}, a -> a^{-1}) when only a mirror representative
-    closes.  Mirroring is frame-sensitive, so only frame="zero" is
-    allowed on the mirrored branch."""
+def oracle_homfly(slope, j):
+    """Reduced j-colored HOMFLY-PT polynomial for any rational slope,
+    in the zero frame: substitutes a closable equivalent representative,
+    mirroring the result (q -> q^{-1}, a -> a^{-1}) when only a mirror
+    representative closes."""
     rep, mirrored = good_representative(slope)
-    if not mirrored:
-        return reduced_homfly(rep, j, frame)
-    if frame != "zero":
-        raise ValueError("mirrored representative requires frame='zero'")
-    return reduced_homfly(rep, j, "zero").mirror()
+    value = reduced_homfly(rep, j)
+    return value.mirror() if mirrored else value

@@ -92,7 +92,8 @@ def cf_expand(slope):
             terms = [1, terms[0] - 1] + terms[1:]
         else:
             terms = [terms[1] + 1] + terms[2:]
-    assert cf_value(terms) == slope
+    if cf_value(terms) != slope:
+        raise ArithmeticError(f"{terms} does not expand {slope}")
     return terms
 
 

@@ -1,11 +1,15 @@
 """Shared test helpers: brute-force quiver and state expansions,
-continued fraction generators, and an independent Goeritz-matrix
-signature oracle."""
+rescaled skein elements, comparison of quiver data up to vertex
+order, continued fraction generators, and an independent
+Goeritz-matrix signature oracle."""
 
+from dataclasses import replace
 from fractions import Fraction
 
-from quivertangle.qseries import QFraction, ZERO, poch_q2, qmultinomial
-from quivertangle.quiverstate import bal_multinomial
+from quivertangle.knotpipeline import delta_vector
+from quivertangle.qseries import (QFraction, ZERO, poch_q2, q_pow,
+                                  qbinom_plus, qmultinomial)
+from quivertangle.quiverstate import _freeze, bal_multinomial
 from quivertangle.skein import SkeinElement, _mono
 from quivertangle.tangles import cf_value, is_knot
 
@@ -42,6 +46,80 @@ def state_expand_reference(st, N, balanced=True):
                          + _mono(sdot, quad, adot) * poch_q2(kdot) * mult)
         out.append(SkeinElement(j, st.obj, coeffs))
     return out
+
+
+def balanced_from_plus(j, k):
+    """Balanced q-binomial q^{-k(j-k)} [j,k]_+."""
+    if not 0 <= k <= j:
+        raise ValueError("need 0 <= k <= j")
+    return q_pow(-k * (j - k)) * qbinom_plus(j, k)
+
+
+def rescale(e):
+    """Multiply coefficient k of a skein element by [j,k]_+: the form
+    state expansions reproduce."""
+    return SkeinElement(e.color, e.boundary,
+                        [c * qbinom_plus(e.color, k)
+                         for k, c in enumerate(e.coeffs)])
+
+
+def delta_homogeneous(qd):
+    """(is_homogeneous, common value or None) for the delta-grading."""
+    values = set(delta_vector(qd))
+    if len(values) == 1:
+        return True, values.pop()
+    return False, None
+
+
+def _row_key(qd, i):
+    return (qd.q_vec[i], qd.a_vec[i], qd.Q[i][i],
+            tuple(sorted(qd.Q[i])))
+
+
+def permute(qd, order):
+    """Quiver data with its vertices listed in the given order."""
+    Q = [[qd.Q[i][l] for l in order] for i in order]
+    return replace(qd, Q=_freeze(Q),
+                   a_vec=tuple(qd.a_vec[i] for i in order),
+                   q_vec=tuple(qd.q_vec[i] for i in order))
+
+
+def permutation_equal(qd1, qd2):
+    """Equality of quiver data up to a simultaneous permutation of the
+    vertices (backtracking on sorted-profile candidate matches)."""
+    if (qd1.n != qd2.n or qd1.framing != qd2.framing
+            or qd1.color_convention != qd2.color_convention):
+        return False
+    n = qd1.n
+    cands = [[j for j in range(n) if _row_key(qd1, i) == _row_key(qd2, j)]
+             for i in range(n)]
+    # place the most constrained vertices first
+    order = sorted(range(n), key=lambda i: len(cands[i]))
+    qd1 = permute(qd1, order)
+    cands = [cands[i] for i in order]
+    perm = [None] * n
+    used = [False] * n
+
+    def place(i):
+        if i == n:
+            return True
+        for j in cands[i]:
+            if used[j]:
+                continue
+            if any(perm[l] is not None
+                   and (qd1.Q[i][l] != qd2.Q[j][perm[l]]
+                        or qd1.Q[l][i] != qd2.Q[perm[l]][j])
+                   for l in range(n)):
+                continue
+            perm[i] = j
+            used[j] = True
+            if place(i + 1):
+                return True
+            perm[i] = None
+            used[j] = False
+        return False
+
+    return place(0)
 
 
 def quiver_numerator(qd, j):

@@ -8,12 +8,10 @@ import time
 import pytest
 
 from quivertangle import cli
-from quivertangle.knotpipeline import (apply_pair, delta_homogeneous,
-                                       final_close, homology_generators,
-                                       knot_quiver, signature)
+from quivertangle.knotpipeline import (homology_generators, knot_quiver,
+                                       signature)
 from quivertangle.qseries import QFraction
-from quivertangle.quiverstate import (framing_shift, permutation_equal,
-                                      q_invert, trivial_state)
+from quivertangle.quiverstate import framing_shift
 from quivertangle.tangles import Slope, cf_expand, enumerate_rational_knots
 from quivertangle.verify import verify_knot, verify_link
 
@@ -21,7 +19,8 @@ import test_knotpipeline as knot_tests
 import test_qseries as qseries_tests
 import test_quiverstate as state_tests
 import test_skein as skein_tests
-from conftest import distinct_slopes, goeritz_signature, knot_route_poly
+from conftest import (delta_homogeneous, distinct_slopes, goeritz_signature,
+                      knot_route_poly)
 
 
 def report(name):

@@ -25,6 +25,16 @@ def run_json(capsys, *argv):
     return json.loads(out)
 
 
+def run_python(*args, optimized=False):
+    """Run a fresh interpreter on the package under test, with -O (which
+    strips assert statements) when optimized; output is kept as bytes."""
+    src = os.path.dirname(os.path.dirname(quivertangle.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    flags = ["-O"] if optimized else []
+    return subprocess.run([sys.executable, *flags, *args], env=env,
+                          capture_output=True, timeout=60)
+
+
 class TestCompute:
     def test_trefoil_golden(self, capsys):
         data = run_json(capsys, "compute", "3/1")
@@ -145,6 +155,17 @@ class TestBatchAndDeterminism:
         _, b, _ = run(capsys, "enumerate", "--max-crossings", "6")
         assert a == b
 
+    def test_optimized_mode_prints_the_same_bytes(self):
+        # stdout must not depend on whether assert statements run
+        for argv in (["compute", "13/3"], ["compute", "8/3"],
+                     ["compute", "3/2"], ["verify", "5/2", "--order", "2"],
+                     ["oracle", "7/3", "--colors", "0..2"]):
+            plain, optimized = (
+                run_python("-m", "quivertangle.cli", *argv, optimized=flag)
+                for flag in (False, True))
+            assert plain.returncode == optimized.returncode == 0, argv
+            assert plain.stdout == optimized.stdout, argv
+
     def test_batch_jobs_agree(self, capsys, tmp_path):
         one = tmp_path / "one.jsonl"
         two = tmp_path / "two.jsonl"
@@ -187,32 +208,32 @@ class TestExitCodes:
     def test_validation_survives_optimized_mode(self):
         # python -O strips assert statements; input checks must not rely
         # on them
-        src = os.path.dirname(os.path.dirname(quivertangle.__file__))
-        env = dict(os.environ, PYTHONPATH=src)
-
-        def run_optimized(*args):
-            return subprocess.run([sys.executable, "-O", *args], env=env,
-                                  capture_output=True, text=True,
-                                  timeout=60)
-
         for argv in (["compute", "[1,2]"],
                      ["oracle", "3/1", "--colors", "3..1"]):
-            proc = run_optimized("-m", "quivertangle.cli", *argv)
+            proc = run_python("-m", "quivertangle.cli", *argv,
+                              optimized=True)
             assert proc.returncode == 2, (argv, proc.stderr)
-        proc = run_optimized("-c", (
-            "from quivertangle.quiverstate import QuiverData\n"
-            "try:\n"
-            "    QuiverData(((0, 1), (2, 0)), (0, 0), (0, 0), 0,\n"
-            "               'antisymmetric')\n"
-            "except ValueError:\n"
-            "    raise SystemExit(3)\n"))
-        assert proc.returncode == 3, proc.stderr
-        # an even-length CF must be refused up front, not later as an
-        # unclosable state
-        proc = run_optimized("-c", (
+        # each call must raise a ValueError naming its rule: an
+        # asymmetric Q; an even-length CF, refused up front rather than
+        # later as an unclosable state; and tangles ending on RI, which
+        # do not close North-South
+        cases = [
+            ("QuiverData(((0, 1), (2, 0)), (0, 0), (0, 0), 0, "
+             "'antisymmetric')", "symmetric"),
+            ("knot_quiver([1, 2])", "odd-length"),
+            ("link_quiver([1, 1, 1])", "North-South"),
+            ("link_quiver([2, 1, 1])", "North-South"),
+        ]
+        proc = run_python("-c", (
             "from quivertangle.knotpipeline import knot_quiver\n"
-            "try:\n"
-            "    knot_quiver([1, 2])\n"
-            "except ValueError as exc:\n"
-            "    raise SystemExit(3 if 'odd-length' in str(exc) else 4)\n"))
-        assert proc.returncode == 3, proc.stderr
+            "from quivertangle.quiverstate import QuiverData, link_quiver\n"
+            f"for call, rule in {cases!r}:\n"
+            "    try:\n"
+            "        eval(call)\n"
+            "    except ValueError as exc:\n"
+            "        if rule not in str(exc):\n"
+            "            raise SystemExit(f'{call}: {exc}')\n"
+            "    else:\n"
+            "        raise SystemExit(f'{call} was accepted')\n"),
+            optimized=True)
+        assert proc.returncode == 0, proc.stderr

@@ -4,20 +4,20 @@ gradings."""
 
 import pytest
 
-from quivertangle.knotpipeline import (apply_pair, delta_homogeneous,
-                                       delta_vector, final_close,
-                                       homology_generators, knot_quiver,
-                                       reduce_cf, resum_stretch, signature)
+from quivertangle.knotpipeline import (apply_pair, delta_vector,
+                                       final_close, homology_generators,
+                                       knot_quiver, reduce_cf, resum_stretch,
+                                       signature)
 from quivertangle.qseries import QFraction
 from quivertangle.quiverstate import (IndexRecord, QuiverData, QuiverState,
-                                      _freeze, framing_shift, permutation_equal,
+                                      _freeze, framing_shift, link_quiver,
                                       q_invert, state_expand, trivial_state)
-from quivertangle.skein import (basis_element, oracle_homfly, rescale, twist,
-                                writhe)
-from quivertangle.tangles import Slope, UP, cf_expand, cf_value, is_knot
+from quivertangle.skein import basis_element, oracle_homfly, twist, writhe
+from quivertangle.tangles import (RI, Slope, UP, cf_expand, cf_value,
+                                  is_knot)
 
-from conftest import (distinct_slopes, goeritz_signature, knot_route_poly,
-                      odd_cfs)
+from conftest import (delta_homogeneous, distinct_slopes, goeritz_signature,
+                      knot_route_poly, odd_cfs, permutation_equal, rescale)
 
 
 def state(obj, rows, M):
@@ -151,10 +151,7 @@ class TestStepLevelInvariant:
         for cf in odd_cfs(6):
             if not is_knot(cf_value(cf)):
                 continue
-            try:
-                _, ops = reduce_cf(cf, with_ops=True)
-            except AssertionError:
-                continue
+            _, ops = reduce_cf(cf, with_ops=True)
             word = ""
             st = trivial_state()
             for op in ops:
@@ -183,6 +180,19 @@ class TestStepLevelInvariant:
         with pytest.raises(ValueError):
             reduce_cf([2])
 
+    def test_inapplicable_steps_rejected(self):
+        # the trivial state has k-type bookkeeping: RR/TR and the RI
+        # closure need (j-k)-type, and no TT transform starts at RI
+        st = trivial_state()
+        at_ri = QuiverState(RI, st.indices, st.M)
+        for pair in ("RR", "TR"):
+            with pytest.raises(ValueError):
+                apply_pair(st, pair)
+        with pytest.raises(ValueError):
+            apply_pair(at_ri, "TT")
+        with pytest.raises(ValueError):
+            final_close(at_ri)
+
     def test_unknot(self):
         qd = knot_quiver(Slope(1, 1))
         assert qd.n == 1
@@ -204,6 +214,12 @@ class TestQuiverRouteMatchesOracle:
         for j in range(3):
             assert knot_route_poly(zero, j) == oracle_homfly(slope, j), \
                 (slope, j)
+
+
+def test_slope_and_cf_input_give_equal_data():
+    # quiver data compares by value, whatever input form built it
+    assert knot_quiver(Slope(13, 3)) == knot_quiver([1, 2, 4])
+    assert link_quiver(Slope(8, 3)) == link_quiver(cf_expand(Slope(8, 3)))
 
 
 class TestGradings:

@@ -6,11 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quivertangle.qseries import (A, ONE, Q, QF_ONE, QF_ZERO, LaurentPoly,
-                                  QFraction, ZERO, a_pow, balanced_from_plus,
-                                  neg_q_pow, pochhammer, poch_q2, q_pow,
-                                  qbinom_plus, qmultinomial)
+                                  QFraction, ZERO, a_pow, neg_q_pow,
+                                  pochhammer, poch_q2, q_pow, qbinom_plus,
+                                  qmultinomial)
 
-from conftest import compositions
+from conftest import balanced_from_plus, compositions
 
 
 def poly(*terms):

@@ -10,16 +10,16 @@ from quivertangle.qseries import QFraction, q_pow
 from quivertangle.quiverstate import (IndexRecord, QuiverState, _e2,
                                       apply_twist, bal_multinomial, close_link,
                                       framing_shift, link_quiver,
-                                      mirror_quiver, permutation_equal,
-                                      q_invert, resolve_terms, state_expand,
-                                      symmetrize, trivial_state)
+                                      mirror_quiver, q_invert, resolve_terms,
+                                      state_expand, symmetrize, trivial_state)
 from quivertangle.skein import (basis_element, framing_factor, oracle_homfly,
-                                raw_closure, rescale, twist, writhe)
+                                raw_closure, twist, writhe)
 from quivertangle.qseries import qmultinomial
 from quivertangle.tangles import (OP, RI, Slope, UP, cf_expand, cf_value,
                                   twist_sequence)
 
 from conftest import (compositions, link_route_coeff, odd_cfs,
+                      permutation_equal, permute, rescale,
                       state_expand_reference)
 
 
@@ -131,7 +131,12 @@ class TestCloseLink:
         st = trivial_state()
         for kind in twist_sequence([1, 1, 1]):  # ends on RI
             st = apply_twist(st, kind)
-        with pytest.raises(AssertionError):
+        with pytest.raises(ValueError):
+            close_link(st)
+
+    def test_close_flagged_index_rejected(self):
+        st = QuiverState(UP, (IndexRecord(False, 1, 0, 0),), ((0,),))
+        with pytest.raises(ValueError):
             close_link(st)
 
 
@@ -201,8 +206,7 @@ class TestDataTransforms:
     def test_permutation_equal(self):
         qd = link_quiver(Slope(13, 3))
         order = list(range(qd.n))[::-1]
-        from quivertangle.quiverstate import _permute
-        assert permutation_equal(qd, _permute(qd, order))
+        assert permutation_equal(qd, permute(qd, order))
         assert permutation_equal(qd, qd)
         other = framing_shift(qd, 1)
         assert not permutation_equal(qd, other)

@@ -7,7 +7,7 @@ import pytest
 
 from quivertangle.knotpipeline import knot_quiver
 from quivertangle.qseries import QF_ONE, QFraction, poch_q2
-from quivertangle.quiverstate import framing_shift, link_quiver, q_invert
+from quivertangle.quiverstate import framing_shift, link_quiver
 from quivertangle.skein import _mono, oracle_homfly
 from quivertangle.tangles import Slope
 from quivertangle.verify import (DEFAULT_KNOT_ORDER, DEFAULT_LINK_ORDER,
