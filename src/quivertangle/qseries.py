@@ -7,8 +7,8 @@ module (or anything built on it) touches floating point.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
+from math import gcd
 
 
 class LaurentPoly:
@@ -169,9 +169,11 @@ class LaurentPoly:
     def divide_exact(self, divisor):
         """Exact division by a q-only Laurent polynomial.
 
-        Raises ValueError if the division leaves a remainder.  Works one
-        a-degree slice at a time; within a slice it is univariate long
-        division in q over the rationals with an integrality check.
+        Raises ValueError unless the quotient is a Laurent polynomial
+        with integer coefficients.  Works one a-degree slice at a time;
+        within a slice it is univariate long division in q over the
+        integers: a quotient in Z[q, 1/q] has only integer coefficients,
+        so a non-integral one (or a remainder) means there is none.
         """
         if not isinstance(divisor, LaurentPoly):
             divisor = LaurentPoly.mono(divisor)
@@ -179,41 +181,26 @@ class LaurentPoly:
             raise ZeroDivisionError("division by zero polynomial")
         if not divisor.is_q_only():
             raise ValueError("divisor must not contain a")
-        if self.is_zero():
-            return LaurentPoly()
-        div = sorted((eq, c) for (eq, _), c in divisor.terms.items())
-        dmin = div[0][0]
-        dvec = {eq - dmin: c for eq, c in div}
-        ddeg = max(dvec)
+        dmin, dvec = _q_vec(divisor)
+        ddeg = len(dvec) - 1
+        lead = dvec[ddeg]
+        dterms = [(e, c) for e, c in enumerate(dvec) if c]
         out = {}
         for ea, sl in self.a_slices().items():
-            nterms = sorted((eq, c) for (eq, _), c in sl.terms.items())
-            nmin = nterms[0][0]
-            rem = {eq - nmin: Fraction(c) for eq, c in nterms}
-            ndeg = max(rem)
-            lead = dvec[ddeg]
-            quot = {}
-            for deg in range(ndeg - ddeg, -1, -1):
-                c = rem.get(deg + ddeg)
+            nmin, rem = _q_vec(sl)
+            shift = nmin - dmin
+            for deg in range(len(rem) - 1 - ddeg, -1, -1):
+                c = rem[deg + ddeg]
                 if not c:
                     continue
-                f = c / lead
-                quot[deg] = f
-                for e, dc in dvec.items():
-                    key = deg + e
-                    new = rem.get(key, Fraction(0)) - f * dc
-                    if new:
-                        rem[key] = new
-                    else:
-                        rem.pop(key, None)
-            if rem:
-                raise ValueError("inexact polynomial division")
-            shift = nmin - dmin
-            for deg, f in quot.items():
-                if f.denominator != 1:
+                f, r = divmod(c, lead)
+                if r:
                     raise ValueError("inexact polynomial division")
-                if f:
-                    out[(deg + shift, ea)] = f.numerator
+                out[(deg + shift, ea)] = f
+                for e, dc in dterms:
+                    rem[deg + e] -= f * dc
+            if any(rem):
+                raise ValueError("inexact polynomial division")
         result = LaurentPoly()
         result.terms = out
         return result
@@ -247,11 +234,6 @@ ZERO = LaurentPoly()
 ONE = LaurentPoly.mono(1)
 Q = LaurentPoly.mono(1, 1, 0)
 A = LaurentPoly.mono(1, 0, 1)
-
-
-def neg_q_pow(n):
-    """(-q)^n as a LaurentPoly, stored as (-1)^n q^n."""
-    return LaurentPoly.mono(-1 if n % 2 else 1, n, 0)
 
 
 def q_pow(n):
@@ -399,10 +381,10 @@ class QFraction:
         return self.num.divide_exact(self.den)
 
     def normalized_pair(self):
-        """Reduced (num, den) with den having positive leading coefficient
-        and lowest q-degree zero where possible."""
-        num, den = _reduce_fraction(self.num, self.den)
-        return num, den
+        """Reduced (num, den): no common factor, no common integer
+        content, and den with positive lead and lowest q-degree zero.
+        Equal fractions give equal pairs."""
+        return _reduce_fraction(self.num, self.den)
 
     def normalized(self):
         num, den = self.normalized_pair()
@@ -435,80 +417,85 @@ class QFraction:
         return f"QFraction({self})"
 
 
+def _q_vec(p):
+    """(lowest q-exponent, dense coefficient list from there up) of a
+    nonzero q-only LaurentPoly."""
+    lo = min(eq for eq, _ in p.terms)
+    vec = [0] * (max(eq for eq, _ in p.terms) - lo + 1)
+    for (eq, _), c in p.terms.items():
+        vec[eq - lo] = c
+    return lo, vec
+
+
+def _primitive(vec):
+    """vec divided by the gcd of its entries, trailing zeros dropped."""
+    while not vec[-1]:
+        vec.pop()
+    content = gcd(*vec)
+    return [c // content for c in vec] if content != 1 else vec
+
+
 def _q_gcd(f, g):
-    """gcd of two q-only LaurentPolys, as a primitive integer polynomial
-    in q with non-negative lowest exponent."""
-    from math import gcd as igcd
+    """gcd of two nonzero q-only LaurentPolys up to units of Z[q, 1/q]:
+    a primitive polynomial in q with positive lead and lowest exponent 0.
 
-    def to_vec(p):
-        if p.is_zero():
-            return []
-        exps = sorted(eq for eq, _ in p.terms)
-        lo = exps[0]
-        vec = [0] * (exps[-1] - lo + 1)
-        for (eq, _), c in p.terms.items():
-            vec[eq - lo] = c
-        return vec
-
-    fa, fb = to_vec(f), to_vec(g)
-    if not fa:
-        return fb
-    if not fb:
-        return fa
-    a = [Fraction(c) for c in fa]
-    b = [Fraction(c) for c in fb]
-    while b and any(b):
-        # a mod b
-        while len(a) >= len(b) and any(a):
-            if not a[-1]:
-                a.pop()
-                continue
-            f_ = a[-1] / b[-1]
-            off = len(a) - len(b)
-            for i, bc in enumerate(b):
-                a[off + i] -= f_ * bc
-            a.pop()
-        while a and not a[-1]:
-            a.pop()
+    A primitive pseudo-remainder sequence: both inputs are made
+    primitive, and so is every pseudo-remainder, so the coefficients
+    stay integers of bounded size.  Raises ValueError on a zero input.
+    """
+    if f.is_zero() or g.is_zero():
+        raise ValueError("gcd of a zero polynomial")
+    a, b = _primitive(_q_vec(f)[1]), _primitive(_q_vec(g)[1])
+    if len(a) < len(b):
         a, b = b, a
-    # make primitive with positive leading coefficient
-    denom = 1
-    for c in a:
-        denom = denom * c.denominator // igcd(denom, c.denominator)
-    ints = [int(c * denom) for c in a]
-    content = 0
-    for c in ints:
-        content = igcd(content, c)
-    if content:
-        ints = [c // content for c in ints]
-    if ints and ints[-1] < 0:
-        ints = [-c for c in ints]
+    while len(b) > 1:
+        lb, db = b[-1], len(b) - 1
+        while len(a) > db:
+            c = a.pop()
+            if not c:
+                continue
+            if c % lb:
+                a = [x * lb for x in a]
+            else:
+                c //= lb
+            off = len(a) - db
+            for i in range(db):
+                a[off + i] -= c * b[i]
+        if not any(a):
+            break
+        a, b = b, _primitive(a)
+    if len(b) == 1:
+        return ONE
+    if b[-1] < 0:
+        b = [-c for c in b]
     out = LaurentPoly()
-    out.terms = {(i, 0): c for i, c in enumerate(ints) if c}
+    out.terms = {(i, 0): c for i, c in enumerate(b) if c}
     return out
 
 
 def _reduce_fraction(num, den):
+    """Canonical (num, den) for num/den: no common factor of positive
+    q-degree and no common integer content, and den with lowest
+    q-exponent 0 and positive lead."""
     if num.is_zero():
         return ZERO, ONE
+    # every knot value divides out exactly, with no gcd needed
+    try:
+        return num.divide_exact(den), ONE
+    except ValueError:
+        pass
     g = den
     for sl in num.a_slices().values():
         g = _q_gcd(g, sl)
-        if g.is_one() or len(g.terms) == 1:
+        if g.is_one():
             break
     if not g.is_one():
         num = num.divide_exact(g)
         den = den.divide_exact(g)
-    # normalize the denominator: lowest q-exponent 0, positive lead
-    dmin = min(eq for eq, _ in den.terms)
-    if dmin:
-        shift = LaurentPoly.mono(1, -dmin, 0)
-        num = num * shift
-        den = den * shift
-    lead = den.terms[max(den.terms, key=lambda k: k[0])]
-    if lead < 0:
-        num, den = -num, -den
-    return num, den
+    dmin, dvec = _q_vec(den)
+    content = gcd(*num.terms.values(), *dvec)
+    unit = LaurentPoly.mono(content if dvec[-1] > 0 else -content, dmin)
+    return num.divide_exact(unit), den.divide_exact(unit)
 
 
 QF_ZERO = QFraction(0)

@@ -13,6 +13,7 @@ pipeline it cross-checks.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .qseries import (LaurentPoly, QFraction, ZERO, a_pow, pochhammer,
                       poch_q2, q_pow, qbinom_plus)
@@ -43,9 +44,11 @@ def _mono(sign_exp, q_exp, a_exp):
                             sign_exp + q_exp, a_exp)
 
 
+@lru_cache(maxsize=None)
 def twist_matrix(boundary, kind, j):
     """Column h of the matrix carries the image of X[j,k]: entries
-    m[h][k] with new element coeff'[h] = sum_k m[h][k] coeff[k]."""
+    m[h][k] with new element coeff'[h] = sum_k m[h][k] coeff[k].
+    Cached, so returned as a tuple of row tuples."""
     m = [[ZERO] * (j + 1) for _ in range(j + 1)]
     if kind == "T":
         for k in range(j + 1):
@@ -69,7 +72,7 @@ def twist_matrix(boundary, kind, j):
                 m[h][k] = c * qbinom_plus(j - h, k - h)
     else:
         raise ValueError(f"unknown twist kind {kind!r}")
-    return m
+    return tuple(map(tuple, m))
 
 
 def twist(e, kind):
@@ -86,30 +89,31 @@ def twist(e, kind):
     return SkeinElement(j, boundary_after(e.boundary, kind), coeffs)
 
 
-def closure_scalar(boundary, j, k):
-    """Reduced North-South evaluation of the closed basis web X[j,k], a
-    QFraction.  RI webs do not close North-South."""
+@lru_cache(maxsize=None)
+def closure_numerator(boundary, j, k):
+    """Reduced North-South evaluation of the closed basis web X[j,k],
+    times (q^2;q^2)_j.  An OP web evaluates over (q^2;q^2)_{j-k}, which
+    divides (q^2;q^2)_j with quotient [j;k]_+ (q^2;q^2)_k.  RI webs do
+    not close North-South."""
     if boundary == UP:
-        num = (a_pow(-j) * q_pow(j * j + k * k)
-               * pochhammer(LaurentPoly.mono(1, 2 - 2 * j - 2 * k, 2), 2, j)
-               * qbinom_plus(j, k))
-        return QFraction(num, poch_q2(j))
+        return (a_pow(-j) * q_pow(j * j + k * k)
+                * pochhammer(LaurentPoly.mono(1, 2 - 2 * j - 2 * k, 2), 2, j)
+                * qbinom_plus(j, k))
     if boundary == OP:
-        num = (a_pow(k - j) * q_pow((j - k) ** 2)
-               * pochhammer(LaurentPoly.mono(1, 2 - 2 * j, 2), 2, j - k)
-               * qbinom_plus(j, k))
-        return QFraction(num, poch_q2(j - k))
+        return (a_pow(k - j) * q_pow((j - k) ** 2)
+                * pochhammer(LaurentPoly.mono(1, 2 - 2 * j, 2), 2, j - k)
+                * qbinom_plus(j, k) ** 2 * poch_q2(k))
     raise ValueError(f"{boundary} does not close North-South")
 
 
 def close(e):
     """Close a skein element North-South; returns the reduced
-    evaluation."""
-    total = QFraction(0)
+    evaluation over the denominator (q^2;q^2)_j."""
+    total = ZERO
     for k, c in enumerate(e.coeffs):
         if c:
-            total = total + closure_scalar(e.boundary, e.color, k) * c
-    return total
+            total = total + closure_numerator(e.boundary, e.color, k) * c
+    return QFraction(total, poch_q2(e.color))
 
 
 def tangle_element(terms, j):

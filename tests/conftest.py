@@ -1,17 +1,92 @@
 """Shared test helpers: brute-force quiver and state expansions,
-rescaled skein elements, comparison of quiver data up to vertex
-order, continued fraction generators, and an independent
-Goeritz-matrix signature oracle."""
+rescaled skein elements, the rational-arithmetic reference for
+q-fraction reduction, comparison of quiver data up to vertex order,
+continued fraction generators, and an independent Goeritz-matrix
+signature oracle."""
 
 from dataclasses import replace
 from fractions import Fraction
+from math import gcd
 
 from quivertangle.knotpipeline import delta_vector
-from quivertangle.qseries import (QFraction, ZERO, poch_q2, q_pow,
-                                  qbinom_plus, qmultinomial)
+from quivertangle.qseries import (LaurentPoly, ONE, QFraction, ZERO, poch_q2,
+                                  q_pow, qbinom_plus, qmultinomial)
 from quivertangle.quiverstate import _freeze, bal_multinomial
 from quivertangle.skein import SkeinElement, _mono
 from quivertangle.tangles import cf_value, is_knot
+
+
+def neg_q_pow(n):
+    """(-q)^n as a LaurentPoly, stored as (-1)^n q^n."""
+    return LaurentPoly.mono(-1 if n % 2 else 1, n, 0)
+
+
+def q_gcd_reference(f, g):
+    """gcd of two nonzero q-only LaurentPolys by Euclid over the
+    rationals, made primitive with positive lead and lowest exponent 0:
+    the reference for qseries._q_gcd."""
+
+    def to_vec(p):
+        exps = sorted(eq for eq, _ in p.terms)
+        lo = exps[0]
+        vec = [0] * (exps[-1] - lo + 1)
+        for (eq, _), c in p.terms.items():
+            vec[eq - lo] = c
+        return vec
+
+    a = [Fraction(c) for c in to_vec(f)]
+    b = [Fraction(c) for c in to_vec(g)]
+    while b and any(b):
+        # a mod b
+        while len(a) >= len(b) and any(a):
+            if not a[-1]:
+                a.pop()
+                continue
+            f_ = a[-1] / b[-1]
+            off = len(a) - len(b)
+            for i, bc in enumerate(b):
+                a[off + i] -= f_ * bc
+            a.pop()
+        while a and not a[-1]:
+            a.pop()
+        a, b = b, a
+    denom = 1
+    for c in a:
+        denom = denom * c.denominator // gcd(denom, c.denominator)
+    ints = [int(c * denom) for c in a]
+    content = gcd(*ints)
+    ints = [c // content for c in ints]
+    if ints[-1] < 0:
+        ints = [-c for c in ints]
+    out = LaurentPoly()
+    out.terms = {(i, 0): c for i, c in enumerate(ints) if c}
+    return out
+
+
+def reduce_fraction_reference(num, den):
+    """Reference for qseries._reduce_fraction: cancel the rational gcd
+    of den and every a-slice of num, then shift den to lowest
+    q-exponent 0 and make its lead positive.  An integer content common
+    to num and den is left in place."""
+    if num.is_zero():
+        return ZERO, ONE
+    g = den
+    for sl in num.a_slices().values():
+        g = q_gcd_reference(g, sl)
+        if g.is_one() or len(g.terms) == 1:
+            break
+    if not g.is_one():
+        num = num.divide_exact(g)
+        den = den.divide_exact(g)
+    dmin = min(eq for eq, _ in den.terms)
+    if dmin:
+        shift = LaurentPoly.mono(1, -dmin, 0)
+        num = num * shift
+        den = den * shift
+    lead = den.terms[max(den.terms, key=lambda k: k[0])]
+    if lead < 0:
+        num, den = -num, -den
+    return num, den
 
 
 def compositions(total, parts):

@@ -1,6 +1,7 @@
 """Command-line surface: JSON payloads, frames and conventions,
 determinism, and exit codes."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -11,6 +12,8 @@ import pytest
 import quivertangle
 from quivertangle import cli
 from quivertangle.verify import VerificationReport
+
+from conftest import distinct_slopes
 
 
 def run(capsys, *argv):
@@ -118,6 +121,23 @@ class TestOracle:
         data = run_json(capsys, "oracle", "2/1", "--colors", "2..2")
         val = data["colors"]["2"]
         assert isinstance(val, dict) and "num" in val and "den" in val
+
+    @pytest.mark.parametrize("flags, digest", [
+        ((), "03001a245f66c35baa3beac4b3b8fb54"
+             "383caa1c8d04bdf3613d19f2fd27f45a"),
+        (("--jones",), "88a0e974f319f278fcc9882d715ddb8c"
+                       "fe3caef879cc62ad1e3330fd1d22e341"),
+    ])
+    def test_sweep_bytes_are_pinned(self, capsys, flags, digest):
+        # sha256 of the stdout of `oracle p/q --colors 0..4`, one slope
+        # after another, over every slope with CF term sum <= 6
+        sha = hashlib.sha256()
+        for s in distinct_slopes(6):
+            code, out, _ = run(capsys, "oracle", f"{s.p}/{s.q}",
+                               "--colors", "0..4", *flags)
+            assert code == 0
+            sha.update(out.encode())
+        assert sha.hexdigest() == digest
 
 
 class TestVerifyCommand:

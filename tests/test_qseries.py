@@ -5,12 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quivertangle.qseries import (A, ONE, Q, QF_ONE, QF_ZERO, LaurentPoly,
-                                  QFraction, ZERO, a_pow, neg_q_pow,
-                                  pochhammer, poch_q2, q_pow, qbinom_plus,
-                                  qmultinomial)
+from math import gcd
 
-from conftest import balanced_from_plus, compositions
+from quivertangle.qseries import (A, ONE, Q, QF_ONE, QF_ZERO, LaurentPoly,
+                                  QFraction, ZERO, _q_gcd, a_pow, pochhammer,
+                                  poch_q2, q_pow, qbinom_plus, qmultinomial)
+
+from conftest import (balanced_from_plus, compositions, neg_q_pow,
+                      q_gcd_reference, reduce_fraction_reference)
 
 
 def poly(*terms):
@@ -70,6 +72,12 @@ class TestLaurentPoly:
         assert num.divide_exact(ONE - Q**2) == ONE + A
         with pytest.raises(ValueError):
             (ONE + Q).divide_exact(ONE - Q**2)
+        with pytest.raises(ValueError):
+            (ONE + Q).divide_exact(2)
+        with pytest.raises(ValueError):
+            (ONE + Q).divide_exact(ONE + 2 * Q)
+        # a non-unit lead is fine when the quotient is integral
+        assert ((ONE + Q) * (3 + 2 * Q)).divide_exact(3 + 2 * Q) == ONE + Q
 
 
 class TestQCombinatorics:
@@ -146,6 +154,24 @@ class TestQFraction:
 
     def test_str(self):
         assert "q" in str(QFraction(Q, ONE - Q**2))
+
+    def test_integer_content_is_cancelled(self):
+        # equal fractions hash alike, so a set holds one of them
+        x = ONE + Q * A
+        f, g = QFraction(x), QFraction(2 * x, 2)
+        assert f == g and hash(f) == hash(g) and len({f, g}) == 1
+        assert g.normalized_pair() == (x, ONE)
+        h = QFraction(-2 * x * (ONE - Q**2), 2 * (ONE - Q**2))
+        assert h.normalized_pair() == (-x, ONE)
+        assert QFraction(2 * x, 4 - 4 * Q**2).normalized_pair() == (
+            -x, 2 * Q**2 - 2)
+
+    def test_q_gcd_refuses_zero(self):
+        with pytest.raises(ValueError):
+            _q_gcd(ZERO, ONE - Q)
+        with pytest.raises(ValueError):
+            _q_gcd(ONE - Q, ZERO)
+        assert _q_gcd(q_pow(3) * (ONE - Q**2), ONE + Q) == ONE + Q
 
 
 @settings(max_examples=200, deadline=None)
@@ -243,3 +269,42 @@ def test_two_index_vs_one_index_resummation(d, order):
     rhs_c = [QFraction(poch_q2(c + d), poch_q2(c) * poch_q2(d))
              for c in range(order + 1)]
     assert lhs_c == rhs_c
+
+
+_FACTORS = [ONE - q_pow(2 * i) for i in range(1, 5)] + [
+    3 + 2 * Q, 2 - Q**3, 2 * ONE, 3 * ONE]
+
+
+@st.composite
+def _fractions(draw):
+    """num/den with den a signed monomial times factors (1 - q^{2i}),
+    some with non-unit leads or integer content, and num a random
+    polynomial over several a-slices times some of those factors."""
+    picks = draw(st.lists(st.integers(0, len(_FACTORS) - 1), max_size=4))
+    den = LaurentPoly.mono(draw(st.sampled_from([1, -1])),
+                           draw(st.integers(-3, 3)))
+    for i in picks:
+        den = den * _FACTORS[i]
+    num = LaurentPoly(draw(st.dictionaries(
+        st.tuples(st.integers(-3, 3), st.integers(-2, 2)),
+        st.integers(-4, 4), max_size=6)))
+    for i in draw(st.lists(st.integers(0, len(_FACTORS) - 1),
+                           max_size=3)):
+        num = num * _FACTORS[i]
+    return num, den
+
+
+@settings(max_examples=150, deadline=None)
+@given(_fractions())
+def test_normalized_pair_matches_rational_reference(frac):
+    num, den = frac
+    got = QFraction(num, den).normalized_pair()
+    ref_num, ref_den = reduce_fraction_reference(num, den)
+    # the reference leaves an integer content common to num and den
+    content = gcd(*ref_num.terms.values(), *ref_den.terms.values())
+    if gcd(*den.terms.values()) == 1:
+        assert content == 1
+    assert got == (ref_num.divide_exact(content),
+                   ref_den.divide_exact(content))
+    for sl in num.a_slices().values():
+        assert _q_gcd(den, sl) == q_gcd_reference(den, sl)

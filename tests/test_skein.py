@@ -6,14 +6,14 @@ import itertools
 import pytest
 
 from quivertangle.qseries import (LaurentPoly, ONE, QFraction, ZERO, a_pow,
-                                  neg_q_pow, poch_q2, pochhammer, q_pow,
-                                  qbinom_plus)
-from quivertangle.skein import (basis_element, close, framing_factor,
+                                  poch_q2, pochhammer, q_pow, qbinom_plus)
+from quivertangle.skein import (SkeinElement, basis_element, close,
+                                closure_numerator, framing_factor,
                                 oracle_homfly, raw_closure, reduced_homfly,
-                                twist, writhe)
+                                twist, twist_matrix, writhe)
 from quivertangle.tangles import OP, RI, UP, Slope
 
-from conftest import distinct_slopes, rescale
+from conftest import distinct_slopes, neg_q_pow, rescale
 
 
 def qf(num, den=None):
@@ -51,6 +51,44 @@ class TestClosureRules:
                       poch_q2(1))
         assert close(basis_element(1, UP, 0)) == expected
         assert close(basis_element(1, OP, 1)) == qf(ONE)
+
+    def test_one_denominator_matches_per_web_closures(self):
+        # each basis web closed over its own denominator: UP[j,k] over
+        # (q^2;q^2)_j, OP[j,k] over (q^2;q^2)_{j-k}
+        def closure_scalar(boundary, j, k):
+            if boundary == UP:
+                num = (a_pow(-j) * q_pow(j * j + k * k)
+                       * pochhammer(LaurentPoly.mono(1, 2 - 2 * j - 2 * k, 2),
+                                    2, j)
+                       * qbinom_plus(j, k))
+                return QFraction(num, poch_q2(j))
+            num = (a_pow(k - j) * q_pow((j - k) ** 2)
+                   * pochhammer(LaurentPoly.mono(1, 2 - 2 * j, 2), 2, j - k)
+                   * qbinom_plus(j, k))
+            return QFraction(num, poch_q2(j - k))
+
+        for boundary in (UP, OP):
+            for j in range(5):
+                scalars = [closure_scalar(boundary, j, k)
+                           for k in range(j + 1)]
+                for k, scalar in enumerate(scalars):
+                    num = closure_numerator(boundary, j, k)
+                    assert QFraction(num, poch_q2(j)) == scalar
+                    e = basis_element(j, boundary, k)
+                    assert close(e).den == poch_q2(j)
+                # every web at once, weighted by q^k
+                e = SkeinElement(j, boundary,
+                                 [q_pow(k) for k in range(j + 1)])
+                total = close(e)
+                assert total.den == poch_q2(j)
+                assert total == sum((s * q_pow(k)
+                                     for k, s in enumerate(scalars)),
+                                    QFraction(0))
+
+    def test_cached_twist_matrix_is_immutable(self):
+        m = twist_matrix(UP, "T", 2)
+        assert m is twist_matrix(UP, "T", 2)
+        assert isinstance(m, tuple) and all(isinstance(r, tuple) for r in m)
 
     def test_illegal_directions(self):
         # closures are North-South only, and RI webs have none
