@@ -446,8 +446,6 @@ def _q_gcd(f, g):
     if f.is_zero() or g.is_zero():
         raise ValueError("gcd of a zero polynomial")
     a, b = _primitive(_q_vec(f)[1]), _primitive(_q_vec(g)[1])
-    if len(a) < len(b):
-        a, b = b, a
     while len(b) > 1:
         lb, db = b[-1], len(b) - 1
         while len(a) > db:
