@@ -13,7 +13,6 @@ import json
 import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 
 from .knotpipeline import (delta_vector, homology_generators, knot_quiver,
                            signature)
@@ -162,7 +161,7 @@ def compute_payload(slope, terms, pipeline, frame, convention):
         "convention": out.color_convention,
         "framing": out.framing,
         "vertices": out.n,
-        "Q": [list(row) for row in out.Q],
+        "Q": out.Q,
         "a_vec": list(out.a_vec),
         "q_vec": list(out.q_vec),
     })
@@ -256,6 +255,9 @@ def _cmd_batch(args, parser):
     jobs = args.jobs or os.cpu_count() or 1
     start = time.perf_counter()
     if jobs > 1:
+        # imported here: only batch needs the pool, and every other
+        # command would pay for its import at start-up
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             results = list(pool.map(_batch_worker, tasks, chunksize=8))
     else:
@@ -320,9 +322,12 @@ def build_parser():
     return parser
 
 
+# built once per process: every main() call parses with this parser
+_PARSER = build_parser()
+
+
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
     handler = {
         "compute": _cmd_compute,
         "oracle": _cmd_oracle,
@@ -330,7 +335,7 @@ def main(argv=None):
         "enumerate": _cmd_enumerate,
         "batch": _cmd_batch,
     }[args.command]
-    return handler(args, parser)
+    return handler(args, _PARSER)
 
 
 if __name__ == "__main__":

@@ -20,11 +20,11 @@ all-ones blocks, which only pair equal-size same-source blocks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
-from .quiverstate import (IndexRecord, QuiverData, QuiverState,
-                          absorb_pochhammer, apply_twist, quiver_route,
-                          resolve_terms, symmetrize, trivial_state, _freeze)
+from .quiverstate import (IndexRecord, QuiverData, QuiverState, quiver_route,
+                          resolve_terms, symmetrize, trivial_state, _absorb,
+                          _freeze, _thaw, _twist)
 from .tangles import (OP, RI, UP, Slope, boundary_after, boundary_walk,
                       cf_value, is_knot)
 
@@ -141,26 +141,26 @@ def _apply_template(st, key):
     order (the denotation is permutation-covariant)."""
     out_obj, blocks, mspec = _TRANSFORMS[key]
     members = {_P: st.actives(), _M_: st.inactives()}
-    records, spans = [], []
+    records, sources = [], []
     for active, kflag, src, ds, da in blocks:
-        spans.append((len(records), members[src]))
+        sources.append(members[src])
         for i in members[src]:
             r = st.indices[i]
             records.append(IndexRecord(bool(active), kflag,
                                        r.s + ds, r.a + da))
-    M = [[0] * len(records) for _ in records]
-    for (rpos, rows), mrow in zip(spans, mspec):
-        for (cpos, cols), (shift, tri) in zip(spans, mrow):
-            for i, x in enumerate(rows):
-                base, out = st.M[x], M[rpos + i]
-                for l, y in enumerate(cols):
-                    v = base[y] + shift
-                    if tri == "L" and i > l:
-                        v += 1
-                    elif tri == "U" and i < l:
-                        v += 1
-                    out[cpos + l] = v
-    return QuiverState(out_obj or st.obj, tuple(records), _freeze(M))
+    M = []
+    for rows, mrow in zip(sources, mspec):
+        for i, x in enumerate(rows):
+            base, out = st.M[x], []
+            for cols, (shift, tri) in zip(sources, mrow):
+                seg = [base[y] + shift for y in cols]
+                if tri:
+                    ones = range(i) if tri == "L" else range(i + 1, len(seg))
+                    for l in ones:
+                        seg[l] += 1
+                out += seg
+            M.append(tuple(out))
+    return QuiverState(out_obj or st.obj, tuple(records), tuple(M))
 
 
 def apply_pair(st, pair):
@@ -180,34 +180,31 @@ def apply_pair(st, pair):
     return out
 
 
-def _set_poch_flags(st, k_type):
-    records = tuple(replace(r, extra_poch=1 if r.active == k_type else 0)
-                    for r in st.indices)
-    return replace(st, indices=records)
-
-
 def resum_stretch(st, kind, count):
     """Process a whole stretch of `count` twists whose bookkeeping type
     is the wrong one for `kind`: act with generic single twists (the
     Pochhammer factor rides along on the flagged indices), then split
     the flagged mass so the numerator matches the new active/inactive
     decomposition."""
+    obj, records, M = st.obj, list(st.indices), _thaw(st.M)
     for _ in range(count):
-        st = apply_twist(st, kind, refine=False)
+        obj = _twist(obj, records, M, kind, refine=False)
     if kind == "T":
         # (q^2;q^2)_{j-k_old} = (q^2;q^2)_{j-k} (q^{2+2(j-k)};q^2)_{k-k_old}
-        targets = [i for i, r in enumerate(st.indices)
+        targets = [i for i, r in enumerate(records)
                    if r.active and r.extra_poch]
-        coeff = [0 if r.active else 1 for r in st.indices]
+        coeff = [0 if r.active else 1 for r in records]
         new_k_type = False
     else:
         # (q^2;q^2)_{k_old} = (q^2;q^2)_k (q^{2+2k};q^2)_{k_old-k}
-        targets = [i for i, r in enumerate(st.indices)
+        targets = [i for i, r in enumerate(records)
                    if not r.active and r.extra_poch]
-        coeff = [1 if r.active else 0 for r in st.indices]
+        coeff = [1 if r.active else 0 for r in records]
         new_k_type = True
-    st = absorb_pochhammer(st, coeff, 0, 2, targets, refine=False)
-    return _set_poch_flags(st, new_k_type)
+    _absorb(records, M, coeff, 0, 2, targets, refine=False)
+    records = tuple(IndexRecord(r.active, 1 if r.active == new_k_type else 0,
+                                r.s, r.a) for r in records)
+    return QuiverState(obj, records, _freeze(M))
 
 
 def reduce_cf(terms, with_ops=False):
@@ -271,8 +268,9 @@ def final_close(st, framing=0):
             "use an equivalent slope representative")
     _require_type(st, st.obj == UP, f"closing at {st.obj}")
     out = _apply_template(st, ("close", st.obj))
-    return QuiverData(symmetrize([list(r) for r in out.M]),
-                      tuple(out.a_vec()), tuple(out.s_vec()),
+    return QuiverData(symmetrize(out.M),
+                      tuple(r.a for r in out.indices),
+                      tuple(r.s for r in out.indices),
                       framing, "antisymmetric")
 
 

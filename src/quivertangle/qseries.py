@@ -56,6 +56,9 @@ class LaurentPoly:
         return self.terms == other.terms
 
     def __hash__(self):
+        # a constant equals its int, so it hashes as one
+        if not self.terms.keys() - {(0, 0)}:
+            return hash(self.terms.get((0, 0), 0))
         return hash(frozenset(self.terms.items()))
 
     def __add__(self, other):
@@ -339,7 +342,9 @@ class QFraction:
         return self.num * other.den == other.num * self.den
 
     def __hash__(self):
-        return hash(self.normalized_pair())
+        # a fraction equal to a polynomial hashes as that polynomial
+        num, den = self.normalized_pair()
+        return hash(num) if den.is_one() else hash((num, den))
 
     def __add__(self, other):
         if isinstance(other, (int, LaurentPoly)):

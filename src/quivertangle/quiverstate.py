@@ -18,12 +18,15 @@ active indices) relative to the plain twist action; `apply_twist`
 bridges between the two conventions by adding/removing an all-ones
 block on the active indices of M.
 
-States are immutable; every operation returns a new state.
+The public operations (`apply_twist`, `absorb_pochhammer`,
+`close_link`) take frozen states and return new frozen states or quiver
+data.  Underneath, `_twist`, `_absorb` and `_close` work in place on a
+thawed copy: a list of records and a list of row lists.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .qseries import (LaurentPoly, ZERO, poch_q2, q_pow, qmultinomial)
 from .skein import SkeinElement, writhe
@@ -59,19 +62,10 @@ class QuiverState:
         return len(self.indices)
 
     def actives(self):
-        return [i for i, r in enumerate(self.indices) if r.active]
+        return _actives(self.indices)
 
     def inactives(self):
         return [i for i, r in enumerate(self.indices) if not r.active]
-
-    def s_vec(self):
-        return [r.s for r in self.indices]
-
-    def a_vec(self):
-        return [r.a for r in self.indices]
-
-    def k_vec(self):
-        return [r.extra_poch for r in self.indices]
 
 
 @dataclass(frozen=True)
@@ -171,6 +165,50 @@ def state_expand(st, N, balanced=True):
     return [SkeinElement(j, st.obj, c) for j, c in enumerate(coeffs)]
 
 
+def _absorb(records, M, coeff, const_a, const_q, targets, refine=True,
+            alpha_active=None, beta_active=None):
+    """absorb_pochhammer on a thawed state: records and the rows of M
+    are lists, extended and updated in place."""
+    if const_q % 2:
+        raise ValueError("const_q must be even: the per-unit sign must "
+                         "be a power of -q")
+    if len(set(targets)) != len(targets):
+        raise ValueError("absorb targets must be distinct")
+    n = len(records)
+    for t in targets:
+        r = records[t]
+        flag = r.active if alpha_active is None else alpha_active
+        records.append(IndexRecord(flag, r.extra_poch,
+                                   r.s + const_q - 1, r.a + const_a))
+    if beta_active is not None:
+        for t in targets:
+            r = records[t]
+            records[t] = IndexRecord(beta_active, r.extra_poch, r.s, r.a)
+
+    # Each alpha starts as a copy of its target (a column, then a row)
+    # and gains the cross terms 2 (coeff.d) alpha_i, alpha_i^2 and the
+    # ordered cross terms 2 alpha_i (d_1 + ... + d_{i-1}): in row alpha_i
+    # coeff, ones on the alpha block and on targets l < i (l <= i with
+    # refine); in every row y, coeff_y on the alpha columns, and in row
+    # target l one more on the alphas after alpha_l.
+    for row in M:
+        row.extend([row[t] for t in targets])
+    coeff = [*coeff, *(coeff[t] for t in targets)]
+    add = coeff[:n] + [c + 1 for c in coeff[n:]]
+    for t in targets:
+        if refine:
+            add[t] += 1
+        M.append([v + c for v, c in zip(M[t], add)])
+        if not refine:
+            add[t] += 1
+    for row, c in zip(M, coeff):
+        if c:
+            row[n:] = [v + c for v in row[n:]]
+    for i, t in enumerate(targets, n + 1):
+        row = M[t]
+        row[i:] = [v + 1 for v in row[i:]]
+
+
 def absorb_pochhammer(st, coeff, const_a, const_q, targets, *, refine=True,
                       alpha_active=None, beta_active=None):
     """Multiply by (q^{const_q} a^{const_a} q^{2 coeff.d}; q^2)_D, where D
@@ -185,178 +223,163 @@ def absorb_pochhammer(st, coeff, const_a, const_q, targets, *, refine=True,
     coarse indices is rewritten over the split ones, which costs one
     extra alpha-beta cross unit.  alpha_active/beta_active override the
     activity flags of the split halves (None keeps the parent's)."""
-    if const_q % 2:
-        raise ValueError("const_q must be even: the per-unit sign must "
-                         "be a power of -q")
-    targets = list(targets)
-    if len(set(targets)) != len(targets):
-        raise ValueError("absorb targets must be distinct")
-    n = st.n
-    alpha_at = {t: n + i for i, t in enumerate(targets)}
-    parent = list(range(n)) + targets
-    m = len(parent)
-
-    records = list(st.indices)
-    if beta_active is not None:
-        for t in targets:
-            records[t] = replace(records[t], active=beta_active)
-    for t in targets:
-        r = st.indices[t]
-        flag = r.active if alpha_active is None else alpha_active
-        records.append(IndexRecord(flag, r.extra_poch,
-                                   r.s + const_q - 1, r.a + const_a))
-
-    M = [[st.M[parent[x]][parent[y]] for y in range(m)] for x in range(m)]
-    for i, t in enumerate(targets):
-        ai = alpha_at[t]
-        # q^{alpha^2}
-        M[ai][ai] += 1
-        # ordered cross terms 2 alpha_i (d_1 + ... + d_{i-1}) over targets
-        for tl in targets[:i]:
-            for y in (tl, alpha_at[tl]):
-                M[ai][y] += 1
-                M[y][ai] += 1
-        # base exponent cross terms 2 (coeff.d) alpha_i
-        for y in range(m):
-            c = coeff[parent[y]]
-            if c:
-                M[ai][y] += c
-                M[y][ai] += c
-        if refine:
-            M[ai][t] += 1
+    records, M = list(st.indices), _thaw(st.M)
+    _absorb(records, M, coeff, const_a, const_q, list(targets), refine,
+            alpha_active, beta_active)
     return QuiverState(st.obj, tuple(records), _freeze(M))
 
 
 def _bump(M, rows, cols, delta):
+    if len(cols) == len(M):  # distinct positions: every column
+        for i in rows:
+            M[i] = [v + delta for v in M[i]]
+        return
     for i in rows:
+        row = M[i]
         for l in cols:
-            M[i][l] += delta
+            row[l] += delta
 
 
-def _shift_records(records, positions, ds=0, da=0):
-    records = list(records)
+def _shift(records, positions, ds=0, da=0):
     for i in positions:
         r = records[i]
-        records[i] = replace(r, s=r.s + ds, a=r.a + da)
-    return records
+        records[i] = IndexRecord(r.active, r.extra_poch, r.s + ds, r.a + da)
 
 
-# (kind, obj) -> prefactor and Pochhammer spec for the product twists.
-# Entries: (s_shift_on, a_shift_on, quadratic bumps, poch const_a,
-# poch coeff support, targets), with sets named over act/inact/all.
-def apply_twist_product(st, kind, refine=True):
-    """Product-form twist: multiply by the rule's monomial and
-    Pochhammer prefactor, then absorb.  Chained from the trivial state
-    this accumulates q^{k^2} (k = active sum) relative to the plain
-    twists; see apply_twist for the bridge.  refine selects the
-    balanced-multinomial reading of the state (pass False when the
-    state is read with positive multinomials)."""
-    act, inact = st.actives(), st.inactives()
-    allpos = list(range(st.n))
-    records = list(st.indices)
-    M = _thaw(st.M)
-    coeff = [0] * st.n
+def _actives(records):
+    return [i for i, r in enumerate(records) if r.active]
 
-    def setc(positions, value):
-        for i in positions:
-            coeff[i] += value
 
+def _twist(obj, records, M, kind, refine=True):
+    """apply_twist on a thawed state, in place; returns the boundary
+    after the twist.  The product-form rule (multiply by a monomial and
+    a Pochhammer prefactor, then absorb) runs between the two halves of
+    the q^{k^2} convention bridge, k the active sum before and after."""
+    act = _actives(records)
+    inact = [i for i, r in enumerate(records) if not r.active]
+    allpos = range(len(records))
     if kind == "T":
         targets = inact
-        if st.obj == UP:
+        # act x act gains 2: the bridge's q^{k^2} and the rule's
+        if obj == UP:
             # (-q)^{k-j} q^{k^2} (q^{2+2k}; q^2)_{j-k}
-            records = _shift_records(records, inact, ds=-1)
-            _bump(M, act, act, 1)
+            _shift(records, inact, ds=-1)
+            _bump(M, act, act, 2)
             const_a = 0
-            setc(act, 1)
-        elif st.obj in (OP, RI):
+            coeff = [1 if r.active else 0 for r in records]
+        elif obj in (OP, RI):
             # (-q)^k a^k q^{k^2-2jk} times (q^{2+2k};q^2)_{j-k} for OP
             # or (a q^{2+2k-2j};q^2)_{j-k} for RI
-            records = _shift_records(records, act, ds=1, da=1)
-            _bump(M, act, act, 1)
+            _shift(records, act, ds=1, da=1)
+            _bump(M, act, act, 2)
             _bump(M, allpos, act, -1)
             _bump(M, act, allpos, -1)
-            if st.obj == OP:
+            if obj == OP:
                 const_a = 0
-                setc(act, 1)
+                coeff = [1 if r.active else 0 for r in records]
             else:
                 const_a = 1
-                setc(inact, -1)
+                coeff = [0 if r.active else -1 for r in records]
         else:
-            raise ValueError(st.obj)
+            raise ValueError(obj)
     elif kind == "R":
         targets = act
-        if st.obj == UP:
+        _bump(M, act, act, 1)  # the bridge's q^{k^2}
+        if obj == UP:
             # (-q)^{-j} a^{-j} q^{j^2} (a q^{2-2k}; q^2)_k
-            records = _shift_records(records, allpos, ds=-1, da=-1)
+            _shift(records, allpos, ds=-1, da=-1)
             _bump(M, allpos, allpos, 1)
             const_a = 1
-            setc(act, -1)
-        elif st.obj == OP:
+            coeff = [-1 if r.active else 0 for r in records]
+        elif obj == OP:
             # (-q)^{-j} a^{k-j} q^{j^2-2jk} (q^{2+2j-2k}; q^2)_k
-            records = _shift_records(records, allpos, ds=-1)
-            records = _shift_records(records, inact, da=-1)
+            _shift(records, allpos, ds=-1)
+            _shift(records, inact, da=-1)
             _bump(M, allpos, allpos, 1)
             _bump(M, allpos, act, -1)
             _bump(M, act, allpos, -1)
             const_a = 0
-            setc(inact, 1)
-        elif st.obj == RI:
+            coeff = [0 if r.active else 1 for r in records]
+        elif obj == RI:
             # q^{-j^2} (q^{2+2j-2k}; q^2)_k
             _bump(M, allpos, allpos, -1)
             const_a = 0
-            setc(inact, 1)
+            coeff = [0 if r.active else 1 for r in records]
         else:
-            raise ValueError(st.obj)
+            raise ValueError(obj)
     else:
         raise ValueError(f"unknown twist kind {kind!r}")
 
-    mid = QuiverState(st.obj, tuple(records), _freeze(M))
     # New alphas always carry the new-crossing strand pair, hence end up
     # active; for R twists the old active mass is demoted to inactive.
-    out = absorb_pochhammer(mid, coeff, const_a, 2, targets, refine=refine,
-                            alpha_active=True,
-                            beta_active=False if kind == "R" else None)
-    return replace(out, obj=boundary_after(st.obj, kind))
-
-
-def _ones_on_actives(st, delta):
-    M = _thaw(st.M)
-    act = st.actives()
-    _bump(M, act, act, delta)
-    return replace(st, M=_freeze(M))
+    _absorb(records, M, coeff, const_a, 2, targets, refine, True,
+            False if kind == "R" else None)
+    # back across the bridge, over the new actives
+    act = _actives(records)
+    _bump(M, act, act, -1)
+    return boundary_after(obj, kind)
 
 
 def apply_twist(st, kind, refine=True):
-    """Plain twist action.  Equals the product twist conjugated by the
-    q^{k^2} convention bridge: plain states expand to exactly the
-    rescaled skein evaluation, product states to q^{k^2} times it."""
-    out = apply_twist_product(_ones_on_actives(st, 1), kind, refine=refine)
-    return _ones_on_actives(out, -1)
-
-
-def _fold_multinomial(M, n):
-    """Rewrite the balanced multinomial as (q^2;q^2)_{sum d} over plain
-    Pochhammer denominators: the q^{-e2(d)} balance factor moves into
-    M's upper triangle; the numerator is returned symbolically as a
-    pending cancellation."""
-    for i in range(n):
-        for l in range(i + 1, n):
-            M[i][l] -= 1
+    """Plain twist action: plain states expand to exactly the rescaled
+    skein evaluation (see _twist for the product form).  refine selects
+    the balanced-multinomial reading of the state (pass False when the
+    state is read with positive multinomials)."""
+    records, M = list(st.indices), _thaw(st.M)
+    obj = _twist(st.obj, records, M, kind, refine)
+    return QuiverState(obj, tuple(records), _freeze(M))
 
 
 def symmetrize(M):
     n = len(M)
     Q = [[0] * n for _ in range(n)]
-    for i in range(n):
-        Q[i][i] = M[i][i]
+    for i, (row, out) in enumerate(zip(M, Q)):
+        out[i] = row[i]
         for l in range(i + 1, n):
-            tot = M[i][l] + M[l][i]
+            tot = row[l] + M[l][i]
             if tot % 2:
                 raise ArithmeticError(
                     f"odd symmetrized entry at ({i},{l}): {tot}")
-            Q[i][l] = Q[l][i] = tot // 2
+            out[l] = Q[l][i] = tot // 2
     return _freeze(Q)
+
+
+def _close(obj, records, M, framing):
+    """close_link on a thawed state, consuming its lists."""
+    if obj not in (UP, OP):
+        raise ValueError(f"cannot close {obj} North-South")
+    if any(r.extra_poch for r in records):
+        raise ValueError("close_link needs a state with no extra "
+                         "Pochhammer flags")
+    act = _actives(records)
+    inact = [i for i, r in enumerate(records) if not r.active]
+    allpos = range(len(records))
+    # Rewrite the balanced multinomial as (q^2;q^2)_{sum d} over plain
+    # Pochhammer denominators: the q^{-e2(d)} balance factor moves into
+    # M's upper triangle; the numerator is a pending cancellation.
+    for i, row in enumerate(M):
+        row[i + 1:] = [v - 1 for v in row[i + 1:]]
+
+    if obj == UP:
+        # X[j,k] -> a^{-j} q^{j^2+k^2} (a^2 q^{2-2j-2k};q^2)_j / (q^2;q^2)_j
+        _shift(records, allpos, da=-1)
+        _bump(M, allpos, allpos, 1)
+        _bump(M, act, act, 1)
+        coeff = [-2 if r.active else -1 for r in records]
+        _absorb(records, M, coeff, 2, 2, list(allpos), refine=False)
+    else:
+        # X[j,k] -> a^{k-j} q^{(j-k)^2} (a^2 q^{2-2j};q^2)_{j-k}
+        #           / (q^2;q^2)_{j-k}
+        # The (q^2;q^2)_j numerator cancels only partially; the quotient
+        # (q^{2+2(j-k)};q^2)_k is absorbed over the active indices.
+        _shift(records, inact, da=-1)
+        _bump(M, inact, inact, 1)
+        coeff = [0 if r.active else 1 for r in records]
+        _absorb(records, M, coeff, 0, 2, act, refine=False)
+        _absorb(records, M, [-1] * len(records), 2, 2, inact, refine=False)
+
+    return QuiverData(symmetrize(M), tuple(r.a for r in records),
+                      tuple(r.s for r in records), framing, "antisymmetric")
 
 
 def close_link(st, framing=0):
@@ -368,41 +391,7 @@ def close_link(st, framing=0):
     The output is in the frame of the twist diagram; framing records
     that frame (the diagram writhe; callers shift by it for the zero
     frame)."""
-    if st.obj not in (UP, OP):
-        raise ValueError(f"cannot close {st.obj} North-South")
-    if any(r.extra_poch for r in st.indices):
-        raise ValueError("close_link needs a state with no extra "
-                         "Pochhammer flags")
-    act, inact = st.actives(), st.inactives()
-    allpos = list(range(st.n))
-    records = list(st.indices)
-    M = _thaw(st.M)
-    _fold_multinomial(M, st.n)
-
-    if st.obj == UP:
-        # X[j,k] -> a^{-j} q^{j^2+k^2} (a^2 q^{2-2j-2k};q^2)_j / (q^2;q^2)_j
-        records = _shift_records(records, allpos, da=-1)
-        _bump(M, allpos, allpos, 1)
-        _bump(M, act, act, 1)
-        mid = QuiverState(st.obj, tuple(records), _freeze(M))
-        coeff = [-2 if r.active else -1 for r in mid.indices]
-        out = absorb_pochhammer(mid, coeff, 2, 2, allpos, refine=False)
-    else:
-        # X[j,k] -> a^{k-j} q^{(j-k)^2} (a^2 q^{2-2j};q^2)_{j-k}
-        #           / (q^2;q^2)_{j-k}
-        # The (q^2;q^2)_j numerator cancels only partially; the quotient
-        # (q^{2+2(j-k)};q^2)_k is absorbed over the active indices.
-        records = _shift_records(records, inact, da=-1)
-        _bump(M, inact, inact, 1)
-        mid = QuiverState(st.obj, tuple(records), _freeze(M))
-        coeff = [0 if r.active else 1 for r in mid.indices]
-        mid = absorb_pochhammer(mid, coeff, 0, 2, act, refine=False)
-        coeff = [-1] * mid.n
-        out = absorb_pochhammer(mid, coeff, 2, 2,
-                                [i for i in inact], refine=False)
-
-    return QuiverData(symmetrize(_thaw(out.M)), tuple(out.a_vec()),
-                      tuple(out.s_vec()), framing, "antisymmetric")
+    return _close(st.obj, list(st.indices), _thaw(st.M), framing)
 
 
 # (sigma, c, e) of the reflection Q_il -> -Q_il - 1 + [i = l] that
@@ -471,9 +460,10 @@ def quiver_route(slope_or_terms, close, polynomial):
 
 def _twist_and_close(terms, framing):
     st = trivial_state()
+    obj, records, M = st.obj, list(st.indices), _thaw(st.M)
     for kind in twist_sequence(terms):
-        st = apply_twist(st, kind)
-    return close_link(st, framing)
+        obj = _twist(obj, records, M, kind)
+    return _close(obj, records, M, framing)
 
 
 def link_quiver(slope_or_terms):

@@ -1,19 +1,22 @@
 """Shared test helpers: brute-force quiver and state expansions,
 rescaled skein elements, the rational-arithmetic reference for
-q-fraction reduction, comparison of quiver data up to vertex order,
-continued fraction generators, and an independent Goeritz-matrix
-signature oracle."""
+q-fraction reduction, entry-by-entry references for the state kernel
+(twist, absorption, closure, block templates), comparison of quiver
+data up to vertex order, continued fraction generators, and an
+independent Goeritz-matrix signature oracle."""
 
 from dataclasses import replace
 from fractions import Fraction
 from math import gcd
 
-from quivertangle.knotpipeline import delta_vector
+from quivertangle.knotpipeline import _TRANSFORMS, delta_vector
 from quivertangle.qseries import (LaurentPoly, ONE, QFraction, ZERO, poch_q2,
                                   q_pow, qbinom_plus, qmultinomial)
-from quivertangle.quiverstate import _freeze, bal_multinomial
+from quivertangle.quiverstate import (IndexRecord, QuiverData, QuiverState,
+                                      _freeze, bal_multinomial, symmetrize)
 from quivertangle.skein import SkeinElement, _mono
-from quivertangle.tangles import cf_value, is_knot
+from quivertangle.tangles import (OP, RI, UP, boundary_after, cf_value,
+                                  is_knot)
 
 
 def neg_q_pow(n):
@@ -104,7 +107,9 @@ def state_expand_reference(st, N, balanced=True):
     """Brute-force reference for quiverstate.state_expand: one full
     term, with its own Pochhammer and multinomial, per composition d of
     each color j into st.n parts."""
-    S, A, K = st.s_vec(), st.a_vec(), st.k_vec()
+    S = [r.s for r in st.indices]
+    A = [r.a for r in st.indices]
+    K = [r.extra_poch for r in st.indices]
     act = set(st.actives())
     out = []
     for j in range(N + 1):
@@ -316,3 +321,212 @@ def goeritz_signature(slope):
     """Independent knot-signature oracle: signature of the tridiagonal
     form built from the all-even twist expansion."""
     return tridiag_signature(even_twist_terms(slope))
+
+
+# The twist, absorption and closure steps as they were before the
+# in-place kernel (each step on frozen states, one new state per
+# operation): the references for the kernel's equivalence test.
+
+def absorb_pochhammer_reference(st, coeff, const_a, const_q, targets, *,
+                                refine=True, alpha_active=None,
+                                beta_active=None):
+    """Reference for quiverstate.absorb_pochhammer: every entry of the
+    split matrix read from its parents, then the cross terms added one
+    entry at a time."""
+    if const_q % 2:
+        raise ValueError("const_q must be even")
+    targets = list(targets)
+    if len(set(targets)) != len(targets):
+        raise ValueError("absorb targets must be distinct")
+    n = st.n
+    alpha_at = {t: n + i for i, t in enumerate(targets)}
+    parent = list(range(n)) + targets
+    m = len(parent)
+
+    records = list(st.indices)
+    if beta_active is not None:
+        for t in targets:
+            records[t] = replace(records[t], active=beta_active)
+    for t in targets:
+        r = st.indices[t]
+        flag = r.active if alpha_active is None else alpha_active
+        records.append(IndexRecord(flag, r.extra_poch,
+                                   r.s + const_q - 1, r.a + const_a))
+
+    M = [[st.M[parent[x]][parent[y]] for y in range(m)] for x in range(m)]
+    for i, t in enumerate(targets):
+        ai = alpha_at[t]
+        M[ai][ai] += 1
+        for tl in targets[:i]:
+            for y in (tl, alpha_at[tl]):
+                M[ai][y] += 1
+                M[y][ai] += 1
+        for y in range(m):
+            c = coeff[parent[y]]
+            if c:
+                M[ai][y] += c
+                M[y][ai] += c
+        if refine:
+            M[ai][t] += 1
+    return QuiverState(st.obj, tuple(records), _freeze(M))
+
+
+def _bump_reference(M, rows, cols, delta):
+    for i in rows:
+        for l in cols:
+            M[i][l] += delta
+
+
+def _shift_records_reference(records, positions, ds=0, da=0):
+    records = list(records)
+    for i in positions:
+        r = records[i]
+        records[i] = replace(r, s=r.s + ds, a=r.a + da)
+    return records
+
+
+def _twist_product_reference(st, kind, refine=True):
+    """The product-form twist: the rule's monomial and Pochhammer
+    prefactor, then absorption."""
+    act, inact = st.actives(), st.inactives()
+    allpos = list(range(st.n))
+    records = list(st.indices)
+    M = [list(row) for row in st.M]
+    coeff = [0] * st.n
+
+    def setc(positions, value):
+        for i in positions:
+            coeff[i] += value
+
+    if kind == "T":
+        targets = inact
+        if st.obj == UP:
+            records = _shift_records_reference(records, inact, ds=-1)
+            _bump_reference(M, act, act, 1)
+            const_a = 0
+            setc(act, 1)
+        elif st.obj in (OP, RI):
+            records = _shift_records_reference(records, act, ds=1, da=1)
+            _bump_reference(M, act, act, 1)
+            _bump_reference(M, allpos, act, -1)
+            _bump_reference(M, act, allpos, -1)
+            if st.obj == OP:
+                const_a = 0
+                setc(act, 1)
+            else:
+                const_a = 1
+                setc(inact, -1)
+        else:
+            raise ValueError(st.obj)
+    elif kind == "R":
+        targets = act
+        if st.obj == UP:
+            records = _shift_records_reference(records, allpos, ds=-1, da=-1)
+            _bump_reference(M, allpos, allpos, 1)
+            const_a = 1
+            setc(act, -1)
+        elif st.obj == OP:
+            records = _shift_records_reference(records, allpos, ds=-1)
+            records = _shift_records_reference(records, inact, da=-1)
+            _bump_reference(M, allpos, allpos, 1)
+            _bump_reference(M, allpos, act, -1)
+            _bump_reference(M, act, allpos, -1)
+            const_a = 0
+            setc(inact, 1)
+        elif st.obj == RI:
+            _bump_reference(M, allpos, allpos, -1)
+            const_a = 0
+            setc(inact, 1)
+        else:
+            raise ValueError(st.obj)
+    else:
+        raise ValueError(f"unknown twist kind {kind!r}")
+
+    mid = QuiverState(st.obj, tuple(records), _freeze(M))
+    out = absorb_pochhammer_reference(
+        mid, coeff, const_a, 2, targets, refine=refine, alpha_active=True,
+        beta_active=False if kind == "R" else None)
+    return replace(out, obj=boundary_after(st.obj, kind))
+
+
+def _ones_on_actives_reference(st, delta):
+    M = [list(row) for row in st.M]
+    act = st.actives()
+    _bump_reference(M, act, act, delta)
+    return replace(st, M=_freeze(M))
+
+
+def apply_twist_reference(st, kind, refine=True):
+    """Reference for quiverstate.apply_twist: the product twist
+    conjugated by the q^{k^2} bridge, one frozen state per step."""
+    out = _twist_product_reference(_ones_on_actives_reference(st, 1), kind,
+                                   refine=refine)
+    return _ones_on_actives_reference(out, -1)
+
+
+def _fold_multinomial_reference(M, n):
+    for i in range(n):
+        for l in range(i + 1, n):
+            M[i][l] -= 1
+
+
+def close_link_reference(st, framing=0):
+    """Reference for quiverstate.close_link, absorbing through
+    absorb_pochhammer_reference."""
+    if st.obj not in (UP, OP):
+        raise ValueError(f"cannot close {st.obj} North-South")
+    if any(r.extra_poch for r in st.indices):
+        raise ValueError("flagged index")
+    act, inact = st.actives(), st.inactives()
+    allpos = list(range(st.n))
+    records = list(st.indices)
+    M = [list(row) for row in st.M]
+    _fold_multinomial_reference(M, st.n)
+    if st.obj == UP:
+        records = _shift_records_reference(records, allpos, da=-1)
+        _bump_reference(M, allpos, allpos, 1)
+        _bump_reference(M, act, act, 1)
+        mid = QuiverState(st.obj, tuple(records), _freeze(M))
+        coeff = [-2 if r.active else -1 for r in mid.indices]
+        out = absorb_pochhammer_reference(mid, coeff, 2, 2, allpos,
+                                          refine=False)
+    else:
+        records = _shift_records_reference(records, inact, da=-1)
+        _bump_reference(M, inact, inact, 1)
+        mid = QuiverState(st.obj, tuple(records), _freeze(M))
+        coeff = [0 if r.active else 1 for r in mid.indices]
+        mid = absorb_pochhammer_reference(mid, coeff, 0, 2, act,
+                                          refine=False)
+        out = absorb_pochhammer_reference(mid, [-1] * mid.n, 2, 2, inact,
+                                          refine=False)
+    return QuiverData(symmetrize([list(r) for r in out.M]),
+                      tuple(r.a for r in out.indices),
+                      tuple(r.s for r in out.indices), framing,
+                      "antisymmetric")
+
+
+def apply_template_reference(st, key):
+    """Reference for knotpipeline._apply_template: the output matrix
+    filled one entry at a time."""
+    out_obj, blocks, mspec = _TRANSFORMS[key]
+    members = {"+": st.actives(), "-": st.inactives()}
+    records, spans = [], []
+    for active, kflag, src, ds, da in blocks:
+        spans.append((len(records), members[src]))
+        for i in members[src]:
+            r = st.indices[i]
+            records.append(IndexRecord(bool(active), kflag,
+                                       r.s + ds, r.a + da))
+    M = [[0] * len(records) for _ in records]
+    for (rpos, rows), mrow in zip(spans, mspec):
+        for (cpos, cols), (shift, tri) in zip(spans, mrow):
+            for i, x in enumerate(rows):
+                base, out = st.M[x], M[rpos + i]
+                for l, y in enumerate(cols):
+                    v = base[y] + shift
+                    if tri == "L" and i > l:
+                        v += 1
+                    elif tri == "U" and i < l:
+                        v += 1
+                    out[cpos + l] = v
+    return QuiverState(out_obj or st.obj, tuple(records), _freeze(M))

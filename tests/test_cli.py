@@ -2,15 +2,18 @@
 determinism, and exit codes."""
 
 import hashlib
+import importlib.util
 import json
 import os
 import subprocess
 import sys
+from math import gcd
 
 import pytest
 
 import quivertangle
-from quivertangle import cli
+from quivertangle import cli, qseries, tangles, verify
+from quivertangle.tangles import Slope, enumerate_rational_knots
 from quivertangle.verify import VerificationReport
 
 from conftest import distinct_slopes
@@ -140,6 +143,26 @@ class TestOracle:
         assert sha.hexdigest() == digest
 
 
+class TestComputeBytes:
+    def test_sweep_bytes_are_pinned(self, capsys):
+        # sha256 of the stdout of `compute p/q --convention C --frame F`
+        # over every link slope with even p <= 16, then every knot up to
+        # 9 crossings, for each convention and frame in turn
+        slopes = [Slope(p, q) for p in range(2, 17, 2) for q in range(1, p)
+                  if gcd(p, q) == 1] + enumerate_rational_knots(9)
+        sha = hashlib.sha256()
+        for convention in ("anti", "sym"):
+            for frame in ("canonical", "raw"):
+                for s in slopes:
+                    code, out, _ = run(capsys, "compute", f"{s.p}/{s.q}",
+                                       "--convention", convention,
+                                       "--frame", frame)
+                    assert code == 0
+                    sha.update(out.encode())
+        assert sha.hexdigest() == ("e2a02cd9cd2a8ffc074f9f491d2b3af2"
+                                   "c554da6f40c15fb16326452ef7a57078")
+
+
 class TestVerifyCommand:
     def test_knot_runs_both_pipelines(self, capsys):
         code, out, _ = run(capsys, "verify", "3/1", "--order", "1")
@@ -220,6 +243,28 @@ class TestExitCodes:
             cli.main(argv)
         assert exc.value.code == 2
 
+    def test_main_reuses_one_parser(self, capsys, monkeypatch):
+        # main() parses with the parser built at import: with
+        # build_parser broken, each call still matches a fresh process
+        argvs = (["compute", "3/1"], ["compute", "3/1", "--order", "-1"],
+                 ["oracle", "3/1"], ["verify", "3/1", "--order", "1"])
+        fresh = [run_python("-m", "quivertangle.cli", *argv)
+                 for argv in argvs]
+
+        def rebuilt():
+            raise RuntimeError("parser rebuilt")
+
+        monkeypatch.setattr(cli, "build_parser", rebuilt)
+        for argv, proc in zip(argvs, fresh):
+            try:
+                code = cli.main(argv)
+            except SystemExit as exc:
+                code = exc.code
+            out = capsys.readouterr().out
+            assert (code, out.encode()) == (proc.returncode,
+                                            proc.stdout), argv
+        assert fresh[1].returncode == 2
+
     def test_knot_pipeline_on_link_is_a_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
             cli.main(["compute", "4/1", "--pipeline", "knot"])
@@ -257,3 +302,18 @@ class TestExitCodes:
             "        raise SystemExit(f'{call} was accepted')\n"),
             optimized=True)
         assert proc.returncode == 0, proc.stderr
+
+
+class TestBenchBindings:
+    def test_traced_call_sites_resolve(self):
+        # the traced benchmark wraps each (owner, attribute) binding of
+        # bench/spans.py; a renamed or deleted call site breaks it
+        path = os.path.join(os.path.dirname(os.path.dirname(__file__)),
+                            "bench", "spans.py")
+        spec = importlib.util.spec_from_file_location("bench_spans", path)
+        spans = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(spans)
+        bindings = spans.bindings(cli, verify, qseries, tangles)
+        assert bindings
+        for owner, attr, name, _ in bindings:
+            assert callable(getattr(owner, attr, None)), (name, attr)

@@ -166,6 +166,17 @@ class TestQFraction:
         assert QFraction(2 * x, 4 - 4 * Q**2).normalized_pair() == (
             -x, 2 * Q**2 - 2)
 
+    def test_hash_agrees_with_eq_across_types(self):
+        # values equal to an int or a LaurentPoly hash as that value
+        x = ONE + Q * A
+        assert LaurentPoly.mono(5) == 5
+        assert len({LaurentPoly.mono(5), 5}) == 1
+        assert len({QFraction(3), LaurentPoly.mono(3), 3}) == 1
+        assert len({QFraction(x), x}) == 1
+        assert len({QFraction(2 * x, 2), x, QFraction(x)}) == 1
+        assert len({QFraction(0), ZERO, 0}) == 1
+        assert len({QFraction(x, ONE - Q**2), x}) == 2
+
     def test_q_gcd_refuses_zero(self):
         with pytest.raises(ValueError):
             _q_gcd(ZERO, ONE - Q)

@@ -2,13 +2,17 @@
 state expansion must track the rescaled skein element after every
 twist, and the closed quiver data must reproduce the oracle."""
 
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hs
 
 from quivertangle.qseries import QFraction, q_pow
+from quivertangle.knotpipeline import _TRANSFORMS, _apply_template
 from quivertangle.quiverstate import (IndexRecord, QuiverState, _e2,
-                                      apply_twist, bal_multinomial, close_link,
+                                      absorb_pochhammer, apply_twist,
+                                      bal_multinomial, close_link,
                                       framing_shift, link_quiver,
                                       mirror_quiver, q_invert, resolve_terms,
                                       state_expand, symmetrize, trivial_state)
@@ -18,7 +22,9 @@ from quivertangle.qseries import qmultinomial
 from quivertangle.tangles import (OP, RI, Slope, UP, cf_expand, cf_value,
                                   twist_sequence)
 
-from conftest import (compositions, link_route_coeff, odd_cfs,
+from conftest import (absorb_pochhammer_reference, apply_template_reference,
+                      apply_twist_reference, close_link_reference,
+                      compositions, link_route_coeff, odd_cfs,
                       permutation_equal, permute, rescale,
                       state_expand_reference)
 
@@ -64,10 +70,10 @@ class TestCombinatoricHelpers:
 
 
 @hs.composite
-def small_states(draw):
+def small_states(draw, max_n=4):
     """Random small states: non-symmetric M, mixed active and
     extra-Pochhammer flags."""
-    n = draw(hs.integers(1, 4))
+    n = draw(hs.integers(1, max_n))
     records = tuple(IndexRecord(draw(hs.booleans()), draw(hs.integers(0, 1)),
                                 draw(hs.integers(-3, 3)),
                                 draw(hs.integers(-2, 2)))
@@ -84,6 +90,51 @@ def test_state_expand_matches_brute_force(st, N, balanced):
     want = state_expand_reference(st, N, balanced=balanced)
     assert [(e.color, e.boundary, e.coeffs) for e in got] \
         == [(e.color, e.boundary, e.coeffs) for e in want]
+
+
+def _snapshot(st):
+    return (st.obj, st.indices, st.M)
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_states(max_n=5), hs.data())
+def test_kernel_matches_reference(st, data):
+    # the in-place kernel against the frozen-state steps it replaced
+    before = _snapshot(st)
+    kind = data.draw(hs.sampled_from("TR"))
+    refine = data.draw(hs.booleans())
+    assert apply_twist(st, kind, refine) \
+        == apply_twist_reference(st, kind, refine)
+
+    targets = data.draw(hs.permutations(range(st.n)))
+    targets = targets[:data.draw(hs.integers(0, st.n))]
+    coeff = data.draw(hs.lists(hs.integers(-2, 2), min_size=st.n,
+                               max_size=st.n))
+    args = (coeff, data.draw(hs.integers(-2, 2)),
+            2 * data.draw(hs.integers(-1, 2)), targets)
+    flags = {"refine": refine,
+             "alpha_active": data.draw(hs.sampled_from((None, True, False))),
+             "beta_active": data.draw(hs.sampled_from((None, True, False)))}
+    inputs = (list(coeff), list(targets))
+    assert absorb_pochhammer(st, *args, **flags) \
+        == absorb_pochhammer_reference(st, *args, **flags)
+    assert (coeff, targets) == inputs
+
+    key = data.draw(hs.sampled_from(sorted(_TRANSFORMS)))
+    keyed = QuiverState(key[1], st.indices, st.M)
+    assert _apply_template(keyed, key) == apply_template_reference(keyed, key)
+
+    # a closable state: no flags, and M_il + M_li odd off the diagonal
+    # (what the balanced multinomial's fold makes even)
+    M = [list(row) for row in st.M]
+    for i in range(st.n):
+        for l in range(i):
+            M[i][l] += 1 - (M[i][l] + M[l][i]) % 2
+    plain = QuiverState(data.draw(hs.sampled_from((UP, OP))),
+                        tuple(replace(r, extra_poch=0) for r in st.indices),
+                        tuple(map(tuple, M)))
+    assert close_link(plain, 1) == close_link_reference(plain, 1)
+    assert _snapshot(st) == before
 
 
 class TestStateInvariant:
