@@ -25,25 +25,27 @@ from .verify import (DEFAULT_KNOT_ORDER, DEFAULT_LINK_ORDER, verify_knot,
                      verify_link)
 
 
-def _parse_slope(text):
-    try:
-        p, q = text.split("/")
-        return Slope(int(p), int(q))
-    except (ValueError, TypeError) as exc:
-        raise argparse.ArgumentTypeError(f"bad slope {text!r}: {exc}")
-
-
-def _parse_cf(text):
+def _parse_input(text):
+    """(slope, CF terms) of the positional input: a slope p/q with
+    p >= q, or an odd-length JSON list of positive integers."""
+    if not text.lstrip().startswith("["):
+        try:
+            p, q = text.split("/")
+            slope = Slope(int(p), int(q))
+            return slope, cf_expand(slope)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(f"bad slope {text!r}: {exc}")
     try:
         terms = json.loads(text)
     except ValueError:
         terms = None
+    # type() rather than isinstance: JSON true would pass as the int 1
     if not (isinstance(terms, list) and len(terms) % 2 == 1
-            and all(isinstance(t, int) and t >= 1 for t in terms)):
+            and all(type(t) is int and t >= 1 for t in terms)):
         raise argparse.ArgumentTypeError(
             f"bad continued fraction {text!r}: need an odd-length JSON "
             "list of positive integers, e.g. [1,2,4]")
-    return terms
+    return cf_value(terms), terms
 
 
 def _parse_colors(text):
@@ -81,33 +83,6 @@ def _parse_frame(text):
     except ValueError:
         raise argparse.ArgumentTypeError(
             f"bad frame {text!r}: expected canonical, raw, or an integer")
-
-
-def _add_input_args(sub, positional=True):
-    if positional:
-        sub.add_argument("input", nargs="?", default=None,
-                         help="slope p/q or continued fraction [a,...]")
-    group = sub.add_mutually_exclusive_group()
-    group.add_argument("--slope", type=_parse_slope, default=None)
-    group.add_argument("--cf", type=_parse_cf, default=None)
-
-
-def _resolve_input(args, parser):
-    """Slope and CF terms from the (mutually exclusive) input forms."""
-    given = [x for x in (getattr(args, "input", None), args.slope, args.cf)
-             if x is not None]
-    if len(given) != 1:
-        parser.error("give exactly one of: positional input, --slope, --cf")
-    value = given[0]
-    if isinstance(value, str):
-        try:
-            value = (_parse_cf(value) if value.lstrip().startswith("[")
-                     else _parse_slope(value))
-        except argparse.ArgumentTypeError as exc:
-            parser.error(str(exc))
-    if isinstance(value, Slope):
-        return value, cf_expand(value)
-    return cf_value(value), list(value)
 
 
 def _fraction_obj(frac):
@@ -177,7 +152,7 @@ def _emit(text, out_path):
 
 
 def _cmd_compute(args, parser):
-    slope, terms = _resolve_input(args, parser)
+    slope, terms = args.input
     pipeline = args.pipeline or ("knot" if is_knot(slope) else "link")
     try:
         payload = compute_payload(slope, terms, pipeline,
@@ -196,7 +171,7 @@ def _cmd_compute(args, parser):
 
 
 def _cmd_oracle(args, parser):
-    slope, terms = _resolve_input(args, parser)
+    slope, terms = args.input
     lo, hi = args.colors
     colors = {}
     for j in range(lo, hi + 1):
@@ -211,7 +186,7 @@ def _cmd_oracle(args, parser):
 
 
 def _cmd_verify(args, parser):
-    slope, _ = _resolve_input(args, parser)
+    slope, _ = args.input
     pipelines = (args.pipeline,) if args.pipeline else (
         ("knot", "link") if is_knot(slope) else ("link",))
     if "knot" in pipelines and not is_knot(slope):
@@ -252,7 +227,10 @@ def _batch_worker(task):
 def _cmd_batch(args, parser):
     slopes = enumerate_rational_knots(args.max_crossings)
     tasks = [(s.p, s.q, args.frame, args.convention) for s in slopes]
-    jobs = args.jobs or os.cpu_count() or 1
+    # the pool starts all its workers at the first submit, so a worker
+    # count beyond the CPUs or the tasks would only cost processes
+    cpus = os.cpu_count() or 1
+    jobs = min(args.jobs or cpus, cpus, len(tasks))
     start = time.perf_counter()
     if jobs > 1:
         # imported here: only batch needs the pool, and every other
@@ -270,6 +248,9 @@ def _cmd_batch(args, parser):
     return 0
 
 
+_INPUT_HELP = "slope p/q with p >= q, or continued fraction [a1,...,ar]"
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="quivertangle",
@@ -278,7 +259,7 @@ def build_parser():
     subs = parser.add_subparsers(dest="command", required=True)
 
     compute = subs.add_parser("compute", help="emit quiver data as JSON")
-    _add_input_args(compute)
+    compute.add_argument("input", type=_parse_input, help=_INPUT_HELP)
     compute.add_argument("--pipeline", choices=("knot", "link"), default=None)
     compute.add_argument("--frame", type=_parse_frame, default="canonical")
     compute.add_argument("--convention", choices=("anti", "sym"),
@@ -289,7 +270,7 @@ def build_parser():
 
     oracle = subs.add_parser("oracle",
                              help="print reduced colored polynomials")
-    _add_input_args(oracle)
+    oracle.add_argument("input", type=_parse_input, help=_INPUT_HELP)
     oracle.add_argument("--colors", type=_parse_colors, default=(0, 3))
     oracle.add_argument("--jones", action="store_true",
                         help="specialize a = q^2")
@@ -297,7 +278,7 @@ def build_parser():
 
     verify = subs.add_parser("verify",
                              help="cross-check quiver data vs the oracle")
-    _add_input_args(verify)
+    verify.add_argument("input", type=_parse_input, help=_INPUT_HELP)
     verify.add_argument("--pipeline", choices=("knot", "link"), default=None)
     verify.add_argument("--order", type=_int_at_least(0), default=0,
                         help="0 = per-pipeline default")
@@ -316,7 +297,8 @@ def build_parser():
     batch.add_argument("--convention", choices=("anti", "sym"),
                        default="sym")
     batch.add_argument("--jobs", type=_int_at_least(0), default=0,
-                       help="worker processes (0 = CPU count, the default)")
+                       help="worker processes (0 = CPU count, the default; "
+                            "at most the CPU count)")
     batch.add_argument("--out", default=None)
 
     return parser

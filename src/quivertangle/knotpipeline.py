@@ -23,10 +23,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .quiverstate import (IndexRecord, QuiverData, QuiverState, quiver_route,
-                          resolve_terms, symmetrize, trivial_state, _absorb,
-                          _freeze, _thaw, _twist)
-from .tangles import (OP, RI, UP, Slope, boundary_after, boundary_walk,
-                      cf_value, is_knot)
+                          symmetrize, trivial_state, _absorb, _freeze, _thaw,
+                          _twist)
+from .tangles import (OP, RI, UP, boundary_after, boundary_walk, cf_value,
+                      is_knot, resolve_terms)
 
 
 @dataclass(frozen=True)
@@ -167,8 +167,6 @@ def apply_pair(st, pair):
     """Apply a pair of twists (TT, RR, RT=T-then-R, TR=R-then-T) as a
     closed-form block transform.  Requires the matching Pochhammer
     bookkeeping type (k for TT/RT, j-k for RR/TR)."""
-    if isinstance(pair, PairedOp):
-        pair = pair.kind
     if (pair, st.obj) not in _TRANSFORMS:
         raise ValueError(f"no {pair} transform at boundary {st.obj}")
     _require_type(st, pair in ("TT", "RT"), pair)
@@ -301,17 +299,13 @@ def signature(slope_or_terms):
     """Knot signature from the twist word: walk the boundary automaton
     and count the grading-shifting twist types (positive knots get
     negative signature)."""
-    if isinstance(slope_or_terms, Slope):
-        if not is_knot(slope_or_terms):
-            raise ValueError("signature is defined here for knots only")
-        terms, mirrored = resolve_terms(slope_or_terms)
-        if mirrored:
-            return -signature(terms)
-    else:
-        terms = list(slope_or_terms)
+    terms, mirrored = resolve_terms(slope_or_terms)
+    if not is_knot(cf_value(terms)):
+        raise ValueError("signature is defined here for knots only")
     # only top twists at UP and right twists at RI shift the grading
     steps = list(boundary_walk(terms))
-    return 1 - steps.count((UP, "T")) + steps.count((RI, "R"))
+    sig = 1 - steps.count((UP, "T")) + steps.count((RI, "R"))
+    return -sig if mirrored else sig
 
 
 def homology_generators(qd):

@@ -395,22 +395,12 @@ class QFraction:
         num, den = self.normalized_pair()
         return QFraction(num, den)
 
-    def map_both(self, fn):
-        num = fn(self.num)
-        den = fn(self.den)
-        dmin = min(eq for eq, _ in den.terms)
-        if dmin:
-            # keep the denominator a genuine polynomial-looking object
-            shift = LaurentPoly.mono(1, -dmin, 0)
-            num = num * shift
-            den = den * shift
-        return QFraction(num, den)
-
     def subs_a_q2(self):
         return QFraction(self.num.subs_a_q2(), self.den)
 
     def mirror(self):
-        return self.map_both(lambda p: p.mirror())
+        """q -> 1/q, a -> 1/a."""
+        return QFraction(self.num.mirror(), self.den.mirror())
 
     def __str__(self):
         num, den = self.normalized_pair()

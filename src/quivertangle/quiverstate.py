@@ -30,8 +30,8 @@ from dataclasses import dataclass
 
 from .qseries import (LaurentPoly, ZERO, poch_q2, q_pow, qmultinomial)
 from .skein import SkeinElement, writhe
-from .tangles import (OP, RI, UP, Slope, boundary_after, cf_expand,
-                      ends_ri, good_representative, twist_sequence)
+from .tangles import (OP, RI, UP, boundary_after, resolve_terms,
+                      twist_sequence)
 
 
 @dataclass(frozen=True)
@@ -432,19 +432,6 @@ def mirror_quiver(qd, *, polynomial):
     return _affine(qd, sigma, c, e, 0 if polynomial else 1,
                    tuple(-x for x in qd.a_vec), -qd.framing,
                    qd.color_convention)
-
-
-def resolve_terms(slope_or_terms):
-    """Continued-fraction terms of a closable diagram for the input,
-    plus whether a mirror representative had to be substituted.  Slope
-    input keeps the given q when its own tangle closes North-South."""
-    if isinstance(slope_or_terms, Slope):
-        slope = slope_or_terms
-        if ends_ri(slope):
-            rep, mirrored = good_representative(slope)
-            return cf_expand(rep), mirrored
-        return cf_expand(slope), False
-    return list(slope_or_terms), False
 
 
 def quiver_route(slope_or_terms, close, polynomial):

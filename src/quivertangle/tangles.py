@@ -177,6 +177,16 @@ def good_representative(slope):
     raise ValueError(f"no closable representative for {slope}")
 
 
+def resolve_terms(slope_or_terms):
+    """Continued-fraction terms of a closable diagram for the input,
+    plus whether a mirror representative had to be substituted (see
+    good_representative).  CF input is taken as given."""
+    if isinstance(slope_or_terms, Slope):
+        rep, mirrored = good_representative(slope_or_terms)
+        return cf_expand(rep), mirrored
+    return list(slope_or_terms), False
+
+
 def knot_class(p, q):
     """Equivalence class of q values giving the same unoriented knot:
     q, p-q (mirror), and their inverses mod p."""

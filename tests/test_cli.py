@@ -1,6 +1,7 @@
 """Command-line surface: JSON payloads, frames and conventions,
 determinism, and exit codes."""
 
+import concurrent.futures
 import hashlib
 import importlib.util
 import json
@@ -62,8 +63,6 @@ class TestCompute:
         assert data["vertices"] == 13
         assert data["p"] == 13 and data["q"] == 3
         assert data["signature"] == -4
-        same = run_json(capsys, "compute", "--cf", "[1,2,4]")
-        assert same == data
 
     def test_canonical_frame_non_negative(self, capsys):
         for slope in ("3/1", "5/2", "13/3", "3/2", "9/5"):
@@ -222,6 +221,37 @@ class TestBatchAndDeterminism:
         assert [f"{r['p']}/{r['q']}" for r in rows] \
             == ["3/1", "5/1", "5/2", "7/2"]
 
+    def test_batch_jobs_are_capped(self, capsys, monkeypatch):
+        # the pool starts every requested worker at once: no more than
+        # the CPUs and the 4 tasks may be asked for (a recording fake
+        # runs the tasks in-process, so no process starts)
+        asked = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                asked.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks, chunksize=1):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                            RecordingPool)
+        code, one, _ = run(capsys, "batch", "--max-crossings", "5",
+                           "--jobs", "1")
+        assert code == 0
+        code, many, err = run(capsys, "batch", "--max-crossings", "5",
+                              "--jobs", "64")
+        assert code == 0 and many == one
+        workers = min(4, os.cpu_count() or 1)
+        assert asked == ([workers] if workers > 1 else [])
+        assert f"({workers} worker" in err
+
 
 class TestExitCodes:
     @pytest.mark.parametrize("argv", [
@@ -237,6 +267,11 @@ class TestExitCodes:
         ["enumerate", "--max-crossings", "2"],
         ["batch", "--max-crossings", "2"],
         ["batch", "--max-crossings", "3", "--jobs", "-3"],
+        ["compute", "1/3"],
+        ["oracle", "2/5"],
+        ["verify", "1/2"],
+        ["compute", "[true]"],
+        ["compute", "[3,true,1]"],
     ])
     def test_parse_errors_exit_2(self, argv, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -273,7 +308,7 @@ class TestExitCodes:
     def test_validation_survives_optimized_mode(self):
         # python -O strips assert statements; input checks must not rely
         # on them
-        for argv in (["compute", "[1,2]"],
+        for argv in (["compute", "[1,2]"], ["compute", "1/3"],
                      ["oracle", "3/1", "--colors", "3..1"]):
             proc = run_python("-m", "quivertangle.cli", *argv,
                               optimized=True)

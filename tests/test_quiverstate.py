@@ -14,13 +14,13 @@ from quivertangle.quiverstate import (IndexRecord, QuiverState, _e2,
                                       absorb_pochhammer, apply_twist,
                                       bal_multinomial, close_link,
                                       framing_shift, link_quiver,
-                                      mirror_quiver, q_invert, resolve_terms,
-                                      state_expand, symmetrize, trivial_state)
+                                      mirror_quiver, q_invert, state_expand,
+                                      symmetrize, trivial_state)
 from quivertangle.skein import (basis_element, framing_factor, oracle_homfly,
                                 raw_closure, twist, writhe)
 from quivertangle.qseries import qmultinomial
 from quivertangle.tangles import (OP, RI, Slope, UP, cf_expand, cf_value,
-                                  twist_sequence)
+                                  resolve_terms, twist_sequence)
 
 from conftest import (absorb_pochhammer_reference, apply_template_reference,
                       apply_twist_reference, close_link_reference,

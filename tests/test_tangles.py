@@ -1,6 +1,8 @@
 """Continued fractions, the boundary/connectivity automaton, and knot
 enumeration."""
 
+from math import gcd
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -10,7 +12,8 @@ from quivertangle.tangles import (KNOT, LINK, OP, RI, UP, Slope, TangleClass,
                                   cf_expand, cf_value, classify,
                                   crossing_number, ends_ri,
                                   enumerate_rational_knots, good_representative,
-                                  is_knot, knot_class, twist_sequence)
+                                  is_knot, knot_class, resolve_terms,
+                                  twist_sequence)
 
 from conftest import odd_cfs
 
@@ -145,6 +148,18 @@ class TestRepresentatives:
                 assert rep.q in cls
                 if not mirrored:
                     assert rep.q in {q % p, pow(q, -1, p)}
+
+    def test_resolve_terms_is_the_representative_decision(self):
+        # resolve_terms expands good_representative's choice, and the
+        # chosen diagram always closes North-South
+        for p in range(1, 100):
+            for q in range(1, p + 1):
+                if gcd(p, q) != 1:
+                    continue
+                rep, mirrored = good_representative(Slope(p, q))
+                terms, flag = resolve_terms(Slope(p, q))
+                assert (terms, flag) == (cf_expand(rep), mirrored), (p, q)
+                assert classify(terms).boundary != RI, (p, q)
 
 
 class TestEnumeration:
