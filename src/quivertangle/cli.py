@@ -161,7 +161,10 @@ def _cmd_compute(args, parser):
         parser.error(str(exc))
     if args.order:
         check = verify_knot if pipeline == "knot" else verify_link
-        report = check(slope, args.order)
+        try:
+            report = check(slope, args.order)
+        except ValueError as exc:  # an expansion over the bound
+            parser.error(str(exc))
         if not report.ok:
             sys.stderr.write(report.to_json() + "\n")
             return 1
@@ -194,12 +197,15 @@ def _cmd_verify(args, parser):
                      "the knot pipeline does not apply")
     reports = []
     for pipeline in pipelines:
-        if pipeline == "knot":
-            reports.append(verify_knot(slope, args.order
-                                       or DEFAULT_KNOT_ORDER))
-        else:
-            reports.append(verify_link(slope, args.order
-                                       or DEFAULT_LINK_ORDER))
+        try:
+            if pipeline == "knot":
+                reports.append(verify_knot(slope, args.order
+                                           or DEFAULT_KNOT_ORDER))
+            else:
+                reports.append(verify_link(slope, args.order
+                                           or DEFAULT_LINK_ORDER))
+        except ValueError as exc:  # an expansion over the bound
+            parser.error(str(exc))
     text = "".join(r.to_json() + "\n" for r in reports)
     _emit(text, args.out)
     sys.stderr.write("verify: " + ", ".join(

@@ -308,7 +308,8 @@ class QFraction:
     """Quotient of a LaurentPoly by a q-only LaurentPoly.
 
     Normalization is lazy: construction and arithmetic never run a gcd;
-    equality cross-multiplies, and reduction happens only on demand
+    equality compares numerators over one shared denominator and
+    cross-multiplies otherwise, and reduction happens only on demand
     (serialization or clearing to a Laurent polynomial).
     """
 
@@ -339,6 +340,8 @@ class QFraction:
             other = QFraction(other)
         if not isinstance(other, QFraction):
             return NotImplemented
+        if self.den.terms == other.den.terms:
+            return self.num == other.num
         return self.num * other.den == other.num * self.den
 
     def __hash__(self):

@@ -130,38 +130,80 @@ def state_expand(st, N, balanced=True):
 
     One walk visits every d with |d| <= N through its nonzero entries
     only, adding the quadratic form incrementally: a new entry x at
-    index i adds M_ii x^2 + x sum_l (M_il + M_li) d_l.  Monomials are
-    summed as raw exponent dicts per (j, k, K.d, sorted nonzero parts
-    of d); the Pochhammer (q^2;q^2)_{K.d} and the multinomial depend
-    only on that key, so each group is multiplied by them once."""
-    n, M = st.n, st.M
-    recs = st.indices
-    groups = {}
-    support = []  # (index, entry) pairs of the nonzero entries of d
+    index i adds M_ii x^2 + x lin_i, where lin_i = sum_l (M_il + M_li)
+    d_l is a linear form carried down the walk and updated when an
+    entry is pushed.  Monomials are summed as raw exponent dicts per
+    (j, k, K.d, sorted nonzero parts of d); the Pochhammer
+    (q^2;q^2)_{K.d} and the multinomial depend only on that key, so each
+    group is multiplied by them once.
 
-    def walk(start, j, k, kdot, sdot, adot, quad):
-        key = (j, k, kdot, tuple(sorted(x for _, x in support)))
+    Most dimension vectors are leaves, |d| = N: the children of a node
+    with entry x = N - j.  A leaf's key depends on its index i only
+    through (active, extra_poch), so a node sums its leaves in one flat
+    loop over i into at most four groups instead of walking into each."""
+    n, M, recs = st.n, st.M, st.indices
+    # row i of M + M^t past the diagonal: what an entry at i adds to
+    # lin_l for the later indices l, the only ones its subtree reads
+    cross = [[M[i][l] + M[l][i] for l in range(i + 1, n)] for i in range(n)]
+    cls = [2 * r.active + r.extra_poch for r in recs]
+    present = [set()]  # the classes at indices >= i, built from the end
+    for c in reversed(cls):
+        present.append(present[-1] | {c})
+    present.reverse()
+    # per entry x and parity of the running s.d: what a leaf at index i
+    # adds besides x lin_i, as (q exponent, a exponent, sign, class)
+    local = [None] + [
+        [[(x * r.s + M[i][i] * x * x, x * r.a,
+           -1 if (odd + x * r.s) % 2 else 1, c)
+          for i, (r, c) in enumerate(zip(recs, cls))] for odd in (0, 1)]
+        for x in range(1, N + 1)]
+    groups = {}
+    parts = []  # the nonzero entries of d
+
+    def walk(start, j, k, kdot, sdot, adot, quad, lin):
+        # lin holds lin_i for i >= start, the indices a child may take
+        key = (j, k, kdot, tuple(sorted(parts)))
         raw = groups.setdefault(key, {})
         mono = (sdot + quad, adot)
         raw[mono] = raw.get(mono, 0) + (-1 if sdot % 2 else 1)
         if j == N:
             return
-        for i in range(start, n):
-            r, row = recs[i], M[i]
-            cross = sum((row[l] + M[l][i]) * y for l, y in support)
-            for x in range(1, N - j + 1):
-                support.append((i, x))
-                walk(i + 1, j + x, k + x if r.active else k,
-                     kdot + x * r.extra_poch, sdot + x * r.s, adot + x * r.a,
-                     quad + row[i] * x * x + cross * x)
-                support.pop()
+        x = N - j
+        parts.append(x)
+        tail = tuple(sorted(parts))
+        parts.pop()
+        raws = [None] * 4
+        for c in present[start]:
+            raws[c] = groups.setdefault(
+                (N, k + x * (c >> 1), kdot + x * (c & 1), tail), {})
+        base = sdot + quad
+        for (lq, la, sign, c), l in zip(local[x][sdot % 2][start:], lin):
+            raw = raws[c]
+            mono = (base + lq + x * l, adot + la)
+            raw[mono] = raw.get(mono, 0) + sign
+        if x == 1:
+            return
+        for i, li in enumerate(lin, start):
+            r, mii, row = recs[i], M[i][i], cross[i]
+            rest = lin[i + 1 - start:]
+            for y in range(1, x):
+                parts.append(y)
+                walk(i + 1, j + y, k + y if r.active else k,
+                     kdot + y * r.extra_poch, sdot + y * r.s, adot + y * r.a,
+                     quad + mii * y * y + li * y,
+                     [a + y * b for a, b in zip(rest, row)])
+                parts.pop()
 
-    walk(0, 0, 0, 0, 0, 0, 0)
+    walk(0, 0, 0, 0, 0, 0, 0, [0] * n)
     coeffs = [[ZERO] * (j + 1) for j in range(N + 1)]
     multinomial = bal_multinomial if balanced else qmultinomial
     for (j, k, kdot, parts), raw in groups.items():
-        coeffs[j][k] = (coeffs[j][k] + LaurentPoly(raw) * poch_q2(kdot)
-                        * multinomial(j, parts))
+        factor = multinomial(j, parts)
+        if kdot:
+            factor = factor * poch_q2(kdot)
+        poly = LaurentPoly(raw)
+        coeffs[j][k] = coeffs[j][k] + (poly if factor.is_one()
+                                       else poly * factor)
     return [SkeinElement(j, st.obj, c) for j, c in enumerate(coeffs)]
 
 

@@ -1,9 +1,10 @@
-"""Shared test helpers: brute-force quiver and state expansions,
-rescaled skein elements, the rational-arithmetic reference for
-q-fraction reduction, entry-by-entry references for the state kernel
-(twist, absorption, closure, block templates), comparison of quiver
-data up to vertex order, continued fraction generators, and an
-independent Goeritz-matrix signature oracle."""
+"""Shared test helpers: brute-force quiver and state expansions, the
+previous recursive expansion walk, rescaled skein elements, the
+rational-arithmetic reference for q-fraction reduction, entry-by-entry
+references for the state kernel (twist, absorption, closure, block
+templates), comparison of quiver data up to vertex order, continued
+fraction generators, and an independent Goeritz-matrix signature
+oracle."""
 
 from dataclasses import replace
 from fractions import Fraction
@@ -126,6 +127,42 @@ def state_expand_reference(st, N, balanced=True):
                          + _mono(sdot, quad, adot) * poch_q2(kdot) * mult)
         out.append(SkeinElement(j, st.obj, coeffs))
     return out
+
+
+def state_expand_walk_reference(st, N, balanced=True):
+    """The recursive walk quiverstate.state_expand used before its flat
+    leaf loop and running linear form: every d with |d| <= N is one
+    call, and each (node, index) pair sums its cross term over the
+    support.  Same groups, so its output must match exactly."""
+    n, M = st.n, st.M
+    recs = st.indices
+    groups = {}
+    support = []  # (index, entry) pairs of the nonzero entries of d
+
+    def walk(start, j, k, kdot, sdot, adot, quad):
+        key = (j, k, kdot, tuple(sorted(x for _, x in support)))
+        raw = groups.setdefault(key, {})
+        mono = (sdot + quad, adot)
+        raw[mono] = raw.get(mono, 0) + (-1 if sdot % 2 else 1)
+        if j == N:
+            return
+        for i in range(start, n):
+            r, row = recs[i], M[i]
+            cross = sum((row[l] + M[l][i]) * y for l, y in support)
+            for x in range(1, N - j + 1):
+                support.append((i, x))
+                walk(i + 1, j + x, k + x if r.active else k,
+                     kdot + x * r.extra_poch, sdot + x * r.s, adot + x * r.a,
+                     quad + row[i] * x * x + cross * x)
+                support.pop()
+
+    walk(0, 0, 0, 0, 0, 0, 0)
+    coeffs = [[ZERO] * (j + 1) for j in range(N + 1)]
+    multinomial = bal_multinomial if balanced else qmultinomial
+    for (j, k, kdot, parts), raw in groups.items():
+        coeffs[j][k] = (coeffs[j][k] + LaurentPoly(raw) * poch_q2(kdot)
+                        * multinomial(j, parts))
+    return [SkeinElement(j, st.obj, c) for j, c in enumerate(coeffs)]
 
 
 def balanced_from_plus(j, k):

@@ -67,6 +67,27 @@ def test_dual_route_verification_sweep():
            f"verified in {elapsed:.1f}s")
 
 
+def test_corpus_verified_at_order_2():
+    start = time.perf_counter()
+    knots = enumerate_rational_knots(12)
+    for s in knots:
+        assert verify_knot(s, 2).ok, s
+    elapsed = time.perf_counter() - start
+    report(f"{len(knots)} knots up to 12 crossings verified (knot route, "
+           f"order 2) in {elapsed:.1f}s")
+
+
+def test_ten_crossing_knots_verified_at_order_3():
+    start = time.perf_counter()
+    knots = enumerate_rational_knots(10)
+    assert len(knots) == 95
+    for s in knots:
+        assert verify_knot(s, 3).ok, s
+    elapsed = time.perf_counter() - start
+    report(f"{len(knots)} knots up to 10 crossings verified (knot route, "
+           f"order 3) in {elapsed:.1f}s")
+
+
 def test_twelve_crossing_corpus_size():
     slopes = enumerate_rational_knots(12)
     assert len(slopes) == 362

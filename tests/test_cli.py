@@ -15,7 +15,7 @@ import pytest
 import quivertangle
 from quivertangle import cli, qseries, tangles, verify
 from quivertangle.tangles import Slope, enumerate_rational_knots
-from quivertangle.verify import VerificationReport
+from quivertangle.verify import MAX_DIM_VECTORS, VerificationReport
 
 from conftest import distinct_slopes
 
@@ -174,6 +174,24 @@ class TestVerifyCommand:
         code, out, _ = run(capsys, "verify", "2/1", "--order", "1")
         lines = [json.loads(x) for x in out.splitlines()]
         assert [r["pipeline"] for r in lines] == ["link"]
+
+    def test_oversized_expansion_is_refused(self):
+        # binom(3 + 400, 400) = 10827401 dimension vectors on the
+        # 3-vertex knot-route quiver of 3/1: refused before the walk,
+        # with the count and the bound named, also under python -O
+        for argv in (["verify", "3/1", "--order", "400"],
+                     ["compute", "3/1", "--order", "400"],
+                     ["verify", "3/1", "--pipeline", "link",
+                      "--order", "400"]):
+            for optimized in (False, True):
+                proc = run_python("-m", "quivertangle.cli", *argv,
+                                  optimized=optimized)
+                assert proc.returncode == 2, (argv, proc.stderr)
+                assert proc.stdout == b""
+                err = proc.stderr.decode()
+                assert str(MAX_DIM_VECTORS) in err, err
+                if "link" not in argv:
+                    assert "10827401 dimension vectors" in err, err
 
 
 class TestEnumerate:

@@ -319,3 +319,32 @@ def test_normalized_pair_matches_rational_reference(frac):
                    ref_den.divide_exact(content))
     for sl in num.a_slices().values():
         assert _q_gcd(den, sl) == q_gcd_reference(den, sl)
+
+
+@st.composite
+def _fraction_pairs(draw):
+    """Two (num, den) pairs whose denominators have the same terms, are
+    proportional (a signed multiple of a monomial) or are unrelated;
+    the numerators give equal or different values, or zero."""
+    num, den = draw(_fractions())
+    other_num, other_den = draw(_fractions())
+    unit = LaurentPoly.mono(draw(st.sampled_from([1, -1, 2, -3])),
+                            draw(st.integers(-2, 2)))
+    same = LaurentPoly(den.terms)
+    return (num, den), draw(st.sampled_from([
+        (num, same), (num + other_num, same), (ZERO, same),
+        (num * unit, den * unit), (other_num * unit, den * unit),
+        (num * other_den, den * other_den), (other_num, other_den),
+        (ZERO, other_den)]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_fraction_pairs())
+def test_equality_agrees_with_cross_multiplication(pair):
+    (num, den), (num2, den2) = pair
+    f, g = QFraction(num, den), QFraction(num2, den2)
+    equal = num * den2 == num2 * den
+    assert (f == g) == (g == f) == equal
+    assert (f != g) == (not equal)
+    if equal:
+        assert hash(f) == hash(g)

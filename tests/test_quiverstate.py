@@ -9,7 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as hs
 
 from quivertangle.qseries import QFraction, q_pow
-from quivertangle.knotpipeline import _TRANSFORMS, _apply_template
+from quivertangle.knotpipeline import (_TRANSFORMS, _apply_template,
+                                       knot_quiver, reduce_cf)
 from quivertangle.quiverstate import (IndexRecord, QuiverState, _e2,
                                       absorb_pochhammer, apply_twist,
                                       bal_multinomial, close_link,
@@ -20,13 +21,13 @@ from quivertangle.skein import (basis_element, framing_factor, oracle_homfly,
                                 raw_closure, twist, writhe)
 from quivertangle.qseries import qmultinomial
 from quivertangle.tangles import (OP, RI, Slope, UP, cf_expand, cf_value,
-                                  resolve_terms, twist_sequence)
+                                  is_knot, resolve_terms, twist_sequence)
 
 from conftest import (absorb_pochhammer_reference, apply_template_reference,
                       apply_twist_reference, close_link_reference,
-                      compositions, link_route_coeff, odd_cfs,
-                      permutation_equal, permute, rescale,
-                      state_expand_reference)
+                      compositions, distinct_slopes, link_route_coeff,
+                      odd_cfs, permutation_equal, permute, rescale,
+                      state_expand_reference, state_expand_walk_reference)
 
 
 STEP_ORDER = 3
@@ -69,27 +70,66 @@ class TestCombinatoricHelpers:
             assert b.subs_q_inverse() == b
 
 
+_CLASSES = [(active, flag) for active in (False, True) for flag in (0, 1)]
+
+
 @hs.composite
 def small_states(draw, max_n=4):
     """Random small states: non-symmetric M, mixed active and
-    extra-Pochhammer flags."""
+    extra-Pochhammer flags.  With n >= 4 the last four indices carry
+    the four (active, extra_poch) classes in some order, so a node of
+    the expansion walk meets every class among its leaves."""
     n = draw(hs.integers(1, max_n))
-    records = tuple(IndexRecord(draw(hs.booleans()), draw(hs.integers(0, 1)),
-                                draw(hs.integers(-3, 3)),
+    classes = [(draw(hs.booleans()), draw(hs.integers(0, 1)))
+               for _ in range(n)]
+    if n >= 4:
+        classes[-4:] = draw(hs.permutations(_CLASSES))
+    records = tuple(IndexRecord(active, flag, draw(hs.integers(-3, 3)),
                                 draw(hs.integers(-2, 2)))
-                    for _ in range(n))
+                    for active, flag in classes)
     M = tuple(tuple(draw(hs.integers(-3, 3)) for _ in range(n))
               for _ in range(n))
     return QuiverState(draw(hs.sampled_from((UP, OP, RI))), records, M)
 
 
+def _triples(elements):
+    return [(e.color, e.boundary, e.coeffs) for e in elements]
+
+
 @settings(max_examples=80, deadline=None)
-@given(small_states(), hs.integers(0, 3), hs.booleans())
+@given(small_states(max_n=8), hs.integers(0, 4), hs.booleans())
 def test_state_expand_matches_brute_force(st, N, balanced):
-    got = state_expand(st, N, balanced=balanced)
-    want = state_expand_reference(st, N, balanced=balanced)
-    assert [(e.color, e.boundary, e.coeffs) for e in got] \
-        == [(e.color, e.boundary, e.coeffs) for e in want]
+    assert _triples(state_expand(st, N, balanced=balanced)) \
+        == _triples(state_expand_reference(st, N, balanced=balanced))
+
+
+def test_state_expand_matches_walk_reference():
+    # the flat leaf loop against the recursive walk it replaced, on the
+    # motivic states of both routes' quivers for every slope with CF
+    # term sum <= 7 (knot route to order 3, link route to order 2), on
+    # the balanced states after every twist, and on the knot route's
+    # pre-closure states (extra-Pochhammer flags on both kinds)
+    states = []
+    for s in distinct_slopes(7):
+        for build, N in ((link_quiver, 2), (knot_quiver, 3)):
+            if build is knot_quiver and not is_knot(s):
+                continue
+            qd = build(s)
+            qd = framing_shift(qd, -qd.framing)
+            st = QuiverState(UP, tuple(IndexRecord(False, 0, q, a) for q, a
+                                       in zip(qd.q_vec, qd.a_vec)), qd.Q)
+            states.append((st, N, False))
+    assert len(states) == 107
+    for cf in odd_cfs(7):
+        st = trivial_state()
+        for kind in twist_sequence(cf):
+            st = apply_twist(st, kind)
+            states.append((st, 3, True))
+        if is_knot(cf_value(cf)):
+            states.append((reduce_cf(cf), 3, False))
+    for args in states:
+        assert _triples(state_expand(*args)) \
+            == _triples(state_expand_walk_reference(*args)), args
 
 
 def _snapshot(st):

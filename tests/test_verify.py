@@ -2,6 +2,7 @@
 data against the skein oracle, and the report objects it produces."""
 
 import json
+from math import comb
 
 import pytest
 
@@ -11,8 +12,8 @@ from quivertangle.quiverstate import framing_shift, link_quiver
 from quivertangle.skein import _mono, oracle_homfly
 from quivertangle.tangles import Slope
 from quivertangle.verify import (DEFAULT_KNOT_ORDER, DEFAULT_LINK_ORDER,
-                                 VerificationReport, expand_motivic,
-                                 verify_knot, verify_link)
+                                 MAX_DIM_VECTORS, VerificationReport,
+                                 expand_motivic, verify_knot, verify_link)
 
 from conftest import compositions, quiver_numerator
 
@@ -51,6 +52,12 @@ class TestExpandMotivic:
         split = euler_form_expansion(qd, 2)
         for j in range(3):
             assert series[j] == split[j], (slope, j)
+
+    def test_oversized_expansion_is_refused(self):
+        qd = knot_quiver(Slope(3, 1))
+        assert comb(3 + 400, 400) == 10827401 > MAX_DIM_VECTORS
+        with pytest.raises(ValueError, match="10827401 dimension vectors"):
+            expand_motivic(qd, 400)
 
     def test_coefficient_numerators(self):
         qd = knot_quiver(Slope(3, 1))
