@@ -129,9 +129,9 @@ def compute_payload(slope, terms, pipeline, frame, convention):
         payload["signature"] = signature(slope)
         payload["homology"] = [[g.a_degree, g.q_degree, g.t_degree]
                                for g in homology_generators(qd)]
-    out = framing_shift(qd, _output_frame_shift(qd, frame, convention))
-    if convention == "sym":
-        out = q_invert(out)
+    shift = _output_frame_shift(qd, frame, convention)
+    out = (q_invert(qd, shift) if convention == "sym"
+           else framing_shift(qd, shift))
     payload.update({
         "convention": out.color_convention,
         "framing": out.framing,
@@ -163,7 +163,7 @@ def _cmd_compute(args, parser):
         check = verify_knot if pipeline == "knot" else verify_link
         try:
             report = check(slope, args.order)
-        except ValueError as exc:  # an expansion over the bound
+        except ValueError as exc:  # a quiver or an expansion over its bound
             parser.error(str(exc))
         if not report.ok:
             sys.stderr.write(report.to_json() + "\n")
@@ -204,7 +204,7 @@ def _cmd_verify(args, parser):
             else:
                 reports.append(verify_link(slope, args.order
                                            or DEFAULT_LINK_ORDER))
-        except ValueError as exc:  # an expansion over the bound
+        except ValueError as exc:  # a quiver or an expansion over its bound
             parser.error(str(exc))
     text = "".join(r.to_json() + "\n" for r in reports)
     _emit(text, args.out)

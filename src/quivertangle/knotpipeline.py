@@ -280,7 +280,8 @@ def knot_quiver(slope_or_terms):
     automatically; when only a mirror representative closes, the data
     is mirrored back at the quiver level so the output always presents
     the requested slope."""
-    return quiver_route(slope_or_terms, _reduce_and_close, polynomial=True)
+    return quiver_route(slope_or_terms, _reduce_and_close, polynomial=True,
+                        vertices=lambda rep: rep.p)
 
 
 def _reduce_and_close(terms, framing):

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 from .qseries import (LaurentPoly, ZERO, poch_q2, q_pow, qmultinomial)
 from .skein import SkeinElement, writhe
-from .tangles import (OP, RI, UP, boundary_after, resolve_terms,
+from .tangles import (OP, RI, UP, boundary_after, cf_value, resolve_terms,
                       twist_sequence)
 
 
@@ -443,16 +443,16 @@ _Q_INVERT = (-1, -1, 1)
 
 def _affine(qd, sigma, c, e, q_shift, a_vec, framing, convention):
     """The one family of maps on quiver data: Q_il -> sigma Q_il + c +
-    e [i = l] and q_i -> sigma q_i + q_shift, with a_vec, framing and
-    color convention as given."""
+    e [i = l] and q_i -> sigma q_i + q_shift (sigma = +-1), with a_vec,
+    framing and color convention as given."""
     Q = []
     for i, row in enumerate(qd.Q):
-        row = [sigma * x + c for x in row]
+        row = [x + c for x in row] if sigma > 0 else [c - x for x in row]
         row[i] += e
         Q.append(tuple(row))
-    return QuiverData(tuple(Q), a_vec,
-                      tuple(sigma * x + q_shift for x in qd.q_vec),
-                      framing, convention)
+    q_vec = (tuple(x + q_shift for x in qd.q_vec) if sigma > 0
+             else tuple(q_shift - x for x in qd.q_vec))
+    return QuiverData(tuple(Q), a_vec, q_vec, framing, convention)
 
 
 def mirror_quiver(qd, *, polynomial):
@@ -476,13 +476,26 @@ def mirror_quiver(qd, *, polynomial):
                    qd.color_convention)
 
 
-def quiver_route(slope_or_terms, close, polynomial):
+# the most vertices a route may build: the link route's cost grows
+# about as n^3 and its output as n^2; a larger quiver is refused
+MAX_VERTICES = 2048
+
+
+def quiver_route(slope_or_terms, close, polynomial, vertices):
     """The tail both routes share: resolve the input to closable CF
     terms, build quiver data with close(terms, framing) in the diagram
     frame (framing = diagram writhe), and mirror it back with
     mirror_quiver(polynomial=...) when only a mirror representative
-    closes."""
+    closes.  vertices(rep) is the route's vertex count on the slope rep
+    of those terms; more than MAX_VERTICES raises ValueError before
+    anything is built."""
     terms, mirrored = resolve_terms(slope_or_terms)
+    rep = cf_value(terms)
+    n = vertices(rep)
+    if n > MAX_VERTICES:
+        raise ValueError(
+            f"the quiver of {rep} would have {n} vertices, more than "
+            f"the bound {MAX_VERTICES}")
     qd = close(terms, writhe(terms))
     return mirror_quiver(qd, polynomial=polynomial) if mirrored else qd
 
@@ -500,7 +513,8 @@ def link_quiver(slope_or_terms):
     followed by close_link.  Output is in the diagram frame with the
     framing field recording the diagram writhe; mirror representatives
     (needed for some slopes) are substituted at the data level."""
-    return quiver_route(slope_or_terms, _twist_and_close, polynomial=False)
+    return quiver_route(slope_or_terms, _twist_and_close, polynomial=False,
+                        vertices=lambda rep: 2 * (rep.p + rep.q))
 
 
 def framing_shift(qd, f):
@@ -512,23 +526,32 @@ def framing_shift(qd, f):
                    qd.framing + f, qd.color_convention)
 
 
-def q_invert(qd):
-    """Pass from one-column to one-row colors: negate q_vec and Q, then
-    decrement every off-diagonal entry of Q to account for the
-    asymmetry of the q-Pochhammer denominators."""
+def q_invert(qd, f=0):
+    """Pass from one-column to one-row colors after a framing shift by
+    f, in one pass: q_invert(qd, f) == q_invert(framing_shift(qd, f)).
+    The switch negates q_vec and Q, then decrements every off-diagonal
+    entry of Q to account for the asymmetry of the q-Pochhammer
+    denominators: Q_il -> -(Q_il + f) - 1 + [i = l], q_i -> f - q_i,
+    a_i -> a_i - f."""
     if qd.color_convention != "antisymmetric":
         raise ValueError("data already in symmetric-color convention")
-    return _affine(qd, *_Q_INVERT, 0, qd.a_vec, qd.framing, "symmetric")
+    sigma, c, e = _Q_INVERT
+    return _affine(qd, sigma, sigma * f + c, e, f,
+                   tuple(x - f for x in qd.a_vec), qd.framing + f,
+                   "symmetric")
 
 
 def canonical_shift(qd, symmetric):
     """Framing shift after which the smallest entry of Q is 0 in the
     output convention: as it stands, or after q_invert when symmetric.
     The output entries sigma (Q_il + f) + c + e [i = l] are affine in
-    the shift f, so it is read off the extreme entry."""
+    the shift f, so it is read off the extreme entry: of the diagonal
+    (plus sigma e) and of the strict upper triangle, since Q is
+    symmetric."""
     sigma, c, e = _Q_INVERT if symmetric else (1, 0, 0)
     pick = min if sigma > 0 else max
-    extreme = pick(pick(row[:i] + (row[i] + sigma * e,) + row[i + 1:])
-                   for i, row in enumerate(qd.Q))
+    Q = qd.Q
+    extreme = pick([pick(row[i] for i, row in enumerate(Q)) + sigma * e,
+                    *(pick(row[i + 1:]) for i, row in enumerate(Q[:-1]))])
     return -extreme - sigma * c
 

@@ -15,7 +15,6 @@ the package.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from math import gcd
 
@@ -50,14 +49,16 @@ class TangleClass:
 
 
 def cf_value(terms):
-    """Evaluate [a1,...,ar] to a Slope: ar + 1/(a_{r-1} + ... + 1/a1)."""
+    """Evaluate [a1,...,ar] to a Slope: ar + 1/(a_{r-1} + ... + 1/a1).
+    Numerator and denominator are the continuants p_k = a_k p_{k-1} +
+    p_{k-2}, coprime at every step, so the pair needs no reduction."""
     terms = list(terms)
     if not terms:
         raise ValueError("empty continued fraction")
-    value = Fraction(terms[0])
-    for t in terms[1:]:
-        value = t + 1 / value
-    return Slope(value.numerator, value.denominator)
+    p, q = 1, 0
+    for t in terms:
+        p, q = t * p + q, p
+    return Slope(p, q)
 
 
 def _euclidean_terms(p, q):

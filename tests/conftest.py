@@ -2,7 +2,8 @@
 previous recursive expansion walk, rescaled skein elements, the
 rational-arithmetic reference for q-fraction reduction, entry-by-entry
 references for the state kernel (twist, absorption, closure, block
-templates), comparison of quiver data up to vertex order, continued
+templates), the previous canonical frame and the quivers of the export
+sweep, comparison of quiver data up to vertex order, continued
 fraction generators, and an independent Goeritz-matrix signature
 oracle."""
 
@@ -10,14 +11,15 @@ from dataclasses import replace
 from fractions import Fraction
 from math import gcd
 
-from quivertangle.knotpipeline import _TRANSFORMS, delta_vector
+from quivertangle.knotpipeline import _TRANSFORMS, delta_vector, knot_quiver
 from quivertangle.qseries import (LaurentPoly, ONE, QFraction, ZERO, poch_q2,
                                   q_pow, qbinom_plus, qmultinomial)
 from quivertangle.quiverstate import (IndexRecord, QuiverData, QuiverState,
-                                      _freeze, bal_multinomial, symmetrize)
+                                      _freeze, bal_multinomial, link_quiver,
+                                      symmetrize)
 from quivertangle.skein import SkeinElement, _mono
-from quivertangle.tangles import (OP, RI, UP, boundary_after, cf_value,
-                                  is_knot)
+from quivertangle.tangles import (OP, RI, UP, Slope, boundary_after,
+                                  cf_value, enumerate_rational_knots, is_knot)
 
 
 def neg_q_pow(n):
@@ -567,3 +569,25 @@ def apply_template_reference(st, key):
                         v += 1
                     out[cpos + l] = v
     return QuiverState(out_obj or st.obj, tuple(records), _freeze(M))
+
+
+def canonical_shift_reference(qd, symmetric):
+    """The previous quiverstate.canonical_shift, which builds each row
+    with its diagonal entry replaced: the reference for the one that
+    reads the diagonal and the strict upper triangle."""
+    sigma, c, e = (-1, -1, 1) if symmetric else (1, 0, 0)
+    pick = min if sigma > 0 else max
+    extreme = pick(pick(row[:i] + (row[i] + sigma * e,) + row[i + 1:])
+                   for i, row in enumerate(qd.Q))
+    return -extreme - sigma * c
+
+
+def export_quivers():
+    """Both routes' quivers on the exported-bytes sweep: the link route
+    on every link slope with even p <= 16, both routes on every knot up
+    to 9 crossings."""
+    links = [Slope(p, q) for p in range(2, 17, 2) for q in range(1, p)
+             if gcd(p, q) == 1]
+    knots = enumerate_rational_knots(9)
+    return ([link_quiver(s) for s in links + knots]
+            + [knot_quiver(s) for s in knots])

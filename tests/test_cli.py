@@ -14,6 +14,7 @@ import pytest
 
 import quivertangle
 from quivertangle import cli, qseries, tangles, verify
+from quivertangle.quiverstate import MAX_VERTICES
 from quivertangle.tangles import Slope, enumerate_rational_knots
 from quivertangle.verify import MAX_DIM_VECTORS, VerificationReport
 
@@ -142,24 +143,34 @@ class TestOracle:
         assert sha.hexdigest() == digest
 
 
+def compute_sweep_digest(capsys, frames):
+    """sha256 of the stdout of `compute p/q --convention C --frame F`
+    over every link slope with even p <= 16, then every knot up to 9
+    crossings, for each convention and frame in turn."""
+    slopes = [Slope(p, q) for p in range(2, 17, 2) for q in range(1, p)
+              if gcd(p, q) == 1] + enumerate_rational_knots(9)
+    sha = hashlib.sha256()
+    for convention in ("anti", "sym"):
+        for frame in frames:
+            for s in slopes:
+                code, out, _ = run(capsys, "compute", f"{s.p}/{s.q}",
+                                   "--convention", convention,
+                                   "--frame", frame)
+                assert code == 0
+                sha.update(out.encode())
+    return sha.hexdigest()
+
+
 class TestComputeBytes:
     def test_sweep_bytes_are_pinned(self, capsys):
-        # sha256 of the stdout of `compute p/q --convention C --frame F`
-        # over every link slope with even p <= 16, then every knot up to
-        # 9 crossings, for each convention and frame in turn
-        slopes = [Slope(p, q) for p in range(2, 17, 2) for q in range(1, p)
-                  if gcd(p, q) == 1] + enumerate_rational_knots(9)
-        sha = hashlib.sha256()
-        for convention in ("anti", "sym"):
-            for frame in ("canonical", "raw"):
-                for s in slopes:
-                    code, out, _ = run(capsys, "compute", f"{s.p}/{s.q}",
-                                       "--convention", convention,
-                                       "--frame", frame)
-                    assert code == 0
-                    sha.update(out.encode())
-        assert sha.hexdigest() == ("e2a02cd9cd2a8ffc074f9f491d2b3af2"
-                                   "c554da6f40c15fb16326452ef7a57078")
+        assert compute_sweep_digest(capsys, ("canonical", "raw")) == (
+            "e2a02cd9cd2a8ffc074f9f491d2b3af2"
+            "c554da6f40c15fb16326452ef7a57078")
+
+    def test_integer_frame_bytes_are_pinned(self, capsys):
+        assert compute_sweep_digest(capsys, ("-3", "4")) == (
+            "8ea5b9151e55e6bbc58cca32f47068bc"
+            "d4352b200c1af6dfe138c289894b6c16")
 
 
 class TestVerifyCommand:
@@ -192,6 +203,25 @@ class TestVerifyCommand:
                 assert str(MAX_DIM_VECTORS) in err, err
                 if "link" not in argv:
                     assert "10827401 dimension vectors" in err, err
+
+    def test_oversized_quiver_is_refused(self):
+        # the link route on 1024/1 would build 2(1024 + 1) vertices and
+        # the knot route on 2049/2 would build p = 2049: refused before
+        # building, with the count and the bound named, also under -O
+        for argv, count in ((["compute", "1024/1"], 2050),
+                            (["verify", "1024/1"], 2050),
+                            (["compute", "2049/2"], 2049),
+                            (["compute", "[2049]", "--pipeline", "link"],
+                             4100),
+                            (["verify", "2049/2"], 2049)):
+            for optimized in (False, True):
+                proc = run_python("-m", "quivertangle.cli", *argv,
+                                  optimized=optimized)
+                assert proc.returncode == 2, (argv, proc.stderr)
+                assert proc.stdout == b""
+                err = proc.stderr.decode()
+                assert f"{count} vertices" in err, err
+                assert str(MAX_VERTICES) in err, err
 
 
 class TestEnumerate:
@@ -357,16 +387,52 @@ class TestExitCodes:
         assert proc.returncode == 0, proc.stderr
 
 
+BENCH = os.path.join(os.path.dirname(os.path.dirname(__file__)), "bench")
+
+
+def load_bench_spans():
+    spec = importlib.util.spec_from_file_location(
+        "bench_spans", os.path.join(BENCH, "spans.py"))
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    return spans
+
+
 class TestBenchBindings:
     def test_traced_call_sites_resolve(self):
         # the traced benchmark wraps each (owner, attribute) binding of
         # bench/spans.py; a renamed or deleted call site breaks it
-        path = os.path.join(os.path.dirname(os.path.dirname(__file__)),
-                            "bench", "spans.py")
-        spec = importlib.util.spec_from_file_location("bench_spans", path)
-        spans = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(spans)
+        spans = load_bench_spans()
         bindings = spans.bindings(cli, verify, qseries, tangles)
         assert bindings
         for owner, attr, name, _ in bindings:
             assert callable(getattr(owner, attr, None)), (name, attr)
+
+    def test_one_export_call_per_compute(self, capsys, monkeypatch):
+        # wrapped as the traced benchmark wraps them, cli.framing_shift
+        # and cli.q_invert together see exactly one call per compute:
+        # export is one pass whatever the convention, frame or route
+        spans = load_bench_spans()
+        tracer = spans.Tracer()
+        for owner, attr, name, info in spans.bindings(cli, verify, qseries,
+                                                      tangles):
+            if name == "quiverstate.export":
+                monkeypatch.setattr(owner, attr, tracer.wrap(
+                    name, getattr(owner, attr), info))
+        for slope, pipeline in (("13/3", "knot"), ("13/3", "link"),
+                                ("8/3", "link")):
+            for convention in ("anti", "sym"):
+                for frame in ("canonical", "raw", "-3"):
+                    run_json(capsys, "compute", slope, "--pipeline",
+                             pipeline, "--convention", convention,
+                             "--frame", frame)
+                    names = [s[spans.NAME] for s in tracer.take()]
+                    assert names == ["quiverstate.export"], (
+                        slope, pipeline, convention, frame, names)
+
+    def test_bench_selftest_passes(self):
+        proc = subprocess.run([sys.executable,
+                               os.path.join(BENCH, "selftest.py")],
+                              cwd=os.path.dirname(BENCH),
+                              capture_output=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr.decode()

@@ -3,6 +3,7 @@ state expansion must track the rescaled skein element after every
 twist, and the closed quiver data must reproduce the oracle."""
 
 from dataclasses import replace
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -11,21 +12,25 @@ from hypothesis import strategies as hs
 from quivertangle.qseries import QFraction, q_pow
 from quivertangle.knotpipeline import (_TRANSFORMS, _apply_template,
                                        knot_quiver, reduce_cf)
-from quivertangle.quiverstate import (IndexRecord, QuiverState, _e2,
+from quivertangle.quiverstate import (MAX_VERTICES, IndexRecord,
+                                      QuiverData, QuiverState, _e2,
                                       absorb_pochhammer, apply_twist,
-                                      bal_multinomial, close_link,
-                                      framing_shift, link_quiver,
-                                      mirror_quiver, q_invert, state_expand,
-                                      symmetrize, trivial_state)
+                                      bal_multinomial, canonical_shift,
+                                      close_link, framing_shift, link_quiver,
+                                      mirror_quiver, q_invert, quiver_route,
+                                      state_expand, symmetrize,
+                                      trivial_state)
 from quivertangle.skein import (basis_element, framing_factor, oracle_homfly,
                                 raw_closure, twist, writhe)
 from quivertangle.qseries import qmultinomial
 from quivertangle.tangles import (OP, RI, Slope, UP, cf_expand, cf_value,
-                                  is_knot, resolve_terms, twist_sequence)
+                                  enumerate_rational_knots, is_knot,
+                                  resolve_terms, twist_sequence)
 
 from conftest import (absorb_pochhammer_reference, apply_template_reference,
-                      apply_twist_reference, close_link_reference,
-                      compositions, distinct_slopes, link_route_coeff,
+                      apply_twist_reference, canonical_shift_reference,
+                      close_link_reference, compositions, distinct_slopes,
+                      export_quivers, link_route_coeff,
                       odd_cfs, permutation_equal, permute, rescale,
                       state_expand_reference, state_expand_walk_reference)
 
@@ -289,6 +294,25 @@ class TestDataTransforms:
         with pytest.raises(ValueError):
             q_invert(out)
 
+    def test_q_invert_takes_the_framing_shift(self):
+        # one pass equals the shift followed by the convention switch,
+        # for every shift the CLI passes: canonical, raw (0), integer
+        # frames and the zero frame
+        for qd in export_quivers():
+            shifts = {canonical_shift(qd, symmetric=True),
+                      canonical_shift(qd, symmetric=False),
+                      0, 3, -3, -qd.framing}
+            for f in shifts:
+                assert q_invert(qd, f) == q_invert(framing_shift(qd, f))
+
+    def test_canonical_shift_matches_reference(self):
+        # the 1-vertex quiver of the unknot has no off-diagonal entry
+        unknot = QuiverData(((1,),), (-1,), (-1,), 1, "antisymmetric")
+        for qd in [unknot, *export_quivers()]:
+            for symmetric in (False, True):
+                assert (canonical_shift(qd, symmetric)
+                        == canonical_shift_reference(qd, symmetric))
+
     def test_symmetrize(self):
         assert symmetrize([[1, 3], [1, 0]]) == ((1, 2), (2, 0))
         with pytest.raises(ArithmeticError):
@@ -302,3 +326,52 @@ class TestDataTransforms:
         other = framing_shift(qd, 1)
         assert not permutation_equal(qd, other)
         assert not permutation_equal(qd, link_quiver(Slope(11, 3)))
+
+
+def _representative(slope):
+    return cf_value(resolve_terms(slope)[0])
+
+
+class TestVertexBound:
+    def test_route_vertex_counts(self):
+        # the counts the bound reads: p on the knot route, 2(p' + q') on
+        # the link route for the representative p'/q' it closes
+        for p in range(1, 30):
+            for q in range(1, p + 1):
+                if gcd(p, q) != 1:
+                    continue
+                s = Slope(p, q)
+                rep = _representative(s)
+                assert link_quiver(s).n == 2 * (rep.p + rep.q), s
+                if is_knot(s):
+                    assert knot_quiver(s).n == p, s
+        # the link route on 233/89 closes 233/144: 754 vertices, not 644
+        assert _representative(Slope(233, 89)) == Slope(233, 144)
+
+    def test_bound_admits_the_documented_sweeps(self):
+        # the knot route on every knot up to 14 crossings, the link
+        # route on every knot up to 12 crossings and on every link slope
+        # with even p <= 50 (the benchmark's links50)
+        assert max(s.p for s in enumerate_rational_knots(14)) <= MAX_VERTICES
+        slopes = enumerate_rational_knots(12) + [
+            Slope(p, q) for p in range(2, 51, 2) for q in range(1, p)
+            if gcd(p, q) == 1]
+        assert max(2 * (r.p + r.q) for r in map(_representative, slopes)) \
+            <= MAX_VERTICES
+
+    def test_refused_before_building(self):
+        def close(terms, framing):
+            raise AssertionError("built a quiver over the bound")
+
+        with pytest.raises(ValueError, match=f"2049 vertices.*{MAX_VERTICES}"):
+            quiver_route([2049], close, polynomial=True,
+                         vertices=lambda rep: rep.p)
+        # the bound itself is admitted
+        built = QuiverData(((0,),), (0,), (0,), 0, "antisymmetric")
+        assert quiver_route([MAX_VERTICES], lambda terms, framing: built,
+                            polynomial=True,
+                            vertices=lambda rep: rep.p) is built
+        with pytest.raises(ValueError, match="2050 vertices"):
+            link_quiver(Slope(1024, 1))
+        with pytest.raises(ValueError, match="2049 vertices"):
+            knot_quiver(Slope(2049, 2))

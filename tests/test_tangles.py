@@ -1,6 +1,7 @@
 """Continued fractions, the boundary/connectivity automaton, and knot
 enumeration."""
 
+from fractions import Fraction
 from math import gcd
 
 import pytest
@@ -57,6 +58,13 @@ class TestContinuedFractions:
             if cf[0] >= 2:
                 other = [1, cf[0] - 1] + cf[1:]
                 assert cf_value(other) == cf_value(cf)
+
+    def test_matches_rational_evaluation(self):
+        for cf in odd_cfs(10):
+            value = Fraction(cf[0])
+            for t in cf[1:]:
+                value = t + 1 / value
+            assert cf_value(cf) == Slope(value.numerator, value.denominator)
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
