@@ -15,9 +15,9 @@ import sys
 import time
 
 from .knotpipeline import (delta_vector, homology_generators, knot_quiver,
-                           signature)
+                           knot_vertices, signature)
 from .quiverstate import (canonical_shift, framing_shift, link_quiver,
-                          q_invert)
+                          q_invert, refuse_oversized)
 from .skein import oracle_homfly
 from .tangles import (Slope, cf_expand, cf_value, crossing_number,
                       enumerate_rational_knots, is_knot)
@@ -232,6 +232,11 @@ def _batch_worker(task):
 
 def _cmd_batch(args, parser):
     slopes = enumerate_rational_knots(args.max_crossings)
+    for s in slopes:  # before any work, not inside a worker
+        try:
+            refuse_oversized(s, knot_vertices)
+        except ValueError as exc:
+            parser.error(str(exc))
     tasks = [(s.p, s.q, args.frame, args.convention) for s in slopes]
     # the pool starts all its workers at the first submit, so a worker
     # count beyond the CPUs or the tasks would only cost processes

@@ -97,6 +97,13 @@ class LaurentPoly:
             result = LaurentPoly()
             result.terms = {key: c * other for key, c in self.terms.items()}
             return result
+        if len(other.terms) == 1:
+            # a monomial factor moves the terms apart: no two keys meet
+            ((q2, a2), c2), = other.terms.items()
+            result = LaurentPoly()
+            result.terms = {(q1 + q2, a1 + a2): c1 * c2
+                            for (q1, a1), c1 in self.terms.items()}
+            return result
         out = {}
         for (q1, a1), c1 in self.terms.items():
             for (q2, a2), c2 in other.terms.items():

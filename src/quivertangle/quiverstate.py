@@ -481,6 +481,16 @@ def mirror_quiver(qd, *, polynomial):
 MAX_VERTICES = 2048
 
 
+def refuse_oversized(slope, vertices):
+    """Raise ValueError, naming the slope, its count and the bound, when
+    a route's vertex count vertices(slope) is over MAX_VERTICES."""
+    n = vertices(slope)
+    if n > MAX_VERTICES:
+        raise ValueError(
+            f"the quiver of {slope} would have {n} vertices, more than "
+            f"the bound {MAX_VERTICES}")
+
+
 def quiver_route(slope_or_terms, close, polynomial, vertices):
     """The tail both routes share: resolve the input to closable CF
     terms, build quiver data with close(terms, framing) in the diagram
@@ -490,12 +500,7 @@ def quiver_route(slope_or_terms, close, polynomial, vertices):
     of those terms; more than MAX_VERTICES raises ValueError before
     anything is built."""
     terms, mirrored = resolve_terms(slope_or_terms)
-    rep = cf_value(terms)
-    n = vertices(rep)
-    if n > MAX_VERTICES:
-        raise ValueError(
-            f"the quiver of {rep} would have {n} vertices, more than "
-            f"the bound {MAX_VERTICES}")
+    refuse_oversized(cf_value(terms), vertices)
     qd = close(terms, writhe(terms))
     return mirror_quiver(qd, polynomial=polynomial) if mirrored else qd
 

@@ -8,6 +8,17 @@ and right (R) twists act by explicit linear maps; closing the tangle
 evaluates to a scalar.  The computation is per color and never builds
 generating functions, which keeps it independent from the quiver-state
 pipeline it cross-checks.
+
+The rules are written once, as LaurentPoly matrices (twist_matrix,
+closure_numerator), and applied on packed integers: a coefficient is a
+dict {a exponent: int}, each int its q-slice evaluated at q = 2^B (a
+Kronecker substitution), so a rule costs a few bigint products per
+a-slice.  Each rule matrix is divided by its lowest power of q, and the
+element carries the total shift.  B is fixed before packing, from a
+proven bound: L1 norms (sums of absolute coefficients) propagate
+through the same rules, L1(sum m c) <= sum L1(m) L1(c), and 2^(B-1)
+exceeds the bound of every result, so each result coefficient is one
+balanced base-2^B digit.
 """
 
 from __future__ import annotations
@@ -77,16 +88,8 @@ def twist_matrix(boundary, kind, j):
 
 def twist(e, kind):
     """Apply a top or right twist to a skein element."""
-    j = e.color
-    m = twist_matrix(e.boundary, kind, j)
-    coeffs = []
-    for h in range(j + 1):
-        acc = ZERO
-        for k in range(j + 1):
-            if e.coeffs[k] and m[h][k]:
-                acc = acc + m[h][k] * e.coeffs[k]
-        coeffs.append(acc)
-    return SkeinElement(j, boundary_after(e.boundary, kind), coeffs)
+    boundary, coeffs = _evaluate(e, [kind])
+    return SkeinElement(e.color, boundary, coeffs)
 
 
 @lru_cache(maxsize=None)
@@ -109,20 +112,117 @@ def closure_numerator(boundary, j, k):
 def close(e):
     """Close a skein element North-South; returns the reduced
     evaluation over the denominator (q^2;q^2)_j."""
-    total = ZERO
-    for k, c in enumerate(e.coeffs):
-        if c:
-            total = total + closure_numerator(e.boundary, e.color, k) * c
+    _, (total,) = _evaluate(e, [], closed=True)
     return QFraction(total, poch_q2(e.color))
 
 
 def tangle_element(terms, j):
     """<tau>_j for the continued fraction [a1,...,ar]: start from
     UP[j,0] and apply a1 top twists, a2 right twists, and so on."""
-    e = basis_element(j, UP, 0)
-    for kind in twist_sequence(terms):
-        e = twist(e, kind)
-    return e
+    boundary, coeffs = _evaluate(basis_element(j, UP, 0),
+                                 twist_sequence(terms))
+    return SkeinElement(j, boundary, coeffs)
+
+
+def _l1(p):
+    return sum(map(abs, p.terms.values()))
+
+
+def _rule(boundary, kind, j):
+    """A rule as a LaurentPoly matrix on the j+1 coefficients: a twist
+    (kind T or R), or the closure (kind None), one row of the numerators
+    over (q^2;q^2)_j."""
+    if kind is None:
+        return (tuple(closure_numerator(boundary, j, k)
+                      for k in range(j + 1)),)
+    return twist_matrix(boundary, kind, j)
+
+
+@lru_cache(maxsize=None)
+def _rule_norms(boundary, kind, j):
+    return tuple(tuple(map(_l1, row)) for row in _rule(boundary, kind, j))
+
+
+def _q_low(polys):
+    return min((eq for p in polys for eq, _ in p.terms), default=0)
+
+
+def _pack(p, B, low):
+    """{a exponent: the a-slice of q^-low p at q = 2^B}; low is at most
+    every q exponent of p."""
+    out = {}
+    for (eq, ea), c in p.terms.items():
+        out[ea] = out.get(ea, 0) + (c << B * (eq - low))
+    return out
+
+
+@lru_cache(maxsize=None)
+def _packed_rule(boundary, kind, j, B):
+    """(low, rows): the rule divided by q^low, its lowest power of q,
+    with row h the packed nonzero entries (k, a exponent, int) of
+    m[h][k]."""
+    m = _rule(boundary, kind, j)
+    low = _q_low(c for row in m for c in row)
+    return low, tuple(tuple((k, ea, v) for k, c in enumerate(row)
+                            for ea, v in _pack(c, B, low).items())
+                      for row in m)
+
+
+def _unpack(slices, B, low):
+    """q^low times the packed slices, as a LaurentPoly.  Every
+    coefficient is below 2^(B-1) in absolute value, so it is one
+    balanced base-2^B digit: adding 2^(B-1) at every digit position
+    makes each digit a byte field of its own."""
+    width = B // 8
+    half = 1 << B - 1
+    half_digit = half.to_bytes(width, "little")
+    terms = {}
+    for ea, n in slices.items():
+        if not n:
+            continue
+        # top degree d: 2^(Bd-1) < |n| < 2^(B(d+1))
+        size = width * (abs(n).bit_length() // B + 1)
+        raw = (n + int.from_bytes(half_digit * (size // width), "little")
+               ).to_bytes(size, "little")
+        digits = [int.from_bytes(raw[i:i + width], "little")
+                  for i in range(0, size, width)]
+        for eq, c in enumerate(digits, low):
+            if c != half:
+                terms[(eq, ea)] = c - half
+    out = LaurentPoly()
+    out.terms = terms
+    return out
+
+
+def _evaluate(e, kinds, closed=False):
+    """(boundary, coefficients) of e after the twists `kinds` and, if
+    closed, the closure (then one coefficient, the numerator over
+    (q^2;q^2)_j), run on packed integers and decoded once."""
+    j, boundary = e.color, e.boundary
+    steps = []
+    norms = [_l1(c) for c in e.coeffs]
+    for kind in [*kinds, None] if closed else kinds:
+        norms = [sum(x * n for x, n in zip(row, norms))
+                 for row in _rule_norms(boundary, kind, j)]
+        steps.append((boundary, kind))
+        if kind is not None:
+            boundary = boundary_after(boundary, kind)
+    # a whole number of bytes, with 2^(B-1) > every result's L1 bound
+    B = 8 * ((max(norms).bit_length() + 8) // 8)
+    low = _q_low(e.coeffs)
+    coeffs = [_pack(c, B, low) for c in e.coeffs]
+    for step in steps:
+        shift, rows = _packed_rule(*step, j, B)
+        low += shift
+        out = []
+        for row in rows:
+            acc = {}
+            for k, da, w in row:
+                for ea, v in coeffs[k].items():
+                    acc[ea + da] = acc.get(ea + da, 0) + w * v
+            out.append(acc)
+        coeffs = out
+    return boundary, [_unpack(c, B, low) for c in coeffs]
 
 
 # Per-twist writhe contribution by (boundary before the twist, kind).
@@ -148,10 +248,9 @@ def framing_factor(j, n):
 
 def raw_closure(terms, j):
     """Reduced evaluation of the closed tangle, in the diagram frame."""
-    e = tangle_element(terms, j)
-    if e.boundary == RI:
-        raise ValueError("odd-length CF cannot end on an RI boundary")
-    return close(e)
+    _, (total,) = _evaluate(basis_element(j, UP, 0), twist_sequence(terms),
+                            closed=True)
+    return QFraction(total, poch_q2(j))
 
 
 def reduced_homfly(slope, j):

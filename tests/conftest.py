@@ -1,5 +1,6 @@
 """Shared test helpers: brute-force quiver and state expansions, the
 previous recursive expansion walk, rescaled skein elements, the
+LaurentPoly loops of the skein twist and closure, the
 rational-arithmetic reference for q-fraction reduction, entry-by-entry
 references for the state kernel (twist, absorption, closure, block
 templates), the previous canonical frame and the quivers of the export
@@ -17,9 +18,11 @@ from quivertangle.qseries import (LaurentPoly, ONE, QFraction, ZERO, poch_q2,
 from quivertangle.quiverstate import (IndexRecord, QuiverData, QuiverState,
                                       _freeze, bal_multinomial, link_quiver,
                                       symmetrize)
-from quivertangle.skein import SkeinElement, _mono
+from quivertangle.skein import (SkeinElement, _mono, basis_element,
+                                closure_numerator, twist_matrix)
 from quivertangle.tangles import (OP, RI, UP, Slope, boundary_after,
-                                  cf_value, enumerate_rational_knots, is_knot)
+                                  cf_value, enumerate_rational_knots, is_knot,
+                                  twist_sequence)
 
 
 def neg_q_pow(n):
@@ -165,6 +168,38 @@ def state_expand_walk_reference(st, N, balanced=True):
         coeffs[j][k] = (coeffs[j][k] + LaurentPoly(raw) * poch_q2(kdot)
                         * multinomial(j, parts))
     return [SkeinElement(j, st.obj, c) for j, c in enumerate(coeffs)]
+
+
+def twist_reference(e, kind):
+    """skein.twist as LaurentPoly loops over twist_matrix, the form it
+    had before the packed kernel: coeff'[h] = sum_k m[h][k] coeff[k]."""
+    j = e.color
+    m = twist_matrix(e.boundary, kind, j)
+    coeffs = []
+    for h in range(j + 1):
+        acc = ZERO
+        for k in range(j + 1):
+            if e.coeffs[k] and m[h][k]:
+                acc = acc + m[h][k] * e.coeffs[k]
+        coeffs.append(acc)
+    return SkeinElement(j, boundary_after(e.boundary, kind), coeffs)
+
+
+def close_reference(e):
+    """skein.close as a LaurentPoly loop over closure_numerator."""
+    total = ZERO
+    for k, c in enumerate(e.coeffs):
+        if c:
+            total = total + closure_numerator(e.boundary, e.color, k) * c
+    return QFraction(total, poch_q2(e.color))
+
+
+def raw_closure_reference(terms, j):
+    """skein.raw_closure through twist_reference and close_reference."""
+    e = basis_element(j, UP, 0)
+    for kind in twist_sequence(terms):
+        e = twist_reference(e, kind)
+    return close_reference(e)
 
 
 def balanced_from_plus(j, k):

@@ -13,7 +13,7 @@ from math import gcd
 import pytest
 
 import quivertangle
-from quivertangle import cli, qseries, tangles, verify
+from quivertangle import cli, qseries, quiverstate, tangles, verify
 from quivertangle.quiverstate import MAX_VERTICES
 from quivertangle.tangles import Slope, enumerate_rational_knots
 from quivertangle.verify import MAX_DIM_VECTORS, VerificationReport
@@ -138,6 +138,23 @@ class TestOracle:
         for s in distinct_slopes(6):
             code, out, _ = run(capsys, "oracle", f"{s.p}/{s.q}",
                                "--colors", "0..4", *flags)
+            assert code == 0
+            sha.update(out.encode())
+        assert sha.hexdigest() == digest
+
+    @pytest.mark.parametrize("flags, digest", [
+        ((), "67ee2ee8f1fad8c97620a2cbaa3d81f3"
+             "e7bd2203b92d3fec098a6c0fdf664f2b"),
+        (("--jones",), "de0244beca3b77a2f6252cc86621f06d"
+                       "3aef1528543e7ca3cd5db8c2f441750e"),
+    ])
+    def test_high_color_bytes_are_pinned(self, capsys, flags, digest):
+        # sha256 of the stdout of `oracle p/q --colors 5..6`, one slope
+        # after another, over every slope with CF term sum <= 5
+        sha = hashlib.sha256()
+        for s in distinct_slopes(5):
+            code, out, _ = run(capsys, "oracle", f"{s.p}/{s.q}",
+                               "--colors", "5..6", *flags)
             assert code == 0
             sha.update(out.encode())
         assert sha.hexdigest() == digest
@@ -268,6 +285,21 @@ class TestBatchAndDeterminism:
         rows = [json.loads(x) for x in one.read_text().splitlines()]
         assert [f"{r['p']}/{r['q']}" for r in rows] \
             == ["3/1", "5/1", "5/2", "7/2"]
+
+    def test_batch_refuses_an_oversized_knot_first(self, capsys,
+                                                   monkeypatch):
+        # with the bound at 6 vertices, 7/2 is refused with exit 2
+        # before any knot of the corpus is computed
+        monkeypatch.setattr(quiverstate, "MAX_VERTICES", 6)
+        computed = []
+        monkeypatch.setattr(cli, "_batch_worker", computed.append)
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["batch", "--max-crossings", "5", "--jobs", "1"])
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == "" and computed == []
+        assert "7/2 would have 7 vertices" in err, err
+        assert "the bound 6" in err, err
 
     def test_batch_jobs_are_capped(self, capsys, monkeypatch):
         # the pool starts every requested worker at once: no more than

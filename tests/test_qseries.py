@@ -32,6 +32,19 @@ class TestLaurentPoly:
         assert x * ZERO == ZERO
         assert (Q * A) * (Q * A) == LaurentPoly.mono(1, 2, 2)
 
+    @settings(max_examples=150, deadline=None)
+    @given(st.dictionaries(st.tuples(st.integers(-4, 4), st.integers(-2, 2)),
+                           st.integers(-5, 5), max_size=6),
+           st.integers(-3, 3).filter(bool), st.integers(-4, 4),
+           st.integers(-2, 2))
+    def test_monomial_product_matches_term_loop(self, terms, c, eq, ea):
+        # p * m moves p's terms; m * p, with p of two or more terms,
+        # runs the term-by-term loop
+        p, m = LaurentPoly(terms), LaurentPoly.mono(c, eq, ea)
+        expected = m * p if len(p.terms) > 1 else poly(
+            *((c * v, eq + k[0], ea + k[1]) for k, v in p.terms.items()))
+        assert (p * m).terms == expected.terms
+
     def test_negative_exponents(self):
         qi = q_pow(-1)
         assert qi * Q == ONE

@@ -4,16 +4,23 @@ closed-form identities it must satisfy."""
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quivertangle.qseries import (LaurentPoly, ONE, QFraction, ZERO, a_pow,
                                   poch_q2, pochhammer, q_pow, qbinom_plus)
+from quivertangle.knotpipeline import knot_quiver
+from quivertangle.quiverstate import framing_shift
 from quivertangle.skein import (SkeinElement, basis_element, close,
                                 closure_numerator, framing_factor,
                                 oracle_homfly, raw_closure, reduced_homfly,
-                                twist, twist_matrix, writhe)
-from quivertangle.tangles import OP, RI, UP, Slope
+                                tangle_element, twist, twist_matrix, writhe)
+from quivertangle.tangles import (OP, RI, UP, Slope, enumerate_rational_knots,
+                                  twist_sequence)
+from quivertangle.verify import expand_motivic
 
-from conftest import distinct_slopes, neg_q_pow, rescale
+from conftest import (close_reference, distinct_slopes, neg_q_pow, odd_cfs,
+                      raw_closure_reference, rescale, twist_reference)
 
 
 def qf(num, den=None):
@@ -139,6 +146,117 @@ class TestClosureRules:
                                2, j))
                     rhs = rhs + qf(num, poch_q2(j))
                 assert lhs == rhs, (n, j)
+
+
+# coefficients of every size, up to 2^80, so slots pass 64 bits
+_COEFFS = st.one_of(st.integers(-3, 3), st.integers(-2 ** 80, 2 ** 80))
+_POLYS = st.dictionaries(st.tuples(st.integers(-12, 12), st.integers(-4, 4)),
+                         _COEFFS, max_size=4).map(LaurentPoly)
+
+
+def _elements(data, boundaries):
+    j = data.draw(st.integers(0, 4))
+    boundary = data.draw(st.sampled_from(boundaries))
+    return SkeinElement(j, boundary, [data.draw(_POLYS) for _ in range(j + 1)])
+
+
+class TestPackedKernel:
+    """The packed-integer twist and closure against their LaurentPoly
+    loops, kept in conftest: exact equality, never a tolerance."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_twist_matches_reference(self, data):
+        e = _elements(data, (UP, OP, RI))
+        for kind in "TR":
+            got, want = twist(e, kind), twist_reference(e, kind)
+            assert got.boundary == want.boundary
+            assert got.coeffs == want.coeffs, (e, kind)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_close_matches_reference(self, data):
+        e = _elements(data, (UP, OP))
+        got, want = close(e), close_reference(e)
+        assert got.num == want.num and got.den == want.den, e
+
+    def test_wide_slots(self):
+        # one coefficient near each end of +-2^80 at negative exponents:
+        # the bound needs slots of more than 64 bits
+        big = LaurentPoly({(-7, -3): 2 ** 80, (5, -3): -(2 ** 80) + 1,
+                           (-2, 4): -1})
+        for j in range(5):
+            e = SkeinElement(j, UP, [big] * (j + 1))
+            for kind in "TR":
+                assert twist(e, kind).coeffs == twist_reference(e, kind).coeffs
+            assert close(e).num == close_reference(e).num
+
+    def test_raw_closure_matches_reference(self):
+        # every CF with term sum <= 8, colors 0..4; CFs ending on RI
+        # are refused by both
+        for terms in odd_cfs(8):
+            for j in range(5):
+                try:
+                    want = raw_closure_reference(terms, j)
+                except ValueError:
+                    with pytest.raises(ValueError):
+                        raw_closure(terms, j)
+                    continue
+                got = raw_closure(terms, j)
+                assert got.num == want.num and got.den == want.den, (terms, j)
+
+    def test_tangle_element_matches_reference(self):
+        for terms in odd_cfs(6):
+            for j in range(4):
+                e = basis_element(j, UP, 0)
+                for kind in twist_sequence(terms):
+                    e = twist_reference(e, kind)
+                got = tangle_element(terms, j)
+                assert (got.boundary, got.coeffs) == (e.boundary, e.coeffs)
+
+
+def alexander(p, q):
+    """Conway-normalized Alexander polynomial of the 2-bridge knot p/q,
+    {exponent: coefficient}, from the 2-bridge form
+    sum_{k<p} (-1)^k t^{sigma_k}, sigma_k = sum_{1<=i<=k} eps_i,
+    eps_i = (-1)^floor(iq/p), which needs an odd q: q + p names the
+    same knot.  Shifted to be symmetric and signed so that Delta(1) = 1."""
+    if q % 2 == 0:
+        q += p
+    terms, sigma = {}, 0
+    for k in range(p):
+        if k:
+            sigma += -1 if (k * q // p) % 2 else 1
+        terms[sigma] = terms.get(sigma, 0) + (-1) ** k
+    terms = {e: c for e, c in terms.items() if c}
+    lo, hi = min(terms), max(terms)
+    if (lo + hi) % 2:
+        raise ValueError("an Alexander polynomial has even span")
+    sign = sum(terms.values())
+    return {e - (lo + hi) // 2: sign * c for e, c in terms.items()}
+
+
+def _at_a_one(p):
+    return p.map_exponents(lambda eq, ea: (eq, 0))
+
+
+class TestAlexanderColorOne:
+    def test_color_one_at_a_one_is_alexander(self):
+        # HOMFLY-PT at a = 1 is the Alexander polynomial in t = q^2, on
+        # both the oracle and the knot route, for every knot up to 12
+        # crossings; |Delta(-1)| is the determinant p
+        knots = enumerate_rational_knots(12)
+        assert len(knots) == 362
+        for s in knots:
+            delta = alexander(s.p, s.q)
+            assert sum(delta.values()) == 1
+            assert abs(sum(c * (-1) ** e for e, c in delta.items())) == s.p
+            want = LaurentPoly({(2 * e, 0): c for e, c in delta.items()})
+            assert _at_a_one(oracle_homfly(s, 1).clear_to_laurent()) == want
+            qd = knot_quiver(s)
+            order1 = expand_motivic(framing_shift(qd, -qd.framing), 1)[1]
+            assert (_at_a_one((order1 * poch_q2(1)).clear_to_laurent())
+                    == want), s
 
 
 class TestRescale:
