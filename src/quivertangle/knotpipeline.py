@@ -30,14 +30,6 @@ from .tangles import (OP, RI, UP, boundary_after, boundary_walk, cf_value,
 
 
 @dataclass(frozen=True)
-class PairedOp:
-    """One processed step of the pipeline, for reporting/testing."""
-    kind: str  # TT | RR | RT | TR | T^x | R^x
-    obj_before: str
-    obj_after: str
-
-
-@dataclass(frozen=True)
 class HomologyGenerator:
     a_degree: int
     q_degree: int
@@ -186,7 +178,7 @@ def resum_stretch(st, kind, count):
     decomposition."""
     obj, records, M = st.obj, list(st.indices), _thaw(st.M)
     for _ in range(count):
-        obj = _twist(obj, records, M, kind, refine=False)
+        obj = _twist(obj, records, M, kind)
     if kind == "T":
         # (q^2;q^2)_{j-k_old} = (q^2;q^2)_{j-k} (q^{2+2(j-k)};q^2)_{k-k_old}
         targets = [i for i, r in enumerate(records)
@@ -199,16 +191,17 @@ def resum_stretch(st, kind, count):
                    if not r.active and r.extra_poch]
         coeff = [1 if r.active else 0 for r in records]
         new_k_type = True
-    _absorb(records, M, coeff, 0, 2, targets, refine=False)
+    _absorb(records, M, coeff, 0, 2, targets)
     records = tuple(IndexRecord(r.active, 1 if r.active == new_k_type else 0,
                                 r.s, r.a) for r in records)
     return QuiverState(obj, records, _freeze(M))
 
 
-def reduce_cf(terms, with_ops=False):
+def reduce_steps(terms):
     """Run the paired-crossing algorithm over the continued fraction,
     withholding the final top crossing (it is consumed by the closure).
-    Returns the pre-final state (and the PairedOp log if with_ops)."""
+    Yields (step, state) after each step: a pair TT, RR, RT or TR (the
+    later twist first), or a re-summed stretch T^x or R^x."""
     terms = list(terms)
     if len(terms) % 2 == 0 or any(t < 1 for t in terms):
         raise ValueError(f"bad continued fraction {terms}: need an "
@@ -219,11 +212,6 @@ def reduce_cf(terms, with_ops=False):
     counts = list(terms)
     counts[-1] -= 1
     st = trivial_state()
-    ops = []
-
-    def log(name, before, after):
-        ops.append(PairedOp(name, before, after))
-
     i = 0
     while i < len(counts):
         kind = "T" if i % 2 == 0 else "R"
@@ -233,27 +221,32 @@ def reduce_cf(terms, with_ops=False):
             continue
         natural = _k_type(st) if kind == "T" else not _k_type(st)
         if not natural:
-            before = st.obj
             st = resum_stretch(st, kind, x)
-            log(f"{kind}^{x}", before, st.obj)
+            yield f"{kind}^{x}", st
             i += 1
             continue
         while x >= 2:
-            before = st.obj
             st = apply_pair(st, kind * 2)
-            log(kind * 2, before, st.obj)
+            yield kind * 2, st
             x -= 2
         if x == 1:
             if i + 1 == len(counts) or counts[i + 1] < 1:
                 raise ValueError("dangling single twist cannot be paired")
             other = "R" if kind == "T" else "T"
             pair = other + kind  # kind acts first
-            before = st.obj
             st = apply_pair(st, pair)
-            log(pair, before, st.obj)
+            yield pair, st
             counts[i + 1] -= 1
         i += 1
-    return (st, ops) if with_ops else st
+
+
+def reduce_cf(terms):
+    """The pre-final state of reduce_steps: the state after its last
+    step, or the trivial state when there is none."""
+    st = trivial_state()
+    for _, st in reduce_steps(terms):
+        pass
+    return st
 
 
 def final_close(st, framing=0):

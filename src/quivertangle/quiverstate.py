@@ -3,20 +3,20 @@
 A state encodes the multi-index sum
 
     sum_d (-q)^{S.d} a^{A.d} q^{d.M.d^t} (q^2;q^2)_{K.d}
-          * bal_multinomial(sum d; d) * X[sum d, sum_active d]
+          * [sum d; d]_+ * X[sum d, sum_active d]
 
 through an ordered list of index records (active flag, membership flag K
 in the single extra Pochhammer numerator, linear -q exponent s, linear a
-exponent a) and an integer matrix M for the quadratic q-exponent.  The
-multinomial is the balanced one: q^{-e2(d)} times the positive
-q-multinomial, where e2 is the second elementary symmetric polynomial.
+exponent a) and an integer matrix M for the quadratic q-exponent.
+[j; d]_+ is the positive q-multinomial, the one the quiver series of
+the exported data reads, so closure exports M as it stands.
 
 Twists act in "product form": multiply by a twist-dependent monomial and
 Pochhammer symbol, then absorb the Pochhammer by splitting summation
 indices.  The product form accumulates an extra q^{k^2} (k = sum of
-active indices) relative to the plain twist action; `apply_twist`
-bridges between the two conventions by adding/removing an all-ones
-block on the active indices of M.
+active indices) relative to the plain twist action; `_twist` bridges
+between the two forms by adding/removing an all-ones block on the
+active indices of M.
 
 The public operations (`apply_twist`, `absorb_pochhammer`,
 `close_link`) take frozen states and return new frozen states or quiver
@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .qseries import (LaurentPoly, ZERO, poch_q2, q_pow, qmultinomial)
+from .qseries import LaurentPoly, ZERO, poch_q2, qmultinomial
 from .skein import SkeinElement, writhe
 from .tangles import (OP, RI, UP, boundary_after, cf_value, resolve_terms,
                       twist_sequence)
@@ -107,26 +107,12 @@ def trivial_state():
     return QuiverState(UP, (IndexRecord(False, 0, 0, 0),), ((0,),))
 
 
-def _e2(d):
-    total, acc = 0, 0
-    for x in d:
-        acc += total * x
-        total += x
-    return acc
-
-
-def bal_multinomial(total, parts):
-    """Balanced q-multinomial: q^{-e2(parts)} [total; parts]_+."""
-    return qmultinomial(total, parts) * q_pow(-_e2(parts))
-
-
-def state_expand(st, N, balanced=True):
+def state_expand(st, N):
     """Expansion of a state: rescaled skein elements for colors j <= N.
 
     The coefficient of X[j,k] accumulates every index tuple d with
-    sum d = j and sum_active d = k.  balanced selects which multinomial
-    convention the state is read in (the two conventions differ by the
-    folded strictly-upper all-ones quadratic form).
+    sum d = j and sum_active d = k, each weighted by the positive
+    multinomial [j; d]_+.
 
     One walk visits every d with |d| <= N through its nonzero entries
     only, adding the quadratic form incrementally: a new entry x at
@@ -196,9 +182,8 @@ def state_expand(st, N, balanced=True):
 
     walk(0, 0, 0, 0, 0, 0, 0, [0] * n)
     coeffs = [[ZERO] * (j + 1) for j in range(N + 1)]
-    multinomial = bal_multinomial if balanced else qmultinomial
     for (j, k, kdot, parts), raw in groups.items():
-        factor = multinomial(j, parts)
+        factor = qmultinomial(j, parts)
         if kdot:
             factor = factor * poch_q2(kdot)
         poly = LaurentPoly(raw)
@@ -207,7 +192,7 @@ def state_expand(st, N, balanced=True):
     return [SkeinElement(j, st.obj, c) for j, c in enumerate(coeffs)]
 
 
-def _absorb(records, M, coeff, const_a, const_q, targets, refine=True,
+def _absorb(records, M, coeff, const_a, const_q, targets,
             alpha_active=None, beta_active=None):
     """absorb_pochhammer on a thawed state: records and the rows of M
     are lists, extended and updated in place."""
@@ -230,19 +215,16 @@ def _absorb(records, M, coeff, const_a, const_q, targets, refine=True,
     # Each alpha starts as a copy of its target (a column, then a row)
     # and gains the cross terms 2 (coeff.d) alpha_i, alpha_i^2 and the
     # ordered cross terms 2 alpha_i (d_1 + ... + d_{i-1}): in row alpha_i
-    # coeff, ones on the alpha block and on targets l < i (l <= i with
-    # refine); in every row y, coeff_y on the alpha columns, and in row
-    # target l one more on the alphas after alpha_l.
+    # coeff, ones on the alpha block and on targets l < i; in every row
+    # y, coeff_y on the alpha columns, and in row target l one more on
+    # the alphas after alpha_l.
     for row in M:
         row.extend([row[t] for t in targets])
     coeff = [*coeff, *(coeff[t] for t in targets)]
     add = coeff[:n] + [c + 1 for c in coeff[n:]]
     for t in targets:
-        if refine:
-            add[t] += 1
         M.append([v + c for v, c in zip(M[t], add)])
-        if not refine:
-            add[t] += 1
+        add[t] += 1
     for row, c in zip(M, coeff):
         if c:
             row[n:] = [v + c for v in row[n:]]
@@ -251,7 +233,7 @@ def _absorb(records, M, coeff, const_a, const_q, targets, refine=True,
         row[i:] = [v + 1 for v in row[i:]]
 
 
-def absorb_pochhammer(st, coeff, const_a, const_q, targets, *, refine=True,
+def absorb_pochhammer(st, coeff, const_a, const_q, targets, *,
                       alpha_active=None, beta_active=None):
     """Multiply by (q^{const_q} a^{const_a} q^{2 coeff.d}; q^2)_D, where D
     is the sum of the target indices, and absorb it by splitting each
@@ -261,12 +243,12 @@ def absorb_pochhammer(st, coeff, const_a, const_q, targets, *, refine=True,
     appended at the end in target order, carry the per-unit monomial
     -q^{const_q-1} a^{const_a} (hence const_q must be even so the sign
     matches a power of -q), and receive the quadratic cross-term
-    bookkeeping.  With refine=True the balanced multinomial over the
-    coarse indices is rewritten over the split ones, which costs one
-    extra alpha-beta cross unit.  alpha_active/beta_active override the
-    activity flags of the split halves (None keeps the parent's)."""
+    bookkeeping that rewrites the positive multinomial over the coarse
+    indices as the one over the split ones.  alpha_active/beta_active
+    override the activity flags of the split halves (None keeps the
+    parent's)."""
     records, M = list(st.indices), _thaw(st.M)
-    _absorb(records, M, coeff, const_a, const_q, list(targets), refine,
+    _absorb(records, M, coeff, const_a, const_q, list(targets),
             alpha_active, beta_active)
     return QuiverState(st.obj, tuple(records), _freeze(M))
 
@@ -292,7 +274,7 @@ def _actives(records):
     return [i for i, r in enumerate(records) if r.active]
 
 
-def _twist(obj, records, M, kind, refine=True):
+def _twist(obj, records, M, kind):
     """apply_twist on a thawed state, in place; returns the boundary
     after the twist.  The product-form rule (multiply by a monomial and
     a Pochhammer prefactor, then absorb) runs between the two halves of
@@ -354,7 +336,7 @@ def _twist(obj, records, M, kind, refine=True):
 
     # New alphas always carry the new-crossing strand pair, hence end up
     # active; for R twists the old active mass is demoted to inactive.
-    _absorb(records, M, coeff, const_a, 2, targets, refine, True,
+    _absorb(records, M, coeff, const_a, 2, targets, True,
             False if kind == "R" else None)
     # back across the bridge, over the new actives
     act = _actives(records)
@@ -362,13 +344,11 @@ def _twist(obj, records, M, kind, refine=True):
     return boundary_after(obj, kind)
 
 
-def apply_twist(st, kind, refine=True):
+def apply_twist(st, kind):
     """Plain twist action: plain states expand to exactly the rescaled
-    skein evaluation (see _twist for the product form).  refine selects
-    the balanced-multinomial reading of the state (pass False when the
-    state is read with positive multinomials)."""
+    skein evaluation (see _twist for the product form)."""
     records, M = list(st.indices), _thaw(st.M)
-    obj = _twist(st.obj, records, M, kind, refine)
+    obj = _twist(st.obj, records, M, kind)
     return QuiverState(obj, tuple(records), _freeze(M))
 
 
@@ -396,19 +376,15 @@ def _close(obj, records, M, framing):
     act = _actives(records)
     inact = [i for i, r in enumerate(records) if not r.active]
     allpos = range(len(records))
-    # Rewrite the balanced multinomial as (q^2;q^2)_{sum d} over plain
-    # Pochhammer denominators: the q^{-e2(d)} balance factor moves into
-    # M's upper triangle; the numerator is a pending cancellation.
-    for i, row in enumerate(M):
-        row[i + 1:] = [v - 1 for v in row[i + 1:]]
-
+    # the positive multinomial is (q^2;q^2)_{sum d} over plain
+    # Pochhammer denominators; its numerator is a pending cancellation
     if obj == UP:
         # X[j,k] -> a^{-j} q^{j^2+k^2} (a^2 q^{2-2j-2k};q^2)_j / (q^2;q^2)_j
         _shift(records, allpos, da=-1)
         _bump(M, allpos, allpos, 1)
         _bump(M, act, act, 1)
         coeff = [-2 if r.active else -1 for r in records]
-        _absorb(records, M, coeff, 2, 2, list(allpos), refine=False)
+        _absorb(records, M, coeff, 2, 2, list(allpos))
     else:
         # X[j,k] -> a^{k-j} q^{(j-k)^2} (a^2 q^{2-2j};q^2)_{j-k}
         #           / (q^2;q^2)_{j-k}
@@ -417,8 +393,8 @@ def _close(obj, records, M, framing):
         _shift(records, inact, da=-1)
         _bump(M, inact, inact, 1)
         coeff = [0 if r.active else 1 for r in records]
-        _absorb(records, M, coeff, 0, 2, act, refine=False)
-        _absorb(records, M, [-1] * len(records), 2, 2, inact, refine=False)
+        _absorb(records, M, coeff, 0, 2, act)
+        _absorb(records, M, [-1] * len(records), 2, 2, inact)
 
     return QuiverData(symmetrize(M), tuple(r.a for r in records),
                       tuple(r.s for r in records), framing, "antisymmetric")

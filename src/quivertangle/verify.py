@@ -68,7 +68,7 @@ def expand_motivic(qd, N):
     st = QuiverState(UP, tuple(IndexRecord(False, 0, s, a)
                                for s, a in zip(qd.q_vec, qd.a_vec)), qd.Q)
     return [QFraction(e.coeffs[0], poch_q2(j))
-            for j, e in enumerate(state_expand(st, N, balanced=False))]
+            for j, e in enumerate(state_expand(st, N))]
 
 
 @dataclass

@@ -16,8 +16,7 @@ from quivertangle.knotpipeline import _TRANSFORMS, delta_vector, knot_quiver
 from quivertangle.qseries import (LaurentPoly, ONE, QFraction, ZERO, poch_q2,
                                   q_pow, qbinom_plus, qmultinomial)
 from quivertangle.quiverstate import (IndexRecord, QuiverData, QuiverState,
-                                      _freeze, bal_multinomial, link_quiver,
-                                      symmetrize)
+                                      _freeze, link_quiver, symmetrize)
 from quivertangle.skein import (SkeinElement, _mono, basis_element,
                                 closure_numerator, twist_matrix)
 from quivertangle.tangles import (OP, RI, UP, Slope, boundary_after,
@@ -109,7 +108,7 @@ def compositions(total, parts):
             yield (first,) + rest
 
 
-def state_expand_reference(st, N, balanced=True):
+def state_expand_reference(st, N):
     """Brute-force reference for quiverstate.state_expand: one full
     term, with its own Pochhammer and multinomial, per composition d of
     each color j into st.n parts."""
@@ -127,14 +126,13 @@ def state_expand_reference(st, N, balanced=True):
             quad = sum(st.M[i][l] * d[i] * d[l]
                        for i in range(st.n) for l in range(st.n))
             kdot = sum(kk * x for kk, x in zip(K, d))
-            mult = bal_multinomial(j, d) if balanced else qmultinomial(j, d)
-            coeffs[k] = (coeffs[k]
-                         + _mono(sdot, quad, adot) * poch_q2(kdot) * mult)
+            coeffs[k] = (coeffs[k] + _mono(sdot, quad, adot)
+                         * poch_q2(kdot) * qmultinomial(j, d))
         out.append(SkeinElement(j, st.obj, coeffs))
     return out
 
 
-def state_expand_walk_reference(st, N, balanced=True):
+def state_expand_walk_reference(st, N):
     """The recursive walk quiverstate.state_expand used before its flat
     leaf loop and running linear form: every d with |d| <= N is one
     call, and each (node, index) pair sums its cross term over the
@@ -163,10 +161,9 @@ def state_expand_walk_reference(st, N, balanced=True):
 
     walk(0, 0, 0, 0, 0, 0, 0)
     coeffs = [[ZERO] * (j + 1) for j in range(N + 1)]
-    multinomial = bal_multinomial if balanced else qmultinomial
     for (j, k, kdot, parts), raw in groups.items():
         coeffs[j][k] = (coeffs[j][k] + LaurentPoly(raw) * poch_q2(kdot)
-                        * multinomial(j, parts))
+                        * qmultinomial(j, parts))
     return [SkeinElement(j, st.obj, c) for j, c in enumerate(coeffs)]
 
 
@@ -399,7 +396,11 @@ def goeritz_signature(slope):
 
 # The twist, absorption and closure steps as they were before the
 # in-place kernel (each step on frozen states, one new state per
-# operation): the references for the kernel's equivalence test.
+# operation): the references for the kernel's equivalence test.  With
+# refine=True they read a state in the balanced multinomial
+# q^{-e2(d)} [j; d]_+ (e2 the second elementary symmetric polynomial),
+# which close_link_reference folds back to the positive [j; d]_+ before
+# closing; refine=False is the positive reading the kernel runs in.
 
 def absorb_pochhammer_reference(st, coeff, const_a, const_q, targets, *,
                                 refine=True, alpha_active=None,
@@ -545,7 +546,9 @@ def _fold_multinomial_reference(M, n):
 
 
 def close_link_reference(st, framing=0):
-    """Reference for quiverstate.close_link, absorbing through
+    """Reference for quiverstate.close_link on a state in the balanced
+    reading: the fold (M minus the strictly-upper all-ones form) turns it
+    into the positive one, then the closure absorbs through
     absorb_pochhammer_reference."""
     if st.obj not in (UP, OP):
         raise ValueError(f"cannot close {st.obj} North-South")

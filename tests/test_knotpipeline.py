@@ -6,15 +6,16 @@ import pytest
 
 from quivertangle.knotpipeline import (apply_pair, delta_vector,
                                        final_close, homology_generators,
-                                       knot_quiver, reduce_cf, resum_stretch,
+                                       knot_quiver, reduce_cf, reduce_steps,
                                        signature)
-from quivertangle.qseries import QFraction
+from quivertangle.qseries import LaurentPoly, QFraction, ZERO
 from quivertangle.quiverstate import (IndexRecord, QuiverData, QuiverState,
                                       _freeze, framing_shift, link_quiver,
                                       q_invert, state_expand, trivial_state)
-from quivertangle.skein import basis_element, oracle_homfly, twist, writhe
+from quivertangle.skein import (basis_element, framing_factor, oracle_homfly,
+                                twist, writhe)
 from quivertangle.tangles import (RI, Slope, UP, cf_expand, cf_value,
-                                  is_knot)
+                                  enumerate_rational_knots, is_knot)
 
 from conftest import (delta_homogeneous, distinct_slopes, goeritz_signature,
                       knot_route_poly, odd_cfs, permutation_equal, rescale)
@@ -144,31 +145,29 @@ class TestFixedOrderRegressions:
 
 class TestStepLevelInvariant:
     def test_every_pair_tracks_the_oracle(self):
-        # re-drive the paired algorithm, checking the positive-form
-        # state expansion against the rescaled skein element after each
-        # logged operation
+        # the positive-form state expansion equals the rescaled skein
+        # element after each step of the paired algorithm, and reduce_cf
+        # returns the state after the last step
         order = 3
         for cf in odd_cfs(6):
             if not is_knot(cf_value(cf)):
                 continue
-            _, ops = reduce_cf(cf, with_ops=True)
             word = ""
-            st = trivial_state()
-            for op in ops:
-                if "^" in op.kind:
-                    kind, count = op.kind.split("^")
-                    st = resum_stretch(st, kind, int(count))
+            last = trivial_state()
+            for step, st in reduce_steps(cf):
+                if "^" in step:
+                    kind, count = step.split("^")
                     word += kind * int(count)
                 else:
-                    st = apply_pair(st, op.kind)
                     # the pair name lists the later twist first
-                    word += op.kind[::-1] if op.kind in ("TR", "RT") \
-                        else op.kind
+                    word += step[::-1] if step in ("TR", "RT") else step
                 for j in range(order + 1):
-                    exp = state_expand(st, j, balanced=False)[j]
+                    exp = state_expand(st, j)[j]
                     orc = skein_after(word, j)
                     assert exp.boundary == orc.boundary, (cf, word)
                     assert exp.coeffs == orc.coeffs, (cf, word, j)
+                last = st
+            assert reduce_cf(cf) == last, cf
 
     def test_vertex_count_is_p(self):
         for cf in ([1], [3], [1, 2, 4], [2, 2, 1], [5]):
@@ -179,6 +178,8 @@ class TestStepLevelInvariant:
     def test_even_numerator_rejected(self):
         with pytest.raises(ValueError):
             reduce_cf([2])
+        with pytest.raises(ValueError, match="bad continued fraction"):
+            reduce_cf([1, 2])
 
     def test_inapplicable_steps_rejected(self):
         # the trivial state has k-type bookkeeping: RR/TR and the RI
@@ -240,6 +241,25 @@ class TestGradings:
         gens = homology_generators(knot_quiver(Slope(3, 1)))
         assert ({(g.a_degree, g.q_degree, g.t_degree) for g in gens}
                 == {(-1, -2, -3), (-1, 2, -1), (1, 0, 0)})
+
+    def test_homology_euler_characteristic_is_color_one(self):
+        # sum_g (-1)^t q^q a^a over the generators is P_1 in the closure
+        # frame knot_quiver records: the zero-frame oracle times the
+        # framing factor, on every knot up to 12 crossings; without the
+        # factor the sum misses on some knot
+        knots = enumerate_rational_knots(12)
+        assert len(knots) == 362
+        unframed = 0
+        for s in knots:
+            qd = knot_quiver(s)
+            chi = sum((LaurentPoly.mono(-1 if g.t_degree % 2 else 1,
+                                        g.q_degree, g.a_degree)
+                       for g in homology_generators(qd)), ZERO)
+            p1 = oracle_homfly(s, 1)
+            assert QFraction(chi) \
+                == QFraction(framing_factor(1, qd.framing)) * p1, s
+            unframed += QFraction(chi) == p1
+        assert unframed < len(knots)
 
     def test_rasmussen_relation(self):
         # 2t - 2a - q = signature for every generator, closure frame

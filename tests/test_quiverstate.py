@@ -9,20 +9,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hs
 
-from quivertangle.qseries import QFraction, q_pow
+from quivertangle.qseries import QFraction
 from quivertangle.knotpipeline import (_TRANSFORMS, _apply_template,
                                        knot_quiver, reduce_cf)
 from quivertangle.quiverstate import (MAX_VERTICES, IndexRecord,
-                                      QuiverData, QuiverState, _e2,
+                                      QuiverData, QuiverState, _freeze,
                                       absorb_pochhammer, apply_twist,
-                                      bal_multinomial, canonical_shift,
-                                      close_link, framing_shift, link_quiver,
+                                      canonical_shift, close_link,
+                                      framing_shift, link_quiver,
                                       mirror_quiver, q_invert, quiver_route,
                                       state_expand, symmetrize,
                                       trivial_state)
 from quivertangle.skein import (basis_element, framing_factor, oracle_homfly,
                                 raw_closure, twist, writhe)
-from quivertangle.qseries import qmultinomial
 from quivertangle.tangles import (OP, RI, Slope, UP, cf_expand, cf_value,
                                   enumerate_rational_knots, is_knot,
                                   resolve_terms, twist_sequence)
@@ -63,17 +62,6 @@ class TestCombinatoricHelpers:
         assert list(compositions(1, 0)) == []
         assert len(list(compositions(5, 3))) == 21
 
-    def test_e2(self):
-        assert _e2((2, 3)) == 6
-        assert _e2((1, 1, 1)) == 3
-        assert _e2((4,)) == 0
-
-    def test_bal_multinomial_palindromic(self):
-        for d in compositions(4, 3):
-            b = bal_multinomial(4, d)
-            assert b == q_pow(-_e2(d)) * qmultinomial(4, d)
-            assert b.subs_q_inverse() == b
-
 
 _CLASSES = [(active, flag) for active in (False, True) for flag in (0, 1)]
 
@@ -102,17 +90,17 @@ def _triples(elements):
 
 
 @settings(max_examples=80, deadline=None)
-@given(small_states(max_n=8), hs.integers(0, 4), hs.booleans())
-def test_state_expand_matches_brute_force(st, N, balanced):
-    assert _triples(state_expand(st, N, balanced=balanced)) \
-        == _triples(state_expand_reference(st, N, balanced=balanced))
+@given(small_states(max_n=8), hs.integers(0, 4))
+def test_state_expand_matches_brute_force(st, N):
+    assert _triples(state_expand(st, N)) \
+        == _triples(state_expand_reference(st, N))
 
 
 def test_state_expand_matches_walk_reference():
     # the flat leaf loop against the recursive walk it replaced, on the
     # motivic states of both routes' quivers for every slope with CF
     # term sum <= 7 (knot route to order 3, link route to order 2), on
-    # the balanced states after every twist, and on the knot route's
+    # the link route's states after every twist, and on the knot route's
     # pre-closure states (extra-Pochhammer flags on both kinds)
     states = []
     for s in distinct_slopes(7):
@@ -123,15 +111,15 @@ def test_state_expand_matches_walk_reference():
             qd = framing_shift(qd, -qd.framing)
             st = QuiverState(UP, tuple(IndexRecord(False, 0, q, a) for q, a
                                        in zip(qd.q_vec, qd.a_vec)), qd.Q)
-            states.append((st, N, False))
+            states.append((st, N))
     assert len(states) == 107
     for cf in odd_cfs(7):
         st = trivial_state()
         for kind in twist_sequence(cf):
             st = apply_twist(st, kind)
-            states.append((st, 3, True))
+            states.append((st, 3))
         if is_knot(cf_value(cf)):
-            states.append((reduce_cf(cf), 3, False))
+            states.append((reduce_cf(cf), 3))
     for args in states:
         assert _triples(state_expand(*args)) \
             == _triples(state_expand_walk_reference(*args)), args
@@ -147,9 +135,8 @@ def test_kernel_matches_reference(st, data):
     # the in-place kernel against the frozen-state steps it replaced
     before = _snapshot(st)
     kind = data.draw(hs.sampled_from("TR"))
-    refine = data.draw(hs.booleans())
-    assert apply_twist(st, kind, refine) \
-        == apply_twist_reference(st, kind, refine)
+    assert apply_twist(st, kind) \
+        == apply_twist_reference(st, kind, refine=False)
 
     targets = data.draw(hs.permutations(range(st.n)))
     targets = targets[:data.draw(hs.integers(0, st.n))]
@@ -157,29 +144,52 @@ def test_kernel_matches_reference(st, data):
                                max_size=st.n))
     args = (coeff, data.draw(hs.integers(-2, 2)),
             2 * data.draw(hs.integers(-1, 2)), targets)
-    flags = {"refine": refine,
-             "alpha_active": data.draw(hs.sampled_from((None, True, False))),
+    flags = {"alpha_active": data.draw(hs.sampled_from((None, True, False))),
              "beta_active": data.draw(hs.sampled_from((None, True, False)))}
     inputs = (list(coeff), list(targets))
     assert absorb_pochhammer(st, *args, **flags) \
-        == absorb_pochhammer_reference(st, *args, **flags)
+        == absorb_pochhammer_reference(st, *args, refine=False, **flags)
     assert (coeff, targets) == inputs
 
     key = data.draw(hs.sampled_from(sorted(_TRANSFORMS)))
     keyed = QuiverState(key[1], st.indices, st.M)
     assert _apply_template(keyed, key) == apply_template_reference(keyed, key)
 
-    # a closable state: no flags, and M_il + M_li odd off the diagonal
-    # (what the balanced multinomial's fold makes even)
+    # a closable state: no flags, and M_il + M_li even off the diagonal;
+    # the reference closes it in the balanced reading, whose fold takes
+    # the strictly-upper all-ones form back off
     M = [list(row) for row in st.M]
     for i in range(st.n):
         for l in range(i):
-            M[i][l] += 1 - (M[i][l] + M[l][i]) % 2
-    plain = QuiverState(data.draw(hs.sampled_from((UP, OP))),
-                        tuple(replace(r, extra_poch=0) for r in st.indices),
-                        tuple(map(tuple, M)))
-    assert close_link(plain, 1) == close_link_reference(plain, 1)
+            M[i][l] += (M[i][l] + M[l][i]) % 2
+    obj = data.draw(hs.sampled_from((UP, OP)))
+    records = tuple(replace(r, extra_poch=0) for r in st.indices)
+    balanced = [[v + (l > i) for l, v in enumerate(row)]
+                for i, row in enumerate(M)]
+    plain = QuiverState(obj, records, _freeze(M))
+    unfolded = QuiverState(obj, records, _freeze(balanced))
+    assert close_link(plain, 1) == close_link_reference(unfolded, 1)
     assert _snapshot(st) == before
+
+
+def test_balanced_reading_closes_to_the_same_quiver():
+    # the balanced reading q^{-e2(d)} [j; d]_+, run by the references
+    # (refine=True twists, then the fold and the closure), exports
+    # exactly the positive kernel's quiver data on every closable odd
+    # CF with term sum <= 7
+    closed = 0
+    for cf in odd_cfs(7):
+        positive = balanced = trivial_state()
+        for kind in twist_sequence(cf):
+            positive = apply_twist(positive, kind)
+            balanced = apply_twist_reference(balanced, kind, refine=True)
+        if positive.obj == RI:
+            continue
+        framing = writhe(cf)
+        assert close_link(positive, framing) \
+            == close_link_reference(balanced, framing), cf
+        closed += 1
+    assert closed == 43
 
 
 class TestStateInvariant:
@@ -190,7 +200,7 @@ class TestStateInvariant:
 
     def test_every_step_tracks_the_oracle(self):
         # master invariant of the one-crossing route: after every twist
-        # the balanced state expansion equals the rescaled skein element
+        # the state expansion equals the rescaled skein element
         for cf in odd_cfs(6):
             word = twist_sequence(cf)
             st = trivial_state()

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from quivertangle.qseries import (LaurentPoly, ONE, QFraction, ZERO, a_pow,
                                   poch_q2, pochhammer, q_pow, qbinom_plus)
 from quivertangle.knotpipeline import knot_quiver
-from quivertangle.quiverstate import framing_shift
+from quivertangle.quiverstate import framing_shift, link_quiver
 from quivertangle.skein import (SkeinElement, basis_element, close,
                                 closure_numerator, framing_factor,
                                 oracle_homfly, raw_closure, reduced_homfly,
@@ -257,6 +257,19 @@ class TestAlexanderColorOne:
             order1 = expand_motivic(framing_shift(qd, -qd.framing), 1)[1]
             assert (_at_a_one((order1 * poch_q2(1)).clear_to_laurent())
                     == want), s
+
+    def test_link_route_color_one_is_alexander(self):
+        # the link route's order-1 coefficient is P_1 itself, with no
+        # clearing: at a = 1 it is Delta(q^2) on every knot up to 10
+        # crossings
+        knots = enumerate_rational_knots(10)
+        assert len(knots) == 95
+        for s in knots:
+            want = LaurentPoly({(2 * e, 0): c
+                                for e, c in alexander(s.p, s.q).items()})
+            qd = link_quiver(s)
+            order1 = expand_motivic(framing_shift(qd, -qd.framing), 1)[1]
+            assert _at_a_one(order1.clear_to_laurent()) == want, s
 
 
 class TestRescale:
