@@ -23,8 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .quiverstate import (IndexRecord, QuiverData, QuiverState, quiver_route,
-                          symmetrize, trivial_state, _absorb, _freeze, _thaw,
-                          _twist)
+                          trivial_state, _absorb, _freeze, _thaw, _twist)
 from .tangles import (OP, RI, UP, boundary_after, boundary_walk, cf_value,
                       is_knot, resolve_terms)
 
@@ -41,7 +40,8 @@ class HomologyGenerator:
 # are (active, k_flag, source, s_shift, a_shift) with source "+"/"-".
 # M template entry (shift, tri) of output blocks (b, c) is the input
 # block (source of b, source of c) plus shift, plus the strictly lower
-# (tri "L") or upper (tri "U") all-ones block.
+# (tri "L") or upper (tri "U") all-ones block.  Entry (c, b) is entry
+# (b, c) with L and U swapped, so a symmetric M stays symmetric.
 
 _P, _M_ = "+", "-"
 
@@ -259,7 +259,7 @@ def final_close(st, framing=0):
             "use an equivalent slope representative")
     _require_type(st, st.obj == UP, f"closing at {st.obj}")
     out = _apply_template(st, ("close", st.obj))
-    return QuiverData(symmetrize(out.M),
+    return QuiverData(out.M,
                       tuple(r.a for r in out.indices),
                       tuple(r.s for r in out.indices),
                       framing, "antisymmetric")

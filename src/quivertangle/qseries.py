@@ -152,10 +152,6 @@ class LaurentPoly:
         result.terms = out
         return result
 
-    def subs_q_inverse(self):
-        """q -> 1/q."""
-        return self.map_exponents(lambda eq, ea: (-eq, ea))
-
     def subs_a_q2(self):
         """a -> q^2 (Jones specialization)."""
         return self.map_exponents(lambda eq, ea: (eq + 2 * ea, 0))
@@ -243,7 +239,6 @@ class LaurentPoly:
 ZERO = LaurentPoly()
 ONE = LaurentPoly.mono(1)
 Q = LaurentPoly.mono(1, 1, 0)
-A = LaurentPoly.mono(1, 0, 1)
 
 
 def q_pow(n):
@@ -391,19 +386,11 @@ class QFraction:
             raise ValueError("QFraction division needs an a-free divisor")
         return QFraction(self.num * other.den, self.den * other.num)
 
-    def clear_to_laurent(self):
-        """Exact num/den as a LaurentPoly; raises if a denominator remains."""
-        return self.num.divide_exact(self.den)
-
     def normalized_pair(self):
         """Reduced (num, den): no common factor, no common integer
         content, and den with positive lead and lowest q-degree zero.
         Equal fractions give equal pairs."""
         return _reduce_fraction(self.num, self.den)
-
-    def normalized(self):
-        num, den = self.normalized_pair()
-        return QFraction(num, den)
 
     def subs_a_q2(self):
         return QFraction(self.num.subs_a_q2(), self.den)
@@ -499,7 +486,3 @@ def _reduce_fraction(num, den):
     content = gcd(*num.terms.values(), *dvec)
     unit = LaurentPoly.mono(content if dvec[-1] > 0 else -content, dmin)
     return num.divide_exact(unit), den.divide_exact(unit)
-
-
-QF_ZERO = QFraction(0)
-QF_ONE = QFraction(1)

@@ -9,7 +9,9 @@ through an ordered list of index records (active flag, membership flag K
 in the single extra Pochhammer numerator, linear -q exponent s, linear a
 exponent a) and an integer matrix M for the quadratic q-exponent.
 [j; d]_+ is the positive q-multinomial, the one the quiver series of
-the exported data reads, so closure exports M as it stands.
+the exported data reads.  M is symmetric on every route (`_twist` and
+`_close` bump in transpose pairs, `_absorb` gives each new row and
+column the same values), so closure exports M as Q as it stands.
 
 Twists act in "product form": multiply by a twist-dependent monomial and
 Pochhammer symbol, then absorb the Pochhammer by splitting summation
@@ -50,7 +52,7 @@ class IndexRecord:
 class QuiverState:
     obj: str  # UP | OP | RI
     indices: tuple
-    M: tuple  # tuple of tuples, integer, not necessarily symmetric
+    M: tuple  # tuple of tuples, integer, symmetric on every route
 
     def __post_init__(self):
         n = len(self.indices)
@@ -352,20 +354,6 @@ def apply_twist(st, kind):
     return QuiverState(obj, tuple(records), _freeze(M))
 
 
-def symmetrize(M):
-    n = len(M)
-    Q = [[0] * n for _ in range(n)]
-    for i, (row, out) in enumerate(zip(M, Q)):
-        out[i] = row[i]
-        for l in range(i + 1, n):
-            tot = row[l] + M[l][i]
-            if tot % 2:
-                raise ArithmeticError(
-                    f"odd symmetrized entry at ({i},{l}): {tot}")
-            out[l] = Q[l][i] = tot // 2
-    return _freeze(Q)
-
-
 def _close(obj, records, M, framing):
     """close_link on a thawed state, consuming its lists."""
     if obj not in (UP, OP):
@@ -396,7 +384,7 @@ def _close(obj, records, M, framing):
         _absorb(records, M, coeff, 0, 2, act)
         _absorb(records, M, [-1] * len(records), 2, 2, inact)
 
-    return QuiverData(symmetrize(M), tuple(r.a for r in records),
+    return QuiverData(_freeze(M), tuple(r.a for r in records),
                       tuple(r.s for r in records), framing, "antisymmetric")
 
 

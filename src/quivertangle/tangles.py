@@ -15,7 +15,6 @@ the package.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from math import gcd
 
 UP = "UP"
@@ -141,7 +140,6 @@ def is_knot(slope):
     return slope.p % 2 == 1
 
 
-@lru_cache(maxsize=None)
 def _cf_weight(p, q):
     """Sum of the Euclidean continued fraction terms of p/q (the twist
     count of the standard alternating diagram)."""

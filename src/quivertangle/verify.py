@@ -113,8 +113,7 @@ def _compare(coeffs, oracle_coeff):
         matches.append(ok)
         if not ok and first is None:
             first = j
-            delta = got - want
-            diff = str(delta.normalized())
+            diff = str(got - want)
     return matches, first, diff
 
 

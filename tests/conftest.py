@@ -2,11 +2,11 @@
 previous recursive expansion walk, rescaled skein elements, the
 LaurentPoly loops of the skein twist and closure, the
 rational-arithmetic reference for q-fraction reduction, entry-by-entry
-references for the state kernel (twist, absorption, closure, block
-templates), the previous canonical frame and the quivers of the export
-sweep, comparison of quiver data up to vertex order, continued
-fraction generators, and an independent Goeritz-matrix signature
-oracle."""
+references for the state kernel (twist, absorption, closure with the
+symmetrize its balanced M needs, block templates), the previous
+canonical frame and the quivers of the export sweep, comparison of
+quiver data up to vertex order, continued fraction generators, and an
+independent Goeritz-matrix signature oracle."""
 
 from dataclasses import replace
 from fractions import Fraction
@@ -16,7 +16,7 @@ from quivertangle.knotpipeline import _TRANSFORMS, delta_vector, knot_quiver
 from quivertangle.qseries import (LaurentPoly, ONE, QFraction, ZERO, poch_q2,
                                   q_pow, qbinom_plus, qmultinomial)
 from quivertangle.quiverstate import (IndexRecord, QuiverData, QuiverState,
-                                      _freeze, link_quiver, symmetrize)
+                                      _freeze, link_quiver)
 from quivertangle.skein import (SkeinElement, _mono, basis_element,
                                 closure_numerator, twist_matrix)
 from quivertangle.tangles import (OP, RI, UP, Slope, boundary_after,
@@ -545,6 +545,22 @@ def _fold_multinomial_reference(M, n):
             M[i][l] -= 1
 
 
+def symmetrize(M):
+    """(M + M^t) / 2 as a tuple of tuples; raises ArithmeticError on an
+    odd off-diagonal sum M_il + M_li."""
+    n = len(M)
+    Q = [[0] * n for _ in range(n)]
+    for i in range(n):
+        Q[i][i] = M[i][i]
+        for l in range(i + 1, n):
+            tot = M[i][l] + M[l][i]
+            if tot % 2:
+                raise ArithmeticError(
+                    f"odd symmetrized entry at ({i},{l}): {tot}")
+            Q[i][l] = Q[l][i] = tot // 2
+    return _freeze(Q)
+
+
 def close_link_reference(st, framing=0):
     """Reference for quiverstate.close_link on a state in the balanced
     reading: the fold (M minus the strictly-upper all-ones form) turns it
@@ -576,7 +592,7 @@ def close_link_reference(st, framing=0):
                                           refine=False)
         out = absorb_pochhammer_reference(mid, [-1] * mid.n, 2, 2, inact,
                                           refine=False)
-    return QuiverData(symmetrize([list(r) for r in out.M]),
+    return QuiverData(symmetrize(out.M),
                       tuple(r.a for r in out.indices),
                       tuple(r.s for r in out.indices), framing,
                       "antisymmetric")

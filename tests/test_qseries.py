@@ -7,12 +7,20 @@ from hypothesis import strategies as st
 
 from math import gcd
 
-from quivertangle.qseries import (A, ONE, Q, QF_ONE, QF_ZERO, LaurentPoly,
-                                  QFraction, ZERO, _q_gcd, a_pow, pochhammer,
-                                  poch_q2, q_pow, qbinom_plus, qmultinomial)
+from quivertangle.qseries import (ONE, Q, LaurentPoly, QFraction, ZERO,
+                                  _q_gcd, a_pow, pochhammer, poch_q2, q_pow,
+                                  qbinom_plus, qmultinomial)
 
 from conftest import (balanced_from_plus, compositions, neg_q_pow,
                       q_gcd_reference, reduce_fraction_reference)
+
+
+A = a_pow(1)
+
+
+def q_inverse(x):
+    """q -> 1/q."""
+    return x.map_exponents(lambda eq, ea: (-eq, ea))
 
 
 def poly(*terms):
@@ -70,7 +78,7 @@ class TestLaurentPoly:
 
     def test_subs_q_inverse(self):
         x = poly((1, 2, 0), (3, -1, 1))
-        assert x.subs_q_inverse() == poly((1, -2, 0), (3, 1, 1))
+        assert q_inverse(x) == poly((1, -2, 0), (3, 1, 1))
 
     def test_subs_a_q2(self):
         assert (A * Q).subs_a_q2() == LaurentPoly.mono(1, 3, 0)
@@ -120,7 +128,7 @@ class TestQCombinatorics:
             for k in range(j + 1):
                 b = balanced_from_plus(j, k)
                 assert b == q_pow(-k * (j - k)) * qbinom_plus(j, k)
-                assert b.subs_q_inverse() == b
+                assert q_inverse(b) == b
 
     @settings(max_examples=200, deadline=None)
     @given(st.integers(1, 12), st.data())
@@ -138,24 +146,24 @@ class TestQFraction:
     def test_equality_cross_multiplies(self):
         f = QFraction(ONE - Q**4, poch_q2(1))
         assert f == QFraction(ONE + Q**2)
-        assert f != QF_ZERO
-        assert QFraction(ZERO, poch_q2(3)) == QF_ZERO
+        assert f != QFraction(0)
+        assert QFraction(ZERO, poch_q2(3)) == QFraction(0)
 
     def test_arithmetic(self):
         half = QFraction(ONE, ONE - Q**2)
-        assert half - half == QF_ZERO
-        assert half * QFraction(ONE - Q**2) == QF_ONE
+        assert half - half == QFraction(0)
+        assert half * QFraction(ONE - Q**2) == QFraction(1)
         assert (half + half) / QFraction(LaurentPoly.mono(2)) == half
 
     def test_division_by_zero(self):
         with pytest.raises(ZeroDivisionError):
-            QF_ONE / QF_ZERO
+            QFraction(1) / QFraction(0)
 
     def test_clear_to_laurent(self):
         f = QFraction(ONE - Q**4, ONE - Q**2)
-        assert f.clear_to_laurent() == ONE + Q**2
+        assert f.num.divide_exact(f.den) == ONE + Q**2
         with pytest.raises(ValueError):
-            QFraction(ONE, ONE - Q**2).clear_to_laurent()
+            ONE.divide_exact(ONE - Q**2)
 
     def test_mirror_and_normalized_pair(self):
         f = QFraction(A * Q**2, ONE - Q**2)
@@ -284,7 +292,7 @@ def test_multinomial_splitting(data):
 def test_two_index_vs_one_index_resummation(d, order):
     # sum_{a,b} (-q)^a q^{a^2+2da} x^{a+b} / ((q^2)_a (q^2)_b)
     #   equals  sum_c (q^2)_{c+d} x^c / ((q^2)_c (q^2)_d)
-    lhs_c = [QF_ZERO] * (order + 1)
+    lhs_c = [QFraction(0)] * (order + 1)
     for a in range(order + 1):
         for b in range(order + 1 - a):
             lhs_c[a + b] = lhs_c[a + b] + QFraction(

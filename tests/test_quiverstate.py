@@ -11,15 +11,15 @@ from hypothesis import strategies as hs
 
 from quivertangle.qseries import QFraction
 from quivertangle.knotpipeline import (_TRANSFORMS, _apply_template,
-                                       knot_quiver, reduce_cf)
+                                       final_close, knot_quiver, reduce_cf,
+                                       reduce_steps, resum_stretch)
 from quivertangle.quiverstate import (MAX_VERTICES, IndexRecord,
                                       QuiverData, QuiverState, _freeze,
                                       absorb_pochhammer, apply_twist,
                                       canonical_shift, close_link,
                                       framing_shift, link_quiver,
                                       mirror_quiver, q_invert, quiver_route,
-                                      state_expand, symmetrize,
-                                      trivial_state)
+                                      state_expand, trivial_state)
 from quivertangle.skein import (basis_element, framing_factor, oracle_homfly,
                                 raw_closure, twist, writhe)
 from quivertangle.tangles import (OP, RI, Slope, UP, cf_expand, cf_value,
@@ -155,13 +155,11 @@ def test_kernel_matches_reference(st, data):
     keyed = QuiverState(key[1], st.indices, st.M)
     assert _apply_template(keyed, key) == apply_template_reference(keyed, key)
 
-    # a closable state: no flags, and M_il + M_li even off the diagonal;
-    # the reference closes it in the balanced reading, whose fold takes
-    # the strictly-upper all-ones form back off
-    M = [list(row) for row in st.M]
-    for i in range(st.n):
-        for l in range(i):
-            M[i][l] += (M[i][l] + M[l][i]) % 2
+    # a closable state: no flags and a symmetric M (the upper triangle
+    # mirrored); the reference closes it in the balanced reading, whose
+    # fold takes the strictly-upper all-ones form back off
+    M = [[st.M[min(i, l)][max(i, l)] for l in range(st.n)]
+         for i in range(st.n)]
     obj = data.draw(hs.sampled_from((UP, OP)))
     records = tuple(replace(r, extra_poch=0) for r in st.indices)
     balanced = [[v + (l > i) for l, v in enumerate(row)]
@@ -170,6 +168,90 @@ def test_kernel_matches_reference(st, data):
     unfolded = QuiverState(obj, records, _freeze(balanced))
     assert close_link(plain, 1) == close_link_reference(unfolded, 1)
     assert _snapshot(st) == before
+
+
+def _is_symmetric(M):
+    return tuple(zip(*M)) == tuple(map(tuple, M))
+
+
+@hs.composite
+def symmetric_states(draw, max_n=5):
+    """small_states with M replaced by its upper triangle mirrored."""
+    st = draw(small_states(max_n))
+    M = tuple(tuple(st.M[min(i, l)][max(i, l)] for l in range(st.n))
+              for i in range(st.n))
+    return replace(st, M=M)
+
+
+class TestSymmetricInvariant:
+    """Every state either route builds is symmetric, so closure exports
+    M as it stands: each step maps symmetric M to symmetric M."""
+
+    def test_templates_are_symmetric(self):
+        # shift(b, c) = shift(c, b), an L block on (b, c) faces a U block
+        # on (c, b), and a triangle pairs two blocks of one source but
+        # never sits on a diagonal block
+        transpose = {None: None, "L": "U", "U": "L"}
+        for key, (_, blocks, mspec) in _TRANSFORMS.items():
+            assert len(mspec) == len(blocks), key
+            for b, mrow in enumerate(mspec):
+                assert len(mrow) == len(blocks), key
+                for c, (shift, tri) in enumerate(mrow):
+                    assert mspec[c][b] == (shift, transpose[tri]), (key, b, c)
+                    if tri:
+                        assert b != c, (key, b)
+                        assert blocks[b][2] == blocks[c][2], (key, b, c)
+
+    @settings(max_examples=150, deadline=None)
+    @given(symmetric_states(), hs.data())
+    def test_steps_keep_symmetric_states_symmetric(self, st, data):
+        for kind in "TR":
+            assert _is_symmetric(apply_twist(st, kind).M), kind
+            count = data.draw(hs.integers(1, 3))
+            assert _is_symmetric(resum_stretch(st, kind, count).M), kind
+        targets = data.draw(hs.permutations(range(st.n)))
+        targets = targets[:data.draw(hs.integers(0, st.n))]
+        coeff = data.draw(hs.lists(hs.integers(-2, 2), min_size=st.n,
+                                   max_size=st.n))
+        out = absorb_pochhammer(
+            st, coeff, data.draw(hs.integers(-2, 2)),
+            2 * data.draw(hs.integers(-1, 2)), targets,
+            alpha_active=data.draw(hs.sampled_from((None, True, False))),
+            beta_active=data.draw(hs.sampled_from((None, True, False))))
+        assert _is_symmetric(out.M)
+        for key in _TRANSFORMS:
+            keyed = QuiverState(key[1], st.indices, st.M)
+            assert _is_symmetric(_apply_template(keyed, key).M), key
+
+    def test_route_states_are_symmetric(self):
+        # every state of both routes on every slope with p <= 40: after
+        # each step of reduce_steps (knots) and each link-route twist
+        knot_steps = link_twists = 0
+        for p in range(1, 41):
+            for q in range(1, p + 1):
+                if gcd(p, q) != 1:
+                    continue
+                terms = resolve_terms(Slope(p, q))[0]
+                if is_knot(Slope(p, q)):
+                    for step, st in reduce_steps(terms):
+                        assert _is_symmetric(st.M), (p, q, step)
+                        knot_steps += 1
+                st = trivial_state()
+                for i, kind in enumerate(twist_sequence(terms)):
+                    st = apply_twist(st, kind)
+                    assert _is_symmetric(st.M), (p, q, i)
+                    link_twists += 1
+        assert (knot_steps, link_twists) == (1546, 5865)
+
+    def test_asymmetric_state_is_not_closed(self):
+        # closure passes M to QuiverData as it stands, whose check
+        # refuses an asymmetric Q instead of averaging it
+        records = (IndexRecord(True, 0, 0, 0), IndexRecord(False, 0, 0, 0))
+        with pytest.raises(ValueError, match="symmetric"):
+            close_link(QuiverState(UP, records, ((0, 1), (0, 0))))
+        flagged = (IndexRecord(True, 1, 0, 0), IndexRecord(False, 0, 0, 0))
+        with pytest.raises(ValueError, match="symmetric"):
+            final_close(QuiverState(UP, flagged, ((0, 1), (0, 0))))
 
 
 def test_balanced_reading_closes_to_the_same_quiver():
@@ -322,11 +404,6 @@ class TestDataTransforms:
             for symmetric in (False, True):
                 assert (canonical_shift(qd, symmetric)
                         == canonical_shift_reference(qd, symmetric))
-
-    def test_symmetrize(self):
-        assert symmetrize([[1, 3], [1, 0]]) == ((1, 2), (2, 0))
-        with pytest.raises(ArithmeticError):
-            symmetrize([[0, 1], [0, 0]])
 
     def test_permutation_equal(self):
         qd = link_quiver(Slope(13, 3))

@@ -7,7 +7,7 @@ from math import comb
 import pytest
 
 from quivertangle.knotpipeline import knot_quiver
-from quivertangle.qseries import QF_ONE, QFraction, poch_q2
+from quivertangle.qseries import QFraction, poch_q2
 from quivertangle.quiverstate import framing_shift, link_quiver
 from quivertangle.skein import _mono, oracle_homfly
 from quivertangle.tangles import Slope
@@ -30,7 +30,7 @@ def euler_form_expansion(qd, N):
                        for i in range(qd.n) for l in range(qd.n))
             sdot = sum(s * x for s, x in zip(qd.q_vec, d))
             adot = sum(a * x for a, x in zip(qd.a_vec, d))
-            den = QF_ONE
+            den = QFraction(1)
             for x in d:
                 den = den * QFraction(poch_q2(x))
             acc = acc + QFraction(_mono(sdot, quad, adot)) / den
