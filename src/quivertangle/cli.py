@@ -18,7 +18,7 @@ from .knotpipeline import (delta_vector, homology_generators, knot_quiver,
                            knot_vertices, signature)
 from .quiverstate import (canonical_shift, framing_shift, link_quiver,
                           q_invert, refuse_oversized)
-from .skein import oracle_homfly
+from .skein import oracle_homfly, refuse_oversized_oracle
 from .tangles import (Slope, cf_expand, cf_value, crossing_number,
                       enumerate_rational_knots, is_knot)
 from .verify import (DEFAULT_KNOT_ORDER, DEFAULT_LINK_ORDER, verify_knot,
@@ -176,6 +176,10 @@ def _cmd_compute(args, parser):
 def _cmd_oracle(args, parser):
     slope, terms = args.input
     lo, hi = args.colors
+    try:
+        refuse_oversized_oracle(slope, terms, hi)
+    except ValueError as exc:
+        parser.error(str(exc))
     colors = {}
     for j in range(lo, hi + 1):
         value = oracle_homfly(slope, j)

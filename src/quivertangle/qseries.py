@@ -214,23 +214,29 @@ class LaurentPoly:
     def __str__(self):
         if not self.terms:
             return "0"
+        # terms by a-degree, then q-degree; the a factor is built once
+        # per a-degree, and every term as "+ body" or "- body"
         parts = []
-        for (eq, ea) in sorted(self.terms, key=lambda k: (k[1], k[0])):
-            coeff = self.terms[(eq, ea)]
-            factors = []
+        last = None
+        for ea, eq, c in sorted([(ea, eq, c)
+                                 for (eq, ea), c in self.terms.items()]):
+            if ea != last:
+                last = ea
+                a = "" if not ea else "a" if ea == 1 else f"a^{ea}"
             if eq:
-                factors.append("q" if eq == 1 else f"q^{eq}")
-            if ea:
-                factors.append("a" if ea == 1 else f"a^{ea}")
-            mag = abs(coeff)
-            if mag != 1 or not factors:
-                factors.insert(0, str(mag))
-            body = "*".join(factors)
-            if not parts:
-                parts.append(body if coeff > 0 else f"-{body}")
+                body = "q" if eq == 1 else f"q^{eq}"
+                if a:
+                    body = f"{body}*{a}"
             else:
-                parts.append(("+ " if coeff > 0 else "- ") + body)
-        return " ".join(parts)
+                body = a
+            mag = c if c > 0 else -c
+            if mag != 1:
+                body = f"{mag}*{body}" if body else str(mag)
+            elif not body:
+                body = "1"
+            parts.append(("+ " if c > 0 else "- ") + body)
+        text = " ".join(parts)
+        return text[2:] if text[0] == "+" else "-" + text[2:]
 
     def __repr__(self):
         return f"LaurentPoly({self})"
@@ -373,6 +379,8 @@ class QFraction:
         return (-self) + other
 
     def __mul__(self, other):
+        if isinstance(other, LaurentPoly) and other.terms == self.den.terms:
+            return QFraction(self.num)
         if isinstance(other, (int, LaurentPoly)):
             return QFraction(self.num * other, self.den)
         return QFraction(self.num * other.num, self.den * other.den)
@@ -469,11 +477,8 @@ def _reduce_fraction(num, den):
     q-exponent 0 and positive lead."""
     if num.is_zero():
         return ZERO, ONE
-    # every knot value divides out exactly, with no gcd needed
-    try:
-        return num.divide_exact(den), ONE
-    except ValueError:
-        pass
+    if den.is_one():
+        return num, ONE
     g = den
     for sl in num.a_slices().values():
         g = _q_gcd(g, sl)

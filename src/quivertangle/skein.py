@@ -18,18 +18,33 @@ element carries the total shift.  B is fixed before packing, from a
 proven bound: L1 norms (sums of absolute coefficients) propagate
 through the same rules, L1(sum m c) <= sum L1(m) L1(c), and 2^(B-1)
 exceeds the bound of every result, so each result coefficient is one
-balanced base-2^B digit.
+balanced base-2^B digit.  B is a whole number of bytes; a slot of 1, 2,
+4 or 8 bytes decodes in one memoryview cast.
+
+raw_closure divides before it decodes: each a-slice of the packed
+closure numerator f is divided by (q^2;q^2)_j at q = 2^B, one divmod
+per slice, and the decoded quotient h is returned only when every
+remainder is 0 and L1((q^2;q^2)_j) L1(h) < 2^(B-1), which proves
+(q^2;q^2)_j h = f.  Otherwise f is decoded and kept over (q^2;q^2)_j.
 """
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import mul
+from struct import calcsize
 
 from .qseries import (LaurentPoly, QFraction, ZERO, a_pow, pochhammer,
                       poch_q2, q_pow, qbinom_plus)
 from .tangles import (OP, RI, UP, Slope, boundary_after, boundary_walk,
                       cf_expand, good_representative, twist_sequence)
+
+# struct formats of the native unsigned widths, by byte count; empty on
+# a big-endian host, whose casts would read the digits byte-reversed
+_DIGIT_FORMATS = ({calcsize(f): f for f in "BHIQ"}
+                  if sys.byteorder == "little" else {})
 
 
 @dataclass
@@ -169,23 +184,27 @@ def _packed_rule(boundary, kind, j, B):
 
 
 def _unpack(slices, B, low):
-    """q^low times the packed slices, as a LaurentPoly.  Every
-    coefficient is below 2^(B-1) in absolute value, so it is one
-    balanced base-2^B digit: adding 2^(B-1) at every digit position
-    makes each digit a byte field of its own."""
+    """q^low times the packed slices, as a LaurentPoly.  Every integer
+    has one balanced base-2^B expansion, digits in [-2^(B-1), 2^(B-1)):
+    adding 2^(B-1) at every digit position makes each digit a field of
+    B/8 bytes of its own, and bit_length // B + 2 digits always hold it.
+    Fields of a native integer width are read in one memoryview cast."""
     width = B // 8
     half = 1 << B - 1
     half_digit = half.to_bytes(width, "little")
+    fmt = _DIGIT_FORMATS.get(width)
     terms = {}
     for ea, n in slices.items():
         if not n:
             continue
-        # top degree d: 2^(Bd-1) < |n| < 2^(B(d+1))
-        size = width * (abs(n).bit_length() // B + 1)
-        raw = (n + int.from_bytes(half_digit * (size // width), "little")
-               ).to_bytes(size, "little")
-        digits = [int.from_bytes(raw[i:i + width], "little")
-                  for i in range(0, size, width)]
+        count = n.bit_length() // B + 2
+        raw = (n + int.from_bytes(half_digit * count, "little")
+               ).to_bytes(width * count, "little")
+        if fmt:
+            digits = memoryview(raw).cast(fmt).tolist()
+        else:
+            digits = [int.from_bytes(raw[i:i + width], "little")
+                      for i in range(0, width * count, width)]
         for eq, c in enumerate(digits, low):
             if c != half:
                 terms[(eq, ea)] = c - half
@@ -194,15 +213,16 @@ def _unpack(slices, B, low):
     return out
 
 
-def _evaluate(e, kinds, closed=False):
-    """(boundary, coefficients) of e after the twists `kinds` and, if
+def _evaluate_packed(e, kinds, closed=False):
+    """(boundary, slices, B, low) of e after the twists `kinds` and, if
     closed, the closure (then one coefficient, the numerator over
-    (q^2;q^2)_j), run on packed integers and decoded once."""
+    (q^2;q^2)_j): each coefficient packed as {a exponent: int} at
+    q = 2^B, times q^-low."""
     j, boundary = e.color, e.boundary
     steps = []
     norms = [_l1(c) for c in e.coeffs]
     for kind in [*kinds, None] if closed else kinds:
-        norms = [sum(x * n for x, n in zip(row, norms))
+        norms = [sum(map(mul, row, norms))
                  for row in _rule_norms(boundary, kind, j)]
         steps.append((boundary, kind))
         if kind is not None:
@@ -222,7 +242,43 @@ def _evaluate(e, kinds, closed=False):
                     acc[ea + da] = acc.get(ea + da, 0) + w * v
             out.append(acc)
         coeffs = out
+    return boundary, coeffs, B, low
+
+
+def _evaluate(e, kinds, closed=False):
+    """(boundary, coefficients) of _evaluate_packed, decoded."""
+    boundary, coeffs, B, low = _evaluate_packed(e, kinds, closed)
     return boundary, [_unpack(c, B, low) for c in coeffs]
+
+
+@lru_cache(maxsize=None)
+def _packed_poch(j, B):
+    """(q^2;q^2)_j at q = 2^B, and its L1 norm."""
+    g = poch_q2(j)
+    return _pack(g, B, 0)[0], _l1(g)
+
+
+def _packed_quotient(slices, j, B, low):
+    """h = f / (q^2;q^2)_j for the packed f (its coefficients below
+    2^(B-1) in absolute value), or None when that is not proven.
+
+    Evaluation at q = 2^B is a ring map, so a nonzero remainder of a
+    slice means there is no quotient.  A zero remainder alone proves
+    nothing: h is decoded as the balanced digits of the quotient, and
+    kept only when L1(g) L1(h) < 2^(B-1).  Then every coefficient of g h
+    is a balanced base-2^B digit, as every coefficient of f is, and two
+    such polynomials that agree at q = 2^B are equal."""
+    G, g_norm = _packed_poch(j, B)
+    out = {}
+    for ea, n in slices.items():
+        h, r = divmod(n, G)
+        if r:
+            return None
+        out[ea] = h
+    h = _unpack(out, B, low)
+    if g_norm * _l1(h) >= 1 << B - 1:
+        return None
+    return h
 
 
 # Per-twist writhe contribution by (boundary before the twist, kind).
@@ -247,10 +303,15 @@ def framing_factor(j, n):
 
 
 def raw_closure(terms, j):
-    """Reduced evaluation of the closed tangle, in the diagram frame."""
-    _, (total,) = _evaluate(basis_element(j, UP, 0), twist_sequence(terms),
-                            closed=True)
-    return QFraction(total, poch_q2(j))
+    """Reduced evaluation of the closed tangle, in the diagram frame:
+    the closure numerator divided by (q^2;q^2)_j while still packed
+    when the quotient is proven exact, else over that denominator."""
+    _, (f,), B, low = _evaluate_packed(basis_element(j, UP, 0),
+                                       twist_sequence(terms), closed=True)
+    h = _packed_quotient(f, j, B, low)
+    if h is not None:
+        return QFraction(h)
+    return QFraction(_unpack(f, B, low), poch_q2(j))
 
 
 def reduced_homfly(slope, j):
@@ -259,6 +320,28 @@ def reduced_homfly(slope, j):
     so the unknot gives 1."""
     terms = cf_expand(slope) if isinstance(slope, Slope) else list(slope)
     return raw_closure(terms, j) * framing_factor(j, -writhe(terms))
+
+
+# the highest color and the most twists (CF term sum, the same for
+# every representative of a slope) the `oracle` command evaluates: the
+# cost grows steeply in both: colors 0..12 of the 12-twist diagram
+# [1,1,1,1,1,1,1,1,1,1,2] take 37 s and print 2 MB
+MAX_ORACLE_COLOR = 12
+MAX_ORACLE_TWISTS = 12
+
+
+def refuse_oversized_oracle(slope, terms, top):
+    """Raise ValueError, naming the count and the bound, when the color
+    top is over MAX_ORACLE_COLOR or the CF terms of slope have a sum over
+    MAX_ORACLE_TWISTS."""
+    if top > MAX_ORACLE_COLOR:
+        raise ValueError(f"color {top} is more than the bound "
+                         f"{MAX_ORACLE_COLOR}")
+    twists = sum(terms)
+    if twists > MAX_ORACLE_TWISTS:
+        raise ValueError(
+            f"the diagram of {slope} has {twists} twists (CF term sum), "
+            f"more than the bound {MAX_ORACLE_TWISTS}")
 
 
 def oracle_homfly(slope, j):

@@ -71,6 +71,30 @@ def q_gcd_reference(f, g):
     return out
 
 
+def laurent_str_reference(p):
+    """LaurentPoly.__str__ as it was written before the tuple sort:
+    terms by (exp_a, exp_q), each a "*"-joined list of factors."""
+    if not p.terms:
+        return "0"
+    parts = []
+    for (eq, ea) in sorted(p.terms, key=lambda k: (k[1], k[0])):
+        coeff = p.terms[(eq, ea)]
+        factors = []
+        if eq:
+            factors.append("q" if eq == 1 else f"q^{eq}")
+        if ea:
+            factors.append("a" if ea == 1 else f"a^{ea}")
+        mag = abs(coeff)
+        if mag != 1 or not factors:
+            factors.insert(0, str(mag))
+        body = "*".join(factors)
+        if not parts:
+            parts.append(body if coeff > 0 else f"-{body}")
+        else:
+            parts.append(("+ " if coeff > 0 else "- ") + body)
+    return " ".join(parts)
+
+
 def reduce_fraction_reference(num, den):
     """Reference for qseries._reduce_fraction: cancel the rational gcd
     of den and every a-slice of num, then shift den to lowest

@@ -15,6 +15,7 @@ import pytest
 import quivertangle
 from quivertangle import cli, qseries, quiverstate, tangles, verify
 from quivertangle.quiverstate import MAX_VERTICES
+from quivertangle.skein import MAX_ORACLE_COLOR, MAX_ORACLE_TWISTS
 from quivertangle.tangles import Slope, enumerate_rational_knots
 from quivertangle.verify import MAX_DIM_VECTORS, VerificationReport
 
@@ -124,6 +125,33 @@ class TestOracle:
         data = run_json(capsys, "oracle", "2/1", "--colors", "2..2")
         val = data["colors"]["2"]
         assert isinstance(val, dict) and "num" in val and "den" in val
+
+    def test_oversized_requests_are_refused_first(self, capsys,
+                                                  monkeypatch):
+        # a top color or a twist count (CF term sum) over its bound
+        # exits 2, naming the count and the bound, before any color is
+        # evaluated
+        def evaluated(*args):
+            raise RuntimeError("the oracle ran")
+
+        monkeypatch.setattr(cli, "oracle_homfly", evaluated)
+        for argv, count, bound in [
+                (["7/3", "--colors", "0..13"], 13, MAX_ORACLE_COLOR),
+                (["7/3", "--colors", "20..20"], 20, MAX_ORACLE_COLOR),
+                (["100001/3", "--colors", "2..2"], 33336, MAX_ORACLE_TWISTS),
+                (["[13]", "--colors", "0..0"], 13, MAX_ORACLE_TWISTS)]:
+            with pytest.raises(SystemExit) as exc:
+                cli.main(["oracle", *argv])
+            assert exc.value.code == 2
+            err = capsys.readouterr().err
+            assert f" {count} " in err and f"bound {bound}" in err, argv
+
+    def test_bounds_admit_their_edge(self, capsys):
+        # the top color and the most twists themselves still run
+        top = MAX_ORACLE_COLOR
+        data = run_json(capsys, "oracle", f"[{MAX_ORACLE_TWISTS}]",
+                        "--colors", f"{top}..{top}")
+        assert list(data["colors"]) == [str(top)]
 
     @pytest.mark.parametrize("flags, digest", [
         ((), "03001a245f66c35baa3beac4b3b8fb54"
@@ -389,7 +417,9 @@ class TestExitCodes:
         # python -O strips assert statements; input checks must not rely
         # on them
         for argv in (["compute", "[1,2]"], ["compute", "1/3"],
-                     ["oracle", "3/1", "--colors", "3..1"]):
+                     ["oracle", "3/1", "--colors", "3..1"],
+                     ["oracle", "7/3", "--colors", "20..20"],
+                     ["oracle", "100001/3", "--colors", "2..2"]):
             proc = run_python("-m", "quivertangle.cli", *argv,
                               optimized=True)
             assert proc.returncode == 2, (argv, proc.stderr)

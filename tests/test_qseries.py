@@ -11,8 +11,8 @@ from quivertangle.qseries import (ONE, Q, LaurentPoly, QFraction, ZERO,
                                   _q_gcd, a_pow, pochhammer, poch_q2, q_pow,
                                   qbinom_plus, qmultinomial)
 
-from conftest import (balanced_from_plus, compositions, neg_q_pow,
-                      q_gcd_reference, reduce_fraction_reference)
+from conftest import (balanced_from_plus, compositions, laurent_str_reference,
+                      neg_q_pow, q_gcd_reference, reduce_fraction_reference)
 
 
 A = a_pow(1)
@@ -75,6 +75,14 @@ class TestLaurentPoly:
         assert str(poly((1, -1, 0), (2, 1, 0))) == "q^-1 + 2*q"
         assert str(ZERO) == "0"
         assert str(poly((-1, 0, 1), (1, 2, 0))) == "q^2 - a"
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.dictionaries(st.tuples(st.integers(-3, 3), st.integers(-3, 3)),
+                           st.one_of(st.integers(-3, 3),
+                                     st.integers(-10 ** 6, 10 ** 6)),
+                           max_size=8).map(LaurentPoly))
+    def test_str_matches_reference(self, p):
+        assert str(p) == laurent_str_reference(p)
 
     def test_subs_q_inverse(self):
         x = poly((1, 2, 0), (3, -1, 1))
@@ -154,6 +162,13 @@ class TestQFraction:
         assert half - half == QFraction(0)
         assert half * QFraction(ONE - Q**2) == QFraction(1)
         assert (half + half) / QFraction(LaurentPoly.mono(2)) == half
+
+    def test_product_with_the_denominator_clears_it(self):
+        f = QFraction(A + Q, poch_q2(2))
+        g = f * poch_q2(2)
+        assert g.den.is_one() and g.num == A + Q
+        assert g.normalized_pair() == (A + Q, ONE)
+        assert f * (ONE - Q**2) == QFraction(A + Q, ONE - Q**4)
 
     def test_division_by_zero(self):
         with pytest.raises(ZeroDivisionError):

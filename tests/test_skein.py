@@ -11,7 +11,9 @@ from quivertangle.qseries import (LaurentPoly, ONE, QFraction, ZERO, a_pow,
                                   poch_q2, pochhammer, q_pow, qbinom_plus)
 from quivertangle.knotpipeline import knot_quiver
 from quivertangle.quiverstate import framing_shift, link_quiver
-from quivertangle.skein import (SkeinElement, basis_element, close,
+from quivertangle import skein
+from quivertangle.skein import (SkeinElement, _pack, _packed_quotient,
+                                _unpack, basis_element, close,
                                 closure_numerator, framing_factor,
                                 oracle_homfly, raw_closure, reduced_homfly,
                                 tangle_element, twist, twist_matrix, writhe)
@@ -193,7 +195,8 @@ class TestPackedKernel:
 
     def test_raw_closure_matches_reference(self):
         # every CF with term sum <= 8, colors 0..4; CFs ending on RI
-        # are refused by both
+        # are refused by both.  raw_closure divides by (q^2;q^2)_j when
+        # the quotient is proven, so it keeps that denominator or 1
         for terms in odd_cfs(8):
             for j in range(5):
                 try:
@@ -203,7 +206,8 @@ class TestPackedKernel:
                         raw_closure(terms, j)
                     continue
                 got = raw_closure(terms, j)
-                assert got.num == want.num and got.den == want.den, (terms, j)
+                assert got.den in (ONE, poch_q2(j)), (terms, j)
+                assert got == want, (terms, j)
 
     def test_tangle_element_matches_reference(self):
         for terms in odd_cfs(6):
@@ -213,6 +217,86 @@ class TestPackedKernel:
                     e = twist_reference(e, kind)
                 got = tangle_element(terms, j)
                 assert (got.boundary, got.coeffs) == (e.boundary, e.coeffs)
+
+
+def _whole_bytes(bound):
+    """The least whole-byte B with 2^(B-1) > bound."""
+    return 8 * ((bound.bit_length() + 8) // 8)
+
+
+def _digits_at(p, B):
+    """p at q = 2^B, one int per a-slice, as {a exponent: int}, and
+    the lowest q-exponent it was shifted by."""
+    low = min((eq for eq, _ in p.terms), default=0)
+    return _pack(p, B, low), low
+
+
+_SMALL_POLYS = st.dictionaries(
+    st.tuples(st.integers(-6, 6), st.integers(-2, 2)),
+    st.integers(-300, 300), max_size=5).map(LaurentPoly)
+
+
+class TestPackedQuotient:
+    """raw_closure divides the packed closure numerator by (q^2;q^2)_j
+    and keeps the quotient only with a zero remainder and the L1
+    proof."""
+
+    def test_crafted_inexact_quotient_is_refused(self):
+        # f agrees with (q^2;q^2)_2 (100 + 100 q^2) at q = 2^8 and every
+        # remainder is zero, but the product has a coefficient -200 that
+        # is no balanced byte: L1(g) L1(h) = 800 >= 2^7
+        f = LaurentPoly({(0, 0): 100, (4, 0): 56, (5, 0): -1, (8, 0): 100})
+        g = poch_q2(2)
+        slices, low = _digits_at(f, 8)
+        (n,) = slices.values()
+        G = _pack(g, 8, 0)[0]
+        assert n % G == 0
+        h = _unpack({0: n // G}, 8, low)
+        assert h == LaurentPoly({(0, 0): 100, (2, 0): 100})
+        assert g * h != f
+        assert _packed_quotient(slices, 2, 8, low) is None
+
+    @settings(max_examples=300, deadline=None)
+    @given(_SMALL_POLYS, _SMALL_POLYS, st.integers(0, 3), st.booleans())
+    def test_quotient_is_exact_or_absent(self, h, e, j, perturb):
+        # f = g h, or g h plus a perturbation; B is the least whole byte
+        # width that holds f's coefficients, as the oracle's bound does
+        g = poch_q2(j)
+        f = g * h + e if perturb else g * h
+        B = _whole_bytes(max(map(abs, f.terms.values()), default=0))
+        slices, low = _digits_at(f, B)
+        got = _packed_quotient(slices, j, B, low)
+        assert got is None or g * got == f
+        if not perturb:
+            # with B wide enough for the proof, g h gives h back
+            B = _whole_bytes(sum(map(abs, g.terms.values()))
+                             * sum(map(abs, h.terms.values())))
+            slices, low = _digits_at(f, B)
+            assert _packed_quotient(slices, j, B, low) == h
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(-2 ** 200, 2 ** 200),
+           st.sampled_from([8, 16, 24, 32, 64, 72, 128]))
+    def test_unpack_holds_any_integer(self, n, B):
+        # _unpack reads the balanced base-2^B digits of any integer, so
+        # it can decode a quotient whose size no bound fixed
+        p = _unpack({0: n}, B, 0)
+        assert all(-(1 << B - 1) <= c < 1 << B - 1 for c in p.terms.values())
+        assert sum(c << B * eq for (eq, _), c in p.terms.items()) == n
+
+    @settings(max_examples=200, deadline=None)
+    @given(_POLYS, st.sampled_from([8, 16, 24, 32, 64, 72, 128]))
+    def test_decode_without_cast_is_identical(self, p, B):
+        B = max(B, _whole_bytes(max(map(abs, p.terms.values()), default=0)))
+        slices, low = _digits_at(p, B)
+        cast = _unpack(slices, B, low)
+        saved = skein._DIGIT_FORMATS
+        skein._DIGIT_FORMATS = {}
+        try:
+            loop = _unpack(slices, B, low)
+        finally:
+            skein._DIGIT_FORMATS = saved
+        assert cast.terms == loop.terms == p.terms
 
 
 def alexander(p, q):
