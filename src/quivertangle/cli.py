@@ -282,6 +282,7 @@ def build_parser():
     compute.add_argument("--order", type=_int_at_least(0), default=0,
                          help="also verify against the oracle to this order")
     compute.add_argument("--out", default=None)
+    compute.set_defaults(handler=_cmd_compute, parser=compute)
 
     oracle = subs.add_parser("oracle",
                              help="print reduced colored polynomials")
@@ -290,6 +291,7 @@ def build_parser():
     oracle.add_argument("--jones", action="store_true",
                         help="specialize a = q^2")
     oracle.add_argument("--out", default=None)
+    oracle.set_defaults(handler=_cmd_oracle, parser=oracle)
 
     verify = subs.add_parser("verify",
                              help="cross-check quiver data vs the oracle")
@@ -298,11 +300,13 @@ def build_parser():
     verify.add_argument("--order", type=_int_at_least(0), default=0,
                         help="0 = per-pipeline default")
     verify.add_argument("--out", default=None)
+    verify.set_defaults(handler=_cmd_verify, parser=verify)
 
     enum = subs.add_parser("enumerate",
                            help="list canonical rational knots (JSONL)")
     enum.add_argument("--max-crossings", type=_int_at_least(3), default=12)
     enum.add_argument("--out", default=None)
+    enum.set_defaults(handler=_cmd_enumerate, parser=enum)
 
     batch = subs.add_parser("batch",
                             help="compute quiver data for the whole corpus")
@@ -315,6 +319,7 @@ def build_parser():
                        help="worker processes (0 = CPU count, the default; "
                             "at most the CPU count)")
     batch.add_argument("--out", default=None)
+    batch.set_defaults(handler=_cmd_batch, parser=batch)
 
     return parser
 
@@ -324,15 +329,10 @@ _PARSER = build_parser()
 
 
 def main(argv=None):
+    # each command's handler gets its own subparser, so a refusal it
+    # raises prints that command's usage line
     args = _PARSER.parse_args(argv)
-    handler = {
-        "compute": _cmd_compute,
-        "oracle": _cmd_oracle,
-        "verify": _cmd_verify,
-        "enumerate": _cmd_enumerate,
-        "batch": _cmd_batch,
-    }[args.command]
-    return handler(args, _PARSER)
+    return args.handler(args, args.parser)
 
 
 if __name__ == "__main__":

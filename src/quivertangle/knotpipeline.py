@@ -22,8 +22,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .quiverstate import (IndexRecord, QuiverData, QuiverState, quiver_route,
-                          trivial_state, _absorb, _freeze, _thaw, _twist)
+from .quiverstate import (MIRROR_STEP, TWIST_STEP, _absorb, _export, _freeze,
+                          _gather, _ones, _thaw, _twist, quiver_route,
+                          trivial_state)
 from .tangles import (OP, RI, UP, boundary_after, boundary_walk, cf_value,
                       is_knot, resolve_terms)
 
@@ -107,67 +108,130 @@ _TRANSFORMS = {
 }
 
 
-def _k_type(st):
+# what a template adds to any |entry| of M: its largest |shift| and a
+# triangle's one
+TEMPLATE_STEP = max(abs(shift) + bool(tri)
+                    for _, _, mspec in _TRANSFORMS.values()
+                    for mrow in mspec for shift, tri in mrow)
+
+
+def _knot_bound(terms):
+    """A bound on every |entry| of M the knot route builds from terms,
+    mirror included.  A re-summed stretch of x twists adds at most
+    TWIST_STEP x + 3 (its absorb has |coeff| <= 1), a pair of twists
+    TEMPLATE_STEP, and the closure TEMPLATE_STEP."""
+    return (TWIST_STEP + 3) * sum(terms) + TEMPLATE_STEP + MIRROR_STEP
+
+
+def _k_type(records):
     """True if the extra Pochhammer flags sit exactly on the actives
     (length k); False if exactly on the inactives (length j-k)."""
-    on_act = all(r.extra_poch == 1 for r in st.indices if r.active)
-    off_in = all(r.extra_poch == 0 for r in st.indices if not r.active)
-    if on_act and off_in:
+    if all(r[1] == r[0] for r in records):
         return True
-    on_in = all(r.extra_poch == 1 for r in st.indices if not r.active)
-    off_act = all(r.extra_poch == 0 for r in st.indices if r.active)
-    if on_in and off_act:
+    if all(r[1] != r[0] for r in records):
         return False
     raise ValueError("state bookkeeping is neither k nor j-k type")
 
 
-def _require_type(st, k_type, step):
-    if _k_type(st) != k_type:
+def _require_type(records, k_type, step):
+    if _k_type(records) != k_type:
         raise ValueError(f"{step} needs {'k' if k_type else '(j-k)'}-type "
                          "bookkeeping")
 
 
-def _apply_template(st, key):
-    """The block transform _TRANSFORMS[key] of st, whose actives form
-    the "+" block and whose inactives form the "-" block, each in state
-    order (the denotation is permutation-covariant)."""
+def _apply_template(th, key):
+    """The block transform _TRANSFORMS[key] of a thawed state, in place:
+    its actives form the "+" block and its inactives the "-" block,
+    each in state order (the denotation is permutation-covariant).
+
+    Each input row is spread once: its slots of each source moved to
+    every output block of that source.  An output row is its input
+    row's spread plus one packed vector of its block's shifts and
+    triangles; the triangles move by one slot per row."""
     out_obj, blocks, mspec = _TRANSFORMS[key]
-    members = {_P: st.actives(), _M_: st.inactives()}
-    records, sources = [], []
-    for active, kflag, src, ds, da in blocks:
-        sources.append(members[src])
-        for i in members[src]:
-            r = st.indices[i]
-            records.append(IndexRecord(bool(active), kflag,
-                                       r.s + ds, r.a + da))
-    M = []
-    for rows, mrow in zip(sources, mspec):
-        for i, x in enumerate(rows):
-            base, out = st.M[x], []
-            for cols, (shift, tri) in zip(sources, mrow):
-                seg = [base[y] + shift for y in cols]
-                if tri:
-                    ones = range(i) if tri == "L" else range(i + 1, len(seg))
-                    for l in ones:
-                        seg[l] += 1
-                out += seg
-            M.append(tuple(out))
-    return QuiverState(out_obj or st.obj, tuple(records), tuple(M))
+    records, rows, w = th.records, th.rows, th.w
+    members = {_P: [i for i, r in enumerate(records) if r[0]],
+               _M_: [i for i, r in enumerate(records) if not r[0]]}
+    offsets, n = [], 0
+    for block in blocks:
+        offsets.append(n)
+        n += len(members[block[2]])
+    pieces = []  # (right, mask, left shifts): one per run of a source
+    for src, cols in members.items():
+        lefts = [w * off for block, off in zip(blocks, offsets)
+                 if block[2] == src]
+        pieces += [(right, mask, [left + l for l in lefts])
+                   for right, mask, left in _gather(w, cols, 0)]
+    for x, row in enumerate(rows):
+        spread = 0
+        for right, mask, lefts in pieces:
+            piece = (row >> right) & mask
+            for left in lefts:
+                spread |= piece << left
+        rows[x] = spread
+    out = []
+    for (_, _, src, _, _), mrow in zip(blocks, mspec):
+        # the block's vector at its first row, and its change per row
+        extra = step = 0
+        for (shift, tri), off, block in zip(mrow, offsets, blocks):
+            size = len(members[block[2]])
+            if shift:
+                extra += shift * _ones(w, off, off + size)
+            if tri == "L":
+                step += 1 << (w * off)
+            elif tri == "U":
+                extra += _ones(w, off + 1, off + size)
+                step -= 1 << (w * (off + 1))
+        for x in members[src]:
+            out.append(rows[x] + extra)
+            extra += step
+            step <<= w
+    th.records = [(bool(active), kflag, records[i][2] + ds,
+                   records[i][3] + da)
+                  for active, kflag, src, ds, da in blocks
+                  for i in members[src]]
+    th.rows = out
+    th.obj = out_obj or th.obj
+
+
+def _pair(th, pair):
+    if (pair, th.obj) not in _TRANSFORMS:
+        raise ValueError(f"no {pair} transform at boundary {th.obj}")
+    _require_type(th.records, pair in ("TT", "RT"), pair)
+    before = th.obj
+    _apply_template(th, (pair, before))
+    expected = boundary_after(boundary_after(before, pair[1]), pair[0])
+    if th.obj != expected:
+        raise RuntimeError(f"{pair} template at {before} ends on "
+                           f"{th.obj}, not {expected}")
 
 
 def apply_pair(st, pair):
     """Apply a pair of twists (TT, RR, RT=T-then-R, TR=R-then-T) as a
     closed-form block transform.  Requires the matching Pochhammer
     bookkeeping type (k for TT/RT, j-k for RR/TR)."""
-    if (pair, st.obj) not in _TRANSFORMS:
-        raise ValueError(f"no {pair} transform at boundary {st.obj}")
-    _require_type(st, pair in ("TT", "RT"), pair)
-    out = _apply_template(st, (pair, st.obj))
-    expected = boundary_after(boundary_after(st.obj, pair[1]), pair[0])
-    if out.obj != expected:
-        raise RuntimeError(f"{pair} template at {st.obj} ends on "
-                           f"{out.obj}, not {expected}")
-    return out
+    th = _thaw(st, TEMPLATE_STEP)
+    _pair(th, pair)
+    return _freeze(th)
+
+
+def _resum(th, kind, count):
+    for _ in range(count):
+        _twist(th, kind)
+    records = th.records
+    if kind == "T":
+        # (q^2;q^2)_{j-k_old} = (q^2;q^2)_{j-k} (q^{2+2(j-k)};q^2)_{k-k_old}
+        targets = [i for i, r in enumerate(records) if r[0] and r[1]]
+        coeff = [0 if r[0] else 1 for r in records]
+        new_k_type = False
+    else:
+        # (q^2;q^2)_{k_old} = (q^2;q^2)_k (q^{2+2k};q^2)_{k_old-k}
+        targets = [i for i, r in enumerate(records) if not r[0] and r[1]]
+        coeff = [1 if r[0] else 0 for r in records]
+        new_k_type = True
+    _absorb(th, coeff, 0, 2, targets)
+    th.records = [(active, 1 if active == new_k_type else 0, s, a)
+                  for active, _, s, a in th.records]
 
 
 def resum_stretch(st, kind, count):
@@ -176,33 +240,15 @@ def resum_stretch(st, kind, count):
     Pochhammer factor rides along on the flagged indices), then split
     the flagged mass so the numerator matches the new active/inactive
     decomposition."""
-    obj, records, M = st.obj, list(st.indices), _thaw(st.M)
-    for _ in range(count):
-        obj = _twist(obj, records, M, kind)
-    if kind == "T":
-        # (q^2;q^2)_{j-k_old} = (q^2;q^2)_{j-k} (q^{2+2(j-k)};q^2)_{k-k_old}
-        targets = [i for i, r in enumerate(records)
-                   if r.active and r.extra_poch]
-        coeff = [0 if r.active else 1 for r in records]
-        new_k_type = False
-    else:
-        # (q^2;q^2)_{k_old} = (q^2;q^2)_k (q^{2+2k};q^2)_{k_old-k}
-        targets = [i for i, r in enumerate(records)
-                   if not r.active and r.extra_poch]
-        coeff = [1 if r.active else 0 for r in records]
-        new_k_type = True
-    _absorb(records, M, coeff, 0, 2, targets)
-    records = tuple(IndexRecord(r.active, 1 if r.active == new_k_type else 0,
-                                r.s, r.a) for r in records)
-    return QuiverState(obj, records, _freeze(M))
+    th = _thaw(st, TWIST_STEP * count + 3)
+    _resum(th, kind, count)
+    return _freeze(th)
 
 
-def reduce_steps(terms):
-    """Run the paired-crossing algorithm over the continued fraction,
-    withholding the final top crossing (it is consumed by the closure).
-    Yields (step, state) after each step: a pair TT, RR, RT or TR (the
-    later twist first), or a re-summed stretch T^x or R^x."""
-    terms = list(terms)
+def _reduce(terms, th):
+    """The paired-crossing algorithm over the continued fraction, run
+    in place on the thawed trivial state th; yields the name of each
+    step once it is done."""
     if len(terms) % 2 == 0 or any(t < 1 for t in terms):
         raise ValueError(f"bad continued fraction {terms}: need an "
                          "odd-length list of positive integers")
@@ -211,7 +257,6 @@ def reduce_steps(terms):
                          "needs an odd numerator")
     counts = list(terms)
     counts[-1] -= 1
-    st = trivial_state()
     i = 0
     while i < len(counts):
         kind = "T" if i % 2 == 0 else "R"
@@ -219,50 +264,54 @@ def reduce_steps(terms):
         if x == 0:
             i += 1
             continue
-        natural = _k_type(st) if kind == "T" else not _k_type(st)
+        natural = _k_type(th.records) == (kind == "T")
         if not natural:
-            st = resum_stretch(st, kind, x)
-            yield f"{kind}^{x}", st
+            _resum(th, kind, x)
+            yield f"{kind}^{x}"
             i += 1
             continue
         while x >= 2:
-            st = apply_pair(st, kind * 2)
-            yield kind * 2, st
+            _pair(th, kind * 2)
+            yield kind * 2
             x -= 2
         if x == 1:
             if i + 1 == len(counts) or counts[i + 1] < 1:
                 raise ValueError("dangling single twist cannot be paired")
             other = "R" if kind == "T" else "T"
             pair = other + kind  # kind acts first
-            st = apply_pair(st, pair)
-            yield pair, st
+            _pair(th, pair)
+            yield pair
             counts[i + 1] -= 1
         i += 1
 
 
-def reduce_cf(terms):
-    """The pre-final state of reduce_steps: the state after its last
-    step, or the trivial state when there is none."""
-    st = trivial_state()
-    for _, st in reduce_steps(terms):
-        pass
-    return st
+def reduce_steps(terms):
+    """Run the paired-crossing algorithm over the continued fraction,
+    withholding the final top crossing (it is consumed by the closure).
+    Yields (step, state) after each step: a pair TT, RR, RT or TR (the
+    later twist first), or a re-summed stretch T^x or R^x."""
+    terms = list(terms)
+    th = _thaw(trivial_state(), _knot_bound(terms))
+    for step in _reduce(terms, th):
+        yield step, _freeze(th)
+
+
+def _final_close(th):
+    if th.obj not in (UP, RI):
+        raise ValueError(
+            f"pre-final state of type {th.obj} is not closable; "
+            "use an equivalent slope representative")
+    _require_type(th.records, th.obj == UP, f"closing at {th.obj}")
+    _apply_template(th, ("close", th.obj))
 
 
 def final_close(st, framing=0):
     """Consume the withheld top crossing and close the tangle,
     producing quiver data in the diagram frame (recorded as framing)
     with antisymmetric color convention."""
-    if st.obj not in (UP, RI):
-        raise ValueError(
-            f"pre-final state of type {st.obj} is not closable; "
-            "use an equivalent slope representative")
-    _require_type(st, st.obj == UP, f"closing at {st.obj}")
-    out = _apply_template(st, ("close", st.obj))
-    return QuiverData(out.M,
-                      tuple(r.a for r in out.indices),
-                      tuple(r.s for r in out.indices),
-                      framing, "antisymmetric")
+    th = _thaw(st, TEMPLATE_STEP)
+    _final_close(th)
+    return _export(th, framing)
 
 
 def knot_quiver(slope_or_terms):
@@ -282,8 +331,12 @@ def knot_vertices(slope):
     return slope.p
 
 
-def _reduce_and_close(terms, framing):
-    return final_close(reduce_cf(terms), framing)
+def _reduce_and_close(terms):
+    th = _thaw(trivial_state(), _knot_bound(terms))
+    for _ in _reduce(terms, th):
+        pass
+    _final_close(th)
+    return th
 
 
 def delta_vector(qd):

@@ -23,11 +23,16 @@ active indices of M.
 The public operations (`apply_twist`, `absorb_pochhammer`,
 `close_link`) take frozen states and return new frozen states or quiver
 data.  Underneath, `_twist`, `_absorb` and `_close` work in place on a
-thawed copy: a list of records and a list of row lists.
+thawed copy: a list of plain-tuple records and M packed one int per
+row, one slot of 16 or 32 bits per entry (see `_Thawed`), so a step
+costs a few bigint operations per row.  A route runs its whole word,
+its closure and any mirror on one thawed state and decodes each row
+once, when it freezes.
 """
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass
 
 from .qseries import LaurentPoly, ZERO, poch_q2, qmultinomial
@@ -63,12 +68,6 @@ class QuiverState:
     def n(self):
         return len(self.indices)
 
-    def actives(self):
-        return _actives(self.indices)
-
-    def inactives(self):
-        return [i for i, r in enumerate(self.indices) if not r.active]
-
 
 @dataclass(frozen=True)
 class QuiverData:
@@ -96,12 +95,118 @@ class QuiverData:
             raise ValueError("Q must be symmetric")
 
 
-def _freeze(M):
-    return tuple(tuple(row) for row in M)
+class _Thawed:
+    """A state the kernel (_twist, _absorb, _bump, _close, and the knot
+    route's templates) works on in place: its boundary obj, its records
+    as plain tuples (active, extra_poch, s, a), and M packed one int per
+    row.  Row i is sum_l (M_il + 2^(w-1)) 2^(w l): one offset-binary
+    slot of w bits per entry, so adding a packed vector adds entrywise,
+    with no carry between slots, as long as every entry stays within
+    +-(2^(w-1) - 1).  w is fixed before anything is packed, by
+    slot_width from a bound proven for the whole computation, never from
+    the entries it produces."""
+    __slots__ = ("obj", "records", "rows", "w")
+
+    def __init__(self, obj, records, rows, w):
+        self.obj, self.records, self.rows, self.w = obj, records, rows, w
 
 
-def _thaw(M):
-    return [list(row) for row in M]
+# No step adds more than its constant to any |entry| of M, intermediate
+# values included:
+# - _absorb with |coeff| <= c: an entry gains at most two coefficients
+#   and a one, 2c + 1;
+# - _twist: 4 from its bumps, 3 from its absorb (|coeff| <= 1) and 1
+#   back across the bridge;
+# - _close: at UP bumps of 2 and an absorb with |coeff| <= 2, at OP a
+#   bump of 1 and two absorbs with |coeff| <= 1;
+# - _mirror: |c| + |e| <= 2.
+TWIST_STEP = 8
+CLOSE_STEP = 7
+MIRROR_STEP = 2
+
+_CODES = {16: "h", 32: "i"}  # the struct format of each slot width
+
+
+def slot_width(bound):
+    """The slot width, 16 or 32 bits, that holds every entry of absolute
+    value at most bound."""
+    for w in _CODES:
+        if bound < 1 << (w - 1):
+            return w
+    raise ValueError(f"entries up to {bound} do not fit a 32-bit slot")
+
+
+def _ones(w, lo, hi):
+    """The packed vector with 1 in slots lo..hi-1."""
+    return int.from_bytes((1).to_bytes(w // 8, "little") * (hi - lo),
+                          "little") << (w * lo)
+
+
+def _slots(w, cols, n):
+    """The packed vector with 1 in each slot of cols, n slots in all."""
+    if len(cols) == n:
+        return _ones(w, 0, n)
+    step = w // 8
+    buf = bytearray(n * step)
+    for l in cols:
+        buf[l * step] = 1
+    return int.from_bytes(buf, "little")
+
+
+def _gather(w, cols, base):
+    """(right shift, mask, left shift) of each run of consecutive
+    entries of cols: (row >> right & mask) << left, summed over the
+    runs, moves slot cols[k] of a row to slot base + k."""
+    runs = []  # [first slot, its k, length]
+    for k, c in enumerate(cols):
+        if runs and runs[-1][0] + runs[-1][2] == c:
+            runs[-1][2] += 1
+        else:
+            runs.append([c, k, 1])
+    return [(w * c, (1 << (w * length)) - 1, w * (base + k))
+            for c, k, length in runs]
+
+
+def _pack(values, w):
+    """A row of entries as one int of offset-binary slots."""
+    n = len(values)
+    raw = struct.pack(f"<{n}{_CODES[w]}", *values)
+    return int.from_bytes(raw, "little") ^ (_ones(w, 0, n) << (w - 1))
+
+
+def _thaw(st, step):
+    """A thawed copy of the frozen state st for a step that adds at most
+    step to any |entry|: the bound starts from st's largest |entry|."""
+    bound = max((max(max(row), -min(row)) for row in st.M), default=0)
+    w = slot_width(bound + step)
+    return _Thawed(st.obj, [(r.active, r.extra_poch, r.s, r.a)
+                            for r in st.indices],
+                   [_pack(row, w) for row in st.M], w)
+
+
+def _matrix(th):
+    """M of a thawed state as a tuple of row tuples, each row decoded
+    once: flipping each slot's top bit turns offset binary into two's
+    complement, which one struct read decodes."""
+    n, w = len(th.rows), th.w
+    flip, size = _ones(w, 0, n) << (w - 1), n * w // 8
+    fmt = f"<{n}{_CODES[w]}"
+    return tuple(struct.unpack(fmt, (row ^ flip).to_bytes(size, "little"))
+                 for row in th.rows)
+
+
+def _freeze(th):
+    """The frozen state of a thawed one; its records are validated as
+    IndexRecords here, once."""
+    return QuiverState(th.obj, tuple(IndexRecord(*r) for r in th.records),
+                       _matrix(th))
+
+
+def _export(th, framing):
+    """Quiver data of a closed thawed state: its vertices and M as Q."""
+    return QuiverData(_matrix(th), tuple(r[3] for r in th.records),
+                      tuple(r[2] for r in th.records), framing,
+                      "antisymmetric")
 
 
 def trivial_state():
@@ -194,45 +299,52 @@ def state_expand(st, N):
     return [SkeinElement(j, st.obj, c) for j, c in enumerate(coeffs)]
 
 
-def _absorb(records, M, coeff, const_a, const_q, targets,
+def _absorb(th, coeff, const_a, const_q, targets,
             alpha_active=None, beta_active=None):
-    """absorb_pochhammer on a thawed state: records and the rows of M
-    are lists, extended and updated in place."""
+    """absorb_pochhammer on a thawed state, in place."""
     if const_q % 2:
         raise ValueError("const_q must be even: the per-unit sign must "
                          "be a power of -q")
     if len(set(targets)) != len(targets):
         raise ValueError("absorb targets must be distinct")
-    n = len(records)
+    records, rows, w = th.records, th.rows, th.w
+    n, m = len(records), len(targets)
     for t in targets:
-        r = records[t]
-        flag = r.active if alpha_active is None else alpha_active
-        records.append(IndexRecord(flag, r.extra_poch,
-                                   r.s + const_q - 1, r.a + const_a))
+        active, k, s, a = records[t]
+        records.append((active if alpha_active is None else alpha_active,
+                        k, s + const_q - 1, a + const_a))
     if beta_active is not None:
         for t in targets:
-            r = records[t]
-            records[t] = IndexRecord(beta_active, r.extra_poch, r.s, r.a)
+            records[t] = (beta_active, *records[t][1:])
 
     # Each alpha starts as a copy of its target (a column, then a row)
     # and gains the cross terms 2 (coeff.d) alpha_i, alpha_i^2 and the
     # ordered cross terms 2 alpha_i (d_1 + ... + d_{i-1}): in row alpha_i
     # coeff, ones on the alpha block and on targets l < i; in every row
     # y, coeff_y on the alpha columns, and in row target l one more on
-    # the alphas after alpha_l.
-    for row in M:
-        row.extend([row[t] for t in targets])
+    # the alphas after alpha_l.  Packed: each row gains its target
+    # slots as its top slots, one shift and mask per run of targets;
+    # each alpha row is its target row plus one add vector; and the
+    # column updates are one add of c times the alpha slots.
+    moves = _gather(w, targets, n)
+    for y, row in enumerate(rows):
+        for right, mask, left in moves:
+            row |= ((row >> right) & mask) << left
+        rows[y] = row
     coeff = [*coeff, *(coeff[t] for t in targets)]
-    add = coeff[:n] + [c + 1 for c in coeff[n:]]
+    span = _ones(w, n, n + m)  # the alpha columns
+    on_span = {c: c * span for c in set(coeff)}
+    add = _pack(coeff, w) - (_ones(w, 0, n + m) << (w - 1)) + span
     for t in targets:
-        M.append([v + c for v, c in zip(M[t], add)])
-        add[t] += 1
-    for row, c in zip(M, coeff):
-        if c:
-            row[n:] = [v + c for v in row[n:]]
-    for i, t in enumerate(targets, n + 1):
-        row = M[t]
-        row[i:] = [v + 1 for v in row[i:]]
+        rows.append(rows[t] + add + on_span[coeff[t]])
+        add += 1 << (w * t)
+    for y in range(n):
+        if coeff[y]:
+            rows[y] += on_span[coeff[y]]
+    after = span  # the alpha columns after alpha_l
+    for l, t in enumerate(targets, n):
+        after -= 1 << (w * l)
+        rows[t] += after
 
 
 def absorb_pochhammer(st, coeff, const_a, const_q, targets, *,
@@ -249,40 +361,41 @@ def absorb_pochhammer(st, coeff, const_a, const_q, targets, *,
     indices as the one over the split ones.  alpha_active/beta_active
     override the activity flags of the split halves (None keeps the
     parent's)."""
-    records, M = list(st.indices), _thaw(st.M)
-    _absorb(records, M, coeff, const_a, const_q, list(targets),
+    th = _thaw(st, 2 * max(map(abs, coeff), default=0) + 1)
+    _absorb(th, coeff, const_a, const_q, list(targets),
             alpha_active, beta_active)
-    return QuiverState(st.obj, tuple(records), _freeze(M))
+    return _freeze(th)
 
 
-def _bump(M, rows, cols, delta):
-    if len(cols) == len(M):  # distinct positions: every column
-        for i in rows:
-            M[i] = [v + delta for v in M[i]]
-        return
+def _bump(th, rows, cols, delta):
+    """Add delta to M_il for every i in rows and l in cols."""
+    vec = delta * _slots(th.w, cols, len(th.rows))
+    packed = th.rows
     for i in rows:
-        row = M[i]
-        for l in cols:
-            row[l] += delta
+        packed[i] += vec
 
 
 def _shift(records, positions, ds=0, da=0):
     for i in positions:
-        r = records[i]
-        records[i] = IndexRecord(r.active, r.extra_poch, r.s + ds, r.a + da)
+        active, k, s, a = records[i]
+        records[i] = (active, k, s + ds, a + da)
 
 
 def _actives(records):
-    return [i for i, r in enumerate(records) if r.active]
+    return [i for i, r in enumerate(records) if r[0]]
 
 
-def _twist(obj, records, M, kind):
-    """apply_twist on a thawed state, in place; returns the boundary
-    after the twist.  The product-form rule (multiply by a monomial and
-    a Pochhammer prefactor, then absorb) runs between the two halves of
-    the q^{k^2} convention bridge, k the active sum before and after."""
-    act = _actives(records)
-    inact = [i for i, r in enumerate(records) if not r.active]
+def _inactives(records):
+    return [i for i, r in enumerate(records) if not r[0]]
+
+
+def _twist(th, kind):
+    """apply_twist on a thawed state, in place, boundary included.  The
+    product-form rule (multiply by a monomial and a Pochhammer
+    prefactor, then absorb) runs between the two halves of the q^{k^2}
+    convention bridge, k the active sum before and after."""
+    obj, records = th.obj, th.records
+    act, inact = _actives(records), _inactives(records)
     allpos = range(len(records))
     if kind == "T":
         targets = inact
@@ -290,47 +403,47 @@ def _twist(obj, records, M, kind):
         if obj == UP:
             # (-q)^{k-j} q^{k^2} (q^{2+2k}; q^2)_{j-k}
             _shift(records, inact, ds=-1)
-            _bump(M, act, act, 2)
+            _bump(th, act, act, 2)
             const_a = 0
-            coeff = [1 if r.active else 0 for r in records]
+            coeff = [1 if r[0] else 0 for r in records]
         elif obj in (OP, RI):
             # (-q)^k a^k q^{k^2-2jk} times (q^{2+2k};q^2)_{j-k} for OP
             # or (a q^{2+2k-2j};q^2)_{j-k} for RI
             _shift(records, act, ds=1, da=1)
-            _bump(M, act, act, 2)
-            _bump(M, allpos, act, -1)
-            _bump(M, act, allpos, -1)
+            _bump(th, act, act, 2)
+            _bump(th, allpos, act, -1)
+            _bump(th, act, allpos, -1)
             if obj == OP:
                 const_a = 0
-                coeff = [1 if r.active else 0 for r in records]
+                coeff = [1 if r[0] else 0 for r in records]
             else:
                 const_a = 1
-                coeff = [0 if r.active else -1 for r in records]
+                coeff = [0 if r[0] else -1 for r in records]
         else:
             raise ValueError(obj)
     elif kind == "R":
         targets = act
-        _bump(M, act, act, 1)  # the bridge's q^{k^2}
+        _bump(th, act, act, 1)  # the bridge's q^{k^2}
         if obj == UP:
             # (-q)^{-j} a^{-j} q^{j^2} (a q^{2-2k}; q^2)_k
             _shift(records, allpos, ds=-1, da=-1)
-            _bump(M, allpos, allpos, 1)
+            _bump(th, allpos, allpos, 1)
             const_a = 1
-            coeff = [-1 if r.active else 0 for r in records]
+            coeff = [-1 if r[0] else 0 for r in records]
         elif obj == OP:
             # (-q)^{-j} a^{k-j} q^{j^2-2jk} (q^{2+2j-2k}; q^2)_k
             _shift(records, allpos, ds=-1)
             _shift(records, inact, da=-1)
-            _bump(M, allpos, allpos, 1)
-            _bump(M, allpos, act, -1)
-            _bump(M, act, allpos, -1)
+            _bump(th, allpos, allpos, 1)
+            _bump(th, allpos, act, -1)
+            _bump(th, act, allpos, -1)
             const_a = 0
-            coeff = [0 if r.active else 1 for r in records]
+            coeff = [0 if r[0] else 1 for r in records]
         elif obj == RI:
             # q^{-j^2} (q^{2+2j-2k}; q^2)_k
-            _bump(M, allpos, allpos, -1)
+            _bump(th, allpos, allpos, -1)
             const_a = 0
-            coeff = [0 if r.active else 1 for r in records]
+            coeff = [0 if r[0] else 1 for r in records]
         else:
             raise ValueError(obj)
     else:
@@ -338,54 +451,52 @@ def _twist(obj, records, M, kind):
 
     # New alphas always carry the new-crossing strand pair, hence end up
     # active; for R twists the old active mass is demoted to inactive.
-    _absorb(records, M, coeff, const_a, 2, targets, True,
+    _absorb(th, coeff, const_a, 2, targets, True,
             False if kind == "R" else None)
     # back across the bridge, over the new actives
     act = _actives(records)
-    _bump(M, act, act, -1)
-    return boundary_after(obj, kind)
+    _bump(th, act, act, -1)
+    th.obj = boundary_after(obj, kind)
 
 
 def apply_twist(st, kind):
     """Plain twist action: plain states expand to exactly the rescaled
     skein evaluation (see _twist for the product form)."""
-    records, M = list(st.indices), _thaw(st.M)
-    obj = _twist(st.obj, records, M, kind)
-    return QuiverState(obj, tuple(records), _freeze(M))
+    th = _thaw(st, TWIST_STEP)
+    _twist(th, kind)
+    return _freeze(th)
 
 
-def _close(obj, records, M, framing):
-    """close_link on a thawed state, consuming its lists."""
+def _close(th):
+    """close_link on a thawed state, in place: afterwards its records
+    and rows are the exported vertices and Q."""
+    obj, records = th.obj, th.records
     if obj not in (UP, OP):
         raise ValueError(f"cannot close {obj} North-South")
-    if any(r.extra_poch for r in records):
+    if any(r[1] for r in records):
         raise ValueError("close_link needs a state with no extra "
                          "Pochhammer flags")
-    act = _actives(records)
-    inact = [i for i, r in enumerate(records) if not r.active]
+    act, inact = _actives(records), _inactives(records)
     allpos = range(len(records))
     # the positive multinomial is (q^2;q^2)_{sum d} over plain
     # Pochhammer denominators; its numerator is a pending cancellation
     if obj == UP:
         # X[j,k] -> a^{-j} q^{j^2+k^2} (a^2 q^{2-2j-2k};q^2)_j / (q^2;q^2)_j
         _shift(records, allpos, da=-1)
-        _bump(M, allpos, allpos, 1)
-        _bump(M, act, act, 1)
-        coeff = [-2 if r.active else -1 for r in records]
-        _absorb(records, M, coeff, 2, 2, list(allpos))
+        _bump(th, allpos, allpos, 1)
+        _bump(th, act, act, 1)
+        coeff = [-2 if r[0] else -1 for r in records]
+        _absorb(th, coeff, 2, 2, list(allpos))
     else:
         # X[j,k] -> a^{k-j} q^{(j-k)^2} (a^2 q^{2-2j};q^2)_{j-k}
         #           / (q^2;q^2)_{j-k}
         # The (q^2;q^2)_j numerator cancels only partially; the quotient
         # (q^{2+2(j-k)};q^2)_k is absorbed over the active indices.
         _shift(records, inact, da=-1)
-        _bump(M, inact, inact, 1)
-        coeff = [0 if r.active else 1 for r in records]
-        _absorb(records, M, coeff, 0, 2, act)
-        _absorb(records, M, [-1] * len(records), 2, 2, inact)
-
-    return QuiverData(_freeze(M), tuple(r.a for r in records),
-                      tuple(r.s for r in records), framing, "antisymmetric")
+        _bump(th, inact, inact, 1)
+        coeff = [0 if r[0] else 1 for r in records]
+        _absorb(th, coeff, 0, 2, act)
+        _absorb(th, [-1] * len(records), 2, 2, inact)
 
 
 def close_link(st, framing=0):
@@ -397,11 +508,13 @@ def close_link(st, framing=0):
     The output is in the frame of the twist diagram; framing records
     that frame (the diagram writhe; callers shift by it for the zero
     frame)."""
-    return _close(st.obj, list(st.indices), _thaw(st.M), framing)
+    th = _thaw(st, CLOSE_STEP)
+    _close(th)
+    return _export(th, framing)
 
 
 # (sigma, c, e) of the reflection Q_il -> -Q_il - 1 + [i = l] that
-# q_invert and mirror_quiver(polynomial=True) apply
+# q_invert and _mirror(polynomial=True) apply
 _Q_INVERT = (-1, -1, 1)
 
 
@@ -419,9 +532,11 @@ def _affine(qd, sigma, c, e, q_shift, a_vec, framing, convention):
     return QuiverData(tuple(Q), a_vec, q_vec, framing, convention)
 
 
-def mirror_quiver(qd, *, polynomial):
+def _mirror(th, polynomial):
     """Mirror image at the quiver-data level (q -> q^{-1}, a -> a^{-1}
-    on the invariants the data encodes); negates the recorded framing.
+    on the invariants the data encodes) of a closed thawed state, in
+    place on its packed rows, before their one decode; the caller
+    negates the recorded framing.
 
     polynomial=True mirrors the numerator polynomials P_j = (coefficient
     of x^j) * (q^2;q^2)_j: inverting q in the positive multinomial
@@ -431,13 +546,18 @@ def mirror_quiver(qd, *, polynomial):
     polynomial=False mirrors the bare coefficients: each denominator
     flips by (q^{-2};q^{-2})_d = (-1)^d q^{-d(d+1)} (q^2;q^2)_d,
     contributing (-1)^d q^{d(d+1)} per index, so Q -> -Q with diagonal
-    increments and q_vec -> 1 - q_vec."""
-    if qd.color_convention != "antisymmetric":
-        raise ValueError("mirror acts on antisymmetric-convention data")
-    sigma, c, e = _Q_INVERT if polynomial else (-1, 0, 1)
-    return _affine(qd, sigma, c, e, 0 if polynomial else 1,
-                   tuple(-x for x in qd.a_vec), -qd.framing,
-                   qd.color_convention)
+    increments and q_vec -> 1 - q_vec.
+
+    Q_il -> c - Q_il + e [i = l] is one subtraction per row: the slot
+    of c + 2^w minus the slot x + 2^(w-1) is the slot of c - x."""
+    _, c, e = _Q_INVERT if polynomial else (-1, 0, 1)
+    q_shift = 0 if polynomial else 1
+    rows, w = th.rows, th.w
+    full = (c + (1 << w)) * _ones(w, 0, len(rows))
+    for i, row in enumerate(rows):
+        rows[i] = full - row + (e << (w * i))
+    th.records = [(active, k, q_shift - s, -a)
+                  for active, k, s, a in th.records]
 
 
 # the most vertices a route may build: the link route's cost grows
@@ -457,24 +577,35 @@ def refuse_oversized(slope, vertices):
 
 def quiver_route(slope_or_terms, close, polynomial, vertices):
     """The tail both routes share: resolve the input to closable CF
-    terms, build quiver data with close(terms, framing) in the diagram
-    frame (framing = diagram writhe), and mirror it back with
-    mirror_quiver(polynomial=...) when only a mirror representative
-    closes.  vertices(rep) is the route's vertex count on the slope rep
-    of those terms; more than MAX_VERTICES raises ValueError before
+    terms, build the closed thawed state with close(terms), export it
+    as quiver data in the diagram frame (framing = diagram writhe), and
+    mirror it back first (_mirror(polynomial)) when only a mirror
+    representative closes.  close must size its slots for the mirror
+    too.  vertices(rep) is the route's vertex count on the slope rep of
+    those terms; more than MAX_VERTICES raises ValueError before
     anything is built."""
     terms, mirrored = resolve_terms(slope_or_terms)
     refuse_oversized(cf_value(terms), vertices)
-    qd = close(terms, writhe(terms))
-    return mirror_quiver(qd, polynomial=polynomial) if mirrored else qd
+    th = close(terms)
+    framing = writhe(terms)
+    if mirrored:
+        _mirror(th, polynomial)
+        framing = -framing
+    return _export(th, framing)
 
 
-def _twist_and_close(terms, framing):
-    st = trivial_state()
-    obj, records, M = st.obj, list(st.indices), _thaw(st.M)
+def _link_bound(terms):
+    """A bound on every |entry| of M the link route builds from terms,
+    mirror included."""
+    return TWIST_STEP * sum(terms) + CLOSE_STEP + MIRROR_STEP
+
+
+def _twist_and_close(terms):
+    th = _thaw(trivial_state(), _link_bound(terms))
     for kind in twist_sequence(terms):
-        obj = _twist(obj, records, M, kind)
-    return _close(obj, records, M, framing)
+        _twist(th, kind)
+    _close(th)
+    return th
 
 
 def link_quiver(slope_or_terms):

@@ -3,8 +3,10 @@ previous recursive expansion walk, rescaled skein elements, the
 LaurentPoly loops of the skein twist and closure, the
 rational-arithmetic reference for q-fraction reduction, entry-by-entry
 references for the state kernel (twist, absorption, closure with the
-symmetrize its balanced M needs, block templates), the previous
-canonical frame and the quivers of the export sweep, comparison of
+symmetrize its balanced M needs, block templates), the list kernel the
+packed one replaced, the knot route's pre-final state, the data-level
+mirror, the previous canonical frame and the quivers of the export
+sweep, comparison of
 quiver data up to vertex order, continued fraction generators, and an
 independent Goeritz-matrix signature oracle."""
 
@@ -12,16 +14,23 @@ from dataclasses import replace
 from fractions import Fraction
 from math import gcd
 
-from quivertangle.knotpipeline import _TRANSFORMS, delta_vector, knot_quiver
+from quivertangle.knotpipeline import (_TRANSFORMS, TEMPLATE_STEP,
+                                       _apply_template, delta_vector,
+                                       knot_quiver, reduce_steps)
 from quivertangle.qseries import (LaurentPoly, ONE, QFraction, ZERO, poch_q2,
                                   q_pow, qbinom_plus, qmultinomial)
 from quivertangle.quiverstate import (IndexRecord, QuiverData, QuiverState,
-                                      _freeze, link_quiver)
+                                      _Q_INVERT, _affine, _freeze, _thaw,
+                                      link_quiver, trivial_state)
 from quivertangle.skein import (SkeinElement, _mono, basis_element,
                                 closure_numerator, twist_matrix)
 from quivertangle.tangles import (OP, RI, UP, Slope, boundary_after,
                                   cf_value, enumerate_rational_knots, is_knot,
                                   twist_sequence)
+
+
+def freeze_matrix(M):
+    return tuple(tuple(row) for row in M)
 
 
 def neg_q_pow(n):
@@ -139,7 +148,7 @@ def state_expand_reference(st, N):
     S = [r.s for r in st.indices]
     A = [r.a for r in st.indices]
     K = [r.extra_poch for r in st.indices]
-    act = set(st.actives())
+    act = set(actives(st.indices))
     out = []
     for j in range(N + 1):
         coeffs = [ZERO] * (j + 1)
@@ -254,7 +263,7 @@ def _row_key(qd, i):
 def permute(qd, order):
     """Quiver data with its vertices listed in the given order."""
     Q = [[qd.Q[i][l] for l in order] for i in order]
-    return replace(qd, Q=_freeze(Q),
+    return replace(qd, Q=freeze_matrix(Q),
                    a_vec=tuple(qd.a_vec[i] for i in order),
                    q_vec=tuple(qd.q_vec[i] for i in order))
 
@@ -467,7 +476,7 @@ def absorb_pochhammer_reference(st, coeff, const_a, const_q, targets, *,
                 M[y][ai] += c
         if refine:
             M[ai][t] += 1
-    return QuiverState(st.obj, tuple(records), _freeze(M))
+    return QuiverState(st.obj, tuple(records), freeze_matrix(M))
 
 
 def _bump_reference(M, rows, cols, delta):
@@ -487,7 +496,7 @@ def _shift_records_reference(records, positions, ds=0, da=0):
 def _twist_product_reference(st, kind, refine=True):
     """The product-form twist: the rule's monomial and Pochhammer
     prefactor, then absorption."""
-    act, inact = st.actives(), st.inactives()
+    act, inact = actives(st.indices), inactives(st.indices)
     allpos = list(range(st.n))
     records = list(st.indices)
     M = [list(row) for row in st.M]
@@ -541,7 +550,7 @@ def _twist_product_reference(st, kind, refine=True):
     else:
         raise ValueError(f"unknown twist kind {kind!r}")
 
-    mid = QuiverState(st.obj, tuple(records), _freeze(M))
+    mid = QuiverState(st.obj, tuple(records), freeze_matrix(M))
     out = absorb_pochhammer_reference(
         mid, coeff, const_a, 2, targets, refine=refine, alpha_active=True,
         beta_active=False if kind == "R" else None)
@@ -550,9 +559,9 @@ def _twist_product_reference(st, kind, refine=True):
 
 def _ones_on_actives_reference(st, delta):
     M = [list(row) for row in st.M]
-    act = st.actives()
+    act = actives(st.indices)
     _bump_reference(M, act, act, delta)
-    return replace(st, M=_freeze(M))
+    return replace(st, M=freeze_matrix(M))
 
 
 def apply_twist_reference(st, kind, refine=True):
@@ -582,7 +591,7 @@ def symmetrize(M):
                 raise ArithmeticError(
                     f"odd symmetrized entry at ({i},{l}): {tot}")
             Q[i][l] = Q[l][i] = tot // 2
-    return _freeze(Q)
+    return freeze_matrix(Q)
 
 
 def close_link_reference(st, framing=0):
@@ -594,7 +603,7 @@ def close_link_reference(st, framing=0):
         raise ValueError(f"cannot close {st.obj} North-South")
     if any(r.extra_poch for r in st.indices):
         raise ValueError("flagged index")
-    act, inact = st.actives(), st.inactives()
+    act, inact = actives(st.indices), inactives(st.indices)
     allpos = list(range(st.n))
     records = list(st.indices)
     M = [list(row) for row in st.M]
@@ -603,14 +612,14 @@ def close_link_reference(st, framing=0):
         records = _shift_records_reference(records, allpos, da=-1)
         _bump_reference(M, allpos, allpos, 1)
         _bump_reference(M, act, act, 1)
-        mid = QuiverState(st.obj, tuple(records), _freeze(M))
+        mid = QuiverState(st.obj, tuple(records), freeze_matrix(M))
         coeff = [-2 if r.active else -1 for r in mid.indices]
         out = absorb_pochhammer_reference(mid, coeff, 2, 2, allpos,
                                           refine=False)
     else:
         records = _shift_records_reference(records, inact, da=-1)
         _bump_reference(M, inact, inact, 1)
-        mid = QuiverState(st.obj, tuple(records), _freeze(M))
+        mid = QuiverState(st.obj, tuple(records), freeze_matrix(M))
         coeff = [0 if r.active else 1 for r in mid.indices]
         mid = absorb_pochhammer_reference(mid, coeff, 0, 2, act,
                                           refine=False)
@@ -626,7 +635,7 @@ def apply_template_reference(st, key):
     """Reference for knotpipeline._apply_template: the output matrix
     filled one entry at a time."""
     out_obj, blocks, mspec = _TRANSFORMS[key]
-    members = {"+": st.actives(), "-": st.inactives()}
+    members = {"+": actives(st.indices), "-": inactives(st.indices)}
     records, spans = [], []
     for active, kflag, src, ds, da in blocks:
         spans.append((len(records), members[src]))
@@ -646,7 +655,7 @@ def apply_template_reference(st, key):
                     elif tri == "U" and i < l:
                         v += 1
                     out[cpos + l] = v
-    return QuiverState(out_obj or st.obj, tuple(records), _freeze(M))
+    return QuiverState(out_obj or st.obj, tuple(records), freeze_matrix(M))
 
 
 def canonical_shift_reference(qd, symmetric):
@@ -669,3 +678,187 @@ def export_quivers():
     knots = enumerate_rational_knots(9)
     return ([link_quiver(s) for s in links + knots]
             + [knot_quiver(s) for s in knots])
+
+
+# The list kernel the routes ran before M was packed: in place on a list
+# of IndexRecords and a list of row lists, one Python operation per
+# entry.  The references for the packed kernel's equivalence tests.
+
+def actives(records):
+    return [i for i, r in enumerate(records) if r.active]
+
+
+def inactives(records):
+    return [i for i, r in enumerate(records) if not r.active]
+
+
+def bump_list(M, rows, cols, delta):
+    if len(cols) == len(M):  # distinct positions: every column
+        for i in rows:
+            M[i] = [v + delta for v in M[i]]
+        return
+    for i in rows:
+        row = M[i]
+        for l in cols:
+            row[l] += delta
+
+
+def _shift_list(records, positions, ds=0, da=0):
+    for i in positions:
+        r = records[i]
+        records[i] = IndexRecord(r.active, r.extra_poch, r.s + ds, r.a + da)
+
+
+def absorb_list(records, M, coeff, const_a, const_q, targets,
+                alpha_active=None, beta_active=None):
+    n = len(records)
+    for t in targets:
+        r = records[t]
+        flag = r.active if alpha_active is None else alpha_active
+        records.append(IndexRecord(flag, r.extra_poch,
+                                   r.s + const_q - 1, r.a + const_a))
+    if beta_active is not None:
+        for t in targets:
+            r = records[t]
+            records[t] = IndexRecord(beta_active, r.extra_poch, r.s, r.a)
+    for row in M:
+        row.extend([row[t] for t in targets])
+    coeff = [*coeff, *(coeff[t] for t in targets)]
+    add = coeff[:n] + [c + 1 for c in coeff[n:]]
+    for t in targets:
+        M.append([v + c for v, c in zip(M[t], add)])
+        add[t] += 1
+    for row, c in zip(M, coeff):
+        if c:
+            row[n:] = [v + c for v in row[n:]]
+    for i, t in enumerate(targets, n + 1):
+        row = M[t]
+        row[i:] = [v + 1 for v in row[i:]]
+
+
+def twist_list(obj, records, M, kind):
+    """The twist in place; returns the boundary after it."""
+    act, inact = actives(records), inactives(records)
+    allpos = range(len(records))
+    if kind == "T":
+        targets = inact
+        if obj == UP:
+            _shift_list(records, inact, ds=-1)
+            bump_list(M, act, act, 2)
+            const_a = 0
+            coeff = [1 if r.active else 0 for r in records]
+        elif obj in (OP, RI):
+            _shift_list(records, act, ds=1, da=1)
+            bump_list(M, act, act, 2)
+            bump_list(M, allpos, act, -1)
+            bump_list(M, act, allpos, -1)
+            if obj == OP:
+                const_a = 0
+                coeff = [1 if r.active else 0 for r in records]
+            else:
+                const_a = 1
+                coeff = [0 if r.active else -1 for r in records]
+        else:
+            raise ValueError(obj)
+    elif kind == "R":
+        targets = act
+        bump_list(M, act, act, 1)
+        if obj == UP:
+            _shift_list(records, allpos, ds=-1, da=-1)
+            bump_list(M, allpos, allpos, 1)
+            const_a = 1
+            coeff = [-1 if r.active else 0 for r in records]
+        elif obj == OP:
+            _shift_list(records, allpos, ds=-1)
+            _shift_list(records, inact, da=-1)
+            bump_list(M, allpos, allpos, 1)
+            bump_list(M, allpos, act, -1)
+            bump_list(M, act, allpos, -1)
+            const_a = 0
+            coeff = [0 if r.active else 1 for r in records]
+        elif obj == RI:
+            bump_list(M, allpos, allpos, -1)
+            const_a = 0
+            coeff = [0 if r.active else 1 for r in records]
+        else:
+            raise ValueError(obj)
+    else:
+        raise ValueError(f"unknown twist kind {kind!r}")
+    absorb_list(records, M, coeff, const_a, 2, targets, True,
+                False if kind == "R" else None)
+    act = actives(records)
+    bump_list(M, act, act, -1)
+    return boundary_after(obj, kind)
+
+
+def close_list(obj, records, M):
+    """The closure of an UP or OP state in place, before export."""
+    act, inact = actives(records), inactives(records)
+    allpos = range(len(records))
+    if obj == UP:
+        _shift_list(records, allpos, da=-1)
+        bump_list(M, allpos, allpos, 1)
+        bump_list(M, act, act, 1)
+        coeff = [-2 if r.active else -1 for r in records]
+        absorb_list(records, M, coeff, 2, 2, list(allpos))
+    else:
+        _shift_list(records, inact, da=-1)
+        bump_list(M, inact, inact, 1)
+        coeff = [0 if r.active else 1 for r in records]
+        absorb_list(records, M, coeff, 0, 2, act)
+        absorb_list(records, M, [-1] * len(records), 2, 2, inact)
+
+
+def apply_template_list(st, key):
+    """The block transform _TRANSFORMS[key] of a frozen state, one
+    segment of row list per output block."""
+    out_obj, blocks, mspec = _TRANSFORMS[key]
+    members = {"+": actives(st.indices), "-": inactives(st.indices)}
+    records, sources = [], []
+    for active, kflag, src, ds, da in blocks:
+        sources.append(members[src])
+        for i in members[src]:
+            r = st.indices[i]
+            records.append(IndexRecord(bool(active), kflag,
+                                       r.s + ds, r.a + da))
+    M = []
+    for rows, mrow in zip(sources, mspec):
+        for i, x in enumerate(rows):
+            base, out = st.M[x], []
+            for cols, (shift, tri) in zip(sources, mrow):
+                seg = [base[y] + shift for y in cols]
+                if tri:
+                    ones = range(i) if tri == "L" else range(i + 1, len(seg))
+                    for l in ones:
+                        seg[l] += 1
+                out += seg
+            M.append(tuple(out))
+    return QuiverState(out_obj or st.obj, tuple(records), tuple(M))
+
+
+def template(st, key):
+    """knotpipeline._apply_template on a frozen state, with no check of
+    its bookkeeping type."""
+    th = _thaw(st, TEMPLATE_STEP)
+    _apply_template(th, key)
+    return _freeze(th)
+
+
+def reduce_cf(terms):
+    """The pre-final state of reduce_steps: the state after its last
+    step, or the trivial state when there is none."""
+    st = trivial_state()
+    for _, st in reduce_steps(terms):
+        pass
+    return st
+
+
+def mirror_quiver(qd, *, polynomial):
+    """The data-level mirror quiver_route applies to packed rows before
+    their decode (see quiverstate._mirror): the reference for it."""
+    if qd.color_convention != "antisymmetric":
+        raise ValueError("mirror acts on antisymmetric-convention data")
+    sigma, c, e = _Q_INVERT if polynomial else (-1, 0, 1)
+    return _affine(qd, sigma, c, e, 0 if polynomial else 1,
+                   tuple(-x for x in qd.a_vec), -qd.framing,
+                   qd.color_convention)

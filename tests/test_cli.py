@@ -218,6 +218,27 @@ class TestComputeBytes:
             "d4352b200c1af6dfe138c289894b6c16")
 
 
+class TestLargeComputeBytes:
+    # sha256 of the stdout of each command: the knot route on 1023/2
+    # (mirrored, entries up to 513) and 987/610 (13 CF terms, mirrored),
+    # the link route on 610/377 (1,974 vertices) and on 511/1 in the raw
+    # frame and the antisymmetric convention
+    @pytest.mark.parametrize("argv, digest", [
+        (["compute", "1023/2"],
+         "3fe166aac9dfcce3c8434a499a3fca1c5b683e259f10934783d182a01c5b1d18"),
+        (["compute", "987/610"],
+         "e68de7ea49123e83a36496131271e0ee1f6cc2d95287a55aa31a0700c61ac90e"),
+        (["compute", "610/377"],
+         "0e6ffc6559cc06935f4b895c901664cf130f55750f3ea0ac869f6154fe45349e"),
+        (["compute", "511/1", "--convention", "anti", "--frame", "raw"],
+         "fbf47124150f67e4434d4e7433f757814f7c677bd32f501a41721e979685ea6c"),
+    ], ids=["1023/2", "987/610", "610/377", "511/1-anti-raw"])
+    def test_bytes_are_pinned(self, capsys, argv, digest):
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 class TestVerifyCommand:
     def test_knot_runs_both_pipelines(self, capsys):
         code, out, _ = run(capsys, "verify", "3/1", "--order", "1")
@@ -412,6 +433,21 @@ class TestExitCodes:
         with pytest.raises(SystemExit) as exc:
             cli.main(["compute", "4/1", "--pipeline", "knot"])
         assert exc.value.code == 2
+
+    def test_refusals_print_their_command_usage(self):
+        # a refusal raised inside a command's handler prints that
+        # command's usage line, not the top-level one, also under -O
+        for argv in (["oracle", "7/3", "--colors", "20..20"],
+                     ["compute", "4/1", "--pipeline", "knot"],
+                     ["verify", "3/1", "--order", "400"]):
+            for optimized in (False, True):
+                proc = run_python("-m", "quivertangle.cli", *argv,
+                                  optimized=optimized)
+                assert proc.returncode == 2, (argv, proc.stderr)
+                assert proc.stdout == b""
+                err = proc.stderr.decode()
+                assert err.startswith(f"usage: quivertangle {argv[0]} "), err
+                assert f"quivertangle {argv[0]}: error: " in err, err
 
     def test_validation_survives_optimized_mode(self):
         # python -O strips assert statements; input checks must not rely

@@ -6,25 +6,25 @@ import pytest
 
 from quivertangle.knotpipeline import (apply_pair, delta_vector,
                                        final_close, homology_generators,
-                                       knot_quiver, reduce_cf, reduce_steps,
-                                       signature)
+                                       knot_quiver, reduce_steps, signature)
 from quivertangle.qseries import LaurentPoly, QFraction, ZERO
 from quivertangle.quiverstate import (IndexRecord, QuiverData, QuiverState,
-                                      _freeze, framing_shift, link_quiver,
-                                      q_invert, state_expand, trivial_state)
+                                      framing_shift, link_quiver, q_invert,
+                                      state_expand, trivial_state)
 from quivertangle.skein import (basis_element, framing_factor, oracle_homfly,
                                 twist, writhe)
 from quivertangle.tangles import (RI, Slope, UP, cf_expand, cf_value,
                                   enumerate_rational_knots, is_knot)
 
-from conftest import (delta_homogeneous, distinct_slopes, goeritz_signature,
-                      knot_route_poly, odd_cfs, permutation_equal, rescale)
+from conftest import (delta_homogeneous, distinct_slopes, freeze_matrix,
+                      goeritz_signature, knot_route_poly, odd_cfs,
+                      permutation_equal, reduce_cf, rescale)
 
 
 def state(obj, rows, M):
     """QuiverState literal from (active, poch_flag, s, a) rows."""
     return QuiverState(obj, tuple(IndexRecord(bool(act), k, s, a)
-                                  for act, k, s, a in rows), _freeze(M))
+                                  for act, k, s, a in rows), freeze_matrix(M))
 
 
 def assert_state(st, obj, rows, M):
@@ -123,7 +123,7 @@ class TestFixedOrderRegressions:
         assert raw.framing == writhe([1, 2, 4]) == 7
         final = q_invert(framing_shift(raw, -7))
         expected = QuiverData(
-            _freeze([
+            freeze_matrix([
                 [2, 0, 3, 2, 1, 5, 4, 3, 3, 2, 5, 4, 3],
                 [0, 0, 1, 1, 0, 3, 3, 2, 1, 1, 3, 3, 2],
                 [3, 1, 4, 2, 2, 5, 4, 4, 4, 2, 5, 4, 4],

@@ -10,15 +10,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as hs
 
 from quivertangle.qseries import QFraction
-from quivertangle.knotpipeline import (_TRANSFORMS, _apply_template,
-                                       final_close, knot_quiver, reduce_cf,
+from quivertangle.knotpipeline import (_TRANSFORMS, TEMPLATE_STEP,
+                                       _apply_template, _knot_bound,
+                                       final_close, knot_quiver,
                                        reduce_steps, resum_stretch)
-from quivertangle.quiverstate import (MAX_VERTICES, IndexRecord,
-                                      QuiverData, QuiverState, _freeze,
-                                      absorb_pochhammer, apply_twist,
-                                      canonical_shift, close_link,
-                                      framing_shift, link_quiver,
-                                      mirror_quiver, q_invert, quiver_route,
+from quivertangle.quiverstate import (CLOSE_STEP, MAX_VERTICES, MIRROR_STEP,
+                                      TWIST_STEP, IndexRecord, QuiverData,
+                                      QuiverState, _absorb, _bump, _close,
+                                      _freeze, _link_bound, _matrix, _mirror,
+                                      _thaw, _twist, absorb_pochhammer,
+                                      apply_twist, canonical_shift,
+                                      close_link, framing_shift, link_quiver,
+                                      q_invert, quiver_route, slot_width,
                                       state_expand, trivial_state)
 from quivertangle.skein import (basis_element, framing_factor, oracle_homfly,
                                 raw_closure, twist, writhe)
@@ -26,12 +29,15 @@ from quivertangle.tangles import (OP, RI, Slope, UP, cf_expand, cf_value,
                                   enumerate_rational_knots, is_knot,
                                   resolve_terms, twist_sequence)
 
-from conftest import (absorb_pochhammer_reference, apply_template_reference,
-                      apply_twist_reference, canonical_shift_reference,
-                      close_link_reference, compositions, distinct_slopes,
-                      export_quivers, link_route_coeff,
-                      odd_cfs, permutation_equal, permute, rescale,
-                      state_expand_reference, state_expand_walk_reference)
+from conftest import (absorb_list, absorb_pochhammer_reference, actives,
+                      apply_template_list, apply_template_reference,
+                      apply_twist_reference, bump_list, close_list,
+                      canonical_shift_reference, close_link_reference,
+                      compositions, distinct_slopes, export_quivers,
+                      freeze_matrix, inactives, link_route_coeff,
+                      mirror_quiver, odd_cfs, permutation_equal, permute,
+                      reduce_cf, rescale, state_expand_reference,
+                      state_expand_walk_reference, template, twist_list)
 
 
 STEP_ORDER = 3
@@ -67,7 +73,7 @@ _CLASSES = [(active, flag) for active in (False, True) for flag in (0, 1)]
 
 
 @hs.composite
-def small_states(draw, max_n=4):
+def small_states(draw, max_n=4, entries=hs.integers(-3, 3)):
     """Random small states: non-symmetric M, mixed active and
     extra-Pochhammer flags.  With n >= 4 the last four indices carry
     the four (active, extra_poch) classes in some order, so a node of
@@ -80,8 +86,7 @@ def small_states(draw, max_n=4):
     records = tuple(IndexRecord(active, flag, draw(hs.integers(-3, 3)),
                                 draw(hs.integers(-2, 2)))
                     for active, flag in classes)
-    M = tuple(tuple(draw(hs.integers(-3, 3)) for _ in range(n))
-              for _ in range(n))
+    M = tuple(tuple(draw(entries) for _ in range(n)) for _ in range(n))
     return QuiverState(draw(hs.sampled_from((UP, OP, RI))), records, M)
 
 
@@ -153,7 +158,7 @@ def test_kernel_matches_reference(st, data):
 
     key = data.draw(hs.sampled_from(sorted(_TRANSFORMS)))
     keyed = QuiverState(key[1], st.indices, st.M)
-    assert _apply_template(keyed, key) == apply_template_reference(keyed, key)
+    assert template(keyed, key) == apply_template_reference(keyed, key)
 
     # a closable state: no flags and a symmetric M (the upper triangle
     # mirrored); the reference closes it in the balanced reading, whose
@@ -164,10 +169,160 @@ def test_kernel_matches_reference(st, data):
     records = tuple(replace(r, extra_poch=0) for r in st.indices)
     balanced = [[v + (l > i) for l, v in enumerate(row)]
                 for i, row in enumerate(M)]
-    plain = QuiverState(obj, records, _freeze(M))
-    unfolded = QuiverState(obj, records, _freeze(balanced))
+    plain = QuiverState(obj, records, freeze_matrix(M))
+    unfolded = QuiverState(obj, records, freeze_matrix(balanced))
     assert close_link(plain, 1) == close_link_reference(unfolded, 1)
     assert _snapshot(st) == before
+
+
+@hs.composite
+def edge_states(draw, w, step, max_n=5):
+    """small_states whose entries lie within a few units of the edge
+    +-(2^(w-1) - 1 - step), one of them on it, or are small: a step
+    that adds at most step to any |entry| fills its w-bit slots."""
+    edge = (1 << (w - 1)) - 1 - step
+    st = draw(small_states(max_n, hs.one_of(
+        hs.integers(-3, 3), hs.integers(edge - 3, edge),
+        hs.integers(-edge, -edge + 3))))
+    i, l = draw(hs.integers(0, st.n - 1)), draw(hs.integers(0, st.n - 1))
+    M = [list(row) for row in st.M]
+    M[i][l] = draw(hs.sampled_from((edge, -edge)))
+    return replace(st, M=freeze_matrix(M))
+
+
+def _listed(st):
+    return list(st.indices), [list(row) for row in st.M]
+
+
+class TestPackedKernel:
+    """The kernel on packed rows against the list kernel in conftest,
+    and the bound its slot width comes from."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(hs.sampled_from((16, 32)), hs.data())
+    def test_packed_kernel_matches_list_kernel(self, w, data):
+        def thawed(step):
+            st = data.draw(edge_states(w, step))
+            th = _thaw(st, step)
+            assert th.w == w
+            return st, th
+
+        delta = data.draw(hs.integers(-2, 2))
+        st, th = thawed(abs(delta))
+        n = st.n
+        rows = data.draw(hs.lists(hs.integers(0, n - 1), unique=True))
+        cols = data.draw(hs.one_of(
+            hs.just(range(n)),
+            hs.lists(hs.integers(0, n - 1), unique=True)))
+        _bump(th, rows, cols, delta)
+        records, M = _listed(st)
+        bump_list(M, rows, cols, delta)
+        assert _matrix(th) == freeze_matrix(M)
+
+        st, th = thawed(5)  # an absorb with |coeff| <= 2
+        targets = data.draw(hs.permutations(range(st.n)))
+        targets = targets[:data.draw(hs.integers(0, st.n))]
+        args = (data.draw(hs.lists(hs.integers(-2, 2), min_size=st.n,
+                                   max_size=st.n)),
+                data.draw(hs.integers(-2, 2)),
+                2 * data.draw(hs.integers(-1, 2)), targets,
+                data.draw(hs.sampled_from((None, True, False))),
+                data.draw(hs.sampled_from((None, True, False))))
+        _absorb(th, *args)
+        records, M = _listed(st)
+        absorb_list(records, M, *args)
+        assert _freeze(th) == QuiverState(st.obj, tuple(records),
+                                          freeze_matrix(M))
+
+        st, th = thawed(TWIST_STEP)
+        kind = data.draw(hs.sampled_from("TR"))
+        _twist(th, kind)
+        records, M = _listed(st)
+        obj = twist_list(st.obj, records, M, kind)
+        assert _freeze(th) == QuiverState(obj, tuple(records),
+                                          freeze_matrix(M))
+
+        st, th = thawed(TEMPLATE_STEP)
+        key = data.draw(hs.sampled_from(sorted(_TRANSFORMS)))
+        th.obj = key[1]
+        _apply_template(th, key)
+        assert _freeze(th) == apply_template_list(replace(st, obj=key[1]),
+                                                  key)
+
+        st, th = thawed(CLOSE_STEP)
+        obj = data.draw(hs.sampled_from((UP, OP)))
+        th.obj = obj
+        th.records = [(r[0], 0, *r[2:]) for r in th.records]
+        _close(th)
+        records, M = _listed(st)
+        records = [replace(r, extra_poch=0) for r in records]
+        close_list(obj, records, M)
+        assert _freeze(th) == QuiverState(obj, tuple(records),
+                                          freeze_matrix(M))
+
+    def test_wider_bound_selects_32_bits(self):
+        assert slot_width(0) == slot_width((1 << 15) - 1) == 16
+        assert slot_width(1 << 15) == slot_width((1 << 31) - 1) == 32
+        with pytest.raises(ValueError, match="32-bit"):
+            slot_width(1 << 31)
+        # a twist could take this entry to 2^15: 32-bit slots, and the
+        # list kernel's result
+        records = (IndexRecord(True, 0, 0, 0), IndexRecord(False, 0, 1, 0))
+        st = QuiverState(UP, records, (((1 << 15) - TWIST_STEP, 1), (1, 0)))
+        assert _thaw(st, TWIST_STEP).w == 32
+        assert _thaw(st, TWIST_STEP - 1).w == 16
+        for kind in "TR":
+            records, M = _listed(st)
+            obj = twist_list(UP, records, M, kind)
+            assert apply_twist(st, kind) == QuiverState(
+                obj, tuple(records), freeze_matrix(M))
+
+    def test_proven_bound_holds_on_both_routes(self):
+        # every slope with p <= 60: no step adds more than its constant
+        # to the largest |entry|, and no entry of either route, closure
+        # and mirror included, exceeds the bound its slots come from
+        def largest(M):
+            return max(max(map(max, M)), -min(map(min, M)))
+
+        checked = 0
+        for p in range(1, 61):
+            for q in range(1, p + 1):
+                if gcd(p, q) != 1:
+                    continue
+                slope = Slope(p, q)
+                terms, mirrored = resolve_terms(slope)
+                bound = _link_bound(terms)
+                th = _thaw(trivial_state(), bound)
+                before = 0
+                for kind in twist_sequence(terms):
+                    _twist(th, kind)
+                    after = largest(_matrix(th))
+                    assert after <= before + TWIST_STEP, (p, q)
+                    before = after
+                _close(th)
+                after = largest(_matrix(th))
+                assert after <= before + CLOSE_STEP, (p, q)
+                if mirrored:
+                    _mirror(th, polynomial=False)
+                    assert largest(_matrix(th)) <= after + MIRROR_STEP
+                assert largest(_matrix(th)) <= bound, (p, q)
+                if not is_knot(slope):
+                    continue
+                bound, before = _knot_bound(terms), 0
+                for step, st in reduce_steps(terms):
+                    after = largest(st.M)
+                    if "^" in step:  # a re-summed stretch
+                        grow = TWIST_STEP * int(step[2:]) + 3
+                    else:  # a pair
+                        grow = TEMPLATE_STEP
+                    assert after <= before + grow, (p, q, step)
+                    before = after
+                    checked += 1
+                qd = knot_quiver(slope)
+                assert largest(qd.Q) <= (before + TEMPLATE_STEP
+                                         + mirrored * MIRROR_STEP), (p, q)
+                assert largest(qd.Q) <= bound, (p, q)
+        assert checked > 2000
 
 
 def _is_symmetric(M):
@@ -221,7 +376,7 @@ class TestSymmetricInvariant:
         assert _is_symmetric(out.M)
         for key in _TRANSFORMS:
             keyed = QuiverState(key[1], st.indices, st.M)
-            assert _is_symmetric(_apply_template(keyed, key).M), key
+            assert _is_symmetric(template(keyed, key).M), key
 
     def test_route_states_are_symmetric(self):
         # every state of both routes on every slope with p <= 40: after
@@ -299,8 +454,8 @@ class TestStateInvariant:
             for kind in twist_sequence(cf):
                 st = apply_twist(st, kind)
             if st.obj == UP:
-                assert len(st.actives()) == slope.p, cf
-                assert len(st.inactives()) == slope.q, cf
+                assert len(actives(st.indices)) == slope.p, cf
+                assert len(inactives(st.indices)) == slope.q, cf
 
 
 class TestCloseLink:
@@ -447,17 +602,18 @@ class TestVertexBound:
             <= MAX_VERTICES
 
     def test_refused_before_building(self):
-        def close(terms, framing):
+        def close(terms):
             raise AssertionError("built a quiver over the bound")
 
         with pytest.raises(ValueError, match=f"2049 vertices.*{MAX_VERTICES}"):
             quiver_route([2049], close, polynomial=True,
                          vertices=lambda rep: rep.p)
         # the bound itself is admitted
-        built = QuiverData(((0,),), (0,), (0,), 0, "antisymmetric")
-        assert quiver_route([MAX_VERTICES], lambda terms, framing: built,
-                            polynomial=True,
-                            vertices=lambda rep: rep.p) is built
+        qd = quiver_route([MAX_VERTICES],
+                          lambda terms: _thaw(trivial_state(), 0),
+                          polynomial=True, vertices=lambda rep: rep.p)
+        assert qd == QuiverData(((0,),), (0,), (0,), writhe([MAX_VERTICES]),
+                                "antisymmetric")
         with pytest.raises(ValueError, match="2050 vertices"):
             link_quiver(Slope(1024, 1))
         with pytest.raises(ValueError, match="2049 vertices"):
