@@ -24,6 +24,11 @@ from .tangles import (Slope, cf_expand, cf_value, crossing_number,
 from .verify import (DEFAULT_KNOT_ORDER, DEFAULT_LINK_ORDER, verify_knot,
                      verify_link)
 
+# the largest --max-crossings budget: the enumeration takes about 2.7
+# times longer per crossing (18 s at 18 crossings on a 2-CPU box with
+# Python 3.11), so a larger budget is refused before any work
+MAX_CROSSINGS = 18
+
 
 def _parse_input(text):
     """(slope, CF terms) of the positional input: a slope p/q with
@@ -73,6 +78,16 @@ def _int_at_least(low):
             raise error
         return value
     return parse
+
+
+def _crossing_budget(text):
+    """Argument type of --max-crossings: an integer from 3 to
+    MAX_CROSSINGS."""
+    value = _int_at_least(3)(text)
+    if value > MAX_CROSSINGS:
+        raise argparse.ArgumentTypeError(
+            f"crossing budget {value} is over the bound {MAX_CROSSINGS}")
+    return value
 
 
 def _parse_frame(text):
@@ -143,12 +158,18 @@ def compute_payload(slope, terms, pipeline, frame, convention):
     return payload
 
 
-def _emit(text, out_path):
-    if out_path:
+def _emit(text, out_path, parser):
+    """Write text to the --out path, or to stdout without one; a path
+    that cannot be written is a usage error."""
+    if not out_path:
+        sys.stdout.write(text)
+        return
+    try:
         with open(out_path, "w") as fh:
             fh.write(text)
-    else:
-        sys.stdout.write(text)
+    except OSError as exc:
+        parser.error(f"cannot write --out {out_path}: "
+                     f"{exc.strerror or exc}")
 
 
 def _cmd_compute(args, parser):
@@ -169,7 +190,7 @@ def _cmd_compute(args, parser):
             sys.stderr.write(report.to_json() + "\n")
             return 1
         payload["verified_order"] = args.order
-    _emit(json.dumps(payload) + "\n", args.out)
+    _emit(json.dumps(payload) + "\n", args.out, parser)
     return 0
 
 
@@ -188,7 +209,7 @@ def _cmd_oracle(args, parser):
         colors[str(j)] = _fraction_obj(value)
     payload = {"p": slope.p, "q": slope.q, "cf": terms, "frame": "zero",
                "jones": bool(args.jones), "colors": colors}
-    _emit(json.dumps(payload) + "\n", args.out)
+    _emit(json.dumps(payload) + "\n", args.out, parser)
     return 0
 
 
@@ -211,7 +232,7 @@ def _cmd_verify(args, parser):
         except ValueError as exc:  # a quiver or an expansion over its bound
             parser.error(str(exc))
     text = "".join(r.to_json() + "\n" for r in reports)
-    _emit(text, args.out)
+    _emit(text, args.out, parser)
     sys.stderr.write("verify: " + ", ".join(
         f"{r.pipeline} route to order {r.order_checked} in {r.timing:.2f}s"
         for r in reports) + "\n")
@@ -223,7 +244,7 @@ def _cmd_enumerate(args, parser):
     lines = [json.dumps({"slope": str(s),
                          "crossings": crossing_number(s)}) + "\n"
              for s in slopes]
-    _emit("".join(lines), args.out)
+    _emit("".join(lines), args.out, parser)
     return 0
 
 
@@ -256,7 +277,7 @@ def _cmd_batch(args, parser):
     else:
         results = [_batch_worker(t) for t in tasks]
     elapsed = time.perf_counter() - start
-    _emit("".join(line + "\n" for line in results), args.out)
+    _emit("".join(line + "\n" for line in results), args.out, parser)
     sys.stderr.write(
         f"batch: {len(results)} knots in {elapsed:.2f}s "
         f"({jobs} worker{'s' if jobs != 1 else ''})\n")
@@ -304,13 +325,13 @@ def build_parser():
 
     enum = subs.add_parser("enumerate",
                            help="list canonical rational knots (JSONL)")
-    enum.add_argument("--max-crossings", type=_int_at_least(3), default=12)
+    enum.add_argument("--max-crossings", type=_crossing_budget, default=12)
     enum.add_argument("--out", default=None)
     enum.set_defaults(handler=_cmd_enumerate, parser=enum)
 
     batch = subs.add_parser("batch",
                             help="compute quiver data for the whole corpus")
-    batch.add_argument("--max-crossings", type=_int_at_least(3),
+    batch.add_argument("--max-crossings", type=_crossing_budget,
                        default=12)
     batch.add_argument("--frame", type=_parse_frame, default="canonical")
     batch.add_argument("--convention", choices=("anti", "sym"),

@@ -3,7 +3,7 @@ rational knots p/q.
 
 Instead of acting with one crossing at a time, crossings are processed
 in pairs (plus a final top-crossing-and-closure cluster), acting on
-states in "almost quiver form": a quiver-state whose extra Pochhammer
+states in "almost quiver form": a state whose extra Pochhammer
 numerator (q^2;q^2)_{K.d} tracks either the active mass k (flags on the
 active indices) or the inactive mass j-k (flags on the inactive
 indices).  Top-twist pairs require the k-type bookkeeping, right-twist
@@ -16,15 +16,18 @@ The paired actions are closed-form block transforms on the state
 (records split into the active block "+" and the inactive block "-",
 in state order); L and U denote strictly lower/upper triangular
 all-ones blocks, which only pair equal-size same-source blocks.
+
+Every step (`_pair`, `_resum`, `_final_close`) works in place on the
+one thawed packed state of `quiverstate` (`_Thawed`), which
+`_reduce_and_close` builds from the trivial tangle and closes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .quiverstate import (MIRROR_STEP, TWIST_STEP, _absorb, _export, _freeze,
-                          _gather, _ones, _thaw, _twist, quiver_route,
-                          trivial_state)
+from .quiverstate import (MIRROR_STEP, TWIST_STEP, W, _absorb, _gather,
+                          _ones, _trivial, _twist, quiver_route)
 from .tangles import (OP, RI, UP, boundary_after, boundary_walk, cf_value,
                       is_knot, resolve_terms)
 
@@ -149,7 +152,7 @@ def _apply_template(th, key):
     row's spread plus one packed vector of its block's shifts and
     triangles; the triangles move by one slot per row."""
     out_obj, blocks, mspec = _TRANSFORMS[key]
-    records, rows, w = th.records, th.rows, th.w
+    records, rows = th.records, th.rows
     members = {_P: [i for i, r in enumerate(records) if r[0]],
                _M_: [i for i, r in enumerate(records) if not r[0]]}
     offsets, n = [], 0
@@ -158,10 +161,10 @@ def _apply_template(th, key):
         n += len(members[block[2]])
     pieces = []  # (right, mask, left shifts): one per run of a source
     for src, cols in members.items():
-        lefts = [w * off for block, off in zip(blocks, offsets)
+        lefts = [W * off for block, off in zip(blocks, offsets)
                  if block[2] == src]
         pieces += [(right, mask, [left + l for l in lefts])
-                   for right, mask, left in _gather(w, cols, 0)]
+                   for right, mask, left in _gather(cols, 0)]
     for x, row in enumerate(rows):
         spread = 0
         for right, mask, lefts in pieces:
@@ -176,16 +179,16 @@ def _apply_template(th, key):
         for (shift, tri), off, block in zip(mrow, offsets, blocks):
             size = len(members[block[2]])
             if shift:
-                extra += shift * _ones(w, off, off + size)
+                extra += shift * _ones(off, off + size)
             if tri == "L":
-                step += 1 << (w * off)
+                step += 1 << (W * off)
             elif tri == "U":
-                extra += _ones(w, off + 1, off + size)
-                step -= 1 << (w * (off + 1))
+                extra += _ones(off + 1, off + size)
+                step -= 1 << (W * (off + 1))
         for x in members[src]:
             out.append(rows[x] + extra)
             extra += step
-            step <<= w
+            step <<= W
     th.records = [(bool(active), kflag, records[i][2] + ds,
                    records[i][3] + da)
                   for active, kflag, src, ds, da in blocks
@@ -195,6 +198,11 @@ def _apply_template(th, key):
 
 
 def _pair(th, pair):
+    """Apply a pair of twists (TT, RR, RT=T-then-R, TR=R-then-T) to a
+    thawed state, in place, as a closed-form block transform.  Requires
+    the matching Pochhammer bookkeeping type: k-type (flags on the
+    actives) for TT and RT, (j-k)-type (flags on the inactives) for RR
+    and TR."""
     if (pair, th.obj) not in _TRANSFORMS:
         raise ValueError(f"no {pair} transform at boundary {th.obj}")
     _require_type(th.records, pair in ("TT", "RT"), pair)
@@ -206,16 +214,13 @@ def _pair(th, pair):
                            f"{th.obj}, not {expected}")
 
 
-def apply_pair(st, pair):
-    """Apply a pair of twists (TT, RR, RT=T-then-R, TR=R-then-T) as a
-    closed-form block transform.  Requires the matching Pochhammer
-    bookkeeping type (k for TT/RT, j-k for RR/TR)."""
-    th = _thaw(st, TEMPLATE_STEP)
-    _pair(th, pair)
-    return _freeze(th)
-
-
 def _resum(th, kind, count):
+    """Process, in place, a whole stretch of count twists of kind whose
+    bookkeeping type is the wrong one for it: act with generic single
+    twists (the Pochhammer factor rides along on the flagged indices),
+    then split the flagged mass so the numerator matches the new
+    active/inactive decomposition, which leaves (j-k)-type bookkeeping
+    after a T stretch and k-type after an R stretch."""
     for _ in range(count):
         _twist(th, kind)
     records = th.records
@@ -234,21 +239,12 @@ def _resum(th, kind, count):
                   for active, _, s, a in th.records]
 
 
-def resum_stretch(st, kind, count):
-    """Process a whole stretch of `count` twists whose bookkeeping type
-    is the wrong one for `kind`: act with generic single twists (the
-    Pochhammer factor rides along on the flagged indices), then split
-    the flagged mass so the numerator matches the new active/inactive
-    decomposition."""
-    th = _thaw(st, TWIST_STEP * count + 3)
-    _resum(th, kind, count)
-    return _freeze(th)
-
-
 def _reduce(terms, th):
     """The paired-crossing algorithm over the continued fraction, run
-    in place on the thawed trivial state th; yields the name of each
-    step once it is done."""
+    in place on the thawed trivial state th, withholding the final top
+    crossing (the closure consumes it).  Yields the name of each step
+    once it is done: a pair TT, RR, RT or TR (the later twist first), or
+    a re-summed stretch T^x or R^x."""
     if len(terms) % 2 == 0 or any(t < 1 for t in terms):
         raise ValueError(f"bad continued fraction {terms}: need an "
                          "odd-length list of positive integers")
@@ -285,33 +281,17 @@ def _reduce(terms, th):
         i += 1
 
 
-def reduce_steps(terms):
-    """Run the paired-crossing algorithm over the continued fraction,
-    withholding the final top crossing (it is consumed by the closure).
-    Yields (step, state) after each step: a pair TT, RR, RT or TR (the
-    later twist first), or a re-summed stretch T^x or R^x."""
-    terms = list(terms)
-    th = _thaw(trivial_state(), _knot_bound(terms))
-    for step in _reduce(terms, th):
-        yield step, _freeze(th)
-
-
 def _final_close(th):
+    """Consume the withheld top crossing and close the tangle, in place:
+    afterwards the records and rows are the exported vertices and Q, in
+    the diagram frame with the antisymmetric color convention.  Needs
+    k-type bookkeeping at UP and (j-k)-type at RI."""
     if th.obj not in (UP, RI):
         raise ValueError(
             f"pre-final state of type {th.obj} is not closable; "
             "use an equivalent slope representative")
     _require_type(th.records, th.obj == UP, f"closing at {th.obj}")
     _apply_template(th, ("close", th.obj))
-
-
-def final_close(st, framing=0):
-    """Consume the withheld top crossing and close the tangle,
-    producing quiver data in the diagram frame (recorded as framing)
-    with antisymmetric color convention."""
-    th = _thaw(st, TEMPLATE_STEP)
-    _final_close(th)
-    return _export(th, framing)
 
 
 def knot_quiver(slope_or_terms):
@@ -332,7 +312,7 @@ def knot_vertices(slope):
 
 
 def _reduce_and_close(terms):
-    th = _thaw(trivial_state(), _knot_bound(terms))
+    th = _trivial(_knot_bound(terms))
     for _ in _reduce(terms, th):
         pass
     _final_close(th)

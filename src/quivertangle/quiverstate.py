@@ -13,21 +13,20 @@ the exported data reads.  M is symmetric on every route (`_twist` and
 `_close` bump in transpose pairs, `_absorb` gives each new row and
 column the same values), so closure exports M as Q as it stands.
 
+A state is held one way, as a `_Thawed`: its records as plain tuples
+(active, extra_poch, s, a) and M packed one int per row, one 16-bit
+slot per entry, so a step costs a few bigint operations per row.
+`_twist`, `_absorb` and `_close` work on it in place; a route runs its
+whole word, its closure and any mirror on one thawed state and decodes
+each row once, when it exports.  `state_expand` takes a state as its
+boundary, its records and M as rows of ints.
+
 Twists act in "product form": multiply by a twist-dependent monomial and
 Pochhammer symbol, then absorb the Pochhammer by splitting summation
 indices.  The product form accumulates an extra q^{k^2} (k = sum of
 active indices) relative to the plain twist action; `_twist` bridges
 between the two forms by adding/removing an all-ones block on the
 active indices of M.
-
-The public operations (`apply_twist`, `absorb_pochhammer`,
-`close_link`) take frozen states and return new frozen states or quiver
-data.  Underneath, `_twist`, `_absorb` and `_close` work in place on a
-thawed copy: a list of plain-tuple records and M packed one int per
-row, one slot of 16 or 32 bits per entry (see `_Thawed`), so a step
-costs a few bigint operations per row.  A route runs its whole word,
-its closure and any mirror on one thawed state and decodes each row
-once, when it freezes.
 """
 
 from __future__ import annotations
@@ -39,34 +38,6 @@ from .qseries import LaurentPoly, ZERO, poch_q2, qmultinomial
 from .skein import SkeinElement, writhe
 from .tangles import (OP, RI, UP, boundary_after, cf_value, resolve_terms,
                       twist_sequence)
-
-
-@dataclass(frozen=True)
-class IndexRecord:
-    active: bool
-    extra_poch: int  # 0 or 1: membership in the extra Pochhammer numerator
-    s: int  # linear exponent of -q
-    a: int  # linear exponent of a
-
-    def __post_init__(self):
-        if self.extra_poch not in (0, 1):
-            raise ValueError("extra_poch must be 0 or 1")
-
-
-@dataclass(frozen=True)
-class QuiverState:
-    obj: str  # UP | OP | RI
-    indices: tuple
-    M: tuple  # tuple of tuples, integer, symmetric on every route
-
-    def __post_init__(self):
-        n = len(self.indices)
-        if len(self.M) != n or any(len(row) != n for row in self.M):
-            raise ValueError("M must be square with one row per index")
-
-    @property
-    def n(self):
-        return len(self.indices)
 
 
 @dataclass(frozen=True)
@@ -99,16 +70,16 @@ class _Thawed:
     """A state the kernel (_twist, _absorb, _bump, _close, and the knot
     route's templates) works on in place: its boundary obj, its records
     as plain tuples (active, extra_poch, s, a), and M packed one int per
-    row.  Row i is sum_l (M_il + 2^(w-1)) 2^(w l): one offset-binary
-    slot of w bits per entry, so adding a packed vector adds entrywise,
+    row.  Row i is sum_l (M_il + 2^(W-1)) 2^(W l): one offset-binary
+    slot of W bits per entry, so adding a packed vector adds entrywise,
     with no carry between slots, as long as every entry stays within
-    +-(2^(w-1) - 1).  w is fixed before anything is packed, by
-    slot_width from a bound proven for the whole computation, never from
+    +-(2^(W-1) - 1).  A route checks with slot_width, before anything is
+    packed, that a bound proven for its whole computation fits, never
     the entries it produces."""
-    __slots__ = ("obj", "records", "rows", "w")
+    __slots__ = ("obj", "records", "rows")
 
-    def __init__(self, obj, records, rows, w):
-        self.obj, self.records, self.rows, self.w = obj, records, rows, w
+    def __init__(self, obj, records, rows):
+        self.obj, self.records, self.rows = obj, records, rows
 
 
 # No step adds more than its constant to any |entry| of M, intermediate
@@ -124,36 +95,39 @@ TWIST_STEP = 8
 CLOSE_STEP = 7
 MIRROR_STEP = 2
 
-_CODES = {16: "h", 32: "i"}  # the struct format of each slot width
+W = 16  # bits per slot: struct format "h" packs and reads one
 
 
 def slot_width(bound):
-    """The slot width, 16 or 32 bits, that holds every entry of absolute
-    value at most bound."""
-    for w in _CODES:
-        if bound < 1 << (w - 1):
-            return w
-    raise ValueError(f"entries up to {bound} do not fit a 32-bit slot")
+    """W, when every entry of absolute value at most bound fits a W-bit
+    slot; otherwise ValueError, naming the bound.  Every admitted input
+    fits: a route's bound grows with the term sum of its CF, which is at
+    most the numerator p, so at MAX_VERTICES the largest are 22,523 on
+    the knot route (2047/1) and 8,193 on the link route (1023/1)."""
+    if bound >= 1 << (W - 1):
+        raise ValueError(f"entries up to {bound} do not fit a {W}-bit "
+                         "slot")
+    return W
 
 
-def _ones(w, lo, hi):
+def _ones(lo, hi):
     """The packed vector with 1 in slots lo..hi-1."""
-    return int.from_bytes((1).to_bytes(w // 8, "little") * (hi - lo),
-                          "little") << (w * lo)
+    return int.from_bytes((1).to_bytes(W // 8, "little") * (hi - lo),
+                          "little") << (W * lo)
 
 
-def _slots(w, cols, n):
+def _slots(cols, n):
     """The packed vector with 1 in each slot of cols, n slots in all."""
     if len(cols) == n:
-        return _ones(w, 0, n)
-    step = w // 8
+        return _ones(0, n)
+    step = W // 8
     buf = bytearray(n * step)
     for l in cols:
         buf[l * step] = 1
     return int.from_bytes(buf, "little")
 
 
-def _gather(w, cols, base):
+def _gather(cols, base):
     """(right shift, mask, left shift) of each run of consecutive
     entries of cols: (row >> right & mask) << left, summed over the
     runs, moves slot cols[k] of a row to slot base + k."""
@@ -163,43 +137,33 @@ def _gather(w, cols, base):
             runs[-1][2] += 1
         else:
             runs.append([c, k, 1])
-    return [(w * c, (1 << (w * length)) - 1, w * (base + k))
+    return [(W * c, (1 << (W * length)) - 1, W * (base + k))
             for c, k, length in runs]
 
 
-def _pack(values, w):
+def _pack(values):
     """A row of entries as one int of offset-binary slots."""
     n = len(values)
-    raw = struct.pack(f"<{n}{_CODES[w]}", *values)
-    return int.from_bytes(raw, "little") ^ (_ones(w, 0, n) << (w - 1))
+    raw = struct.pack(f"<{n}h", *values)
+    return int.from_bytes(raw, "little") ^ (_ones(0, n) << (W - 1))
 
 
-def _thaw(st, step):
-    """A thawed copy of the frozen state st for a step that adds at most
-    step to any |entry|: the bound starts from st's largest |entry|."""
-    bound = max((max(max(row), -min(row)) for row in st.M), default=0)
-    w = slot_width(bound + step)
-    return _Thawed(st.obj, [(r.active, r.extra_poch, r.s, r.a)
-                            for r in st.indices],
-                   [_pack(row, w) for row in st.M], w)
+def _trivial(bound):
+    """The trivial upward tangle, thawed for a route whose entries stay
+    within bound: one inactive index, all exponents 0."""
+    slot_width(bound)
+    return _Thawed(UP, [(False, 0, 0, 0)], [_pack((0,))])
 
 
 def _matrix(th):
     """M of a thawed state as a tuple of row tuples, each row decoded
     once: flipping each slot's top bit turns offset binary into two's
     complement, which one struct read decodes."""
-    n, w = len(th.rows), th.w
-    flip, size = _ones(w, 0, n) << (w - 1), n * w // 8
-    fmt = f"<{n}{_CODES[w]}"
+    n = len(th.rows)
+    flip, size = _ones(0, n) << (W - 1), n * W // 8
+    fmt = f"<{n}h"
     return tuple(struct.unpack(fmt, (row ^ flip).to_bytes(size, "little"))
                  for row in th.rows)
-
-
-def _freeze(th):
-    """The frozen state of a thawed one; its records are validated as
-    IndexRecords here, once."""
-    return QuiverState(th.obj, tuple(IndexRecord(*r) for r in th.records),
-                       _matrix(th))
 
 
 def _export(th, framing):
@@ -209,13 +173,10 @@ def _export(th, framing):
                       "antisymmetric")
 
 
-def trivial_state():
-    """The trivial upward tangle: one inactive index, all exponents 0."""
-    return QuiverState(UP, (IndexRecord(False, 0, 0, 0),), ((0,),))
-
-
-def state_expand(st, N):
-    """Expansion of a state: rescaled skein elements for colors j <= N.
+def state_expand(obj, records, M, N):
+    """Expansion of the state with boundary obj, records (active,
+    extra_poch, s, a) and quadratic form M (square, any integers, one
+    row per record): rescaled skein elements for colors j <= N.
 
     The coefficient of X[j,k] accumulates every index tuple d with
     sum d = j and sum_active d = k, each weighted by the positive
@@ -234,11 +195,11 @@ def state_expand(st, N):
     with entry x = N - j.  A leaf's key depends on its index i only
     through (active, extra_poch), so a node sums its leaves in one flat
     loop over i into at most four groups instead of walking into each."""
-    n, M, recs = st.n, st.M, st.indices
+    n = len(records)
     # row i of M + M^t past the diagonal: what an entry at i adds to
     # lin_l for the later indices l, the only ones its subtree reads
     cross = [[M[i][l] + M[l][i] for l in range(i + 1, n)] for i in range(n)]
-    cls = [2 * r.active + r.extra_poch for r in recs]
+    cls = [2 * active + flag for active, flag, _, _ in records]
     present = [set()]  # the classes at indices >= i, built from the end
     for c in reversed(cls):
         present.append(present[-1] | {c})
@@ -246,9 +207,10 @@ def state_expand(st, N):
     # per entry x and parity of the running s.d: what a leaf at index i
     # adds besides x lin_i, as (q exponent, a exponent, sign, class)
     local = [None] + [
-        [[(x * r.s + M[i][i] * x * x, x * r.a,
-           -1 if (odd + x * r.s) % 2 else 1, c)
-          for i, (r, c) in enumerate(zip(recs, cls))] for odd in (0, 1)]
+        [[(x * s + M[i][i] * x * x, x * a,
+           -1 if (odd + x * s) % 2 else 1, c)
+          for i, ((_, _, s, a), c) in enumerate(zip(records, cls))]
+         for odd in (0, 1)]
         for x in range(1, N + 1)]
     groups = {}
     parts = []  # the nonzero entries of d
@@ -277,14 +239,15 @@ def state_expand(st, N):
         if x == 1:
             return
         for i, li in enumerate(lin, start):
-            r, mii, row = recs[i], M[i][i], cross[i]
+            active, flag, s, a = records[i]
+            mii, row = M[i][i], cross[i]
             rest = lin[i + 1 - start:]
             for y in range(1, x):
                 parts.append(y)
-                walk(i + 1, j + y, k + y if r.active else k,
-                     kdot + y * r.extra_poch, sdot + y * r.s, adot + y * r.a,
+                walk(i + 1, j + y, k + y if active else k,
+                     kdot + y * flag, sdot + y * s, adot + y * a,
                      quad + mii * y * y + li * y,
-                     [a + y * b for a, b in zip(rest, row)])
+                     [u + y * v for u, v in zip(rest, row)])
                 parts.pop()
 
     walk(0, 0, 0, 0, 0, 0, 0, [0] * n)
@@ -296,18 +259,30 @@ def state_expand(st, N):
         poly = LaurentPoly(raw)
         coeffs[j][k] = coeffs[j][k] + (poly if factor.is_one()
                                        else poly * factor)
-    return [SkeinElement(j, st.obj, c) for j, c in enumerate(coeffs)]
+    return [SkeinElement(j, obj, c) for j, c in enumerate(coeffs)]
 
 
 def _absorb(th, coeff, const_a, const_q, targets,
             alpha_active=None, beta_active=None):
-    """absorb_pochhammer on a thawed state, in place."""
+    """Multiply the thawed state th, in place, by
+    (q^{const_q} a^{const_a} q^{2 coeff.d}; q^2)_D, where D is the sum
+    of the target indices, and absorb it by splitting each target index
+    into (beta, alpha).
+
+    Beta stays in place with its parent's record; the alphas are
+    appended at the end in target order, carry the per-unit monomial
+    -q^{const_q-1} a^{const_a} (hence const_q must be even so the sign
+    matches a power of -q), and receive the quadratic cross-term
+    bookkeeping that rewrites the positive multinomial over the coarse
+    indices as the one over the split ones.  alpha_active/beta_active
+    override the activity flags of the split halves (None keeps the
+    parent's)."""
     if const_q % 2:
         raise ValueError("const_q must be even: the per-unit sign must "
                          "be a power of -q")
     if len(set(targets)) != len(targets):
         raise ValueError("absorb targets must be distinct")
-    records, rows, w = th.records, th.rows, th.w
+    records, rows = th.records, th.rows
     n, m = len(records), len(targets)
     for t in targets:
         active, k, s, a = records[t]
@@ -326,50 +301,30 @@ def _absorb(th, coeff, const_a, const_q, targets,
     # slots as its top slots, one shift and mask per run of targets;
     # each alpha row is its target row plus one add vector; and the
     # column updates are one add of c times the alpha slots.
-    moves = _gather(w, targets, n)
+    moves = _gather(targets, n)
     for y, row in enumerate(rows):
         for right, mask, left in moves:
             row |= ((row >> right) & mask) << left
         rows[y] = row
     coeff = [*coeff, *(coeff[t] for t in targets)]
-    span = _ones(w, n, n + m)  # the alpha columns
+    span = _ones(n, n + m)  # the alpha columns
     on_span = {c: c * span for c in set(coeff)}
-    add = _pack(coeff, w) - (_ones(w, 0, n + m) << (w - 1)) + span
+    add = _pack(coeff) - (_ones(0, n + m) << (W - 1)) + span
     for t in targets:
         rows.append(rows[t] + add + on_span[coeff[t]])
-        add += 1 << (w * t)
+        add += 1 << (W * t)
     for y in range(n):
         if coeff[y]:
             rows[y] += on_span[coeff[y]]
     after = span  # the alpha columns after alpha_l
     for l, t in enumerate(targets, n):
-        after -= 1 << (w * l)
+        after -= 1 << (W * l)
         rows[t] += after
-
-
-def absorb_pochhammer(st, coeff, const_a, const_q, targets, *,
-                      alpha_active=None, beta_active=None):
-    """Multiply by (q^{const_q} a^{const_a} q^{2 coeff.d}; q^2)_D, where D
-    is the sum of the target indices, and absorb it by splitting each
-    target index into (beta, alpha).
-
-    Beta stays in place with its parent's record; the alphas are
-    appended at the end in target order, carry the per-unit monomial
-    -q^{const_q-1} a^{const_a} (hence const_q must be even so the sign
-    matches a power of -q), and receive the quadratic cross-term
-    bookkeeping that rewrites the positive multinomial over the coarse
-    indices as the one over the split ones.  alpha_active/beta_active
-    override the activity flags of the split halves (None keeps the
-    parent's)."""
-    th = _thaw(st, 2 * max(map(abs, coeff), default=0) + 1)
-    _absorb(th, coeff, const_a, const_q, list(targets),
-            alpha_active, beta_active)
-    return _freeze(th)
 
 
 def _bump(th, rows, cols, delta):
     """Add delta to M_il for every i in rows and l in cols."""
-    vec = delta * _slots(th.w, cols, len(th.rows))
+    vec = delta * _slots(cols, len(th.rows))
     packed = th.rows
     for i in rows:
         packed[i] += vec
@@ -390,10 +345,12 @@ def _inactives(records):
 
 
 def _twist(th, kind):
-    """apply_twist on a thawed state, in place, boundary included.  The
-    product-form rule (multiply by a monomial and a Pochhammer
-    prefactor, then absorb) runs between the two halves of the q^{k^2}
-    convention bridge, k the active sum before and after."""
+    """The plain twist action of kind T or R on a thawed state, in
+    place, boundary included: plain states expand to exactly the
+    rescaled skein evaluation.  The product-form rule (multiply by a
+    monomial and a Pochhammer prefactor, then absorb) runs between the
+    two halves of the q^{k^2} convention bridge, k the active sum before
+    and after."""
     obj, records = th.obj, th.records
     act, inact = _actives(records), _inactives(records)
     allpos = range(len(records))
@@ -459,22 +416,19 @@ def _twist(th, kind):
     th.obj = boundary_after(obj, kind)
 
 
-def apply_twist(st, kind):
-    """Plain twist action: plain states expand to exactly the rescaled
-    skein evaluation (see _twist for the product form)."""
-    th = _thaw(st, TWIST_STEP)
-    _twist(th, kind)
-    return _freeze(th)
-
-
 def _close(th):
-    """close_link on a thawed state, in place: afterwards its records
-    and rows are the exported vertices and Q."""
+    """Closure of a full tangle state (the link-route algorithm), in
+    place: substitute the closure scalar for X[j,k], cancel the
+    rescaling numerator (q^2;q^2)_j against the closure denominator and
+    absorb the remaining Pochhammer numerators.  Afterwards the records
+    and rows are the exported vertices and Q, in the frame of the twist
+    diagram: the caller records that frame (the diagram writhe) as the
+    framing, and shifts by it for the zero frame."""
     obj, records = th.obj, th.records
     if obj not in (UP, OP):
         raise ValueError(f"cannot close {obj} North-South")
     if any(r[1] for r in records):
-        raise ValueError("close_link needs a state with no extra "
+        raise ValueError("closure needs a state with no extra "
                          "Pochhammer flags")
     act, inact = _actives(records), _inactives(records)
     allpos = range(len(records))
@@ -497,20 +451,6 @@ def _close(th):
         coeff = [0 if r[0] else 1 for r in records]
         _absorb(th, coeff, 0, 2, act)
         _absorb(th, [-1] * len(records), 2, 2, inact)
-
-
-def close_link(st, framing=0):
-    """Closure of a full tangle state (the link-route algorithm):
-    substitute the closure scalar for X[j,k], cancel the rescaling
-    numerator (q^2;q^2)_j against the closure denominator, absorb the
-    remaining Pochhammer numerators, and export quiver data.
-
-    The output is in the frame of the twist diagram; framing records
-    that frame (the diagram writhe; callers shift by it for the zero
-    frame)."""
-    th = _thaw(st, CLOSE_STEP)
-    _close(th)
-    return _export(th, framing)
 
 
 # (sigma, c, e) of the reflection Q_il -> -Q_il - 1 + [i = l] that
@@ -549,13 +489,13 @@ def _mirror(th, polynomial):
     increments and q_vec -> 1 - q_vec.
 
     Q_il -> c - Q_il + e [i = l] is one subtraction per row: the slot
-    of c + 2^w minus the slot x + 2^(w-1) is the slot of c - x."""
+    of c + 2^W minus the slot x + 2^(W-1) is the slot of c - x."""
     _, c, e = _Q_INVERT if polynomial else (-1, 0, 1)
     q_shift = 0 if polynomial else 1
-    rows, w = th.rows, th.w
-    full = (c + (1 << w)) * _ones(w, 0, len(rows))
+    rows = th.rows
+    full = (c + (1 << W)) * _ones(0, len(rows))
     for i, row in enumerate(rows):
-        rows[i] = full - row + (e << (w * i))
+        rows[i] = full - row + (e << (W * i))
     th.records = [(active, k, q_shift - s, -a)
                   for active, k, s, a in th.records]
 
@@ -601,7 +541,7 @@ def _link_bound(terms):
 
 
 def _twist_and_close(terms):
-    th = _thaw(trivial_state(), _link_bound(terms))
+    th = _trivial(_link_bound(terms))
     for kind in twist_sequence(terms):
         _twist(th, kind)
     _close(th)
@@ -610,7 +550,7 @@ def _twist_and_close(terms):
 
 def link_quiver(slope_or_terms):
     """Quiver data via the one-crossing-at-a-time route: plain twists
-    followed by close_link.  Output is in the diagram frame with the
+    followed by the closure.  Output is in the diagram frame with the
     framing field recording the diagram writhe; mirror representatives
     (needed for some slopes) are substituted at the data level."""
     return quiver_route(slope_or_terms, _twist_and_close, polynomial=False,

@@ -101,12 +101,6 @@ def twist_matrix(boundary, kind, j):
     return tuple(map(tuple, m))
 
 
-def twist(e, kind):
-    """Apply a top or right twist to a skein element."""
-    boundary, coeffs = _evaluate(e, [kind])
-    return SkeinElement(e.color, boundary, coeffs)
-
-
 @lru_cache(maxsize=None)
 def closure_numerator(boundary, j, k):
     """Reduced North-South evaluation of the closed basis web X[j,k],
@@ -122,21 +116,6 @@ def closure_numerator(boundary, j, k):
                 * pochhammer(LaurentPoly.mono(1, 2 - 2 * j, 2), 2, j - k)
                 * qbinom_plus(j, k) ** 2 * poch_q2(k))
     raise ValueError(f"{boundary} does not close North-South")
-
-
-def close(e):
-    """Close a skein element North-South; returns the reduced
-    evaluation over the denominator (q^2;q^2)_j."""
-    _, (total,) = _evaluate(e, [], closed=True)
-    return QFraction(total, poch_q2(e.color))
-
-
-def tangle_element(terms, j):
-    """<tau>_j for the continued fraction [a1,...,ar]: start from
-    UP[j,0] and apply a1 top twists, a2 right twists, and so on."""
-    boundary, coeffs = _evaluate(basis_element(j, UP, 0),
-                                 twist_sequence(terms))
-    return SkeinElement(j, boundary, coeffs)
 
 
 def _l1(p):
@@ -243,12 +222,6 @@ def _evaluate_packed(e, kinds, closed=False):
             out.append(acc)
         coeffs = out
     return boundary, coeffs, B, low
-
-
-def _evaluate(e, kinds, closed=False):
-    """(boundary, coefficients) of _evaluate_packed, decoded."""
-    boundary, coeffs, B, low = _evaluate_packed(e, kinds, closed)
-    return boundary, [_unpack(c, B, low) for c in coeffs]
 
 
 @lru_cache(maxsize=None)

@@ -14,8 +14,7 @@ from math import comb
 
 from .knotpipeline import knot_quiver
 from .qseries import QFraction, poch_q2
-from .quiverstate import (IndexRecord, QuiverState, framing_shift,
-                          link_quiver, state_expand)
+from .quiverstate import framing_shift, link_quiver, state_expand
 from .skein import oracle_homfly
 from .tangles import UP, Slope, cf_value, is_knot
 
@@ -65,10 +64,9 @@ def expand_motivic(qd, N):
             f"expansion to order {N} on {qd.n} vertices would visit "
             f"{count} dimension vectors, more than the bound "
             f"{MAX_DIM_VECTORS}")
-    st = QuiverState(UP, tuple(IndexRecord(False, 0, s, a)
-                               for s, a in zip(qd.q_vec, qd.a_vec)), qd.Q)
+    records = [(False, 0, s, a) for s, a in zip(qd.q_vec, qd.a_vec)]
     return [QFraction(e.coeffs[0], poch_q2(j))
-            for j, e in enumerate(state_expand(st, N))]
+            for j, e in enumerate(state_expand(UP, records, qd.Q, N))]
 
 
 @dataclass

@@ -1,6 +1,9 @@
-"""Shared test helpers: brute-force quiver and state expansions, the
-previous recursive expansion walk, rescaled skein elements, the
-LaurentPoly loops of the skein twist and closure, the
+"""Shared test helpers: the frozen state (the reference value type),
+its thaw and freeze, one kernel step on a frozen state and the knot
+route's states after each step; the skein twist, closure and tangle
+element on decoded coefficients; brute-force quiver and state
+expansions, the previous recursive expansion walk, rescaled skein
+elements, the LaurentPoly loops of the skein twist and closure, the
 rational-arithmetic reference for q-fraction reduction, entry-by-entry
 references for the state kernel (twist, absorption, closure with the
 symmetrize its balanced M needs, block templates), the list kernel the
@@ -10,23 +13,134 @@ sweep, comparison of
 quiver data up to vertex order, continued fraction generators, and an
 independent Goeritz-matrix signature oracle."""
 
-from dataclasses import replace
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import gcd
 
-from quivertangle.knotpipeline import (_TRANSFORMS, TEMPLATE_STEP,
-                                       _apply_template, delta_vector,
-                                       knot_quiver, reduce_steps)
+from quivertangle.knotpipeline import (_TRANSFORMS, _knot_bound, _reduce,
+                                       delta_vector, knot_quiver)
 from quivertangle.qseries import (LaurentPoly, ONE, QFraction, ZERO, poch_q2,
                                   q_pow, qbinom_plus, qmultinomial)
-from quivertangle.quiverstate import (IndexRecord, QuiverData, QuiverState,
-                                      _Q_INVERT, _affine, _freeze, _thaw,
-                                      link_quiver, trivial_state)
-from quivertangle.skein import (SkeinElement, _mono, basis_element,
-                                closure_numerator, twist_matrix)
+from quivertangle.quiverstate import (QuiverData, _Q_INVERT, _Thawed, _affine,
+                                      _export, _matrix, _pack, _trivial,
+                                      link_quiver, slot_width, state_expand)
+from quivertangle.skein import (SkeinElement, _evaluate_packed, _mono,
+                                _unpack, basis_element, closure_numerator,
+                                twist_matrix)
 from quivertangle.tangles import (OP, RI, UP, Slope, boundary_after,
                                   cf_value, enumerate_rational_knots, is_knot,
                                   twist_sequence)
+
+
+# The frozen form of a state: the value the tests build, compare and
+# hand to the references.  Both routes run on the thawed form
+# (quiverstate._Thawed); thaw and freeze convert between the two.
+
+@dataclass(frozen=True)
+class IndexRecord:
+    active: bool
+    extra_poch: int  # 0 or 1: membership in the extra Pochhammer numerator
+    s: int  # linear exponent of -q
+    a: int  # linear exponent of a
+
+    def __post_init__(self):
+        if self.extra_poch not in (0, 1):
+            raise ValueError("extra_poch must be 0 or 1")
+
+
+@dataclass(frozen=True)
+class QuiverState:
+    obj: str  # UP | OP | RI
+    indices: tuple
+    M: tuple  # tuple of tuples, integer, symmetric on every route
+
+    def __post_init__(self):
+        n = len(self.indices)
+        if len(self.M) != n or any(len(row) != n for row in self.M):
+            raise ValueError("M must be square with one row per index")
+
+    @property
+    def n(self):
+        return len(self.indices)
+
+
+def trivial_state():
+    """The trivial upward tangle: one inactive index, all exponents 0."""
+    return QuiverState(UP, (IndexRecord(False, 0, 0, 0),), ((0,),))
+
+
+def _records(st):
+    return [(r.active, r.extra_poch, r.s, r.a) for r in st.indices]
+
+
+def thaw(st, step):
+    """A thawed copy of st for a step that adds at most step to any
+    |entry|: the bound starts from st's largest |entry|."""
+    bound = max((max(max(row), -min(row)) for row in st.M), default=0)
+    slot_width(bound + step)
+    return _Thawed(st.obj, _records(st), [_pack(row) for row in st.M])
+
+
+def freeze(th):
+    """The frozen state of a thawed one, each row decoded once."""
+    return QuiverState(th.obj, tuple(IndexRecord(*r) for r in th.records),
+                       _matrix(th))
+
+
+def run_step(st, step, kernel, *args, framing=None):
+    """kernel(th, *args), one call of _twist, _absorb, _close, _pair,
+    _resum, _final_close or _apply_template, on a thawed copy of st
+    sized for a step that adds at most step to any |entry|.  Returns
+    the frozen result, or, given the framing of a closure, the quiver
+    data the route would export."""
+    th = thaw(st, step)
+    kernel(th, *args)
+    return freeze(th) if framing is None else _export(th, framing)
+
+
+def reduce_steps(terms):
+    """(step, frozen state) after each step of the knot route's
+    paired-crossing algorithm on terms, run on one thawed state at the
+    route's bound: a pair TT, RR, RT or TR (the later twist first), or
+    a re-summed stretch T^x or R^x."""
+    terms = list(terms)
+    th = _trivial(_knot_bound(terms))
+    for step in _reduce(terms, th):
+        yield step, freeze(th)
+
+
+def expand(st, N):
+    """quiverstate.state_expand of a frozen state."""
+    return state_expand(st.obj, _records(st), st.M, N)
+
+
+# The skein oracle's twist, closure and tangle element, each one call
+# of the packed evaluation with its coefficients decoded
+
+def _evaluate(e, kinds, closed=False):
+    boundary, coeffs, B, low = _evaluate_packed(e, kinds, closed)
+    return boundary, [_unpack(c, B, low) for c in coeffs]
+
+
+def twist(e, kind):
+    """Apply a top or right twist to a skein element."""
+    boundary, coeffs = _evaluate(e, [kind])
+    return SkeinElement(e.color, boundary, coeffs)
+
+
+def close(e):
+    """Close a skein element North-South; returns the reduced
+    evaluation over the denominator (q^2;q^2)_j."""
+    _, (total,) = _evaluate(e, [], closed=True)
+    return QFraction(total, poch_q2(e.color))
+
+
+def tangle_element(terms, j):
+    """<tau>_j for the continued fraction [a1,...,ar]: start from
+    UP[j,0] and apply a1 top twists, a2 right twists, and so on."""
+    boundary, coeffs = _evaluate(basis_element(j, UP, 0),
+                                 twist_sequence(terms))
+    return SkeinElement(j, boundary, coeffs)
 
 
 def freeze_matrix(M):
@@ -201,8 +315,8 @@ def state_expand_walk_reference(st, N):
 
 
 def twist_reference(e, kind):
-    """skein.twist as LaurentPoly loops over twist_matrix, the form it
-    had before the packed kernel: coeff'[h] = sum_k m[h][k] coeff[k]."""
+    """twist as LaurentPoly loops over twist_matrix, the form it had
+    before the packed kernel: coeff'[h] = sum_k m[h][k] coeff[k]."""
     j = e.color
     m = twist_matrix(e.boundary, kind, j)
     coeffs = []
@@ -216,7 +330,7 @@ def twist_reference(e, kind):
 
 
 def close_reference(e):
-    """skein.close as a LaurentPoly loop over closure_numerator."""
+    """close as a LaurentPoly loop over closure_numerator."""
     total = ZERO
     for k, c in enumerate(e.coeffs):
         if c:
@@ -438,7 +552,7 @@ def goeritz_signature(slope):
 def absorb_pochhammer_reference(st, coeff, const_a, const_q, targets, *,
                                 refine=True, alpha_active=None,
                                 beta_active=None):
-    """Reference for quiverstate.absorb_pochhammer: every entry of the
+    """Reference for quiverstate._absorb: every entry of the
     split matrix read from its parents, then the cross terms added one
     entry at a time."""
     if const_q % 2:
@@ -565,7 +679,7 @@ def _ones_on_actives_reference(st, delta):
 
 
 def apply_twist_reference(st, kind, refine=True):
-    """Reference for quiverstate.apply_twist: the product twist
+    """Reference for quiverstate._twist: the product twist
     conjugated by the q^{k^2} bridge, one frozen state per step."""
     out = _twist_product_reference(_ones_on_actives_reference(st, 1), kind,
                                    refine=refine)
@@ -595,10 +709,10 @@ def symmetrize(M):
 
 
 def close_link_reference(st, framing=0):
-    """Reference for quiverstate.close_link on a state in the balanced
-    reading: the fold (M minus the strictly-upper all-ones form) turns it
-    into the positive one, then the closure absorbs through
-    absorb_pochhammer_reference."""
+    """Reference for quiverstate._close and its export on a state in
+    the balanced reading: the fold (M minus the strictly-upper all-ones
+    form) turns it into the positive one, then the closure absorbs
+    through absorb_pochhammer_reference."""
     if st.obj not in (UP, OP):
         raise ValueError(f"cannot close {st.obj} North-South")
     if any(r.extra_poch for r in st.indices):
@@ -834,14 +948,6 @@ def apply_template_list(st, key):
                 out += seg
             M.append(tuple(out))
     return QuiverState(out_obj or st.obj, tuple(records), tuple(M))
-
-
-def template(st, key):
-    """knotpipeline._apply_template on a frozen state, with no check of
-    its bookkeeping type."""
-    th = _thaw(st, TEMPLATE_STEP)
-    _apply_template(th, key)
-    return _freeze(th)
 
 
 def reduce_cf(terms):

@@ -449,6 +449,60 @@ class TestExitCodes:
                 assert err.startswith(f"usage: quivertangle {argv[0]} "), err
                 assert f"quivertangle {argv[0]}: error: " in err, err
 
+    def test_crossing_budget_is_bounded(self, monkeypatch):
+        # a budget over MAX_CROSSINGS is refused before any work, naming
+        # the budget and the bound, also under -O; the bound is admitted
+        assert cli._crossing_budget("18") == cli.MAX_CROSSINGS == 18
+        argvs = (["enumerate", "--max-crossings", "19"],
+                 ["batch", "--max-crossings", "30", "--jobs", "1"])
+        for argv in argvs:
+            for optimized in (False, True):
+                proc = run_python("-m", "quivertangle.cli", *argv,
+                                  optimized=optimized)
+                assert proc.returncode == 2, (argv, proc.stderr)
+                assert proc.stdout == b""
+                assert (f"crossing budget {argv[2]} is over the bound 18"
+                        in proc.stderr.decode()), proc.stderr
+
+        def enumerate_rational_knots(budget):
+            raise AssertionError("enumerated over the bound")
+
+        monkeypatch.setattr(cli, "enumerate_rational_knots",
+                            enumerate_rational_knots)
+        for argv in argvs:
+            with pytest.raises(SystemExit) as exc:
+                cli.main(argv)
+            assert exc.value.code == 2, argv
+
+    def test_unwritable_out_is_a_usage_error(self, capsys, tmp_path):
+        # on every command, an --out in a missing directory or naming a
+        # directory exits 2, naming the path and the OS error, not 1
+        # (a mismatch); also under -O
+        missing = str(tmp_path / "missing" / "x.json")
+        for argv, path in ((["compute", "3/1"], missing),
+                           (["oracle", "3/1"], missing),
+                           (["verify", "3/1", "--order", "1"], missing),
+                           (["enumerate", "--max-crossings", "5"],
+                            str(tmp_path)),
+                           (["batch", "--max-crossings", "3", "--jobs", "1"],
+                            str(tmp_path))):
+            with pytest.raises(SystemExit) as exc:
+                cli.main([*argv, "--out", path])
+            assert exc.value.code == 2, argv
+            err = capsys.readouterr().err
+            assert f"cannot write --out {path}: " in err, err
+        for argv, path, reason in (
+                (["compute", "3/1"], missing, "No such file or directory"),
+                (["enumerate", "--max-crossings", "5"], str(tmp_path),
+                 "Is a directory")):
+            proc = run_python("-m", "quivertangle.cli", *argv, "--out", path,
+                              optimized=True)
+            assert proc.returncode == 2, (argv, proc.stderr)
+            assert proc.stdout == b""
+            err = proc.stderr.decode()
+            assert err.startswith(f"usage: quivertangle {argv[0]} "), err
+            assert f"cannot write --out {path}: {reason}" in err, err
+
     def test_validation_survives_optimized_mode(self):
         # python -O strips assert statements; input checks must not rely
         # on them

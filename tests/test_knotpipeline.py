@@ -4,21 +4,22 @@ gradings."""
 
 import pytest
 
-from quivertangle.knotpipeline import (apply_pair, delta_vector,
-                                       final_close, homology_generators,
-                                       knot_quiver, reduce_steps, signature)
+from quivertangle.knotpipeline import (TEMPLATE_STEP, _final_close, _pair,
+                                       delta_vector, homology_generators,
+                                       knot_quiver, signature)
 from quivertangle.qseries import LaurentPoly, QFraction, ZERO
-from quivertangle.quiverstate import (IndexRecord, QuiverData, QuiverState,
-                                      framing_shift, link_quiver, q_invert,
-                                      state_expand, trivial_state)
+from quivertangle.quiverstate import (QuiverData, framing_shift, link_quiver,
+                                      q_invert)
 from quivertangle.skein import (basis_element, framing_factor, oracle_homfly,
-                                twist, writhe)
+                                writhe)
 from quivertangle.tangles import (RI, Slope, UP, cf_expand, cf_value,
                                   enumerate_rational_knots, is_knot)
 
-from conftest import (delta_homogeneous, distinct_slopes, freeze_matrix,
+from conftest import (IndexRecord, QuiverState, delta_homogeneous,
+                      distinct_slopes, expand, freeze_matrix,
                       goeritz_signature, knot_route_poly, odd_cfs,
-                      permutation_equal, reduce_cf, rescale)
+                      permutation_equal, reduce_cf, reduce_steps, rescale,
+                      run_step, trivial_state, twist)
 
 
 def state(obj, rows, M):
@@ -43,14 +44,14 @@ def skein_after(word, j):
 
 class TestFixedOrderRegressions:
     def test_double_top_twist_on_trivial(self):
-        st = apply_pair(trivial_state(), "TT")
+        st = run_step(trivial_state(), TEMPLATE_STEP, _pair, "TT")
         assert_state(st, UP,
                      [(1, 1, -1, 0), (0, 0, -2, 0)],
                      [[0, 0], [0, 0]])
 
     def test_trefoil_closure(self):
-        st = apply_pair(trivial_state(), "TT")
-        qd = final_close(st)
+        st = run_step(trivial_state(), TEMPLATE_STEP, _pair, "TT")
+        qd = run_step(st, TEMPLATE_STEP, _final_close, framing=0)
         assert qd.q_vec == (-1, -3, 0)
         assert qd.a_vec == (-1, -1, 1)
         assert qd.Q == ((3, 1, 1), (1, 1, 0), (1, 0, 0))
@@ -69,12 +70,12 @@ class TestFixedOrderRegressions:
         assert sym.Q == ((0, 1, 1), (1, 2, 2), (1, 2, 3))
 
     def test_13_3_intermediates(self):
-        st = apply_pair(trivial_state(), "RT")
+        st = run_step(trivial_state(), TEMPLATE_STEP, _pair, "RT")
         assert_state(st, "OP",
                      [(1, 0, 0, 0), (0, 1, -2, -1)],
                      [[0, 1], [1, 1]])
 
-        st = apply_pair(st, "TR")
+        st = run_step(st, TEMPLATE_STEP, _pair, "TR")
         assert_state(st, UP,
                      [(1, 1, -1, 0), (1, 1, -3, -2), (0, 0, -2, 0),
                       (0, 0, -4, -2), (0, 0, -3, -2)],
@@ -84,7 +85,7 @@ class TestFixedOrderRegressions:
                       [1, 2, 1, 2, 2],
                       [2, 3, 1, 2, 3]])
 
-        st = apply_pair(st, "TT")
+        st = run_step(st, TEMPLATE_STEP, _pair, "TT")
         assert_state(st, UP,
                      [(1, 1, -1, 0), (1, 1, -3, -2), (1, 1, -3, 0),
                       (1, 1, -5, -2), (1, 1, -4, -2), (0, 0, -4, 0),
@@ -98,7 +99,7 @@ class TestFixedOrderRegressions:
                       [1, 2, 1, 2, 3, 1, 2, 2],
                       [2, 3, 1, 2, 3, 1, 2, 3]])
 
-        qd = final_close(st)
+        qd = run_step(st, TEMPLATE_STEP, _final_close, framing=0)
         assert qd.q_vec == (-1, -3, -3, -5, -4, -5, -7, -6,
                             0, -2, -2, -4, -3)
         assert qd.a_vec == (-1, -3, -1, -3, -3, -1, -3, -3,
@@ -162,7 +163,7 @@ class TestStepLevelInvariant:
                     # the pair name lists the later twist first
                     word += step[::-1] if step in ("TR", "RT") else step
                 for j in range(order + 1):
-                    exp = state_expand(st, j)[j]
+                    exp = expand(st, j)[j]
                     orc = skein_after(word, j)
                     assert exp.boundary == orc.boundary, (cf, word)
                     assert exp.coeffs == orc.coeffs, (cf, word, j)
@@ -188,11 +189,11 @@ class TestStepLevelInvariant:
         at_ri = QuiverState(RI, st.indices, st.M)
         for pair in ("RR", "TR"):
             with pytest.raises(ValueError):
-                apply_pair(st, pair)
+                run_step(st, TEMPLATE_STEP, _pair, pair)
         with pytest.raises(ValueError):
-            apply_pair(at_ri, "TT")
+            run_step(at_ri, TEMPLATE_STEP, _pair, "TT")
         with pytest.raises(ValueError):
-            final_close(at_ri)
+            run_step(at_ri, TEMPLATE_STEP, _final_close, framing=0)
 
     def test_unknot(self):
         qd = knot_quiver(Slope(1, 1))

@@ -11,33 +11,32 @@ from hypothesis import strategies as hs
 
 from quivertangle.qseries import QFraction
 from quivertangle.knotpipeline import (_TRANSFORMS, TEMPLATE_STEP,
-                                       _apply_template, _knot_bound,
-                                       final_close, knot_quiver,
-                                       reduce_steps, resum_stretch)
+                                       _apply_template, _final_close,
+                                       _knot_bound, _resum, knot_quiver)
 from quivertangle.quiverstate import (CLOSE_STEP, MAX_VERTICES, MIRROR_STEP,
-                                      TWIST_STEP, IndexRecord, QuiverData,
-                                      QuiverState, _absorb, _bump, _close,
-                                      _freeze, _link_bound, _matrix, _mirror,
-                                      _thaw, _twist, absorb_pochhammer,
-                                      apply_twist, canonical_shift,
-                                      close_link, framing_shift, link_quiver,
-                                      q_invert, quiver_route, slot_width,
-                                      state_expand, trivial_state)
+                                      TWIST_STEP, W, QuiverData, _absorb,
+                                      _bump, _close, _link_bound, _matrix,
+                                      _mirror, _trivial, _twist,
+                                      canonical_shift, framing_shift,
+                                      link_quiver, q_invert, quiver_route,
+                                      slot_width)
 from quivertangle.skein import (basis_element, framing_factor, oracle_homfly,
-                                raw_closure, twist, writhe)
+                                raw_closure, writhe)
 from quivertangle.tangles import (OP, RI, Slope, UP, cf_expand, cf_value,
                                   enumerate_rational_knots, is_knot,
                                   resolve_terms, twist_sequence)
 
-from conftest import (absorb_list, absorb_pochhammer_reference, actives,
+from conftest import (IndexRecord, QuiverState, absorb_list,
+                      absorb_pochhammer_reference, actives,
                       apply_template_list, apply_template_reference,
                       apply_twist_reference, bump_list, close_list,
                       canonical_shift_reference, close_link_reference,
-                      compositions, distinct_slopes, export_quivers,
-                      freeze_matrix, inactives, link_route_coeff,
+                      compositions, distinct_slopes, expand, export_quivers,
+                      freeze, freeze_matrix, inactives, link_route_coeff,
                       mirror_quiver, odd_cfs, permutation_equal, permute,
-                      reduce_cf, rescale, state_expand_reference,
-                      state_expand_walk_reference, template, twist_list)
+                      reduce_cf, reduce_steps, rescale, run_step,
+                      state_expand_reference, state_expand_walk_reference,
+                      thaw, trivial_state, twist, twist_list)
 
 
 STEP_ORDER = 3
@@ -55,7 +54,7 @@ def skein_chain(word, j):
 
 def assert_state_matches_oracle(st, word, order=STEP_ORDER):
     expected = [skein_chain(word, j)[-1] for j in range(order + 1)]
-    got = state_expand(st, order)
+    got = expand(st, order)
     for j in range(order + 1):
         assert got[j].boundary == expected[j].boundary, word
         assert got[j].coeffs == expected[j].coeffs, (word, j)
@@ -97,7 +96,7 @@ def _triples(elements):
 @settings(max_examples=80, deadline=None)
 @given(small_states(max_n=8), hs.integers(0, 4))
 def test_state_expand_matches_brute_force(st, N):
-    assert _triples(state_expand(st, N)) \
+    assert _triples(expand(st, N)) \
         == _triples(state_expand_reference(st, N))
 
 
@@ -121,12 +120,12 @@ def test_state_expand_matches_walk_reference():
     for cf in odd_cfs(7):
         st = trivial_state()
         for kind in twist_sequence(cf):
-            st = apply_twist(st, kind)
+            st = run_step(st, TWIST_STEP, _twist, kind)
             states.append((st, 3))
         if is_knot(cf_value(cf)):
             states.append((reduce_cf(cf), 3))
     for args in states:
-        assert _triples(state_expand(*args)) \
+        assert _triples(expand(*args)) \
             == _triples(state_expand_walk_reference(*args)), args
 
 
@@ -140,7 +139,7 @@ def test_kernel_matches_reference(st, data):
     # the in-place kernel against the frozen-state steps it replaced
     before = _snapshot(st)
     kind = data.draw(hs.sampled_from("TR"))
-    assert apply_twist(st, kind) \
+    assert run_step(st, TWIST_STEP, _twist, kind) \
         == apply_twist_reference(st, kind, refine=False)
 
     targets = data.draw(hs.permutations(range(st.n)))
@@ -152,13 +151,16 @@ def test_kernel_matches_reference(st, data):
     flags = {"alpha_active": data.draw(hs.sampled_from((None, True, False))),
              "beta_active": data.draw(hs.sampled_from((None, True, False)))}
     inputs = (list(coeff), list(targets))
-    assert absorb_pochhammer(st, *args, **flags) \
+    # an absorb with |coeff| <= 2 adds at most 5 to any |entry|
+    assert run_step(st, 5, _absorb, *args, flags["alpha_active"],
+                    flags["beta_active"]) \
         == absorb_pochhammer_reference(st, *args, refine=False, **flags)
     assert (coeff, targets) == inputs
 
     key = data.draw(hs.sampled_from(sorted(_TRANSFORMS)))
     keyed = QuiverState(key[1], st.indices, st.M)
-    assert template(keyed, key) == apply_template_reference(keyed, key)
+    assert run_step(keyed, TEMPLATE_STEP, _apply_template, key) \
+        == apply_template_reference(keyed, key)
 
     # a closable state: no flags and a symmetric M (the upper triangle
     # mirrored); the reference closes it in the balanced reading, whose
@@ -171,16 +173,17 @@ def test_kernel_matches_reference(st, data):
                 for i, row in enumerate(M)]
     plain = QuiverState(obj, records, freeze_matrix(M))
     unfolded = QuiverState(obj, records, freeze_matrix(balanced))
-    assert close_link(plain, 1) == close_link_reference(unfolded, 1)
+    assert run_step(plain, CLOSE_STEP, _close, framing=1) \
+        == close_link_reference(unfolded, 1)
     assert _snapshot(st) == before
 
 
 @hs.composite
-def edge_states(draw, w, step, max_n=5):
+def edge_states(draw, step, max_n=5):
     """small_states whose entries lie within a few units of the edge
-    +-(2^(w-1) - 1 - step), one of them on it, or are small: a step
-    that adds at most step to any |entry| fills its w-bit slots."""
-    edge = (1 << (w - 1)) - 1 - step
+    +-(2^(W-1) - 1 - step), one of them on it, or are small: a step
+    that adds at most step to any |entry| fills its W-bit slots."""
+    edge = (1 << (W - 1)) - 1 - step
     st = draw(small_states(max_n, hs.one_of(
         hs.integers(-3, 3), hs.integers(edge - 3, edge),
         hs.integers(-edge, -edge + 3))))
@@ -199,13 +202,11 @@ class TestPackedKernel:
     and the bound its slot width comes from."""
 
     @settings(max_examples=150, deadline=None)
-    @given(hs.sampled_from((16, 32)), hs.data())
-    def test_packed_kernel_matches_list_kernel(self, w, data):
+    @given(hs.data())
+    def test_packed_kernel_matches_list_kernel(self, data):
         def thawed(step):
-            st = data.draw(edge_states(w, step))
-            th = _thaw(st, step)
-            assert th.w == w
-            return st, th
+            st = data.draw(edge_states(step))
+            return st, thaw(st, step)
 
         delta = data.draw(hs.integers(-2, 2))
         st, th = thawed(abs(delta))
@@ -231,23 +232,23 @@ class TestPackedKernel:
         _absorb(th, *args)
         records, M = _listed(st)
         absorb_list(records, M, *args)
-        assert _freeze(th) == QuiverState(st.obj, tuple(records),
-                                          freeze_matrix(M))
+        assert freeze(th) == QuiverState(st.obj, tuple(records),
+                                         freeze_matrix(M))
 
         st, th = thawed(TWIST_STEP)
         kind = data.draw(hs.sampled_from("TR"))
         _twist(th, kind)
         records, M = _listed(st)
         obj = twist_list(st.obj, records, M, kind)
-        assert _freeze(th) == QuiverState(obj, tuple(records),
-                                          freeze_matrix(M))
+        assert freeze(th) == QuiverState(obj, tuple(records),
+                                         freeze_matrix(M))
 
         st, th = thawed(TEMPLATE_STEP)
         key = data.draw(hs.sampled_from(sorted(_TRANSFORMS)))
         th.obj = key[1]
         _apply_template(th, key)
-        assert _freeze(th) == apply_template_list(replace(st, obj=key[1]),
-                                                  key)
+        assert freeze(th) == apply_template_list(replace(st, obj=key[1]),
+                                                 key)
 
         st, th = thawed(CLOSE_STEP)
         obj = data.draw(hs.sampled_from((UP, OP)))
@@ -257,25 +258,34 @@ class TestPackedKernel:
         records, M = _listed(st)
         records = [replace(r, extra_poch=0) for r in records]
         close_list(obj, records, M)
-        assert _freeze(th) == QuiverState(obj, tuple(records),
-                                          freeze_matrix(M))
+        assert freeze(th) == QuiverState(obj, tuple(records),
+                                         freeze_matrix(M))
 
-    def test_wider_bound_selects_32_bits(self):
+    def test_route_bounds_fit_at_the_vertex_bound(self):
+        # a route's bound grows with the term sum of its CF, at most its
+        # numerator p; at MAX_VERTICES the knot route admits p = 2047
+        # and the link route 2(p + q) = 2048, so p = 1023 with q = 1
+        for p in range(1, 61):
+            for q in range(1, p + 1):
+                if gcd(p, q) == 1:
+                    assert sum(resolve_terms(Slope(p, q))[0]) <= p, (p, q)
+        knot, link = _knot_bound([MAX_VERTICES - 1]), _link_bound(
+            [MAX_VERTICES // 2 - 1])
+        assert (knot, link) == (22523, 8193)
+        assert slot_width(knot) == slot_width(link) == W == 16
+
+    def test_wider_bound_is_refused(self):
         assert slot_width(0) == slot_width((1 << 15) - 1) == 16
-        assert slot_width(1 << 15) == slot_width((1 << 31) - 1) == 32
-        with pytest.raises(ValueError, match="32-bit"):
-            slot_width(1 << 31)
-        # a twist could take this entry to 2^15: 32-bit slots, and the
-        # list kernel's result
+        with pytest.raises(ValueError, match="32768 do not fit a 16-bit"):
+            slot_width(1 << 15)
+        # a twist could take this entry to 2^15: refused before packing
         records = (IndexRecord(True, 0, 0, 0), IndexRecord(False, 0, 1, 0))
         st = QuiverState(UP, records, (((1 << 15) - TWIST_STEP, 1), (1, 0)))
-        assert _thaw(st, TWIST_STEP).w == 32
-        assert _thaw(st, TWIST_STEP - 1).w == 16
-        for kind in "TR":
-            records, M = _listed(st)
-            obj = twist_list(UP, records, M, kind)
-            assert apply_twist(st, kind) == QuiverState(
-                obj, tuple(records), freeze_matrix(M))
+        thaw(st, TWIST_STEP - 1)
+        with pytest.raises(ValueError, match="32768"):
+            thaw(st, TWIST_STEP)
+        with pytest.raises(ValueError, match="32768"):
+            _trivial(1 << 15)
 
     def test_proven_bound_holds_on_both_routes(self):
         # every slope with p <= 60: no step adds more than its constant
@@ -292,7 +302,7 @@ class TestPackedKernel:
                 slope = Slope(p, q)
                 terms, mirrored = resolve_terms(slope)
                 bound = _link_bound(terms)
-                th = _thaw(trivial_state(), bound)
+                th = _trivial(bound)
                 before = 0
                 for kind in twist_sequence(terms):
                     _twist(th, kind)
@@ -361,22 +371,24 @@ class TestSymmetricInvariant:
     @given(symmetric_states(), hs.data())
     def test_steps_keep_symmetric_states_symmetric(self, st, data):
         for kind in "TR":
-            assert _is_symmetric(apply_twist(st, kind).M), kind
+            assert _is_symmetric(run_step(st, TWIST_STEP, _twist, kind).M)
             count = data.draw(hs.integers(1, 3))
-            assert _is_symmetric(resum_stretch(st, kind, count).M), kind
+            out = run_step(st, TWIST_STEP * count + 3, _resum, kind, count)
+            assert _is_symmetric(out.M), kind
         targets = data.draw(hs.permutations(range(st.n)))
         targets = targets[:data.draw(hs.integers(0, st.n))]
         coeff = data.draw(hs.lists(hs.integers(-2, 2), min_size=st.n,
                                    max_size=st.n))
-        out = absorb_pochhammer(
-            st, coeff, data.draw(hs.integers(-2, 2)),
+        out = run_step(
+            st, 5, _absorb, coeff, data.draw(hs.integers(-2, 2)),
             2 * data.draw(hs.integers(-1, 2)), targets,
-            alpha_active=data.draw(hs.sampled_from((None, True, False))),
-            beta_active=data.draw(hs.sampled_from((None, True, False))))
+            data.draw(hs.sampled_from((None, True, False))),
+            data.draw(hs.sampled_from((None, True, False))))
         assert _is_symmetric(out.M)
         for key in _TRANSFORMS:
             keyed = QuiverState(key[1], st.indices, st.M)
-            assert _is_symmetric(template(keyed, key).M), key
+            out = run_step(keyed, TEMPLATE_STEP, _apply_template, key)
+            assert _is_symmetric(out.M), key
 
     def test_route_states_are_symmetric(self):
         # every state of both routes on every slope with p <= 40: after
@@ -393,7 +405,7 @@ class TestSymmetricInvariant:
                         knot_steps += 1
                 st = trivial_state()
                 for i, kind in enumerate(twist_sequence(terms)):
-                    st = apply_twist(st, kind)
+                    st = run_step(st, TWIST_STEP, _twist, kind)
                     assert _is_symmetric(st.M), (p, q, i)
                     link_twists += 1
         assert (knot_steps, link_twists) == (1546, 5865)
@@ -403,10 +415,12 @@ class TestSymmetricInvariant:
         # refuses an asymmetric Q instead of averaging it
         records = (IndexRecord(True, 0, 0, 0), IndexRecord(False, 0, 0, 0))
         with pytest.raises(ValueError, match="symmetric"):
-            close_link(QuiverState(UP, records, ((0, 1), (0, 0))))
+            run_step(QuiverState(UP, records, ((0, 1), (0, 0))), CLOSE_STEP,
+                     _close, framing=0)
         flagged = (IndexRecord(True, 1, 0, 0), IndexRecord(False, 0, 0, 0))
         with pytest.raises(ValueError, match="symmetric"):
-            final_close(QuiverState(UP, flagged, ((0, 1), (0, 0))))
+            run_step(QuiverState(UP, flagged, ((0, 1), (0, 0))),
+                     TEMPLATE_STEP, _final_close, framing=0)
 
 
 def test_balanced_reading_closes_to_the_same_quiver():
@@ -418,12 +432,12 @@ def test_balanced_reading_closes_to_the_same_quiver():
     for cf in odd_cfs(7):
         positive = balanced = trivial_state()
         for kind in twist_sequence(cf):
-            positive = apply_twist(positive, kind)
+            positive = run_step(positive, TWIST_STEP, _twist, kind)
             balanced = apply_twist_reference(balanced, kind, refine=True)
         if positive.obj == RI:
             continue
         framing = writhe(cf)
-        assert close_link(positive, framing) \
+        assert run_step(positive, CLOSE_STEP, _close, framing=framing) \
             == close_link_reference(balanced, framing), cf
         closed += 1
     assert closed == 43
@@ -442,7 +456,7 @@ class TestStateInvariant:
             word = twist_sequence(cf)
             st = trivial_state()
             for i, kind in enumerate(word):
-                st = apply_twist(st, kind)
+                st = run_step(st, TWIST_STEP, _twist, kind)
                 assert_state_matches_oracle(st, word[:i + 1])
 
     def test_variable_counts(self):
@@ -452,7 +466,7 @@ class TestStateInvariant:
             slope = cf_value(cf)
             st = trivial_state()
             for kind in twist_sequence(cf):
-                st = apply_twist(st, kind)
+                st = run_step(st, TWIST_STEP, _twist, kind)
             if st.obj == UP:
                 assert len(actives(st.indices)) == slope.p, cf
                 assert len(inactives(st.indices)) == slope.q, cf
@@ -465,22 +479,22 @@ class TestCloseLink:
     def test_closure_matches_raw_oracle(self, cf):
         st = trivial_state()
         for kind in twist_sequence(cf):
-            st = apply_twist(st, kind)
-        qd = close_link(st)
+            st = run_step(st, TWIST_STEP, _twist, kind)
+        qd = run_step(st, CLOSE_STEP, _close, framing=0)
         for j in range(STEP_ORDER + 1):
             assert link_route_coeff(qd, j) == raw_closure(cf, j), (cf, j)
 
     def test_close_ri_rejected(self):
         st = trivial_state()
         for kind in twist_sequence([1, 1, 1]):  # ends on RI
-            st = apply_twist(st, kind)
+            st = run_step(st, TWIST_STEP, _twist, kind)
         with pytest.raises(ValueError):
-            close_link(st)
+            run_step(st, CLOSE_STEP, _close, framing=0)
 
     def test_close_flagged_index_rejected(self):
         st = QuiverState(UP, (IndexRecord(False, 1, 0, 0),), ((0,),))
         with pytest.raises(ValueError):
-            close_link(st)
+            run_step(st, CLOSE_STEP, _close, framing=0)
 
 
 class TestLinkQuiver:
@@ -610,7 +624,7 @@ class TestVertexBound:
                          vertices=lambda rep: rep.p)
         # the bound itself is admitted
         qd = quiver_route([MAX_VERTICES],
-                          lambda terms: _thaw(trivial_state(), 0),
+                          lambda terms: _trivial(0),
                           polynomial=True, vertices=lambda rep: rep.p)
         assert qd == QuiverData(((0,),), (0,), (0,), writhe([MAX_VERTICES]),
                                 "antisymmetric")

@@ -13,16 +13,16 @@ from quivertangle.knotpipeline import knot_quiver
 from quivertangle.quiverstate import framing_shift, link_quiver
 from quivertangle import skein
 from quivertangle.skein import (SkeinElement, _pack, _packed_quotient,
-                                _unpack, basis_element, close,
-                                closure_numerator, framing_factor,
-                                oracle_homfly, raw_closure, reduced_homfly,
-                                tangle_element, twist, twist_matrix, writhe)
+                                _unpack, basis_element, closure_numerator,
+                                framing_factor, oracle_homfly, raw_closure,
+                                reduced_homfly, twist_matrix, writhe)
 from quivertangle.tangles import (OP, RI, UP, Slope, enumerate_rational_knots,
                                   twist_sequence)
 from quivertangle.verify import expand_motivic
 
-from conftest import (close_reference, distinct_slopes, neg_q_pow, odd_cfs,
-                      raw_closure_reference, rescale, twist_reference)
+from conftest import (close, close_reference, distinct_slopes, neg_q_pow,
+                      odd_cfs, raw_closure_reference, rescale, tangle_element,
+                      twist, twist_reference)
 
 
 def qf(num, den=None):

@@ -18,15 +18,8 @@ def test_no_assert_in_src():
     assert not found, found
 
 
-# names no src/ code reads that stay on purpose: the frozen step
-# wrappers the step-level diagnosis will use or move (both routes run
-# their steps on one thawed state, so the knot route's wrappers and its
-# per-step generator are unread too), and the version
-UNREAD_ALLOWED = {"quiverstate.apply_twist", "quiverstate.absorb_pochhammer",
-                  "quiverstate.close_link", "knotpipeline.apply_pair",
-                  "knotpipeline.resum_stretch", "knotpipeline.final_close",
-                  "knotpipeline.reduce_steps", "skein.twist", "skein.close",
-                  "skein.tangle_element", "__init__.__version__"}
+# the one name no src/ code reads that stays on purpose: the version
+UNREAD_ALLOWED = {"__init__.__version__"}
 
 
 def test_every_src_definition_is_read_in_src():
