@@ -9,24 +9,25 @@ stderr.
 from __future__ import annotations
 
 import argparse
+import errno
 import json
 import os
 import sys
 import time
 
+from . import quiverstate
 from .knotpipeline import (delta_vector, homology_generators, knot_quiver,
-                           knot_vertices, signature)
-from .quiverstate import (canonical_shift, framing_shift, link_quiver,
-                          q_invert, refuse_oversized)
+                           signature)
+from .quiverstate import canonical_shift, framing_shift, link_quiver, q_invert
 from .skein import oracle_homfly, refuse_oversized_oracle
 from .tangles import (Slope, cf_expand, cf_value, crossing_number,
                       enumerate_rational_knots, is_knot)
 from .verify import (DEFAULT_KNOT_ORDER, DEFAULT_LINK_ORDER, verify_knot,
                      verify_link)
 
-# the largest --max-crossings budget: the enumeration takes about 2.7
-# times longer per crossing (18 s at 18 crossings on a 2-CPU box with
-# Python 3.11), so a larger budget is refused before any work
+# the largest --max-crossings budget of enumerate: it bounds the output,
+# which about doubles per crossing (22,015 knots at 18), not the time,
+# which is linear in the output; a larger budget is refused before any work
 MAX_CROSSINGS = 18
 
 
@@ -80,14 +81,25 @@ def _int_at_least(low):
     return parse
 
 
-def _crossing_budget(text):
-    """Argument type of --max-crossings: an integer from 3 to
-    MAX_CROSSINGS."""
-    value = _int_at_least(3)(text)
-    if value > MAX_CROSSINGS:
-        raise argparse.ArgumentTypeError(
-            f"crossing budget {value} is over the bound {MAX_CROSSINGS}")
-    return value
+def _crossing_budget(bound):
+    """Argument type of --max-crossings: an integer from 3 to bound(),
+    which is read when the argument is parsed."""
+    def parse(text):
+        value = _int_at_least(3)(text)
+        if value > bound():
+            raise argparse.ArgumentTypeError(
+                f"crossing budget {value} is over the bound {bound()}")
+        return value
+    return parse
+
+
+def _batch_crossings():
+    """The largest budget whose every knot fits the knot route, which
+    builds p vertices: a knot of c crossings has p <= F(c+1), the
+    continuant of c ones, so this is the largest c <= MAX_CROSSINGS with
+    F(c+1) <= MAX_VERTICES (16 at 2048)."""
+    return max(c for c in range(3, MAX_CROSSINGS + 1)
+               if cf_value([1] * c).p <= quiverstate.MAX_VERTICES)
 
 
 def _parse_frame(text):
@@ -158,9 +170,31 @@ def compute_payload(slope, terms, pipeline, frame, convention):
     return payload
 
 
+def _refuse_out(out_path, parser, code):
+    """Exit 2 naming the --out path and the OS error code it met."""
+    parser.error(f"cannot write --out {out_path}: {os.strerror(code)}")
+
+
+def _check_out(out_path, parser):
+    """Refuse, before any work, an --out path open(path, "w") would fail
+    on, without creating or truncating it: a directory, a read-only
+    file, or a new file in a missing or read-only directory."""
+    folder = os.path.join(os.path.dirname(out_path) or ".", "")
+    try:
+        os.stat(folder)  # the trailing separator makes a file ENOTDIR
+    except OSError as exc:
+        _refuse_out(out_path, parser, exc.errno)
+    if os.path.isdir(out_path):
+        _refuse_out(out_path, parser, errno.EISDIR)
+    # writing an existing file needs its own permission, not its folder's
+    if not os.access(out_path if os.path.exists(out_path) else folder,
+                     os.W_OK):
+        _refuse_out(out_path, parser, errno.EACCES)
+
+
 def _emit(text, out_path, parser):
-    """Write text to the --out path, or to stdout without one; a path
-    that cannot be written is a usage error."""
+    """Write text to the --out path, or to stdout without one; a write
+    that fails after _check_out is still a usage error."""
     if not out_path:
         sys.stdout.write(text)
         return
@@ -168,8 +202,7 @@ def _emit(text, out_path, parser):
         with open(out_path, "w") as fh:
             fh.write(text)
     except OSError as exc:
-        parser.error(f"cannot write --out {out_path}: "
-                     f"{exc.strerror or exc}")
+        _refuse_out(out_path, parser, exc.errno)
 
 
 def _cmd_compute(args, parser):
@@ -257,11 +290,6 @@ def _batch_worker(task):
 
 def _cmd_batch(args, parser):
     slopes = enumerate_rational_knots(args.max_crossings)
-    for s in slopes:  # before any work, not inside a worker
-        try:
-            refuse_oversized(s, knot_vertices)
-        except ValueError as exc:
-            parser.error(str(exc))
     tasks = [(s.p, s.q, args.frame, args.convention) for s in slopes]
     # the pool starts all its workers at the first submit, so a worker
     # count beyond the CPUs or the tasks would only cost processes
@@ -302,8 +330,6 @@ def build_parser():
                          default="sym")
     compute.add_argument("--order", type=_int_at_least(0), default=0,
                          help="also verify against the oracle to this order")
-    compute.add_argument("--out", default=None)
-    compute.set_defaults(handler=_cmd_compute, parser=compute)
 
     oracle = subs.add_parser("oracle",
                              help="print reduced colored polynomials")
@@ -311,8 +337,6 @@ def build_parser():
     oracle.add_argument("--colors", type=_parse_colors, default=(0, 3))
     oracle.add_argument("--jones", action="store_true",
                         help="specialize a = q^2")
-    oracle.add_argument("--out", default=None)
-    oracle.set_defaults(handler=_cmd_oracle, parser=oracle)
 
     verify = subs.add_parser("verify",
                              help="cross-check quiver data vs the oracle")
@@ -320,28 +344,30 @@ def build_parser():
     verify.add_argument("--pipeline", choices=("knot", "link"), default=None)
     verify.add_argument("--order", type=_int_at_least(0), default=0,
                         help="0 = per-pipeline default")
-    verify.add_argument("--out", default=None)
-    verify.set_defaults(handler=_cmd_verify, parser=verify)
 
     enum = subs.add_parser("enumerate",
                            help="list canonical rational knots (JSONL)")
-    enum.add_argument("--max-crossings", type=_crossing_budget, default=12)
-    enum.add_argument("--out", default=None)
-    enum.set_defaults(handler=_cmd_enumerate, parser=enum)
+    enum.add_argument("--max-crossings", default=12,
+                      type=_crossing_budget(lambda: MAX_CROSSINGS))
 
     batch = subs.add_parser("batch",
                             help="compute quiver data for the whole corpus")
-    batch.add_argument("--max-crossings", type=_crossing_budget,
-                       default=12)
+    batch.add_argument("--max-crossings", default=12,
+                       type=_crossing_budget(_batch_crossings))
     batch.add_argument("--frame", type=_parse_frame, default="canonical")
     batch.add_argument("--convention", choices=("anti", "sym"),
                        default="sym")
     batch.add_argument("--jobs", type=_int_at_least(0), default=0,
                        help="worker processes (0 = CPU count, the default; "
                             "at most the CPU count)")
-    batch.add_argument("--out", default=None)
-    batch.set_defaults(handler=_cmd_batch, parser=batch)
 
+    # each command's handler gets its own subparser, so a refusal it
+    # raises prints that command's usage line
+    for sub, handler in ((compute, _cmd_compute), (oracle, _cmd_oracle),
+                         (verify, _cmd_verify), (enum, _cmd_enumerate),
+                         (batch, _cmd_batch)):
+        sub.add_argument("--out", default=None)
+        sub.set_defaults(handler=handler, parser=sub)
     return parser
 
 
@@ -350,9 +376,9 @@ _PARSER = build_parser()
 
 
 def main(argv=None):
-    # each command's handler gets its own subparser, so a refusal it
-    # raises prints that command's usage line
     args = _PARSER.parse_args(argv)
+    if args.out:
+        _check_out(args.out, args.parser)
     return args.handler(args, args.parser)
 
 

@@ -303,12 +303,7 @@ def knot_quiver(slope_or_terms):
     is mirrored back at the quiver level so the output always presents
     the requested slope."""
     return quiver_route(slope_or_terms, _reduce_and_close, polynomial=True,
-                        vertices=knot_vertices)
-
-
-def knot_vertices(slope):
-    """The knot route's vertex count: one vertex per unit of p."""
-    return slope.p
+                        vertices=lambda rep: rep.p)
 
 
 def _reduce_and_close(terms):

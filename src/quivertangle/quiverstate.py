@@ -505,16 +505,6 @@ def _mirror(th, polynomial):
 MAX_VERTICES = 2048
 
 
-def refuse_oversized(slope, vertices):
-    """Raise ValueError, naming the slope, its count and the bound, when
-    a route's vertex count vertices(slope) is over MAX_VERTICES."""
-    n = vertices(slope)
-    if n > MAX_VERTICES:
-        raise ValueError(
-            f"the quiver of {slope} would have {n} vertices, more than "
-            f"the bound {MAX_VERTICES}")
-
-
 def quiver_route(slope_or_terms, close, polynomial, vertices):
     """The tail both routes share: resolve the input to closable CF
     terms, build the closed thawed state with close(terms), export it
@@ -522,10 +512,15 @@ def quiver_route(slope_or_terms, close, polynomial, vertices):
     mirror it back first (_mirror(polynomial)) when only a mirror
     representative closes.  close must size its slots for the mirror
     too.  vertices(rep) is the route's vertex count on the slope rep of
-    those terms; more than MAX_VERTICES raises ValueError before
-    anything is built."""
+    those terms; more than MAX_VERTICES raises ValueError, naming the
+    slope, the count and the bound, before anything is built."""
     terms, mirrored = resolve_terms(slope_or_terms)
-    refuse_oversized(cf_value(terms), vertices)
+    rep = cf_value(terms)
+    n = vertices(rep)
+    if n > MAX_VERTICES:
+        raise ValueError(
+            f"the quiver of {rep} would have {n} vertices, more than "
+            f"the bound {MAX_VERTICES}")
     th = close(terms)
     framing = writhe(terms)
     if mirrored:

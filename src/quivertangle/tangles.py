@@ -140,12 +140,6 @@ def is_knot(slope):
     return slope.p % 2 == 1
 
 
-def _cf_weight(p, q):
-    """Sum of the Euclidean continued fraction terms of p/q (the twist
-    count of the standard alternating diagram)."""
-    return sum(_euclidean_terms(p, q))
-
-
 def ends_ri(slope):
     """True if the standard tangle of the slope has the East-West
     boundary pattern, which admits no North-South closure."""
@@ -194,30 +188,30 @@ def knot_class(p, q):
 
 
 def crossing_number(slope):
-    """Minimal twist count over the equivalence class of the slope."""
-    p = slope.p
-    return min(_cf_weight(p, q) for q in knot_class(p, slope.q))
+    """Crossing number of the slope p/q (q < p): the term sum of its
+    Euclidean continued fraction, the twist count of its reduced
+    alternating diagram.  The sum is the same on every slope of
+    knot_class, so no minimum over the class is needed."""
+    return sum(_euclidean_terms(slope.p, slope.q))
 
 
 def enumerate_rational_knots(budget):
-    """All rational knots admitting a diagram with at most `budget`
-    crossings, one canonical representative (smallest q) per unoriented
-    equivalence class."""
+    """All rational knots of crossing number at most `budget`, one
+    canonical representative (smallest q) per unoriented equivalence
+    class, sorted by (p, q).  Each slope p/q > 1 has exactly one
+    Euclidean continued fraction, whose first built term is >= 2, so
+    one walk over those with term sum <= budget meets each class's
+    smallest-q slope exactly once."""
     if budget < 3:
         raise ValueError("budget must be at least 3")
-    # p is bounded by the continuant of `budget` ones (Fibonacci growth)
-    hi, nxt = 1, 1
-    for _ in range(budget):
-        hi, nxt = nxt, hi + nxt
     out = []
-    for p in range(3, nxt + 1, 2):
-        seen = set()
-        for q in range(1, p):
-            if gcd(p, q) != 1 or q in seen:
-                continue
-            cls = knot_class(p, q)
-            seen |= cls
-            if min(_cf_weight(p, qq) for qq in cls) <= budget:
-                out.append(Slope(p, min(cls)))
+    # (p, q, twists left) after the terms built so far: a next term t
+    # takes p/q to (t p + q)/p
+    stack = [(a1, 1, budget - a1) for a1 in range(2, budget + 1)]
+    while stack:
+        p, q, left = stack.pop()
+        if p % 2 and q == min(knot_class(p, q)):
+            out.append(Slope(p, q))
+        stack.extend((t * p + q, p, left - t) for t in range(1, left + 1))
     out.sort(key=lambda s: (s.p, s.q))
     return out

@@ -337,8 +337,10 @@ class TestBatchAndDeterminism:
 
     def test_batch_refuses_an_oversized_knot_first(self, capsys,
                                                    monkeypatch):
-        # with the bound at 6 vertices, 7/2 is refused with exit 2
-        # before any knot of the corpus is computed
+        # with the bound at 6 vertices, 7/2 (5 crossings) would not fit:
+        # budget 5 is refused with exit 2 when the argument is parsed,
+        # naming the derived bound 4 (F(5) = 5 <= 6 < F(6) = 8), before
+        # any knot of the corpus is computed
         monkeypatch.setattr(quiverstate, "MAX_VERTICES", 6)
         computed = []
         monkeypatch.setattr(cli, "_batch_worker", computed.append)
@@ -347,8 +349,7 @@ class TestBatchAndDeterminism:
         assert exc.value.code == 2
         out, err = capsys.readouterr()
         assert out == "" and computed == []
-        assert "7/2 would have 7 vertices" in err, err
-        assert "the bound 6" in err, err
+        assert "crossing budget 5 is over the bound 4" in err, err
 
     def test_batch_jobs_are_capped(self, capsys, monkeypatch):
         # the pool starts every requested worker at once: no more than
@@ -449,35 +450,45 @@ class TestExitCodes:
                 assert err.startswith(f"usage: quivertangle {argv[0]} "), err
                 assert f"quivertangle {argv[0]}: error: " in err, err
 
-    def test_crossing_budget_is_bounded(self, monkeypatch):
-        # a budget over MAX_CROSSINGS is refused before any work, naming
-        # the budget and the bound, also under -O; the bound is admitted
-        assert cli._crossing_budget("18") == cli.MAX_CROSSINGS == 18
-        argvs = (["enumerate", "--max-crossings", "19"],
-                 ["batch", "--max-crossings", "30", "--jobs", "1"])
-        for argv in argvs:
+    def test_crossing_budget_is_bounded(self):
+        # a budget over the bound is refused before any work, naming the
+        # budget and the bound, also under -O: MAX_CROSSINGS for
+        # enumerate, and for batch the 16 crossings whose every knot
+        # fits MAX_VERTICES; each bound is admitted
+        assert cli.MAX_CROSSINGS == 18 and cli._batch_crossings() == 16
+        for command, bound in (("enumerate", 18), ("batch", 16)):
+            args = cli.build_parser().parse_args(
+                [command, "--max-crossings", str(bound)])
+            assert args.max_crossings == bound
+        # the fresh interpreter exits 1, not 2, if it enumerates
+        script = ("import sys\n"
+                  "from quivertangle import cli\n"
+                  "def enumerate_rational_knots(budget):\n"
+                  "    raise SystemExit('enumerated over the bound')\n"
+                  "cli.enumerate_rational_knots = enumerate_rational_knots\n"
+                  "sys.exit(cli.main(sys.argv[1:]))\n")
+        for argv, bound in (
+                (["enumerate", "--max-crossings", "19"], 18),
+                (["batch", "--max-crossings", "17", "--jobs", "1"], 16),
+                (["batch", "--max-crossings", "30", "--jobs", "1"], 16)):
             for optimized in (False, True):
-                proc = run_python("-m", "quivertangle.cli", *argv,
-                                  optimized=optimized)
+                proc = run_python("-c", script, *argv, optimized=optimized)
                 assert proc.returncode == 2, (argv, proc.stderr)
                 assert proc.stdout == b""
-                assert (f"crossing budget {argv[2]} is over the bound 18"
-                        in proc.stderr.decode()), proc.stderr
+                assert (f"crossing budget {argv[2]} is over the bound "
+                        f"{bound}" in proc.stderr.decode()), proc.stderr
 
-        def enumerate_rational_knots(budget):
-            raise AssertionError("enumerated over the bound")
-
-        monkeypatch.setattr(cli, "enumerate_rational_knots",
-                            enumerate_rational_knots)
-        for argv in argvs:
-            with pytest.raises(SystemExit) as exc:
-                cli.main(argv)
-            assert exc.value.code == 2, argv
-
-    def test_unwritable_out_is_a_usage_error(self, capsys, tmp_path):
+    def test_unwritable_out_is_a_usage_error(self, capsys, tmp_path,
+                                             monkeypatch):
         # on every command, an --out in a missing directory or naming a
         # directory exits 2, naming the path and the OS error, not 1
-        # (a mismatch); also under -O
+        # (a mismatch), before any work; also under -O
+        def work(*args):
+            raise AssertionError("worked before checking --out")
+
+        for name in ("enumerate_rational_knots", "compute_payload",
+                     "verify_knot", "oracle_homfly"):
+            monkeypatch.setattr(cli, name, work)
         missing = str(tmp_path / "missing" / "x.json")
         for argv, path in ((["compute", "3/1"], missing),
                            (["oracle", "3/1"], missing),
@@ -502,6 +513,43 @@ class TestExitCodes:
             err = proc.stderr.decode()
             assert err.startswith(f"usage: quivertangle {argv[0]} "), err
             assert f"cannot write --out {path}: {reason}" in err, err
+        # a path below a regular file names the error open() would meet
+        notes = tmp_path / "notes.txt"
+        notes.write_bytes(b"")
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["compute", "3/1", "--out", str(notes / "x.json")])
+        assert exc.value.code == 2
+        assert "Not a directory" in capsys.readouterr().err
+        # in a directory that cannot be written, a new file is refused
+        # the same way, but an existing writable file is still written
+        # (as /dev/null is): it needs its own permission, not the folder's
+        real_access = os.access
+
+        def refuse_folders(path, mode):
+            return not os.path.isdir(path) and real_access(path, mode)
+
+        monkeypatch.setattr(os, "access", refuse_folders)
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["compute", "3/1", "--out", str(tmp_path / "x.json")])
+        assert exc.value.code == 2
+        assert "Permission denied" in capsys.readouterr().err
+        monkeypatch.undo()
+        monkeypatch.setattr(os, "access", refuse_folders)
+        for path in (notes, "/dev/null"):
+            assert cli.main(["compute", "3/1", "--out", str(path)]) == 0
+        assert json.loads(notes.read_text())["p"] == 3
+        monkeypatch.undo()
+        # the check neither creates nor truncates the file: a refusal
+        # after it leaves an existing file as it was and a new one absent
+        kept, new = tmp_path / "kept.json", tmp_path / "new.json"
+        kept.write_bytes(b"kept\n")
+        for argv in (["compute", "4/1", "--pipeline", "knot"],
+                     ["oracle", "7/3", "--colors", "20..20"]):
+            for path in (kept, new):
+                with pytest.raises(SystemExit) as exc:
+                    cli.main([*argv, "--out", str(path)])
+                assert exc.value.code == 2, argv
+        assert kept.read_bytes() == b"kept\n" and not new.exists()
 
     def test_validation_survives_optimized_mode(self):
         # python -O strips assert statements; input checks must not rely

@@ -361,6 +361,52 @@ class TestAlexanderColorOne:
             assert _at_a_one(_cleared(order1)) == want, s
 
 
+def _at_q_one(p):
+    return p.map_exponents(lambda eq, ea: (0, ea))
+
+
+def _colored_alexander_holds(s, r, value):
+    """P_r(a = 1, q) = Delta(q^(2r)) (Zhu, arXiv:1206.5886)."""
+    want = LaurentPoly({(2 * r * e, 0): c
+                        for e, c in alexander(s.p, s.q).items()})
+    return _at_a_one(value) == want
+
+
+def _exponential_growth_holds(r, value, first):
+    """P_r(a, q = 1) = P_1(a, q = 1)^r (Zhu, arXiv:1206.5886)."""
+    return _at_q_one(value) == _at_q_one(first) ** r
+
+
+class TestOracleAtEveryColor:
+    def test_colored_alexander_and_exponential_growth(self):
+        # two identities of every knot and symmetric color r, on every
+        # knot up to 12 crossings at colors 1..4
+        for s in enumerate_rational_knots(12):
+            first = _cleared(oracle_homfly(s, 1))
+            for r in range(1, 5):
+                value = _cleared(oracle_homfly(s, r))
+                assert _colored_alexander_holds(s, r, value), (s, r)
+                assert _exponential_growth_holds(r, value, first), (s, r)
+
+    def test_mutants_fail(self):
+        # a one-twist frame error in P_2 breaks both identities on all
+        # 14 knots up to 7 crossings; the mirror of P_2 breaks
+        # exponential growth on 12 of them (Delta is symmetric, so the
+        # colored Alexander identity cannot see a mirror)
+        knots = enumerate_rational_knots(7)
+        assert len(knots) == 14
+        mirror_misses = 0
+        for s in knots:
+            first = _cleared(oracle_homfly(s, 1))
+            value = _cleared(oracle_homfly(s, 2))
+            framed = value * framing_factor(2, 1)
+            assert not _colored_alexander_holds(s, 2, framed), s
+            assert not _exponential_growth_holds(2, framed, first), s
+            mirror_misses += not _exponential_growth_holds(
+                2, value.mirror(), first)
+        assert mirror_misses == 12
+
+
 class TestRescale:
     def test_rescale_action(self):
         e = rescale(basis_element(2, UP, 1))

@@ -1,6 +1,7 @@
 """Continued fractions, the boundary/connectivity automaton, and knot
 enumeration."""
 
+import hashlib
 from fractions import Fraction
 from math import gcd
 
@@ -8,8 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from quivertangle.quiverstate import MAX_VERTICES
 from quivertangle.tangles import (KNOT, LINK, OP, RI, UP, Slope, TangleClass,
-                                  boundary_after,
+                                  _euclidean_terms, boundary_after,
                                   cf_expand, cf_value, classify,
                                   crossing_number, ends_ri,
                                   enumerate_rational_knots, good_representative,
@@ -194,6 +196,49 @@ class TestEnumeration:
         # crossing number is a class invariant
         for q in knot_class(13, 3):
             assert crossing_number(Slope(13, q)) == 7
+
+    def test_count_per_crossing_number_is_ernst_sumners(self):
+        # Ernst-Sumners: (2^(c-3) + 2^floor((c-3)/2) + eps) / 3 rational
+        # knots of crossing number c, up to mirror image, with eps = 0,
+        # 0, -1, +1 for c = 0, 1, 2, 3 (mod 4)
+        counts = [len(enumerate_rational_knots(b)) for b in range(3, 19)]
+        assert counts == [1, 2, 4, 7, 14, 26, 50, 95, 186, 362, 714, 1407,
+                          2794, 5546, 11050, 22015]
+        for c, (below, upto) in enumerate(zip([0] + counts, counts), 3):
+            eps = (0, 0, -1, 1)[c % 4]
+            assert 3 * (upto - below) == (2 ** (c - 3) + 2 ** ((c - 3) // 2)
+                                          + eps), c
+
+    def test_corpus_is_pinned(self):
+        # the exact lists at 14 and 16 crossings, as the former (p, q)
+        # scan produced them
+        for b, digest in (
+                (14, "6a9205cc18bbddacd958b7e163d15fbad4ea55fd"
+                     "742dec78aa15801a379014dc"),
+                (16, "19b4c45ce363f9e38b65fdc59f2979ccb837199107a5e98"
+                     "893ea090a8ff63d33")):
+            text = " ".join(map(str, enumerate_rational_knots(b)))
+            assert hashlib.sha256(text.encode()).hexdigest() == digest, b
+
+    def test_knot_route_admits_up_to_16_crossings_only(self):
+        # a knot of c crossings has p <= F(c+1): 1597 at 16 crossings
+        # fits MAX_VERTICES, and 26 knots of 17 crossings do not
+        assert max(s.p for s in enumerate_rational_knots(16)) == 1597 \
+            <= MAX_VERTICES
+        corpus = enumerate_rational_knots(17)
+        assert len(corpus) == 11050
+        assert sum(s.p > MAX_VERTICES for s in corpus) == 26
+
+    def test_euclidean_term_sum_is_a_class_invariant(self):
+        # the Euclidean term sum is the same on all four slopes of a
+        # class, and cf_expand's odd-length rewrite keeps it
+        for p in range(2, 300):
+            for q in range(1, p):
+                if gcd(p, q) != 1:
+                    continue
+                weight = sum(cf_expand(Slope(p, q)))
+                for qq in knot_class(p, q):
+                    assert sum(_euclidean_terms(p, qq)) == weight, (p, q, qq)
 
 
 @settings(max_examples=200, deadline=None)
