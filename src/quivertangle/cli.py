@@ -19,7 +19,7 @@ from . import quiverstate
 from .knotpipeline import (delta_vector, homology_generators, knot_quiver,
                            signature)
 from .quiverstate import canonical_shift, framing_shift, link_quiver, q_invert
-from .skein import oracle_homfly, refuse_oversized_oracle
+from .skein import MAX_ORACLE_COLOR, oracle_homfly, refuse_oversized_oracle
 from .tangles import (Slope, cf_expand, cf_value, crossing_number,
                       enumerate_rational_knots, is_knot)
 from .verify import (DEFAULT_KNOT_ORDER, DEFAULT_LINK_ORDER, verify_knot,
@@ -66,8 +66,10 @@ def _parse_colors(text):
     return lo, hi
 
 
-def _int_at_least(low):
-    """Argument type for an integer option with a lower bound."""
+def _bounded_int(low, bound=None, name="value"):
+    """Argument type for an integer option of at least low and, given
+    bound, at most bound(), which is read when the argument is parsed;
+    name is what the refusal of a value over the bound calls it."""
     def parse(text):
         error = argparse.ArgumentTypeError(
             f"bad value {text!r}: expected an integer >= {low}")
@@ -77,18 +79,9 @@ def _int_at_least(low):
             raise error from None
         if value < low:
             raise error
-        return value
-    return parse
-
-
-def _crossing_budget(bound):
-    """Argument type of --max-crossings: an integer from 3 to bound(),
-    which is read when the argument is parsed."""
-    def parse(text):
-        value = _int_at_least(3)(text)
-        if value > bound():
+        if bound and value > bound():
             raise argparse.ArgumentTypeError(
-                f"crossing budget {value} is over the bound {bound()}")
+                f"{name} {value} is over the bound {bound()}")
         return value
     return parse
 
@@ -135,13 +128,7 @@ def _output_frame_shift(qd, frame, convention):
 
 def compute_payload(slope, terms, pipeline, frame, convention):
     """The `compute` JSON object for one link."""
-    if pipeline == "knot":
-        if not is_knot(slope):
-            raise ValueError(
-                f"{slope} is a two-component link; use --pipeline link")
-        qd = knot_quiver(slope)
-    else:
-        qd = link_quiver(slope)
+    qd = knot_quiver(slope) if pipeline == "knot" else link_quiver(slope)
     payload = {
         "p": slope.p,
         "q": slope.q,
@@ -170,12 +157,13 @@ def compute_payload(slope, terms, pipeline, frame, convention):
     return payload
 
 
-def _refuse_out(out_path, parser, code):
-    """Exit 2 naming the --out path and the OS error code it met."""
-    parser.error(f"cannot write --out {out_path}: {os.strerror(code)}")
+def _out_error(out_path, code):
+    """The refusal of an --out path, naming it and the OS error code it
+    met."""
+    return ValueError(f"cannot write --out {out_path}: {os.strerror(code)}")
 
 
-def _check_out(out_path, parser):
+def _check_out(out_path):
     """Refuse, before any work, an --out path open(path, "w") would fail
     on, without creating or truncating it: a directory, a read-only
     file, or a new file in a missing or read-only directory."""
@@ -183,16 +171,16 @@ def _check_out(out_path, parser):
     try:
         os.stat(folder)  # the trailing separator makes a file ENOTDIR
     except OSError as exc:
-        _refuse_out(out_path, parser, exc.errno)
+        raise _out_error(out_path, exc.errno) from None
     if os.path.isdir(out_path):
-        _refuse_out(out_path, parser, errno.EISDIR)
+        raise _out_error(out_path, errno.EISDIR)
     # writing an existing file needs its own permission, not its folder's
     if not os.access(out_path if os.path.exists(out_path) else folder,
                      os.W_OK):
-        _refuse_out(out_path, parser, errno.EACCES)
+        raise _out_error(out_path, errno.EACCES)
 
 
-def _emit(text, out_path, parser):
+def _emit(text, out_path):
     """Write text to the --out path, or to stdout without one; a write
     that fails after _check_out is still a usage error."""
     if not out_path:
@@ -202,38 +190,29 @@ def _emit(text, out_path, parser):
         with open(out_path, "w") as fh:
             fh.write(text)
     except OSError as exc:
-        _refuse_out(out_path, parser, exc.errno)
+        raise _out_error(out_path, exc.errno) from None
 
 
-def _cmd_compute(args, parser):
+def _cmd_compute(args):
     slope, terms = args.input
     pipeline = args.pipeline or ("knot" if is_knot(slope) else "link")
-    try:
-        payload = compute_payload(slope, terms, pipeline,
-                                  args.frame, args.convention)
-    except ValueError as exc:
-        parser.error(str(exc))
+    payload = compute_payload(slope, terms, pipeline, args.frame,
+                              args.convention)
     if args.order:
         check = verify_knot if pipeline == "knot" else verify_link
-        try:
-            report = check(slope, args.order)
-        except ValueError as exc:  # a quiver or an expansion over its bound
-            parser.error(str(exc))
+        report = check(slope, args.order)
         if not report.ok:
             sys.stderr.write(report.to_json() + "\n")
             return 1
         payload["verified_order"] = args.order
-    _emit(json.dumps(payload) + "\n", args.out, parser)
+    _emit(json.dumps(payload) + "\n", args.out)
     return 0
 
 
-def _cmd_oracle(args, parser):
+def _cmd_oracle(args):
     slope, terms = args.input
     lo, hi = args.colors
-    try:
-        refuse_oversized_oracle(slope, terms, hi)
-    except ValueError as exc:
-        parser.error(str(exc))
+    refuse_oversized_oracle(slope, terms, hi)
     colors = {}
     for j in range(lo, hi + 1):
         value = oracle_homfly(slope, j)
@@ -242,42 +221,32 @@ def _cmd_oracle(args, parser):
         colors[str(j)] = _fraction_obj(value)
     payload = {"p": slope.p, "q": slope.q, "cf": terms, "frame": "zero",
                "jones": bool(args.jones), "colors": colors}
-    _emit(json.dumps(payload) + "\n", args.out, parser)
+    _emit(json.dumps(payload) + "\n", args.out)
     return 0
 
 
-def _cmd_verify(args, parser):
+def _cmd_verify(args):
     slope, _ = args.input
     pipelines = (args.pipeline,) if args.pipeline else (
         ("knot", "link") if is_knot(slope) else ("link",))
-    if "knot" in pipelines and not is_knot(slope):
-        parser.error(f"{slope} is a two-component link; "
-                     "the knot pipeline does not apply")
-    reports = []
-    for pipeline in pipelines:
-        try:
-            if pipeline == "knot":
-                reports.append(verify_knot(slope, args.order
-                                           or DEFAULT_KNOT_ORDER))
-            else:
-                reports.append(verify_link(slope, args.order
-                                           or DEFAULT_LINK_ORDER))
-        except ValueError as exc:  # a quiver or an expansion over its bound
-            parser.error(str(exc))
+    reports = [verify_knot(slope, args.order or DEFAULT_KNOT_ORDER)
+               if pipeline == "knot" else
+               verify_link(slope, args.order or DEFAULT_LINK_ORDER)
+               for pipeline in pipelines]
     text = "".join(r.to_json() + "\n" for r in reports)
-    _emit(text, args.out, parser)
+    _emit(text, args.out)
     sys.stderr.write("verify: " + ", ".join(
         f"{r.pipeline} route to order {r.order_checked} in {r.timing:.2f}s"
         for r in reports) + "\n")
     return 0 if all(r.ok for r in reports) else 1
 
 
-def _cmd_enumerate(args, parser):
+def _cmd_enumerate(args):
     slopes = enumerate_rational_knots(args.max_crossings)
     lines = [json.dumps({"slope": str(s),
                          "crossings": crossing_number(s)}) + "\n"
              for s in slopes]
-    _emit("".join(lines), args.out, parser)
+    _emit("".join(lines), args.out)
     return 0
 
 
@@ -288,7 +257,7 @@ def _batch_worker(task):
                                       frame, convention))
 
 
-def _cmd_batch(args, parser):
+def _cmd_batch(args):
     slopes = enumerate_rational_knots(args.max_crossings)
     tasks = [(s.p, s.q, args.frame, args.convention) for s in slopes]
     # the pool starts all its workers at the first submit, so a worker
@@ -305,7 +274,7 @@ def _cmd_batch(args, parser):
     else:
         results = [_batch_worker(t) for t in tasks]
     elapsed = time.perf_counter() - start
-    _emit("".join(line + "\n" for line in results), args.out, parser)
+    _emit("".join(line + "\n" for line in results), args.out)
     sys.stderr.write(
         f"batch: {len(results)} knots in {elapsed:.2f}s "
         f"({jobs} worker{'s' if jobs != 1 else ''})\n")
@@ -321,6 +290,9 @@ def build_parser():
         description="Quiver presentations of colored HOMFLY-PT "
                     "invariants of rational links")
     subs = parser.add_subparsers(dest="command", required=True)
+    # --order evaluates the oracle at colors 0..N, so it has the
+    # oracle's color bound
+    order = _bounded_int(0, lambda: MAX_ORACLE_COLOR, "order")
 
     compute = subs.add_parser("compute", help="emit quiver data as JSON")
     compute.add_argument("input", type=_parse_input, help=_INPUT_HELP)
@@ -328,7 +300,7 @@ def build_parser():
     compute.add_argument("--frame", type=_parse_frame, default="canonical")
     compute.add_argument("--convention", choices=("anti", "sym"),
                          default="sym")
-    compute.add_argument("--order", type=_int_at_least(0), default=0,
+    compute.add_argument("--order", type=order, default=0,
                          help="also verify against the oracle to this order")
 
     oracle = subs.add_parser("oracle",
@@ -342,27 +314,29 @@ def build_parser():
                              help="cross-check quiver data vs the oracle")
     verify.add_argument("input", type=_parse_input, help=_INPUT_HELP)
     verify.add_argument("--pipeline", choices=("knot", "link"), default=None)
-    verify.add_argument("--order", type=_int_at_least(0), default=0,
+    verify.add_argument("--order", type=order, default=0,
                         help="0 = per-pipeline default")
 
     enum = subs.add_parser("enumerate",
                            help="list canonical rational knots (JSONL)")
     enum.add_argument("--max-crossings", default=12,
-                      type=_crossing_budget(lambda: MAX_CROSSINGS))
+                      type=_bounded_int(3, lambda: MAX_CROSSINGS,
+                                        "crossing budget"))
 
     batch = subs.add_parser("batch",
                             help="compute quiver data for the whole corpus")
     batch.add_argument("--max-crossings", default=12,
-                       type=_crossing_budget(_batch_crossings))
+                       type=_bounded_int(3, _batch_crossings,
+                                         "crossing budget"))
     batch.add_argument("--frame", type=_parse_frame, default="canonical")
     batch.add_argument("--convention", choices=("anti", "sym"),
                        default="sym")
-    batch.add_argument("--jobs", type=_int_at_least(0), default=0,
+    batch.add_argument("--jobs", type=_bounded_int(0), default=0,
                        help="worker processes (0 = CPU count, the default; "
                             "at most the CPU count)")
 
-    # each command's handler gets its own subparser, so a refusal it
-    # raises prints that command's usage line
+    # each command's handler gets its own subparser, so main prints the
+    # usage line of the command whose refusal it reports
     for sub, handler in ((compute, _cmd_compute), (oracle, _cmd_oracle),
                          (verify, _cmd_verify), (enum, _cmd_enumerate),
                          (batch, _cmd_batch)):
@@ -377,9 +351,13 @@ _PARSER = build_parser()
 
 def main(argv=None):
     args = _PARSER.parse_args(argv)
-    if args.out:
-        _check_out(args.out, args.parser)
-    return args.handler(args, args.parser)
+    # every refusal after parsing is a ValueError, and leaves here
+    try:
+        if args.out:
+            _check_out(args.out)
+        return args.handler(args)
+    except ValueError as exc:
+        args.parser.error(str(exc))
 
 
 if __name__ == "__main__":

@@ -28,8 +28,8 @@ from dataclasses import dataclass
 
 from .quiverstate import (MIRROR_STEP, TWIST_STEP, W, _absorb, _gather,
                           _ones, _trivial, _twist, quiver_route)
-from .tangles import (OP, RI, UP, boundary_after, boundary_walk, cf_value,
-                      is_knot, resolve_terms)
+from .tangles import (OP, RI, UP, boundary_walk, cf_value, is_knot,
+                      resolve_terms)
 
 
 @dataclass(frozen=True)
@@ -206,12 +206,7 @@ def _pair(th, pair):
     if (pair, th.obj) not in _TRANSFORMS:
         raise ValueError(f"no {pair} transform at boundary {th.obj}")
     _require_type(th.records, pair in ("TT", "RT"), pair)
-    before = th.obj
-    _apply_template(th, (pair, before))
-    expected = boundary_after(boundary_after(before, pair[1]), pair[0])
-    if th.obj != expected:
-        raise RuntimeError(f"{pair} template at {before} ends on "
-                           f"{th.obj}, not {expected}")
+    _apply_template(th, (pair, th.obj))
 
 
 def _resum(th, kind, count):
@@ -248,9 +243,10 @@ def _reduce(terms, th):
     if len(terms) % 2 == 0 or any(t < 1 for t in terms):
         raise ValueError(f"bad continued fraction {terms}: need an "
                          "odd-length list of positive integers")
-    if not is_knot(cf_value(terms)):
-        raise ValueError("two-component link: the p-vertex pipeline "
-                         "needs an odd numerator")
+    slope = cf_value(terms)
+    if not is_knot(slope):
+        raise ValueError(f"{slope} is a two-component link: the knot "
+                         "route needs an odd p; use --pipeline link")
     counts = list(terms)
     counts[-1] -= 1
     i = 0
@@ -323,8 +319,8 @@ def delta_vector(qd):
 
 
 def signature(slope_or_terms):
-    """Knot signature from the twist word: walk the boundary automaton
-    and count the grading-shifting twist types (positive knots get
+    """Knot signature from the twist word: walk its boundaries and
+    count the grading-shifting twist types (positive knots get
     negative signature)."""
     terms, mirrored = resolve_terms(slope_or_terms)
     if not is_knot(cf_value(terms)):

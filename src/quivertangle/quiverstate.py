@@ -554,7 +554,11 @@ def link_quiver(slope_or_terms):
 
 def framing_shift(qd, f):
     """Change the framing by f units: each unit multiplies color j by
-    (-q)^{-j} a^{-j} q^{j^2}."""
+    (-q)^{-j} a^{-j} q^{j^2}.  The rule holds in the antisymmetric color
+    convention only; q_invert takes the shift for symmetric output."""
+    if qd.color_convention != "antisymmetric":
+        raise ValueError("framing_shift needs data in the antisymmetric "
+                         "color convention")
     if not f:
         return qd
     return _affine(qd, 1, f, 0, -f, tuple(x - f for x in qd.a_vec),

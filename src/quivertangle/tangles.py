@@ -1,5 +1,5 @@
-"""Rational slopes, continued fractions, the boundary/connectivity
-automaton, and enumeration of rational knots up to equivalence.
+"""Rational slopes, continued fractions, the boundary walk of a twist
+word, and enumeration of rational knots up to equivalence.
 
 Conventions.  A continued fraction [a1,...,ar] (all terms positive, r
 odd) is evaluated right to left:
@@ -15,14 +15,12 @@ the package.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from math import gcd
 
 UP = "UP"
 OP = "OP"
 RI = "RI"
-
-KNOT = "knot"
-LINK = "two-component-link"
 
 
 @dataclass(frozen=True)
@@ -39,12 +37,6 @@ class Slope:
 
     def __str__(self):
         return f"{self.p}/{self.q}"
-
-
-@dataclass(frozen=True)
-class TangleClass:
-    boundary: str  # UP | OP | RI
-    connectivity: str  # knot | two-component-link
 
 
 def cf_value(terms):
@@ -123,19 +115,6 @@ def boundary_walk(terms):
         boundary = boundary_after(boundary, kind)
 
 
-def classify(terms):
-    """Run the six-state automaton over the building word of a CF.  The
-    states sit on a cycle whose edges are alternately top and right
-    twists: connectivity flips on every top twist and on a right twist
-    at an RI boundary."""
-    boundary, knot = UP, False  # trivial tangle
-    for before, kind in boundary_walk(terms):
-        if kind == "T" or before == RI:
-            knot = not knot
-        boundary = boundary_after(before, kind)
-    return TangleClass(boundary, KNOT if knot else LINK)
-
-
 def is_knot(slope):
     return slope.p % 2 == 1
 
@@ -143,7 +122,7 @@ def is_knot(slope):
 def ends_ri(slope):
     """True if the standard tangle of the slope has the East-West
     boundary pattern, which admits no North-South closure."""
-    return classify(cf_expand(slope)).boundary == RI
+    return reduce(boundary_after, twist_sequence(cf_expand(slope)), UP) == RI
 
 
 def good_representative(slope):

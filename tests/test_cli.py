@@ -253,13 +253,14 @@ class TestVerifyCommand:
         assert [r["pipeline"] for r in lines] == ["link"]
 
     def test_oversized_expansion_is_refused(self):
-        # binom(3 + 400, 400) = 10827401 dimension vectors on the
-        # 3-vertex knot-route quiver of 3/1: refused before the walk,
-        # with the count and the bound named, also under python -O
-        for argv in (["verify", "3/1", "--order", "400"],
-                     ["compute", "3/1", "--order", "400"],
-                     ["verify", "3/1", "--pipeline", "link",
-                      "--order", "400"]):
+        # binom(55 + 6, 6) = 55525372 dimension vectors on the 55-vertex
+        # knot-route quiver of 55/21 (152 vertices on the link route):
+        # refused before the walk, with the count and the bound named,
+        # also under python -O
+        for argv in (["verify", "55/21", "--order", "6"],
+                     ["compute", "55/21", "--order", "6"],
+                     ["verify", "55/21", "--pipeline", "link",
+                      "--order", "6"]):
             for optimized in (False, True):
                 proc = run_python("-m", "quivertangle.cli", *argv,
                                   optimized=optimized)
@@ -268,7 +269,39 @@ class TestVerifyCommand:
                 err = proc.stderr.decode()
                 assert str(MAX_DIM_VECTORS) in err, err
                 if "link" not in argv:
-                    assert "10827401 dimension vectors" in err, err
+                    assert "55525372 dimension vectors" in err, err
+
+    def test_order_is_bounded_by_the_oracle_color(self):
+        # --order N runs the oracle at colors 0..N: an order over
+        # MAX_ORACLE_COLOR is refused when parsed, naming the order and
+        # the bound, with the usage line of its command and the oracle
+        # never called, also under -O; the bound itself is admitted
+        script = ("import sys\n"
+                  "from quivertangle import cli, verify\n"
+                  "def oracle_homfly(slope, j):\n"
+                  "    raise SystemExit('the oracle ran')\n"
+                  "cli.oracle_homfly = verify.oracle_homfly = oracle_homfly\n"
+                  "sys.exit(cli.main(sys.argv[1:]))\n")
+        for argv in (["verify", "1/1", "--order", "13"],
+                     ["compute", "3/1", "--order", "13"]):
+            for optimized in (False, True):
+                proc = run_python("-c", script, *argv, optimized=optimized)
+                assert proc.returncode == 2, (argv, proc.stderr)
+                assert proc.stdout == b""
+                err = proc.stderr.decode()
+                assert err.startswith(f"usage: quivertangle {argv[0]} "), err
+                assert (f"order 13 is over the bound {MAX_ORACLE_COLOR}"
+                        in err), err
+        assert MAX_ORACLE_COLOR == 12
+        for command in ("compute", "verify"):
+            args = cli.build_parser().parse_args(
+                [command, "3/1", "--order", "12"])
+            assert args.order == 12
+        proc = run_python("-m", "quivertangle.cli", "verify", "1/1",
+                          "--order", "12")
+        assert proc.returncode == 0, proc.stderr
+        report = json.loads(proc.stdout.splitlines()[0])
+        assert report["order_checked"] == 12 and report["ok"]
 
     def test_oversized_quiver_is_refused(self):
         # the link route on 1024/1 would build 2(1024 + 1) vertices and
@@ -434,6 +467,22 @@ class TestExitCodes:
         with pytest.raises(SystemExit) as exc:
             cli.main(["compute", "4/1", "--pipeline", "knot"])
         assert exc.value.code == 2
+
+    def test_knot_route_on_a_link_names_the_link_route(self, capsys):
+        # one message, from the knot route itself, on every command
+        for argv in (["compute", "4/1", "--pipeline", "knot"],
+                     ["verify", "4/1", "--pipeline", "knot"],
+                     ["compute", "[2,1,2]", "--pipeline", "knot"]):
+            with pytest.raises(SystemExit) as exc:
+                cli.main(argv)
+            assert exc.value.code == 2, argv
+            err = capsys.readouterr().err
+            slope = "4/1" if argv[1] == "4/1" else "8/3"
+            assert (f"{argv[0]}: error: {slope} is a two-component link: "
+                    "the knot route needs an odd p; use --pipeline link"
+                    in err), err
+        with pytest.raises(ValueError, match="4/1 is a two-component link"):
+            cli.verify_knot(Slope(4, 1), 1)
 
     def test_refusals_print_their_command_usage(self):
         # a refusal raised inside a command's handler prints that

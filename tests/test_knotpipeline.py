@@ -4,16 +4,17 @@ gradings."""
 
 import pytest
 
-from quivertangle.knotpipeline import (TEMPLATE_STEP, _final_close, _pair,
-                                       delta_vector, homology_generators,
-                                       knot_quiver, signature)
+from quivertangle.knotpipeline import (_TRANSFORMS, TEMPLATE_STEP,
+                                       _final_close, _pair, delta_vector,
+                                       homology_generators, knot_quiver,
+                                       signature)
 from quivertangle.qseries import LaurentPoly, QFraction, ZERO
 from quivertangle.quiverstate import (QuiverData, framing_shift, link_quiver,
                                       q_invert)
 from quivertangle.skein import (basis_element, framing_factor, oracle_homfly,
                                 writhe)
-from quivertangle.tangles import (RI, Slope, UP, cf_expand, cf_value,
-                                  enumerate_rational_knots, is_knot)
+from quivertangle.tangles import (RI, Slope, UP, boundary_after, cf_expand,
+                                  cf_value, enumerate_rational_knots, is_knot)
 
 from conftest import (IndexRecord, QuiverState, delta_homogeneous,
                       distinct_slopes, expand, freeze_matrix,
@@ -194,6 +195,18 @@ class TestStepLevelInvariant:
             run_step(at_ri, TEMPLATE_STEP, _pair, "TT")
         with pytest.raises(ValueError):
             run_step(at_ri, TEMPLATE_STEP, _final_close, framing=0)
+
+    def test_template_boundaries_follow_the_twists(self):
+        # _pair trusts the table: a pair's output boundary is its two
+        # twists' (the later one is named first), and the closures end
+        # on no boundary
+        assert len(_TRANSFORMS) == 10
+        for (pair, before), (after, _, _) in _TRANSFORMS.items():
+            if pair == "close":
+                assert after is None, before
+            else:
+                assert after == boundary_after(
+                    boundary_after(before, pair[1]), pair[0]), (pair, before)
 
     def test_unknot(self):
         qd = knot_quiver(Slope(1, 1))

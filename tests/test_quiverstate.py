@@ -535,6 +535,18 @@ class TestDataTransforms:
                         * QFraction(framing_factor(j, f)))
         assert framing_shift(qd, 0) is qd
 
+    def test_framing_shift_refuses_symmetric_data(self):
+        # the shift is the antisymmetric rule: on symmetric data it
+        # would label a different Q with the same framing as q_invert's
+        qd = knot_quiver(Slope(3, 1))
+        sym = q_invert(qd, 1)
+        assert sym.framing == qd.framing + 1 == 4
+        for f in (0, 1, -2):
+            with pytest.raises(ValueError, match="antisymmetric"):
+                framing_shift(q_invert(qd), f)
+        with pytest.raises(ValueError, match="symmetric"):
+            q_invert(sym)
+
     def test_mirror_quiver_inverts_variables(self):
         qd = framing_shift(link_quiver(Slope(3, 1)), -3)
         mir = mirror_quiver(qd, polynomial=False)

@@ -18,6 +18,20 @@ def test_no_assert_in_src():
     assert not found, found
 
 
+def test_one_refusal_path():
+    # every usage error after parsing is a ValueError that leaves
+    # through cli.main, the one caller of parser.error in src/
+    package = Path(quivertangle.__file__).parent
+    found = [f"{path.stem}.{top.name}"
+             for path in sorted(package.glob("*.py"))
+             for top in ast.parse(path.read_text(), str(path)).body
+             for node in ast.walk(top)
+             if isinstance(node, ast.Call)
+             and isinstance(node.func, ast.Attribute)
+             and node.func.attr == "error"]
+    assert found == ["cli.main"], found
+
+
 # the one name no src/ code reads that stays on purpose: the version
 UNREAD_ALLOWED = {"__init__.__version__"}
 

@@ -1,5 +1,5 @@
-"""Continued fractions, the boundary/connectivity automaton, and knot
-enumeration."""
+"""Continued fractions, the boundary walk (against the six-state
+boundary/connectivity tables), and knot enumeration."""
 
 import hashlib
 from fractions import Fraction
@@ -10,15 +10,36 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quivertangle.quiverstate import MAX_VERTICES
-from quivertangle.tangles import (KNOT, LINK, OP, RI, UP, Slope, TangleClass,
-                                  _euclidean_terms, boundary_after,
-                                  cf_expand, cf_value, classify,
+from quivertangle.tangles import (OP, RI, UP, Slope, _euclidean_terms,
+                                  boundary_after, cf_expand, cf_value,
                                   crossing_number, ends_ri,
-                                  enumerate_rational_knots, good_representative,
-                                  is_knot, knot_class, resolve_terms,
-                                  twist_sequence)
+                                  enumerate_rational_knots,
+                                  good_representative, is_knot, knot_class,
+                                  resolve_terms, twist_sequence)
 
 from conftest import odd_cfs
+
+KNOT, LINK = "knot", "link"
+# the (boundary, connectivity) cycle written out edge by edge; each twist
+# kind is an involution on the six states
+T_EDGES = {(UP, LINK): (UP, KNOT), (UP, KNOT): (UP, LINK),
+           (OP, KNOT): (RI, LINK), (RI, LINK): (OP, KNOT),
+           (RI, KNOT): (OP, LINK), (OP, LINK): (RI, KNOT)}
+R_EDGES = {(UP, KNOT): (OP, KNOT), (OP, KNOT): (UP, KNOT),
+           (RI, LINK): (RI, KNOT), (RI, KNOT): (RI, LINK),
+           (OP, LINK): (UP, LINK), (UP, LINK): (OP, LINK)}
+
+
+def six_state(cf, seen=None):
+    """The (boundary, connectivity) the tables reach over the building
+    word of cf from the trivial tangle (UP, LINK), adding each edge they
+    take to seen."""
+    state = (UP, LINK)
+    for kind in twist_sequence(cf):
+        if seen is not None:
+            seen.add((state, kind))
+        state = (T_EDGES if kind == "T" else R_EDGES)[state]
+    return state
 
 
 class TestSlope:
@@ -96,38 +117,37 @@ class TestAutomaton:
                     s = Slope(p, q)
                 except ValueError:
                     continue
-                cls = classify(cf_expand(s))
+                boundary, connectivity = six_state(cf_expand(s))
                 assert is_knot(s) == (p % 2 == 1)
-                assert ends_ri(s) == (cls.boundary == RI)
-                if cls.boundary != RI:
-                    assert (cls.connectivity == KNOT) == (p % 2 == 1)
+                assert ends_ri(s) == (boundary == RI)
+                if boundary != RI:
+                    assert (connectivity == KNOT) == (p % 2 == 1)
 
-    def test_classify_matches_six_state_tables(self):
-        # reference: the (boundary, connectivity) cycle written out edge
-        # by edge; each twist kind is an involution on the six states
-        t_edges = {(UP, LINK): (UP, KNOT), (UP, KNOT): (UP, LINK),
-                   (OP, KNOT): (RI, LINK), (RI, LINK): (OP, KNOT),
-                   (RI, KNOT): (OP, LINK), (OP, LINK): (RI, KNOT)}
-        r_edges = {(UP, KNOT): (OP, KNOT), (OP, KNOT): (UP, KNOT),
-                   (RI, LINK): (RI, KNOT), (RI, KNOT): (RI, LINK),
-                   (OP, LINK): (UP, LINK), (UP, LINK): (OP, LINK)}
+    def test_six_state_tables_match_the_walk(self):
+        # the tables are the reference for what the package reads of a
+        # twist word: its final boundary (ends_ri), the connectivity of
+        # its closure (is_knot) and the closable diagram resolve_terms
+        # picks; an odd-length CF is the slope's only one, cf_expand's
         cfs = odd_cfs(10)
         assert len(cfs) == 512
         seen = set()
         for cf in cfs:
-            state = (UP, LINK)
-            for kind in twist_sequence(cf):
-                seen.add((state, kind))
-                state = (t_edges if kind == "T" else r_edges)[state]
-            assert classify(cf) == TangleClass(*state), cf
+            s = cf_value(cf)
+            assert cf_expand(s) == cf
+            boundary, _ = six_state(cf, seen)
+            assert ends_ri(s) == (boundary == RI), cf
+            boundary, connectivity = six_state(resolve_terms(s)[0])
+            assert boundary != RI, cf
+            assert (connectivity == KNOT) == is_knot(s), cf
         assert len(seen) == 12  # every edge of both tables is exercised
 
     def test_trefoil_and_its_flip(self):
-        assert classify([1]).boundary == UP
-        assert classify([3]) == TangleClass(UP, KNOT)
+        assert six_state([1])[0] == UP
+        assert six_state([3]) == (UP, KNOT)
         # [1,1,1] is 3/2, the East-West form of the same knot's mirror
         assert cf_value([1, 1, 1]) == Slope(3, 2)
-        assert classify([1, 1, 1]).boundary == RI
+        assert six_state([1, 1, 1])[0] == RI
+        assert ends_ri(Slope(3, 2)) and not ends_ri(Slope(3, 1))
 
 
 class TestRepresentatives:
@@ -169,7 +189,7 @@ class TestRepresentatives:
                 rep, mirrored = good_representative(Slope(p, q))
                 terms, flag = resolve_terms(Slope(p, q))
                 assert (terms, flag) == (cf_expand(rep), mirrored), (p, q)
-                assert classify(terms).boundary != RI, (p, q)
+                assert six_state(terms)[0] != RI, (p, q)
 
 
 class TestEnumeration:
