@@ -16,14 +16,15 @@ import sys
 import time
 
 from . import quiverstate
-from .knotpipeline import (delta_vector, homology_generators, knot_quiver,
-                           signature)
-from .quiverstate import canonical_shift, framing_shift, link_quiver, q_invert
+from .knotpipeline import (KNOT_ROUTE, delta_vector, homology_generators,
+                           knot_quiver, signature)
+from .quiverstate import (LINK_ROUTE, framing_shift, link_quiver, q_invert,
+                          refuse_frame, route_size)
 from .skein import MAX_ORACLE_COLOR, oracle_homfly, refuse_oversized_oracle
 from .tangles import (Slope, cf_expand, cf_value, crossing_number,
                       enumerate_rational_knots, is_knot)
-from .verify import (DEFAULT_KNOT_ORDER, DEFAULT_LINK_ORDER, verify_knot,
-                     verify_link)
+from .verify import (DEFAULT_KNOT_ORDER, DEFAULT_LINK_ORDER,
+                     refuse_oversized_check, verify_knot, verify_link)
 
 # the largest --max-crossings budget of enumerate: it bounds the output,
 # which about doubles per crossing (22,015 knots at 18), not the time,
@@ -114,21 +115,27 @@ def _fraction_obj(frac):
     return {"num": str(num), "den": str(den)}
 
 
-def _output_frame_shift(qd, frame, convention):
-    """Framing shift turning raw-frame data into the requested frame.
-
-    canonical: the minimum entry of the output-convention Q becomes 0.
-    raw: no shift.  integer: that frame."""
+def _output_frame_shift(state, frame):
+    """The shift export takes from the closed state's frame to the
+    requested one: none for raw, the difference for an integer frame,
+    and "canonical", which export resolves (the minimum entry of the
+    output-convention Q becomes 0)."""
     if frame == "raw":
         return 0
     if isinstance(frame, int):
-        return frame - qd.framing
-    return canonical_shift(qd, symmetric=convention == "sym")
+        return frame - state.framing
+    return frame
 
 
 def compute_payload(slope, terms, pipeline, frame, convention):
     """The `compute` JSON object for one link."""
-    qd = knot_quiver(slope) if pipeline == "knot" else link_quiver(slope)
+    symmetric = convention == "sym"
+    if isinstance(frame, int):
+        # from the writhe and the entry bound, before the route runs
+        _, _, _, framing, bound = route_size(
+            slope, KNOT_ROUTE if pipeline == "knot" else LINK_ROUTE)
+        refuse_frame(framing, bound, frame, symmetric)
+    state = knot_quiver(slope) if pipeline == "knot" else link_quiver(slope)
     payload = {
         "p": slope.p,
         "q": slope.q,
@@ -137,15 +144,15 @@ def compute_payload(slope, terms, pipeline, frame, convention):
     }
     if pipeline == "knot":
         # delta is framing-invariant; the homology trigrading is read
-        # off the closure-frame presentation (the frame knot_quiver
-        # produces), where 2t - 2a - q equals the signature
-        payload["delta"] = list(delta_vector(qd))
+        # off the closure-frame state (the frame knot_quiver builds),
+        # where 2t - 2a - q equals the signature
+        payload["delta"] = list(delta_vector(state))
         payload["signature"] = signature(slope)
         payload["homology"] = [[g.a_degree, g.q_degree, g.t_degree]
-                               for g in homology_generators(qd)]
-    shift = _output_frame_shift(qd, frame, convention)
-    out = (q_invert(qd, shift) if convention == "sym"
-           else framing_shift(qd, shift))
+                               for g in homology_generators(state)]
+    shift = _output_frame_shift(state, frame)
+    out = (q_invert(state, shift) if symmetric
+           else framing_shift(state, shift))
     payload.update({
         "convention": out.color_convention,
         "framing": out.framing,
@@ -196,6 +203,8 @@ def _emit(text, out_path):
 def _cmd_compute(args):
     slope, terms = args.input
     pipeline = args.pipeline or ("knot" if is_knot(slope) else "link")
+    if args.order:
+        refuse_oversized_check(slope, pipeline, args.order)
     payload = compute_payload(slope, terms, pipeline, args.frame,
                               args.convention)
     if args.order:
@@ -229,10 +238,14 @@ def _cmd_verify(args):
     slope, _ = args.input
     pipelines = (args.pipeline,) if args.pipeline else (
         ("knot", "link") if is_knot(slope) else ("link",))
-    reports = [verify_knot(slope, args.order or DEFAULT_KNOT_ORDER)
-               if pipeline == "knot" else
-               verify_link(slope, args.order or DEFAULT_LINK_ORDER)
-               for pipeline in pipelines]
+    default = {"knot": DEFAULT_KNOT_ORDER, "link": DEFAULT_LINK_ORDER}
+    checks = [(pipeline, args.order or default[pipeline])
+              for pipeline in pipelines]
+    # every check is sized before any route runs
+    for pipeline, order in checks:
+        refuse_oversized_check(slope, pipeline, order)
+    reports = [(verify_knot if pipeline == "knot" else verify_link)(
+        slope, order) for pipeline, order in checks]
     text = "".join(r.to_json() + "\n" for r in reports)
     _emit(text, args.out)
     sys.stderr.write("verify: " + ", ".join(

@@ -26,8 +26,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .quiverstate import (MIRROR_STEP, TWIST_STEP, W, _absorb, _gather,
-                          _ones, _trivial, _twist, quiver_route)
+from .quiverstate import (MIRROR_STEP, TWIST_STEP, W, Route, _absorb,
+                          _diagonal, _gather, _ones, _trivial, _twist,
+                          quiver_route)
 from .tangles import (OP, RI, UP, boundary_walk, cf_value, is_knot,
                       resolve_terms)
 
@@ -290,32 +291,36 @@ def _final_close(th):
     _apply_template(th, ("close", th.obj))
 
 
-def knot_quiver(slope_or_terms):
-    """Quiver data (p vertices) for a rational knot, in the frame of
-    the standard twist diagram (framing field = diagram writhe).
-
-    For slope input, a closable equivalent representative is chosen
-    automatically; when only a mirror representative closes, the data
-    is mirrored back at the quiver level so the output always presents
-    the requested slope."""
-    return quiver_route(slope_or_terms, _reduce_and_close, polynomial=True,
-                        vertices=lambda rep: rep.p)
-
-
-def _reduce_and_close(terms):
-    th = _trivial(_knot_bound(terms))
+def _reduce_and_close(terms, bound):
+    th = _trivial(bound)
     for _ in _reduce(terms, th):
         pass
     _final_close(th)
     return th
 
 
-def delta_vector(qd):
-    """Per-vertex delta-grading q_i - Q_ii - 2 a_i (antisymmetric
-    convention, diagram frame not required: the grading shifts uniformly
-    with framing)."""
-    return tuple(qd.q_vec[i] - qd.Q[i][i] - 2 * qd.a_vec[i]
-                 for i in range(qd.n))
+KNOT_ROUTE = Route(_reduce_and_close, polynomial=True,
+                   vertices=lambda rep: rep.p, bound=_knot_bound)
+
+
+def knot_quiver(slope_or_terms):
+    """The closed state (p vertices) of the knot route on a rational
+    knot, in the frame of the standard twist diagram (its framing is the
+    diagram writhe).
+
+    For slope input, a closable equivalent representative is chosen
+    automatically; when only a mirror representative closes, the state
+    is mirrored back at the data level so that it always presents the
+    requested slope."""
+    return quiver_route(slope_or_terms, KNOT_ROUTE)
+
+
+def delta_vector(th):
+    """Per-vertex delta-grading q_i - Q_ii - 2 a_i of a closed state
+    (antisymmetric convention, diagram frame not required: the grading
+    shifts uniformly with framing)."""
+    return tuple(s - d - 2 * a
+                 for (_, _, s, a), d in zip(th.records, _diagonal(th)))
 
 
 def signature(slope_or_terms):
@@ -331,12 +336,10 @@ def signature(slope_or_terms):
     return -sig if mirrored else sig
 
 
-def homology_generators(qd):
+def homology_generators(th):
     """Generators of the reduced triply-graded homology, one per
-    vertex, read off a closure-frame antisymmetric-convention quiver
-    presentation (the frame knot_quiver produces); in that frame every
-    generator satisfies 2t - 2a - q = signature."""
-    return tuple(HomologyGenerator(qd.a_vec[i],
-                                   -qd.Q[i][i] - qd.q_vec[i],
-                                   -qd.Q[i][i])
-                 for i in range(qd.n))
+    vertex, read off the diagonal and the records of the closed state
+    knot_quiver builds (closure frame, antisymmetric convention); in
+    that frame every generator satisfies 2t - 2a - q = signature."""
+    return tuple(HomologyGenerator(a, -d - s, -d)
+                 for (_, _, s, a), d in zip(th.records, _diagonal(th)))

@@ -17,9 +17,12 @@ A state is held one way, as a `_Thawed`: its records as plain tuples
 (active, extra_poch, s, a) and M packed one int per row, one 16-bit
 slot per entry, so a step costs a few bigint operations per row.
 `_twist`, `_absorb` and `_close` work on it in place; a route runs its
-whole word, its closure and any mirror on one thawed state and decodes
-each row once, when it exports.  `state_expand` takes a state as its
-boundary, its records and M as rows of ints.
+whole word, its closure and any mirror on one thawed state and returns
+it closed, with its framing and the bound its slots were sized for.
+Export (`framing_shift`, `q_invert`) is the one place where a closed
+state is decoded: one packed affine map and one struct read per row.
+`state_expand` takes a state as its boundary, its records and M as rows
+of ints.
 
 Twists act in "product form": multiply by a twist-dependent monomial and
 Pochhammer symbol, then absorb the Pochhammer by splitting summation
@@ -32,7 +35,10 @@ active indices of M.
 from __future__ import annotations
 
 import struct
+import sys
+from array import array
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 from .qseries import LaurentPoly, ZERO, poch_q2, qmultinomial
 from .skein import SkeinElement, writhe
@@ -73,13 +79,20 @@ class _Thawed:
     row.  Row i is sum_l (M_il + 2^(W-1)) 2^(W l): one offset-binary
     slot of W bits per entry, so adding a packed vector adds entrywise,
     with no carry between slots, as long as every entry stays within
-    +-(2^(W-1) - 1).  A route checks with slot_width, before anything is
-    packed, that a bound proven for its whole computation fits, never
-    the entries it produces."""
-    __slots__ = ("obj", "records", "rows")
+    +-(2^(W-1) - 1).  The state holds bound, proven for the whole
+    computation of its route, and slot_width checks that it fits before
+    anything is packed, never the entries a route produces.  A closed
+    state also records the framing of its quiver data."""
+    __slots__ = ("obj", "records", "rows", "bound", "framing")
 
-    def __init__(self, obj, records, rows):
+    def __init__(self, obj, records, rows, bound):
+        slot_width(bound)
         self.obj, self.records, self.rows = obj, records, rows
+        self.bound, self.framing = bound, 0
+
+    @property
+    def n(self):
+        return len(self.rows)
 
 
 # No step adds more than its constant to any |entry| of M, intermediate
@@ -151,26 +164,42 @@ def _pack(values):
 def _trivial(bound):
     """The trivial upward tangle, thawed for a route whose entries stay
     within bound: one inactive index, all exponents 0."""
-    slot_width(bound)
-    return _Thawed(UP, [(False, 0, 0, 0)], [_pack((0,))])
+    return _Thawed(UP, [(False, 0, 0, 0)], [_pack((0,))], bound)
 
 
-def _matrix(th):
-    """M of a thawed state as a tuple of row tuples, each row decoded
-    once: flipping each slot's top bit turns offset binary into two's
-    complement, which one struct read decodes."""
-    n = len(th.rows)
-    flip, size = _ones(0, n) << (W - 1), n * W // 8
-    fmt = f"<{n}h"
-    return tuple(struct.unpack(fmt, (row ^ flip).to_bytes(size, "little"))
-                 for row in th.rows)
+def _decode(rows, n, signed=True):
+    """A matrix as a tuple of row tuples from its n packed rows (any
+    iterable), each read by one struct call: signed from offset binary,
+    whose slots turn into two's complement when their top bits flip, or
+    unsigned from slots that hold the entries themselves."""
+    if signed:
+        flip = _ones(0, n) << (W - 1)
+        rows = (row ^ flip for row in rows)
+    unpack = struct.Struct(f"<{n}{'h' if signed else 'H'}").unpack
+    size = n * W // 8
+    return tuple(unpack(row.to_bytes(size, "little")) for row in rows)
 
 
-def _export(th, framing):
-    """Quiver data of a closed thawed state: its vertices and M as Q."""
-    return QuiverData(_matrix(th), tuple(r[3] for r in th.records),
-                      tuple(r[2] for r in th.records), framing,
-                      "antisymmetric")
+def _affine(rows, sigma, K, e, offset=1 << (W - 1)):
+    """The packed rows of sigma M + K J + e I (sigma = +-1, J all ones)
+    from the offset-binary rows of M, one at a time, each slot holding
+    its entry plus offset: 2^(W-1) for offset binary, 0 for the entry
+    itself.  Slot x + 2^(W-1) becomes sigma x + K + e [i = l] + offset
+    under one add or subtraction per row, of the constant K + offset -
+    sigma 2^(W-1) in every slot, and one add of e in slot i.  The caller
+    proves that every new slot lies in [0, 2^W)."""
+    base = (K + offset - sigma * (1 << (W - 1))) * _ones(0, len(rows))
+    unit = e
+    for row in rows:
+        yield (base + row if sigma > 0 else base - row) + unit
+        unit <<= W
+
+
+def _diagonal(th):
+    """The diagonal entries M_ii of a thawed state, off its packed rows."""
+    mask, half = (1 << W) - 1, 1 << (W - 1)
+    return [((row >> (W * i)) & mask) - half
+            for i, row in enumerate(th.rows)]
 
 
 def state_expand(obj, records, M, N):
@@ -458,25 +487,11 @@ def _close(th):
 _Q_INVERT = (-1, -1, 1)
 
 
-def _affine(qd, sigma, c, e, q_shift, a_vec, framing, convention):
-    """The one family of maps on quiver data: Q_il -> sigma Q_il + c +
-    e [i = l] and q_i -> sigma q_i + q_shift (sigma = +-1), with a_vec,
-    framing and color convention as given."""
-    Q = []
-    for i, row in enumerate(qd.Q):
-        row = [x + c for x in row] if sigma > 0 else [c - x for x in row]
-        row[i] += e
-        Q.append(tuple(row))
-    q_vec = (tuple(x + q_shift for x in qd.q_vec) if sigma > 0
-             else tuple(q_shift - x for x in qd.q_vec))
-    return QuiverData(tuple(Q), a_vec, q_vec, framing, convention)
-
-
 def _mirror(th, polynomial):
     """Mirror image at the quiver-data level (q -> q^{-1}, a -> a^{-1}
     on the invariants the data encodes) of a closed thawed state, in
-    place on its packed rows, before their one decode; the caller
-    negates the recorded framing.
+    place: one _affine pass over its packed rows.  Its framing is the
+    caller's to record (route_size negates the writhe).
 
     polynomial=True mirrors the numerator polynomials P_j = (coefficient
     of x^j) * (q^2;q^2)_j: inverting q in the positive multinomial
@@ -486,18 +501,20 @@ def _mirror(th, polynomial):
     polynomial=False mirrors the bare coefficients: each denominator
     flips by (q^{-2};q^{-2})_d = (-1)^d q^{-d(d+1)} (q^2;q^2)_d,
     contributing (-1)^d q^{d(d+1)} per index, so Q -> -Q with diagonal
-    increments and q_vec -> 1 - q_vec.
-
-    Q_il -> c - Q_il + e [i = l] is one subtraction per row: the slot
-    of c + 2^W minus the slot x + 2^(W-1) is the slot of c - x."""
+    increments and q_vec -> 1 - q_vec."""
     _, c, e = _Q_INVERT if polynomial else (-1, 0, 1)
     q_shift = 0 if polynomial else 1
-    rows = th.rows
-    full = (c + (1 << W)) * _ones(0, len(rows))
-    for i, row in enumerate(rows):
-        rows[i] = full - row + (e << (W * i))
+    th.rows = list(_affine(th.rows, -1, c, e))
     th.records = [(active, k, q_shift - s, -a)
                   for active, k, s, a in th.records]
+
+
+class Route(NamedTuple):
+    """A route from closable CF terms to a closed thawed state."""
+    close: Callable  # close(terms, bound), its slots sized for bound
+    polynomial: bool  # the mirror its data takes (see _mirror)
+    vertices: Callable  # its vertex count on the slope of the terms
+    bound: Callable  # bound(terms) on every |entry| of M, mirror included
 
 
 # the most vertices a route may build: the link route's cost grows
@@ -505,28 +522,36 @@ def _mirror(th, polynomial):
 MAX_VERTICES = 2048
 
 
-def quiver_route(slope_or_terms, close, polynomial, vertices):
-    """The tail both routes share: resolve the input to closable CF
-    terms, build the closed thawed state with close(terms), export it
-    as quiver data in the diagram frame (framing = diagram writhe), and
-    mirror it back first (_mirror(polynomial)) when only a mirror
-    representative closes.  close must size its slots for the mirror
-    too.  vertices(rep) is the route's vertex count on the slope rep of
-    those terms; more than MAX_VERTICES raises ValueError, naming the
-    slope, the count and the bound, before anything is built."""
+def route_size(slope_or_terms, route):
+    """What route builds from the input, read off its closable CF terms
+    before anything is built: (terms, whether they are a mirror
+    representative, vertex count, framing, entry bound).  The framing is
+    the diagram writhe, negated for a mirror representative: the frame
+    of the closed state.  More than MAX_VERTICES vertices raises
+    ValueError, naming the slope, the count and the bound."""
     terms, mirrored = resolve_terms(slope_or_terms)
     rep = cf_value(terms)
-    n = vertices(rep)
+    n = route.vertices(rep)
     if n > MAX_VERTICES:
         raise ValueError(
             f"the quiver of {rep} would have {n} vertices, more than "
             f"the bound {MAX_VERTICES}")
-    th = close(terms)
     framing = writhe(terms)
+    return (terms, mirrored, n, -framing if mirrored else framing,
+            route.bound(terms))
+
+
+def quiver_route(slope_or_terms, route):
+    """The tail both routes share: the closed thawed state route builds
+    from the input's closable CF terms, mirrored back (_mirror) when
+    only a mirror representative closes, with the framing of
+    route_size.  Export decodes it."""
+    terms, mirrored, _, framing, bound = route_size(slope_or_terms, route)
+    th = route.close(terms, bound)
     if mirrored:
-        _mirror(th, polynomial)
-        framing = -framing
-    return _export(th, framing)
+        _mirror(th, route.polynomial)
+    th.framing = framing
+    return th
 
 
 def _link_bound(terms):
@@ -535,62 +560,105 @@ def _link_bound(terms):
     return TWIST_STEP * sum(terms) + CLOSE_STEP + MIRROR_STEP
 
 
-def _twist_and_close(terms):
-    th = _trivial(_link_bound(terms))
+def _twist_and_close(terms, bound):
+    th = _trivial(bound)
     for kind in twist_sequence(terms):
         _twist(th, kind)
     _close(th)
     return th
 
 
+LINK_ROUTE = Route(_twist_and_close, polynomial=False,
+                   vertices=lambda rep: 2 * (rep.p + rep.q),
+                   bound=_link_bound)
+
+
 def link_quiver(slope_or_terms):
-    """Quiver data via the one-crossing-at-a-time route: plain twists
-    followed by the closure.  Output is in the diagram frame with the
-    framing field recording the diagram writhe; mirror representatives
-    (needed for some slopes) are substituted at the data level."""
-    return quiver_route(slope_or_terms, _twist_and_close, polynomial=False,
-                        vertices=lambda rep: 2 * (rep.p + rep.q))
+    """The closed state of the one-crossing-at-a-time route: plain
+    twists followed by the closure, 2(p+q) vertices for the
+    representative p/q it closes.  Its framing is the diagram writhe;
+    mirror representatives (needed for some slopes) are substituted at
+    the data level."""
+    return quiver_route(slope_or_terms, LINK_ROUTE)
 
 
-def framing_shift(qd, f):
-    """Change the framing by f units: each unit multiplies color j by
-    (-q)^{-j} a^{-j} q^{j^2}.  The rule holds in the antisymmetric color
-    convention only; q_invert takes the shift for symmetric output."""
-    if qd.color_convention != "antisymmetric":
-        raise ValueError("framing_shift needs data in the antisymmetric "
-                         "color convention")
-    if not f:
-        return qd
-    return _affine(qd, 1, f, 0, -f, tuple(x - f for x in qd.a_vec),
-                   qd.framing + f, qd.color_convention)
+def refuse_frame(framing, bound, frame, symmetric):
+    """Refuse, naming the frame and the entry bound, an output frame
+    whose export cannot be decoded from signed W-bit slots: one where an
+    output entry sigma (x + f) + c + e [i = l], with |x| <= bound and f =
+    frame - framing, could leave +-(2^(W-1) - 1)."""
+    sigma, c, e = _Q_INVERT if symmetric else (1, 0, 0)
+    slack = (1 << (W - 1)) - 1 - bound - e
+    center = framing - sigma * c
+    if abs(frame - center) > slack:
+        raise ValueError(
+            f"frame {frame} is out of range: with entries bounded by "
+            f"{bound} in frame {framing}, the quiver takes frames "
+            f"{center - slack} to {center + slack}")
 
 
-def q_invert(qd, f=0):
-    """Pass from one-column to one-row colors after a framing shift by
-    f, in one pass: q_invert(qd, f) == q_invert(framing_shift(qd, f)).
-    The switch negates q_vec and Q, then decrements every off-diagonal
-    entry of Q to account for the asymmetry of the q-Pochhammer
-    denominators: Q_il -> -(Q_il + f) - 1 + [i = l], q_i -> f - q_i,
-    a_i -> a_i - f."""
-    if qd.color_convention != "antisymmetric":
-        raise ValueError("data already in symmetric-color convention")
-    sigma, c, e = _Q_INVERT
-    return _affine(qd, sigma, sigma * f + c, e, f,
-                   tuple(x - f for x in qd.a_vec), qd.framing + f,
-                   "symmetric")
+def _export(th, f, symmetric):
+    """Quiver data of the closed state th after a framing shift by f, in
+    the antisymmetric color convention or, when symmetric, after the
+    switch to the symmetric one: Q -> sigma (Q + f) + c + e I, q_i ->
+    sigma (q_i - f), a_i -> a_i - f, one _affine pass and one decode.
+    The state is left as it was.
+
+    f = "canonical" takes canonical_shift's shift; the output then lies
+    in [0, 2 bound + 1], since its smallest entry is 0 and sigma x +
+    e [i = l] spans at most 2 bound + 1 < 2^W, so its slots hold the
+    entries themselves and decode unsigned.  An integer f must pass
+    refuse_frame, and decodes signed from offset binary."""
+    if not isinstance(th, _Thawed):
+        raise TypeError("export takes a closed state, whose quiver data "
+                        "is in the antisymmetric color convention")
+    sigma, c, e = _Q_INVERT if symmetric else (1, 0, 0)
+    if f == "canonical":
+        f, offset = canonical_shift(th, symmetric), 0
+    else:
+        refuse_frame(th.framing, th.bound, th.framing + f, symmetric)
+        offset = 1 << (W - 1)
+    Q = _decode(_affine(th.rows, sigma, sigma * f + c, e, offset), th.n,
+                signed=offset > 0)
+    return QuiverData(Q, tuple(r[3] - f for r in th.records),
+                      tuple(sigma * (r[2] - f) for r in th.records),
+                      th.framing + f,
+                      "symmetric" if symmetric else "antisymmetric")
 
 
-def canonical_shift(qd, symmetric):
-    """Framing shift after which the smallest entry of Q is 0 in the
-    output convention: as it stands, or after q_invert when symmetric.
-    The output entries sigma (Q_il + f) + c + e [i = l] are affine in
-    the shift f, so it is read off the extreme entry: of the diagonal
-    (plus sigma e) and of the strict upper triangle, since Q is
-    symmetric."""
+def framing_shift(th, f):
+    """Quiver data of a closed state with its framing changed by f
+    units, f an integer or "canonical" (see _export): each unit
+    multiplies color j by (-q)^{-j} a^{-j} q^{j^2}.  The rule holds in
+    the antisymmetric color convention only; q_invert takes the shift
+    for symmetric output."""
+    return _export(th, f, symmetric=False)
+
+
+def q_invert(th, f=0):
+    """Quiver data of a closed state after a framing shift by f, passed
+    from one-column to one-row colors in the same pass.  The switch
+    negates q_vec and Q, then decrements every off-diagonal entry of Q
+    to account for the asymmetry of the q-Pochhammer denominators:
+    Q_il -> -(Q_il + f) - 1 + [i = l], q_i -> f - q_i, a_i -> a_i - f."""
+    return _export(th, f, symmetric=True)
+
+
+def canonical_shift(th, symmetric):
+    """Framing shift of a closed state after which the smallest entry of
+    Q is 0 in the output convention: as it stands, or after q_invert
+    when symmetric.  The output entries sigma (Q_il + f) + c + e [i = l]
+    are affine in the shift f, so it is read off the extreme entry: of
+    the diagonal (plus sigma e) and of the strict upper triangle, since
+    Q is symmetric.  One row at a time, never a decoded matrix: row i
+    shifted down to its slots i..n-1, sigma e added to its diagonal, now
+    its lowest slot, and read as an array of n - i entries."""
     sigma, c, e = _Q_INVERT if symmetric else (1, 0, 0)
     pick = min if sigma > 0 else max
-    Q = qd.Q
-    extreme = pick([pick(row[i] for i, row in enumerate(Q)) + sigma * e,
-                    *(pick(row[i + 1:]) for i, row in enumerate(Q[:-1]))])
-    return -extreme - sigma * c
-
+    flip, extremes = _ones(0, th.n) << (W - 1), []
+    for i, row in enumerate(th.rows):
+        upper = ((row >> (W * i)) + sigma * e) ^ flip
+        extremes.append(pick(array("h", upper.to_bytes(
+            W // 8 * (th.n - i), sys.byteorder))))
+        flip >>= W
+    return -pick(extremes) - sigma * c

@@ -12,9 +12,10 @@ import time
 from dataclasses import dataclass
 from math import comb
 
-from .knotpipeline import knot_quiver
+from .knotpipeline import KNOT_ROUTE, knot_quiver
 from .qseries import QFraction, poch_q2
-from .quiverstate import framing_shift, link_quiver, state_expand
+from .quiverstate import (LINK_ROUTE, framing_shift, link_quiver, route_size,
+                          state_expand)
 from .skein import oracle_homfly
 from .tangles import UP, Slope, cf_value
 
@@ -58,15 +59,31 @@ def expand_motivic(qd, N):
     leaf loop.  An expansion of more than MAX_DIM_VECTORS dimension
     vectors raises ValueError before it starts.
     """
-    count = comb(qd.n + N, N)
-    if count > MAX_DIM_VECTORS:
-        raise ValueError(
-            f"expansion to order {N} on {qd.n} vertices would visit "
-            f"{count} dimension vectors, more than the bound "
-            f"{MAX_DIM_VECTORS}")
+    _refuse_expansion(qd.n, N)
     records = [(False, 0, s, a) for s, a in zip(qd.q_vec, qd.a_vec)]
     return [QFraction(e.coeffs[0], poch_q2(j))
             for j, e in enumerate(state_expand(UP, records, qd.Q, N))]
+
+
+def _refuse_expansion(n, N):
+    """Refuse an expansion to order N on n vertices of more than
+    MAX_DIM_VECTORS dimension vectors, naming the count and the bound."""
+    count = comb(n + N, N)
+    if count > MAX_DIM_VECTORS:
+        raise ValueError(
+            f"expansion to order {N} on {n} vertices would visit "
+            f"{count} dimension vectors, more than the bound "
+            f"{MAX_DIM_VECTORS}")
+
+
+def refuse_oversized_check(s, pipeline, N):
+    """Refuse, before the route runs, a check to order N whose quiver
+    would pass MAX_VERTICES or whose expansion would pass
+    MAX_DIM_VECTORS: both counts come from the route's vertex count on
+    the representative it closes (p on the knot route, 2(p+q) on the
+    link route)."""
+    route = KNOT_ROUTE if pipeline == "knot" else LINK_ROUTE
+    _refuse_expansion(route_size(s, route)[2], N)
 
 
 @dataclass
@@ -135,8 +152,8 @@ def _verify(s, N, pipeline):
     """The check both routes share: the knot route's color j is cleared
     by (q^2;q^2)_j before the comparison, the link route's is not."""
     start = time.perf_counter()
-    qd = knot_quiver(s) if pipeline == "knot" else link_quiver(s)
-    coeffs = expand_motivic(framing_shift(qd, -qd.framing), N)
+    state = knot_quiver(s) if pipeline == "knot" else link_quiver(s)
+    coeffs = expand_motivic(framing_shift(state, -state.framing), N)
     if pipeline == "knot":
         coeffs = [c * poch_q2(j) for j, c in enumerate(coeffs)]
     matches, first, diff = _compare(coeffs, lambda j: oracle_homfly(s, j))

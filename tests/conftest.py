@@ -7,10 +7,10 @@ elements, the LaurentPoly loops of the skein twist and closure, the
 rational-arithmetic reference for q-fraction reduction, entry-by-entry
 references for the state kernel (twist, absorption, closure with the
 symmetrize its balanced M needs, block templates), the list kernel the
-packed one replaced, the knot route's pre-final state, the data-level
-mirror, the previous canonical frame and the quivers of the export
-sweep, comparison of
-quiver data up to vertex order, continued fraction generators, and an
+packed one replaced, the knot route's pre-final state, the maps on
+decoded quiver data that export and the mirror replaced, the previous
+canonical frame and the closed states of the export sweep, comparison
+of quiver data up to vertex order, continued fraction generators, and an
 independent Goeritz-matrix signature oracle."""
 
 from dataclasses import dataclass, replace
@@ -21,9 +21,9 @@ from quivertangle.knotpipeline import (_TRANSFORMS, _knot_bound, _reduce,
                                        delta_vector, knot_quiver)
 from quivertangle.qseries import (LaurentPoly, ONE, QFraction, ZERO, poch_q2,
                                   q_pow, qbinom_plus, qmultinomial)
-from quivertangle.quiverstate import (QuiverData, _Q_INVERT, _Thawed, _affine,
-                                      _export, _matrix, _pack, _trivial,
-                                      link_quiver, slot_width, state_expand)
+from quivertangle.quiverstate import (QuiverData, _Q_INVERT, _Thawed, _decode,
+                                      _pack, _trivial, framing_shift,
+                                      link_quiver, state_expand)
 from quivertangle.skein import (SkeinElement, _evaluate_packed, _mono,
                                 _unpack, basis_element, closure_numerator,
                                 twist_matrix)
@@ -77,14 +77,14 @@ def thaw(st, step):
     """A thawed copy of st for a step that adds at most step to any
     |entry|: the bound starts from st's largest |entry|."""
     bound = max((max(max(row), -min(row)) for row in st.M), default=0)
-    slot_width(bound + step)
-    return _Thawed(st.obj, _records(st), [_pack(row) for row in st.M])
+    return _Thawed(st.obj, _records(st), [_pack(row) for row in st.M],
+                   bound + step)
 
 
 def freeze(th):
     """The frozen state of a thawed one, each row decoded once."""
     return QuiverState(th.obj, tuple(IndexRecord(*r) for r in th.records),
-                       _matrix(th))
+                       _decode(th.rows, th.n))
 
 
 def run_step(st, step, kernel, *args, framing=None):
@@ -95,7 +95,10 @@ def run_step(st, step, kernel, *args, framing=None):
     data the route would export."""
     th = thaw(st, step)
     kernel(th, *args)
-    return freeze(th) if framing is None else _export(th, framing)
+    if framing is None:
+        return freeze(th)
+    th.framing = framing
+    return framing_shift(th, 0)
 
 
 def reduce_steps(terms):
@@ -772,6 +775,47 @@ def apply_template_reference(st, key):
     return QuiverState(out_obj or st.obj, tuple(records), freeze_matrix(M))
 
 
+# The maps on decoded quiver data that export ran before it worked on
+# the packed rows: the references for framing_shift, q_invert and the
+# mirror, which act on a closed state.
+
+def affine_reference(qd, sigma, c, e, q_shift, a_vec, framing, convention):
+    """The one family of maps on quiver data: Q_il -> sigma Q_il + c +
+    e [i = l] and q_i -> sigma q_i + q_shift (sigma = +-1), with a_vec,
+    framing and color convention as given, one entry at a time."""
+    Q = []
+    for i, row in enumerate(qd.Q):
+        row = [x + c for x in row] if sigma > 0 else [c - x for x in row]
+        row[i] += e
+        Q.append(tuple(row))
+    q_vec = (tuple(x + q_shift for x in qd.q_vec) if sigma > 0
+             else tuple(q_shift - x for x in qd.q_vec))
+    return QuiverData(tuple(Q), a_vec, q_vec, framing, convention)
+
+
+def framing_shift_reference(qd, f):
+    """Reference for framing_shift on antisymmetric quiver data; the
+    rule holds in that convention only, so symmetric data is refused."""
+    if qd.color_convention != "antisymmetric":
+        raise ValueError("framing_shift needs data in the antisymmetric "
+                         "color convention")
+    if not f:
+        return qd
+    return affine_reference(qd, 1, f, 0, -f, tuple(x - f for x in qd.a_vec),
+                            qd.framing + f, qd.color_convention)
+
+
+def q_invert_reference(qd, f=0):
+    """Reference for q_invert: the switch to the symmetric convention
+    after a framing shift by f, on antisymmetric quiver data."""
+    if qd.color_convention != "antisymmetric":
+        raise ValueError("data already in symmetric-color convention")
+    sigma, c, e = _Q_INVERT
+    return affine_reference(qd, sigma, sigma * f + c, e, f,
+                            tuple(x - f for x in qd.a_vec), qd.framing + f,
+                            "symmetric")
+
+
 def canonical_shift_reference(qd, symmetric):
     """The previous quiverstate.canonical_shift, which builds each row
     with its diagonal entry replaced: the reference for the one that
@@ -784,14 +828,14 @@ def canonical_shift_reference(qd, symmetric):
 
 
 def export_quivers():
-    """Both routes' quivers on the exported-bytes sweep: the link route
-    on every link slope with even p <= 16, both routes on every knot up
-    to 9 crossings."""
+    """(slope, closed state) of both routes on the exported-bytes sweep:
+    the link route on every link slope with even p <= 16, both routes on
+    every knot up to 9 crossings."""
     links = [Slope(p, q) for p in range(2, 17, 2) for q in range(1, p)
              if gcd(p, q) == 1]
     knots = enumerate_rational_knots(9)
-    return ([link_quiver(s) for s in links + knots]
-            + [knot_quiver(s) for s in knots])
+    return ([(s, link_quiver(s)) for s in links + knots]
+            + [(s, knot_quiver(s)) for s in knots])
 
 
 # The list kernel the routes ran before M was packed: in place on a list
@@ -965,6 +1009,6 @@ def mirror_quiver(qd, *, polynomial):
     if qd.color_convention != "antisymmetric":
         raise ValueError("mirror acts on antisymmetric-convention data")
     sigma, c, e = _Q_INVERT if polynomial else (-1, 0, 1)
-    return _affine(qd, sigma, c, e, 0 if polynomial else 1,
-                   tuple(-x for x in qd.a_vec), -qd.framing,
-                   qd.color_convention)
+    return affine_reference(qd, sigma, c, e, 0 if polynomial else 1,
+                            tuple(-x for x in qd.a_vec), -qd.framing,
+                            qd.color_convention)

@@ -14,12 +14,15 @@ import pytest
 
 import quivertangle
 from quivertangle import cli, qseries, quiverstate, tangles, verify
-from quivertangle.quiverstate import MAX_VERTICES
+from quivertangle.knotpipeline import KNOT_ROUTE, knot_quiver
+from quivertangle.quiverstate import (LINK_ROUTE, MAX_VERTICES, framing_shift,
+                                      link_quiver, route_size)
 from quivertangle.skein import MAX_ORACLE_COLOR, MAX_ORACLE_TWISTS
 from quivertangle.tangles import Slope, enumerate_rational_knots
 from quivertangle.verify import MAX_DIM_VECTORS, VerificationReport
 
-from conftest import distinct_slopes
+from conftest import (distinct_slopes, framing_shift_reference,
+                      q_invert_reference)
 
 
 def run(capsys, *argv):
@@ -106,6 +109,107 @@ class TestCompute:
         code, out, _ = run(capsys, "compute", "3/1", "--out", str(path))
         assert code == 0 and not out
         assert json.loads(path.read_text())["p"] == 3
+
+    def test_one_decode_per_compute(self, capsys, monkeypatch):
+        # the route returns its closed packed state and export decodes
+        # it: one full decode per compute on both routes, in both
+        # conventions and every kind of frame
+        decode, calls = quiverstate._decode, []
+
+        def counted(*args, **kwargs):
+            calls.append(args[1])
+            return decode(*args, **kwargs)
+
+        monkeypatch.setattr(quiverstate, "_decode", counted)
+        for slope, pipeline, n in (("13/3", "knot", 13), ("13/3", "link", 32),
+                                   ("8/3", "link", 22)):
+            for convention in ("anti", "sym"):
+                for frame in ("canonical", "raw", "-3"):
+                    run_json(capsys, "compute", slope, "--pipeline",
+                             pipeline, "--convention", convention,
+                             "--frame", frame)
+                    assert calls == [n], (slope, pipeline, convention, frame)
+                    calls.clear()
+
+    def test_out_of_range_frame_is_refused_before_the_route(self, capsys):
+        # an integer frame whose entries could leave the 16-bit slots of
+        # the export is refused from the writhe and the entry bound,
+        # naming both, with exit 2 and no route run, also under -O
+        script = ("import sys\n"
+                  "from quivertangle import cli\n"
+                  "def route(slope):\n"
+                  "    raise SystemExit('the route ran')\n"
+                  "cli.knot_quiver = cli.link_quiver = route\n"
+                  "sys.exit(cli.main(sys.argv[1:]))\n")
+        for argv, route in ((["3/1"], KNOT_ROUTE),
+                            (["3/1", "--convention", "anti"], KNOT_ROUTE),
+                            (["4/1"], LINK_ROUTE),
+                            (["3/2", "--pipeline", "link"], LINK_ROUTE)):
+            framing, bound = route_size(cli._parse_input(argv[0])[0],
+                                        route)[3:]
+            lo, hi = self.frame_range(argv, framing, bound)
+            for frame in (hi + 1, lo - 1):
+                for optimized in (False, True):
+                    proc = run_python("-c", script, "compute", *argv,
+                                      "--frame", str(frame),
+                                      optimized=optimized)
+                    assert proc.returncode == 2, (argv, proc.stderr)
+                    assert proc.stdout == b""
+                    err = proc.stderr.decode()
+                    assert f"frame {frame} is out of range" in err, err
+                    assert f"bounded by {bound} in frame {framing}" in err
+                    assert f"frames {lo} to {hi}" in err, err
+
+    @staticmethod
+    def frame_range(argv, framing, bound):
+        # entries sigma (x + f) + c + e [i = l], |x| <= bound, within
+        # +-(2^15 - 1): (sigma, c, e) is (1, 0, 0) antisymmetric and
+        # (-1, -1, 1) symmetric
+        if "anti" in argv:
+            slack = (1 << 15) - 1 - bound
+            return framing - slack, framing + slack
+        slack = (1 << 15) - 2 - bound
+        return framing - 1 - slack, framing - 1 + slack
+
+    def test_edge_frames_keep_the_reference_bytes(self, capsys):
+        # the largest and smallest accepted frames decode exactly what
+        # the maps on decoded data give
+        for slope, route in (("3/1", knot_quiver), ("4/1", link_quiver),
+                             ("3/2", link_quiver)):
+            state = route(cli._parse_input(slope)[0])
+            raw, bound = framing_shift(state, 0), state.bound
+            for convention in ("anti", "sym"):
+                lo, hi = self.frame_range([convention], raw.framing, bound)
+                for frame in (lo, hi):
+                    data = run_json(capsys, "compute", slope, "--pipeline",
+                                    "knot" if route is knot_quiver else
+                                    "link", "--convention", convention,
+                                    "--frame", str(frame))
+                    f = frame - raw.framing
+                    ref = (q_invert_reference(raw, f) if convention == "sym"
+                           else framing_shift_reference(raw, f))
+                    assert data["framing"] == ref.framing == frame
+                    assert data["Q"] == [list(row) for row in ref.Q]
+                    assert data["a_vec"] == list(ref.a_vec)
+                    assert data["q_vec"] == list(ref.q_vec)
+
+    def test_largest_computes_peak_under_250_mb(self):
+        # each of the largest admitted quivers of both routes, computed in
+        # a fresh process that prints its own peak resident memory (KB)
+        script = ("import contextlib, os, resource, sys\n"
+                  "from quivertangle import cli\n"
+                  "with open(os.devnull, 'w') as fh, "
+                  "contextlib.redirect_stdout(fh):\n"
+                  "    code = cli.main(sys.argv[1:])\n"
+                  "print(code, resource.getrusage(resource.RUSAGE_SELF)"
+                  ".ru_maxrss)\n")
+        for argv in (["compute", "2047/2"],
+                     ["compute", "1023/1", "--pipeline", "link"]):
+            proc = run_python("-c", script, *argv)
+            assert proc.returncode == 0, proc.stderr
+            code, peak_kb = map(int, proc.stdout.split())
+            assert code == 0
+            assert peak_kb < 250 * 1024, (argv, peak_kb)
 
 
 class TestOracle:
@@ -270,6 +374,30 @@ class TestVerifyCommand:
                 assert str(MAX_DIM_VECTORS) in err, err
                 if "link" not in argv:
                     assert "55525372 dimension vectors" in err, err
+
+    def test_oversized_expansion_is_refused_before_either_route(self):
+        # verify [301] --order 3 runs the knot route (301 vertices,
+        # 4,637,100 dimension vectors) and then the link route (604
+        # vertices, 37,090,735): both counts come from the vertex counts
+        # before either route runs, so neither check is called, also
+        # under -O
+        script = ("import sys\n"
+                  "from quivertangle import cli\n"
+                  "def check(slope, order):\n"
+                  "    raise SystemExit('a check ran')\n"
+                  "cli.verify_knot = cli.verify_link = check\n"
+                  "sys.exit(cli.main(sys.argv[1:]))\n")
+        for argv in (["verify", "[301]", "--order", "3"],
+                     ["compute", "[301]", "--pipeline", "link",
+                      "--order", "3"]):
+            for optimized in (False, True):
+                proc = run_python("-c", script, *argv, optimized=optimized)
+                assert proc.returncode == 2, (argv, proc.stderr)
+                assert proc.stdout == b""
+                err = proc.stderr.decode()
+                assert "on 604 vertices" in err, err
+                assert "37090735 dimension vectors" in err, err
+                assert str(MAX_DIM_VECTORS) in err, err
 
     def test_order_is_bounded_by_the_oracle_color(self):
         # --order N runs the oracle at colors 0..N: an order over
@@ -645,6 +773,28 @@ def load_bench_spans():
     spans = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(spans)
     return spans
+
+
+class TestBenchDigests:
+    def test_compute_workloads_match_the_stored_digests(self, capsys):
+        # every compute request of the corpus12 and links50 workloads,
+        # replayed through cli.main: the short sha256 of each stdout is
+        # the one bench/expected.json stores, which is only read here
+        spec = importlib.util.spec_from_file_location(
+            "bench_workloads", os.path.join(BENCH, "workloads.py"))
+        workloads = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(workloads)
+        with open(os.path.join(BENCH, "expected.json")) as fh:
+            stored = json.load(fh)
+        for name in ("corpus12", "links50"):
+            outputs = stored[name]["outputs"]
+            argvs = workloads.requests(name, enumerate_rational_knots)
+            assert len(argvs) == len(outputs) == workloads.SIZES[name]
+            for argv in argvs:
+                code, out, _ = run(capsys, *argv)
+                assert code == 0, argv
+                digest = hashlib.sha256(out.encode()).hexdigest()[:16]
+                assert digest == outputs[" ".join(argv)], argv
 
 
 class TestBenchBindings:

@@ -14,9 +14,9 @@ from quivertangle.knotpipeline import (_TRANSFORMS, TEMPLATE_STEP,
                                        _apply_template, _final_close,
                                        _knot_bound, _resum, knot_quiver)
 from quivertangle.quiverstate import (CLOSE_STEP, MAX_VERTICES, MIRROR_STEP,
-                                      TWIST_STEP, W, QuiverData, _absorb,
-                                      _bump, _close, _link_bound, _matrix,
-                                      _mirror, _trivial, _twist,
+                                      TWIST_STEP, W, QuiverData, Route,
+                                      _absorb, _bump, _close, _decode,
+                                      _link_bound, _mirror, _trivial, _twist,
                                       canonical_shift, framing_shift,
                                       link_quiver, q_invert, quiver_route,
                                       slot_width)
@@ -32,8 +32,9 @@ from conftest import (IndexRecord, QuiverState, absorb_list,
                       apply_twist_reference, bump_list, close_list,
                       canonical_shift_reference, close_link_reference,
                       compositions, distinct_slopes, expand, export_quivers,
-                      freeze, freeze_matrix, inactives, link_route_coeff,
-                      mirror_quiver, odd_cfs, permutation_equal, permute,
+                      framing_shift_reference, freeze, freeze_matrix,
+                      inactives, link_route_coeff, mirror_quiver, odd_cfs,
+                      permutation_equal, permute, q_invert_reference,
                       reduce_cf, reduce_steps, rescale, run_step,
                       state_expand_reference, state_expand_walk_reference,
                       thaw, trivial_state, twist, twist_list)
@@ -218,7 +219,7 @@ class TestPackedKernel:
         _bump(th, rows, cols, delta)
         records, M = _listed(st)
         bump_list(M, rows, cols, delta)
-        assert _matrix(th) == freeze_matrix(M)
+        assert _decode(th.rows, th.n) == freeze_matrix(M)
 
         st, th = thawed(5)  # an absorb with |coeff| <= 2
         targets = data.draw(hs.permutations(range(st.n)))
@@ -294,6 +295,9 @@ class TestPackedKernel:
         def largest(M):
             return max(max(map(max, M)), -min(map(min, M)))
 
+        def matrix(th):
+            return _decode(th.rows, th.n)
+
         checked = 0
         for p in range(1, 61):
             for q in range(1, p + 1):
@@ -306,16 +310,16 @@ class TestPackedKernel:
                 before = 0
                 for kind in twist_sequence(terms):
                     _twist(th, kind)
-                    after = largest(_matrix(th))
+                    after = largest(matrix(th))
                     assert after <= before + TWIST_STEP, (p, q)
                     before = after
                 _close(th)
-                after = largest(_matrix(th))
+                after = largest(matrix(th))
                 assert after <= before + CLOSE_STEP, (p, q)
                 if mirrored:
                     _mirror(th, polynomial=False)
-                    assert largest(_matrix(th)) <= after + MIRROR_STEP
-                assert largest(_matrix(th)) <= bound, (p, q)
+                    assert largest(matrix(th)) <= after + MIRROR_STEP
+                assert largest(matrix(th)) <= bound, (p, q)
                 if not is_knot(slope):
                     continue
                 bound, before = _knot_bound(terms), 0
@@ -328,10 +332,11 @@ class TestPackedKernel:
                     assert after <= before + grow, (p, q, step)
                     before = after
                     checked += 1
-                qd = knot_quiver(slope)
-                assert largest(qd.Q) <= (before + TEMPLATE_STEP
-                                         + mirrored * MIRROR_STEP), (p, q)
-                assert largest(qd.Q) <= bound, (p, q)
+                th = knot_quiver(slope)
+                assert th.bound == bound
+                assert largest(matrix(th)) <= (before + TEMPLATE_STEP
+                                               + mirrored * MIRROR_STEP), (p, q)
+                assert largest(matrix(th)) <= bound, (p, q)
         assert checked > 2000
 
 
@@ -525,27 +530,35 @@ class TestLinkQuiver:
 
 class TestDataTransforms:
     def test_framing_shift_multiplies_by_framing_factor(self):
-        qd = link_quiver(Slope(3, 1))
+        state = link_quiver(Slope(3, 1))
+        raw = framing_shift(state, 0)
+        assert raw.framing == state.framing
         for f in (-2, 1, 3):
-            shifted = framing_shift(qd, f)
-            assert shifted.framing == qd.framing + f
+            shifted = framing_shift(state, f)
+            assert shifted.framing == state.framing + f
             for j in range(3):
                 assert (link_route_coeff(shifted, j)
-                        == link_route_coeff(qd, j)
+                        == link_route_coeff(raw, j)
                         * QFraction(framing_factor(j, f)))
-        assert framing_shift(qd, 0) is qd
 
     def test_framing_shift_refuses_symmetric_data(self):
         # the shift is the antisymmetric rule: on symmetric data it
-        # would label a different Q with the same framing as q_invert's
-        qd = knot_quiver(Slope(3, 1))
-        sym = q_invert(qd, 1)
-        assert sym.framing == qd.framing + 1 == 4
+        # would label a different Q with the same framing as q_invert's.
+        # Export takes only a closed state, always antisymmetric, and
+        # the decoded references refuse symmetric data
+        state = knot_quiver(Slope(3, 1))
+        sym = q_invert(state, 1)
+        assert sym.framing == state.framing + 1 == 4
+        for f in (0, 1, -2, "canonical"):
+            with pytest.raises(TypeError, match="closed state"):
+                framing_shift(q_invert(state), f)
+            with pytest.raises(TypeError, match="closed state"):
+                q_invert(sym, f)
         for f in (0, 1, -2):
             with pytest.raises(ValueError, match="antisymmetric"):
-                framing_shift(q_invert(qd), f)
+                framing_shift_reference(sym, f)
         with pytest.raises(ValueError, match="symmetric"):
-            q_invert(sym)
+            q_invert_reference(sym)
 
     def test_mirror_quiver_inverts_variables(self):
         qd = framing_shift(link_quiver(Slope(3, 1)), -3)
@@ -559,41 +572,76 @@ class TestDataTransforms:
         with pytest.raises(ValueError):
             mirror_quiver(qd, polynomial=False)
 
+    def test_mirror_matches_reference(self):
+        # the packed mirror quiver_route applies against the decoded one,
+        # both kinds, on both routes' states for every slope with CF term
+        # sum <= 7
+        checked = 0
+        for slope in distinct_slopes(7):
+            for route, polynomial in ((link_quiver, False),
+                                      (knot_quiver, True)):
+                if route is knot_quiver and not is_knot(slope):
+                    continue
+                state = route(slope)
+                raw = framing_shift(state, 0)
+                _mirror(state, polynomial)
+                state.framing = -state.framing
+                assert framing_shift(state, 0) == mirror_quiver(
+                    raw, polynomial=polynomial), slope
+                checked += 1
+        assert checked == 107
+
     def test_q_invert_convention_flag(self):
-        qd = link_quiver(Slope(3, 1))
-        out = q_invert(qd)
+        state = link_quiver(Slope(3, 1))
+        out = q_invert(state)
         assert out.color_convention == "symmetric"
-        assert out.q_vec == tuple(-x for x in qd.q_vec)
-        with pytest.raises(ValueError):
+        assert out.q_vec == tuple(-x for x in framing_shift(state, 0).q_vec)
+        with pytest.raises(TypeError):
             q_invert(out)
 
     def test_q_invert_takes_the_framing_shift(self):
-        # one pass equals the shift followed by the convention switch,
-        # for every shift the CLI passes: canonical, raw (0), integer
-        # frames and the zero frame
-        for qd in export_quivers():
-            shifts = {canonical_shift(qd, symmetric=True),
-                      canonical_shift(qd, symmetric=False),
-                      0, 3, -3, -qd.framing}
-            for f in shifts:
-                assert q_invert(qd, f) == q_invert(framing_shift(qd, f))
+        # the packed export against the decoded maps it replaced, the
+        # shift and the switch one entry at a time, for frames canonical,
+        # raw, 0, -3 and 4 in both conventions, on both routes and their
+        # mirrored representatives; export leaves the state as it was
+        mirrored = 0
+        for slope, state in export_quivers():
+            mirrored += resolve_terms(slope)[1]
+            rows, records = list(state.rows), list(state.records)
+            raw = framing_shift(state, 0)
+            for symmetric in (False, True):
+                export = q_invert if symmetric else framing_shift
+                reference = (q_invert_reference if symmetric
+                             else framing_shift_reference)
+                shifts = {"canonical": canonical_shift_reference(
+                    raw, symmetric), "raw": 0}
+                for frame in (0, -3, 4):
+                    shifts[frame] = frame - raw.framing
+                for frame, f in shifts.items():
+                    assert export(state, frame if frame == "canonical"
+                                  else f) == reference(raw, f), (
+                        slope, symmetric, frame)
+            assert (state.rows, state.records) == (rows, records)
+        assert mirrored > 20
 
     def test_canonical_shift_matches_reference(self):
         # the 1-vertex quiver of the unknot has no off-diagonal entry
-        unknot = QuiverData(((1,),), (-1,), (-1,), 1, "antisymmetric")
-        for qd in [unknot, *export_quivers()]:
+        for _, state in [(None, knot_quiver(Slope(1, 1))),
+                         *export_quivers()]:
+            raw = framing_shift(state, 0)
             for symmetric in (False, True):
-                assert (canonical_shift(qd, symmetric)
-                        == canonical_shift_reference(qd, symmetric))
+                assert (canonical_shift(state, symmetric)
+                        == canonical_shift_reference(raw, symmetric))
 
     def test_permutation_equal(self):
-        qd = link_quiver(Slope(13, 3))
+        qd = framing_shift(link_quiver(Slope(13, 3)), 0)
         order = list(range(qd.n))[::-1]
         assert permutation_equal(qd, permute(qd, order))
         assert permutation_equal(qd, qd)
-        other = framing_shift(qd, 1)
+        other = framing_shift(link_quiver(Slope(13, 3)), 1)
         assert not permutation_equal(qd, other)
-        assert not permutation_equal(qd, link_quiver(Slope(11, 3)))
+        assert not permutation_equal(
+            qd, framing_shift(link_quiver(Slope(11, 3)), 0))
 
 
 def _representative(slope):
@@ -628,18 +676,20 @@ class TestVertexBound:
             <= MAX_VERTICES
 
     def test_refused_before_building(self):
-        def close(terms):
+        def close(terms, bound):
             raise AssertionError("built a quiver over the bound")
 
+        def route(build):
+            return Route(build, polynomial=True, vertices=lambda rep: rep.p,
+                         bound=lambda terms: 0)
+
         with pytest.raises(ValueError, match=f"2049 vertices.*{MAX_VERTICES}"):
-            quiver_route([2049], close, polynomial=True,
-                         vertices=lambda rep: rep.p)
+            quiver_route([2049], route(close))
         # the bound itself is admitted
-        qd = quiver_route([MAX_VERTICES],
-                          lambda terms: _trivial(0),
-                          polynomial=True, vertices=lambda rep: rep.p)
-        assert qd == QuiverData(((0,),), (0,), (0,), writhe([MAX_VERTICES]),
-                                "antisymmetric")
+        state = quiver_route([MAX_VERTICES],
+                             route(lambda terms, bound: _trivial(bound)))
+        assert framing_shift(state, 0) == QuiverData(
+            ((0,),), (0,), (0,), writhe([MAX_VERTICES]), "antisymmetric")
         with pytest.raises(ValueError, match="2050 vertices"):
             link_quiver(Slope(1024, 1))
         with pytest.raises(ValueError, match="2049 vertices"):

@@ -47,20 +47,20 @@ class TestExpandMotivic:
 
     @pytest.mark.parametrize("slope", [Slope(3, 1), Slope(5, 2), Slope(4, 1)])
     def test_matches_definition_with_split_denominators(self, slope):
-        qd = link_quiver(slope)
+        qd = framing_shift(link_quiver(slope), 0)
         series = expand_motivic(qd, 2)
         split = euler_form_expansion(qd, 2)
         for j in range(3):
             assert series[j] == split[j], (slope, j)
 
     def test_oversized_expansion_is_refused(self):
-        qd = knot_quiver(Slope(3, 1))
+        qd = framing_shift(knot_quiver(Slope(3, 1)), 0)
         assert comb(3 + 400, 400) == 10827401 > MAX_DIM_VECTORS
         with pytest.raises(ValueError, match="10827401 dimension vectors"):
             expand_motivic(qd, 400)
 
     def test_coefficient_numerators(self):
-        qd = knot_quiver(Slope(3, 1))
+        qd = framing_shift(knot_quiver(Slope(3, 1)), 0)
         series = expand_motivic(qd, 3)
         for j in range(4):
             assert series[j] == QFraction(quiver_numerator(qd, j),
