@@ -23,7 +23,7 @@ from .quiverstate import (LINK_ROUTE, framing_shift, link_quiver, q_invert,
 from .skein import MAX_ORACLE_COLOR, oracle_homfly, refuse_oversized_oracle
 from .tangles import (Slope, cf_expand, cf_value, crossing_number,
                       enumerate_rational_knots, is_knot)
-from .verify import (DEFAULT_KNOT_ORDER, DEFAULT_LINK_ORDER,
+from .verify import (DEFAULT_KNOT_ORDER, DEFAULT_LINK_ORDER, check_state,
                      refuse_oversized_check, verify_knot, verify_link)
 
 # the largest --max-crossings budget of enumerate: it bounds the output,
@@ -115,20 +115,9 @@ def _fraction_obj(frac):
     return {"num": str(num), "den": str(den)}
 
 
-def _output_frame_shift(state, frame):
-    """The shift export takes from the closed state's frame to the
-    requested one: none for raw, the difference for an integer frame,
-    and "canonical", which export resolves (the minimum entry of the
-    output-convention Q becomes 0)."""
-    if frame == "raw":
-        return 0
-    if isinstance(frame, int):
-        return frame - state.framing
-    return frame
-
-
 def compute_payload(slope, terms, pipeline, frame, convention):
-    """The `compute` JSON object for one link."""
+    """The closed state of one link and its `compute` JSON object, whose
+    quiver data is exported from the state in the output frame."""
     symmetric = convention == "sym"
     if isinstance(frame, int):
         # from the writhe and the entry bound, before the route runs
@@ -150,9 +139,8 @@ def compute_payload(slope, terms, pipeline, frame, convention):
         payload["signature"] = signature(slope)
         payload["homology"] = [[g.a_degree, g.q_degree, g.t_degree]
                                for g in homology_generators(state)]
-    shift = _output_frame_shift(state, frame)
-    out = (q_invert(state, shift) if symmetric
-           else framing_shift(state, shift))
+    out = (q_invert(state, frame) if symmetric
+           else framing_shift(state, frame))
     payload.update({
         "convention": out.color_convention,
         "framing": out.framing,
@@ -161,7 +149,7 @@ def compute_payload(slope, terms, pipeline, frame, convention):
         "a_vec": list(out.a_vec),
         "q_vec": list(out.q_vec),
     })
-    return payload
+    return state, payload
 
 
 def _out_error(out_path, code):
@@ -205,11 +193,11 @@ def _cmd_compute(args):
     pipeline = args.pipeline or ("knot" if is_knot(slope) else "link")
     if args.order:
         refuse_oversized_check(slope, pipeline, args.order)
-    payload = compute_payload(slope, terms, pipeline, args.frame,
-                              args.convention)
+    state, payload = compute_payload(slope, terms, pipeline, args.frame,
+                                     args.convention)
     if args.order:
-        check = verify_knot if pipeline == "knot" else verify_link
-        report = check(slope, args.order)
+        report = check_state(state, slope, pipeline, args.order,
+                             time.perf_counter())
         if not report.ok:
             sys.stderr.write(report.to_json() + "\n")
             return 1
@@ -221,7 +209,7 @@ def _cmd_compute(args):
 def _cmd_oracle(args):
     slope, terms = args.input
     lo, hi = args.colors
-    refuse_oversized_oracle(slope, terms, hi)
+    refuse_oversized_oracle(terms, hi)
     colors = {}
     for j in range(lo, hi + 1):
         value = oracle_homfly(slope, j)
@@ -267,7 +255,7 @@ def _batch_worker(task):
     p, q, frame, convention = task
     slope = Slope(p, q)
     return json.dumps(compute_payload(slope, cf_expand(slope), "knot",
-                                      frame, convention))
+                                      frame, convention)[1])
 
 
 def _cmd_batch(args):

@@ -244,7 +244,6 @@ class LaurentPoly:
 
 ZERO = LaurentPoly()
 ONE = LaurentPoly.mono(1)
-Q = LaurentPoly.mono(1, 1, 0)
 
 
 def q_pow(n):

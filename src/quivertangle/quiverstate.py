@@ -20,9 +20,9 @@ slot per entry, so a step costs a few bigint operations per row.
 whole word, its closure and any mirror on one thawed state and returns
 it closed, with its framing and the bound its slots were sized for.
 Export (`framing_shift`, `q_invert`) is the one place where a closed
-state is decoded: one packed affine map and one struct read per row.
-`state_expand` takes a state as its boundary, its records and M as rows
-of ints.
+state is decoded, in the output frame it is given: one packed affine
+map and one struct read per row.  `state_expand` takes a state as its
+records and M as rows of ints, and returns its coefficients per color.
 
 Twists act in "product form": multiply by a twist-dependent monomial and
 Pochhammer symbol, then absorb the Pochhammer by splitting summation
@@ -41,9 +41,8 @@ from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 from .qseries import LaurentPoly, ZERO, poch_q2, qmultinomial
-from .skein import SkeinElement, writhe
-from .tangles import (OP, RI, UP, boundary_after, cf_value, resolve_terms,
-                      twist_sequence)
+from .tangles import (OP, RI, UP, boundary_after, cf_value, count_text,
+                      resolve_terms, twist_sequence, writhe)
 
 
 @dataclass(frozen=True)
@@ -202,10 +201,11 @@ def _diagonal(th):
             for i, row in enumerate(th.rows)]
 
 
-def state_expand(obj, records, M, N):
-    """Expansion of the state with boundary obj, records (active,
-    extra_poch, s, a) and quadratic form M (square, any integers, one
-    row per record): rescaled skein elements for colors j <= N.
+def state_expand(records, M, N):
+    """Expansion of the state with records (active, extra_poch, s, a)
+    and quadratic form M (square, any integers, one row per record):
+    for each color j <= N, the j+1 coefficients of X[j,k] of its
+    rescaled skein element, as LaurentPolys.
 
     The coefficient of X[j,k] accumulates every index tuple d with
     sum d = j and sum_active d = k, each weighted by the positive
@@ -288,7 +288,7 @@ def state_expand(obj, records, M, N):
         poly = LaurentPoly(raw)
         coeffs[j][k] = coeffs[j][k] + (poly if factor.is_one()
                                        else poly * factor)
-    return [SkeinElement(j, obj, c) for j, c in enumerate(coeffs)]
+    return coeffs
 
 
 def _absorb(th, coeff, const_a, const_q, targets,
@@ -452,7 +452,7 @@ def _close(th):
     absorb the remaining Pochhammer numerators.  Afterwards the records
     and rows are the exported vertices and Q, in the frame of the twist
     diagram: the caller records that frame (the diagram writhe) as the
-    framing, and shifts by it for the zero frame."""
+    framing, and export takes it to the output frame."""
     obj, records = th.obj, th.records
     if obj not in (UP, OP):
         raise ValueError(f"cannot close {obj} North-South")
@@ -528,14 +528,12 @@ def route_size(slope_or_terms, route):
     representative, vertex count, framing, entry bound).  The framing is
     the diagram writhe, negated for a mirror representative: the frame
     of the closed state.  More than MAX_VERTICES vertices raises
-    ValueError, naming the slope, the count and the bound."""
+    ValueError, naming the count and the bound."""
     terms, mirrored = resolve_terms(slope_or_terms)
-    rep = cf_value(terms)
-    n = route.vertices(rep)
+    n = route.vertices(cf_value(terms))
     if n > MAX_VERTICES:
-        raise ValueError(
-            f"the quiver of {rep} would have {n} vertices, more than "
-            f"the bound {MAX_VERTICES}")
+        raise ValueError(f"the quiver would have {count_text(n)} vertices, "
+                         f"more than the bound {MAX_VERTICES}")
     framing = writhe(terms)
     return (terms, mirrored, n, -framing if mirrored else framing,
             route.bound(terms))
@@ -597,27 +595,29 @@ def refuse_frame(framing, bound, frame, symmetric):
             f"{center - slack} to {center + slack}")
 
 
-def _export(th, f, symmetric):
-    """Quiver data of the closed state th after a framing shift by f, in
-    the antisymmetric color convention or, when symmetric, after the
-    switch to the symmetric one: Q -> sigma (Q + f) + c + e I, q_i ->
-    sigma (q_i - f), a_i -> a_i - f, one _affine pass and one decode.
-    The state is left as it was.
+def _export(th, frame, symmetric):
+    """Quiver data of the closed state th in the output frame, in the
+    antisymmetric color convention or, when symmetric, after the switch
+    to the symmetric one.  The frame is an integer, "raw" (the state's
+    own) or "canonical"; with f its shift from th.framing, Q -> sigma
+    (Q + f) + c + e I, q_i -> sigma (q_i - f), a_i -> a_i - f, one
+    _affine pass and one decode.  The state is left as it was.
 
-    f = "canonical" takes canonical_shift's shift; the output then lies
-    in [0, 2 bound + 1], since its smallest entry is 0 and sigma x +
-    e [i = l] spans at most 2 bound + 1 < 2^W, so its slots hold the
-    entries themselves and decode unsigned.  An integer f must pass
+    The canonical frame takes canonical_shift's shift; the output then
+    lies in [0, 2 bound + 1], since its smallest entry is 0 and sigma x
+    + e [i = l] spans at most 2 bound + 1 < 2^W, so its slots hold the
+    entries themselves and decode unsigned.  Any other frame must pass
     refuse_frame, and decodes signed from offset binary."""
     if not isinstance(th, _Thawed):
         raise TypeError("export takes a closed state, whose quiver data "
                         "is in the antisymmetric color convention")
     sigma, c, e = _Q_INVERT if symmetric else (1, 0, 0)
-    if f == "canonical":
+    if frame == "canonical":
         f, offset = canonical_shift(th, symmetric), 0
     else:
-        refuse_frame(th.framing, th.bound, th.framing + f, symmetric)
-        offset = 1 << (W - 1)
+        frame = th.framing if frame == "raw" else frame
+        refuse_frame(th.framing, th.bound, frame, symmetric)
+        f, offset = frame - th.framing, 1 << (W - 1)
     Q = _decode(_affine(th.rows, sigma, sigma * f + c, e, offset), th.n,
                 signed=offset > 0)
     return QuiverData(Q, tuple(r[3] - f for r in th.records),
@@ -626,22 +626,23 @@ def _export(th, f, symmetric):
                       "symmetric" if symmetric else "antisymmetric")
 
 
-def framing_shift(th, f):
-    """Quiver data of a closed state with its framing changed by f
-    units, f an integer or "canonical" (see _export): each unit
-    multiplies color j by (-q)^{-j} a^{-j} q^{j^2}.  The rule holds in
-    the antisymmetric color convention only; q_invert takes the shift
-    for symmetric output."""
-    return _export(th, f, symmetric=False)
+def framing_shift(th, frame):
+    """Quiver data of a closed state in the output frame (an integer,
+    "raw" or "canonical"; see _export): each unit of framing multiplies
+    color j by (-q)^{-j} a^{-j} q^{j^2}.  The rule holds in the
+    antisymmetric color convention only; q_invert takes the frame for
+    symmetric output."""
+    return _export(th, frame, symmetric=False)
 
 
-def q_invert(th, f=0):
-    """Quiver data of a closed state after a framing shift by f, passed
-    from one-column to one-row colors in the same pass.  The switch
-    negates q_vec and Q, then decrements every off-diagonal entry of Q
-    to account for the asymmetry of the q-Pochhammer denominators:
-    Q_il -> -(Q_il + f) - 1 + [i = l], q_i -> f - q_i, a_i -> a_i - f."""
-    return _export(th, f, symmetric=True)
+def q_invert(th, frame):
+    """Quiver data of a closed state in the output frame, passed from
+    one-column to one-row colors in the same pass.  The switch negates
+    q_vec and Q, then decrements every off-diagonal entry of Q to
+    account for the asymmetry of the q-Pochhammer denominators: with f
+    the shift to the frame, Q_il -> -(Q_il + f) - 1 + [i = l], q_i ->
+    f - q_i, a_i -> a_i - f."""
+    return _export(th, frame, symmetric=True)
 
 
 def canonical_shift(th, symmetric):

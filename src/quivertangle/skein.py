@@ -38,8 +38,9 @@ from struct import calcsize
 
 from .qseries import (LaurentPoly, QFraction, ZERO, a_pow, pochhammer,
                       poch_q2, q_pow, qbinom_plus)
-from .tangles import (OP, RI, UP, Slope, boundary_after, boundary_walk,
-                      cf_expand, good_representative, twist_sequence)
+from .tangles import (OP, RI, UP, Slope, boundary_after, cf_expand,
+                      count_text, good_representative, twist_sequence,
+                      writhe)
 
 # struct formats of the native unsigned widths, by byte count; empty on
 # a big-endian host, whose casts would read the digits byte-reversed
@@ -254,22 +255,6 @@ def _packed_quotient(slices, j, B, low):
     return h
 
 
-# Per-twist writhe contribution by (boundary before the twist, kind).
-# Twisting two parallel strands gives a positive crossing; antiparallel
-# strands give the opposite sign for the same geometric twist.  The
-# table is pinned down by the unknot normalization and by invariance of
-# the reduced polynomial across equivalent slopes (see tests).
-WRITHE_SIGN = {
-    (UP, "T"): 1, (OP, "T"): -1, (RI, "T"): -1,
-    (UP, "R"): 1, (OP, "R"): 1, (RI, "R"): -1,
-}
-
-
-def writhe(terms):
-    """Writhe of the standard diagram built from the CF terms."""
-    return sum(WRITHE_SIGN[step] for step in boundary_walk(terms))
-
-
 def framing_factor(j, n):
     """f(j)^n with f(j) = (-q)^{-j} a^{-j} q^{j^2}."""
     return _mono(-j * n, j * j * n, -j * n)
@@ -303,9 +288,9 @@ MAX_ORACLE_COLOR = 12
 MAX_ORACLE_TWISTS = 12
 
 
-def refuse_oversized_oracle(slope, terms, top):
+def refuse_oversized_oracle(terms, top):
     """Raise ValueError, naming the count and the bound, when the color
-    top is over MAX_ORACLE_COLOR or the CF terms of slope have a sum over
+    top is over MAX_ORACLE_COLOR or the CF terms have a sum over
     MAX_ORACLE_TWISTS."""
     if top > MAX_ORACLE_COLOR:
         raise ValueError(f"color {top} is more than the bound "
@@ -313,7 +298,7 @@ def refuse_oversized_oracle(slope, terms, top):
     twists = sum(terms)
     if twists > MAX_ORACLE_TWISTS:
         raise ValueError(
-            f"the diagram of {slope} has {twists} twists (CF term sum), "
+            f"the diagram has {count_text(twists)} twists (CF term sum), "
             f"more than the bound {MAX_ORACLE_TWISTS}")
 
 

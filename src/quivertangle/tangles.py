@@ -1,5 +1,6 @@
 """Rational slopes, continued fractions, the boundary walk of a twist
-word, and enumeration of rational knots up to equivalence.
+word and the writhe read off it, and enumeration of rational knots up
+to equivalence.
 
 Conventions.  A continued fraction [a1,...,ar] (all terms positive, r
 odd) is evaluated right to left:
@@ -14,6 +15,7 @@ the package.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from functools import reduce
 from math import gcd
@@ -39,6 +41,16 @@ class Slope:
         return f"{self.p}/{self.q}"
 
 
+def count_text(n):
+    """A positive count in decimal, or as a power of ten it reaches when
+    str() would refuse its digits (sys.get_int_max_str_digits())."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if not limit or n.bit_length() <= 3 * limit:  # 8^limit < 10^limit
+        return str(n)
+    # 10^k <= 2^(bits - 1) <= n, since 0.3010 < log10(2)
+    return f"at least 10^{(n.bit_length() - 1) * 3010 // 10000}"
+
+
 def cf_value(terms):
     """Evaluate [a1,...,ar] to a Slope: ar + 1/(a_{r-1} + ... + 1/a1).
     Numerator and denominator are the continuants p_k = a_k p_{k-1} +
@@ -61,11 +73,6 @@ def _euclidean_terms(p, q):
     while den:
         rev.append(num // den)
         num, den = den, num - (num // den) * den
-    if rev[-1] == 1 and len(rev) > 1:
-        # the first built term a1 = rev[-1] may be 1 only when r = 1;
-        # fold [.., x, 1] into [.., x+1] to get the minimal expansion.
-        rev.pop()
-        rev[-1] += 1
     return rev
 
 
@@ -74,16 +81,14 @@ def cf_expand(slope):
 
     The raw Euclidean expansion is computed first; if its length is even
     the leading term is rewritten via [a1+1, ...] = [1, a1, ...] so the
-    result has odd length.  cf_value(cf_expand(s)) == s always.
+    result has odd length: a1, the last Euclidean quotient, is at least
+    2 when there are two or more terms.  cf_value(cf_expand(s)) == s.
     """
     terms = _euclidean_terms(slope.p, slope.q)[::-1]
     if any(t < 1 for t in terms):
         raise ValueError("slope must be >= 1")
     if len(terms) % 2 == 0:
-        if terms[0] >= 2:
-            terms = [1, terms[0] - 1] + terms[1:]
-        else:
-            terms = [terms[1] + 1] + terms[2:]
+        terms = [1, terms[0] - 1] + terms[1:]
     if cf_value(terms) != slope:
         raise ArithmeticError(f"{terms} does not expand {slope}")
     return terms
@@ -113,6 +118,22 @@ def boundary_walk(terms):
     for kind in twist_sequence(terms):
         yield boundary, kind
         boundary = boundary_after(boundary, kind)
+
+
+# Per-twist writhe contribution by (boundary before the twist, kind).
+# Twisting two parallel strands gives a positive crossing; antiparallel
+# strands give the opposite sign for the same geometric twist.  The
+# table is pinned down by the unknot normalization and by invariance of
+# the reduced polynomial across equivalent slopes (see tests).
+WRITHE_SIGN = {
+    (UP, "T"): 1, (OP, "T"): -1, (RI, "T"): -1,
+    (UP, "R"): 1, (OP, "R"): 1, (RI, "R"): -1,
+}
+
+
+def writhe(terms):
+    """Writhe of the standard diagram built from the CF terms: its frame."""
+    return sum(WRITHE_SIGN[step] for step in boundary_walk(terms))
 
 
 def is_knot(slope):

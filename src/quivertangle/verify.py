@@ -17,7 +17,7 @@ from .qseries import QFraction, poch_q2
 from .quiverstate import (LINK_ROUTE, framing_shift, link_quiver, route_size,
                           state_expand)
 from .skein import oracle_homfly
-from .tangles import UP, Slope, cf_value
+from .tangles import Slope, cf_value
 
 DEFAULT_KNOT_ORDER = 3
 DEFAULT_LINK_ORDER = 2
@@ -61,8 +61,8 @@ def expand_motivic(qd, N):
     """
     _refuse_expansion(qd.n, N)
     records = [(False, 0, s, a) for s, a in zip(qd.q_vec, qd.a_vec)]
-    return [QFraction(e.coeffs[0], poch_q2(j))
-            for j, e in enumerate(state_expand(UP, records, qd.Q, N))]
+    return [QFraction(c[0], poch_q2(j))
+            for j, c in enumerate(state_expand(records, qd.Q, N))]
 
 
 def _refuse_expansion(n, N):
@@ -137,7 +137,8 @@ def verify_knot(s, N=DEFAULT_KNOT_ORDER):
     against the skein oracle: the coefficient of x^j, multiplied by
     (q^2;q^2)_j, must equal the reduced j-colored invariant exactly for
     every j <= N.  Both sides are taken in the zero frame."""
-    return _verify(_as_slope(s), N, "knot")
+    start, s = time.perf_counter(), _as_slope(s)
+    return check_state(knot_quiver(s), s, "knot", N, start)
 
 
 def verify_link(s, N=DEFAULT_LINK_ORDER):
@@ -145,15 +146,17 @@ def verify_link(s, N=DEFAULT_LINK_ORDER):
     rational link: the coefficient of x^j must equal the reduced
     j-colored invariant directly (no per-color clearing) for every
     j <= N, both sides in the zero frame."""
-    return _verify(_as_slope(s), N, "link")
+    start, s = time.perf_counter(), _as_slope(s)
+    return check_state(link_quiver(s), s, "link", N, start)
 
 
-def _verify(s, N, pipeline):
-    """The check both routes share: the knot route's color j is cleared
-    by (q^2;q^2)_j before the comparison, the link route's is not."""
-    start = time.perf_counter()
-    state = knot_quiver(s) if pipeline == "knot" else link_quiver(s)
-    coeffs = expand_motivic(framing_shift(state, -state.framing), N)
+def check_state(state, s, pipeline, N, start):
+    """The check both routes share, on the closed state that pipeline
+    built for the slope s: its quiver data in the zero frame, expanded
+    to order N, against the oracle.  The knot route's color j is cleared
+    by (q^2;q^2)_j before the comparison, the link route's is not.  The
+    report is timed from start, a time.perf_counter() reading."""
+    coeffs = expand_motivic(framing_shift(state, 0), N)
     if pipeline == "knot":
         coeffs = [c * poch_q2(j) for j, c in enumerate(coeffs)]
     matches, first, diff = _compare(coeffs, lambda j: oracle_homfly(s, j))

@@ -98,7 +98,7 @@ def run_step(st, step, kernel, *args, framing=None):
     if framing is None:
         return freeze(th)
     th.framing = framing
-    return framing_shift(th, 0)
+    return framing_shift(th, "raw")
 
 
 def reduce_steps(terms):
@@ -113,8 +113,10 @@ def reduce_steps(terms):
 
 
 def expand(st, N):
-    """quiverstate.state_expand of a frozen state."""
-    return state_expand(st.obj, _records(st), st.M, N)
+    """quiverstate.state_expand of a frozen state, as rescaled skein
+    elements with the state's boundary."""
+    return [SkeinElement(j, st.obj, c)
+            for j, c in enumerate(state_expand(_records(st), st.M, N))]
 
 
 # The skein oracle's twist, closure and tangle element, each one call
@@ -777,7 +779,8 @@ def apply_template_reference(st, key):
 
 # The maps on decoded quiver data that export ran before it worked on
 # the packed rows: the references for framing_shift, q_invert and the
-# mirror, which act on a closed state.
+# mirror, which act on a closed state.  The references take the shift f
+# from the frame of the data, where export takes the output frame.
 
 def affine_reference(qd, sigma, c, e, q_shift, a_vec, framing, convention):
     """The one family of maps on quiver data: Q_il -> sigma Q_il + c +

@@ -142,14 +142,14 @@ def test_step_level_oracle_tracking():
 def test_normalization_and_integrality(capsys):
     # unknot colors are all 1
     qd = knot_quiver(Slope(1, 1))
-    zero = framing_shift(qd, -qd.framing)
+    zero = framing_shift(qd, 0)
     for j in range(6):
         assert knot_route_poly(zero, j) == QFraction(1)
     # canonical-frame output is non-negative and symmetrizes integrally
     # across the whole corpus (compute_payload raises on odd entries)
     for s in enumerate_rational_knots(12):
-        payload = cli.compute_payload(s, cf_expand(s), "knot",
-                                      "canonical", "sym")
+        _, payload = cli.compute_payload(s, cf_expand(s), "knot",
+                                         "canonical", "sym")
         assert min(x for row in payload["Q"] for x in row) >= 0, s
     report("unknot normalization, canonical non-negativity, and "
            "symmetrization integrality hold on the corpus")

@@ -15,11 +15,12 @@ import pytest
 import quivertangle
 from quivertangle import cli, qseries, quiverstate, tangles, verify
 from quivertangle.knotpipeline import KNOT_ROUTE, knot_quiver
+from quivertangle.qseries import QFraction, q_pow
 from quivertangle.quiverstate import (LINK_ROUTE, MAX_VERTICES, framing_shift,
                                       link_quiver, route_size)
 from quivertangle.skein import MAX_ORACLE_COLOR, MAX_ORACLE_TWISTS
 from quivertangle.tangles import Slope, enumerate_rational_knots
-from quivertangle.verify import MAX_DIM_VECTORS, VerificationReport
+from quivertangle.verify import MAX_DIM_VECTORS
 
 from conftest import (distinct_slopes, framing_shift_reference,
                       q_invert_reference)
@@ -96,13 +97,16 @@ class TestCompute:
         assert data["verified_order"] == 2
 
     def test_mismatch_exit_code(self, capsys, monkeypatch):
-        bad = VerificationReport("3/1", "knot", 1, [True, False], 0.0,
-                                 1, "q^2")
-        monkeypatch.setattr(cli, "verify_knot", lambda s, n: bad)
+        # an oracle wrong at color 1 makes the real check of the printed
+        # state fail: exit 1, nothing on stdout, the report on stderr
+        oracle = verify.oracle_homfly
+        monkeypatch.setattr(verify, "oracle_homfly", lambda s, j: (
+            oracle(s, j) if j == 0 else QFraction(q_pow(2))))
         code, out, err = run(capsys, "compute", "3/1", "--order", "1")
         assert code == 1
         assert not out
-        assert json.loads(err)["ok"] is False
+        report = json.loads(err)
+        assert report["ok"] is False and report["first_mismatch"] == 1
 
     def test_out_file(self, capsys, tmp_path):
         path = tmp_path / "q.json"
@@ -130,6 +134,34 @@ class TestCompute:
                              "--frame", frame)
                     assert calls == [n], (slope, pipeline, convention, frame)
                     calls.clear()
+
+    def test_order_checks_the_printed_state(self, capsys, monkeypatch):
+        # compute --order builds the route once: the four builders it
+        # could reach (cli. and verify. knot_quiver and link_quiver) see
+        # one call in all, and it prints the bytes of the plain compute
+        # plus verified_order, on both routes, in both conventions and
+        # every kind of frame
+        calls = []
+        for owner in (cli, verify):
+            for name in ("knot_quiver", "link_quiver"):
+                def counted(slope, build=getattr(owner, name),
+                            site=f"{owner.__name__}.{name}"):
+                    calls.append(site)
+                    return build(slope)
+
+                monkeypatch.setattr(owner, name, counted)
+        for slope, pipeline in (("13/3", "knot"), ("13/3", "link"),
+                                ("8/3", "link")):
+            for convention in ("anti", "sym"):
+                for frame in ("canonical", "raw", "-3"):
+                    argv = ["compute", slope, "--pipeline", pipeline,
+                            "--convention", convention, "--frame", frame]
+                    _, plain, _ = run(capsys, *argv)
+                    calls.clear()
+                    code, out, _ = run(capsys, *argv, "--order", "1")
+                    assert code == 0
+                    assert calls == [f"quivertangle.cli.{pipeline}_quiver"]
+                    assert out == plain[:-2] + ', "verified_order": 1}\n'
 
     def test_out_of_range_frame_is_refused_before_the_route(self, capsys):
         # an integer frame whose entries could leave the 16-bit slots of
@@ -177,7 +209,7 @@ class TestCompute:
         for slope, route in (("3/1", knot_quiver), ("4/1", link_quiver),
                              ("3/2", link_quiver)):
             state = route(cli._parse_input(slope)[0])
-            raw, bound = framing_shift(state, 0), state.bound
+            raw, bound = framing_shift(state, "raw"), state.bound
             for convention in ("anti", "sym"):
                 lo, hi = self.frame_range([convention], raw.framing, bound)
                 for frame in (lo, hi):
@@ -383,9 +415,10 @@ class TestVerifyCommand:
         # under -O
         script = ("import sys\n"
                   "from quivertangle import cli\n"
-                  "def check(slope, order):\n"
-                  "    raise SystemExit('a check ran')\n"
-                  "cli.verify_knot = cli.verify_link = check\n"
+                  "def ran(*args):\n"
+                  "    raise SystemExit('a route or a check ran')\n"
+                  "cli.verify_knot = cli.verify_link = ran\n"
+                  "cli.knot_quiver = cli.link_quiver = ran\n"
                   "sys.exit(cli.main(sys.argv[1:]))\n")
         for argv in (["verify", "[301]", "--order", "3"],
                      ["compute", "[301]", "--pipeline", "link",
@@ -727,6 +760,25 @@ class TestExitCodes:
                     cli.main([*argv, "--out", str(path)])
                 assert exc.value.code == 2, argv
         assert kept.read_bytes() == b"kept\n" and not new.exists()
+
+    def test_refusals_of_huge_inputs_print(self):
+        # a CF of 60,001 ones fits one argv string, but the numerator of
+        # its slope has about 12,500 digits, more than str() converts:
+        # each refusal names its bound and a size that prints, with exit
+        # 2, also under -O
+        cf = "[" + ",".join(["1"] * 60001) + "]"
+        for command, size, bound in (
+                ("compute", "at least 10^12537 vertices", MAX_VERTICES),
+                ("verify", "at least 10^12537 vertices", MAX_VERTICES),
+                ("oracle", "60001 twists", MAX_ORACLE_TWISTS)):
+            for optimized in (False, True):
+                proc = run_python("-m", "quivertangle.cli", command, cf,
+                                  optimized=optimized)
+                assert proc.returncode == 2, (command, proc.stderr)
+                assert proc.stdout == b""
+                err = proc.stderr.decode()
+                assert f"{command}: error: " in err, err
+                assert size in err and f"the bound {bound}" in err, err
 
     def test_validation_survives_optimized_mode(self):
         # python -O strips assert statements; input checks must not rely

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from math import gcd
 
-from quivertangle.qseries import (ONE, Q, LaurentPoly, QFraction, ZERO,
+from quivertangle.qseries import (ONE, LaurentPoly, QFraction, ZERO,
                                   _q_gcd, a_pow, pochhammer, poch_q2, q_pow,
                                   qbinom_plus, qmultinomial)
 
@@ -16,6 +16,7 @@ from conftest import (balanced_from_plus, compositions, laurent_str_reference,
 
 
 A = a_pow(1)
+Q = q_pow(1)
 
 
 def q_inverse(x):

@@ -21,10 +21,10 @@ from quivertangle.quiverstate import (CLOSE_STEP, MAX_VERTICES, MIRROR_STEP,
                                       link_quiver, q_invert, quiver_route,
                                       slot_width)
 from quivertangle.skein import (basis_element, framing_factor, oracle_homfly,
-                                raw_closure, writhe)
+                                raw_closure)
 from quivertangle.tangles import (OP, RI, Slope, UP, cf_expand, cf_value,
                                   enumerate_rational_knots, is_knot,
-                                  resolve_terms, twist_sequence)
+                                  resolve_terms, twist_sequence, writhe)
 
 from conftest import (IndexRecord, QuiverState, absorb_list,
                       absorb_pochhammer_reference, actives,
@@ -113,7 +113,7 @@ def test_state_expand_matches_walk_reference():
             if build is knot_quiver and not is_knot(s):
                 continue
             qd = build(s)
-            qd = framing_shift(qd, -qd.framing)
+            qd = framing_shift(qd, 0)
             st = QuiverState(UP, tuple(IndexRecord(False, 0, q, a) for q, a
                                        in zip(qd.q_vec, qd.a_vec)), qd.Q)
             states.append((st, N))
@@ -508,14 +508,14 @@ class TestLinkQuiver:
     def test_zero_frame_matches_oracle(self, slope):
         qd = link_quiver(slope)
         assert qd.framing == writhe(cf_expand(slope))
-        zero = framing_shift(qd, -qd.framing)
+        zero = framing_shift(qd, 0)
         for j in range(3):
             assert link_route_coeff(zero, j) == oracle_homfly(slope, j)
 
     @pytest.mark.parametrize("slope", [Slope(3, 2), Slope(6, 5), Slope(11, 7)])
     def test_mirror_representatives(self, slope):
         qd = link_quiver(slope)
-        zero = framing_shift(qd, -qd.framing)
+        zero = framing_shift(qd, 0)
         for j in range(3):
             assert link_route_coeff(zero, j) == oracle_homfly(slope, j)
 
@@ -531,10 +531,10 @@ class TestLinkQuiver:
 class TestDataTransforms:
     def test_framing_shift_multiplies_by_framing_factor(self):
         state = link_quiver(Slope(3, 1))
-        raw = framing_shift(state, 0)
+        raw = framing_shift(state, "raw")
         assert raw.framing == state.framing
         for f in (-2, 1, 3):
-            shifted = framing_shift(state, f)
+            shifted = framing_shift(state, state.framing + f)
             assert shifted.framing == state.framing + f
             for j in range(3):
                 assert (link_route_coeff(shifted, j)
@@ -547,11 +547,11 @@ class TestDataTransforms:
         # Export takes only a closed state, always antisymmetric, and
         # the decoded references refuse symmetric data
         state = knot_quiver(Slope(3, 1))
-        sym = q_invert(state, 1)
+        sym = q_invert(state, 4)
         assert sym.framing == state.framing + 1 == 4
         for f in (0, 1, -2, "canonical"):
             with pytest.raises(TypeError, match="closed state"):
-                framing_shift(q_invert(state), f)
+                framing_shift(q_invert(state, "raw"), f)
             with pytest.raises(TypeError, match="closed state"):
                 q_invert(sym, f)
         for f in (0, 1, -2):
@@ -561,14 +561,14 @@ class TestDataTransforms:
             q_invert_reference(sym)
 
     def test_mirror_quiver_inverts_variables(self):
-        qd = framing_shift(link_quiver(Slope(3, 1)), -3)
+        qd = framing_shift(link_quiver(Slope(3, 1)), 0)
         mir = mirror_quiver(qd, polynomial=False)
         assert mir.framing == -qd.framing == 0
         for j in range(3):
             assert link_route_coeff(mir, j) == link_route_coeff(qd, j).mirror()
 
     def test_mirror_requires_antisymmetric(self):
-        qd = q_invert(link_quiver(Slope(3, 1)))
+        qd = q_invert(link_quiver(Slope(3, 1)), "raw")
         with pytest.raises(ValueError):
             mirror_quiver(qd, polynomial=False)
 
@@ -583,21 +583,22 @@ class TestDataTransforms:
                 if route is knot_quiver and not is_knot(slope):
                     continue
                 state = route(slope)
-                raw = framing_shift(state, 0)
+                raw = framing_shift(state, "raw")
                 _mirror(state, polynomial)
                 state.framing = -state.framing
-                assert framing_shift(state, 0) == mirror_quiver(
+                assert framing_shift(state, "raw") == mirror_quiver(
                     raw, polynomial=polynomial), slope
                 checked += 1
         assert checked == 107
 
     def test_q_invert_convention_flag(self):
         state = link_quiver(Slope(3, 1))
-        out = q_invert(state)
+        out = q_invert(state, "raw")
         assert out.color_convention == "symmetric"
-        assert out.q_vec == tuple(-x for x in framing_shift(state, 0).q_vec)
+        assert out.q_vec == tuple(-x for x in
+                                  framing_shift(state, "raw").q_vec)
         with pytest.raises(TypeError):
-            q_invert(out)
+            q_invert(out, "raw")
 
     def test_q_invert_takes_the_framing_shift(self):
         # the packed export against the decoded maps it replaced, the
@@ -608,7 +609,7 @@ class TestDataTransforms:
         for slope, state in export_quivers():
             mirrored += resolve_terms(slope)[1]
             rows, records = list(state.rows), list(state.records)
-            raw = framing_shift(state, 0)
+            raw = framing_shift(state, "raw")
             for symmetric in (False, True):
                 export = q_invert if symmetric else framing_shift
                 reference = (q_invert_reference if symmetric
@@ -618,8 +619,7 @@ class TestDataTransforms:
                 for frame in (0, -3, 4):
                     shifts[frame] = frame - raw.framing
                 for frame, f in shifts.items():
-                    assert export(state, frame if frame == "canonical"
-                                  else f) == reference(raw, f), (
+                    assert export(state, frame) == reference(raw, f), (
                         slope, symmetric, frame)
             assert (state.rows, state.records) == (rows, records)
         assert mirrored > 20
@@ -628,20 +628,20 @@ class TestDataTransforms:
         # the 1-vertex quiver of the unknot has no off-diagonal entry
         for _, state in [(None, knot_quiver(Slope(1, 1))),
                          *export_quivers()]:
-            raw = framing_shift(state, 0)
+            raw = framing_shift(state, "raw")
             for symmetric in (False, True):
                 assert (canonical_shift(state, symmetric)
                         == canonical_shift_reference(raw, symmetric))
 
     def test_permutation_equal(self):
-        qd = framing_shift(link_quiver(Slope(13, 3)), 0)
+        qd = framing_shift(link_quiver(Slope(13, 3)), "raw")
         order = list(range(qd.n))[::-1]
         assert permutation_equal(qd, permute(qd, order))
         assert permutation_equal(qd, qd)
-        other = framing_shift(link_quiver(Slope(13, 3)), 1)
+        other = framing_shift(link_quiver(Slope(13, 3)), qd.framing + 1)
         assert not permutation_equal(qd, other)
         assert not permutation_equal(
-            qd, framing_shift(link_quiver(Slope(11, 3)), 0))
+            qd, framing_shift(link_quiver(Slope(11, 3)), "raw"))
 
 
 def _representative(slope):
@@ -688,7 +688,7 @@ class TestVertexBound:
         # the bound itself is admitted
         state = quiver_route([MAX_VERTICES],
                              route(lambda terms, bound: _trivial(bound)))
-        assert framing_shift(state, 0) == QuiverData(
+        assert framing_shift(state, "raw") == QuiverData(
             ((0,),), (0,), (0,), writhe([MAX_VERTICES]), "antisymmetric")
         with pytest.raises(ValueError, match="2050 vertices"):
             link_quiver(Slope(1024, 1))

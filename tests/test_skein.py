@@ -15,9 +15,9 @@ from quivertangle import skein
 from quivertangle.skein import (SkeinElement, _pack, _packed_quotient,
                                 _unpack, basis_element, closure_numerator,
                                 framing_factor, oracle_homfly, raw_closure,
-                                reduced_homfly, twist_matrix, writhe)
+                                reduced_homfly, twist_matrix)
 from quivertangle.tangles import (OP, RI, UP, Slope, enumerate_rational_knots,
-                                  twist_sequence)
+                                  twist_sequence, writhe)
 from quivertangle.verify import expand_motivic
 
 from conftest import (close, close_reference, distinct_slopes, neg_q_pow,
@@ -344,7 +344,7 @@ class TestAlexanderColorOne:
             want = LaurentPoly({(2 * e, 0): c for e, c in delta.items()})
             assert _at_a_one(_cleared(oracle_homfly(s, 1))) == want
             qd = knot_quiver(s)
-            order1 = expand_motivic(framing_shift(qd, -qd.framing), 1)[1]
+            order1 = expand_motivic(framing_shift(qd, 0), 1)[1]
             assert _at_a_one(_cleared(order1 * poch_q2(1))) == want, s
 
     def test_link_route_color_one_is_alexander(self):
@@ -357,7 +357,7 @@ class TestAlexanderColorOne:
             want = LaurentPoly({(2 * e, 0): c
                                 for e, c in alexander(s.p, s.q).items()})
             qd = link_quiver(s)
-            order1 = expand_motivic(framing_shift(qd, -qd.framing), 1)[1]
+            order1 = expand_motivic(framing_shift(qd, 0), 1)[1]
             assert _at_a_one(_cleared(order1)) == want, s
 
 

@@ -39,10 +39,13 @@ UNREAD_ALLOWED = {"__init__.__version__"}
 def test_every_src_definition_is_read_in_src():
     # a top-level function, class, method or constant that only tests
     # read belongs in the tests; dunder methods are called implicitly.
-    # A bare name is a read only in its defining module or in a module
-    # that imports it with `from .module import name`, so a parameter
-    # or local of the same name elsewhere does not count; an attribute
-    # read counts in any module
+    # A top-level name is read by a bare name only in its defining
+    # module or in a module that imports it with `from .module import
+    # name`, so a parameter or local of the same name elsewhere does not
+    # count, or as an attribute of its module bound by `from . import
+    # module`, such as quiverstate.MAX_VERTICES; an attribute of any
+    # other object does not count.  A method is read by an attribute
+    # read of its name in any module
     package = Path(quivertangle.__file__).parent
     defined, names, attrs = [], set(), set()
     for path in sorted(package.glob("*.py")):
@@ -64,14 +67,48 @@ def test_every_src_definition_is_read_in_src():
                     for node in ast.walk(tree)
                     if isinstance(node, ast.ImportFrom) and node.level == 1
                     for alias in node.names}
+        modules = {alias: name for alias, (module, name) in imported.items()
+                   if module is None}
         for node in ast.walk(tree):
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 names.add(imported.get(node.id, (path.stem, node.id)))
             elif (isinstance(node, ast.Attribute)
                   and isinstance(node.ctx, ast.Load)):
                 attrs.add(node.attr)
+                if (isinstance(node.value, ast.Name)
+                        and node.value.id in modules):
+                    names.add((modules[node.value.id], node.attr))
     assert len(defined) > 100
     unread = {f"{owner}.{name}" for owner, name in defined
-              if name not in attrs
-              and (owner.split(".")[0], name) not in names}
+              if (owner.split(".")[0], name) not in names
+              and ("." not in owner or name not in attrs)}
     assert unread == UNREAD_ALLOWED
+
+
+def _package_imports(tree):
+    """The package modules a module's source imports from."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            found |= ({node.module} if node.module
+                      else {alias.name for alias in node.names})
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            for name in ([node.module] if isinstance(node, ast.ImportFrom)
+                         else [alias.name for alias in node.names]):
+                if name and name.startswith("quivertangle."):
+                    found.add(name.split(".")[1])
+    return found
+
+
+def test_the_oracle_and_the_quiver_routes_import_nothing_of_each_other():
+    # the skein oracle checks the quiver routes, so it must stay
+    # independent of them: quiverstate and knotpipeline import nothing
+    # from skein, and skein nothing from either; what both read (the
+    # slopes, the twist word, the writhe) lives in tangles
+    package = Path(quivertangle.__file__).parent
+    imports = {path.stem: _package_imports(ast.parse(path.read_text()))
+               for path in package.glob("*.py")}
+    routes = {"quiverstate", "knotpipeline"}
+    assert "tangles" in imports["skein"] & imports["quiverstate"]
+    assert not any("skein" in imports[stem] for stem in routes), imports
+    assert not imports["skein"] & routes, imports["skein"]

@@ -75,6 +75,17 @@ class TestContinuedFractions:
                 assert all(t >= 1 for t in terms)
                 assert cf_value(terms) == s
 
+    def test_first_built_term_is_at_least_two(self):
+        # the last Euclidean quotient of p/q > 1, the first term built,
+        # is x/1 with x >= 2 whenever there is more than one term, so
+        # neither the expansion nor its odd-length rewrite meets a
+        # leading 1
+        for p in range(2, 301):
+            for q in range(1, p):
+                if gcd(p, q) == 1:
+                    terms = _euclidean_terms(p, q)
+                    assert len(terms) == 1 or terms[-1] >= 2, (p, q)
+
     def test_leading_one_rewrite(self):
         # [a1, ...] and [1, a1 - 1, ...] name the same slope
         for cf in odd_cfs(7):

@@ -40,27 +40,27 @@ def euler_form_expansion(qd, N):
 
 class TestExpandMotivic:
     def test_one_vertex_zero_quiver(self):
-        qd = framing_shift(knot_quiver(Slope(1, 1)), -1)
+        qd = framing_shift(knot_quiver(Slope(1, 1)), 0)
         series = expand_motivic(qd, 4)
         for j in range(5):
             assert series[j] == QFraction(1, poch_q2(j))
 
     @pytest.mark.parametrize("slope", [Slope(3, 1), Slope(5, 2), Slope(4, 1)])
     def test_matches_definition_with_split_denominators(self, slope):
-        qd = framing_shift(link_quiver(slope), 0)
+        qd = framing_shift(link_quiver(slope), "raw")
         series = expand_motivic(qd, 2)
         split = euler_form_expansion(qd, 2)
         for j in range(3):
             assert series[j] == split[j], (slope, j)
 
     def test_oversized_expansion_is_refused(self):
-        qd = framing_shift(knot_quiver(Slope(3, 1)), 0)
+        qd = framing_shift(knot_quiver(Slope(3, 1)), "raw")
         assert comb(3 + 400, 400) == 10827401 > MAX_DIM_VECTORS
         with pytest.raises(ValueError, match="10827401 dimension vectors"):
             expand_motivic(qd, 400)
 
     def test_coefficient_numerators(self):
-        qd = framing_shift(knot_quiver(Slope(3, 1)), 0)
+        qd = framing_shift(knot_quiver(Slope(3, 1)), "raw")
         series = expand_motivic(qd, 3)
         for j in range(4):
             assert series[j] == QFraction(quiver_numerator(qd, j),
@@ -102,15 +102,15 @@ class TestVerification:
         for slope in (Slope(3, 1), Slope(5, 2), Slope(7, 3)):
             kd = knot_quiver(slope)
             ld = link_quiver(slope)
-            ks = expand_motivic(framing_shift(kd, -kd.framing), 2)
-            ls = expand_motivic(framing_shift(ld, -ld.framing), 2)
+            ks = expand_motivic(framing_shift(kd, 0), 2)
+            ls = expand_motivic(framing_shift(ld, 0), 2)
             for j in range(3):
                 assert (ks[j] * QFraction(poch_q2(j))
                         == ls[j]), (slope, j)
 
     def test_mismatch_reported_on_corrupted_data(self):
         qd = knot_quiver(Slope(3, 1))
-        series = expand_motivic(framing_shift(qd, -qd.framing), 2)
+        series = expand_motivic(framing_shift(qd, 0), 2)
         from quivertangle.verify import _compare
         matches, first, diff = _compare(
             series, lambda j: oracle_homfly(Slope(5, 2), j))
