@@ -132,13 +132,14 @@ def compute_payload(slope, terms, pipeline, frame, convention):
         "pipeline": pipeline,
     }
     if pipeline == "knot":
-        # delta is framing-invariant; the homology trigrading is read
-        # off the closure-frame state (the frame knot_quiver builds),
-        # where 2t - 2a - q equals the signature
-        payload["delta"] = list(delta_vector(state))
+        # the homology trigrading is read off the closure-frame state
+        # (the frame knot_quiver builds), where 2t - 2a - q equals the
+        # signature; per generator it is the framing-invariant delta
+        generators = homology_generators(state)
+        payload["delta"] = list(delta_vector(generators))
         payload["signature"] = signature(slope)
         payload["homology"] = [[g.a_degree, g.q_degree, g.t_degree]
-                               for g in homology_generators(state)]
+                               for g in generators]
     out = (q_invert(state, frame) if symmetric
            else framing_shift(state, frame))
     payload.update({
@@ -150,6 +151,43 @@ def compute_payload(slope, terms, pipeline, frame, convention):
         "q_vec": list(out.q_vec),
     })
     return state, payload
+
+
+# the JSON text of each entry of Q, keyed by its value: built once per
+# process and grown to each range export proves for a request, so a
+# value outside every such range raises KeyError instead of printing
+_DIGITS = {}
+
+
+def _payload_line(payload, entries):
+    """json.dumps(payload) and a newline, with Q's text written through
+    the digit table: one ", ".join per row and one "".join of the whole.
+    entries is (lo, hi), export's proven range of Q's entries; every
+    range asked for holds 0, so the table always covers one interval.
+    Q is taken out of the payload and dropped before the final join, so
+    the decoded Q and the whole text are never held together."""
+    lo, hi = entries
+    if lo not in _DIGITS or hi not in _DIGITS:
+        _DIGITS.update((v, str(v)) for v in range(lo, hi + 1))
+    keys = list(payload)
+    at = keys.index("Q")
+    Q = payload.pop("Q")
+    parts = ["], ["] * (2 * len(Q) + 1)
+    parts[1::2] = [", ".join(map(_DIGITS.__getitem__, row)) for row in Q]
+    del Q
+    head = json.dumps({k: payload[k] for k in keys[:at]})
+    tail = json.dumps({k: payload[k] for k in keys[at + 1:]})
+    parts[0] = head[:-1] + ', "Q": [['
+    parts[-1] = "]], " + tail[1:] + "\n"
+    return "".join(parts)
+
+
+def _compute_line(slope, terms, pipeline, frame, convention):
+    """The closed state and the output line of one `compute`."""
+    state, payload = compute_payload(slope, terms, pipeline, frame,
+                                     convention)
+    entries = quiverstate.export_range(state, frame, convention == "sym")
+    return state, _payload_line(payload, entries)
 
 
 def _out_error(out_path, code):
@@ -193,16 +231,19 @@ def _cmd_compute(args):
     pipeline = args.pipeline or ("knot" if is_knot(slope) else "link")
     if args.order:
         refuse_oversized_check(slope, pipeline, args.order)
-    state, payload = compute_payload(slope, terms, pipeline, args.frame,
-                                     args.convention)
+    state, line = _compute_line(slope, terms, pipeline, args.frame,
+                                args.convention)
     if args.order:
         report = check_state(state, slope, pipeline, args.order,
                              time.perf_counter())
         if not report.ok:
             sys.stderr.write(report.to_json() + "\n")
             return 1
-        payload["verified_order"] = args.order
-    _emit(json.dumps(payload) + "\n", args.out)
+        # json.dumps would write this key last: splice it in before the
+        # closing brace
+        line = (line[:-2] + ", "
+                + json.dumps({"verified_order": args.order})[1:] + "\n")
+    _emit(line, args.out)
     return 0
 
 
@@ -254,8 +295,8 @@ def _cmd_enumerate(args):
 def _batch_worker(task):
     p, q, frame, convention = task
     slope = Slope(p, q)
-    return json.dumps(compute_payload(slope, cf_expand(slope), "knot",
-                                      frame, convention)[1])
+    return _compute_line(slope, cf_expand(slope), "knot", frame,
+                         convention)[1]
 
 
 def _cmd_batch(args):
@@ -275,7 +316,7 @@ def _cmd_batch(args):
     else:
         results = [_batch_worker(t) for t in tasks]
     elapsed = time.perf_counter() - start
-    _emit("".join(line + "\n" for line in results), args.out)
+    _emit("".join(results), args.out)
     sys.stderr.write(
         f"batch: {len(results)} knots in {elapsed:.2f}s "
         f"({jobs} worker{'s' if jobs != 1 else ''})\n")

@@ -315,12 +315,13 @@ def knot_quiver(slope_or_terms):
     return quiver_route(slope_or_terms, KNOT_ROUTE)
 
 
-def delta_vector(th):
+def delta_vector(generators):
     """Per-vertex delta-grading q_i - Q_ii - 2 a_i of a closed state
-    (antisymmetric convention, diagram frame not required: the grading
-    shifts uniformly with framing)."""
-    return tuple(s - d - 2 * a
-                 for (_, _, s, a), d in zip(th.records, _diagonal(th)))
+    (antisymmetric convention; it is the same in every frame), read off
+    its homology_generators, so the diagonal is read once: a generator
+    (a_i, -Q_ii - q_i, -Q_ii) has 2t - 2a - q equal to it."""
+    return tuple(2 * g.t_degree - 2 * g.a_degree - g.q_degree
+                 for g in generators)
 
 
 def signature(slope_or_terms):

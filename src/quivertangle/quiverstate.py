@@ -41,8 +41,8 @@ from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 from .qseries import LaurentPoly, ZERO, poch_q2, qmultinomial
-from .tangles import (OP, RI, UP, boundary_after, cf_value, count_text,
-                      resolve_terms, twist_sequence, writhe)
+from .tangles import (OP, RI, UP, Slope, boundary_after, cf_value,
+                      count_text, resolve_terms, twist_sequence, writhe)
 
 
 @dataclass(frozen=True)
@@ -528,15 +528,33 @@ def route_size(slope_or_terms, route):
     representative, vertex count, framing, entry bound).  The framing is
     the diagram writhe, negated for a mirror representative: the frame
     of the closed state.  More than MAX_VERTICES vertices raises
-    ValueError, naming the count and the bound."""
+    ValueError, naming the count and the bound.
+
+    Every representative of a slope has its p and a route's count
+    grows with q, so a slope with p over MAX_VERTICES is refused on
+    route.vertices(p/1), at least p on both routes, before a
+    representative is sought: exact on the knot route (p), a least count
+    on the link route (2(p + 1))."""
+    if isinstance(slope_or_terms, Slope) and slope_or_terms.p > MAX_VERTICES:
+        p = slope_or_terms.p
+        least = route.vertices(Slope(p, 1))
+        _refuse_vertices(least, least < route.vertices(Slope(p, p - 1)))
     terms, mirrored = resolve_terms(slope_or_terms)
     n = route.vertices(cf_value(terms))
     if n > MAX_VERTICES:
-        raise ValueError(f"the quiver would have {count_text(n)} vertices, "
-                         f"more than the bound {MAX_VERTICES}")
+        _refuse_vertices(n, False)
     framing = writhe(terms)
     return (terms, mirrored, n, -framing if mirrored else framing,
             route.bound(terms))
+
+
+def _refuse_vertices(n, least):
+    """Refuse n vertices, named as a least count when least."""
+    count = count_text(n)
+    if least and not count.startswith("at least"):
+        count = f"at least {count}"
+    raise ValueError(f"the quiver would have {count} vertices, more than "
+                     f"the bound {MAX_VERTICES}")
 
 
 def quiver_route(slope_or_terms, route):
@@ -593,6 +611,20 @@ def refuse_frame(framing, bound, frame, symmetric):
             f"frame {frame} is out of range: with entries bounded by "
             f"{bound} in frame {framing}, the quiver takes frames "
             f"{center - slack} to {center + slack}")
+
+
+def export_range(th, frame, symmetric):
+    """(lo, hi), bounds on every entry of the Q that export gives for
+    the closed state th in the output frame, proven from th.bound alone
+    (see _export): [0, 2 bound + 1] in the canonical frame; else, with f
+    the shift to the frame, |sigma (x + f) + c + e [i = l]| <= bound +
+    |f + sigma c| + e, which refuse_frame keeps under 2^(W-1)."""
+    if frame == "canonical":
+        return 0, 2 * th.bound + 1
+    sigma, c, e = _Q_INVERT if symmetric else (1, 0, 0)
+    f = 0 if frame == "raw" else frame - th.framing
+    reach = th.bound + abs(f + sigma * c) + e
+    return -reach, reach
 
 
 def _export(th, frame, symmetric):

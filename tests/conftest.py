@@ -18,11 +18,13 @@ from fractions import Fraction
 from math import gcd
 
 from quivertangle.knotpipeline import (_TRANSFORMS, _knot_bound, _reduce,
-                                       delta_vector, knot_quiver)
+                                       delta_vector, homology_generators,
+                                       knot_quiver)
 from quivertangle.qseries import (LaurentPoly, ONE, QFraction, ZERO, poch_q2,
                                   q_pow, qbinom_plus, qmultinomial)
 from quivertangle.quiverstate import (QuiverData, _Q_INVERT, _Thawed, _decode,
-                                      _pack, _trivial, framing_shift,
+                                      _diagonal, _pack, _trivial,
+                                      framing_shift,
                                       link_quiver, state_expand)
 from quivertangle.skein import (SkeinElement, _evaluate_packed, _mono,
                                 _unpack, basis_element, closure_numerator,
@@ -366,9 +368,17 @@ def rescale(e):
                          for k, c in enumerate(e.coeffs)])
 
 
+def delta_vector_reference(th):
+    """The delta-grading q_i - Q_ii - 2 a_i of a closed state, read off
+    its diagonal and records (knotpipeline.delta_vector reads it off the
+    homology generators instead)."""
+    return tuple(s - d - 2 * a
+                 for (_, _, s, a), d in zip(th.records, _diagonal(th)))
+
+
 def delta_homogeneous(qd):
     """(is_homogeneous, common value or None) for the delta-grading."""
-    values = set(delta_vector(qd))
+    values = set(delta_vector(homology_generators(qd)))
     if len(values) == 1:
         return True, values.pop()
     return False, None

@@ -225,9 +225,10 @@ class TestCompute:
                     assert data["a_vec"] == list(ref.a_vec)
                     assert data["q_vec"] == list(ref.q_vec)
 
-    def test_largest_computes_peak_under_250_mb(self):
-        # each of the largest admitted quivers of both routes, computed in
-        # a fresh process that prints its own peak resident memory (KB)
+    @staticmethod
+    def peak_kb(*argv):
+        # argv computed in a fresh process that prints its own peak
+        # resident memory (KB)
         script = ("import contextlib, os, resource, sys\n"
                   "from quivertangle import cli\n"
                   "with open(os.devnull, 'w') as fh, "
@@ -235,13 +236,22 @@ class TestCompute:
                   "    code = cli.main(sys.argv[1:])\n"
                   "print(code, resource.getrusage(resource.RUSAGE_SELF)"
                   ".ru_maxrss)\n")
+        proc = run_python("-c", script, *argv)
+        assert proc.returncode == 0, proc.stderr
+        code, peak_kb = map(int, proc.stdout.split())
+        assert code == 0
+        return peak_kb
+
+    def test_largest_computes_peak_under_250_mb(self):
+        # each of the largest admitted quivers of both routes
         for argv in (["compute", "2047/2"],
                      ["compute", "1023/1", "--pipeline", "link"]):
-            proc = run_python("-c", script, *argv)
-            assert proc.returncode == 0, proc.stderr
-            code, peak_kb = map(int, proc.stdout.split())
-            assert code == 0
-            assert peak_kb < 250 * 1024, (argv, peak_kb)
+            assert self.peak_kb(*argv) < 250 * 1024, argv
+
+    def test_largest_checked_compute_peaks_under_300_mb(self):
+        # compute --order writes its line, and drops the decoded Q,
+        # before the check decodes the quiver again at frame 0
+        assert self.peak_kb("compute", "2047/2", "--order", "1") < 300 * 1024
 
 
 class TestOracle:
@@ -373,6 +383,64 @@ class TestLargeComputeBytes:
         code, out, _ = run(capsys, *argv)
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+class TestPayloadWriter:
+    def test_stdout_is_json_dumps_of_the_payload(self, capsys):
+        # the digit-table writer prints exactly json.dumps of the payload
+        # compute_payload builds, on both routes, in both conventions,
+        # at fixed frames and at the two extreme frames refuse_frame
+        # admits for each case
+        for slope, pipeline in (("13/3", "knot"), ("55/21", "knot"),
+                                ("13/3", "link"), ("55/21", "link"),
+                                ("8/3", "link"), ("34/13", "link")):
+            s, terms = cli._parse_input(slope)
+            route = KNOT_ROUTE if pipeline == "knot" else LINK_ROUTE
+            framing, bound = route_size(s, route)[3:]
+            for convention in ("anti", "sym"):
+                lo, hi = TestCompute.frame_range([convention], framing,
+                                                 bound)
+                for frame in ("canonical", "raw", 0, -3, 20000, lo, hi):
+                    _, payload = cli.compute_payload(s, terms, pipeline,
+                                                     frame, convention)
+                    code, out, _ = run(capsys, "compute", slope,
+                                       "--pipeline", pipeline,
+                                       "--convention", convention,
+                                       "--frame", str(frame))
+                    assert code == 0
+                    assert out == json.dumps(payload) + "\n", (
+                        slope, pipeline, convention, frame)
+
+    def test_batch_lines_are_their_computes(self, capsys):
+        for flags in ((), ("--frame", "-3", "--convention", "anti")):
+            code, out, _ = run(capsys, "batch", "--max-crossings", "8",
+                               "--jobs", "1", *flags)
+            assert code == 0
+            lines = out.splitlines(keepends=True)
+            assert len(lines) == len(enumerate_rational_knots(8))
+            for line in lines:
+                data = json.loads(line)
+                _, plain, _ = run(capsys, "compute",
+                                  f"{data['p']}/{data['q']}", *flags)
+                assert line == plain
+
+    def test_lookup_outside_the_proven_range_raises(self, monkeypatch):
+        # the table holds the ranges asked for, nothing else: an entry
+        # past them, above or below (no negative-index wraparound), is
+        # a KeyError, never another number
+        monkeypatch.setattr(cli, "_DIGITS", {})
+        payload = {"p": 1, "Q": ((0, 4), (4, 3)), "a_vec": [0, 0]}
+        assert cli._payload_line(dict(payload), (0, 4)) == (
+            json.dumps(payload) + "\n")
+        assert set(cli._DIGITS) == set(range(5))
+        for Q in (((0, 5), (5, 3)), ((0, -1), (-1, 3))):
+            with pytest.raises(KeyError):
+                cli._payload_line({**payload, "Q": Q}, (0, 4))
+        # a wider range grows the table once, to exactly that range
+        payload["Q"] = ((-7, 5), (5, 7))
+        assert cli._payload_line(dict(payload), (-7, 7)) == (
+            json.dumps(payload) + "\n")
+        assert set(cli._DIGITS) == set(range(-7, 8))
 
 
 class TestVerifyCommand:
@@ -760,6 +828,39 @@ class TestExitCodes:
                     cli.main([*argv, "--out", str(path)])
                 assert exc.value.code == 2, argv
         assert kept.read_bytes() == b"kept\n" and not new.exists()
+
+    def test_oversized_slopes_are_refused_before_a_representative(self):
+        # every representative of p/q has p, and a route builds at least
+        # p vertices: a p over the bound is refused by route_size before
+        # resolve_terms seeks a closable representative, with exit 2,
+        # also under -O; the knot route's count p is exact, the link
+        # route's 2(p + 1) a least count
+        cf = "[" + ",".join(["1"] * 60001) + "]"
+        script = ("import sys\n"
+                  "from quivertangle import cli, quiverstate\n"
+                  "def resolve(slope_or_terms):\n"
+                  "    raise SystemExit('resolve_terms ran')\n"
+                  "quiverstate.resolve_terms = resolve\n"
+                  "sys.exit(cli.main(sys.argv[1:]))\n")
+        for argv, count in (
+                (["compute", cf], "at least 10^12537 vertices"),
+                (["verify", cf], "at least 10^12537 vertices"),
+                (["compute", "2049/2"], "have 2049 vertices"),
+                (["compute", "2049/2", "--frame", "3"], "have 2049 vertices"),
+                (["verify", "2049/2", "--pipeline", "link"],
+                 "have at least 4100 vertices"),
+                (["compute", "4096/1"], "have at least 8194 vertices"),
+                (["compute", "3/1", "--order", "1"], None)):
+            for optimized in (False, True):
+                proc = run_python("-c", script, *argv, optimized=optimized)
+                err = proc.stderr.decode()
+                if count is None:  # p within the bound: it resolves
+                    assert proc.returncode == 1, err
+                    assert "resolve_terms ran" in err
+                    continue
+                assert proc.returncode == 2, (argv, err)
+                assert proc.stdout == b""
+                assert count in err and f"the bound {MAX_VERTICES}" in err
 
     def test_refusals_of_huge_inputs_print(self):
         # a CF of 60,001 ones fits one argv string, but the numerator of

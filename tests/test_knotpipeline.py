@@ -17,7 +17,7 @@ from quivertangle.tangles import (RI, Slope, UP, boundary_after, cf_expand,
                                   writhe)
 
 from conftest import (IndexRecord, QuiverState, delta_homogeneous,
-                      distinct_slopes, expand, freeze_matrix,
+                      delta_vector_reference, distinct_slopes, expand, freeze_matrix,
                       goeritz_signature, knot_route_poly, odd_cfs,
                       permutation_equal, reduce_cf, reduce_steps, rescale,
                       run_step, trivial_state, twist)
@@ -252,13 +252,23 @@ class TestGradings:
             assert value == signature(s) == goeritz_signature(s), s
 
     def test_delta_framing_invariant(self):
-        # read off the state's diagonal, and off its data in any frame
+        # read off the generators, and off the state's data in any frame
         state = knot_quiver(Slope(13, 3))
+        delta = delta_vector(homology_generators(state))
         for f in (0, 5, -4):
             qd = framing_shift(state, f)
-            assert delta_vector(state) == tuple(
-                qd.q_vec[i] - qd.Q[i][i] - 2 * qd.a_vec[i]
-                for i in range(qd.n))
+            assert delta == tuple(qd.q_vec[i] - qd.Q[i][i] - 2 * qd.a_vec[i]
+                                  for i in range(qd.n))
+
+    def test_delta_from_generators_matches_the_diagonal(self):
+        # 2t - 2a - q of each generator is s - d - 2a of its record and
+        # diagonal entry, on every knot up to 12 crossings
+        knots = enumerate_rational_knots(12)
+        assert len(knots) == 362
+        for s in knots:
+            state = knot_quiver(s)
+            assert (delta_vector(homology_generators(state))
+                    == delta_vector_reference(state)), s
 
     def test_homology_trigrading(self):
         gens = homology_generators(knot_quiver(Slope(3, 1)))

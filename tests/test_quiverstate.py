@@ -15,10 +15,11 @@ from quivertangle.knotpipeline import (_TRANSFORMS, TEMPLATE_STEP,
                                        _knot_bound, _resum, knot_quiver)
 from quivertangle.quiverstate import (CLOSE_STEP, MAX_VERTICES, MIRROR_STEP,
                                       TWIST_STEP, W, QuiverData, Route,
-                                      _absorb, _bump, _close, _decode,
+                                      _Q_INVERT, _absorb, _bump, _close, _decode,
                                       _link_bound, _mirror, _trivial, _twist,
-                                      canonical_shift, framing_shift,
-                                      link_quiver, q_invert, quiver_route,
+                                      canonical_shift, export_range,
+                                      framing_shift, link_quiver, q_invert,
+                                      quiver_route,
                                       slot_width)
 from quivertangle.skein import (basis_element, framing_factor, oracle_homfly,
                                 raw_closure)
@@ -623,6 +624,27 @@ class TestDataTransforms:
                         slope, symmetric, frame)
             assert (state.rows, state.records) == (rows, records)
         assert mirrored > 20
+
+    def test_export_stays_in_its_proven_range(self):
+        # every entry export gives lies in export_range, read off the
+        # state's bound alone, for frames canonical, raw, 0, -3, 4 and
+        # the two extremes refuse_frame admits; at the extremes the
+        # range reaches exactly the signed slot's 2^(W-1) - 1
+        top = (1 << (W - 1)) - 1
+        for slope, state in export_quivers():
+            for symmetric, (sigma, c, e) in ((False, (1, 0, 0)),
+                                             (True, _Q_INVERT)):
+                export = q_invert if symmetric else framing_shift
+                center = state.framing - sigma * c
+                slack = top - state.bound - e
+                for frame in ("canonical", "raw", 0, -3, 4,
+                              center - slack, center + slack):
+                    lo, hi = export_range(state, frame, symmetric)
+                    Q = export(state, frame).Q
+                    assert lo <= min(map(min, Q)), (slope, frame)
+                    assert max(map(max, Q)) <= hi, (slope, frame)
+                    if frame in (center - slack, center + slack):
+                        assert (lo, hi) == (-top, top)
 
     def test_canonical_shift_matches_reference(self):
         # the 1-vertex quiver of the unknot has no off-diagonal entry
