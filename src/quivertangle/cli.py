@@ -251,9 +251,9 @@ def _cmd_oracle(args):
     slope, terms = args.input
     lo, hi = args.colors
     refuse_oversized_oracle(terms, hi)
+    values = oracle_homfly(slope, list(range(lo, hi + 1)))
     colors = {}
-    for j in range(lo, hi + 1):
-        value = oracle_homfly(slope, j)
+    for j, value in enumerate(values, lo):
         if args.jones:
             value = value.subs_a_q2()
         colors[str(j)] = _fraction_obj(value)
@@ -273,8 +273,10 @@ def _cmd_verify(args):
     # every check is sized before any route runs
     for pipeline, order in checks:
         refuse_oversized_check(slope, pipeline, order)
+    # the checks share the oracle's values: each color is evaluated once
+    oracle = []
     reports = [(verify_knot if pipeline == "knot" else verify_link)(
-        slope, order) for pipeline, order in checks]
+        slope, order, oracle) for pipeline, order in checks]
     text = "".join(r.to_json() + "\n" for r in reports)
     _emit(text, args.out)
     sys.stderr.write("verify: " + ", ".join(

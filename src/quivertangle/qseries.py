@@ -8,7 +8,7 @@ module (or anything built on it) touches floating point.
 from __future__ import annotations
 
 from functools import lru_cache
-from math import gcd
+from math import gcd, isqrt
 
 
 class LaurentPoly:
@@ -54,12 +54,6 @@ class LaurentPoly:
         if not isinstance(other, LaurentPoly):
             return NotImplemented
         return self.terms == other.terms
-
-    def __hash__(self):
-        # a constant equals its int, so it hashes as one
-        if not self.terms.keys() - {(0, 0)}:
-            return hash(self.terms.get((0, 0), 0))
-        return hash(frozenset(self.terms.items()))
 
     def __add__(self, other):
         if isinstance(other, int):
@@ -121,13 +115,7 @@ class LaurentPoly:
 
     def __pow__(self, n):
         if n < 0:
-            # only monomials are invertible
-            if len(self.terms) != 1:
-                raise ValueError("negative power of a non-monomial")
-            ((eq, ea), c), = self.terms.items()
-            if c not in (1, -1):
-                raise ValueError("negative power of a non-unit coefficient")
-            return LaurentPoly.mono(c if n % 2 else 1, eq * n, ea * n)
+            raise ValueError("negative power")
         result = ONE
         base = self
         k = n
@@ -351,11 +339,6 @@ class QFraction:
             return self.num == other.num
         return self.num * other.den == other.num * self.den
 
-    def __hash__(self):
-        # a fraction equal to a polynomial hashes as that polynomial
-        num, den = self.normalized_pair()
-        return hash(num) if den.is_one() else hash((num, den))
-
     def __add__(self, other):
         if isinstance(other, (int, LaurentPoly)):
             other = QFraction(other)
@@ -385,13 +368,6 @@ class QFraction:
         return QFraction(self.num * other.num, self.den * other.den)
 
     __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        if isinstance(other, (int, LaurentPoly)):
-            other = QFraction(other)
-        if not other.num.is_q_only():
-            raise ValueError("QFraction division needs an a-free divisor")
-        return QFraction(self.num * other.den, self.den * other.num)
 
     def normalized_pair(self):
         """Reduced (num, den): no common factor, no common integer
@@ -470,23 +446,108 @@ def _q_gcd(f, g):
     return out
 
 
+def _divmod_monic(vec, divisor):
+    """(quotient, remainder) of the coefficient list vec by the monic
+    divisor, both lowest degree first; integer long division."""
+    rem = list(vec)
+    k = len(divisor) - 1
+    quot = [0] * max(len(rem) - k, 0)
+    for off in range(len(rem) - 1 - k, -1, -1):
+        c = rem[off + k]
+        if c:
+            quot[off] = c
+            for i, d in enumerate(divisor):
+                rem[off + i] -= c * d
+    return quot, rem[:k]
+
+
+@lru_cache(maxsize=None)
+def _cyclotomic(m):
+    """The m-th cyclotomic polynomial Phi_m as a coefficient tuple,
+    lowest degree first: q^m - 1 divided by Phi_d for every proper
+    divisor d of m."""
+    vec = [-1] + [0] * (m - 1) + [1]
+    for d in range(1, m):
+        if m % d == 0:
+            vec = _divmod_monic(vec, _cyclotomic(d))[0]
+    return tuple(vec)
+
+
+@lru_cache(maxsize=None)
+def _pochhammer_orders(j):
+    """The coefficient list of (q^2;q^2)_j from its lowest degree, its
+    negation, and the m of its irreducible factors Phi_m: every
+    1 - q^(2k) with k <= j is -prod_{m | 2k} Phi_m, so m is even and at
+    most 2j, or odd and at most j."""
+    vec = _q_vec(poch_q2(j))[1]
+    return vec, [-c for c in vec], [m for m in range(1, 2 * j + 1)
+                                    if m % 2 == 0 or m <= j]
+
+
+def _coprime_by_residues(num, dvec):
+    """True when num has no common factor of positive q-degree with the
+    denominator whose coefficients, from its lowest q-exponent, are
+    dvec, proven by cyclotomic residues; False when the denominator is
+    not +-q^s (q^2;q^2)_j (the same list also matches its mirror, a
+    palindrome up to sign) or some residue does not prove it.
+
+    Each factor Phi_m of the denominator divides q^m - 1, so an a-slice
+    of num is divisible by Phi_m exactly when its exponents folded
+    modulo m leave no remainder on division by Phi_m.  A Phi_m common
+    to num and den must divide every a-slice; one nonzero residue per m
+    rules it out."""
+    span = len(dvec) - 1
+    j = (isqrt(4 * span + 1) - 1) // 2
+    if j * (j + 1) != span:
+        return False
+    vec, neg, orders = _pochhammer_orders(j)
+    if dvec != vec and dvec != neg:
+        return False
+    slices = {}
+    for (eq, ea), c in num.terms.items():
+        slices.setdefault(ea, []).append((eq, c))
+    for m in orders:
+        phi = _cyclotomic(m)
+        for terms in slices.values():
+            folded = [0] * m
+            for eq, c in terms:
+                folded[eq % m] += c
+            if any(_divmod_monic(folded, phi)[1]):
+                break
+        else:
+            return False
+    return True
+
+
 def _reduce_fraction(num, den):
     """Canonical (num, den) for num/den: no common factor of positive
     q-degree and no common integer content, and den with lowest
-    q-exponent 0 and positive lead."""
+    q-exponent 0 and positive lead.
+
+    When den is +-q^s (q^2;q^2)_j or its mirror, as every closure
+    denominator of the skein oracle is, coprimality is certified by
+    cyclotomic residues (_coprime_by_residues), with no gcd.  Any other
+    denominator, and any fraction the residues do not certify, is
+    reduced by the gcd of den and every a-slice of num (_q_gcd).  The
+    content and the unit +-q^dmin are divided out last, in one pass."""
     if num.is_zero():
         return ZERO, ONE
     if den.is_one():
         return num, ONE
-    g = den
-    for sl in num.a_slices().values():
-        g = _q_gcd(g, sl)
-        if g.is_one():
-            break
-    if not g.is_one():
-        num = num.divide_exact(g)
-        den = den.divide_exact(g)
     dmin, dvec = _q_vec(den)
+    if not _coprime_by_residues(num, dvec):
+        g = den
+        for sl in num.a_slices().values():
+            g = _q_gcd(g, sl)
+            if g.is_one():
+                break
+        if not g.is_one():
+            num = num.divide_exact(g)
+            dmin, dvec = _q_vec(den.divide_exact(g))
     content = gcd(*num.terms.values(), *dvec)
-    unit = LaurentPoly.mono(content if dvec[-1] > 0 else -content, dmin)
-    return num.divide_exact(unit), den.divide_exact(unit)
+    unit = content if dvec[-1] > 0 else -content
+    out_num, out_den = LaurentPoly(), LaurentPoly()
+    out_num.terms = {(eq - dmin, ea): c // unit
+                     for (eq, ea), c in num.terms.items()}
+    out_den.terms = {(e, 0): c // unit for e, c in enumerate(dvec) if c}
+    return out_num, out_den

@@ -18,8 +18,8 @@ element carries the total shift.  B is fixed before packing, from a
 proven bound: L1 norms (sums of absolute coefficients) propagate
 through the same rules, L1(sum m c) <= sum L1(m) L1(c), and 2^(B-1)
 exceeds the bound of every result, so each result coefficient is one
-balanced base-2^B digit.  B is a whole number of bytes; a slot of 1, 2,
-4 or 8 bytes decodes in one memoryview cast.
+balanced base-2^B digit.  B is a whole number of bytes; a slot of any
+width up to 8 bytes decodes in one memoryview cast.
 
 raw_closure divides before it decodes: each a-slice of the packed
 closure numerator f is divided by (q^2;q^2)_j at q = 2^B, one divmod
@@ -38,13 +38,15 @@ from struct import calcsize
 
 from .qseries import (LaurentPoly, QFraction, ZERO, a_pow, pochhammer,
                       poch_q2, q_pow, qbinom_plus)
-from .tangles import (OP, RI, UP, Slope, boundary_after, cf_expand,
-                      count_text, good_representative, twist_sequence,
-                      writhe)
+from .tangles import (OP, RI, UP, boundary_after, cf_expand, count_text,
+                      good_representative, twist_sequence, writhe)
 
-# struct formats of the native unsigned widths, by byte count; empty on
-# a big-endian host, whose casts would read the digits byte-reversed
-_DIGIT_FORMATS = ({calcsize(f): f for f in "BHIQ"}
+# (native width, struct format) of the narrowest native unsigned width
+# that holds a slot, by slot width in bytes up to 8; empty on a
+# big-endian host, whose casts would read the digits byte-reversed
+_DIGIT_FORMATS = ({width: min((calcsize(f), f) for f in "BHIQ"
+                              if calcsize(f) >= width)
+                   for width in range(1, 9)}
                   if sys.byteorder == "little" else {})
 
 
@@ -168,11 +170,13 @@ def _unpack(slices, B, low):
     has one balanced base-2^B expansion, digits in [-2^(B-1), 2^(B-1)):
     adding 2^(B-1) at every digit position makes each digit a field of
     B/8 bytes of its own, and bit_length // B + 2 digits always hold it.
-    Fields of a native integer width are read in one memoryview cast."""
+    Fields of up to 8 bytes are read in one memoryview cast: a field of
+    a width with no native format is first spread to the next native
+    width, one strided copy per byte of the field."""
     width = B // 8
     half = 1 << B - 1
     half_digit = half.to_bytes(width, "little")
-    fmt = _DIGIT_FORMATS.get(width)
+    cast = _DIGIT_FORMATS.get(width)
     terms = {}
     for ea, n in slices.items():
         if not n:
@@ -180,7 +184,13 @@ def _unpack(slices, B, low):
         count = n.bit_length() // B + 2
         raw = (n + int.from_bytes(half_digit * count, "little")
                ).to_bytes(width * count, "little")
-        if fmt:
+        if cast:
+            size, fmt = cast
+            if size != width:
+                wide = bytearray(size * count)
+                for i in range(width):
+                    wide[i::size] = raw[i::width]
+                raw = wide
             digits = memoryview(raw).cast(fmt).tolist()
         else:
             digits = [int.from_bytes(raw[i:i + width], "little")
@@ -260,30 +270,24 @@ def framing_factor(j, n):
     return _mono(-j * n, j * j * n, -j * n)
 
 
-def raw_closure(terms, j):
-    """Reduced evaluation of the closed tangle, in the diagram frame:
-    the closure numerator divided by (q^2;q^2)_j while still packed
-    when the quotient is proven exact, else over that denominator."""
-    _, (f,), B, low = _evaluate_packed(basis_element(j, UP, 0),
-                                       twist_sequence(terms), closed=True)
+def raw_closure(word, j):
+    """Reduced evaluation of the closed tangle built by the twist word,
+    in the diagram frame: the closure numerator divided by
+    (q^2;q^2)_j while still packed when the quotient is proven exact,
+    else over that denominator."""
+    _, (f,), B, low = _evaluate_packed(basis_element(j, UP, 0), word,
+                                       closed=True)
     h = _packed_quotient(f, j, B, low)
     if h is not None:
         return QFraction(h)
     return QFraction(_unpack(f, B, low), poch_q2(j))
 
 
-def reduced_homfly(slope, j):
-    """Reduced j-colored HOMFLY-PT polynomial of the rational link p/q
-    in the zero frame: the diagram evaluation corrected by the writhe,
-    so the unknot gives 1."""
-    terms = cf_expand(slope) if isinstance(slope, Slope) else list(slope)
-    return raw_closure(terms, j) * framing_factor(j, -writhe(terms))
-
-
 # the highest color and the most twists (CF term sum, the same for
 # every representative of a slope) the `oracle` command evaluates: the
 # cost grows steeply in both: colors 0..12 of the 12-twist diagram
-# [1,1,1,1,1,1,1,1,1,1,2] take 37 s and print 2 MB
+# [1,1,1,1,1,1,1,1,1,1,2] take 16 s (one 2-CPU box, Python 3.11) and
+# print 2 MB
 MAX_ORACLE_COLOR = 12
 MAX_ORACLE_TWISTS = 12
 
@@ -302,11 +306,18 @@ def refuse_oversized_oracle(terms, top):
             f"more than the bound {MAX_ORACLE_TWISTS}")
 
 
-def oracle_homfly(slope, j):
-    """Reduced j-colored HOMFLY-PT polynomial for any rational slope,
-    in the zero frame: substitutes a closable equivalent representative,
-    mirroring the result (q -> q^{-1}, a -> a^{-1}) when only a mirror
-    representative closes."""
+def oracle_homfly(slope, colors):
+    """Reduced j-colored HOMFLY-PT polynomials of any rational slope at
+    each color j of the list colors, in the zero frame: the evaluation
+    of a closable equivalent representative, corrected by its writhe
+    so the unknot gives 1, and mirrored (q -> q^{-1}, a -> a^{-1}) when
+    only a mirror representative closes.  The representative, its
+    twist word and its writhe are found once for all the colors."""
     rep, mirrored = good_representative(slope)
-    value = reduced_homfly(rep, j)
-    return value.mirror() if mirrored else value
+    terms = cf_expand(rep)
+    word, frame = twist_sequence(terms), -writhe(terms)
+    values = []
+    for j in colors:
+        value = raw_closure(word, j) * framing_factor(j, frame)
+        values.append(value.mirror() if mirrored else value)
+    return values

@@ -118,12 +118,14 @@ class VerificationReport:
         return json.dumps(self.as_dict())
 
 
-def _compare(coeffs, oracle_coeff):
-    """Exact per-color comparison; records the first differing color
-    and the cleared polynomial difference on mismatch."""
+def _compare(coeffs, oracle):
+    """Exact per-color comparison with the oracle's values from color
+    0, of which there must be at least one per coefficient; records the
+    first differing color and the cleared polynomial difference on
+    mismatch."""
     matches, first, diff = [], None, None
-    for j, got in enumerate(coeffs):
-        want = oracle_coeff(j)
+    for j, (got, want) in enumerate(zip(coeffs, oracle[:len(coeffs)],
+                                        strict=True)):
         ok = got == want
         matches.append(ok)
         if not ok and first is None:
@@ -132,34 +134,43 @@ def _compare(coeffs, oracle_coeff):
     return matches, first, diff
 
 
-def verify_knot(s, N=DEFAULT_KNOT_ORDER):
+def verify_knot(s, N=DEFAULT_KNOT_ORDER, oracle=None):
     """Check the p-vertex (knot-route) presentation of a rational knot
     against the skein oracle: the coefficient of x^j, multiplied by
     (q^2;q^2)_j, must equal the reduced j-colored invariant exactly for
     every j <= N.  Both sides are taken in the zero frame."""
     start, s = time.perf_counter(), _as_slope(s)
-    return check_state(knot_quiver(s), s, "knot", N, start)
+    return check_state(knot_quiver(s), s, "knot", N, start, oracle)
 
 
-def verify_link(s, N=DEFAULT_LINK_ORDER):
+def verify_link(s, N=DEFAULT_LINK_ORDER, oracle=None):
     """Check the one-crossing-at-a-time (link-route) presentation of any
     rational link: the coefficient of x^j must equal the reduced
     j-colored invariant directly (no per-color clearing) for every
     j <= N, both sides in the zero frame."""
     start, s = time.perf_counter(), _as_slope(s)
-    return check_state(link_quiver(s), s, "link", N, start)
+    return check_state(link_quiver(s), s, "link", N, start, oracle)
 
 
-def check_state(state, s, pipeline, N, start):
+def check_state(state, s, pipeline, N, start, oracle=None):
     """The check both routes share, on the closed state that pipeline
     built for the slope s: its quiver data in the zero frame, expanded
     to order N, against the oracle.  The knot route's color j is cleared
     by (q^2;q^2)_j before the comparison, the link route's is not.  The
-    report is timed from start, a time.perf_counter() reading."""
+    report is timed from start, a time.perf_counter() reading.
+
+    oracle is a list of the oracle's values of s from color 0, those
+    known so far; the colors up to N it lacks are evaluated in one call
+    and appended to it, so the checks of several routes of s that share
+    one list evaluate each color once.  None starts an empty list."""
     coeffs = expand_motivic(framing_shift(state, 0), N)
     if pipeline == "knot":
         coeffs = [c * poch_q2(j) for j, c in enumerate(coeffs)]
-    matches, first, diff = _compare(coeffs, lambda j: oracle_homfly(s, j))
+    if oracle is None:
+        oracle = []
+    if len(oracle) <= N:
+        oracle += oracle_homfly(s, list(range(len(oracle), N + 1)))
+    matches, first, diff = _compare(coeffs, oracle)
     elapsed = time.perf_counter() - start
     return VerificationReport(str(s), pipeline, N, matches, elapsed,
                               first, diff)

@@ -28,10 +28,11 @@ from quivertangle.quiverstate import (QuiverData, _Q_INVERT, _Thawed, _decode,
                                       link_quiver, state_expand)
 from quivertangle.skein import (SkeinElement, _evaluate_packed, _mono,
                                 _unpack, basis_element, closure_numerator,
-                                twist_matrix)
+                                framing_factor, raw_closure, twist_matrix)
 from quivertangle.tangles import (OP, RI, UP, Slope, boundary_after,
-                                  cf_value, enumerate_rational_knots, is_knot,
-                                  twist_sequence)
+                                  cf_expand, cf_value,
+                                  enumerate_rational_knots, is_knot,
+                                  twist_sequence, writhe)
 
 
 # The frozen form of a state: the value the tests build, compare and
@@ -351,6 +352,16 @@ def raw_closure_reference(terms, j):
     for kind in twist_sequence(terms):
         e = twist_reference(e, kind)
     return close_reference(e)
+
+
+def reduced_homfly(slope_or_terms, j):
+    """The reduced j-colored HOMFLY-PT polynomial in the zero frame of
+    the diagram of a slope's own CF, or of the given CF terms, with no
+    representative substituted: raw_closure corrected by the writhe."""
+    terms = (cf_expand(slope_or_terms) if isinstance(slope_or_terms, Slope)
+             else list(slope_or_terms))
+    return (raw_closure(twist_sequence(terms), j)
+            * framing_factor(j, -writhe(terms)))
 
 
 def balanced_from_plus(j, k):

@@ -13,7 +13,7 @@ from math import gcd
 import pytest
 
 import quivertangle
-from quivertangle import cli, qseries, quiverstate, tangles, verify
+from quivertangle import cli, qseries, quiverstate, skein, tangles, verify
 from quivertangle.knotpipeline import KNOT_ROUTE, knot_quiver
 from quivertangle.qseries import QFraction, q_pow
 from quivertangle.quiverstate import (LINK_ROUTE, MAX_VERTICES, framing_shift,
@@ -100,8 +100,9 @@ class TestCompute:
         # an oracle wrong at color 1 makes the real check of the printed
         # state fail: exit 1, nothing on stdout, the report on stderr
         oracle = verify.oracle_homfly
-        monkeypatch.setattr(verify, "oracle_homfly", lambda s, j: (
-            oracle(s, j) if j == 0 else QFraction(q_pow(2))))
+        monkeypatch.setattr(verify, "oracle_homfly", lambda s, colors: [
+            value if j == 0 else QFraction(q_pow(2))
+            for j, value in zip(colors, oracle(s, colors))])
         code, out, err = run(capsys, "compute", "3/1", "--order", "1")
         assert code == 1
         assert not out
@@ -451,6 +452,26 @@ class TestVerifyCommand:
         assert [r["pipeline"] for r in lines] == ["knot", "link"]
         assert all(r["ok"] for r in lines)
 
+    def test_each_oracle_color_is_evaluated_once(self, capsys,
+                                                 monkeypatch):
+        # both routes of 13/3 check colors 0..2 and the knot route also
+        # color 3: four closures, not the seven of one fetch per route,
+        # from one oracle call, and every report still matches
+        closed = []
+        raw_closure = skein.raw_closure
+
+        def counted(word, j):
+            closed.append(j)
+            return raw_closure(word, j)
+
+        monkeypatch.setattr(skein, "raw_closure", counted)
+        code, out, _ = run(capsys, "verify", "13/3")
+        assert code == 0
+        reports = [json.loads(x) for x in out.splitlines()]
+        assert [(r["pipeline"], r["order_checked"], r["ok"])
+                for r in reports] == [("knot", 3, True), ("link", 2, True)]
+        assert closed == [0, 1, 2, 3]
+
     def test_link_single_pipeline(self, capsys):
         code, out, _ = run(capsys, "verify", "2/1", "--order", "1")
         lines = [json.loads(x) for x in out.splitlines()]
@@ -507,7 +528,7 @@ class TestVerifyCommand:
         # never called, also under -O; the bound itself is admitted
         script = ("import sys\n"
                   "from quivertangle import cli, verify\n"
-                  "def oracle_homfly(slope, j):\n"
+                  "def oracle_homfly(slope, colors):\n"
                   "    raise SystemExit('the oracle ran')\n"
                   "cli.oracle_homfly = verify.oracle_homfly = oracle_homfly\n"
                   "sys.exit(cli.main(sys.argv[1:]))\n")
@@ -959,6 +980,24 @@ class TestBenchBindings:
         assert bindings
         for owner, attr, name, _ in bindings:
             assert callable(getattr(owner, attr, None)), (name, attr)
+
+    def test_oracle_spans_are_written(self, capsys, monkeypatch, tmp_path):
+        # the oracle takes its colors as a list, which the traced
+        # benchmark records in the span info and writes as JSON: one
+        # span per oracle or verify request
+        spans = load_bench_spans()
+        tracer = spans.Tracer()
+        for owner, attr, name, info in spans.bindings(cli, verify, qseries,
+                                                      tangles):
+            if name == "skein.oracle":
+                monkeypatch.setattr(owner, attr, tracer.wrap(
+                    name, getattr(owner, attr), info))
+        run_json(capsys, "oracle", "7/3", "--colors", "1..3")
+        run(capsys, "verify", "7/3", "--order", "2")
+        taken = tracer.take()
+        assert [s[spans.INFO] for s in taken] == [{"j": [1, 2, 3]},
+                                                 {"j": [0, 1, 2]}]
+        spans.write_spans(tmp_path / "spans.jsonl", [taken])
 
     def test_one_export_call_per_compute(self, capsys, monkeypatch):
         # wrapped as the traced benchmark wraps them, cli.framing_shift

@@ -7,12 +7,15 @@ from hypothesis import strategies as st
 
 from math import gcd
 
+from quivertangle import qseries
 from quivertangle.qseries import (ONE, LaurentPoly, QFraction, ZERO,
                                   _q_gcd, a_pow, pochhammer, poch_q2, q_pow,
                                   qbinom_plus, qmultinomial)
+from quivertangle.skein import oracle_homfly
 
-from conftest import (balanced_from_plus, compositions, laurent_str_reference,
-                      neg_q_pow, q_gcd_reference, reduce_fraction_reference)
+from conftest import (balanced_from_plus, compositions, distinct_slopes,
+                      laurent_str_reference, neg_q_pow, q_gcd_reference,
+                      reduce_fraction_reference)
 
 
 A = a_pow(1)
@@ -162,7 +165,7 @@ class TestQFraction:
         half = QFraction(ONE, ONE - Q**2)
         assert half - half == QFraction(0)
         assert half * QFraction(ONE - Q**2) == QFraction(1)
-        assert (half + half) / QFraction(LaurentPoly.mono(2)) == half
+        assert half + half == 2 * half == QFraction(2, ONE - Q**2)
 
     def test_product_with_the_denominator_clears_it(self):
         f = QFraction(A + Q, poch_q2(2))
@@ -173,7 +176,9 @@ class TestQFraction:
 
     def test_division_by_zero(self):
         with pytest.raises(ZeroDivisionError):
-            QFraction(1) / QFraction(0)
+            QFraction(1, 0)
+        with pytest.raises(ZeroDivisionError):
+            QFraction(ONE, ZERO)
 
     def test_clear_to_laurent(self):
         f = QFraction(ONE - Q**4, ONE - Q**2)
@@ -193,26 +198,29 @@ class TestQFraction:
         assert "q" in str(QFraction(Q, ONE - Q**2))
 
     def test_integer_content_is_cancelled(self):
-        # equal fractions hash alike, so a set holds one of them
+        # equal fractions give equal pairs
         x = ONE + Q * A
         f, g = QFraction(x), QFraction(2 * x, 2)
-        assert f == g and hash(f) == hash(g) and len({f, g}) == 1
+        assert f == g and f.normalized_pair() == g.normalized_pair()
         assert g.normalized_pair() == (x, ONE)
         h = QFraction(-2 * x * (ONE - Q**2), 2 * (ONE - Q**2))
         assert h.normalized_pair() == (-x, ONE)
         assert QFraction(2 * x, 4 - 4 * Q**2).normalized_pair() == (
             -x, 2 * Q**2 - 2)
 
-    def test_hash_agrees_with_eq_across_types(self):
-        # values equal to an int or a LaurentPoly hash as that value
+    def test_values_are_unhashable(self):
+        # equality promotes an int or a LaurentPoly, and no hash could
+        # agree with it across the types, so neither type hashes and no
+        # set or dict key can hold duplicates of one value
         x = ONE + Q * A
         assert LaurentPoly.mono(5) == 5
-        assert len({LaurentPoly.mono(5), 5}) == 1
-        assert len({QFraction(3), LaurentPoly.mono(3), 3}) == 1
-        assert len({QFraction(x), x}) == 1
-        assert len({QFraction(2 * x, 2), x, QFraction(x)}) == 1
-        assert len({QFraction(0), ZERO, 0}) == 1
-        assert len({QFraction(x, ONE - Q**2), x}) == 2
+        assert QFraction(3) == LaurentPoly.mono(3) == 3
+        assert QFraction(2 * x, 2) == x == QFraction(x)
+        assert QFraction(0) == ZERO == 0
+        assert QFraction(x, ONE - Q**2) != x
+        for value in (x, LaurentPoly.mono(5), QFraction(x), QFraction(3)):
+            with pytest.raises(TypeError):
+                hash(value)
 
     def test_q_gcd_refuses_zero(self):
         with pytest.raises(ValueError):
@@ -384,4 +392,123 @@ def test_equality_agrees_with_cross_multiplication(pair):
     assert (f == g) == (g == f) == equal
     assert (f != g) == (not equal)
     if equal:
-        assert hash(f) == hash(g)
+        assert f.normalized_pair() == g.normalized_pair()
+
+
+def _cyclotomic_poly(m):
+    """Phi_m as a LaurentPoly: q^m - 1 over Phi_d for every proper
+    divisor d of m, by exact division."""
+    p = q_pow(m) - 1
+    for d in range(1, m):
+        if m % d == 0:
+            p = p.divide_exact(_cyclotomic_poly(d))
+    return p
+
+
+# Phi_m for every m that divides some 2k with k <= 6, and the factors
+# 1 - q^(2i) of (q^2;q^2)_6
+_POCH_FACTORS = [_cyclotomic_poly(m) for m in range(1, 13)] + [
+    ONE - q_pow(2 * i) for i in range(1, 7)]
+
+
+@st.composite
+def _pochhammer_fractions(draw):
+    """num/den with den +-q^s (q^2;q^2)_j or its mirror, j <= 6, and num
+    a random polynomial over several a-slices times some cyclotomic
+    factors Phi_m and factors 1 - q^(2i)."""
+    j = draw(st.integers(0, 6))
+    den = LaurentPoly.mono(draw(st.sampled_from([1, -1])),
+                           draw(st.integers(-3, 3))) * poch_q2(j)
+    if draw(st.booleans()):
+        den = den.mirror()
+    num = LaurentPoly(draw(st.dictionaries(
+        st.tuples(st.integers(-3, 3), st.integers(-2, 2)),
+        st.integers(-4, 4), min_size=1, max_size=6)))
+    for i in draw(st.lists(st.integers(0, len(_POCH_FACTORS) - 1),
+                           max_size=4)):
+        num = num * _POCH_FACTORS[i]
+    return num, den
+
+
+@settings(max_examples=150, deadline=None)
+@given(_pochhammer_fractions())
+def test_pochhammer_denominators_match_rational_reference(frac):
+    # the cyclotomic certificate, or the gcd where it does not certify,
+    # gives the reference's pair with the common content divided out
+    num, den = frac
+    ref_num, ref_den = reduce_fraction_reference(num, den)
+    content = gcd(*ref_num.terms.values(), *ref_den.terms.values())
+    assert QFraction(num, den).normalized_pair() == (
+        ref_num.divide_exact(content), ref_den.divide_exact(content))
+
+
+def _gcd_not_called(f, g):
+    raise AssertionError("the gcd ran")
+
+
+class TestCyclotomicCertificate:
+    def test_common_cyclotomic_factor_takes_the_gcd(self, monkeypatch):
+        # Phi_3 divides both a-slices of num and (q^2;q^2)_3, so no
+        # residue certifies the fraction: the gcd runs and cancels Phi_3
+        phi3 = ONE + Q + Q**2
+        num, den = phi3 * (ONE + A), poch_q2(3)
+        calls = []
+
+        def counted(f, g):
+            calls.append(g)
+            return _q_gcd(f, g)
+
+        monkeypatch.setattr(qseries, "_q_gcd", counted)
+        got_num, got_den = QFraction(num, den).normalized_pair()
+        rest = poch_q2(3).divide_exact(phi3)
+        assert calls
+        assert (got_num, got_den) in ((ONE + A, rest), (-ONE - A, -rest))
+
+    def test_one_residue_per_factor_certifies(self, monkeypatch):
+        # a slice divisible by every factor of the denominator is
+        # certified by another slice, whichever slice is read first:
+        # no gcd runs
+        monkeypatch.setattr(qseries, "_q_gcd", _gcd_not_called)
+        for j in range(1, 5):
+            den = poch_q2(j)
+            divisible = den * (ONE + Q)
+            # (q^2;q^2)_j has the lead (-1)^j
+            sign = -1 if j % 2 else 1
+            for num in (divisible + A, A + divisible,
+                        divisible * a_pow(-1) + A * (2 + Q)):
+                assert (QFraction(num, den).normalized_pair()
+                        == (sign * num, sign * den)), (j, num)
+
+    def test_link_values_are_certified(self, monkeypatch):
+        # every link value of the oracle with CF term sum <= 6 at
+        # colors 1..4 keeps a denominator, and is certified reduced with
+        # no gcd; at a = q^2 the slices merge and share factors with it
+        values = [(j, value) for s in distinct_slopes(6, knots=False)
+                  for j, value in enumerate(oracle_homfly(s, [1, 2, 3, 4]),
+                                            1)]
+        jones = [value.subs_a_q2().normalized_pair() for _, value in values]
+        monkeypatch.setattr(qseries, "_q_gcd", _gcd_not_called)
+        for (j, value), (_, den) in zip(values, jones):
+            _, den_plain = value.normalized_pair()
+            assert den_plain in (poch_q2(j), -poch_q2(j)), (j, value)
+            assert len(den.terms) < len(den_plain.terms)
+
+    def test_other_denominators_take_the_gcd(self):
+        # a denominator that is not a Pochhammer, such as the product a
+        # verify mismatch difference carries, is reduced by the gcd
+        # and gives the reference's pair
+        num = (ONE - Q**4) * (A + Q) + A**2 * (ONE - Q**2)
+        for den in (poch_q2(2) * poch_q2(1), (ONE - Q**2) * (3 + 2 * Q),
+                    2 * poch_q2(2)):
+            ref_num, ref_den = reduce_fraction_reference(num, den)
+            content = gcd(*ref_num.terms.values(), *ref_den.terms.values())
+            assert QFraction(num, den).normalized_pair() == (
+                ref_num.divide_exact(content),
+                ref_den.divide_exact(content)), den
+
+    def test_negative_power(self):
+        # only the non-negative powers exist: a negative one raises
+        # rather than looping
+        for p in (ONE + Q, Q, -ONE):
+            with pytest.raises(ValueError):
+                p ** -1

@@ -2,6 +2,7 @@
 closed-form identities it must satisfy."""
 
 import itertools
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -15,14 +16,14 @@ from quivertangle import skein
 from quivertangle.skein import (SkeinElement, _pack, _packed_quotient,
                                 _unpack, basis_element, closure_numerator,
                                 framing_factor, oracle_homfly, raw_closure,
-                                reduced_homfly, twist_matrix)
+                                twist_matrix)
 from quivertangle.tangles import (OP, RI, UP, Slope, enumerate_rational_knots,
                                   twist_sequence, writhe)
 from quivertangle.verify import expand_motivic
 
 from conftest import (close, close_reference, distinct_slopes, neg_q_pow,
-                      odd_cfs, raw_closure_reference, rescale, tangle_element,
-                      twist, twist_reference)
+                      odd_cfs, raw_closure_reference, reduced_homfly,
+                      rescale, tangle_element, twist, twist_reference)
 
 
 def qf(num, den=None):
@@ -132,7 +133,7 @@ class TestClosureRules:
         # Cl(T^n UP[j,0]) as an explicit sum over increasing chains
         for n in (1, 3, 5):
             for j in range(4):
-                lhs = raw_closure([n], j)
+                lhs = raw_closure(["T"] * n, j)
                 rhs = qf(ZERO)
                 for ks in itertools.combinations_with_replacement(
                         range(j + 1), n):
@@ -203,9 +204,9 @@ class TestPackedKernel:
                     want = raw_closure_reference(terms, j)
                 except ValueError:
                     with pytest.raises(ValueError):
-                        raw_closure(terms, j)
+                        raw_closure(twist_sequence(terms), j)
                     continue
-                got = raw_closure(terms, j)
+                got = raw_closure(twist_sequence(terms), j)
                 assert got.den in (ONE, poch_q2(j)), (terms, j)
                 assert got == want, (terms, j)
 
@@ -276,7 +277,7 @@ class TestPackedQuotient:
 
     @settings(max_examples=300, deadline=None)
     @given(st.integers(-2 ** 200, 2 ** 200),
-           st.sampled_from([8, 16, 24, 32, 64, 72, 128]))
+           st.sampled_from([8, 16, 24, 32, 40, 48, 56, 64, 72, 128]))
     def test_unpack_holds_any_integer(self, n, B):
         # _unpack reads the balanced base-2^B digits of any integer, so
         # it can decode a quotient whose size no bound fixed
@@ -285,8 +286,12 @@ class TestPackedQuotient:
         assert sum(c << B * eq for (eq, _), c in p.terms.items()) == n
 
     @settings(max_examples=200, deadline=None)
-    @given(_POLYS, st.sampled_from([8, 16, 24, 32, 64, 72, 128]))
+    @given(_POLYS, st.sampled_from([8, 16, 24, 32, 40, 48, 56, 64, 72, 128]))
     def test_decode_without_cast_is_identical(self, p, B):
+        # every slot width up to 8 bytes is cast, spread to a native
+        # width when it has none; without formats the loop decodes
+        if sys.byteorder == "little":
+            assert sorted(skein._DIGIT_FORMATS) == list(range(1, 9))
         B = max(B, _whole_bytes(max(map(abs, p.terms.values()), default=0)))
         slices, low = _digits_at(p, B)
         cast = _unpack(slices, B, low)
@@ -342,7 +347,8 @@ class TestAlexanderColorOne:
             assert sum(delta.values()) == 1
             assert abs(sum(c * (-1) ** e for e, c in delta.items())) == s.p
             want = LaurentPoly({(2 * e, 0): c for e, c in delta.items()})
-            assert _at_a_one(_cleared(oracle_homfly(s, 1))) == want
+            (value,) = oracle_homfly(s, [1])
+            assert _at_a_one(_cleared(value)) == want
             qd = knot_quiver(s)
             order1 = expand_motivic(framing_shift(qd, 0), 1)[1]
             assert _at_a_one(_cleared(order1 * poch_q2(1))) == want, s
@@ -382,9 +388,9 @@ class TestOracleAtEveryColor:
         # two identities of every knot and symmetric color r, on every
         # knot up to 12 crossings at colors 1..4
         for s in enumerate_rational_knots(12):
-            first = _cleared(oracle_homfly(s, 1))
-            for r in range(1, 5):
-                value = _cleared(oracle_homfly(s, r))
+            values = [_cleared(v) for v in oracle_homfly(s, [1, 2, 3, 4])]
+            first = values[0]
+            for r, value in enumerate(values, 1):
                 assert _colored_alexander_holds(s, r, value), (s, r)
                 assert _exponential_growth_holds(r, value, first), (s, r)
 
@@ -397,8 +403,7 @@ class TestOracleAtEveryColor:
         assert len(knots) == 14
         mirror_misses = 0
         for s in knots:
-            first = _cleared(oracle_homfly(s, 1))
-            value = _cleared(oracle_homfly(s, 2))
+            first, value = map(_cleared, oracle_homfly(s, [1, 2]))
             framed = value * framing_factor(2, 1)
             assert not _colored_alexander_holds(s, 2, framed), s
             assert not _exponential_growth_holds(2, framed, first), s
@@ -415,8 +420,7 @@ class TestRescale:
 
 class TestInvariants:
     def test_unknot_normalization(self):
-        for j in range(6):
-            assert oracle_homfly(Slope(1, 1), j) == qf(ONE)
+        assert oracle_homfly(Slope(1, 1), list(range(6))) == [qf(ONE)] * 6
 
     def test_writhe_examples(self):
         assert writhe([1]) == 1
@@ -426,7 +430,7 @@ class TestInvariants:
     def test_single_twist_is_framed_unknot(self):
         # one top twist closes to the unknot with one unit of framing
         for j in range(4):
-            assert raw_closure([1], j) == qf(framing_factor(j, 1))
+            assert raw_closure(["T"], j) == qf(framing_factor(j, 1))
             assert reduced_homfly([1], j) == qf(ONE)
 
     def test_zero_frame_invariant_across_representatives(self):
@@ -441,23 +445,23 @@ class TestInvariants:
     def test_mirror_representative(self):
         # 3/2 only closes via the mirror class: its polynomial is the
         # mirror of the trefoil's
-        for j in (1, 2):
-            assert (oracle_homfly(Slope(3, 2), j)
-                    == reduced_homfly(Slope(3, 1), j).mirror())
+        for j, value in enumerate(oracle_homfly(Slope(3, 2), [1, 2]), 1):
+            assert value == reduced_homfly(Slope(3, 1), j).mirror()
 
     def test_knot_values_clear_to_laurent(self):
         # reduced colored polynomials of knots are honest Laurent
         # polynomials (the closure denominators cancel)
         for s in distinct_slopes(8, knots=True):
-            for j in (1, 2, 3):
-                _cleared(oracle_homfly(s, j))
+            for value in oracle_homfly(s, [1, 2, 3]):
+                _cleared(value)
 
     def test_trefoil_jones(self):
         # uncolored (j=1) value of the trefoil at a = q^2 is the Jones
         # polynomial of the positive trefoil, q^2 + q^6 - q^8
-        v = _cleared(oracle_homfly(Slope(3, 1), 1)).subs_a_q2()
+        (v,) = map(_cleared, oracle_homfly(Slope(3, 1), [1]))
+        v = v.subs_a_q2()
         assert v == (q_pow(2) + q_pow(6) - q_pow(8))
 
     def test_ri_ending_cf_rejected(self):
         with pytest.raises(ValueError):
-            raw_closure([1, 1, 1], 1)
+            raw_closure(twist_sequence([1, 1, 1]), 1)

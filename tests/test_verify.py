@@ -7,7 +7,7 @@ from math import comb
 import pytest
 
 from quivertangle.knotpipeline import knot_quiver
-from quivertangle.qseries import QFraction, poch_q2
+from quivertangle.qseries import ONE, QFraction, poch_q2
 from quivertangle.quiverstate import framing_shift, link_quiver
 from quivertangle.skein import _mono, oracle_homfly
 from quivertangle.tangles import Slope
@@ -30,10 +30,10 @@ def euler_form_expansion(qd, N):
                        for i in range(qd.n) for l in range(qd.n))
             sdot = sum(s * x for s, x in zip(qd.q_vec, d))
             adot = sum(a * x for a, x in zip(qd.a_vec, d))
-            den = QFraction(1)
+            den = ONE
             for x in d:
-                den = den * QFraction(poch_q2(x))
-            acc = acc + QFraction(_mono(sdot, quad, adot)) / den
+                den = den * poch_q2(x)
+            acc = acc + QFraction(_mono(sdot, quad, adot), den)
         out.append(acc)
     return out
 
@@ -113,9 +113,21 @@ class TestVerification:
         series = expand_motivic(framing_shift(qd, 0), 2)
         from quivertangle.verify import _compare
         matches, first, diff = _compare(
-            series, lambda j: oracle_homfly(Slope(5, 2), j))
+            series, oracle_homfly(Slope(5, 2), [0, 1, 2]))
         assert not all(matches)
         assert first is not None and diff
+
+    def test_every_color_meets_an_oracle_value(self):
+        # the oracle list may run past the order checked, never short
+        # of it: a missing color is an error, not a skipped comparison
+        from quivertangle.verify import _compare
+        series = expand_motivic(framing_shift(knot_quiver(Slope(3, 1)), 0),
+                                2)
+        values = [c * poch_q2(j) for j, c in enumerate(series)]
+        oracle = oracle_homfly(Slope(3, 1), [0, 1, 2, 3])
+        assert _compare(values, oracle) == ([True] * 3, None, None)
+        with pytest.raises(ValueError):
+            _compare(values, oracle[:2])
 
 
 class TestReport:
