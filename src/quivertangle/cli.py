@@ -19,17 +19,22 @@ from . import quiverstate
 from .knotpipeline import (KNOT_ROUTE, delta_vector, homology_generators,
                            knot_quiver, signature)
 from .quiverstate import (LINK_ROUTE, framing_shift, link_quiver, q_invert,
-                          refuse_frame, route_size)
+                          route_size)
 from .skein import MAX_ORACLE_COLOR, oracle_homfly, refuse_oversized_oracle
 from .tangles import (Slope, cf_expand, cf_value, crossing_number,
                       enumerate_rational_knots, is_knot)
 from .verify import (DEFAULT_KNOT_ORDER, DEFAULT_LINK_ORDER, check_state,
-                     refuse_oversized_check, verify_knot, verify_link)
+                     refuse_expansion, verify_knot, verify_link)
 
 # the largest --max-crossings budget of enumerate: it bounds the output,
 # which about doubles per crossing (22,015 knots at 18), not the time,
 # which is linear in the output; a larger budget is refused before any work
 MAX_CROSSINGS = 18
+
+# each route by the name --pipeline gives it, and its default --order
+ROUTES = {route.name: route for route in (KNOT_ROUTE, LINK_ROUTE)}
+DEFAULT_ORDER = {KNOT_ROUTE: DEFAULT_KNOT_ORDER,
+                 LINK_ROUTE: DEFAULT_LINK_ORDER}
 
 
 def _parse_input(text):
@@ -88,12 +93,13 @@ def _bounded_int(low, bound=None, name="value"):
 
 
 def _batch_crossings():
-    """The largest budget whose every knot fits the knot route, which
-    builds p vertices: a knot of c crossings has p <= F(c+1), the
-    continuant of c ones, so this is the largest c <= MAX_CROSSINGS with
-    F(c+1) <= MAX_VERTICES (16 at 2048)."""
+    """The largest budget whose every knot fits the knot route: a knot
+    of c crossings has p <= F(c+1), the continuant of c ones, so this
+    is the largest c <= MAX_CROSSINGS whose slope of c ones fits
+    MAX_VERTICES (16 at 2048)."""
     return max(c for c in range(3, MAX_CROSSINGS + 1)
-               if cf_value([1] * c).p <= quiverstate.MAX_VERTICES)
+               if KNOT_ROUTE.vertices(cf_value([1] * c))
+               <= quiverstate.MAX_VERTICES)
 
 
 def _parse_frame(text):
@@ -115,32 +121,27 @@ def _fraction_obj(frac):
     return {"num": str(num), "den": str(den)}
 
 
-def compute_payload(slope, terms, pipeline, frame, convention):
-    """The closed state of one link and its `compute` JSON object, whose
-    quiver data is exported from the state in the output frame."""
-    symmetric = convention == "sym"
-    if isinstance(frame, int):
-        # from the writhe and the entry bound, before the route runs
-        _, _, _, framing, bound = route_size(
-            slope, KNOT_ROUTE if pipeline == "knot" else LINK_ROUTE)
-        refuse_frame(framing, bound, frame, symmetric)
-    state = knot_quiver(slope) if pipeline == "knot" else link_quiver(slope)
+def compute_payload(plan, terms, frame, convention):
+    """The closed state the plan's route builds and the `compute` JSON
+    object of the input terms, its quiver data in the output frame."""
+    knot = plan.route is KNOT_ROUTE
+    state = knot_quiver(plan) if knot else link_quiver(plan)
     payload = {
-        "p": slope.p,
-        "q": slope.q,
+        "p": plan.slope.p,
+        "q": plan.slope.q,
         "cf": terms,
-        "pipeline": pipeline,
+        "pipeline": plan.route.name,
     }
-    if pipeline == "knot":
+    if knot:
         # the homology trigrading is read off the closure-frame state
         # (the frame knot_quiver builds), where 2t - 2a - q equals the
         # signature; per generator it is the framing-invariant delta
         generators = homology_generators(state)
         payload["delta"] = list(delta_vector(generators))
-        payload["signature"] = signature(slope)
+        payload["signature"] = signature(plan)
         payload["homology"] = [[g.a_degree, g.q_degree, g.t_degree]
                                for g in generators]
-    out = (q_invert(state, frame) if symmetric
+    out = (q_invert(state, frame) if convention == "sym"
            else framing_shift(state, frame))
     payload.update({
         "convention": out.color_convention,
@@ -182,12 +183,20 @@ def _payload_line(payload, entries):
     return "".join(parts)
 
 
-def _compute_line(slope, terms, pipeline, frame, convention):
-    """The closed state and the output line of one `compute`."""
-    state, payload = compute_payload(slope, terms, pipeline, frame,
-                                     convention)
-    entries = quiverstate.export_range(state, frame, convention == "sym")
+def _compute_line(plan, terms, frame, convention):
+    """The closed state and the output line of one `compute`; a frame
+    export cannot decode is refused from the plan, before the route."""
+    entries = quiverstate.export_range(plan, frame, convention == "sym")
+    state, payload = compute_payload(plan, terms, frame, convention)
     return state, _payload_line(payload, entries)
+
+
+def _routes(args):
+    """The routes of a compute or verify request: the one --pipeline
+    names, else both for a knot and the link route for a link."""
+    if args.pipeline:
+        return [ROUTES[args.pipeline]]
+    return [KNOT_ROUTE, LINK_ROUTE] if is_knot(args.input[0]) else [LINK_ROUTE]
 
 
 def _out_error(out_path, code):
@@ -228,14 +237,12 @@ def _emit(text, out_path):
 
 def _cmd_compute(args):
     slope, terms = args.input
-    pipeline = args.pipeline or ("knot" if is_knot(slope) else "link")
+    plan = route_size(slope, _routes(args)[0])
     if args.order:
-        refuse_oversized_check(slope, pipeline, args.order)
-    state, line = _compute_line(slope, terms, pipeline, args.frame,
-                                args.convention)
+        refuse_expansion(plan.n, args.order)
+    state, line = _compute_line(plan, terms, args.frame, args.convention)
     if args.order:
-        report = check_state(state, slope, pipeline, args.order,
-                             time.perf_counter())
+        report = check_state(state, plan, args.order, time.perf_counter())
         if not report.ok:
             sys.stderr.write(report.to_json() + "\n")
             return 1
@@ -264,19 +271,17 @@ def _cmd_oracle(args):
 
 
 def _cmd_verify(args):
-    slope, _ = args.input
-    pipelines = (args.pipeline,) if args.pipeline else (
-        ("knot", "link") if is_knot(slope) else ("link",))
-    default = {"knot": DEFAULT_KNOT_ORDER, "link": DEFAULT_LINK_ORDER}
-    checks = [(pipeline, args.order or default[pipeline])
-              for pipeline in pipelines]
-    # every check is sized before any route runs
-    for pipeline, order in checks:
-        refuse_oversized_check(slope, pipeline, order)
+    checks = []
+    # every check is planned and sized before any route runs
+    for route in _routes(args):
+        plan = route_size(args.input[0], route)
+        order = args.order or DEFAULT_ORDER[route]
+        refuse_expansion(plan.n, order)
+        checks.append((plan, order))
     # the checks share the oracle's values: each color is evaluated once
     oracle = []
-    reports = [(verify_knot if pipeline == "knot" else verify_link)(
-        slope, order, oracle) for pipeline, order in checks]
+    reports = [(verify_knot if plan.route is KNOT_ROUTE else verify_link)(
+        plan, order, oracle) for plan, order in checks]
     text = "".join(r.to_json() + "\n" for r in reports)
     _emit(text, args.out)
     sys.stderr.write("verify: " + ", ".join(
@@ -297,8 +302,8 @@ def _cmd_enumerate(args):
 def _batch_worker(task):
     p, q, frame, convention = task
     slope = Slope(p, q)
-    return _compute_line(slope, cf_expand(slope), "knot", frame,
-                         convention)[1]
+    return _compute_line(route_size(slope, KNOT_ROUTE), cf_expand(slope),
+                         frame, convention)[1]
 
 
 def _cmd_batch(args):
@@ -340,7 +345,7 @@ def build_parser():
 
     compute = subs.add_parser("compute", help="emit quiver data as JSON")
     compute.add_argument("input", type=_parse_input, help=_INPUT_HELP)
-    compute.add_argument("--pipeline", choices=("knot", "link"), default=None)
+    compute.add_argument("--pipeline", choices=ROUTES, default=None)
     compute.add_argument("--frame", type=_parse_frame, default="canonical")
     compute.add_argument("--convention", choices=("anti", "sym"),
                          default="sym")
@@ -357,7 +362,7 @@ def build_parser():
     verify = subs.add_parser("verify",
                              help="cross-check quiver data vs the oracle")
     verify.add_argument("input", type=_parse_input, help=_INPUT_HELP)
-    verify.add_argument("--pipeline", choices=("knot", "link"), default=None)
+    verify.add_argument("--pipeline", choices=ROUTES, default=None)
     verify.add_argument("--order", type=order, default=0,
                         help="0 = per-pipeline default")
 

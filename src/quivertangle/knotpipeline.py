@@ -28,9 +28,8 @@ from dataclasses import dataclass
 
 from .quiverstate import (MIRROR_STEP, TWIST_STEP, W, Route, _absorb,
                           _diagonal, _gather, _ones, _trivial, _twist,
-                          quiver_route)
-from .tangles import (OP, RI, UP, boundary_walk, cf_value, is_knot,
-                      resolve_terms)
+                          quiver_route, route_size)
+from .tangles import OP, RI, UP, boundary_walk, cf_value, is_knot
 
 
 @dataclass(frozen=True)
@@ -299,19 +298,16 @@ def _reduce_and_close(terms, bound):
     return th
 
 
-KNOT_ROUTE = Route(_reduce_and_close, polynomial=True,
+KNOT_ROUTE = Route("knot", _reduce_and_close, polynomial=True,
                    vertices=lambda rep: rep.p, bound=_knot_bound)
 
 
 def knot_quiver(slope_or_terms):
     """The closed state (p vertices) of the knot route on a rational
     knot, in the frame of the standard twist diagram (its framing is the
-    diagram writhe).
-
-    For slope input, a closable equivalent representative is chosen
-    automatically; when only a mirror representative closes, the state
-    is mirrored back at the data level so that it always presents the
-    requested slope."""
+    diagram writhe).  A slope is built from the closable representative
+    of its plan, mirrored back at the data level when only a mirror
+    representative closes, so that it always presents the slope."""
     return quiver_route(slope_or_terms, KNOT_ROUTE)
 
 
@@ -325,16 +321,17 @@ def delta_vector(generators):
 
 
 def signature(slope_or_terms):
-    """Knot signature from the twist word: walk its boundaries and
-    count the grading-shifting twist types (positive knots get
-    negative signature)."""
-    terms, mirrored = resolve_terms(slope_or_terms)
-    if not is_knot(cf_value(terms)):
+    """Knot signature from the twist word of the knot route's plan
+    (route_size, so a slope over its vertex bound is refused): walk its
+    boundaries and count the grading-shifting twist types (positive
+    knots get negative signature)."""
+    plan = route_size(slope_or_terms, KNOT_ROUTE)
+    if not is_knot(plan.slope):
         raise ValueError("signature is defined here for knots only")
     # only top twists at UP and right twists at RI shift the grading
-    steps = list(boundary_walk(terms))
+    steps = list(boundary_walk(plan.terms))
     sig = 1 - steps.count((UP, "T")) + steps.count((RI, "R"))
-    return -sig if mirrored else sig
+    return -sig if plan.mirrored else sig
 
 
 def homology_generators(th):

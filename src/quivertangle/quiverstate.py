@@ -511,6 +511,7 @@ def _mirror(th, polynomial):
 
 class Route(NamedTuple):
     """A route from closable CF terms to a closed thawed state."""
+    name: str  # knot | link, as --pipeline names it
     close: Callable  # close(terms, bound), its slots sized for bound
     polynomial: bool  # the mirror its data takes (see _mirror)
     vertices: Callable  # its vertex count on the slope of the terms
@@ -522,30 +523,47 @@ class Route(NamedTuple):
 MAX_VERTICES = 2048
 
 
+class Plan(NamedTuple):
+    """What a route builds for one input, chosen before anything is
+    built (route_size)."""
+    slope: Slope  # the input slope
+    route: Route
+    terms: list  # the closable CF terms
+    mirrored: bool  # whether they are a mirror representative
+    n: int  # the vertex count
+    framing: int  # the frame of the closed state
+    bound: int  # on every |entry| of M, as Route.bound
+
+
 def route_size(slope_or_terms, route):
-    """What route builds from the input, read off its closable CF terms
-    before anything is built: (terms, whether they are a mirror
-    representative, vertex count, framing, entry bound).  The framing is
-    the diagram writhe, negated for a mirror representative: the frame
-    of the closed state.  More than MAX_VERTICES vertices raises
-    ValueError, naming the count and the bound.
+    """The Plan of route for the input, read off its closable CF terms
+    before anything is built; a Plan of route is returned as it is.
+    The framing is the diagram writhe, negated for a mirror
+    representative.  More than MAX_VERTICES vertices raises ValueError,
+    naming the count and the bound.
 
     Every representative of a slope has its p and a route's count
     grows with q, so a slope with p over MAX_VERTICES is refused on
     route.vertices(p/1), at least p on both routes, before a
     representative is sought: exact on the knot route (p), a least count
     on the link route (2(p + 1))."""
+    if isinstance(slope_or_terms, Plan):
+        if slope_or_terms.route is not route:
+            raise ValueError(f"not a plan of the {route.name} route")
+        return slope_or_terms
     if isinstance(slope_or_terms, Slope) and slope_or_terms.p > MAX_VERTICES:
         p = slope_or_terms.p
         least = route.vertices(Slope(p, 1))
         _refuse_vertices(least, least < route.vertices(Slope(p, p - 1)))
     terms, mirrored = resolve_terms(slope_or_terms)
-    n = route.vertices(cf_value(terms))
+    rep = cf_value(terms)
+    n = route.vertices(rep)
     if n > MAX_VERTICES:
         _refuse_vertices(n, False)
     framing = writhe(terms)
-    return (terms, mirrored, n, -framing if mirrored else framing,
-            route.bound(terms))
+    slope = slope_or_terms if isinstance(slope_or_terms, Slope) else rep
+    return Plan(slope, route, terms, mirrored, n,
+                -framing if mirrored else framing, route.bound(terms))
 
 
 def _refuse_vertices(n, least):
@@ -559,14 +577,14 @@ def _refuse_vertices(n, least):
 
 def quiver_route(slope_or_terms, route):
     """The tail both routes share: the closed thawed state route builds
-    from the input's closable CF terms, mirrored back (_mirror) when
-    only a mirror representative closes, with the framing of
-    route_size.  Export decodes it."""
-    terms, mirrored, _, framing, bound = route_size(slope_or_terms, route)
-    th = route.close(terms, bound)
-    if mirrored:
+    from the closable CF terms of the input's plan (route_size),
+    mirrored back (_mirror) when only a mirror representative closes,
+    with the plan's framing.  Export decodes it."""
+    plan = route_size(slope_or_terms, route)
+    th = route.close(plan.terms, plan.bound)
+    if plan.mirrored:
         _mirror(th, route.polynomial)
-    th.framing = framing
+    th.framing = plan.framing
     return th
 
 
@@ -584,7 +602,7 @@ def _twist_and_close(terms, bound):
     return th
 
 
-LINK_ROUTE = Route(_twist_and_close, polynomial=False,
+LINK_ROUTE = Route("link", _twist_and_close, polynomial=False,
                    vertices=lambda rep: 2 * (rep.p + rep.q),
                    bound=_link_bound)
 
@@ -598,32 +616,27 @@ def link_quiver(slope_or_terms):
     return quiver_route(slope_or_terms, LINK_ROUTE)
 
 
-def refuse_frame(framing, bound, frame, symmetric):
-    """Refuse, naming the frame and the entry bound, an output frame
-    whose export cannot be decoded from signed W-bit slots: one where an
-    output entry sigma (x + f) + c + e [i = l], with |x| <= bound and f =
-    frame - framing, could leave +-(2^(W-1) - 1)."""
-    sigma, c, e = _Q_INVERT if symmetric else (1, 0, 0)
-    slack = (1 << (W - 1)) - 1 - bound - e
-    center = framing - sigma * c
-    if abs(frame - center) > slack:
-        raise ValueError(
-            f"frame {frame} is out of range: with entries bounded by "
-            f"{bound} in frame {framing}, the quiver takes frames "
-            f"{center - slack} to {center + slack}")
-
-
 def export_range(th, frame, symmetric):
-    """(lo, hi), bounds on every entry of the Q that export gives for
-    the closed state th in the output frame, proven from th.bound alone
-    (see _export): [0, 2 bound + 1] in the canonical frame; else, with f
-    the shift to the frame, |sigma (x + f) + c + e [i = l]| <= bound +
-    |f + sigma c| + e, which refuse_frame keeps under 2^(W-1)."""
+    """(lo, hi), bounds on every entry of the Q that export gives in the
+    output frame for th, a closed state or its Plan (both carry its
+    framing and bound), proven from the bound alone (see _export):
+    [0, 2 bound + 1] in the canonical frame; else, with f the shift to
+    the frame, |sigma (x + f) + c + e [i = l]| <= bound + |f + sigma c|
+    + e.  A frame where that passes 2^(W-1) - 1, the signed slot's
+    largest entry, is refused with ValueError, naming the frames the
+    quiver takes."""
     if frame == "canonical":
         return 0, 2 * th.bound + 1
     sigma, c, e = _Q_INVERT if symmetric else (1, 0, 0)
-    f = 0 if frame == "raw" else frame - th.framing
-    reach = th.bound + abs(f + sigma * c) + e
+    frame = th.framing if frame == "raw" else frame
+    reach = th.bound + abs(frame - th.framing + sigma * c) + e
+    if reach >= 1 << (W - 1):
+        slack = (1 << (W - 1)) - 1 - th.bound - e
+        center = th.framing - sigma * c
+        raise ValueError(
+            f"frame {frame} is out of range: with entries bounded by "
+            f"{th.bound} in frame {th.framing}, the quiver takes frames "
+            f"{center - slack} to {center + slack}")
     return -reach, reach
 
 
@@ -639,7 +652,7 @@ def _export(th, frame, symmetric):
     lies in [0, 2 bound + 1], since its smallest entry is 0 and sigma x
     + e [i = l] spans at most 2 bound + 1 < 2^W, so its slots hold the
     entries themselves and decode unsigned.  Any other frame must pass
-    refuse_frame, and decodes signed from offset binary."""
+    export_range, and decodes signed from offset binary."""
     if not isinstance(th, _Thawed):
         raise TypeError("export takes a closed state, whose quiver data "
                         "is in the antisymmetric color convention")
@@ -647,8 +660,8 @@ def _export(th, frame, symmetric):
     if frame == "canonical":
         f, offset = canonical_shift(th, symmetric), 0
     else:
+        export_range(th, frame, symmetric)
         frame = th.framing if frame == "raw" else frame
-        refuse_frame(th.framing, th.bound, frame, symmetric)
         f, offset = frame - th.framing, 1 << (W - 1)
     Q = _decode(_affine(th.rows, sigma, sigma * f + c, e, offset), th.n,
                 signed=offset > 0)

@@ -285,9 +285,7 @@ def raw_closure(word, j):
 
 # the highest color and the most twists (CF term sum, the same for
 # every representative of a slope) the `oracle` command evaluates: the
-# cost grows steeply in both: colors 0..12 of the 12-twist diagram
-# [1,1,1,1,1,1,1,1,1,1,2] take 16 s (one 2-CPU box, Python 3.11) and
-# print 2 MB
+# cost grows steeply in both (README times a request at both bounds)
 MAX_ORACLE_COLOR = 12
 MAX_ORACLE_TWISTS = 12
 

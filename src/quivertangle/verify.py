@@ -17,7 +17,6 @@ from .qseries import QFraction, poch_q2
 from .quiverstate import (LINK_ROUTE, framing_shift, link_quiver, route_size,
                           state_expand)
 from .skein import oracle_homfly
-from .tangles import Slope, cf_value
 
 DEFAULT_KNOT_ORDER = 3
 DEFAULT_LINK_ORDER = 2
@@ -59,13 +58,13 @@ def expand_motivic(qd, N):
     leaf loop.  An expansion of more than MAX_DIM_VECTORS dimension
     vectors raises ValueError before it starts.
     """
-    _refuse_expansion(qd.n, N)
+    refuse_expansion(qd.n, N)
     records = [(False, 0, s, a) for s, a in zip(qd.q_vec, qd.a_vec)]
     return [QFraction(c[0], poch_q2(j))
             for j, c in enumerate(state_expand(records, qd.Q, N))]
 
 
-def _refuse_expansion(n, N):
+def refuse_expansion(n, N):
     """Refuse an expansion to order N on n vertices of more than
     MAX_DIM_VECTORS dimension vectors, naming the count and the bound."""
     count = comb(n + N, N)
@@ -74,16 +73,6 @@ def _refuse_expansion(n, N):
             f"expansion to order {N} on {n} vertices would visit "
             f"{count} dimension vectors, more than the bound "
             f"{MAX_DIM_VECTORS}")
-
-
-def refuse_oversized_check(s, pipeline, N):
-    """Refuse, before the route runs, a check to order N whose quiver
-    would pass MAX_VERTICES or whose expansion would pass
-    MAX_DIM_VECTORS: both counts come from the route's vertex count on
-    the representative it closes (p on the knot route, 2(p+q) on the
-    link route)."""
-    route = KNOT_ROUTE if pipeline == "knot" else LINK_ROUTE
-    _refuse_expansion(route_size(s, route)[2], N)
 
 
 @dataclass
@@ -136,45 +125,43 @@ def _compare(coeffs, oracle):
 
 def verify_knot(s, N=DEFAULT_KNOT_ORDER, oracle=None):
     """Check the p-vertex (knot-route) presentation of a rational knot
-    against the skein oracle: the coefficient of x^j, multiplied by
-    (q^2;q^2)_j, must equal the reduced j-colored invariant exactly for
-    every j <= N.  Both sides are taken in the zero frame."""
-    start, s = time.perf_counter(), _as_slope(s)
-    return check_state(knot_quiver(s), s, "knot", N, start, oracle)
+    (slope, CF terms or Plan) against the skein oracle: the coefficient
+    of x^j, multiplied by (q^2;q^2)_j, must equal the reduced j-colored
+    invariant exactly for every j <= N, both sides in the zero frame."""
+    start, plan = time.perf_counter(), route_size(s, KNOT_ROUTE)
+    return check_state(knot_quiver(plan), plan, N, start, oracle)
 
 
 def verify_link(s, N=DEFAULT_LINK_ORDER, oracle=None):
     """Check the one-crossing-at-a-time (link-route) presentation of any
-    rational link: the coefficient of x^j must equal the reduced
-    j-colored invariant directly (no per-color clearing) for every
-    j <= N, both sides in the zero frame."""
-    start, s = time.perf_counter(), _as_slope(s)
-    return check_state(link_quiver(s), s, "link", N, start, oracle)
+    rational link (slope, CF terms or Plan): the coefficient of x^j
+    must equal the reduced j-colored invariant directly (no per-color
+    clearing) for every j <= N, both sides in the zero frame."""
+    start, plan = time.perf_counter(), route_size(s, LINK_ROUTE)
+    return check_state(link_quiver(plan), plan, N, start, oracle)
 
 
-def check_state(state, s, pipeline, N, start, oracle=None):
-    """The check both routes share, on the closed state that pipeline
-    built for the slope s: its quiver data in the zero frame, expanded
-    to order N, against the oracle.  The knot route's color j is cleared
-    by (q^2;q^2)_j before the comparison, the link route's is not.  The
-    report is timed from start, a time.perf_counter() reading.
+def check_state(state, plan, N, start, oracle=None):
+    """The check both routes share, on the closed state built by the
+    plan's route: its quiver data in the zero frame, expanded to order
+    N, against the oracle of plan.slope.  The knot route's color j is
+    cleared by (q^2;q^2)_j before the comparison (its data presents
+    the numerator polynomials: Route.polynomial), the link route's is
+    not.  The report is timed from start, a time.perf_counter() reading.
 
-    oracle is a list of the oracle's values of s from color 0, those
-    known so far; the colors up to N it lacks are evaluated in one call
-    and appended to it, so the checks of several routes of s that share
-    one list evaluate each color once.  None starts an empty list."""
+    oracle is a list of the oracle's values of the slope from color 0,
+    those known so far; the colors up to N it lacks are evaluated in
+    one call and appended to it, so the checks of several routes of a
+    slope that share one list evaluate each color once.  None starts
+    an empty list."""
     coeffs = expand_motivic(framing_shift(state, 0), N)
-    if pipeline == "knot":
+    if plan.route.polynomial:
         coeffs = [c * poch_q2(j) for j, c in enumerate(coeffs)]
     if oracle is None:
         oracle = []
     if len(oracle) <= N:
-        oracle += oracle_homfly(s, list(range(len(oracle), N + 1)))
+        oracle += oracle_homfly(plan.slope, list(range(len(oracle), N + 1)))
     matches, first, diff = _compare(coeffs, oracle)
     elapsed = time.perf_counter() - start
-    return VerificationReport(str(s), pipeline, N, matches, elapsed,
-                              first, diff)
-
-
-def _as_slope(s):
-    return s if isinstance(s, Slope) else cf_value(s)
+    return VerificationReport(str(plan.slope), plan.route.name, N, matches,
+                              elapsed, first, diff)

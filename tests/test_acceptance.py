@@ -8,10 +8,10 @@ import time
 import pytest
 
 from quivertangle import cli
-from quivertangle.knotpipeline import (homology_generators, knot_quiver,
-                                       signature)
+from quivertangle.knotpipeline import (KNOT_ROUTE, homology_generators,
+                                       knot_quiver, signature)
 from quivertangle.qseries import QFraction
-from quivertangle.quiverstate import framing_shift
+from quivertangle.quiverstate import framing_shift, route_size
 from quivertangle.tangles import Slope, cf_expand, enumerate_rational_knots
 from quivertangle.verify import verify_knot, verify_link
 
@@ -148,8 +148,8 @@ def test_normalization_and_integrality(capsys):
     # canonical-frame output is non-negative and symmetrizes integrally
     # across the whole corpus (compute_payload raises on odd entries)
     for s in enumerate_rational_knots(12):
-        _, payload = cli.compute_payload(s, cf_expand(s), "knot",
-                                         "canonical", "sym")
+        _, payload = cli.compute_payload(route_size(s, KNOT_ROUTE),
+                                         cf_expand(s), "canonical", "sym")
         assert min(x for row in payload["Q"] for x in row) >= 0, s
     report("unknot normalization, canonical non-negativity, and "
            "symmetrization integrality hold on the corpus")

@@ -13,7 +13,8 @@ from math import gcd
 import pytest
 
 import quivertangle
-from quivertangle import cli, qseries, quiverstate, skein, tangles, verify
+from quivertangle import (cli, knotpipeline, qseries, quiverstate, skein,
+                          tangles, verify)
 from quivertangle.knotpipeline import KNOT_ROUTE, knot_quiver
 from quivertangle.qseries import QFraction, q_pow
 from quivertangle.quiverstate import (LINK_ROUTE, MAX_VERTICES, framing_shift,
@@ -178,8 +179,8 @@ class TestCompute:
                             (["3/1", "--convention", "anti"], KNOT_ROUTE),
                             (["4/1"], LINK_ROUTE),
                             (["3/2", "--pipeline", "link"], LINK_ROUTE)):
-            framing, bound = route_size(cli._parse_input(argv[0])[0],
-                                        route)[3:]
+            plan = route_size(cli._parse_input(argv[0])[0], route)
+            framing, bound = plan.framing, plan.bound
             lo, hi = self.frame_range(argv, framing, bound)
             for frame in (hi + 1, lo - 1):
                 for optimized in (False, True):
@@ -390,20 +391,21 @@ class TestPayloadWriter:
     def test_stdout_is_json_dumps_of_the_payload(self, capsys):
         # the digit-table writer prints exactly json.dumps of the payload
         # compute_payload builds, on both routes, in both conventions,
-        # at fixed frames and at the two extreme frames refuse_frame
+        # at fixed frames and at the two extreme frames export_range
         # admits for each case
         for slope, pipeline in (("13/3", "knot"), ("55/21", "knot"),
                                 ("13/3", "link"), ("55/21", "link"),
                                 ("8/3", "link"), ("34/13", "link")):
             s, terms = cli._parse_input(slope)
             route = KNOT_ROUTE if pipeline == "knot" else LINK_ROUTE
-            framing, bound = route_size(s, route)[3:]
+            plan = route_size(s, route)
+            framing, bound = plan.framing, plan.bound
             for convention in ("anti", "sym"):
                 lo, hi = TestCompute.frame_range([convention], framing,
                                                  bound)
                 for frame in ("canonical", "raw", 0, -3, 20000, lo, hi):
-                    _, payload = cli.compute_payload(s, terms, pipeline,
-                                                     frame, convention)
+                    _, payload = cli.compute_payload(plan, terms, frame,
+                                                     convention)
                     code, out, _ = run(capsys, "compute", slope,
                                        "--pipeline", pipeline,
                                        "--convention", convention,
@@ -571,6 +573,34 @@ class TestVerifyCommand:
                 err = proc.stderr.decode()
                 assert f"{count} vertices" in err, err
                 assert str(MAX_VERTICES) in err, err
+
+
+class TestOnePlanPerRequest:
+    @pytest.mark.parametrize("argv, resolved, represented", [
+        (["compute", "13/3", "--order", "2", "--frame", "-3"], 1, 2),
+        (["verify", "13/3"], 2, 3),
+        (["compute", "8/3"], 1, 1),
+    ])
+    def test_each_route_resolves_once(self, capsys, monkeypatch, argv,
+                                      resolved, represented):
+        # a request resolves its diagram once per route it takes, and
+        # the oracle finds its own representative once: resolve_terms
+        # and good_representative are counted wherever they are bound
+        counts = {}
+        for fn in (tangles.resolve_terms, tangles.good_representative):
+            def counted(*args, fn=fn):
+                counts[fn.__name__] += 1
+                return fn(*args)
+
+            counts[fn.__name__] = 0
+            for module in (cli, knotpipeline, qseries, quiverstate, skein,
+                           tangles, verify):
+                for attr in [a for a, v in vars(module).items() if v is fn]:
+                    monkeypatch.setattr(module, attr, counted)
+        code, _, _ = run(capsys, *argv)
+        assert code == 0
+        assert counts == {"resolve_terms": resolved,
+                          "good_representative": represented}
 
 
 class TestEnumerate:
@@ -999,27 +1029,50 @@ class TestBenchBindings:
                                                  {"j": [0, 1, 2]}]
         spans.write_spans(tmp_path / "spans.jsonl", [taken])
 
-    def test_one_export_call_per_compute(self, capsys, monkeypatch):
-        # wrapped as the traced benchmark wraps them, cli.framing_shift
-        # and cli.q_invert together see exactly one call per compute:
-        # export is one pass whatever the convention, frame or route
+    @staticmethod
+    def traced(monkeypatch):
+        """The bench spans module and a tracer wrapping every binding
+        of bench/spans.py, as the traced benchmark wraps them."""
         spans = load_bench_spans()
         tracer = spans.Tracer()
         for owner, attr, name, info in spans.bindings(cli, verify, qseries,
                                                       tangles):
-            if name == "quiverstate.export":
-                monkeypatch.setattr(owner, attr, tracer.wrap(
-                    name, getattr(owner, attr), info))
-        for slope, pipeline in (("13/3", "knot"), ("13/3", "link"),
-                                ("8/3", "link")):
+            monkeypatch.setattr(owner, attr, tracer.wrap(
+                name, getattr(owner, attr), info))
+        return spans, tracer
+
+    def test_one_export_call_per_compute(self, capsys, monkeypatch):
+        # with every binding wrapped, a compute gives exactly its route's
+        # spans: on the knot route compute_payload, knot_quiver, the 3
+        # gradings and export, on the link route link_quiver and export;
+        # export is one pass whatever the convention, frame or route
+        spans, tracer = self.traced(monkeypatch)
+        knot = ["knotpipeline.knot_quiver"] + ["knotpipeline.gradings"] * 3
+        for slope, pipeline, route in (
+                ("13/3", "knot", knot),
+                ("13/3", "link", ["quiverstate.link_quiver"]),
+                ("8/3", "link", ["quiverstate.link_quiver"])):
             for convention in ("anti", "sym"):
                 for frame in ("canonical", "raw", "-3"):
                     run_json(capsys, "compute", slope, "--pipeline",
                              pipeline, "--convention", convention,
                              "--frame", frame)
                     names = [s[spans.NAME] for s in tracer.take()]
-                    assert names == ["quiverstate.export"], (
+                    assert names == ["cli.main", "cli.compute_payload",
+                                     *route, "quiverstate.export"], (
                         slope, pipeline, convention, frame, names)
+
+    def test_verify_spans(self, capsys, monkeypatch):
+        # verify 13/3 gives 2 checks, each building its route and
+        # expanding its quiver, and one oracle span for both
+        spans, tracer = self.traced(monkeypatch)
+        code, _, _ = run(capsys, "verify", "13/3")
+        assert code == 0
+        assert [s[spans.NAME] for s in tracer.take()] == [
+            "cli.main",
+            "verify.check", "knotpipeline.knot_quiver", "verify.expand",
+            "skein.oracle",
+            "verify.check", "quiverstate.link_quiver", "verify.expand"]
 
     def test_bench_selftest_passes(self):
         proc = subprocess.run([sys.executable,

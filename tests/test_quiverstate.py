@@ -10,17 +10,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as hs
 
 from quivertangle.qseries import QFraction
-from quivertangle.knotpipeline import (_TRANSFORMS, TEMPLATE_STEP,
+from quivertangle.knotpipeline import (KNOT_ROUTE, _TRANSFORMS, TEMPLATE_STEP,
                                        _apply_template, _final_close,
-                                       _knot_bound, _resum, knot_quiver)
-from quivertangle.quiverstate import (CLOSE_STEP, MAX_VERTICES, MIRROR_STEP,
-                                      TWIST_STEP, W, QuiverData, Route,
+                                       _knot_bound, _resum, knot_quiver,
+                                       signature)
+from quivertangle.quiverstate import (CLOSE_STEP, LINK_ROUTE, MAX_VERTICES,
+                                      MIRROR_STEP, TWIST_STEP, W, QuiverData,
+                                      Route,
                                       _Q_INVERT, _absorb, _bump, _close, _decode,
                                       _link_bound, _mirror, _trivial, _twist,
                                       canonical_shift, export_range,
                                       framing_shift, link_quiver, q_invert,
-                                      quiver_route,
-                                      slot_width)
+                                      quiver_route, route_size, slot_width)
 from quivertangle.skein import (basis_element, framing_factor, oracle_homfly,
                                 raw_closure)
 from quivertangle.tangles import (OP, RI, Slope, UP, cf_expand, cf_value,
@@ -629,7 +630,7 @@ class TestDataTransforms:
     def test_export_stays_in_its_proven_range(self):
         # every entry export gives lies in export_range, read off the
         # state's bound alone, for frames canonical, raw, 0, -3, 4 and
-        # the two extremes refuse_frame admits; at the extremes the
+        # the two extremes export_range admits; at the extremes the
         # range reaches exactly the signed slot's 2^(W-1) - 1
         top = (1 << (W - 1)) - 1
         for slope, state in export_quivers():
@@ -671,6 +672,23 @@ def _representative(slope):
     return cf_value(resolve_terms(slope)[0])
 
 
+class TestPlan:
+    def test_a_plan_is_taken_as_it_is_by_its_route_only(self):
+        # a plan passes through route_size unchanged, and the route
+        # builds the same state from it as from its slope; on the other
+        # route it is refused: the knot route would fill slots sized for
+        # the link route's smaller entry bound
+        plan = route_size(Slope(13, 3), LINK_ROUTE)
+        assert route_size(plan, LINK_ROUTE) is plan
+        assert plan.bound < route_size(Slope(13, 3), KNOT_ROUTE).bound
+        built, direct = link_quiver(plan), link_quiver(Slope(13, 3))
+        assert (built.rows, built.records) == (direct.rows, direct.records)
+        for build in (knot_quiver, signature):
+            with pytest.raises(ValueError,
+                               match="not a plan of the knot route"):
+                build(plan)
+
+
 class TestVertexBound:
     def test_route_vertex_counts(self):
         # the counts the bound reads: p on the knot route, 2(p' + q') on
@@ -703,7 +721,8 @@ class TestVertexBound:
             raise AssertionError("built a quiver over the bound")
 
         def route(build):
-            return Route(build, polynomial=True, vertices=lambda rep: rep.p,
+            return Route("knot", build, polynomial=True,
+                         vertices=lambda rep: rep.p,
                          bound=lambda terms: 0)
 
         with pytest.raises(ValueError, match=f"2049 vertices.*{MAX_VERTICES}"):
