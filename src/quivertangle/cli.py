@@ -20,9 +20,9 @@ from .knotpipeline import (KNOT_ROUTE, delta_vector, homology_generators,
                            knot_quiver, signature)
 from .quiverstate import (LINK_ROUTE, framing_shift, link_quiver, q_invert,
                           route_size)
-from .skein import MAX_ORACLE_COLOR, oracle_homfly, refuse_oversized_oracle
+from .skein import MAX_ORACLE_COLOR, MAX_ORACLE_TWISTS, oracle_homfly
 from .tangles import (Slope, cf_expand, cf_value, crossing_number,
-                      enumerate_rational_knots, is_knot)
+                      enumerate_rational_knots, is_knot, refuse_over)
 from .verify import (DEFAULT_KNOT_ORDER, DEFAULT_LINK_ORDER, check_state,
                      refuse_expansion, verify_knot, verify_link)
 
@@ -72,10 +72,9 @@ def _parse_colors(text):
     return lo, hi
 
 
-def _bounded_int(low, bound=None, name="value"):
-    """Argument type for an integer option of at least low and, given
-    bound, at most bound(), which is read when the argument is parsed;
-    name is what the refusal of a value over the bound calls it."""
+def _bounded_int(low):
+    """Argument type for an integer option of at least low; a bound
+    above is refused by the command's handler, like every other."""
     def parse(text):
         error = argparse.ArgumentTypeError(
             f"bad value {text!r}: expected an integer >= {low}")
@@ -85,9 +84,6 @@ def _bounded_int(low, bound=None, name="value"):
             raise error from None
         if value < low:
             raise error
-        if bound and value > bound():
-            raise argparse.ArgumentTypeError(
-                f"{name} {value} is over the bound {bound()}")
         return value
     return parse
 
@@ -222,42 +218,68 @@ def _check_out(out_path):
         raise _out_error(out_path, errno.EACCES)
 
 
-def _emit(text, out_path):
-    """Write text to the --out path, or to stdout without one; a write
-    that fails after _check_out is still a usage error."""
-    if not out_path:
-        sys.stdout.write(text)
-        return
+def _out_io(out_path, call, *args):
+    """call(*args), an open, write or flush of the --out path: one that
+    fails after _check_out is still a usage error."""
     try:
-        with open(out_path, "w") as fh:
-            fh.write(text)
+        return call(*args)
     except OSError as exc:
         raise _out_error(out_path, exc.errno) from None
 
 
+def _emit(lines, out_path):
+    """Write each of the lines as it arrives, to the --out path or to
+    stdout without one.  Only the open and the writes are a usage error
+    when they fail, never the work that makes the lines; a run that
+    fails midway leaves the lines written so far."""
+    if not out_path:
+        sys.stdout.writelines(lines)
+        return
+    with _out_io(out_path, open, out_path, "w") as fh:
+        for line in lines:
+            _out_io(out_path, fh.write, line)
+        _out_io(out_path, fh.flush)
+
+
+def _checks(args, routes, defaults):
+    """(plan, order) of each route of a compute or verify request: the
+    order of its check is --order, else the route's in defaults, else 0
+    (no check).  Every bound is refused here, before any route runs: an
+    order over the oracle's color bound, a quiver over MAX_VERTICES
+    (route_size) and an expansion over MAX_DIM_VECTORS."""
+    refuse_over("order", args.order, MAX_ORACLE_COLOR)
+    checks = []
+    for route in routes:
+        plan = route_size(args.input[0], route)
+        order = args.order or defaults.get(route, 0)
+        if order:
+            refuse_expansion(plan.n, order)
+        checks.append((plan, order))
+    return checks
+
+
 def _cmd_compute(args):
-    slope, terms = args.input
-    plan = route_size(slope, _routes(args)[0])
-    if args.order:
-        refuse_expansion(plan.n, args.order)
-    state, line = _compute_line(plan, terms, args.frame, args.convention)
-    if args.order:
-        report = check_state(state, plan, args.order, time.perf_counter())
+    [(plan, order)] = _checks(args, _routes(args)[:1], {})
+    state, line = _compute_line(plan, args.input[1], args.frame,
+                                args.convention)
+    if order:
+        report = check_state(state, plan, order)
         if not report.ok:
             sys.stderr.write(report.to_json() + "\n")
             return 1
         # json.dumps would write this key last: splice it in before the
         # closing brace
         line = (line[:-2] + ", "
-                + json.dumps({"verified_order": args.order})[1:] + "\n")
-    _emit(line, args.out)
+                + json.dumps({"verified_order": order})[1:] + "\n")
+    _emit([line], args.out)
     return 0
 
 
 def _cmd_oracle(args):
     slope, terms = args.input
     lo, hi = args.colors
-    refuse_oversized_oracle(terms, hi)
+    refuse_over("color", hi, MAX_ORACLE_COLOR)
+    refuse_over("twist count (CF term sum)", sum(terms), MAX_ORACLE_TWISTS)
     values = oracle_homfly(slope, list(range(lo, hi + 1)))
     colors = {}
     for j, value in enumerate(values, lo):
@@ -266,36 +288,30 @@ def _cmd_oracle(args):
         colors[str(j)] = _fraction_obj(value)
     payload = {"p": slope.p, "q": slope.q, "cf": terms, "frame": "zero",
                "jones": bool(args.jones), "colors": colors}
-    _emit(json.dumps(payload) + "\n", args.out)
+    _emit([json.dumps(payload) + "\n"], args.out)
     return 0
 
 
 def _cmd_verify(args):
-    checks = []
-    # every check is planned and sized before any route runs
-    for route in _routes(args):
-        plan = route_size(args.input[0], route)
-        order = args.order or DEFAULT_ORDER[route]
-        refuse_expansion(plan.n, order)
-        checks.append((plan, order))
+    checks = _checks(args, _routes(args), DEFAULT_ORDER)
     # the checks share the oracle's values: each color is evaluated once
-    oracle = []
-    reports = [(verify_knot if plan.route is KNOT_ROUTE else verify_link)(
-        plan, order, oracle) for plan, order in checks]
-    text = "".join(r.to_json() + "\n" for r in reports)
-    _emit(text, args.out)
-    sys.stderr.write("verify: " + ", ".join(
-        f"{r.pipeline} route to order {r.order_checked} in {r.timing:.2f}s"
-        for r in reports) + "\n")
+    oracle, reports, summary = [], [], []
+    for plan, order in checks:
+        start = time.perf_counter()
+        reports.append((verify_knot if plan.route is KNOT_ROUTE
+                        else verify_link)(plan, order, oracle))
+        summary.append(f"{plan.route.name} route to order {order} in "
+                       f"{time.perf_counter() - start:.2f}s")
+    _emit((r.to_json() + "\n" for r in reports), args.out)
+    sys.stderr.write("verify: " + ", ".join(summary) + "\n")
     return 0 if all(r.ok for r in reports) else 1
 
 
 def _cmd_enumerate(args):
-    slopes = enumerate_rational_knots(args.max_crossings)
-    lines = [json.dumps({"slope": str(s),
-                         "crossings": crossing_number(s)}) + "\n"
-             for s in slopes]
-    _emit("".join(lines), args.out)
+    refuse_over("crossing budget", args.max_crossings, MAX_CROSSINGS)
+    _emit((json.dumps({"slope": str(s), "crossings": crossing_number(s)})
+           + "\n" for s in enumerate_rational_knots(args.max_crossings)),
+          args.out)
     return 0
 
 
@@ -307,6 +323,7 @@ def _batch_worker(task):
 
 
 def _cmd_batch(args):
+    refuse_over("crossing budget", args.max_crossings, _batch_crossings())
     slopes = enumerate_rational_knots(args.max_crossings)
     tasks = [(s.p, s.q, args.frame, args.convention) for s in slopes]
     # the pool starts all its workers at the first submit, so a worker
@@ -319,13 +336,13 @@ def _cmd_batch(args):
         # command would pay for its import at start-up
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_batch_worker, tasks, chunksize=8))
+            # each line is written as the pool returns it, in order
+            _emit(pool.map(_batch_worker, tasks, chunksize=8), args.out)
     else:
-        results = [_batch_worker(t) for t in tasks]
+        _emit(map(_batch_worker, tasks), args.out)
     elapsed = time.perf_counter() - start
-    _emit("".join(results), args.out)
     sys.stderr.write(
-        f"batch: {len(results)} knots in {elapsed:.2f}s "
+        f"batch: {len(tasks)} knots in {elapsed:.2f}s "
         f"({jobs} worker{'s' if jobs != 1 else ''})\n")
     return 0
 
@@ -339,9 +356,7 @@ def build_parser():
         description="Quiver presentations of colored HOMFLY-PT "
                     "invariants of rational links")
     subs = parser.add_subparsers(dest="command", required=True)
-    # --order evaluates the oracle at colors 0..N, so it has the
-    # oracle's color bound
-    order = _bounded_int(0, lambda: MAX_ORACLE_COLOR, "order")
+    order = _bounded_int(0)
 
     compute = subs.add_parser("compute", help="emit quiver data as JSON")
     compute.add_argument("input", type=_parse_input, help=_INPUT_HELP)
@@ -368,15 +383,11 @@ def build_parser():
 
     enum = subs.add_parser("enumerate",
                            help="list canonical rational knots (JSONL)")
-    enum.add_argument("--max-crossings", default=12,
-                      type=_bounded_int(3, lambda: MAX_CROSSINGS,
-                                        "crossing budget"))
+    enum.add_argument("--max-crossings", default=12, type=_bounded_int(3))
 
     batch = subs.add_parser("batch",
                             help="compute quiver data for the whole corpus")
-    batch.add_argument("--max-crossings", default=12,
-                       type=_bounded_int(3, _batch_crossings,
-                                         "crossing budget"))
+    batch.add_argument("--max-crossings", default=12, type=_bounded_int(3))
     batch.add_argument("--frame", type=_parse_frame, default="canonical")
     batch.add_argument("--convention", choices=("anti", "sym"),
                        default="sym")

@@ -42,7 +42,7 @@ from typing import Callable, NamedTuple
 
 from .qseries import LaurentPoly, ZERO, poch_q2, qmultinomial
 from .tangles import (OP, RI, UP, Slope, boundary_after, cf_value,
-                      count_text, resolve_terms, twist_sequence, writhe)
+                      refuse_over, resolve_terms, twist_sequence, writhe)
 
 
 @dataclass(frozen=True)
@@ -554,25 +554,16 @@ def route_size(slope_or_terms, route):
     if isinstance(slope_or_terms, Slope) and slope_or_terms.p > MAX_VERTICES:
         p = slope_or_terms.p
         least = route.vertices(Slope(p, 1))
-        _refuse_vertices(least, least < route.vertices(Slope(p, p - 1)))
+        refuse_over("vertex count", least, MAX_VERTICES,
+                    least < route.vertices(Slope(p, p - 1)))
     terms, mirrored = resolve_terms(slope_or_terms)
     rep = cf_value(terms)
     n = route.vertices(rep)
-    if n > MAX_VERTICES:
-        _refuse_vertices(n, False)
+    refuse_over("vertex count", n, MAX_VERTICES)
     framing = writhe(terms)
     slope = slope_or_terms if isinstance(slope_or_terms, Slope) else rep
     return Plan(slope, route, terms, mirrored, n,
                 -framing if mirrored else framing, route.bound(terms))
-
-
-def _refuse_vertices(n, least):
-    """Refuse n vertices, named as a least count when least."""
-    count = count_text(n)
-    if least and not count.startswith("at least"):
-        count = f"at least {count}"
-    raise ValueError(f"the quiver would have {count} vertices, more than "
-                     f"the bound {MAX_VERTICES}")
 
 
 def quiver_route(slope_or_terms, route):

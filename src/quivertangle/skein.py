@@ -38,7 +38,7 @@ from struct import calcsize
 
 from .qseries import (LaurentPoly, QFraction, ZERO, a_pow, pochhammer,
                       poch_q2, q_pow, qbinom_plus)
-from .tangles import (OP, RI, UP, boundary_after, cf_expand, count_text,
+from .tangles import (OP, RI, UP, boundary_after, cf_expand,
                       good_representative, twist_sequence, writhe)
 
 # (native width, struct format) of the narrowest native unsigned width
@@ -288,20 +288,6 @@ def raw_closure(word, j):
 # cost grows steeply in both (README times a request at both bounds)
 MAX_ORACLE_COLOR = 12
 MAX_ORACLE_TWISTS = 12
-
-
-def refuse_oversized_oracle(terms, top):
-    """Raise ValueError, naming the count and the bound, when the color
-    top is over MAX_ORACLE_COLOR or the CF terms have a sum over
-    MAX_ORACLE_TWISTS."""
-    if top > MAX_ORACLE_COLOR:
-        raise ValueError(f"color {top} is more than the bound "
-                         f"{MAX_ORACLE_COLOR}")
-    twists = sum(terms)
-    if twists > MAX_ORACLE_TWISTS:
-        raise ValueError(
-            f"the diagram has {count_text(twists)} twists (CF term sum), "
-            f"more than the bound {MAX_ORACLE_TWISTS}")
 
 
 def oracle_homfly(slope, colors):

@@ -41,14 +41,24 @@ class Slope:
         return f"{self.p}/{self.q}"
 
 
-def count_text(n):
-    """A positive count in decimal, or as a power of ten it reaches when
-    str() would refuse its digits (sys.get_int_max_str_digits())."""
+def count_text(n, least=False):
+    """A positive count in decimal, named as a least count when least,
+    or as a power of ten it reaches when str() would refuse its digits
+    (sys.get_int_max_str_digits())."""
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
     if not limit or n.bit_length() <= 3 * limit:  # 8^limit < 10^limit
-        return str(n)
+        return f"at least {n}" if least else str(n)
     # 10^k <= 2^(bits - 1) <= n, since 0.3010 < log10(2)
     return f"at least 10^{(n.bit_length() - 1) * 3010 // 10000}"
+
+
+def refuse_over(what, count, bound, least=False):
+    """Raise ValueError when count is over bound, in the one shape of
+    every count-over-bound refusal: `<what> <count>, more than the bound
+    <bound>`, the count written by count_text."""
+    if count > bound:
+        raise ValueError(f"{what} {count_text(count, least)}, more than "
+                         f"the bound {bound}")
 
 
 def cf_value(terms):

@@ -8,7 +8,6 @@ HOMFLY-PT polynomial.
 from __future__ import annotations
 
 import json
-import time
 from dataclasses import dataclass
 from math import comb
 
@@ -17,6 +16,7 @@ from .qseries import QFraction, poch_q2
 from .quiverstate import (LINK_ROUTE, framing_shift, link_quiver, route_size,
                           state_expand)
 from .skein import oracle_homfly
+from .tangles import refuse_over
 
 DEFAULT_KNOT_ORDER = 3
 DEFAULT_LINK_ORDER = 2
@@ -67,12 +67,8 @@ def expand_motivic(qd, N):
 def refuse_expansion(n, N):
     """Refuse an expansion to order N on n vertices of more than
     MAX_DIM_VECTORS dimension vectors, naming the count and the bound."""
-    count = comb(n + N, N)
-    if count > MAX_DIM_VECTORS:
-        raise ValueError(
-            f"expansion to order {N} on {n} vertices would visit "
-            f"{count} dimension vectors, more than the bound "
-            f"{MAX_DIM_VECTORS}")
+    refuse_over(f"expansion to order {N} on {n} vertices: dimension vectors",
+                comb(n + N, N), MAX_DIM_VECTORS)
 
 
 @dataclass
@@ -82,7 +78,6 @@ class VerificationReport:
     pipeline: str  # knot | link
     order_checked: int
     matches: list  # exact-equality boolean per color 0..order_checked
-    timing: float  # seconds, reported on stderr only
     first_mismatch: int | None = None
     difference: str | None = None
 
@@ -128,8 +123,8 @@ def verify_knot(s, N=DEFAULT_KNOT_ORDER, oracle=None):
     (slope, CF terms or Plan) against the skein oracle: the coefficient
     of x^j, multiplied by (q^2;q^2)_j, must equal the reduced j-colored
     invariant exactly for every j <= N, both sides in the zero frame."""
-    start, plan = time.perf_counter(), route_size(s, KNOT_ROUTE)
-    return check_state(knot_quiver(plan), plan, N, start, oracle)
+    plan = route_size(s, KNOT_ROUTE)
+    return check_state(knot_quiver(plan), plan, N, oracle)
 
 
 def verify_link(s, N=DEFAULT_LINK_ORDER, oracle=None):
@@ -137,17 +132,17 @@ def verify_link(s, N=DEFAULT_LINK_ORDER, oracle=None):
     rational link (slope, CF terms or Plan): the coefficient of x^j
     must equal the reduced j-colored invariant directly (no per-color
     clearing) for every j <= N, both sides in the zero frame."""
-    start, plan = time.perf_counter(), route_size(s, LINK_ROUTE)
-    return check_state(link_quiver(plan), plan, N, start, oracle)
+    plan = route_size(s, LINK_ROUTE)
+    return check_state(link_quiver(plan), plan, N, oracle)
 
 
-def check_state(state, plan, N, start, oracle=None):
+def check_state(state, plan, N, oracle=None):
     """The check both routes share, on the closed state built by the
     plan's route: its quiver data in the zero frame, expanded to order
     N, against the oracle of plan.slope.  The knot route's color j is
     cleared by (q^2;q^2)_j before the comparison (its data presents
     the numerator polynomials: Route.polynomial), the link route's is
-    not.  The report is timed from start, a time.perf_counter() reading.
+    not.
 
     oracle is a list of the oracle's values of the slope from color 0,
     those known so far; the colors up to N it lacks are evaluated in
@@ -162,6 +157,5 @@ def check_state(state, plan, N, start, oracle=None):
     if len(oracle) <= N:
         oracle += oracle_homfly(plan.slope, list(range(len(oracle), N + 1)))
     matches, first, diff = _compare(coeffs, oracle)
-    elapsed = time.perf_counter() - start
     return VerificationReport(str(plan.slope), plan.route.name, N, matches,
-                              elapsed, first, diff)
+                              first, diff)

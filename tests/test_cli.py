@@ -2,10 +2,12 @@
 determinism, and exit codes."""
 
 import concurrent.futures
+import errno
 import hashlib
 import importlib.util
 import json
 import os
+import re
 import subprocess
 import sys
 from math import gcd
@@ -292,7 +294,7 @@ class TestOracle:
                 cli.main(["oracle", *argv])
             assert exc.value.code == 2
             err = capsys.readouterr().err
-            assert f" {count} " in err and f"bound {bound}" in err, argv
+            assert f" {count}, more than the bound {bound}" in err, argv
 
     def test_bounds_admit_their_edge(self, capsys):
         # the top color and the most twists themselves still run
@@ -496,7 +498,7 @@ class TestVerifyCommand:
                 err = proc.stderr.decode()
                 assert str(MAX_DIM_VECTORS) in err, err
                 if "link" not in argv:
-                    assert "55525372 dimension vectors" in err, err
+                    assert "dimension vectors 55525372" in err, err
 
     def test_oversized_expansion_is_refused_before_either_route(self):
         # verify [301] --order 3 runs the knot route (301 vertices,
@@ -520,14 +522,15 @@ class TestVerifyCommand:
                 assert proc.stdout == b""
                 err = proc.stderr.decode()
                 assert "on 604 vertices" in err, err
-                assert "37090735 dimension vectors" in err, err
+                assert "dimension vectors 37090735" in err, err
                 assert str(MAX_DIM_VECTORS) in err, err
 
     def test_order_is_bounded_by_the_oracle_color(self):
         # --order N runs the oracle at colors 0..N: an order over
-        # MAX_ORACLE_COLOR is refused when parsed, naming the order and
-        # the bound, with the usage line of its command and the oracle
-        # never called, also under -O; the bound itself is admitted
+        # MAX_ORACLE_COLOR is refused by its handler, naming the order
+        # and the bound, with the usage line of its command and the
+        # oracle never called, also under -O; the bound itself is
+        # admitted
         script = ("import sys\n"
                   "from quivertangle import cli, verify\n"
                   "def oracle_homfly(slope, colors):\n"
@@ -542,7 +545,7 @@ class TestVerifyCommand:
                 assert proc.stdout == b""
                 err = proc.stderr.decode()
                 assert err.startswith(f"usage: quivertangle {argv[0]} "), err
-                assert (f"order 13 is over the bound {MAX_ORACLE_COLOR}"
+                assert (f"order 13, more than the bound {MAX_ORACLE_COLOR}"
                         in err), err
         assert MAX_ORACLE_COLOR == 12
         for command in ("compute", "verify"):
@@ -571,8 +574,8 @@ class TestVerifyCommand:
                 assert proc.returncode == 2, (argv, proc.stderr)
                 assert proc.stdout == b""
                 err = proc.stderr.decode()
-                assert f"{count} vertices" in err, err
-                assert str(MAX_VERTICES) in err, err
+                assert (f" {count}, more than the bound {MAX_VERTICES}"
+                        in err), err
 
 
 class TestOnePlanPerRequest:
@@ -651,8 +654,8 @@ class TestBatchAndDeterminism:
     def test_batch_refuses_an_oversized_knot_first(self, capsys,
                                                    monkeypatch):
         # with the bound at 6 vertices, 7/2 (5 crossings) would not fit:
-        # budget 5 is refused with exit 2 when the argument is parsed,
-        # naming the derived bound 4 (F(5) = 5 <= 6 < F(6) = 8), before
+        # budget 5 is refused with exit 2 by its handler, naming the
+        # derived bound 4 (F(5) = 5 <= 6 < F(6) = 8), before
         # any knot of the corpus is computed
         monkeypatch.setattr(quiverstate, "MAX_VERTICES", 6)
         computed = []
@@ -662,7 +665,7 @@ class TestBatchAndDeterminism:
         assert exc.value.code == 2
         out, err = capsys.readouterr()
         assert out == "" and computed == []
-        assert "crossing budget 5 is over the bound 4" in err, err
+        assert "crossing budget 5, more than the bound 4" in err, err
 
     def test_batch_jobs_are_capped(self, capsys, monkeypatch):
         # the pool starts every requested worker at once: no more than
@@ -804,7 +807,7 @@ class TestExitCodes:
                 proc = run_python("-c", script, *argv, optimized=optimized)
                 assert proc.returncode == 2, (argv, proc.stderr)
                 assert proc.stdout == b""
-                assert (f"crossing budget {argv[2]} is over the bound "
+                assert (f"crossing budget {argv[2]}, more than the bound "
                         f"{bound}" in proc.stderr.decode()), proc.stderr
 
     def test_unwritable_out_is_a_usage_error(self, capsys, tmp_path,
@@ -894,13 +897,13 @@ class TestExitCodes:
                   "quiverstate.resolve_terms = resolve\n"
                   "sys.exit(cli.main(sys.argv[1:]))\n")
         for argv, count in (
-                (["compute", cf], "at least 10^12537 vertices"),
-                (["verify", cf], "at least 10^12537 vertices"),
-                (["compute", "2049/2"], "have 2049 vertices"),
-                (["compute", "2049/2", "--frame", "3"], "have 2049 vertices"),
+                (["compute", cf], "vertex count at least 10^12537"),
+                (["verify", cf], "vertex count at least 10^12537"),
+                (["compute", "2049/2"], "vertex count 2049,"),
+                (["compute", "2049/2", "--frame", "3"], "vertex count 2049,"),
                 (["verify", "2049/2", "--pipeline", "link"],
-                 "have at least 4100 vertices"),
-                (["compute", "4096/1"], "have at least 8194 vertices"),
+                 "vertex count at least 4100"),
+                (["compute", "4096/1"], "vertex count at least 8194"),
                 (["compute", "3/1", "--order", "1"], None)):
             for optimized in (False, True):
                 proc = run_python("-c", script, *argv, optimized=optimized)
@@ -920,9 +923,10 @@ class TestExitCodes:
         # 2, also under -O
         cf = "[" + ",".join(["1"] * 60001) + "]"
         for command, size, bound in (
-                ("compute", "at least 10^12537 vertices", MAX_VERTICES),
-                ("verify", "at least 10^12537 vertices", MAX_VERTICES),
-                ("oracle", "60001 twists", MAX_ORACLE_TWISTS)):
+                ("compute", "vertex count at least 10^12537", MAX_VERTICES),
+                ("verify", "vertex count at least 10^12537", MAX_VERTICES),
+                ("oracle", "twist count (CF term sum) 60001",
+                 MAX_ORACLE_TWISTS)):
             for optimized in (False, True):
                 proc = run_python("-m", "quivertangle.cli", command, cf,
                                   optimized=optimized)
@@ -966,6 +970,67 @@ class TestExitCodes:
             "        raise SystemExit(f'{call} was accepted')\n"),
             optimized=True)
         assert proc.returncode == 0, proc.stderr
+
+
+class TestOneRefusalShape:
+    # every count-over-bound refusal: `<what> <count>, more than the
+    # bound <B>`, raised by its command's handler with exit 2
+    SHAPE = re.compile(r"error: (.+) (\S+), more than the bound (\d+)\n\Z")
+
+    @pytest.mark.parametrize("argv, what, count, bound", [
+        (["compute", "2049/2"], "vertex count", "2049", MAX_VERTICES),
+        (["compute", "4096/1"], "vertex count at least", "8194",
+         MAX_VERTICES),
+        (["verify", "55/21", "--order", "6"],
+         "expansion to order 6 on 55 vertices: dimension vectors",
+         "55525372", MAX_DIM_VECTORS),
+        (["oracle", "7/3", "--colors", "0..13"], "color", "13",
+         MAX_ORACLE_COLOR),
+        (["oracle", "[13]", "--colors", "0..1"],
+         "twist count (CF term sum)", "13", MAX_ORACLE_TWISTS),
+        (["compute", "3/1", "--order", "13"], "order", "13",
+         MAX_ORACLE_COLOR),
+        (["enumerate", "--max-crossings", "19"], "crossing budget", "19",
+         cli.MAX_CROSSINGS),
+        (["batch", "--max-crossings", "17", "--jobs", "1"],
+         "crossing budget", "17", 16),
+    ])
+    def test_each_refusal_has_the_one_shape(self, capsys, argv, what,
+                                            count, bound):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith(f"usage: quivertangle {argv[0]} ")
+        assert self.SHAPE.search(err).groups() == (what, count, str(bound))
+
+    def test_no_argument_type_has_an_upper_bound(self, capsys):
+        # an order over the oracle's color bound and a crossing budget
+        # over MAX_CROSSINGS parse; the handler refuses them
+        parser = cli.build_parser()
+        for argv, option, value, bound in (
+                (["verify", "3/1", "--order", "13"], "order", 13,
+                 MAX_ORACLE_COLOR),
+                (["enumerate", "--max-crossings", "19"], "max_crossings", 19,
+                 cli.MAX_CROSSINGS)):
+            assert getattr(parser.parse_args(argv), option) == value
+            with pytest.raises(SystemExit) as exc:
+                cli.main(argv)
+            assert exc.value.code == 2
+            assert f"more than the bound {bound}" in capsys.readouterr().err
+
+    def test_out_keeps_the_lines_written_before_a_failure(self, tmp_path):
+        # each line is written as it arrives; the work that makes the
+        # lines is not an --out usage error, even when it raises OSError
+        out = tmp_path / "out.jsonl"
+
+        def lines():
+            yield "first\n"
+            raise OSError(errno.EIO, "the work failed")
+
+        with pytest.raises(OSError, match="the work failed"):
+            cli._emit(lines(), str(out))
+        assert out.read_text() == "first\n"
 
 
 BENCH = os.path.join(os.path.dirname(os.path.dirname(__file__)), "bench")

@@ -725,14 +725,15 @@ class TestVertexBound:
                          vertices=lambda rep: rep.p,
                          bound=lambda terms: 0)
 
-        with pytest.raises(ValueError, match=f"2049 vertices.*{MAX_VERTICES}"):
+        with pytest.raises(ValueError, match=f"vertex count 2049, more "
+                           f"than the bound {MAX_VERTICES}"):
             quiver_route([2049], route(close))
         # the bound itself is admitted
         state = quiver_route([MAX_VERTICES],
                              route(lambda terms, bound: _trivial(bound)))
         assert framing_shift(state, "raw") == QuiverData(
             ((0,),), (0,), (0,), writhe([MAX_VERTICES]), "antisymmetric")
-        with pytest.raises(ValueError, match="2050 vertices"):
+        with pytest.raises(ValueError, match="vertex count 2050"):
             link_quiver(Slope(1024, 1))
-        with pytest.raises(ValueError, match="2049 vertices"):
+        with pytest.raises(ValueError, match="vertex count 2049"):
             knot_quiver(Slope(2049, 2))

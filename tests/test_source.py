@@ -1,6 +1,7 @@
 """Rules on the package source itself."""
 
 import ast
+import re
 from pathlib import Path
 
 import quivertangle
@@ -112,3 +113,21 @@ def test_the_oracle_and_the_quiver_routes_import_nothing_of_each_other():
     assert "tangles" in imports["skein"] & imports["quiverstate"]
     assert not any("skein" in imports[stem] for stem in routes), imports
     assert not imports["skein"] & routes, imports["skein"]
+
+
+def test_readme_bounds_match_the_source():
+    # every `NAME` = value the README states for a bound is the value
+    # the source holds, and the refusal table states each of them
+    from quivertangle import cli, quiverstate, skein, verify
+    readme = Path(quivertangle.__file__).parents[2] / "README.md"
+    stated = re.findall(r"`(MAX_[A-Z_]+)` = (\d+(?:\^\d+)?)",
+                        readme.read_text())
+    bounds = {"MAX_VERTICES": quiverstate.MAX_VERTICES,
+              "MAX_ORACLE_COLOR": skein.MAX_ORACLE_COLOR,
+              "MAX_ORACLE_TWISTS": skein.MAX_ORACLE_TWISTS,
+              "MAX_CROSSINGS": cli.MAX_CROSSINGS,
+              "MAX_DIM_VECTORS": verify.MAX_DIM_VECTORS}
+    assert {name for name, _ in stated} == set(bounds), stated
+    for name, text in stated:
+        base, _, power = text.partition("^")
+        assert int(base) ** int(power or 1) == bounds[name], (name, text)
