@@ -119,7 +119,9 @@ def _fraction_obj(frac):
 
 def compute_payload(plan, terms, frame, convention):
     """The closed state the plan's route builds and the `compute` JSON
-    object of the input terms, its quiver data in the output frame."""
+    object of the input terms, its quiver data in the output frame.  Its
+    Q is the flat buffer export fills (QuiverData.flat), which
+    _payload_line writes as the rows json.dumps would."""
     knot = plan.route is KNOT_ROUTE
     state = knot_quiver(plan) if knot else link_quiver(plan)
     payload = {
@@ -143,40 +145,100 @@ def compute_payload(plan, terms, frame, convention):
         "convention": out.color_convention,
         "framing": out.framing,
         "vertices": out.n,
-        "Q": out.Q,
+        "Q": out.flat,
         "a_vec": list(out.a_vec),
         "q_vec": list(out.q_vec),
     })
     return state, payload
 
 
-# the JSON text of each entry of Q, keyed by its value: built once per
-# process and grown to each range export proves for a request, so a
-# value outside every such range raises KeyError instead of printing
+# Q's text when every entry fits a signed byte: the text of each entry,
+# right-aligned in 4 characters padded with _GAP, as 4 character columns
+# keyed by the entry's low byte, each applied by one bytes.translate;
+# entries in [-9, 99] need only the last 2
+_GAP = b"\0"  # a byte no text holds
+_BYTE_TEXT = [str(b - 256 if b > 127 else b).encode().rjust(4, _GAP)
+              for b in range(256)]
+_COLUMNS = [bytes(text[k] for text in _BYTE_TEXT) for k in range(4)]
+_WIDTHS = ((2, -9, 99), (4, -128, 127))  # (columns, least, most entry)
+# the low byte of each entry in [-128, 127], at its index plus 128
+_SIGNED = bytes(range(128, 256)) + bytes(range(128))
+
+
+def _byte_text(flat, n, entries):
+    """The JSON text of the rows of the n x n matrix in the flat 16-bit
+    array, without the outer brackets, written by C-level byte
+    operations; or None unless every entry lies in entries (lo, hi) and
+    in [-128, 127].  Each entry takes width + 2 bytes of one buffer: its
+    columns and the separator ", ", or at a row end a marker and _GAP.
+    One translate deletes the gaps and one replace turns the markers
+    into "], ["; each buffer is dropped once the next is built."""
+    lo, hi = entries
+    if flat.typecode == "H":  # unsigned: no low byte is a negative entry
+        lo = max(lo, 0)
+    low = quiverstate._low_bytes(flat)
+    if low is None:
+        return None
+    for width, least, most in _WIDTHS:
+        # delete the entries of this width in range: none may be left
+        if not low.translate(None, _SIGNED[max(lo, least) + 128:
+                                           min(hi, most) + 129]):
+            break
+    else:
+        return None
+    step = width + 2
+    out = bytearray(_GAP * width + b", ") * (n * n)
+    for k, column in enumerate(_COLUMNS[-width:]):
+        out[k::step] = low.translate(column)
+    del low
+    out[step * n - 2::step * n] = b"|" * n
+    out[step * n - 1::step * n] = _GAP * n
+    out[-2:] = _GAP * 2
+    text = out.translate(None, _GAP)
+    del out
+    text = text.replace(b"|", b"], [")
+    return text.decode("ascii")
+
+
+# Q's text when an entry does not fit a signed byte: the JSON text of
+# each entry, keyed by its value, built once per process and grown to
+# each range export proves for such a request, so a value outside every
+# such range raises KeyError instead of printing
 _DIGITS = {}
 
 
-def _payload_line(payload, entries):
-    """json.dumps(payload) and a newline, with Q's text written through
-    the digit table: one ", ".join per row and one "".join of the whole.
-    entries is (lo, hi), export's proven range of Q's entries; every
-    range asked for holds 0, so the table always covers one interval.
-    Q is taken out of the payload and dropped before the final join, so
-    the decoded Q and the whole text are never held together."""
+def _q_text(flat, n, entries):
+    """The JSON text of the rows of the n x n matrix in the flat array,
+    without the outer brackets, whose every entry export proves to lie
+    in entries (lo, hi): by _byte_text when every entry fits a signed
+    byte, else through _DIGITS, one ", ".join per row and one
+    "], [".join of the rows.  Every range asked for holds 0, so the
+    table always covers one interval."""
+    text = _byte_text(flat, n, entries)
+    if text is not None:
+        return text
     lo, hi = entries
     if lo not in _DIGITS or hi not in _DIGITS:
         _DIGITS.update((v, str(v)) for v in range(lo, hi + 1))
+    return "], [".join(", ".join(map(_DIGITS.__getitem__, flat[i:i + n]))
+                       for i in range(0, n * n, n))
+
+
+def _payload_line(payload, entries):
+    """json.dumps(payload) and a newline, with Q, the flat buffer, as
+    its rows: its text written by _q_text, the other fields by
+    json.dumps.  entries is (lo, hi), export's proven range of Q's
+    entries.  Q is taken out of the payload and dropped before the
+    final join, so the buffer and the whole text are never held
+    together."""
     keys = list(payload)
     at = keys.index("Q")
     Q = payload.pop("Q")
-    parts = ["], ["] * (2 * len(Q) + 1)
-    parts[1::2] = [", ".join(map(_DIGITS.__getitem__, row)) for row in Q]
+    text = _q_text(Q, payload["vertices"], entries)
     del Q
     head = json.dumps({k: payload[k] for k in keys[:at]})
     tail = json.dumps({k: payload[k] for k in keys[at + 1:]})
-    parts[0] = head[:-1] + ', "Q": [['
-    parts[-1] = "]], " + tail[1:] + "\n"
-    return "".join(parts)
+    return "".join((head[:-1], ', "Q": [[', text, "]], ", tail[1:], "\n"))
 
 
 def _compute_line(plan, terms, frame, convention):

@@ -21,8 +21,11 @@ whole word, its closure and any mirror on one thawed state and returns
 it closed, with its framing and the bound its slots were sized for.
 Export (`framing_shift`, `q_invert`) is the one place where a closed
 state is decoded, in the output frame it is given: one packed affine
-map and one struct read per row.  `state_expand` takes a state as its
-records and M as rows of ints, and returns its coefficients per color.
+map per row, the rows joined into one flat buffer of 16-bit entries,
+and one loop over its rows that checks symmetry; the canonical frame
+then subtracts the least entry from the whole buffer.  `state_expand`
+takes a state as its records and M as rows of ints, and returns its
+coefficients per color.
 
 Twists act in "product form": multiply by a twist-dependent monomial and
 Pochhammer symbol, then absorb the Pochhammer by splitting summation
@@ -38,6 +41,8 @@ import struct
 import sys
 from array import array
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import chain
 from typing import Callable, NamedTuple
 
 from .qseries import LaurentPoly, ZERO, poch_q2, qmultinomial
@@ -45,7 +50,7 @@ from .tangles import (OP, RI, UP, Slope, boundary_after, cf_value,
                       refuse_over, resolve_terms, twist_sequence, writhe)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class QuiverData:
     """Final quiver presentation of a generating function:
 
@@ -53,21 +58,49 @@ class QuiverData:
               / prod_i (q^2;q^2)_{d_i}
 
     with Q symmetric (off-diagonal entries count once in each of the two
-    symmetric positions)."""
-    Q: tuple
+    symmetric positions).  Q is held as one flat buffer, its n^2 entries
+    in row-major order; the Q property reads its rows as tuples, once."""
+    flat: array
     a_vec: tuple
     q_vec: tuple
     framing: int
     color_convention: str  # antisymmetric | symmetric
 
+    def __init__(self, Q, a_vec, q_vec, framing, color_convention):
+        """Quiver data of Q given as rows (any iterables); ValueError
+        unless Q is square, symmetric and has one row per vertex."""
+        rows = tuple(map(tuple, Q))
+        n = len(rows)
+        if any(len(row) != n for row in rows) or not (
+                n == len(a_vec) == len(q_vec)):
+            raise ValueError("Q, a_vec and q_vec need one entry per vertex")
+        flat = array("q", chain.from_iterable(rows))
+        _check_symmetric(flat, n)
+        self._fill(flat, a_vec, q_vec, framing, color_convention)
+        self.__dict__["Q"] = rows
+
+    def _fill(self, *values):
+        """Set the fields, in order, on this frozen instance."""
+        self.__dict__.update(zip(self.__dataclass_fields__, values))
+
     @property
     def n(self):
         return len(self.q_vec)
 
-    def __post_init__(self):
-        if not len(self.Q) == len(self.a_vec) == len(self.q_vec):
-            raise ValueError("Q, a_vec and q_vec need one entry per vertex")
-        if tuple(zip(*self.Q)) != tuple(map(tuple, self.Q)):
+    @cached_property
+    def Q(self):
+        n, flat = self.n, self.flat
+        rows = memoryview(flat).cast("B").cast(flat.typecode, (n, n)).tolist()
+        for i, row in enumerate(rows):  # each list dropped once replaced
+            rows[i] = tuple(row)
+        return tuple(rows)
+
+
+def _check_symmetric(flat, n):
+    """ValueError unless each row of the flat n x n buffer, from its
+    diagonal on, equals its column from the diagonal down."""
+    for i in range(n):
+        if flat[i * (n + 1):(i + 1) * n] != flat[i * (n + 1)::n]:
             raise ValueError("Q must be symmetric")
 
 
@@ -107,7 +140,7 @@ TWIST_STEP = 8
 CLOSE_STEP = 7
 MIRROR_STEP = 2
 
-W = 16  # bits per slot: struct format "h" packs and reads one
+W = 16  # bits per slot: struct format and array typecode "h" hold one
 
 
 def slot_width(bound):
@@ -166,28 +199,64 @@ def _trivial(bound):
     return _Thawed(UP, [(False, 0, 0, 0)], [_pack((0,))], bound)
 
 
-def _decode(rows, n, signed=True):
-    """A matrix as a tuple of row tuples from its n packed rows (any
-    iterable), each read by one struct call: signed from offset binary,
-    whose slots turn into two's complement when their top bits flip, or
-    unsigned from slots that hold the entries themselves."""
-    if signed:
-        flip = _ones(0, n) << (W - 1)
-        rows = (row ^ flip for row in rows)
-    unpack = struct.Struct(f"<{n}{'h' if signed else 'H'}").unpack
-    size = n * W // 8
-    return tuple(unpack(row.to_bytes(size, "little")) for row in rows)
+def _flat(rows, n):
+    """The entries of n offset-binary packed rows of n slots (any
+    iterable) as one flat signed array, row-major: each row turns into
+    two's complement when its slots' top bits flip, and the rows' bytes
+    are joined."""
+    flip, size = _ones(0, n) << (W - 1), n * W // 8
+    flat = array("h", b"".join((row ^ flip).to_bytes(size, "little")
+                               for row in rows))
+    if sys.byteorder == "big":
+        flat.byteswap()
+    return flat
 
 
-def _affine(rows, sigma, K, e, offset=1 << (W - 1)):
-    """The packed rows of sigma M + K J + e I (sigma = +-1, J all ones)
-    from the offset-binary rows of M, one at a time, each slot holding
-    its entry plus offset: 2^(W-1) for offset binary, 0 for the entry
-    itself.  Slot x + 2^(W-1) becomes sigma x + K + e [i = l] + offset
-    under one add or subtraction per row, of the constant K + offset -
-    sigma 2^(W-1) in every slot, and one add of e in slot i.  The caller
-    proves that every new slot lies in [0, 2^W)."""
-    base = (K + offset - sigma * (1 << (W - 1))) * _ones(0, len(rows))
+_BYTES = bytes(range(256))
+# the high byte of a 16-bit entry that fits a signed byte, keyed by its
+# low byte: the low byte's sign
+_SIGN = bytes(255 if b > 127 else 0 for b in _BYTES)
+_LOW = 0 if sys.byteorder == "little" else 1  # an entry's low byte
+
+
+def _low_bytes(flat):
+    """The low byte of each entry of a flat 16-bit array when every
+    entry, read signed, fits a signed byte; else None."""
+    data = flat.tobytes()
+    low, high = data[_LOW::2], data[1 - _LOW::2]
+    return low if high == low.translate(_SIGN) else None
+
+
+def _rebased(flat):
+    """The entries of the flat signed array minus the least of them, as
+    an unsigned array, and that least entry.  When every entry fits a
+    signed byte, its low byte with the top bit flipped orders as it
+    does: the least is the first byte value present, and one translate
+    by a rotation of the byte values subtracts it.  Else one subtraction
+    on the whole buffer read as offset binary, where no slot borrows."""
+    low = _low_bytes(flat)
+    if low is not None:
+        order = low.translate(_BYTES[128:] + _BYTES[:128])
+        least = next(b for b in _BYTES if b in order)
+        out = bytearray(2 * len(flat))
+        out[_LOW::2] = order.translate(_BYTES[-least:] + _BYTES[:-least])
+        return array("H", out), least - 128
+    least, ones = min(flat), _ones(0, len(flat))
+    raw = int.from_bytes(flat.tobytes(), sys.byteorder) ^ (ones << (W - 1))
+    raw -= (least + (1 << (W - 1))) * ones
+    del ones
+    return (array("H", raw.to_bytes(len(flat) * W // 8, sys.byteorder)),
+            least)
+
+
+def _affine(rows, sigma, K, e):
+    """The offset-binary packed rows of sigma M + K J + e I (sigma =
+    +-1, J all ones) from those of M, one at a time.  Slot x + 2^(W-1)
+    becomes sigma x + K + e [i = l] + 2^(W-1) under one add or
+    subtraction per row, of the constant K + (1 - sigma) 2^(W-1) in
+    every slot, and one add of e in slot i.  The caller proves that
+    every new slot lies in [0, 2^W)."""
+    base = (K + (1 - sigma) * (1 << (W - 1))) * _ones(0, len(rows))
     unit = e
     for row in rows:
         yield (base + row if sigma > 0 else base - row) + unit
@@ -636,30 +705,37 @@ def _export(th, frame, symmetric):
     antisymmetric color convention or, when symmetric, after the switch
     to the symmetric one.  The frame is an integer, "raw" (the state's
     own) or "canonical"; with f its shift from th.framing, Q -> sigma
-    (Q + f) + c + e I, q_i -> sigma (q_i - f), a_i -> a_i - f, one
-    _affine pass and one decode.  The state is left as it was.
+    (Q + f) + c + e I, q_i -> sigma (q_i - f), a_i -> a_i - f: one
+    _affine pass into one flat buffer, and one loop over its rows that
+    checks symmetry.  The state is left as it was.
 
-    The canonical frame takes canonical_shift's shift; the output then
-    lies in [0, 2 bound + 1], since its smallest entry is 0 and sigma x
-    + e [i = l] spans at most 2 bound + 1 < 2^W, so its slots hold the
-    entries themselves and decode unsigned.  Any other frame must pass
-    export_range, and decodes signed from offset binary."""
+    An integer or raw frame must pass export_range; its entries decode
+    signed from offset binary.  The canonical frame is the one whose
+    least entry of Q is 0.  Its Q is decoded in the raw frame first,
+    where sigma x + c + e [i = l] lies in [-bound - 1, bound], a signed
+    slot; _rebased then subtracts the least entry from every entry,
+    which leaves them in [0, 2 bound + 1], an unsigned slot."""
     if not isinstance(th, _Thawed):
         raise TypeError("export takes a closed state, whose quiver data "
                         "is in the antisymmetric color convention")
     sigma, c, e = _Q_INVERT if symmetric else (1, 0, 0)
-    if frame == "canonical":
-        f, offset = canonical_shift(th, symmetric), 0
+    canonical = frame == "canonical"
+    if canonical:
+        f = 0
     else:
         export_range(th, frame, symmetric)
-        frame = th.framing if frame == "raw" else frame
-        f, offset = frame - th.framing, 1 << (W - 1)
-    Q = _decode(_affine(th.rows, sigma, sigma * f + c, e, offset), th.n,
-                signed=offset > 0)
-    return QuiverData(Q, tuple(r[3] - f for r in th.records),
-                      tuple(sigma * (r[2] - f) for r in th.records),
-                      th.framing + f,
-                      "symmetric" if symmetric else "antisymmetric")
+        f = 0 if frame == "raw" else frame - th.framing
+    flat = _flat(_affine(th.rows, sigma, sigma * f + c, e), th.n)
+    _check_symmetric(flat, th.n)
+    if canonical:
+        flat, least = _rebased(flat)
+        f -= sigma * least
+    # the buffer was checked above: QuiverData.__init__ would check rows
+    data = QuiverData.__new__(QuiverData)
+    data._fill(flat, tuple(r[3] - f for r in th.records),
+               tuple(sigma * (r[2] - f) for r in th.records),
+               th.framing + f, "symmetric" if symmetric else "antisymmetric")
+    return data
 
 
 def framing_shift(th, frame):
@@ -679,23 +755,3 @@ def q_invert(th, frame):
     the shift to the frame, Q_il -> -(Q_il + f) - 1 + [i = l], q_i ->
     f - q_i, a_i -> a_i - f."""
     return _export(th, frame, symmetric=True)
-
-
-def canonical_shift(th, symmetric):
-    """Framing shift of a closed state after which the smallest entry of
-    Q is 0 in the output convention: as it stands, or after q_invert
-    when symmetric.  The output entries sigma (Q_il + f) + c + e [i = l]
-    are affine in the shift f, so it is read off the extreme entry: of
-    the diagonal (plus sigma e) and of the strict upper triangle, since
-    Q is symmetric.  One row at a time, never a decoded matrix: row i
-    shifted down to its slots i..n-1, sigma e added to its diagonal, now
-    its lowest slot, and read as an array of n - i entries."""
-    sigma, c, e = _Q_INVERT if symmetric else (1, 0, 0)
-    pick = min if sigma > 0 else max
-    flip, extremes = _ones(0, th.n) << (W - 1), []
-    for i, row in enumerate(th.rows):
-        upper = ((row >> (W * i)) + sigma * e) ^ flip
-        extremes.append(pick(array("h", upper.to_bytes(
-            W // 8 * (th.n - i), sys.byteorder))))
-        flip >>= W
-    return -pick(extremes) - sigma * c

@@ -22,7 +22,7 @@ from quivertangle.knotpipeline import (_TRANSFORMS, _knot_bound, _reduce,
                                        knot_quiver)
 from quivertangle.qseries import (LaurentPoly, ONE, QFraction, ZERO, poch_q2,
                                   q_pow, qbinom_plus, qmultinomial)
-from quivertangle.quiverstate import (QuiverData, _Q_INVERT, _Thawed, _decode,
+from quivertangle.quiverstate import (W, QuiverData, _Q_INVERT, _Thawed,
                                       _diagonal, _pack, _trivial,
                                       framing_shift,
                                       link_quiver, state_expand)
@@ -84,10 +84,18 @@ def thaw(st, step):
                    bound + step)
 
 
+def decode_rows(rows, n):
+    """The matrix of n offset-binary packed rows as row tuples, each
+    slot read by its own shift and mask."""
+    mask, half = (1 << W) - 1, 1 << (W - 1)
+    return tuple(tuple(((row >> (W * l)) & mask) - half for l in range(n))
+                 for row in rows)
+
+
 def freeze(th):
     """The frozen state of a thawed one, each row decoded once."""
     return QuiverState(th.obj, tuple(IndexRecord(*r) for r in th.records),
-                       _decode(th.rows, th.n))
+                       decode_rows(th.rows, th.n))
 
 
 def run_step(st, step, kernel, *args, framing=None):
@@ -403,9 +411,9 @@ def _row_key(qd, i):
 def permute(qd, order):
     """Quiver data with its vertices listed in the given order."""
     Q = [[qd.Q[i][l] for l in order] for i in order]
-    return replace(qd, Q=freeze_matrix(Q),
-                   a_vec=tuple(qd.a_vec[i] for i in order),
-                   q_vec=tuple(qd.q_vec[i] for i in order))
+    return QuiverData(Q, tuple(qd.a_vec[i] for i in order),
+                      tuple(qd.q_vec[i] for i in order), qd.framing,
+                      qd.color_convention)
 
 
 def permutation_equal(qd1, qd2):
@@ -841,9 +849,10 @@ def q_invert_reference(qd, f=0):
 
 
 def canonical_shift_reference(qd, symmetric):
-    """The previous quiverstate.canonical_shift, which builds each row
-    with its diagonal entry replaced: the reference for the one that
-    reads the diagonal and the strict upper triangle."""
+    """The framing shift to the canonical frame, read off decoded quiver
+    data with each row built with its diagonal entry replaced: the
+    reference for the one export reads off the least entry of its flat
+    buffer."""
     sigma, c, e = (-1, -1, 1) if symmetric else (1, 0, 0)
     pick = min if sigma > 0 else max
     extreme = pick(pick(row[:i] + (row[i] + sigma * e,) + row[i + 1:])

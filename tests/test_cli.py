@@ -10,9 +10,12 @@ import os
 import re
 import subprocess
 import sys
+from array import array
 from math import gcd
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hs
 
 import quivertangle
 from quivertangle import (cli, knotpipeline, qseries, quiverstate, skein,
@@ -20,7 +23,7 @@ from quivertangle import (cli, knotpipeline, qseries, quiverstate, skein,
 from quivertangle.knotpipeline import KNOT_ROUTE, knot_quiver
 from quivertangle.qseries import QFraction, q_pow
 from quivertangle.quiverstate import (LINK_ROUTE, MAX_VERTICES, framing_shift,
-                                      link_quiver, route_size)
+                                      link_quiver, q_invert, route_size)
 from quivertangle.skein import MAX_ORACLE_COLOR, MAX_ORACLE_TWISTS
 from quivertangle.tangles import Slope, enumerate_rational_knots
 from quivertangle.verify import MAX_DIM_VECTORS
@@ -118,25 +121,29 @@ class TestCompute:
         assert code == 0 and not out
         assert json.loads(path.read_text())["p"] == 3
 
-    def test_one_decode_per_compute(self, capsys, monkeypatch):
-        # the route returns its closed packed state and export decodes
-        # it: one full decode per compute on both routes, in both
+    def test_one_flat_export_per_compute(self, capsys, monkeypatch):
+        # the route returns its closed packed state and export reads its
+        # rows once into one flat buffer, and checks that buffer once:
+        # one pass of each per compute on both routes, in both
         # conventions and every kind of frame
-        decode, calls = quiverstate._decode, []
+        calls = []
+        for name in ("_flat", "_check_symmetric"):
+            def counted(rows, n, step=getattr(quiverstate, name),
+                        name=name):
+                calls.append((name, n))
+                return step(rows, n)
 
-        def counted(*args, **kwargs):
-            calls.append(args[1])
-            return decode(*args, **kwargs)
-
-        monkeypatch.setattr(quiverstate, "_decode", counted)
+            monkeypatch.setattr(quiverstate, name, counted)
         for slope, pipeline, n in (("13/3", "knot", 13), ("13/3", "link", 32),
                                    ("8/3", "link", 22)):
             for convention in ("anti", "sym"):
                 for frame in ("canonical", "raw", "-3"):
-                    run_json(capsys, "compute", slope, "--pipeline",
-                             pipeline, "--convention", convention,
-                             "--frame", frame)
-                    assert calls == [n], (slope, pipeline, convention, frame)
+                    data = run_json(capsys, "compute", slope, "--pipeline",
+                                    pipeline, "--convention", convention,
+                                    "--frame", frame)
+                    assert len(data["Q"]) == n
+                    assert calls == [("_flat", n), ("_check_symmetric", n)], (
+                        slope, pipeline, convention, frame)
                     calls.clear()
 
     def test_order_checks_the_printed_state(self, capsys, monkeypatch):
@@ -394,7 +401,10 @@ class TestPayloadWriter:
         # the digit-table writer prints exactly json.dumps of the payload
         # compute_payload builds, on both routes, in both conventions,
         # at fixed frames and at the two extreme frames export_range
-        # admits for each case
+        # admits for each case.  The payload's Q is the flat buffer: the
+        # reference writes the rows the tuple reader of the quiver data
+        # export returns, so the byte and table writers are both checked
+        # against it
         for slope, pipeline in (("13/3", "knot"), ("55/21", "knot"),
                                 ("13/3", "link"), ("55/21", "link"),
                                 ("8/3", "link"), ("34/13", "link")):
@@ -403,11 +413,13 @@ class TestPayloadWriter:
             plan = route_size(s, route)
             framing, bound = plan.framing, plan.bound
             for convention in ("anti", "sym"):
+                export = q_invert if convention == "sym" else framing_shift
                 lo, hi = TestCompute.frame_range([convention], framing,
                                                  bound)
                 for frame in ("canonical", "raw", 0, -3, 20000, lo, hi):
-                    _, payload = cli.compute_payload(plan, terms, frame,
-                                                     convention)
+                    state, payload = cli.compute_payload(plan, terms, frame,
+                                                         convention)
+                    payload["Q"] = export(state, frame).Q
                     code, out, _ = run(capsys, "compute", slope,
                                        "--pipeline", pipeline,
                                        "--convention", convention,
@@ -429,23 +441,87 @@ class TestPayloadWriter:
                                   f"{data['p']}/{data['q']}", *flags)
                 assert line == plain
 
-    def test_lookup_outside_the_proven_range_raises(self, monkeypatch):
-        # the table holds the ranges asked for, nothing else: an entry
-        # past them, above or below (no negative-index wraparound), is
-        # a KeyError, never another number
+    @staticmethod
+    def flat(rows, typecode="h"):
+        return array(typecode, [x for row in rows for x in row])
+
+    @staticmethod
+    def text(flat, n, entries):
+        return "[[" + cli._q_text(flat, n, entries) + "]]"
+
+    @staticmethod
+    def symmetric(upper):
+        """The symmetric matrix whose rows from the diagonal on are
+        upper."""
+        n = len(upper)
+        return [[upper[min(i, l)][abs(l - i)] for l in range(n)]
+                for i in range(n)]
+
+    def test_entry_outside_the_proven_range_raises(self, monkeypatch):
+        # the writer prints only entries in the range export proved: an
+        # entry past it, above or below (no wraparound of a negative
+        # entry or of a low byte), leaves the byte path for the digit
+        # table, which raises KeyError, never another number
         monkeypatch.setattr(cli, "_DIGITS", {})
-        payload = {"p": 1, "Q": ((0, 4), (4, 3)), "a_vec": [0, 0]}
-        assert cli._payload_line(dict(payload), (0, 4)) == (
-            json.dumps(payload) + "\n")
-        assert set(cli._DIGITS) == set(range(5))
-        for Q in (((0, 5), (5, 3)), ((0, -1), (-1, 3))):
+        payload = {"p": 1, "vertices": 2, "Q": None, "a_vec": [0, 0]}
+        for rows, entries in ((((0, 4), (4, 3)), (0, 4)),
+                              (((-7, 5), (5, 7)), (-7, 7)),
+                              (((0, 130), (130, 3)), (0, 200))):
+            for typecode in ("h", "H") if entries[0] == 0 else ("h",):
+                line = cli._payload_line(
+                    {**payload, "Q": self.flat(rows, typecode)}, entries)
+                assert line == json.dumps({**payload, "Q": rows}) + "\n"
+        # the byte path printed the first two, the table the third
+        assert set(cli._DIGITS) == set(range(201))
+        cli._DIGITS.clear()
+        for rows, entries in ((((0, 5), (5, 3)), (0, 4)),
+                              (((0, -1), (-1, 3)), (0, 4)),
+                              (((0, 256), (256, 3)), (0, 4)),
+                              (((0, 201), (201, 3)), (0, 200)),
+                              (((0, -201), (-201, 3)), (-200, 200))):
             with pytest.raises(KeyError):
-                cli._payload_line({**payload, "Q": Q}, (0, 4))
-        # a wider range grows the table once, to exactly that range
-        payload["Q"] = ((-7, 5), (5, 7))
-        assert cli._payload_line(dict(payload), (-7, 7)) == (
-            json.dumps(payload) + "\n")
-        assert set(cli._DIGITS) == set(range(-7, 8))
+                cli._payload_line({**payload, "Q": self.flat(rows)},
+                                  entries)
+        # an unsigned buffer: 65535 is not -1
+        with pytest.raises(KeyError):
+            cli._payload_line({**payload, "Q": self.flat(
+                ((0, 65535), (65535, 3)), "H")}, (0, 4))
+
+    @pytest.mark.parametrize("x", [0, 9, 10, 99, 100, 127, -1, -9, -10,
+                                   -99, -100, -128, 128, -129])
+    def test_byte_path_edges(self, monkeypatch, x):
+        # each digit count and sign at the edges of a signed byte, alone
+        # (n = 1) and among entries of other widths, is the text
+        # json.dumps writes; 128 and -129 go to the digit table
+        monkeypatch.setattr(cli, "_DIGITS", {})
+        for rows in ([[x]], self.symmetric([[x, -1, 100], [x, 7], [0]]),
+                     self.symmetric([[5, x], [x]])):
+            n = len(rows)
+            assert self.text(self.flat(rows), n, (-300, 300)) == (
+                json.dumps(rows))
+            if min(map(min, rows)) >= 0:
+                assert self.text(self.flat(rows, "H"), n, (0, 300)) == (
+                    json.dumps(rows))
+        assert bool(cli._DIGITS) == (x in (128, -129))
+
+    @settings(max_examples=200, deadline=None)
+    @given(hs.tuples(hs.integers(1, 12), hs.sampled_from([9, 99, 128, 300]))
+           .flatmap(lambda nr: hs.tuples(*(
+               hs.lists(hs.integers(-nr[1], nr[1]), min_size=nr[0] - i,
+                        max_size=nr[0] - i)
+               for i in range(nr[0])))))
+    def test_text_is_json_dumps_of_the_rows(self, upper):
+        # entries in [-300, 300], bounded by 9, 99 or 128 to reach both
+        # widths of the byte path as often as the digit table
+        rows = self.symmetric(upper)
+        n = len(rows)
+        assert self.text(self.flat(rows), n, (-300, 300)) == (
+            json.dumps(rows))
+        # as in the canonical frame: unsigned, the least entry 0
+        least = min(map(min, rows))
+        shifted = [[x - least for x in row] for row in rows]
+        assert self.text(self.flat(shifted, "H"), n, (0, 600)) == (
+            json.dumps(shifted))
 
 
 class TestVerifyCommand:

@@ -2,6 +2,7 @@
 state expansion must track the rescaled skein element after every
 twist, and the closed quiver data must reproduce the oracle."""
 
+from array import array
 from dataclasses import replace
 from math import gcd
 
@@ -17,9 +18,10 @@ from quivertangle.knotpipeline import (KNOT_ROUTE, _TRANSFORMS, TEMPLATE_STEP,
 from quivertangle.quiverstate import (CLOSE_STEP, LINK_ROUTE, MAX_VERTICES,
                                       MIRROR_STEP, TWIST_STEP, W, QuiverData,
                                       Route,
-                                      _Q_INVERT, _absorb, _bump, _close, _decode,
-                                      _link_bound, _mirror, _trivial, _twist,
-                                      canonical_shift, export_range,
+                                      _Q_INVERT, _absorb, _bump, _close,
+                                      _link_bound, _mirror, _rebased,
+                                      _trivial, _twist,
+                                      export_range,
                                       framing_shift, link_quiver, q_invert,
                                       quiver_route, route_size, slot_width)
 from quivertangle.skein import (basis_element, framing_factor, oracle_homfly,
@@ -33,7 +35,8 @@ from conftest import (IndexRecord, QuiverState, absorb_list,
                       apply_template_list, apply_template_reference,
                       apply_twist_reference, bump_list, close_list,
                       canonical_shift_reference, close_link_reference,
-                      compositions, distinct_slopes, expand, export_quivers,
+                      compositions, decode_rows, distinct_slopes, expand,
+                      export_quivers,
                       framing_shift_reference, freeze, freeze_matrix,
                       inactives, link_route_coeff, mirror_quiver, odd_cfs,
                       permutation_equal, permute, q_invert_reference,
@@ -221,7 +224,7 @@ class TestPackedKernel:
         _bump(th, rows, cols, delta)
         records, M = _listed(st)
         bump_list(M, rows, cols, delta)
-        assert _decode(th.rows, th.n) == freeze_matrix(M)
+        assert decode_rows(th.rows, th.n) == freeze_matrix(M)
 
         st, th = thawed(5)  # an absorb with |coeff| <= 2
         targets = data.draw(hs.permutations(range(st.n)))
@@ -298,7 +301,7 @@ class TestPackedKernel:
             return max(max(map(max, M)), -min(map(min, M)))
 
         def matrix(th):
-            return _decode(th.rows, th.n)
+            return decode_rows(th.rows, th.n)
 
         checked = 0
         for p in range(1, 61):
@@ -649,13 +652,43 @@ class TestDataTransforms:
                         assert (lo, hi) == (-top, top)
 
     def test_canonical_shift_matches_reference(self):
-        # the 1-vertex quiver of the unknot has no off-diagonal entry
+        # the shift export takes to the canonical frame, read off the
+        # least entry of its flat buffer, against the one read off the
+        # decoded rows; the 1-vertex quiver of the unknot has no
+        # off-diagonal entry
         for _, state in [(None, knot_quiver(Slope(1, 1))),
                          *export_quivers()]:
             raw = framing_shift(state, "raw")
             for symmetric in (False, True):
-                assert (canonical_shift(state, symmetric)
+                export = q_invert if symmetric else framing_shift
+                assert (export(state, "canonical").framing - state.framing
                         == canonical_shift_reference(raw, symmetric))
+
+    @settings(max_examples=200, deadline=None)
+    @given(hs.sampled_from([1, 127, 128, 300, (1 << 15) - 1]).flatmap(
+        lambda r: hs.lists(hs.integers(-r - 1, r), min_size=1,
+                           max_size=40)))
+    def test_rebased_subtracts_the_least_entry(self, entries):
+        # by byte tables when every entry fits a signed byte, else by
+        # one subtraction on the whole buffer; up to the 16-bit extremes
+        flat, least = _rebased(array("h", entries))
+        assert least == min(entries)
+        assert flat.typecode == "H"
+        assert list(flat) == [x - least for x in entries]
+
+    def test_quiver_data_checks_its_rows(self):
+        # Q given as lists is held flat and read back as row tuples; an
+        # asymmetric or ragged Q, or one with another vertex count than
+        # its vectors, is refused
+        qd = QuiverData([[0, 1], [1, 2]], (0, 0), (0, 0), 0, "antisymmetric")
+        assert qd.Q == ((0, 1), (1, 2)) and list(qd.flat) == [0, 1, 1, 2]
+        assert qd == QuiverData(((0, 1), (1, 2)), (0, 0), (0, 0), 0,
+                                "antisymmetric")
+        for Q, rule in (([[0, 1], [2, 0]], "symmetric"),
+                        ([[0, 1, 2], [1]], "one entry per vertex"),
+                        ([[0]], "one entry per vertex")):
+            with pytest.raises(ValueError, match=rule):
+                QuiverData(Q, (0, 0), (0, 0), 0, "antisymmetric")
 
     def test_permutation_equal(self):
         qd = framing_shift(link_quiver(Slope(13, 3)), "raw")
