@@ -434,7 +434,8 @@ def build_parser():
     oracle.add_argument("input", type=_parse_input, help=_INPUT_HELP)
     oracle.add_argument("--colors", type=_parse_colors, default=(0, 3))
     oracle.add_argument("--jones", action="store_true",
-                        help="specialize a = q^2")
+                        help="specialize a = q^2: the Jones polynomial, "
+                        "in t = q^2, at color 1 only")
 
     verify = subs.add_parser("verify",
                              help="cross-check quiver data vs the oracle")

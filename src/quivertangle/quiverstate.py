@@ -23,9 +23,10 @@ Export (`framing_shift`, `q_invert`) is the one place where a closed
 state is decoded, in the output frame it is given: one packed affine
 map per row, the rows joined into one flat buffer of 16-bit entries,
 and one loop over its rows that checks symmetry; the canonical frame
-then subtracts the least entry from the whole buffer.  `state_expand`
-takes a state as its records and M as rows of ints, and returns its
-coefficients per color.
+then subtracts the least entry from the whole buffer.  That buffer is
+the one form of Q past export (QuiverData.flat): the writer prints it,
+and `state_expand`, which takes a state as its records and M flat in
+row-major order, expands it to its coefficients per color.
 
 Twists act in "product form": multiply by a twist-dependent monomial and
 Pochhammer symbol, then absorb the Pochhammer by splitting summation
@@ -41,8 +42,6 @@ import struct
 import sys
 from array import array
 from dataclasses import dataclass
-from functools import cached_property
-from itertools import chain
 from typing import Callable, NamedTuple
 
 from .qseries import LaurentPoly, ZERO, poch_q2, qmultinomial
@@ -50,7 +49,7 @@ from .tangles import (OP, RI, UP, Slope, boundary_after, cf_value,
                       refuse_over, resolve_terms, twist_sequence, writhe)
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True)
 class QuiverData:
     """Final quiver presentation of a generating function:
 
@@ -58,42 +57,17 @@ class QuiverData:
               / prod_i (q^2;q^2)_{d_i}
 
     with Q symmetric (off-diagonal entries count once in each of the two
-    symmetric positions).  Q is held as one flat buffer, its n^2 entries
-    in row-major order; the Q property reads its rows as tuples, once."""
+    symmetric positions).  Q is held as flat, one buffer of its n^2
+    entries in row-major order, which _export fills and checks."""
     flat: array
     a_vec: tuple
     q_vec: tuple
     framing: int
     color_convention: str  # antisymmetric | symmetric
 
-    def __init__(self, Q, a_vec, q_vec, framing, color_convention):
-        """Quiver data of Q given as rows (any iterables); ValueError
-        unless Q is square, symmetric and has one row per vertex."""
-        rows = tuple(map(tuple, Q))
-        n = len(rows)
-        if any(len(row) != n for row in rows) or not (
-                n == len(a_vec) == len(q_vec)):
-            raise ValueError("Q, a_vec and q_vec need one entry per vertex")
-        flat = array("q", chain.from_iterable(rows))
-        _check_symmetric(flat, n)
-        self._fill(flat, a_vec, q_vec, framing, color_convention)
-        self.__dict__["Q"] = rows
-
-    def _fill(self, *values):
-        """Set the fields, in order, on this frozen instance."""
-        self.__dict__.update(zip(self.__dataclass_fields__, values))
-
     @property
     def n(self):
         return len(self.q_vec)
-
-    @cached_property
-    def Q(self):
-        n, flat = self.n, self.flat
-        rows = memoryview(flat).cast("B").cast(flat.typecode, (n, n)).tolist()
-        for i, row in enumerate(rows):  # each list dropped once replaced
-            rows[i] = tuple(row)
-        return tuple(rows)
 
 
 def _check_symmetric(flat, n):
@@ -272,9 +246,11 @@ def _diagonal(th):
 
 def state_expand(records, M, N):
     """Expansion of the state with records (active, extra_poch, s, a)
-    and quadratic form M (square, any integers, one row per record):
-    for each color j <= N, the j+1 coefficients of X[j,k] of its
-    rescaled skein element, as LaurentPolys.
+    and quadratic form M (any integers, not necessarily symmetric),
+    given flat: its n^2 entries in row-major order, n = len(records), as
+    any sequence that slices (QuiverData.flat, or a list): for each
+    color j <= N, the j+1 coefficients of X[j,k] of its rescaled skein
+    element, as LaurentPolys.
 
     The coefficient of X[j,k] accumulates every index tuple d with
     sum d = j and sum_active d = k, each weighted by the positive
@@ -294,9 +270,13 @@ def state_expand(records, M, N):
     through (active, extra_poch), so a node sums its leaves in one flat
     loop over i into at most four groups instead of walking into each."""
     n = len(records)
-    # row i of M + M^t past the diagonal: what an entry at i adds to
-    # lin_l for the later indices l, the only ones its subtree reads
-    cross = [[M[i][l] + M[l][i] for l in range(i + 1, n)] for i in range(n)]
+    diag = M[::n + 1]
+    # row i of M + M^t past the diagonal, from row i of M past it and
+    # column i below it: what an entry at i adds to lin_l for the later
+    # indices l, the only ones its subtree reads
+    cross = [[u + v for u, v in zip(M[i * (n + 1) + 1:(i + 1) * n],
+                                    M[(i + 1) * n + i::n])]
+             for i in range(n)]
     cls = [2 * active + flag for active, flag, _, _ in records]
     present = [set()]  # the classes at indices >= i, built from the end
     for c in reversed(cls):
@@ -305,7 +285,7 @@ def state_expand(records, M, N):
     # per entry x and parity of the running s.d: what a leaf at index i
     # adds besides x lin_i, as (q exponent, a exponent, sign, class)
     local = [None] + [
-        [[(x * s + M[i][i] * x * x, x * a,
+        [[(x * s + diag[i] * x * x, x * a,
            -1 if (odd + x * s) % 2 else 1, c)
           for i, ((_, _, s, a), c) in enumerate(zip(records, cls))]
          for odd in (0, 1)]
@@ -338,7 +318,7 @@ def state_expand(records, M, N):
             return
         for i, li in enumerate(lin, start):
             active, flag, s, a = records[i]
-            mii, row = M[i][i], cross[i]
+            mii, row = diag[i], cross[i]
             rest = lin[i + 1 - start:]
             for y in range(1, x):
                 parts.append(y)
@@ -730,12 +710,10 @@ def _export(th, frame, symmetric):
     if canonical:
         flat, least = _rebased(flat)
         f -= sigma * least
-    # the buffer was checked above: QuiverData.__init__ would check rows
-    data = QuiverData.__new__(QuiverData)
-    data._fill(flat, tuple(r[3] - f for r in th.records),
-               tuple(sigma * (r[2] - f) for r in th.records),
-               th.framing + f, "symmetric" if symmetric else "antisymmetric")
-    return data
+    return QuiverData(flat, tuple(r[3] - f for r in th.records),
+                      tuple(sigma * (r[2] - f) for r in th.records),
+                      th.framing + f,
+                      "symmetric" if symmetric else "antisymmetric")
 
 
 def framing_shift(th, frame):

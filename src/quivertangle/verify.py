@@ -49,8 +49,8 @@ def expand_motivic(qd, N):
     (q^2;q^2)_j).  This is the form computed here; coefficients are
     exact QFractions, returned as the list of the N+1 coefficients.
     The expansion is state_expand's, on the state with one inactive,
-    unflagged index per vertex (q_vec, a_vec) and quadratic form Q, read
-    at k = 0.
+    unflagged index per vertex (q_vec, a_vec) and quadratic form Q,
+    read at k = 0; it reads Q as export's flat buffer (qd.flat).
 
     Its cost is binom(N + n, n) dimension vectors, about n^N / N! for
     large n: order 4 on the 89 vertices of 89/34 visits 2.9 million.
@@ -61,7 +61,7 @@ def expand_motivic(qd, N):
     refuse_expansion(qd.n, N)
     records = [(False, 0, s, a) for s, a in zip(qd.q_vec, qd.a_vec)]
     return [QFraction(c[0], poch_q2(j))
-            for j, c in enumerate(state_expand(records, qd.Q, N))]
+            for j, c in enumerate(state_expand(records, qd.flat, N))]
 
 
 def refuse_expansion(n, N):

@@ -9,12 +9,15 @@ references for the state kernel (twist, absorption, closure with the
 symmetrize its balanced M needs, block templates), the list kernel the
 packed one replaced, the knot route's pre-final state, the maps on
 decoded quiver data that export and the mirror replaced, the previous
-canonical frame and the closed states of the export sweep, comparison
-of quiver data up to vertex order, continued fraction generators, and an
-independent Goeritz-matrix signature oracle."""
+canonical frame and the closed states of the export sweep, quiver data
+built from rows and read back as rows, comparison of quiver data up to
+vertex order, continued fraction generators, and an independent
+Goeritz-matrix signature oracle."""
 
+from array import array
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from itertools import chain
 from math import gcd
 
 from quivertangle.knotpipeline import (_TRANSFORMS, _knot_bound, _reduce,
@@ -23,7 +26,8 @@ from quivertangle.knotpipeline import (_TRANSFORMS, _knot_bound, _reduce,
 from quivertangle.qseries import (LaurentPoly, ONE, QFraction, ZERO, poch_q2,
                                   q_pow, qbinom_plus, qmultinomial)
 from quivertangle.quiverstate import (W, QuiverData, _Q_INVERT, _Thawed,
-                                      _diagonal, _pack, _trivial,
+                                      _check_symmetric, _diagonal, _pack,
+                                      _trivial,
                                       framing_shift,
                                       link_quiver, state_expand)
 from quivertangle.skein import (SkeinElement, _evaluate_packed, _mono,
@@ -123,11 +127,37 @@ def reduce_steps(terms):
         yield step, freeze(th)
 
 
-def expand(st, N):
+def flatten(rows):
+    """The entries of a matrix given as rows, as one row-major list."""
+    return list(chain.from_iterable(rows))
+
+
+def expand(st, N, flat=flatten):
     """quiverstate.state_expand of a frozen state, as rescaled skein
-    elements with the state's boundary."""
+    elements with the state's boundary; flat(rows) is the form its M
+    is handed over in."""
     return [SkeinElement(j, st.obj, c)
-            for j, c in enumerate(state_expand(_records(st), st.M, N))]
+            for j, c in enumerate(state_expand(_records(st), flat(st.M), N))]
+
+
+def quiver_data(Q, a_vec, q_vec, framing, convention):
+    """Quiver data of Q given as rows (any iterables), held flat as
+    export holds it; ValueError unless Q is square, symmetric and has
+    one row per vertex."""
+    rows = [tuple(row) for row in Q]
+    n = len(rows)
+    if any(len(row) != n for row in rows) or not (
+            n == len(a_vec) == len(q_vec)):
+        raise ValueError("Q, a_vec and q_vec need one entry per vertex")
+    flat = array("q", flatten(rows))
+    _check_symmetric(flat, n)
+    return QuiverData(flat, a_vec, q_vec, framing, convention)
+
+
+def quiver_rows(qd):
+    """The rows of the quiver data's flat Q, as tuples."""
+    n = qd.n
+    return tuple(tuple(qd.flat[i * n:(i + 1) * n]) for i in range(n))
 
 
 # The skein oracle's twist, closure and tangle element, each one call
@@ -403,17 +433,17 @@ def delta_homogeneous(qd):
     return False, None
 
 
-def _row_key(qd, i):
-    return (qd.q_vec[i], qd.a_vec[i], qd.Q[i][i],
-            tuple(sorted(qd.Q[i])))
+def _row_key(qd, Q, i):
+    return (qd.q_vec[i], qd.a_vec[i], Q[i][i], tuple(sorted(Q[i])))
 
 
 def permute(qd, order):
     """Quiver data with its vertices listed in the given order."""
-    Q = [[qd.Q[i][l] for l in order] for i in order]
-    return QuiverData(Q, tuple(qd.a_vec[i] for i in order),
-                      tuple(qd.q_vec[i] for i in order), qd.framing,
-                      qd.color_convention)
+    rows = quiver_rows(qd)
+    Q = [[rows[i][l] for l in order] for i in order]
+    return quiver_data(Q, tuple(qd.a_vec[i] for i in order),
+                       tuple(qd.q_vec[i] for i in order), qd.framing,
+                       qd.color_convention)
 
 
 def permutation_equal(qd1, qd2):
@@ -423,11 +453,13 @@ def permutation_equal(qd1, qd2):
             or qd1.color_convention != qd2.color_convention):
         return False
     n = qd1.n
-    cands = [[j for j in range(n) if _row_key(qd1, i) == _row_key(qd2, j)]
+    Q1, Q2 = quiver_rows(qd1), quiver_rows(qd2)
+    cands = [[j for j in range(n)
+              if _row_key(qd1, Q1, i) == _row_key(qd2, Q2, j)]
              for i in range(n)]
     # place the most constrained vertices first
     order = sorted(range(n), key=lambda i: len(cands[i]))
-    qd1 = permute(qd1, order)
+    Q1 = quiver_rows(permute(qd1, order))
     cands = [cands[i] for i in order]
     perm = [None] * n
     used = [False] * n
@@ -439,8 +471,8 @@ def permutation_equal(qd1, qd2):
             if used[j]:
                 continue
             if any(perm[l] is not None
-                   and (qd1.Q[i][l] != qd2.Q[j][perm[l]]
-                        or qd1.Q[l][i] != qd2.Q[perm[l]][j])
+                   and (Q1[i][l] != Q2[j][perm[l]]
+                        or Q1[l][i] != Q2[perm[l]][j])
                    for l in range(n)):
                 continue
             perm[i] = j
@@ -457,9 +489,9 @@ def permutation_equal(qd1, qd2):
 def quiver_numerator(qd, j):
     """sum over |d| = j of (-q)^{q.d} q^{d.Q.d} a^{a.d} [j; d]_+, the
     cleared coefficient of x^j of the quiver generating function."""
-    acc = ZERO
+    acc, Q = ZERO, quiver_rows(qd)
     for d in compositions(j, qd.n):
-        quad = sum(qd.Q[i][l] * d[i] * d[l]
+        quad = sum(Q[i][l] * d[i] * d[l]
                    for i in range(qd.n) for l in range(qd.n)
                    if d[i] and d[l])
         sdot = sum(s * x for s, x in zip(qd.q_vec, d))
@@ -773,10 +805,10 @@ def close_link_reference(st, framing=0):
                                           refine=False)
         out = absorb_pochhammer_reference(mid, [-1] * mid.n, 2, 2, inact,
                                           refine=False)
-    return QuiverData(symmetrize(out.M),
-                      tuple(r.a for r in out.indices),
-                      tuple(r.s for r in out.indices), framing,
-                      "antisymmetric")
+    return quiver_data(symmetrize(out.M),
+                       tuple(r.a for r in out.indices),
+                       tuple(r.s for r in out.indices), framing,
+                       "antisymmetric")
 
 
 def apply_template_reference(st, key):
@@ -816,13 +848,13 @@ def affine_reference(qd, sigma, c, e, q_shift, a_vec, framing, convention):
     e [i = l] and q_i -> sigma q_i + q_shift (sigma = +-1), with a_vec,
     framing and color convention as given, one entry at a time."""
     Q = []
-    for i, row in enumerate(qd.Q):
+    for i, row in enumerate(quiver_rows(qd)):
         row = [x + c for x in row] if sigma > 0 else [c - x for x in row]
         row[i] += e
         Q.append(tuple(row))
     q_vec = (tuple(x + q_shift for x in qd.q_vec) if sigma > 0
              else tuple(q_shift - x for x in qd.q_vec))
-    return QuiverData(tuple(Q), a_vec, q_vec, framing, convention)
+    return quiver_data(Q, a_vec, q_vec, framing, convention)
 
 
 def framing_shift_reference(qd, f):
@@ -856,7 +888,7 @@ def canonical_shift_reference(qd, symmetric):
     sigma, c, e = (-1, -1, 1) if symmetric else (1, 0, 0)
     pick = min if sigma > 0 else max
     extreme = pick(pick(row[:i] + (row[i] + sigma * e,) + row[i + 1:])
-                   for i, row in enumerate(qd.Q))
+                   for i, row in enumerate(quiver_rows(qd)))
     return -extreme - sigma * c
 
 

@@ -29,7 +29,7 @@ from quivertangle.tangles import Slope, enumerate_rational_knots
 from quivertangle.verify import MAX_DIM_VECTORS
 
 from conftest import (distinct_slopes, framing_shift_reference,
-                      q_invert_reference)
+                      q_invert_reference, quiver_rows)
 
 
 def run(capsys, *argv):
@@ -232,7 +232,8 @@ class TestCompute:
                     ref = (q_invert_reference(raw, f) if convention == "sym"
                            else framing_shift_reference(raw, f))
                     assert data["framing"] == ref.framing == frame
-                    assert data["Q"] == [list(row) for row in ref.Q]
+                    assert data["Q"] == [list(row)
+                                         for row in quiver_rows(ref)]
                     assert data["a_vec"] == list(ref.a_vec)
                     assert data["q_vec"] == list(ref.q_vec)
 
@@ -259,10 +260,14 @@ class TestCompute:
                      ["compute", "1023/1", "--pipeline", "link"]):
             assert self.peak_kb(*argv) < 250 * 1024, argv
 
-    def test_largest_checked_compute_peaks_under_300_mb(self):
+    def test_largest_checks_peak_under_200_mb(self):
         # compute --order writes its line, and drops the decoded Q,
-        # before the check decodes the quiver again at frame 0
-        assert self.peak_kb("compute", "2047/2", "--order", "1") < 300 * 1024
+        # before the check decodes the quiver again at frame 0; the
+        # check's expansion reads that flat buffer, no copy of its rows
+        for argv in (["compute", "2047/2", "--order", "1"],
+                     ["verify", "1023/1", "--pipeline", "link",
+                      "--order", "1"]):
+            assert self.peak_kb(*argv) < 200 * 1024, argv
 
 
 class TestOracle:
@@ -402,9 +407,8 @@ class TestPayloadWriter:
         # compute_payload builds, on both routes, in both conventions,
         # at fixed frames and at the two extreme frames export_range
         # admits for each case.  The payload's Q is the flat buffer: the
-        # reference writes the rows the tuple reader of the quiver data
-        # export returns, so the byte and table writers are both checked
-        # against it
+        # reference writes the rows of that buffer as tuples, so the byte
+        # and table writers are both checked against it
         for slope, pipeline in (("13/3", "knot"), ("55/21", "knot"),
                                 ("13/3", "link"), ("55/21", "link"),
                                 ("8/3", "link"), ("34/13", "link")):
@@ -419,7 +423,7 @@ class TestPayloadWriter:
                 for frame in ("canonical", "raw", 0, -3, 20000, lo, hi):
                     state, payload = cli.compute_payload(plan, terms, frame,
                                                          convention)
-                    payload["Q"] = export(state, frame).Q
+                    payload["Q"] = quiver_rows(export(state, frame))
                     code, out, _ = run(capsys, "compute", slope,
                                        "--pipeline", pipeline,
                                        "--convention", convention,
@@ -1022,20 +1026,23 @@ class TestExitCodes:
             proc = run_python("-m", "quivertangle.cli", *argv,
                               optimized=True)
             assert proc.returncode == 2, (argv, proc.stderr)
-        # each call must raise a ValueError naming its rule: an
-        # asymmetric Q; an even-length CF, refused up front rather than
-        # later as an unclosable state; and tangles ending on RI, which
-        # do not close North-South
+        # each call must raise a ValueError naming its rule: the export
+        # of a closed state whose Q is not symmetric (one off-diagonal
+        # slot of its first packed row bumped); an even-length CF,
+        # refused up front rather than later as an unclosable state; and
+        # tangles ending on RI, which do not close North-South
         cases = [
-            ("QuiverData(((0, 1), (2, 0)), (0, 0), (0, 0), 0, "
-             "'antisymmetric')", "symmetric"),
+            ("framing_shift(asymmetric, 0)", "symmetric"),
             ("knot_quiver([1, 2])", "odd-length"),
             ("link_quiver([1, 1, 1])", "North-South"),
             ("link_quiver([2, 1, 1])", "North-South"),
         ]
         proc = run_python("-c", (
             "from quivertangle.knotpipeline import knot_quiver\n"
-            "from quivertangle.quiverstate import QuiverData, link_quiver\n"
+            "from quivertangle.quiverstate import (W, framing_shift,\n"
+            "                                      link_quiver)\n"
+            "asymmetric = link_quiver([3])\n"
+            "asymmetric.rows[0] += 1 << W\n"
             f"for call, rule in {cases!r}:\n"
             "    try:\n"
             "        eval(call)\n"

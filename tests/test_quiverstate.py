@@ -36,10 +36,11 @@ from conftest import (IndexRecord, QuiverState, absorb_list,
                       apply_twist_reference, bump_list, close_list,
                       canonical_shift_reference, close_link_reference,
                       compositions, decode_rows, distinct_slopes, expand,
-                      export_quivers,
+                      export_quivers, flatten,
                       framing_shift_reference, freeze, freeze_matrix,
                       inactives, link_route_coeff, mirror_quiver, odd_cfs,
                       permutation_equal, permute, q_invert_reference,
+                      quiver_data, quiver_rows,
                       reduce_cf, reduce_steps, rescale, run_step,
                       state_expand_reference, state_expand_walk_reference,
                       thaw, trivial_state, twist, twist_list)
@@ -99,10 +100,14 @@ def _triples(elements):
     return [(e.color, e.boundary, e.coeffs) for e in elements]
 
 
+@pytest.mark.parametrize("flat", [
+    lambda rows: array("h", flatten(rows)), flatten], ids=["array", "list"])
 @settings(max_examples=80, deadline=None)
 @given(small_states(max_n=8), hs.integers(0, 4))
-def test_state_expand_matches_brute_force(st, N):
-    assert _triples(expand(st, N)) \
+def test_state_expand_matches_brute_force(flat, st, N):
+    # M handed over flat, as the signed 16-bit buffer export gives and
+    # as a plain list
+    assert _triples(expand(st, N, flat)) \
         == _triples(state_expand_reference(st, N))
 
 
@@ -120,7 +125,8 @@ def test_state_expand_matches_walk_reference():
             qd = build(s)
             qd = framing_shift(qd, 0)
             st = QuiverState(UP, tuple(IndexRecord(False, 0, q, a) for q, a
-                                       in zip(qd.q_vec, qd.a_vec)), qd.Q)
+                                       in zip(qd.q_vec, qd.a_vec)),
+                             quiver_rows(qd))
             states.append((st, N))
     assert len(states) == 107
     for cf in odd_cfs(7):
@@ -421,8 +427,8 @@ class TestSymmetricInvariant:
         assert (knot_steps, link_twists) == (1546, 5865)
 
     def test_asymmetric_state_is_not_closed(self):
-        # closure passes M to QuiverData as it stands, whose check
-        # refuses an asymmetric Q instead of averaging it
+        # closure exports M as it stands, and export's check refuses
+        # an asymmetric Q instead of averaging it
         records = (IndexRecord(True, 0, 0, 0), IndexRecord(False, 0, 0, 0))
         with pytest.raises(ValueError, match="symmetric"):
             run_step(QuiverState(UP, records, ((0, 1), (0, 0))), CLOSE_STEP,
@@ -645,9 +651,9 @@ class TestDataTransforms:
                 for frame in ("canonical", "raw", 0, -3, 4,
                               center - slack, center + slack):
                     lo, hi = export_range(state, frame, symmetric)
-                    Q = export(state, frame).Q
-                    assert lo <= min(map(min, Q)), (slope, frame)
-                    assert max(map(max, Q)) <= hi, (slope, frame)
+                    flat = export(state, frame).flat
+                    assert lo <= min(flat), (slope, frame)
+                    assert max(flat) <= hi, (slope, frame)
                     if frame in (center - slack, center + slack):
                         assert (lo, hi) == (-top, top)
 
@@ -680,15 +686,16 @@ class TestDataTransforms:
         # Q given as lists is held flat and read back as row tuples; an
         # asymmetric or ragged Q, or one with another vertex count than
         # its vectors, is refused
-        qd = QuiverData([[0, 1], [1, 2]], (0, 0), (0, 0), 0, "antisymmetric")
-        assert qd.Q == ((0, 1), (1, 2)) and list(qd.flat) == [0, 1, 1, 2]
-        assert qd == QuiverData(((0, 1), (1, 2)), (0, 0), (0, 0), 0,
+        qd = quiver_data([[0, 1], [1, 2]], (0, 0), (0, 0), 0, "antisymmetric")
+        assert quiver_rows(qd) == ((0, 1), (1, 2))
+        assert list(qd.flat) == [0, 1, 1, 2]
+        assert qd == QuiverData(array("h", [0, 1, 1, 2]), (0, 0), (0, 0), 0,
                                 "antisymmetric")
         for Q, rule in (([[0, 1], [2, 0]], "symmetric"),
                         ([[0, 1, 2], [1]], "one entry per vertex"),
                         ([[0]], "one entry per vertex")):
             with pytest.raises(ValueError, match=rule):
-                QuiverData(Q, (0, 0), (0, 0), 0, "antisymmetric")
+                quiver_data(Q, (0, 0), (0, 0), 0, "antisymmetric")
 
     def test_permutation_equal(self):
         qd = framing_shift(link_quiver(Slope(13, 3)), "raw")
@@ -764,7 +771,7 @@ class TestVertexBound:
         # the bound itself is admitted
         state = quiver_route([MAX_VERTICES],
                              route(lambda terms, bound: _trivial(bound)))
-        assert framing_shift(state, "raw") == QuiverData(
+        assert framing_shift(state, "raw") == quiver_data(
             ((0,),), (0,), (0,), writhe([MAX_VERTICES]), "antisymmetric")
         with pytest.raises(ValueError, match="vertex count 2050"):
             link_quiver(Slope(1024, 1))

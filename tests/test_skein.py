@@ -462,6 +462,40 @@ class TestInvariants:
         v = v.subs_a_q2()
         assert v == (q_pow(2) + q_pow(6) - q_pow(8))
 
+    def test_colored_jones_at_a_q_minus_2(self):
+        # the S^j colored Jones polynomial J_{j+1} is P_j at a = q^-2,
+        # read in Q = q^-2 (sl_2 specialization; a = q^2, what --jones
+        # substitutes, gives it at color 1 only).  Checked at colors
+        # 0..4 against Habiro's cyclotomic sums (Masbaum, Algebr. Geom.
+        # Topol. 3 (2003)), N = j + 1:
+        #   3/1: sum_{n<N} Q^n (Q^{1-N};Q)_n (Q^{1+N};Q)_n
+        #   5/2: sum_{n<N} prod_{k<=n} (Q^N + Q^-N - Q^k - Q^-k)
+        def Q(m):
+            return q_pow(-2 * m)
+
+        def poch(k, n):
+            # (Q^k; Q)_n
+            return pochhammer(Q(k), -2, n)
+
+        def trefoil(N):
+            return sum((Q(n) * poch(1 - N, n) * poch(1 + N, n)
+                        for n in range(N)), ZERO)
+
+        def five_two(N):
+            acc, term = ZERO, ONE
+            for n in range(N):
+                if n:
+                    term = term * (Q(N) + Q(-N) - Q(n) - Q(-n))
+                acc = acc + term
+            return acc
+
+        for slope, habiro in ((Slope(3, 1), trefoil),
+                              (Slope(5, 2), five_two)):
+            for j, value in enumerate(oracle_homfly(slope, list(range(5)))):
+                value = _cleared(value)
+                jones = value.map_exponents(lambda eq, ea: (eq - 2 * ea, 0))
+                assert jones == habiro(j + 1), (slope, j)
+
     def test_ri_ending_cf_rejected(self):
         with pytest.raises(ValueError):
             raw_closure(twist_sequence([1, 1, 1]), 1)

@@ -15,18 +15,18 @@ from quivertangle.verify import (DEFAULT_KNOT_ORDER, DEFAULT_LINK_ORDER,
                                  MAX_DIM_VECTORS, VerificationReport,
                                  expand_motivic, verify_knot, verify_link)
 
-from conftest import compositions, quiver_numerator
+from conftest import compositions, quiver_numerator, quiver_rows
 
 
 def euler_form_expansion(qd, N):
     """Independent expansion straight from the definition: weight each
     dimension vector by separate per-index denominators, one QFraction
     per color."""
-    out = []
+    out, Q = [], quiver_rows(qd)
     for j in range(N + 1):
         acc = QFraction(0)
         for d in compositions(j, qd.n):
-            quad = sum(qd.Q[i][l] * d[i] * d[l]
+            quad = sum(Q[i][l] * d[i] * d[l]
                        for i in range(qd.n) for l in range(qd.n))
             sdot = sum(s * x for s, x in zip(qd.q_vec, d))
             adot = sum(a * x for a, x in zip(qd.a_vec, d))
