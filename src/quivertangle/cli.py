@@ -135,10 +135,9 @@ def compute_payload(plan, terms, frame, convention):
         # (the frame knot_quiver builds), where 2t - 2a - q equals the
         # signature; per generator it is the framing-invariant delta
         generators = homology_generators(state)
-        payload["delta"] = list(delta_vector(generators))
+        payload["delta"] = delta_vector(generators)
         payload["signature"] = signature(plan)
-        payload["homology"] = [[g.a_degree, g.q_degree, g.t_degree]
-                               for g in generators]
+        payload["homology"] = generators
     out = (q_invert(state, frame) if convention == "sym"
            else framing_shift(state, frame))
     payload.update({

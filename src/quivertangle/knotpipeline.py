@@ -24,19 +24,10 @@ one thawed packed state of `quiverstate` (`_Thawed`), which
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .quiverstate import (MIRROR_STEP, TWIST_STEP, W, Route, _absorb,
                           _diagonal, _gather, _ones, _trivial, _twist,
                           quiver_route, route_size)
 from .tangles import OP, RI, UP, boundary_walk, cf_value, is_knot
-
-
-@dataclass(frozen=True)
-class HomologyGenerator:
-    a_degree: int
-    q_degree: int
-    t_degree: int
 
 
 # Block transforms, keyed by (pair, boundary before): (boundary after,
@@ -316,8 +307,7 @@ def delta_vector(generators):
     (antisymmetric convention; it is the same in every frame), read off
     its homology_generators, so the diagonal is read once: a generator
     (a_i, -Q_ii - q_i, -Q_ii) has 2t - 2a - q equal to it."""
-    return tuple(2 * g.t_degree - 2 * g.a_degree - g.q_degree
-                 for g in generators)
+    return tuple(2 * t - 2 * a - q for a, q, t in generators)
 
 
 def signature(slope_or_terms):
@@ -337,7 +327,8 @@ def signature(slope_or_terms):
 def homology_generators(th):
     """Generators of the reduced triply-graded homology, one per
     vertex, read off the diagonal and the records of the closed state
-    knot_quiver builds (closure frame, antisymmetric convention); in
-    that frame every generator satisfies 2t - 2a - q = signature."""
-    return tuple(HomologyGenerator(a, -d - s, -d)
+    knot_quiver builds (closure frame, antisymmetric convention), each
+    an (a, q, t) trigrading; in that frame every generator satisfies
+    2t - 2a - q = signature."""
+    return tuple((a, -d - s, -d)
                  for (_, _, s, a), d in zip(th.records, _diagonal(th)))

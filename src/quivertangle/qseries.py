@@ -202,29 +202,32 @@ class LaurentPoly:
     def __str__(self):
         if not self.terms:
             return "0"
-        # terms by a-degree, then q-degree; the a factor is built once
-        # per a-degree, and every term as "+ body" or "- body"
+        # terms by a-degree, then q-degree, each written once as a sign
+        # piece and a body, joined once; the a factor is built once per
+        # a-degree and each q power's text once per polynomial
         parts = []
+        q_text = {}
         last = None
         for ea, eq, c in sorted([(ea, eq, c)
                                  for (eq, ea), c in self.terms.items()]):
             if ea != last:
                 last = ea
-                a = "" if not ea else "a" if ea == 1 else f"a^{ea}"
-            if eq:
-                body = "q" if eq == 1 else f"q^{eq}"
-                if a:
-                    body = f"{body}*{a}"
+                a = "" if not ea else "*a" if ea == 1 else f"*a^{ea}"
+                alone = a[1:] or "1"
+            if c > 0:
+                parts.append(" + ")
             else:
-                body = a
-            mag = c if c > 0 else -c
-            if mag != 1:
-                body = f"{mag}*{body}" if body else str(mag)
-            elif not body:
-                body = "1"
-            parts.append(("+ " if c > 0 else "- ") + body)
-        text = " ".join(parts)
-        return text[2:] if text[0] == "+" else "-" + text[2:]
+                parts.append(" - ")
+                c = -c
+            if eq:
+                q = q_text.get(eq)
+                if q is None:
+                    q = q_text[eq] = "q" if eq == 1 else f"q^{eq}"
+                parts.append(f"{c}*{q}{a}" if c != 1 else q + a)
+            else:
+                parts.append(f"{c}{a}" if c != 1 else alone)
+        parts[0] = "" if parts[0] == " + " else "-"
+        return "".join(parts)
 
     def __repr__(self):
         return f"LaurentPoly({self})"

@@ -26,6 +26,10 @@ closure numerator f is divided by (q^2;q^2)_j at q = 2^B, one divmod
 per slice, and the decoded quotient h is returned only when every
 remainder is 0 and L1((q^2;q^2)_j) L1(h) < 2^(B-1), which proves
 (q^2;q^2)_j h = f.  Otherwise f is decoded and kept over (q^2;q^2)_j.
+The decode also applies the zero-frame monomial f(j)^n = (-1)^{jn}
+q^{j^2 n - jn} a^{-jn} (n the negated writhe) and, for a mirror
+representative, the mirror, so each digit is written once, at its
+printed key and sign; the fallback mirrors its denominator too.
 """
 
 from __future__ import annotations
@@ -165,22 +169,29 @@ def _packed_rule(boundary, kind, j, B):
                       for row in m)
 
 
-def _unpack(slices, B, low):
-    """q^low times the packed slices, as a LaurentPoly.  Every integer
-    has one balanced base-2^B expansion, digits in [-2^(B-1), 2^(B-1)):
-    adding 2^(B-1) at every digit position makes each digit a field of
-    B/8 bytes of its own, and bit_length // B + 2 digits always hold it.
-    Fields of up to 8 bytes are read in one memoryview cast: a field of
-    a width with no native format is first spread to the next native
-    width, one strided copy per byte of the field."""
+def _unpack(slices, B, low, sign=1, a_shift=0, mirrored=False):
+    """sign q^low a^a_shift times the packed slices, as a LaurentPoly,
+    mirrored (q -> 1/q, a -> 1/a) when mirrored: each digit is written
+    once, at its final key.  Every integer has one balanced base-2^B
+    expansion, digits in [-2^(B-1), 2^(B-1)): adding 2^(B-1) at every
+    digit position makes each digit a field of B/8 bytes of its own,
+    and bit_length // B + 2 digits always hold it.  Fields of up to 8
+    bytes are read in one memoryview cast: a field of a width with no
+    native format is first spread to the next native width, one strided
+    copy per byte of the field.  A sign of -1 decodes the negated
+    integers: their digits are the negated digits when every digit is
+    above -2^(B-1), as an L1 bound below 2^(B-1) proves."""
     width = B // 8
     half = 1 << B - 1
     half_digit = half.to_bytes(width, "little")
     cast = _DIGIT_FORMATS.get(width)
+    step = -1 if mirrored else 1
     terms = {}
     for ea, n in slices.items():
         if not n:
             continue
+        if sign < 0:
+            n = -n
         count = n.bit_length() // B + 2
         raw = (n + int.from_bytes(half_digit * count, "little")
                ).to_bytes(width * count, "little")
@@ -195,7 +206,9 @@ def _unpack(slices, B, low):
         else:
             digits = [int.from_bytes(raw[i:i + width], "little")
                       for i in range(0, width * count, width)]
-        for eq, c in enumerate(digits, low):
+        ea = step * (ea + a_shift)
+        for eq, c in zip(range(step * low, step * (low + count), step),
+                         digits):
             if c != half:
                 terms[(eq, ea)] = c - half
     out = LaurentPoly()
@@ -242,16 +255,19 @@ def _packed_poch(j, B):
     return _pack(g, B, 0)[0], _l1(g)
 
 
-def _packed_quotient(slices, j, B, low):
+def _packed_quotient(slices, j, B, low, sign=1, a_shift=0,
+                     mirrored=False):
     """h = f / (q^2;q^2)_j for the packed f (its coefficients below
-    2^(B-1) in absolute value), or None when that is not proven.
+    2^(B-1) in absolute value), decoded by _unpack with the same sign,
+    a_shift and mirror, or None when that is not proven.
 
     Evaluation at q = 2^B is a ring map, so a nonzero remainder of a
     slice means there is no quotient.  A zero remainder alone proves
     nothing: h is decoded as the balanced digits of the quotient, and
     kept only when L1(g) L1(h) < 2^(B-1).  Then every coefficient of g h
     is a balanced base-2^B digit, as every coefficient of f is, and two
-    such polynomials that agree at q = 2^B are equal."""
+    such polynomials that agree at q = 2^B are equal.  The sign, shift
+    and mirror leave L1 unchanged."""
     G, g_norm = _packed_poch(j, B)
     out = {}
     for ea, n in slices.items():
@@ -259,28 +275,29 @@ def _packed_quotient(slices, j, B, low):
         if r:
             return None
         out[ea] = h
-    h = _unpack(out, B, low)
+    h = _unpack(out, B, low, sign, a_shift, mirrored)
     if g_norm * _l1(h) >= 1 << B - 1:
         return None
     return h
 
 
-def framing_factor(j, n):
-    """f(j)^n with f(j) = (-q)^{-j} a^{-j} q^{j^2}."""
-    return _mono(-j * n, j * j * n, -j * n)
-
-
-def raw_closure(word, j):
+def raw_closure(word, j, frame=0, mirrored=False):
     """Reduced evaluation of the closed tangle built by the twist word,
-    in the diagram frame: the closure numerator divided by
-    (q^2;q^2)_j while still packed when the quotient is proven exact,
-    else over that denominator."""
+    times f(j)^frame with f(j) = (-q)^{-j} a^{-j} q^{j^2}, and mirrored
+    when mirrored: the closure numerator divided by (q^2;q^2)_j while
+    still packed when the quotient is proven exact, else over that
+    denominator (mirrored with it)."""
     _, (f,), B, low = _evaluate_packed(basis_element(j, UP, 0), word,
                                        closed=True)
-    h = _packed_quotient(f, j, B, low)
+    jn = j * frame
+    sign = -1 if jn % 2 else 1
+    low += j * jn - jn
+    h = _packed_quotient(f, j, B, low, sign, -jn, mirrored)
     if h is not None:
         return QFraction(h)
-    return QFraction(_unpack(f, B, low), poch_q2(j))
+    den = poch_q2(j)
+    return QFraction(_unpack(f, B, low, sign, -jn, mirrored),
+                     den.mirror() if mirrored else den)
 
 
 # the highest color and the most twists (CF term sum, the same for
@@ -300,8 +317,4 @@ def oracle_homfly(slope, colors):
     rep, mirrored = good_representative(slope)
     terms = cf_expand(rep)
     word, frame = twist_sequence(terms), -writhe(terms)
-    values = []
-    for j in colors:
-        value = raw_closure(word, j) * framing_factor(j, frame)
-        values.append(value.mirror() if mirrored else value)
-    return values
+    return [raw_closure(word, j, frame, mirrored) for j in colors]

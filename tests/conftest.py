@@ -1,18 +1,19 @@
 """Shared test helpers: the frozen state (the reference value type),
 its thaw and freeze, one kernel step on a frozen state and the knot
 route's states after each step; the skein twist, closure and tangle
-element on decoded coefficients; brute-force quiver and state
-expansions, the previous recursive expansion walk, rescaled skein
-elements, the LaurentPoly loops of the skein twist and closure, the
-rational-arithmetic reference for q-fraction reduction, entry-by-entry
-references for the state kernel (twist, absorption, closure with the
-symmetrize its balanced M needs, block templates), the list kernel the
-packed one replaced, the knot route's pre-final state, the maps on
-decoded quiver data that export and the mirror replaced, the previous
-canonical frame and the closed states of the export sweep, quiver data
-built from rows and read back as rows, comparison of quiver data up to
-vertex order, continued fraction generators, and an independent
-Goeritz-matrix signature oracle."""
+element on decoded coefficients, and the framing factor the oracle's
+decode applies; brute-force quiver and state expansions, the previous
+recursive expansion walk, rescaled skein elements, the LaurentPoly
+loops of the skein twist and closure, the previous LaurentPoly
+writers, the rational-arithmetic reference for q-fraction reduction,
+entry-by-entry references for the state kernel (twist, absorption,
+closure with the symmetrize its balanced M needs, block templates),
+the list kernel the packed one replaced, the knot route's pre-final
+state, the maps on decoded quiver data that export and the mirror
+replaced, the previous canonical frame and the closed states of the
+export sweep, quiver data built from rows and read back as rows,
+comparison of quiver data up to vertex order, continued fraction
+generators, and an independent Goeritz-matrix signature oracle."""
 
 from array import array
 from dataclasses import dataclass, replace
@@ -32,7 +33,7 @@ from quivertangle.quiverstate import (W, QuiverData, _Q_INVERT, _Thawed,
                                       link_quiver, state_expand)
 from quivertangle.skein import (SkeinElement, _evaluate_packed, _mono,
                                 _unpack, basis_element, closure_numerator,
-                                framing_factor, raw_closure, twist_matrix)
+                                raw_closure, twist_matrix)
 from quivertangle.tangles import (OP, RI, UP, Slope, boundary_after,
                                   cf_expand, cf_value,
                                   enumerate_rational_knots, is_knot,
@@ -264,6 +265,35 @@ def laurent_str_reference(p):
     return " ".join(parts)
 
 
+def laurent_str_joined_reference(p):
+    """LaurentPoly.__str__ as it was written before the one-pass join:
+    a "+ body" or "- body" string per term, joined by spaces, with the
+    lead sign piece cut from the whole text."""
+    if not p.terms:
+        return "0"
+    parts = []
+    last = None
+    for ea, eq, c in sorted([(ea, eq, c)
+                             for (eq, ea), c in p.terms.items()]):
+        if ea != last:
+            last = ea
+            a = "" if not ea else "a" if ea == 1 else f"a^{ea}"
+        if eq:
+            body = "q" if eq == 1 else f"q^{eq}"
+            if a:
+                body = f"{body}*{a}"
+        else:
+            body = a
+        mag = c if c > 0 else -c
+        if mag != 1:
+            body = f"{mag}*{body}" if body else str(mag)
+        elif not body:
+            body = "1"
+        parts.append(("+ " if c > 0 else "- ") + body)
+    text = " ".join(parts)
+    return text[2:] if text[0] == "+" else "-" + text[2:]
+
+
 def reduce_fraction_reference(num, den):
     """Reference for qseries._reduce_fraction: cancel the rational gcd
     of den and every a-slice of num, then shift den to lowest
@@ -382,6 +412,12 @@ def close_reference(e):
         if c:
             total = total + closure_numerator(e.boundary, e.color, k) * c
     return QFraction(total, poch_q2(e.color))
+
+
+def framing_factor(j, n):
+    """f(j)^n with f(j) = (-q)^{-j} a^{-j} q^{j^2}, the monomial
+    raw_closure's decode applies for frame n."""
+    return _mono(-j * n, j * j * n, -j * n)
 
 
 def raw_closure_reference(terms, j):

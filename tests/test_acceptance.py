@@ -117,8 +117,8 @@ def test_gradings_match_independent_signature():
         assert homog, s
         sig = signature(s)
         assert value == sig == goeritz_signature(s), s
-        for g in homology_generators(qd):
-            assert 2 * g.t_degree - 2 * g.a_degree - g.q_degree == sig, s
+        for a, q, t in homology_generators(qd):
+            assert 2 * t - 2 * a - q == sig, s
     report(f"delta = signature = Goeritz form and the spectral-sequence "
            f"relation hold on {len(knots)} knots")
 

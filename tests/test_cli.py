@@ -544,9 +544,9 @@ class TestVerifyCommand:
         closed = []
         raw_closure = skein.raw_closure
 
-        def counted(word, j):
+        def counted(word, j, *frame):
             closed.append(j)
-            return raw_closure(word, j)
+            return raw_closure(word, j, *frame)
 
         monkeypatch.setattr(skein, "raw_closure", counted)
         code, out, _ = run(capsys, "verify", "13/3")

@@ -2,7 +2,7 @@
 printing, and the q-combinatorial identities the pipelines rely on."""
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from math import gcd
@@ -14,6 +14,7 @@ from quivertangle.qseries import (ONE, LaurentPoly, QFraction, ZERO,
 from quivertangle.skein import oracle_homfly
 
 from conftest import (balanced_from_plus, compositions, distinct_slopes,
+                      laurent_str_joined_reference,
                       laurent_str_reference, neg_q_pow, q_gcd_reference,
                       reduce_fraction_reference)
 
@@ -87,6 +88,22 @@ class TestLaurentPoly:
                            max_size=8).map(LaurentPoly))
     def test_str_matches_reference(self, p):
         assert str(p) == laurent_str_reference(p)
+
+    _EXPONENTS = st.one_of(st.just(0), st.just(1), st.integers(2, 40),
+                           st.integers(-40, -1))
+
+    @settings(max_examples=500, deadline=None)
+    @given(st.dictionaries(st.tuples(_EXPONENTS, _EXPONENTS),
+                           st.one_of(st.sampled_from([1, -1]),
+                                     st.integers(2, 10 ** 9),
+                                     st.integers(-10 ** 9, -2)),
+                           max_size=12).map(LaurentPoly))
+    @example(LaurentPoly())
+    def test_str_matches_the_joined_writer(self, p):
+        # the one-pass writer gives the bytes of the writer it replaced
+        # for unit and non-unit coefficients of either sign, at q and a
+        # exponents 0, 1, above 1 and negative, and for zero
+        assert str(p) == laurent_str_joined_reference(p)
 
     def test_subs_q_inverse(self):
         x = poly((1, 2, 0), (3, -1, 1))

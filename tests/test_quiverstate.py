@@ -24,8 +24,7 @@ from quivertangle.quiverstate import (CLOSE_STEP, LINK_ROUTE, MAX_VERTICES,
                                       export_range,
                                       framing_shift, link_quiver, q_invert,
                                       quiver_route, route_size, slot_width)
-from quivertangle.skein import (basis_element, framing_factor, oracle_homfly,
-                                raw_closure)
+from quivertangle.skein import basis_element, oracle_homfly, raw_closure
 from quivertangle.tangles import (OP, RI, Slope, UP, cf_expand, cf_value,
                                   enumerate_rational_knots, is_knot,
                                   resolve_terms, twist_sequence, writhe)
@@ -36,7 +35,7 @@ from conftest import (IndexRecord, QuiverState, absorb_list,
                       apply_twist_reference, bump_list, close_list,
                       canonical_shift_reference, close_link_reference,
                       compositions, decode_rows, distinct_slopes, expand,
-                      export_quivers, flatten,
+                      export_quivers, flatten, framing_factor,
                       framing_shift_reference, freeze, freeze_matrix,
                       inactives, link_route_coeff, mirror_quiver, odd_cfs,
                       permutation_equal, permute, q_invert_reference,

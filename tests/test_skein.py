@@ -15,15 +15,17 @@ from quivertangle.quiverstate import framing_shift, link_quiver
 from quivertangle import skein
 from quivertangle.skein import (SkeinElement, _pack, _packed_quotient,
                                 _unpack, basis_element, closure_numerator,
-                                framing_factor, oracle_homfly, raw_closure,
-                                twist_matrix)
-from quivertangle.tangles import (OP, RI, UP, Slope, enumerate_rational_knots,
-                                  twist_sequence, writhe)
+                                oracle_homfly, raw_closure, twist_matrix)
+from quivertangle.tangles import (OP, RI, UP, Slope, cf_expand,
+                                  enumerate_rational_knots,
+                                  good_representative, twist_sequence,
+                                  writhe)
 from quivertangle.verify import expand_motivic
 
-from conftest import (close, close_reference, distinct_slopes, neg_q_pow,
-                      odd_cfs, raw_closure_reference, reduced_homfly,
-                      rescale, tangle_element, twist, twist_reference)
+from conftest import (close, close_reference, distinct_slopes,
+                      framing_factor, neg_q_pow, odd_cfs,
+                      raw_closure_reference, reduced_homfly, rescale,
+                      tangle_element, twist, twist_reference)
 
 
 def qf(num, den=None):
@@ -302,6 +304,60 @@ class TestPackedQuotient:
         finally:
             skein._DIGIT_FORMATS = saved
         assert cast.terms == loop.terms == p.terms
+
+
+def _composed(word, j, frame, mirrored):
+    """raw_closure decoded in the diagram frame, times the framing
+    factor f(j)^frame, then mirrored: the composition the framed decode
+    replaced."""
+    value = raw_closure(word, j) * framing_factor(j, frame)
+    return value.mirror() if mirrored else value
+
+
+def _parts(value):
+    return value.num.terms, value.den.terms
+
+
+class TestFramedDecode:
+    """raw_closure decodes each value in its output frame: every digit
+    goes to its key and sign in the frame, mirrored with it, on both
+    branches (the packed quotient and the numerator over
+    (q^2;q^2)_j)."""
+
+    def test_oracle_matches_the_composition(self):
+        # every slope with CF sum <= 8 at colors 0..4 gives the numerator
+        # and denominator terms of the composition, among them odd
+        # j * frame, mirror representatives and both branches
+        seen = set()
+        for s in distinct_slopes(8):
+            rep, mirrored = good_representative(s)
+            terms = cf_expand(rep)
+            word, frame = twist_sequence(terms), -writhe(terms)
+            for j, value in enumerate(oracle_homfly(s, range(5))):
+                want = _composed(word, j, frame, mirrored)
+                assert _parts(value) == _parts(want), (s, j)
+                seen |= {("odd", j * frame % 2 == 1), ("mirror", mirrored),
+                         ("fallback", not want.den.is_one())}
+        assert seen == {(kind, flag) for kind in ("odd", "mirror", "fallback")
+                        for flag in (False, True)}
+
+    def test_every_frame_and_mirror_matches_the_composition(self):
+        # the oracle never mirrors a value on the fallback branch (links
+        # close without a mirror), so raw_closure is called directly: at
+        # several frames, either mirror flag and both branches, on the
+        # closable representatives of the slopes with CF sum <= 5
+        branches = set()
+        for s in distinct_slopes(5):
+            word = twist_sequence(cf_expand(good_representative(s)[0]))
+            for j in range(4):
+                for frame in (-3, -2, 0, 1, 5):
+                    for mirrored in (False, True):
+                        want = _composed(word, j, frame, mirrored)
+                        got = raw_closure(word, j, frame, mirrored)
+                        assert _parts(got) == _parts(want), (
+                            terms, j, frame, mirrored)
+                        branches.add((mirrored, want.den.is_one()))
+        assert len(branches) == 4
 
 
 def alexander(p, q):
