@@ -160,28 +160,29 @@ _BYTE_TEXT = [str(b - 256 if b > 127 else b).encode().rjust(4, _GAP)
               for b in range(256)]
 _COLUMNS = [bytes(text[k] for text in _BYTE_TEXT) for k in range(4)]
 _WIDTHS = ((2, -9, 99), (4, -128, 127))  # (columns, least, most entry)
-# the low byte of each entry in [-128, 127], at its index plus 128
-_SIGNED = bytes(range(128, 256)) + bytes(range(128))
 
 
 def _byte_text(flat, n, entries):
-    """The JSON text of the rows of the n x n matrix in the flat 16-bit
-    array, without the outer brackets, written by C-level byte
-    operations; or None unless every entry lies in entries (lo, hi) and
-    in [-128, 127].  Each entry takes width + 2 bytes of one buffer: its
-    columns and the separator ", ", or at a row end a marker and _GAP.
-    One translate deletes the gaps and one replace turns the markers
-    into "], ["; each buffer is dropped once the next is built."""
+    """The JSON text of the rows of the n x n matrix in the flat array,
+    without the outer brackets, written by C-level byte operations; or
+    None unless every entry lies in entries (lo, hi) and in [-128, 127].
+    The columns are keyed by each entry's low byte: the bytes of a 'B'
+    buffer as they are, those of a 16-bit one split off by _low_bytes.
+    Each entry takes width + 2 bytes of one buffer: its columns and the
+    separator ", ", or at a row end a marker and _GAP.  One translate
+    deletes the gaps and one replace turns the markers into "], [";
+    each buffer is dropped once the next is built."""
     lo, hi = entries
-    if flat.typecode == "H":  # unsigned: no low byte is a negative entry
+    if flat.typecode in "BH":  # unsigned: no low byte is a negative entry
         lo = max(lo, 0)
     low = quiverstate._low_bytes(flat)
     if low is None:
         return None
     for width, least, most in _WIDTHS:
-        # delete the entries of this width in range: none may be left
-        if not low.translate(None, _SIGNED[max(lo, least) + 128:
-                                           min(hi, most) + 129]):
+        # delete the entries of this width in range, by their low bytes
+        # (the low byte of v is _FLIP[v + 128]): none may be left
+        if not low.translate(None, quiverstate._FLIP[max(lo, least) + 128:
+                                                     min(hi, most) + 129]):
             break
     else:
         return None

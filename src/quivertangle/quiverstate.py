@@ -21,10 +21,12 @@ whole word, its closure and any mirror on one thawed state and returns
 it closed, with its framing and the bound its slots were sized for.
 Export (`framing_shift`, `q_invert`) is the one place where a closed
 state is decoded, in the output frame it is given: one packed affine
-map per row, the rows joined into one flat buffer of 16-bit entries,
-and one loop over its rows that checks symmetry; the canonical frame
-then subtracts the least entry from the whole buffer.  That buffer is
-the one form of Q past export (QuiverData.flat): the writer prints it,
+map per row, the rows joined into the low and high byte planes of one
+flat buffer of 16-bit entries, and one bytes compare of each plane that
+fixes the entries with its transpose; the canonical frame then
+subtracts the least entry, by one byte translate when every entry fits
+a byte.  That buffer is the one form of Q past export
+(QuiverData.flat): the writer prints it,
 and `state_expand`, which takes a state as its records and M flat in
 row-major order, expands it to its coefficients per color.
 
@@ -41,7 +43,6 @@ from __future__ import annotations
 import struct
 import sys
 from array import array
-from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 from .qseries import LaurentPoly, ZERO, poch_q2, qmultinomial
@@ -49,16 +50,17 @@ from .tangles import (OP, RI, UP, Slope, boundary_after, cf_value,
                       refuse_over, resolve_terms, twist_sequence, writhe)
 
 
-@dataclass(frozen=True)
-class QuiverData:
+class QuiverData(NamedTuple):
     """Final quiver presentation of a generating function:
 
         sum_d x^{sum d} (-q)^{q_vec.d} a^{a_vec.d} q^{d.Q.d^t}
               / prod_i (q^2;q^2)_{d_i}
 
     with Q symmetric (off-diagonal entries count once in each of the two
-    symmetric positions).  Q is held as flat, one buffer of its n^2
-    entries in row-major order, which _export fills and checks."""
+    symmetric positions).  Q is held as flat, one array of its n^2
+    entries in row-major order, which _export fills and checks: signed
+    'h' in an integer or raw frame; in the canonical frame unsigned, 'B'
+    when every entry fits a byte, else 'H'."""
     flat: array
     a_vec: tuple
     q_vec: tuple
@@ -68,14 +70,6 @@ class QuiverData:
     @property
     def n(self):
         return len(self.q_vec)
-
-
-def _check_symmetric(flat, n):
-    """ValueError unless each row of the flat n x n buffer, from its
-    diagonal on, equals its column from the diagonal down."""
-    for i in range(n):
-        if flat[i * (n + 1):(i + 1) * n] != flat[i * (n + 1)::n]:
-            raise ValueError("Q must be symmetric")
 
 
 class _Thawed:
@@ -174,53 +168,87 @@ def _trivial(bound):
 
 
 def _flat(rows, n):
-    """The entries of n offset-binary packed rows of n slots (any
-    iterable) as one flat signed array, row-major: each row turns into
-    two's complement when its slots' top bits flip, and the rows' bytes
-    are joined."""
-    flip, size = _ones(0, n) << (W - 1), n * W // 8
-    flat = array("h", b"".join((row ^ flip).to_bytes(size, "little")
-                               for row in rows))
-    if sys.byteorder == "big":
-        flat.byteswap()
-    return flat
+    """The byte planes (low, high) of the entries of n offset-binary
+    packed rows of n slots (any iterable), row-major: the low and the
+    high byte of each slot, read off the rows' little-endian bytes
+    joined.  A slot keeps its entry's low byte; high is None when every
+    entry fits a signed byte, whose slot's high byte its low byte
+    fixes (_OFFSET_SIGN)."""
+    data = b"".join(row.to_bytes(n * W // 8, "little") for row in rows)
+    low, high = data[::2], data[1::2]
+    del data
+    return low, None if high == low.translate(_OFFSET_SIGN) else high
 
 
 _BYTES = bytes(range(256))
+_FLIP = _BYTES[128:] + _BYTES[:128]  # each byte with its top bit flipped
 # the high byte of a 16-bit entry that fits a signed byte, keyed by its
-# low byte: the low byte's sign
-_SIGN = bytes(255 if b > 127 else 0 for b in _BYTES)
+# low byte: the low byte's sign, in two's complement and in offset binary
+_SIGN = bytes(128) + b"\xff" * 128
+_OFFSET_SIGN = _SIGN.translate(_FLIP)
 _LOW = 0 if sys.byteorder == "little" else 1  # an entry's low byte
 
 
+def _check_symmetric(planes, n):
+    """ValueError unless each byte plane of an n x n buffer, row-major,
+    equals its transpose; the planes given must fix every entry (see
+    _flat)."""
+    for plane in planes:
+        if b"".join(plane[i::n] for i in range(n)) != plane:
+            raise ValueError("Q must be symmetric")
+
+
 def _low_bytes(flat):
-    """The low byte of each entry of a flat 16-bit array when every
-    entry, read signed, fits a signed byte; else None."""
+    """The low byte of each entry of a flat array when every entry fits
+    a byte: a 'B' buffer's bytes as they are, or those of a 16-bit
+    buffer whose every entry, read signed, fits a signed byte; else
+    None."""
     data = flat.tobytes()
+    if flat.typecode == "B":
+        return data
     low, high = data[_LOW::2], data[1 - _LOW::2]
     return low if high == low.translate(_SIGN) else None
 
 
-def _rebased(flat):
-    """The entries of the flat signed array minus the least of them, as
-    an unsigned array, and that least entry.  When every entry fits a
-    signed byte, its low byte with the top bit flipped orders as it
-    does: the least is the first byte value present, and one translate
-    by a rotation of the byte values subtracts it.  Else one subtraction
-    on the whole buffer read as offset binary, where no slot borrows."""
-    low = _low_bytes(flat)
-    if low is not None:
-        order = low.translate(_BYTES[128:] + _BYTES[:128])
-        least = next(b for b in _BYTES if b in order)
-        out = bytearray(2 * len(flat))
-        out[_LOW::2] = order.translate(_BYTES[-least:] + _BYTES[:-least])
-        return array("H", out), least - 128
-    least, ones = min(flat), _ones(0, len(flat))
-    raw = int.from_bytes(flat.tobytes(), sys.byteorder) ^ (ones << (W - 1))
-    raw -= (least + (1 << (W - 1))) * ones
-    del ones
-    return (array("H", raw.to_bytes(len(flat) * W // 8, sys.byteorder)),
-            least)
+def _joined(typecode, low, high):
+    """The 16-bit array of the entries with these byte planes."""
+    flat = array(typecode, [0]) * len(low)
+    with memoryview(flat).cast("B") as view:
+        view[_LOW::2], view[1 - _LOW::2] = low, high
+    return flat
+
+
+def _rebased(low, high, n):
+    """The entries of the n x n buffer whose offset-binary byte planes
+    _flat gives, minus the least of them, as an unsigned array, and that
+    least entry.  The array is 'B' exactly when every entry it holds
+    fits a byte, else 'H'.
+
+    When high is None every entry x fits a signed byte, and its low
+    byte with the top bit flipped, x + 128, orders as x does.  The least
+    diagonal entry is one that is present; one translate deletes every
+    entry from it up, and the least is the least of what is left, or
+    that diagonal entry.  One translate by a rotation of the byte values
+    then subtracts it.  Else one subtraction on the whole buffer in
+    offset binary, where no slot borrows."""
+    if high is None:
+        cand = min(low[::n + 1].translate(_FLIP))
+        rest = low.translate(None, _FLIP[cand:]).translate(_FLIP)
+        least = min(rest, default=cand) - 128
+        shift = -least % 256
+        flat = array("B", low.translate(_BYTES[shift:] + _BYTES[:shift]))
+        return flat, least
+    flat = _joined("H", low, high)
+    least = min(flat)
+    raw = int.from_bytes(flat, sys.byteorder)
+    del flat
+    raw -= least * _ones(0, len(low))
+    data = raw.to_bytes(2 * len(low), sys.byteorder)
+    del raw
+    upper = data[1 - _LOW::2]
+    flat = (array("B", data[_LOW::2]) if upper.count(0) == len(upper)
+            else array("H", data))
+    return flat, least - (1 << (W - 1))
 
 
 def _affine(rows, sigma, K, e):
@@ -686,15 +714,18 @@ def _export(th, frame, symmetric):
     to the symmetric one.  The frame is an integer, "raw" (the state's
     own) or "canonical"; with f its shift from th.framing, Q -> sigma
     (Q + f) + c + e I, q_i -> sigma (q_i - f), a_i -> a_i - f: one
-    _affine pass into one flat buffer, and one loop over its rows that
-    checks symmetry.  The state is left as it was.
+    _affine pass decoded once into the byte planes of one flat buffer
+    (_flat), whose transposes are compared with them as bytes: the low
+    plane alone when every entry fits a signed byte, else both.  The
+    state is left as it was.
 
-    An integer or raw frame must pass export_range; its entries decode
-    signed from offset binary.  The canonical frame is the one whose
-    least entry of Q is 0.  Its Q is decoded in the raw frame first,
-    where sigma x + c + e [i = l] lies in [-bound - 1, bound], a signed
-    slot; _rebased then subtracts the least entry from every entry,
-    which leaves them in [0, 2 bound + 1], an unsigned slot."""
+    An integer or raw frame must pass export_range; its Q is a signed
+    'h' array.  The canonical frame is the one whose least entry of Q
+    is 0.  Its Q is decoded in the raw frame first, where sigma x + c +
+    e [i = l] lies in [-bound - 1, bound], a signed slot; _rebased then
+    finds the least entry and subtracts it from every entry, which
+    leaves them in [0, 2 bound + 1]: an unsigned 'B' array when they
+    all fit a byte, else 'H'."""
     if not isinstance(th, _Thawed):
         raise TypeError("export takes a closed state, whose quiver data "
                         "is in the antisymmetric color convention")
@@ -705,11 +736,16 @@ def _export(th, frame, symmetric):
     else:
         export_range(th, frame, symmetric)
         f = 0 if frame == "raw" else frame - th.framing
-    flat = _flat(_affine(th.rows, sigma, sigma * f + c, e), th.n)
-    _check_symmetric(flat, th.n)
+    n = th.n
+    low, high = _flat(_affine(th.rows, sigma, sigma * f + c, e), n)
+    _check_symmetric((low,) if high is None else (low, high), n)
     if canonical:
-        flat, least = _rebased(flat)
+        flat, least = _rebased(low, high, n)
         f -= sigma * least
+    else:  # signed high bytes: the low byte's sign when every entry
+        # fits a signed byte, else the high byte with its top bit flipped
+        flat = _joined("h", low, low.translate(_SIGN) if high is None
+                       else high.translate(_FLIP))
     return QuiverData(flat, tuple(r[3] - f for r in th.records),
                       tuple(sigma * (r[2] - f) for r in th.records),
                       th.framing + f,

@@ -35,7 +35,7 @@ printed key and sign; the fallback mirrors its denominator too.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 from operator import mul
 from struct import calcsize
@@ -54,15 +54,16 @@ _DIGIT_FORMATS = ({width: min((calcsize(f), f) for f in "BHIQ"
                   if sys.byteorder == "little" else {})
 
 
-@dataclass
-class SkeinElement:
-    color: int
-    boundary: str  # UP | OP | RI
-    coeffs: list  # j+1 LaurentPoly values, coefficient of X[j,k]
+class SkeinElement(namedtuple("SkeinElement", "color boundary coeffs")):
+    """A color-j element of the skein module of its boundary (UP | OP |
+    RI): coeffs holds its j+1 LaurentPoly values, the coefficient of
+    X[j,k] at k."""
+    __slots__ = ()
 
-    def __post_init__(self):
-        if len(self.coeffs) != self.color + 1:
+    def __new__(cls, color, boundary, coeffs):
+        if len(coeffs) != color + 1:
             raise ValueError("a color-j element has j+1 coefficients")
+        return super().__new__(cls, color, boundary, coeffs)
 
 
 def basis_element(j, boundary=UP, k=0):

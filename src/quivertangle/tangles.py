@@ -16,7 +16,7 @@ the package.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import reduce
 from math import gcd
 
@@ -25,17 +25,16 @@ OP = "OP"
 RI = "RI"
 
 
-@dataclass(frozen=True)
-class Slope:
+class Slope(namedtuple("Slope", "p q")):
     """A rational slope p/q in lowest terms."""
-    p: int
-    q: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.p < 1 or self.q < 1:
+    def __new__(cls, p, q):
+        if p < 1 or q < 1:
             raise ValueError("slope needs positive p and q")
-        if gcd(self.p, self.q) != 1:
-            raise ValueError(f"slope {self.p}/{self.q} not in lowest terms")
+        if gcd(p, q) != 1:
+            raise ValueError(f"slope {p}/{q} not in lowest terms")
+        return super().__new__(cls, p, q)
 
     def __str__(self):
         return f"{self.p}/{self.q}"

@@ -8,8 +8,8 @@ HOMFLY-PT polynomial.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from math import comb
+from typing import NamedTuple
 
 from .knotpipeline import KNOT_ROUTE, knot_quiver
 from .qseries import QFraction, poch_q2
@@ -71,8 +71,7 @@ def refuse_expansion(n, N):
                 comb(n + N, N), MAX_DIM_VECTORS)
 
 
-@dataclass
-class VerificationReport:
+class VerificationReport(NamedTuple):
     """Outcome of one exact pipeline-vs-oracle comparison."""
     slope: str
     pipeline: str  # knot | link

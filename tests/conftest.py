@@ -27,8 +27,7 @@ from quivertangle.knotpipeline import (_TRANSFORMS, _knot_bound, _reduce,
 from quivertangle.qseries import (LaurentPoly, ONE, QFraction, ZERO, poch_q2,
                                   q_pow, qbinom_plus, qmultinomial)
 from quivertangle.quiverstate import (W, QuiverData, _Q_INVERT, _Thawed,
-                                      _check_symmetric, _diagonal, _pack,
-                                      _trivial,
+                                      _diagonal, _pack, _trivial,
                                       framing_shift,
                                       link_quiver, state_expand)
 from quivertangle.skein import (SkeinElement, _evaluate_packed, _mono,
@@ -150,9 +149,10 @@ def quiver_data(Q, a_vec, q_vec, framing, convention):
     if any(len(row) != n for row in rows) or not (
             n == len(a_vec) == len(q_vec)):
         raise ValueError("Q, a_vec and q_vec need one entry per vertex")
-    flat = array("q", flatten(rows))
-    _check_symmetric(flat, n)
-    return QuiverData(flat, a_vec, q_vec, framing, convention)
+    if any(rows[i][l] != rows[l][i] for i in range(n) for l in range(i)):
+        raise ValueError("Q must be symmetric")
+    return QuiverData(array("q", flatten(rows)), a_vec, q_vec, framing,
+                      convention)
 
 
 def quiver_rows(qd):

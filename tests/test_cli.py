@@ -122,10 +122,12 @@ class TestCompute:
         assert json.loads(path.read_text())["p"] == 3
 
     def test_one_flat_export_per_compute(self, capsys, monkeypatch):
-        # the route returns its closed packed state and export reads its
-        # rows once into one flat buffer, and checks that buffer once:
-        # one pass of each per compute on both routes, in both
-        # conventions and every kind of frame
+        # the route returns its closed packed state and export decodes
+        # its rows once into the byte planes of one flat buffer, and
+        # checks those planes once: one pass of each per compute on
+        # both routes, in both conventions and every kind of frame, and
+        # when entries pass a signed byte (129/1), so both planes are
+        # checked
         calls = []
         for name in ("_flat", "_check_symmetric"):
             def counted(rows, n, step=getattr(quiverstate, name),
@@ -135,7 +137,8 @@ class TestCompute:
 
             monkeypatch.setattr(quiverstate, name, counted)
         for slope, pipeline, n in (("13/3", "knot", 13), ("13/3", "link", 32),
-                                   ("8/3", "link", 22)):
+                                   ("8/3", "link", 22),
+                                   ("129/1", "knot", 129)):
             for convention in ("anti", "sym"):
                 for frame in ("canonical", "raw", "-3"):
                     data = run_json(capsys, "compute", slope, "--pipeline",
@@ -471,7 +474,7 @@ class TestPayloadWriter:
         for rows, entries in ((((0, 4), (4, 3)), (0, 4)),
                               (((-7, 5), (5, 7)), (-7, 7)),
                               (((0, 130), (130, 3)), (0, 200))):
-            for typecode in ("h", "H") if entries[0] == 0 else ("h",):
+            for typecode in ("h", "H", "B") if entries[0] == 0 else ("h",):
                 line = cli._payload_line(
                     {**payload, "Q": self.flat(rows, typecode)}, entries)
                 assert line == json.dumps({**payload, "Q": rows}) + "\n"
@@ -486,10 +489,15 @@ class TestPayloadWriter:
             with pytest.raises(KeyError):
                 cli._payload_line({**payload, "Q": self.flat(rows)},
                                   entries)
-        # an unsigned buffer: 65535 is not -1
-        with pytest.raises(KeyError):
-            cli._payload_line({**payload, "Q": self.flat(
-                ((0, 65535), (65535, 3)), "H")}, (0, 4))
+        # an unsigned buffer is read unsigned, even where the proven
+        # range holds negative entries: 65535 is not -1, nor 65529 -7,
+        # nor are 255 and 249 in a byte buffer
+        for x, typecode in ((65535, "H"), (65529, "H"), (255, "B"),
+                            (249, "B")):
+            for entries in ((0, 4), (-7, 7)):
+                with pytest.raises(KeyError):
+                    cli._payload_line({**payload, "Q": self.flat(
+                        ((0, x), (x, 3)), typecode)}, entries)
 
     @pytest.mark.parametrize("x", [0, 9, 10, 99, 100, 127, -1, -9, -10,
                                    -99, -100, -128, 128, -129])
@@ -504,8 +512,9 @@ class TestPayloadWriter:
             assert self.text(self.flat(rows), n, (-300, 300)) == (
                 json.dumps(rows))
             if min(map(min, rows)) >= 0:
-                assert self.text(self.flat(rows, "H"), n, (0, 300)) == (
-                    json.dumps(rows))
+                for typecode in "HB":
+                    assert self.text(self.flat(rows, typecode), n,
+                                     (0, 300)) == json.dumps(rows)
         assert bool(cli._DIGITS) == (x in (128, -129))
 
     @settings(max_examples=200, deadline=None)
@@ -521,11 +530,14 @@ class TestPayloadWriter:
         n = len(rows)
         assert self.text(self.flat(rows), n, (-300, 300)) == (
             json.dumps(rows))
-        # as in the canonical frame: unsigned, the least entry 0
+        # as in the canonical frame: unsigned, the least entry 0, and a
+        # byte buffer when every entry fits a byte, read unsigned, so
+        # its entries 128..255 go to the digit table
         least = min(map(min, rows))
         shifted = [[x - least for x in row] for row in rows]
-        assert self.text(self.flat(shifted, "H"), n, (0, 600)) == (
-            json.dumps(shifted))
+        for typecode in "HB" if max(map(max, shifted)) <= 255 else "H":
+            assert self.text(self.flat(shifted, typecode), n,
+                             (0, 600)) == json.dumps(shifted)
 
 
 class TestVerifyCommand:

@@ -2,14 +2,18 @@
 state expansion must track the rescaled skein element after every
 twist, and the closed quiver data must reproduce the oracle."""
 
+import os
+import subprocess
+import sys
 from array import array
 from dataclasses import replace
-from math import gcd
+from math import gcd, isqrt
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as hs
 
+import quivertangle
 from quivertangle.qseries import QFraction
 from quivertangle.knotpipeline import (KNOT_ROUTE, _TRANSFORMS, TEMPLATE_STEP,
                                        _apply_template, _final_close,
@@ -19,8 +23,8 @@ from quivertangle.quiverstate import (CLOSE_STEP, LINK_ROUTE, MAX_VERTICES,
                                       MIRROR_STEP, TWIST_STEP, W, QuiverData,
                                       Route,
                                       _Q_INVERT, _absorb, _bump, _close,
-                                      _link_bound, _mirror, _rebased,
-                                      _trivial, _twist,
+                                      _flat, _link_bound, _mirror, _pack,
+                                      _rebased, _trivial, _twist,
                                       export_range,
                                       framing_shift, link_quiver, q_invert,
                                       quiver_route, route_size, slot_width)
@@ -437,6 +441,36 @@ class TestSymmetricInvariant:
             run_step(QuiverState(UP, flagged, ((0, 1), (0, 0))),
                      TEMPLATE_STEP, _final_close, framing=0)
 
+    # export of two asymmetric 2 x 2 buffers, in both conventions at the
+    # canonical, raw and zero frames: one whose off-diagonal pair
+    # differs only in the high byte (3 against 259, so not every entry
+    # fits a byte and the high plane is checked), one whose pair differs
+    # in the low byte; each must be refused
+    ASYMMETRIC = """
+from quivertangle.quiverstate import _Thawed, _pack, framing_shift, q_invert
+from quivertangle.tangles import UP
+refused = 0
+for M in (((0, 3), (259, 0)), ((0, 3), (4, 0))):
+    th = _Thawed(UP, [(False, 0, 0, 0)] * 2, [_pack(row) for row in M], 300)
+    for export in (framing_shift, q_invert):
+        for frame in ("canonical", "raw", 0):
+            try:
+                export(th, frame)
+            except ValueError as error:
+                refused += str(error) == "Q must be symmetric"
+print(refused)
+"""
+
+    @pytest.mark.parametrize("optimized", [False, True])
+    def test_export_refuses_asymmetric_buffers(self, optimized):
+        # plain and under python -O, which strips assert statements
+        src = os.path.dirname(os.path.dirname(quivertangle.__file__))
+        proc = subprocess.run(
+            [sys.executable, *(["-O"] if optimized else []), "-c",
+             self.ASYMMETRIC], env=dict(os.environ, PYTHONPATH=src),
+            capture_output=True, text=True, timeout=60)
+        assert (proc.returncode, proc.stdout) == (0, "12\n"), proc.stderr
+
 
 def test_balanced_reading_closes_to_the_same_quiver():
     # the balanced reading q^{-e2(d)} [j; d]_+, run by the references
@@ -669,17 +703,54 @@ class TestDataTransforms:
                 assert (export(state, "canonical").framing - state.framing
                         == canonical_shift_reference(raw, symmetric))
 
-    @settings(max_examples=200, deadline=None)
-    @given(hs.sampled_from([1, 127, 128, 300, (1 << 15) - 1]).flatmap(
-        lambda r: hs.lists(hs.integers(-r - 1, r), min_size=1,
-                           max_size=40)))
+    @settings(max_examples=300, deadline=None)
+    @given(hs.tuples(hs.integers(1, 6),
+                     hs.sampled_from([1, 127, 128, 300, (1 << 15) - 1]))
+           .flatmap(lambda nr: hs.lists(hs.integers(-nr[1] - 1, nr[1]),
+                                        min_size=nr[0] ** 2,
+                                        max_size=nr[0] ** 2)))
+    @example([0])  # the 1-vertex quiver of the unknot
+    @example([-7])
+    @example([3, 3, 3, 3])  # all entries equal
+    @example([-2, -2, -2, 5])  # the least on and off the diagonal
+    @example([4, -1, -1, 2])  # off it, below every diagonal entry
+    @example([0, 9, -5, 9, 3, 1, 2, -9, 1])  # several values below it
+    @example([-128, 127, 127, 0])
+    @example([129, 0, 0, 129])  # past a signed byte, within a byte
+    @example([-128, 128, 128, 0])  # past a byte
     def test_rebased_subtracts_the_least_entry(self, entries):
-        # by byte tables when every entry fits a signed byte, else by
-        # one subtraction on the whole buffer; up to the 16-bit extremes
-        flat, least = _rebased(array("h", entries))
+        # from the byte planes _flat decodes: by byte tables from the
+        # least diagonal entry when every entry fits a signed byte, else
+        # by one subtraction on the whole buffer; up to the 16-bit
+        # extremes.  The buffer is 'B' exactly when every entry it holds
+        # fits a byte
+        n = isqrt(len(entries))
+        low, high = _flat([_pack(entries[i:i + n])
+                           for i in range(0, n * n, n)], n)
+        assert (high is None) == all(-128 <= x <= 127 for x in entries)
+        flat, least = _rebased(low, high, n)
         assert least == min(entries)
-        assert flat.typecode == "H"
+        assert flat.typecode == ("B" if max(entries) - least <= 255
+                                 else "H")
         assert list(flat) == [x - least for x in entries]
+
+    def test_canonical_buffer_is_a_byte_buffer_when_it_fits(self):
+        # on real quivers: the unknot's one vertex, the export sweep, and
+        # the 129/1 and 257/1 knot quivers, whose raw entries pass a
+        # signed byte and whose canonical ones reach 129 and 257
+        quivers = [knot_quiver(Slope(1, 1)), knot_quiver(Slope(129, 1)),
+                   knot_quiver(Slope(257, 1)),
+                   *(state for _, state in export_quivers())]
+        seen = set()
+        for state in quivers:
+            for export in (framing_shift, q_invert):
+                flat = export(state, "canonical").flat
+                assert min(flat) == 0
+                assert flat.typecode == ("B" if max(flat) <= 255 else "H")
+                seen.add((flat.typecode, max(flat) > 127))
+                assert export(state, "raw").flat.typecode == "h"
+                assert export(state, 0).flat.typecode == "h"
+        assert seen == {("B", False), ("B", True), ("H", True)}
 
     def test_quiver_data_checks_its_rows(self):
         # Q given as lists is held flat and read back as row tuples; an

@@ -1,7 +1,10 @@
 """Rules on the package source itself."""
 
 import ast
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import quivertangle
@@ -131,3 +134,15 @@ def test_readme_bounds_match_the_source():
     for name, text in stated:
         base, _, power = text.partition("^")
         assert int(base) ** int(power or 1) == bounds[name], (name, text)
+
+
+def test_cli_import_leaves_out_dataclasses():
+    # dataclasses imports inspect, which costs start-up time on every
+    # command; a fresh import of the CLI loads neither
+    src = str(Path(quivertangle.__file__).parent.parent)
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, quivertangle.cli; "
+         "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True,
+        text=True, timeout=60)
+    assert (proc.returncode, proc.stdout) == (0, "[]\n"), proc.stderr
