@@ -151,24 +151,32 @@ def compute_payload(plan, terms, frame, convention):
     return state, payload
 
 
-# Q's text when every entry fits a signed byte: the text of each entry,
+# Q's text when every entry fits a byte: the text of each entry,
 # right-aligned in 4 characters padded with _GAP, as 4 character columns
-# keyed by the entry's low byte, each applied by one bytes.translate;
-# entries in [-9, 99] need only the last 2
+# keyed by the byte that holds the entry, its low byte read signed or a
+# 'B' buffer's byte read unsigned, each applied by one bytes.translate
 _GAP = b"\0"  # a byte no text holds
-_BYTE_TEXT = [str(b - 256 if b > 127 else b).encode().rjust(4, _GAP)
-              for b in range(256)]
-_COLUMNS = [bytes(text[k] for text in _BYTE_TEXT) for k in range(4)]
-_WIDTHS = ((2, -9, 99), (4, -128, 127))  # (columns, least, most entry)
+
+
+def _columns(values):
+    """Column k < 4 of the texts of values: one byte of each, in order."""
+    texts = b"".join(str(v).encode().rjust(4, _GAP) for v in values)
+    return [texts[k::4] for k in range(4)]
+
+
+# by unsigned: the columns, and the (columns, least, most entry) of each
+# width; entries in [-9, 99] need only the last 2 columns
+_COLUMNS = (_columns([*range(128), *range(-128, 0)]), _columns(range(256)))
+_WIDTHS = (((2, -9, 99), (4, -128, 127)), ((2, 0, 99), (3, 0, 255)))
 
 
 def _byte_text(flat, n, entries):
     """The JSON text of the rows of the n x n matrix in the flat array,
     without the outer brackets, written by C-level byte operations; or
-    None unless every entry lies in entries (lo, hi) and in [-128, 127].
-    The columns are keyed by each entry's low byte: the bytes of a 'B'
-    buffer as they are, those of a 16-bit one split off by _low_bytes.
-    Each entry takes width + 2 bytes of one buffer: its columns and the
+    None unless every entry lies in entries (lo, hi) and fits a byte:
+    the byte of a 'B' buffer read unsigned, in [0, 255], or the low
+    byte _low_bytes splits off a 16-bit one, in [-128, 127].  Each
+    entry takes width + 2 bytes of one buffer: its columns and the
     separator ", ", or at a row end a marker and _GAP.  One translate
     deletes the gaps and one replace turns the markers into "], [";
     each buffer is dropped once the next is built."""
@@ -178,17 +186,21 @@ def _byte_text(flat, n, entries):
     low = quiverstate._low_bytes(flat)
     if low is None:
         return None
-    for width, least, most in _WIDTHS:
-        # delete the entries of this width in range, by their low bytes
-        # (the low byte of v is _FLIP[v + 128]): none may be left
-        if not low.translate(None, quiverstate._FLIP[max(lo, least) + 128:
-                                                     min(hi, most) + 129]):
+    unsigned = flat.typecode == "B"
+    # the byte that holds v: v itself, or read signed _FLIP[v + 128]
+    keys, offset = (quiverstate._BYTES, 0) if unsigned else (
+        quiverstate._FLIP, 128)
+    for width, least, most in _WIDTHS[unsigned]:
+        # delete the entries of this width in range, by their bytes:
+        # none may be left
+        if not low.translate(None, keys[max(lo, least) + offset:
+                                        min(hi, most) + offset + 1]):
             break
     else:
         return None
     step = width + 2
     out = bytearray(_GAP * width + b", ") * (n * n)
-    for k, column in enumerate(_COLUMNS[-width:]):
+    for k, column in enumerate(_COLUMNS[unsigned][-width:]):
         out[k::step] = low.translate(column)
     del low
     out[step * n - 2::step * n] = b"|" * n
@@ -200,7 +212,7 @@ def _byte_text(flat, n, entries):
     return text.decode("ascii")
 
 
-# Q's text when an entry does not fit a signed byte: the JSON text of
+# Q's text when an entry does not fit a byte: the JSON text of
 # each entry, keyed by its value, built once per process and grown to
 # each range export proves for such a request, so a value outside every
 # such range raises KeyError instead of printing
@@ -210,8 +222,8 @@ _DIGITS = {}
 def _q_text(flat, n, entries):
     """The JSON text of the rows of the n x n matrix in the flat array,
     without the outer brackets, whose every entry export proves to lie
-    in entries (lo, hi): by _byte_text when every entry fits a signed
-    byte, else through _DIGITS, one ", ".join per row and one
+    in entries (lo, hi): by _byte_text when every entry fits a byte
+    (see there), else through _DIGITS, one ", ".join per row and one
     "], [".join of the rows.  Every range asked for holds 0, so the
     table always covers one interval."""
     text = _byte_text(flat, n, entries)

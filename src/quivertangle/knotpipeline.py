@@ -213,14 +213,14 @@ def _resum(th, kind, count):
     if kind == "T":
         # (q^2;q^2)_{j-k_old} = (q^2;q^2)_{j-k} (q^{2+2(j-k)};q^2)_{k-k_old}
         targets = [i for i, r in enumerate(records) if r[0] and r[1]]
-        coeff = [0 if r[0] else 1 for r in records]
+        coeff = (1, 0)
         new_k_type = False
     else:
         # (q^2;q^2)_{k_old} = (q^2;q^2)_k (q^{2+2k};q^2)_{k_old-k}
         targets = [i for i, r in enumerate(records) if not r[0] and r[1]]
-        coeff = [1 if r[0] else 0 for r in records]
+        coeff = (0, 1)
         new_k_type = True
-    _absorb(th, coeff, 0, 2, targets)
+    _absorb(th, targets, coeff)
     th.records = [(active, 1 if active == new_k_type else 0, s, a)
                   for active, _, s, a in th.records]
 

@@ -9,9 +9,10 @@ through an ordered list of index records (active flag, membership flag K
 in the single extra Pochhammer numerator, linear -q exponent s, linear a
 exponent a) and an integer matrix M for the quadratic q-exponent.
 [j; d]_+ is the positive q-multinomial, the one the quiver series of
-the exported data reads.  M is symmetric on every route (`_twist` and
-`_close` bump in transpose pairs, `_absorb` gives each new row and
-column the same values), so closure exports M as Q as it stands.
+the exported data reads.  M is symmetric on every route (a step
+bumps entry (i, l) by what it bumps (l, i), and `_absorb` gives each
+new row and column the same values), so closure exports M as Q as it
+stands.
 
 A state is held one way, as a `_Thawed`: its records as plain tuples
 (active, extra_poch, s, a) and M packed one int per row, one 16-bit
@@ -30,12 +31,19 @@ a byte.  That buffer is the one form of Q past export
 and `state_expand`, which takes a state as its records and M flat in
 row-major order, expands it to its coefficients per color.
 
-Twists act in "product form": multiply by a twist-dependent monomial and
-Pochhammer symbol, then absorb the Pochhammer by splitting summation
-indices.  The product form accumulates an extra q^{k^2} (k = sum of
-active indices) relative to the plain twist action; `_twist` bridges
-between the two forms by adding/removing an all-ones block on the
-active indices of M.
+Every step of the link route is one or two calls of one kernel,
+`_absorb`.  A twist acts in "product form": multiply by a
+twist-dependent monomial and Pochhammer symbol, then absorb the
+Pochhammer by splitting summation indices.  The product form
+accumulates an extra q^{k^2} (k = sum of active indices) relative to
+the plain twist action; the twist bridges between the two forms by
+adding an all-ones block on the active indices of M before the rule
+(one more bump of the rule's) and removing one on the active indices
+after the split (the kernel's bridge).  The monomial's record shifts
+and bumps, the Pochhammer's coefficients and the bridge each depend
+only on an index's class, active or inactive (_TWISTS lists them per
+twist), so the kernel builds each as a packed vector once per class and
+changes every old row in one pass.
 """
 
 from __future__ import annotations
@@ -73,7 +81,7 @@ class QuiverData(NamedTuple):
 
 
 class _Thawed:
-    """A state the kernel (_twist, _absorb, _bump, _close, and the knot
+    """A state the kernel (_twist, _absorb, _close, and the knot
     route's templates) works on in place: its boundary obj, its records
     as plain tuples (active, extra_poch, s, a), and M packed one int per
     row.  Row i is sum_l (M_il + 2^(W-1)) 2^(W l): one offset-binary
@@ -95,14 +103,19 @@ class _Thawed:
         return len(self.rows)
 
 
-# No step adds more than its constant to any |entry| of M, intermediate
-# values included:
-# - _absorb with |coeff| <= c: an entry gains at most two coefficients
-#   and a one, 2c + 1;
-# - _twist: 4 from its bumps, 3 from its absorb (|coeff| <= 1) and 1
-#   back across the bridge;
-# - _close: at UP bumps of 2 and an absorb with |coeff| <= 2, at OP a
-#   bump of 1 and two absorbs with |coeff| <= 1;
+# No step moves any entry of M by more than its constant.  A step reads
+# slots only where its spread copies target slots (_absorb's, and the
+# knot route's templates), off each old row as the step found it, so
+# within the bound before the step.  Every other change of a row is an
+# add of a packed vector, exact on the row's int whatever its slots hold
+# in between, so only the final slots must lie in range:
+# - _absorb with |bump| <= b, |coeff| <= c and |bridge| <= r: an entry
+#   gains at most a bump, two coefficients, a one and the bridge,
+#   b + 2c + 1 + r;
+# - _twist: 6 (b = 2, c = r = 1); TWIST_STEP keeps the 8 of its bumps,
+#   absorb and bridge as separate passes (4 + 3 + 1), since every route's
+#   bound, and with it the frames export admits, is sized from it;
+# - _close: at UP 7 (b = c = 2), at OP 4 (b = c = 1) and then 3 (c = 1);
 # - _mirror: |c| + |e| <= 2.
 TWIST_STEP = 8
 CLOSE_STEP = 7
@@ -129,14 +142,12 @@ def _ones(lo, hi):
                           "little") << (W * lo)
 
 
-def _slots(cols, n):
-    """The packed vector with 1 in each slot of cols, n slots in all."""
-    if len(cols) == n:
-        return _ones(0, n)
+def _slots(flags):
+    """The packed vector with 1 in slot l for each true flags[l], 0 in
+    the others."""
     step = W // 8
-    buf = bytearray(n * step)
-    for l in cols:
-        buf[l * step] = 1
+    buf = bytearray(len(flags) * step)
+    buf[::step] = bytes(flags)
     return int.from_bytes(buf, "little")
 
 
@@ -144,14 +155,13 @@ def _gather(cols, base):
     """(right shift, mask, left shift) of each run of consecutive
     entries of cols: (row >> right & mask) << left, summed over the
     runs, moves slot cols[k] of a row to slot base + k."""
-    runs = []  # [first slot, its k, length]
-    for k, c in enumerate(cols):
-        if runs and runs[-1][0] + runs[-1][2] == c:
-            runs[-1][2] += 1
-        else:
-            runs.append([c, k, 1])
-    return [(W * c, (1 << (W * length)) - 1, W * (base + k))
-            for c, k, length in runs]
+    runs, first = [], 0  # first: the k that starts the run
+    for k in range(1, len(cols) + 1):
+        if k == len(cols) or cols[k] != cols[k - 1] + 1:
+            runs.append((W * cols[first], (1 << (W * (k - first))) - 1,
+                         W * (base + first)))
+            first = k
+    return runs
 
 
 def _pack(values):
@@ -159,6 +169,11 @@ def _pack(values):
     n = len(values)
     raw = struct.pack(f"<{n}h", *values)
     return int.from_bytes(raw, "little") ^ (_ones(0, n) << (W - 1))
+
+
+# per class (inactive, active): no shift, and no bump
+_ZERO = (0, 0)
+_NONE = (_ZERO, _ZERO)
 
 
 def _trivial(bound):
@@ -368,158 +383,124 @@ def state_expand(records, M, N):
     return coeffs
 
 
-def _absorb(th, coeff, const_a, const_q, targets,
-            alpha_active=None, beta_active=None):
-    """Multiply the thawed state th, in place, by
-    (q^{const_q} a^{const_a} q^{2 coeff.d}; q^2)_D, where D is the sum
-    of the target indices, and absorb it by splitting each target index
-    into (beta, alpha).
+def _absorb(th, targets, coeff, const_a=0, ds=_ZERO, da=_ZERO, bump=_NONE,
+            bridge=0, alpha_active=None, beta_active=None):
+    """One step of the thawed state th, in place: shift each record's
+    (s, a) by (ds, da) and bump M, multiply by (q^2 a^{const_a}
+    q^{2 coeff.d}; q^2)_D, D the sum of the target indices, absorb it by
+    splitting each target index into (beta, alpha), and add bridge on
+    every entry (i, l) of two indices active afterwards.  coeff, ds, da
+    and bump are per class: each a pair (inactive, active) keyed by the
+    class of an index, bump's a pair (delta on the inactive columns,
+    delta on the active ones) for a row of that class.
 
     Beta stays in place with its parent's record; the alphas are
     appended at the end in target order, carry the per-unit monomial
-    -q^{const_q-1} a^{const_a} (hence const_q must be even so the sign
-    matches a power of -q), and receive the quadratic cross-term
-    bookkeeping that rewrites the positive multinomial over the coarse
-    indices as the one over the split ones.  alpha_active/beta_active
-    override the activity flags of the split halves (None keeps the
-    parent's)."""
-    if const_q % 2:
-        raise ValueError("const_q must be even: the per-unit sign must "
-                         "be a power of -q")
+    -q a^{const_a}, and receive the quadratic cross-term bookkeeping
+    that rewrites the positive multinomial over the coarse indices as
+    the one over the split ones.  alpha_active/beta_active override the
+    activity flags of the split halves (None keeps the parent's); an
+    alpha's coefficient and bumps are its parent's, by the parent's
+    class."""
     if len(set(targets)) != len(targets):
         raise ValueError("absorb targets must be distinct")
     records, rows = th.records, th.rows
     n, m = len(records), len(targets)
-    for t in targets:
-        active, k, s, a = records[t]
-        records.append((active if alpha_active is None else alpha_active,
-                        k, s + const_q - 1, a + const_a))
+    cls = [r[0] for r in records]
+    parents = list(map(cls.__getitem__, targets))
+    alphas = parents if alpha_active is None else [alpha_active] * m
+    post = cls  # the classes after the step
     if beta_active is not None:
+        post = cls[:]
         for t in targets:
-            records[t] = (beta_active, *records[t][1:])
+            post[t] = beta_active
+    if ds != _ZERO or da != _ZERO or post is not cls:
+        records[:] = [(p, k, s + ds[c], a + da[c])
+                      for p, (c, k, s, a) in zip(post, records)]
+    records += [(alpha, k, s + 1, a + const_a) for alpha, (_, k, s, a)
+                in zip(alphas, map(records.__getitem__, targets))]
 
     # Each alpha starts as a copy of its target (a column, then a row)
     # and gains the cross terms 2 (coeff.d) alpha_i, alpha_i^2 and the
     # ordered cross terms 2 alpha_i (d_1 + ... + d_{i-1}): in row alpha_i
     # coeff, ones on the alpha block and on targets l < i; in every row
     # y, coeff_y on the alpha columns, and in row target l one more on
-    # the alphas after alpha_l.  Packed: each row gains its target
-    # slots as its top slots, one shift and mask per run of targets;
-    # each alpha row is its target row plus one add vector; and the
-    # column updates are one add of c times the alpha slots.
+    # the alphas after alpha_l.  Packed, each old row copies its target
+    # slots to its top slots (one shift and mask per run, _gather) and
+    # adds its class's vector: its bumps (a target column's land on its
+    # copy), its coefficient on the alpha columns and the bridge.
+    span = _ones(n, n + m)  # the alpha columns
+    act = _slots(cls + parents)  # the columns of active parents
+    inact = _ones(0, n + m) - act
+    bridged = bridge and bridge * _slots(post + alphas)
+    (b00, b01), (b10, b11) = bump
+    adds = [b00 * inact + b01 * act + coeff[0] * span,
+            b10 * inact + b11 * act + coeff[1] * span + bridged]
     moves = _gather(targets, n)
     for y, row in enumerate(rows):
+        spread = row
         for right, mask, left in moves:
-            row |= ((row >> right) & mask) << left
-        rows[y] = row
-    coeff = [*coeff, *(coeff[t] for t in targets)]
-    span = _ones(n, n + m)  # the alpha columns
-    on_span = {c: c * span for c in set(coeff)}
-    add = _pack(coeff) - (_ones(0, n + m) << (W - 1)) + span
-    for t in targets:
-        rows.append(rows[t] + add + on_span[coeff[t]])
-        add += 1 << (W * t)
-    for y in range(n):
-        if coeff[y]:
-            rows[y] += on_span[coeff[y]]
-    after = span  # the alpha columns after alpha_l
+            spread |= ((row >> right) & mask) << left
+        rows[y] = spread + adds[cls[y]]
+    # an alpha row is its target row plus the coefficient columns, the
+    # alpha block and the bridge its class gains over its parent's; a
+    # beta row gains the "after" columns and its own bridge change
+    base = coeff[0] * inact + coeff[1] * act + span
+    lift, fix = [base, base], [0, 0]
+    if alpha_active is not None:
+        lift = [base + alpha_active * bridged,
+                base + (alpha_active - 1) * bridged]
+    if beta_active is not None:
+        fix = [beta_active * bridged, (beta_active - 1) * bridged]
+    earlier, after = 0, span  # the targets before alpha_l, the alphas after
     for l, t in enumerate(targets, n):
+        row, c = rows[t], cls[t]
+        rows.append(row + lift[c] + earlier)
+        earlier += 1 << (W * t)
         after -= 1 << (W * l)
-        rows[t] += after
+        rows[t] = row + after + fix[c]
 
 
-def _bump(th, rows, cols, delta):
-    """Add delta to M_il for every i in rows and l in cols."""
-    vec = delta * _slots(cols, len(th.rows))
-    packed = th.rows
-    for i in rows:
-        packed[i] += vec
-
-
-def _shift(records, positions, ds=0, da=0):
-    for i in positions:
-        active, k, s, a = records[i]
-        records[i] = (active, k, s + ds, a + da)
-
-
-def _actives(records):
-    return [i for i, r in enumerate(records) if r[0]]
-
-
-def _inactives(records):
-    return [i for i, r in enumerate(records) if not r[0]]
+# The plain twist actions, keyed by (kind, boundary before), each one
+# step of _absorb between the two halves of the q^{k^2} bridge: (target
+# class, ds, da, bump, coeff, const_a), the record shifts, bumps and
+# coefficients per class as _absorb takes them.  The bumps hold the
+# rule's monomial and the bridge's ones on the active block (in a T
+# twist the bridge's and the rule's act x act make 2); the targets are
+# the inactives for T and the actives for R.  The alphas are active,
+# they carry the new-crossing strand pair, and every beta is inactive:
+# an R twist demotes the old active mass.
+_TWISTS = {
+    # (-q)^{k-j} q^{k^2} (q^{2+2k}; q^2)_{j-k}
+    ("T", UP): (False, (-1, 0), _ZERO, (_ZERO, (0, 2)), (0, 1), 0),
+    # (-q)^k a^k q^{k^2-2jk} (q^{2+2k};q^2)_{j-k}
+    ("T", OP): (False, (0, 1), (0, 1), ((0, -1), (-1, 0)), (0, 1), 0),
+    # (-q)^k a^k q^{k^2-2jk} (a q^{2+2k-2j};q^2)_{j-k}
+    ("T", RI): (False, (0, 1), (0, 1), ((0, -1), (-1, 0)), (-1, 0), 1),
+    # (-q)^{-j} a^{-j} q^{j^2} (a q^{2-2k}; q^2)_k
+    ("R", UP): (True, (-1, -1), (-1, -1), ((1, 1), (1, 2)), (0, -1), 1),
+    # (-q)^{-j} a^{k-j} q^{j^2-2jk} (q^{2+2j-2k}; q^2)_k
+    ("R", OP): (True, (-1, -1), (-1, 0), ((1, 0), _ZERO), (1, 0), 0),
+    # q^{-j^2} (q^{2+2j-2k}; q^2)_k
+    ("R", RI): (True, _ZERO, _ZERO, ((-1, -1), (-1, 0)), (1, 0), 0),
+}
 
 
 def _twist(th, kind):
     """The plain twist action of kind T or R on a thawed state, in
     place, boundary included: plain states expand to exactly the
-    rescaled skein evaluation.  The product-form rule (multiply by a
-    monomial and a Pochhammer prefactor, then absorb) runs between the
-    two halves of the q^{k^2} convention bridge, k the active sum before
-    and after."""
-    obj, records = th.obj, th.records
-    act, inact = _actives(records), _inactives(records)
-    allpos = range(len(records))
-    if kind == "T":
-        targets = inact
-        # act x act gains 2: the bridge's q^{k^2} and the rule's
-        if obj == UP:
-            # (-q)^{k-j} q^{k^2} (q^{2+2k}; q^2)_{j-k}
-            _shift(records, inact, ds=-1)
-            _bump(th, act, act, 2)
-            const_a = 0
-            coeff = [1 if r[0] else 0 for r in records]
-        elif obj in (OP, RI):
-            # (-q)^k a^k q^{k^2-2jk} times (q^{2+2k};q^2)_{j-k} for OP
-            # or (a q^{2+2k-2j};q^2)_{j-k} for RI
-            _shift(records, act, ds=1, da=1)
-            _bump(th, act, act, 2)
-            _bump(th, allpos, act, -1)
-            _bump(th, act, allpos, -1)
-            if obj == OP:
-                const_a = 0
-                coeff = [1 if r[0] else 0 for r in records]
-            else:
-                const_a = 1
-                coeff = [0 if r[0] else -1 for r in records]
-        else:
-            raise ValueError(obj)
-    elif kind == "R":
-        targets = act
-        _bump(th, act, act, 1)  # the bridge's q^{k^2}
-        if obj == UP:
-            # (-q)^{-j} a^{-j} q^{j^2} (a q^{2-2k}; q^2)_k
-            _shift(records, allpos, ds=-1, da=-1)
-            _bump(th, allpos, allpos, 1)
-            const_a = 1
-            coeff = [-1 if r[0] else 0 for r in records]
-        elif obj == OP:
-            # (-q)^{-j} a^{k-j} q^{j^2-2jk} (q^{2+2j-2k}; q^2)_k
-            _shift(records, allpos, ds=-1)
-            _shift(records, inact, da=-1)
-            _bump(th, allpos, allpos, 1)
-            _bump(th, allpos, act, -1)
-            _bump(th, act, allpos, -1)
-            const_a = 0
-            coeff = [0 if r[0] else 1 for r in records]
-        elif obj == RI:
-            # q^{-j^2} (q^{2+2j-2k}; q^2)_k
-            _bump(th, allpos, allpos, -1)
-            const_a = 0
-            coeff = [0 if r[0] else 1 for r in records]
-        else:
-            raise ValueError(obj)
-    else:
-        raise ValueError(f"unknown twist kind {kind!r}")
-
-    # New alphas always carry the new-crossing strand pair, hence end up
-    # active; for R twists the old active mass is demoted to inactive.
-    _absorb(th, coeff, const_a, 2, targets, True,
-            False if kind == "R" else None)
-    # back across the bridge, over the new actives
-    act = _actives(records)
-    _bump(th, act, act, -1)
-    th.obj = boundary_after(obj, kind)
+    rescaled skein evaluation.  One _absorb of its _TWISTS step: the
+    product-form rule (multiply by a monomial and a Pochhammer
+    prefactor, then absorb) between the two halves of the q^{k^2}
+    convention bridge, k the active sum before and after."""
+    if (kind, th.obj) not in _TWISTS:
+        raise ValueError(f"no {kind!r} twist at boundary {th.obj}")
+    target, ds, da, bump, coeff, const_a = _TWISTS[kind, th.obj]
+    targets = [i for i, r in enumerate(th.records) if r[0] == target]
+    # a T twist's targets are inactive already
+    _absorb(th, targets, coeff, const_a, ds, da, bump, -1, True,
+            False if target else None)
+    th.obj = boundary_after(th.obj, kind)
 
 
 def _close(th):
@@ -536,27 +517,21 @@ def _close(th):
     if any(r[1] for r in records):
         raise ValueError("closure needs a state with no extra "
                          "Pochhammer flags")
-    act, inact = _actives(records), _inactives(records)
-    allpos = range(len(records))
     # the positive multinomial is (q^2;q^2)_{sum d} over plain
     # Pochhammer denominators; its numerator is a pending cancellation
     if obj == UP:
         # X[j,k] -> a^{-j} q^{j^2+k^2} (a^2 q^{2-2j-2k};q^2)_j / (q^2;q^2)_j
-        _shift(records, allpos, da=-1)
-        _bump(th, allpos, allpos, 1)
-        _bump(th, act, act, 1)
-        coeff = [-2 if r[0] else -1 for r in records]
-        _absorb(th, coeff, 2, 2, list(allpos))
+        _absorb(th, list(range(len(records))), (-1, -2), 2, _ZERO,
+                (-1, -1), ((1, 1), (1, 2)))
     else:
         # X[j,k] -> a^{k-j} q^{(j-k)^2} (a^2 q^{2-2j};q^2)_{j-k}
         #           / (q^2;q^2)_{j-k}
         # The (q^2;q^2)_j numerator cancels only partially; the quotient
         # (q^{2+2(j-k)};q^2)_k is absorbed over the active indices.
-        _shift(records, inact, da=-1)
-        _bump(th, inact, inact, 1)
-        coeff = [0 if r[0] else 1 for r in records]
-        _absorb(th, coeff, 0, 2, act)
-        _absorb(th, [-1] * len(records), 2, 2, inact)
+        act = [i for i, r in enumerate(records) if r[0]]
+        inact = [i for i, r in enumerate(records) if not r[0]]
+        _absorb(th, act, (1, 0), 0, _ZERO, (-1, 0), ((1, 0), _ZERO))
+        _absorb(th, inact, (-1, -1), 2)
 
 
 # (sigma, c, e) of the reflection Q_il -> -Q_il - 1 + [i = l] that

@@ -1068,6 +1068,50 @@ def close_list(obj, records, M):
         absorb_list(records, M, [-1] * len(records), 2, 2, inact)
 
 
+def class_step(st, absorb, targets, coeff, const_a, ds, da, bump, bridge,
+               alpha_active, beta_active):
+    """The frozen state after one step of quiverstate._absorb, run on an
+    entry-by-entry absorb kernel: the per-class record shifts and bumps
+    applied one index and one entry at a time, the per-class
+    coefficients expanded into one per index, absorb(state, coeff list,
+    const_a, targets, alpha_active, beta_active) (the list kernel or the
+    reference, const_q = 2), then bridge on every entry of two indices
+    active afterwards."""
+    records, M = list(st.indices), [list(row) for row in st.M]
+    for c in (False, True):
+        members = [i for i, r in enumerate(st.indices) if r.active == c]
+        _shift_list(records, members, ds[c], da[c])
+        for d in (False, True):
+            bump_list(M, members,
+                      [i for i, r in enumerate(st.indices) if r.active == d],
+                      bump[c][d])
+    out = absorb(QuiverState(st.obj, tuple(records), freeze_matrix(M)),
+                 [coeff[r.active] for r in st.indices], const_a, targets,
+                 alpha_active, beta_active)
+    M = [list(row) for row in out.M]
+    act = actives(out.indices)
+    bump_list(M, act, act, bridge)
+    return replace(out, M=freeze_matrix(M))
+
+
+def absorb_list_frozen(st, coeff, const_a, targets, alpha_active,
+                       beta_active):
+    """absorb_list (const_q = 2) on a copy of a frozen state."""
+    records, M = list(st.indices), [list(row) for row in st.M]
+    absorb_list(records, M, coeff, const_a, 2, targets, alpha_active,
+                beta_active)
+    return QuiverState(st.obj, tuple(records), freeze_matrix(M))
+
+
+def absorb_reference_positive(st, coeff, const_a, targets, alpha_active,
+                              beta_active):
+    """absorb_pochhammer_reference (const_q = 2) in the positive
+    reading the kernel runs in."""
+    return absorb_pochhammer_reference(
+        st, coeff, const_a, 2, targets, refine=False,
+        alpha_active=alpha_active, beta_active=beta_active)
+
+
 def apply_template_list(st, key):
     """The block transform _TRANSFORMS[key] of a frozen state, one
     segment of row list per output block."""

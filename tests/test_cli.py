@@ -517,6 +517,38 @@ class TestPayloadWriter:
                                      (0, 300)) == json.dumps(rows)
         assert bool(cli._DIGITS) == (x in (128, -129))
 
+    def test_byte_buffer_is_read_unsigned_on_the_byte_path(self,
+                                                           monkeypatch):
+        # a byte buffer's entries 128..255 are written by the byte
+        # columns keyed by the byte itself, as json.dumps writes them,
+        # never through the digit table: the canonical Q of links 127/1
+        # and 129/1 (entries up to 129 and 131) in both conventions, and
+        # synthetic byte buffers: every byte value in one 16 x 16 buffer
+        # and alone, and each width's edges among entries of others
+        monkeypatch.setattr(cli, "_DIGITS", {})
+        for p in (127, 129):
+            state = link_quiver(Slope(p, 1))
+            for symmetric in (False, True):
+                export = q_invert if symmetric else framing_shift
+                qd = export(state, "canonical")
+                assert qd.flat.typecode == "B" and max(qd.flat) > 127
+                entries = quiverstate.export_range(state, "canonical",
+                                                   symmetric)
+                assert self.text(qd.flat, qd.n, entries) == json.dumps(
+                    quiver_rows(qd))
+        values = list(range(256))
+        for n, entries in ((16, (0, 255)), (16, (0, 600)), (1, (0, 255))):
+            for start in range(0, 256, n * n):
+                rows = [values[start + i * n:start + (i + 1) * n]
+                        for i in range(n)]
+                assert self.text(self.flat(rows, "B"), n, entries) == (
+                    json.dumps(rows))
+        for x in (0, 9, 10, 99, 100, 127, 128, 129, 199, 200, 254, 255):
+            rows = self.symmetric([[x, 0, 255], [100, x], [9]])
+            assert self.text(self.flat(rows, "B"), 3, (0, 255)) == (
+                json.dumps(rows))
+        assert not cli._DIGITS
+
     @settings(max_examples=200, deadline=None)
     @given(hs.tuples(hs.integers(1, 12), hs.sampled_from([9, 99, 128, 300]))
            .flatmap(lambda nr: hs.tuples(*(
@@ -531,8 +563,7 @@ class TestPayloadWriter:
         assert self.text(self.flat(rows), n, (-300, 300)) == (
             json.dumps(rows))
         # as in the canonical frame: unsigned, the least entry 0, and a
-        # byte buffer when every entry fits a byte, read unsigned, so
-        # its entries 128..255 go to the digit table
+        # byte buffer when every entry fits a byte, read unsigned
         least = min(map(min, rows))
         shifted = [[x - least for x in row] for row in rows]
         for typecode in "HB" if max(map(max, shifted)) <= 255 else "H":

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 from array import array
+from collections import Counter
 from dataclasses import replace
 from math import gcd, isqrt
 
@@ -14,6 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as hs
 
 import quivertangle
+from quivertangle import quiverstate
 from quivertangle.qseries import QFraction
 from quivertangle.knotpipeline import (KNOT_ROUTE, _TRANSFORMS, TEMPLATE_STEP,
                                        _apply_template, _final_close,
@@ -22,7 +24,7 @@ from quivertangle.knotpipeline import (KNOT_ROUTE, _TRANSFORMS, TEMPLATE_STEP,
 from quivertangle.quiverstate import (CLOSE_STEP, LINK_ROUTE, MAX_VERTICES,
                                       MIRROR_STEP, TWIST_STEP, W, QuiverData,
                                       Route,
-                                      _Q_INVERT, _absorb, _bump, _close,
+                                      _Q_INVERT, _absorb, _close,
                                       _flat, _link_bound, _mirror, _pack,
                                       _rebased, _trivial, _twist,
                                       export_range,
@@ -33,10 +35,10 @@ from quivertangle.tangles import (OP, RI, Slope, UP, cf_expand, cf_value,
                                   enumerate_rational_knots, is_knot,
                                   resolve_terms, twist_sequence, writhe)
 
-from conftest import (IndexRecord, QuiverState, absorb_list,
-                      absorb_pochhammer_reference, actives,
+from conftest import (IndexRecord, QuiverState, absorb_list_frozen,
+                      absorb_reference_positive, actives,
                       apply_template_list, apply_template_reference,
-                      apply_twist_reference, bump_list, close_list,
+                      apply_twist_reference, class_step, close_list,
                       canonical_shift_reference, close_link_reference,
                       compositions, decode_rows, distinct_slopes, expand,
                       export_quivers, flatten, framing_factor,
@@ -148,6 +150,34 @@ def _snapshot(st):
     return (st.obj, st.indices, st.M)
 
 
+_PAIRS = hs.tuples(hs.integers(-2, 2), hs.integers(-2, 2))
+_FLAGS = hs.sampled_from((None, True, False))
+
+
+def draw_step(data, symmetric=False):
+    """The per-class arguments of one _absorb step after its targets
+    (coeff, const_a, ds, da, bump, bridge, alpha_active, beta_active),
+    and the most the step moves any entry: b + 2c + 1 + r for bumps,
+    coefficients and bridge of absolute value at most b, c and r.  With
+    symmetric, the bump of an inactive row on the active columns equals
+    that of an active row on the inactive ones."""
+    coeff, ds, da = data.draw(_PAIRS), data.draw(_PAIRS), data.draw(_PAIRS)
+    bump = (data.draw(_PAIRS), data.draw(_PAIRS))
+    if symmetric:
+        bump = (bump[0], (bump[0][1], bump[1][1]))
+    bridge = data.draw(hs.integers(-1, 1))
+    step = (max(map(abs, bump[0] + bump[1])) + 2 * max(map(abs, coeff))
+            + 1 + abs(bridge))
+    return (coeff, data.draw(hs.integers(-2, 2)), ds, da, bump, bridge,
+            data.draw(_FLAGS), data.draw(_FLAGS)), step
+
+
+def draw_targets(data, n):
+    """Distinct targets of any classes, in any order."""
+    targets = data.draw(hs.permutations(range(n)))
+    return targets[:data.draw(hs.integers(0, n))]
+
+
 @settings(max_examples=150, deadline=None)
 @given(small_states(max_n=5), hs.data())
 def test_kernel_matches_reference(st, data):
@@ -157,20 +187,15 @@ def test_kernel_matches_reference(st, data):
     assert run_step(st, TWIST_STEP, _twist, kind) \
         == apply_twist_reference(st, kind, refine=False)
 
-    targets = data.draw(hs.permutations(range(st.n)))
-    targets = targets[:data.draw(hs.integers(0, st.n))]
-    coeff = data.draw(hs.lists(hs.integers(-2, 2), min_size=st.n,
-                               max_size=st.n))
-    args = (coeff, data.draw(hs.integers(-2, 2)),
-            2 * data.draw(hs.integers(-1, 2)), targets)
-    flags = {"alpha_active": data.draw(hs.sampled_from((None, True, False))),
-             "beta_active": data.draw(hs.sampled_from((None, True, False)))}
-    inputs = (list(coeff), list(targets))
-    # an absorb with |coeff| <= 2 adds at most 5 to any |entry|
-    assert run_step(st, 5, _absorb, *args, flags["alpha_active"],
-                    flags["beta_active"]) \
-        == absorb_pochhammer_reference(st, *args, refine=False, **flags)
-    assert (coeff, targets) == inputs
+    # one step with per-class shifts, bumps, coefficients and bridge,
+    # targets of mixed classes, against the reference absorb with every
+    # per-class value expanded to each index
+    targets = draw_targets(data, st.n)
+    args, step = draw_step(data)
+    inputs = list(targets)
+    assert run_step(st, step, _absorb, targets, *args) \
+        == class_step(st, absorb_reference_positive, targets, *args)
+    assert targets == inputs
 
     key = data.draw(hs.sampled_from(sorted(_TRANSFORMS)))
     keyed = QuiverState(key[1], st.indices, st.M)
@@ -223,32 +248,15 @@ class TestPackedKernel:
             st = data.draw(edge_states(step))
             return st, thaw(st, step)
 
-        delta = data.draw(hs.integers(-2, 2))
-        st, th = thawed(abs(delta))
-        n = st.n
-        rows = data.draw(hs.lists(hs.integers(0, n - 1), unique=True))
-        cols = data.draw(hs.one_of(
-            hs.just(range(n)),
-            hs.lists(hs.integers(0, n - 1), unique=True)))
-        _bump(th, rows, cols, delta)
-        records, M = _listed(st)
-        bump_list(M, rows, cols, delta)
-        assert decode_rows(th.rows, th.n) == freeze_matrix(M)
-
-        st, th = thawed(5)  # an absorb with |coeff| <= 2
-        targets = data.draw(hs.permutations(range(st.n)))
-        targets = targets[:data.draw(hs.integers(0, st.n))]
-        args = (data.draw(hs.lists(hs.integers(-2, 2), min_size=st.n,
-                                   max_size=st.n)),
-                data.draw(hs.integers(-2, 2)),
-                2 * data.draw(hs.integers(-1, 2)), targets,
-                data.draw(hs.sampled_from((None, True, False))),
-                data.draw(hs.sampled_from((None, True, False))))
-        _absorb(th, *args)
-        records, M = _listed(st)
-        absorb_list(records, M, *args)
-        assert freeze(th) == QuiverState(st.obj, tuple(records),
-                                         freeze_matrix(M))
+        # one step with per-class shifts, bumps, coefficients and
+        # bridge, targets of mixed classes, on entries at the edge its
+        # constant leaves
+        args, step = draw_step(data)
+        st, th = thawed(step)
+        targets = draw_targets(data, st.n)
+        _absorb(th, targets, *args)
+        assert freeze(th) == class_step(st, absorb_list_frozen, targets,
+                                        *args)
 
         st, th = thawed(TWIST_STEP)
         kind = data.draw(hs.sampled_from("TR"))
@@ -275,6 +283,61 @@ class TestPackedKernel:
         close_list(obj, records, M)
         assert freeze(th) == QuiverState(obj, tuple(records),
                                          freeze_matrix(M))
+
+    def test_one_kernel_pass_per_step(self, monkeypatch):
+        # on the link route every step is the kernel's one pass over the
+        # rows: one _absorb per twist, one for a closure at UP and two at
+        # OP; nothing else in quiverstate iterates the rows, and each
+        # _absorb writes each old row once and each target row once more
+        counts, steps = Counter(), []
+
+        class Rows(list):
+            def __iter__(self):
+                counts["passes"] += 1
+                return super().__iter__()
+
+            def __setitem__(self, i, row):
+                counts["writes"] += 1
+                super().__setitem__(i, row)
+
+        def thawed(bound, trivial=quiverstate._trivial):
+            th = trivial(bound)
+            th.rows = Rows(th.rows)
+            return th
+
+        def absorb(th, *args, kernel=quiverstate._absorb):
+            kernel(th, *args)
+            counts["absorbs"] += 1
+            counts["n + m"] += th.n
+
+        for name in ("_twist", "_close"):
+            def logged(th, *args, step=getattr(quiverstate, name),
+                       name=name):
+                obj = th.obj
+                counts.clear()
+                step(th, *args)
+                steps.append((name, obj, dict(counts)))
+
+            monkeypatch.setattr(quiverstate, name, logged)
+        monkeypatch.setattr(quiverstate, "_trivial", thawed)
+        monkeypatch.setattr(quiverstate, "_absorb", absorb)
+        closed = set()
+        for slope in (Slope(13, 3), Slope(8, 3), Slope(11, 4), Slope(4, 1),
+                      Slope(12, 5)):
+            steps.clear()
+            link_quiver(slope)
+            *twists, (name, obj, close) = steps
+            assert len(twists) == len(list(twist_sequence(
+                resolve_terms(slope)[0]))), slope
+            for step in twists + [(name, obj, close)]:
+                absorbs = 2 if step[:2] == ("_close", OP) else 1
+                assert step[2] == {"absorbs": absorbs, "passes": absorbs,
+                                   "writes": step[2]["n + m"],
+                                   "n + m": step[2]["n + m"]}, (slope, step)
+            assert {n for n, _, _ in twists} == {"_twist"}
+            assert name == "_close"
+            closed.add(obj)
+        assert closed == {UP, OP}
 
     def test_route_bounds_fit_at_the_vertex_bound(self):
         # a route's bound grows with the term sum of its CF, at most its
@@ -394,15 +457,8 @@ class TestSymmetricInvariant:
             count = data.draw(hs.integers(1, 3))
             out = run_step(st, TWIST_STEP * count + 3, _resum, kind, count)
             assert _is_symmetric(out.M), kind
-        targets = data.draw(hs.permutations(range(st.n)))
-        targets = targets[:data.draw(hs.integers(0, st.n))]
-        coeff = data.draw(hs.lists(hs.integers(-2, 2), min_size=st.n,
-                                   max_size=st.n))
-        out = run_step(
-            st, 5, _absorb, coeff, data.draw(hs.integers(-2, 2)),
-            2 * data.draw(hs.integers(-1, 2)), targets,
-            data.draw(hs.sampled_from((None, True, False))),
-            data.draw(hs.sampled_from((None, True, False))))
+        args, step = draw_step(data, symmetric=True)
+        out = run_step(st, step, _absorb, draw_targets(data, st.n), *args)
         assert _is_symmetric(out.M)
         for key in _TRANSFORMS:
             keyed = QuiverState(key[1], st.indices, st.M)
