@@ -151,10 +151,10 @@ def compute_payload(plan, terms, frame, convention):
     return state, payload
 
 
-# Q's text when every entry fits a byte: the text of each entry,
+# Q's text when it is a byte array ('b' or 'B'): the text of each entry,
 # right-aligned in 4 characters padded with _GAP, as 4 character columns
-# keyed by the byte that holds the entry, its low byte read signed or a
-# 'B' buffer's byte read unsigned, each applied by one bytes.translate
+# keyed by the byte that holds the entry, each applied by one
+# bytes.translate
 _GAP = b"\0"  # a byte no text holds
 
 
@@ -164,45 +164,46 @@ def _columns(values):
     return [texts[k::4] for k in range(4)]
 
 
-# by unsigned: the columns, and the (columns, least, most entry) of each
-# width; entries in [-9, 99] need only the last 2 columns
-_COLUMNS = (_columns([*range(128), *range(-128, 0)]), _columns(range(256)))
-_WIDTHS = (((2, -9, 99), (4, -128, 127)), ((2, 0, 99), (3, 0, 255)))
+def _byte_table(values, widths):
+    """(keys, columns, widths) of a byte array holding values, listed in
+    increasing order: the byte of each value in that order, and the
+    columns keyed by the byte."""
+    return (bytes(v % 256 for v in values),
+            _columns(sorted(values, key=lambda v: v % 256)), widths)
+
+
+# by typecode; widths are (width, least, most entry), the widest last:
+# entries in [-9, 99] need only the last 2 columns
+_BYTE_TABLES = {"b": _byte_table(range(-128, 128),
+                                 ((2, -9, 99), (4, -128, 127))),
+                "B": _byte_table(range(256), ((2, 0, 99), (3, 0, 255)))}
 
 
 def _byte_text(flat, n, entries):
-    """The JSON text of the rows of the n x n matrix in the flat array,
-    without the outer brackets, written by C-level byte operations; or
-    None unless every entry lies in entries (lo, hi) and fits a byte:
-    the byte of a 'B' buffer read unsigned, in [0, 255], or the low
-    byte _low_bytes splits off a 16-bit one, in [-128, 127].  Each
-    entry takes width + 2 bytes of one buffer: its columns and the
+    """The JSON text of the rows of the n x n matrix in the byte array
+    flat, without the outer brackets, written by C-level byte
+    operations from its bytes as they are, read by its typecode's
+    signedness; KeyError unless every entry lies in entries (lo, hi).
+    Each entry takes width + 2 bytes of one buffer: its columns and the
     separator ", ", or at a row end a marker and _GAP.  One translate
     deletes the gaps and one replace turns the markers into "], [";
     each buffer is dropped once the next is built."""
     lo, hi = entries
-    if flat.typecode in "BH":  # unsigned: no low byte is a negative entry
-        lo = max(lo, 0)
-    low = quiverstate._low_bytes(flat)
-    if low is None:
-        return None
-    unsigned = flat.typecode == "B"
-    # the byte that holds v: v itself, or read signed _FLIP[v + 128]
-    keys, offset = (quiverstate._BYTES, 0) if unsigned else (
-        quiverstate._FLIP, 128)
-    for width, least, most in _WIDTHS[unsigned]:
+    keys, columns, widths = _BYTE_TABLES[flat.typecode]
+    data, first = flat.tobytes(), widths[-1][1]  # keys[v - first] holds v
+    for width, least, most in widths:
         # delete the entries of this width in range, by their bytes:
         # none may be left
-        if not low.translate(None, keys[max(lo, least) + offset:
-                                        min(hi, most) + offset + 1]):
+        if not data.translate(None, keys[max(lo, least) - first:
+                                         min(hi, most) - first + 1]):
             break
     else:
-        return None
+        raise KeyError(f"an entry of Q lies outside [{lo}, {hi}]")
     step = width + 2
     out = bytearray(_GAP * width + b", ") * (n * n)
-    for k, column in enumerate(_COLUMNS[unsigned][-width:]):
-        out[k::step] = low.translate(column)
-    del low
+    for k, column in enumerate(columns[-width:]):
+        out[k::step] = data.translate(column)
+    del data
     out[step * n - 2::step * n] = b"|" * n
     out[step * n - 1::step * n] = _GAP * n
     out[-2:] = _GAP * 2
@@ -212,23 +213,22 @@ def _byte_text(flat, n, entries):
     return text.decode("ascii")
 
 
-# Q's text when an entry does not fit a byte: the JSON text of
-# each entry, keyed by its value, built once per process and grown to
-# each range export proves for such a request, so a value outside every
-# such range raises KeyError instead of printing
+# Q's text when it is a 16-bit array: the JSON text of each entry, keyed
+# by its value, built once per process and grown to each range export
+# proves for such a request, so a value outside every such range raises
+# KeyError instead of printing
 _DIGITS = {}
 
 
 def _q_text(flat, n, entries):
     """The JSON text of the rows of the n x n matrix in the flat array,
     without the outer brackets, whose every entry export proves to lie
-    in entries (lo, hi): by _byte_text when every entry fits a byte
-    (see there), else through _DIGITS, one ", ".join per row and one
-    "], [".join of the rows.  Every range asked for holds 0, so the
-    table always covers one interval."""
-    text = _byte_text(flat, n, entries)
-    if text is not None:
-        return text
+    in entries (lo, hi): a byte array by _byte_text, a 16-bit one
+    through _DIGITS, one ", ".join per row and one "], [".join of the
+    rows.  Every range asked for holds 0, so the table always covers
+    one interval."""
+    if flat.itemsize == 1:
+        return _byte_text(flat, n, entries)
     lo, hi = entries
     if lo not in _DIGITS or hi not in _DIGITS:
         _DIGITS.update((v, str(v)) for v in range(lo, hi + 1))

@@ -27,79 +27,82 @@ from __future__ import annotations
 from .quiverstate import (MIRROR_STEP, TWIST_STEP, W, Route, _absorb,
                           _diagonal, _gather, _ones, _trivial, _twist,
                           quiver_route, route_size)
-from .tangles import OP, RI, UP, boundary_walk, cf_value, is_knot
+from .tangles import (OP, RI, UP, boundary_after, boundary_walk, cf_value,
+                      is_knot)
 
 
-# Block transforms, keyed by (pair, boundary before): (boundary after,
-# or None for the closure; output blocks; M template).  Output blocks
-# are (active, k_flag, source, s_shift, a_shift) with source "+"/"-".
-# M template entry (shift, tri) of output blocks (b, c) is the input
-# block (source of b, source of c) plus shift, plus the strictly lower
-# (tri "L") or upper (tri "U") all-ones block.  Entry (c, b) is entry
-# (b, c) with L and U swapped, so a symmetric M stays symmetric.
+# Block transforms of a pair of twists or of the closure, keyed by (pair,
+# boundary before): (output blocks, upper triangle of the M template).
+# Output blocks are (active, source, s_shift, a_shift) with source
+# "+"/"-".  Row b of the template holds its entries from the diagonal on,
+# each a shift or a pair (shift, tri): entry (b, c) of output blocks is
+# the input block (source of b, source of c) plus shift, plus the
+# strictly lower (tri "L") or upper (tri "U") all-ones block.  Entry
+# (c, b) is entry (b, c) with L and U swapped, so a symmetric M stays
+# symmetric.
 
 _P, _M_ = "+", "-"
 
-_TRANSFORMS = {
-    ("TT", UP): (UP, [(1, 1, _P, 0, 0), (1, 1, _M_, -1, 0),
-                      (0, 0, _M_, -2, 0)],
-                 [((2, None), (0, None), (0, None)),
-                  ((0, None), (0, None), (0, "L")),
-                  ((0, None), (0, "U"), (0, None))]),
-    ("TT", OP): (OP, [(1, 1, _P, 2, 2), (1, 1, _M_, 1, 1), (0, 0, _M_, 0, 0)],
-                 [((-2, None), (-3, None), (-2, None)),
-                  ((-3, None), (-2, None), (-1, "L")),
-                  ((-2, None), (-1, "U"), (0, None))]),
-    ("RR", OP): (OP, [(1, 0, _P, 0, 0), (0, 1, _P, -2, -1),
-                      (0, 1, _M_, -2, -2)],
-                 [((0, None), (1, "L"), (2, None)),
-                  ((1, "U"), (1, None), (1, None)),
-                  ((2, None), (1, None), (2, None))]),
-    ("RR", RI): (RI, [(1, 0, _P, 2, 0), (0, 1, _P, 0, 0), (0, 1, _M_, 0, 0)],
-                 [((0, None), (0, "L"), (0, None)),
-                  ((0, "U"), (-1, None), (-2, None)),
-                  ((0, None), (-2, None), (-2, None))]),
-    ("TR", OP): (UP, [(1, 1, _P, -1, 0), (1, 1, _M_, -1, -1),
-                      (0, 0, _P, -2, 0), (0, 0, _M_, -2, -1),
-                      (0, 0, _M_, -1, -1)],
-                 [((0, None), (0, None), (0, "L"), (0, None), (1, None)),
-                  ((0, None), (1, None), (1, None), (1, "L"), (2, "L")),
-                  ((0, "U"), (1, None), (0, None), (0, None), (0, None)),
-                  ((0, None), (1, "U"), (0, None), (1, None), (1, "U")),
-                  ((1, None), (2, "U"), (0, None), (1, "L"), (2, None))]),
-    ("TR", RI): (OP, [(1, 1, _P, 1, 1), (1, 1, _M_, 1, 1), (0, 0, _P, 0, 0),
-                      (0, 0, _M_, 0, 0), (0, 0, _M_, 1, 0)],
-                 [((-2, None), (-3, None), (-1, "L"), (-2, None), (-1, None)),
-                  ((-3, None), (-3, None), (-1, None), (-2, "L"), (-1, "L")),
-                  ((-1, "U"), (-1, None), (0, None), (-1, None), (-1, None)),
-                  ((-2, None), (-2, "U"), (-1, None), (-1, None), (-1, "U")),
-                  ((-1, None), (-1, "U"), (-1, None), (-1, "L"), (0, None))]),
-    ("RT", UP): (OP, [(1, 0, _P, 0, 0), (1, 0, _P, 1, 0), (1, 0, _M_, 0, 0),
-                      (0, 1, _P, -1, -1), (0, 1, _M_, -2, -1)],
-                 [((1, None), (1, "U"), (0, None), (2, "L"), (1, None)),
-                  ((1, "L"), (2, None), (0, None), (3, "L"), (1, None)),
-                  ((0, None), (0, None), (0, None), (2, None), (1, "L")),
-                  ((2, "U"), (3, "U"), (2, None), (3, None), (1, None)),
-                  ((1, None), (1, None), (1, "U"), (1, None), (1, None))]),
-    ("RT", OP): (RI, [(1, 0, _P, 2, 1), (1, 0, _P, 3, 1), (1, 0, _M_, 2, 0),
-                      (0, 1, _P, 1, 1), (0, 1, _M_, 0, 0)],
-                 [((-1, None), (-1, "U"), (-1, None), (-1, "L"), (-1, None)),
-                  ((-1, "L"), (0, None), (-1, None), (0, "L"), (-1, None)),
-                  ((-1, None), (-1, None), (0, None), (0, None), (0, "L")),
-                  ((-1, "U"), (0, "U"), (0, None), (-1, None), (-2, None)),
-                  ((-1, None), (-1, None), (0, "U"), (-2, None), (-1, None))]),
+_UPPER = {
+    ("TT", UP): ([(1, _P, 0, 0), (1, _M_, -1, 0), (0, _M_, -2, 0)],
+                 [[2, 0, 0], [0, (0, "L")], [0]]),
+    ("TT", OP): ([(1, _P, 2, 2), (1, _M_, 1, 1), (0, _M_, 0, 0)],
+                 [[-2, -3, -2], [-2, (-1, "L")], [0]]),
+    ("RR", OP): ([(1, _P, 0, 0), (0, _P, -2, -1), (0, _M_, -2, -2)],
+                 [[0, (1, "L"), 2], [1, 1], [2]]),
+    ("RR", RI): ([(1, _P, 2, 0), (0, _P, 0, 0), (0, _M_, 0, 0)],
+                 [[0, (0, "L"), 0], [-1, -2], [-2]]),
+    ("TR", OP): ([(1, _P, -1, 0), (1, _M_, -1, -1), (0, _P, -2, 0),
+                  (0, _M_, -2, -1), (0, _M_, -1, -1)],
+                 [[0, 0, (0, "L"), 0, 1], [1, 1, (1, "L"), (2, "L")],
+                  [0, 0, 0], [1, (1, "U")], [2]]),
+    ("TR", RI): ([(1, _P, 1, 1), (1, _M_, 1, 1), (0, _P, 0, 0),
+                  (0, _M_, 0, 0), (0, _M_, 1, 0)],
+                 [[-2, -3, (-1, "L"), -2, -1], [-3, -1, (-2, "L"), (-1, "L")],
+                  [0, -1, -1], [-1, (-1, "U")], [0]]),
+    ("RT", UP): ([(1, _P, 0, 0), (1, _P, 1, 0), (1, _M_, 0, 0),
+                  (0, _P, -1, -1), (0, _M_, -2, -1)],
+                 [[1, (1, "U"), 0, (2, "L"), 1], [2, 0, (3, "L"), 1],
+                  [0, 2, (1, "L")], [3, 1], [1]]),
+    ("RT", OP): ([(1, _P, 2, 1), (1, _P, 3, 1), (1, _M_, 2, 0),
+                  (0, _P, 1, 1), (0, _M_, 0, 0)],
+                 [[-1, (-1, "U"), -1, (-1, "L"), -1], [0, -1, (0, "L"), -1],
+                  [0, 0, (0, "L")], [-1, -2], [-1]]),
     # Final top crossing + North-South closure.
-    ("close", UP): (None, [(0, 1, _P, 0, -1), (0, 1, _M_, -1, -1),
-                           (0, 1, _P, 1, 1)],
-                    [((3, None), (1, None), (1, "L")),
-                     ((1, None), (1, None), (0, None)),
-                     ((1, "U"), (0, None), (0, None))]),
-    ("close", RI): (None, [(0, 1, _P, 1, 1), (0, 1, _M_, 0, -1),
-                           (0, 1, _M_, 1, 1)],
-                    [((-1, None), (-1, None), (-2, None)),
-                     ((-1, None), (1, None), (-1, "L")),
-                     ((-2, None), (-1, "U"), (-2, None))]),
+    ("close", UP): ([(0, _P, 0, -1), (0, _M_, -1, -1), (0, _P, 1, 1)],
+                    [[3, 1, (1, "L")], [1, 0], [0]]),
+    ("close", RI): ([(0, _P, 1, 1), (0, _M_, 0, -1), (0, _M_, 1, 1)],
+                    [[-1, -1, -2], [1, (-1, "L")], [-2]]),
 }
+
+
+def _k_type_for(kind):
+    """The bookkeeping rule: a T twist needs and leaves k-type flags (on
+    the actives), an R twist (j-k)-type (on the inactives); the closure
+    leaves (j-k)-type."""
+    return kind == "T"
+
+
+def _expand(pair, before, blocks, upper):
+    """The _TRANSFORMS entry of an _UPPER one: (boundary after, or None
+    for the closure; output blocks (active, k_flag, source, s_shift,
+    a_shift); the whole M template of (shift, tri) entries).  A pair's
+    later twist acts last and sets the flags by _k_type_for."""
+    last = pair if pair == "close" else pair[0]
+    after = (None if pair == "close" else
+             boundary_after(boundary_after(before, pair[1]), pair[0]))
+    mspec = [[None] * len(blocks) for _ in blocks]
+    for b, row in enumerate(upper):
+        for c, entry in enumerate(row, b):
+            shift, tri = entry if isinstance(entry, tuple) else (entry, None)
+            mspec[b][c] = shift, tri
+            mspec[c][b] = shift, {"L": "U", "U": "L"}.get(tri)
+    return after, [(active, int(active == _k_type_for(last)), src, ds, da)
+                   for active, src, ds, da in blocks], mspec
+
+
+# each _UPPER entry expanded once, in the form _apply_template reads
+_TRANSFORMS = {key: _expand(*key, *value) for key, value in _UPPER.items()}
 
 
 # what a template adds to any |entry| of M: its largest |shift| and a
@@ -196,7 +199,7 @@ def _pair(th, pair):
     and TR."""
     if (pair, th.obj) not in _TRANSFORMS:
         raise ValueError(f"no {pair} transform at boundary {th.obj}")
-    _require_type(th.records, pair in ("TT", "RT"), pair)
+    _require_type(th.records, _k_type_for(pair[1]), pair)
     _apply_template(th, (pair, th.obj))
 
 
@@ -247,7 +250,7 @@ def _reduce(terms, th):
         if x == 0:
             i += 1
             continue
-        natural = _k_type(th.records) == (kind == "T")
+        natural = _k_type(th.records) == _k_type_for(kind)
         if not natural:
             _resum(th, kind, x)
             yield f"{kind}^{x}"

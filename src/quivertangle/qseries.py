@@ -176,25 +176,14 @@ class LaurentPoly:
         if not divisor.is_q_only():
             raise ValueError("divisor must not contain a")
         dmin, dvec = _q_vec(divisor)
-        ddeg = len(dvec) - 1
-        lead = dvec[ddeg]
-        dterms = [(e, c) for e, c in enumerate(dvec) if c]
         out = {}
         for ea, sl in self.a_slices().items():
-            nmin, rem = _q_vec(sl)
-            shift = nmin - dmin
-            for deg in range(len(rem) - 1 - ddeg, -1, -1):
-                c = rem[deg + ddeg]
-                if not c:
-                    continue
-                f, r = divmod(c, lead)
-                if r:
-                    raise ValueError("inexact polynomial division")
-                out[(deg + shift, ea)] = f
-                for e, dc in dterms:
-                    rem[deg + e] -= f * dc
+            nmin, vec = _q_vec(sl)
+            quot, rem = _divmod(vec, dvec)
             if any(rem):
                 raise ValueError("inexact polynomial division")
+            out.update(((e + nmin - dmin, ea), c)
+                       for e, c in enumerate(quot) if c)
         result = LaurentPoly()
         result.terms = out
         return result
@@ -381,10 +370,6 @@ class QFraction:
     def subs_a_q2(self):
         return QFraction(self.num.subs_a_q2(), self.den)
 
-    def mirror(self):
-        """q -> 1/q, a -> 1/a."""
-        return QFraction(self.num.mirror(), self.den.mirror())
-
     def __str__(self):
         num, den = self.normalized_pair()
         if den.is_one():
@@ -449,17 +434,23 @@ def _q_gcd(f, g):
     return out
 
 
-def _divmod_monic(vec, divisor):
-    """(quotient, remainder) of the coefficient list vec by the monic
-    divisor, both lowest degree first; integer long division."""
+def _divmod(vec, divisor):
+    """(quotient, remainder) of the coefficient list vec by divisor, both
+    lowest degree first, by integer long division; ValueError when a
+    quotient coefficient is not an integer."""
     rem = list(vec)
     k = len(divisor) - 1
+    lead = divisor[k]
+    terms = [(i, d) for i, d in enumerate(divisor) if d]
     quot = [0] * max(len(rem) - k, 0)
     for off in range(len(rem) - 1 - k, -1, -1):
         c = rem[off + k]
         if c:
+            c, r = divmod(c, lead)
+            if r:
+                raise ValueError("inexact polynomial division")
             quot[off] = c
-            for i, d in enumerate(divisor):
+            for i, d in terms:
                 rem[off + i] -= c * d
     return quot, rem[:k]
 
@@ -472,7 +463,7 @@ def _cyclotomic(m):
     vec = [-1] + [0] * (m - 1) + [1]
     for d in range(1, m):
         if m % d == 0:
-            vec = _divmod_monic(vec, _cyclotomic(d))[0]
+            vec = _divmod(vec, _cyclotomic(d))[0]
     return tuple(vec)
 
 
@@ -515,7 +506,7 @@ def _coprime_by_residues(num, dvec):
             folded = [0] * m
             for eq, c in terms:
                 folded[eq % m] += c
-            if any(_divmod_monic(folded, phi)[1]):
+            if any(_divmod(folded, phi)[1]):
                 break
         else:
             return False

@@ -23,13 +23,14 @@ it closed, with its framing and the bound its slots were sized for.
 Export (`framing_shift`, `q_invert`) is the one place where a closed
 state is decoded, in the output frame it is given: one packed affine
 map per row, the rows joined into the low and high byte planes of one
-flat buffer of 16-bit entries, and one bytes compare of each plane that
-fixes the entries with its transpose; the canonical frame then
-subtracts the least entry, by one byte translate when every entry fits
-a byte.  That buffer is the one form of Q past export
-(QuiverData.flat): the writer prints it,
-and `state_expand`, which takes a state as its records and M flat in
-row-major order, expands it to its coefficients per color.
+flat buffer, and one bytes compare of each plane that fixes the entries
+with its transpose; the canonical frame then subtracts the least entry,
+by one byte translate when every entry fits a byte.  That buffer is a
+byte array whenever every entry fits a byte, else 16-bit, and it is the
+one form of Q past export (QuiverData.flat): the writer prints it, a
+byte array by its bytes as they are, and `state_expand`, which takes a
+state as its records and M flat in row-major order, expands it to its
+coefficients per color.
 
 Every step of the link route is one or two calls of one kernel,
 `_absorb`.  A twist acts in "product form": multiply by a
@@ -66,9 +67,11 @@ class QuiverData(NamedTuple):
 
     with Q symmetric (off-diagonal entries count once in each of the two
     symmetric positions).  Q is held as flat, one array of its n^2
-    entries in row-major order, which _export fills and checks: signed
-    'h' in an integer or raw frame; in the canonical frame unsigned, 'B'
-    when every entry fits a byte, else 'H'."""
+    entries in row-major order, which _export fills and checks: a byte
+    array whenever every entry fits a byte, signed 'b' in an integer or
+    raw frame and unsigned 'B' in the canonical frame, else 16-bit 'h'
+    or 'H'.  Readers take it as any sequence of ints; the writer prints
+    a byte array by its bytes."""
     flat: array
     a_vec: tuple
     q_vec: tuple
@@ -197,10 +200,9 @@ def _flat(rows, n):
 
 _BYTES = bytes(range(256))
 _FLIP = _BYTES[128:] + _BYTES[:128]  # each byte with its top bit flipped
-# the high byte of a 16-bit entry that fits a signed byte, keyed by its
-# low byte: the low byte's sign, in two's complement and in offset binary
-_SIGN = bytes(128) + b"\xff" * 128
-_OFFSET_SIGN = _SIGN.translate(_FLIP)
+# the offset-binary high byte of a 16-bit entry that fits a signed byte,
+# keyed by its low byte: the low byte's sign, with its top bit flipped
+_OFFSET_SIGN = b"\x80" * 128 + b"\x7f" * 128
 _LOW = 0 if sys.byteorder == "little" else 1  # an entry's low byte
 
 
@@ -211,18 +213,6 @@ def _check_symmetric(planes, n):
     for plane in planes:
         if b"".join(plane[i::n] for i in range(n)) != plane:
             raise ValueError("Q must be symmetric")
-
-
-def _low_bytes(flat):
-    """The low byte of each entry of a flat array when every entry fits
-    a byte: a 'B' buffer's bytes as they are, or those of a 16-bit
-    buffer whose every entry, read signed, fits a signed byte; else
-    None."""
-    data = flat.tobytes()
-    if flat.typecode == "B":
-        return data
-    low, high = data[_LOW::2], data[1 - _LOW::2]
-    return low if high == low.translate(_SIGN) else None
 
 
 def _joined(typecode, low, high):
@@ -291,9 +281,10 @@ def state_expand(records, M, N):
     """Expansion of the state with records (active, extra_poch, s, a)
     and quadratic form M (any integers, not necessarily symmetric),
     given flat: its n^2 entries in row-major order, n = len(records), as
-    any sequence that slices (QuiverData.flat, or a list): for each
-    color j <= N, the j+1 coefficients of X[j,k] of its rescaled skein
-    element, as LaurentPolys.
+    any sequence of ints that slices (QuiverData.flat, a byte array
+    whenever every entry fits a byte and else a 16-bit one, or a list):
+    for each color j <= N, the j+1 coefficients of X[j,k] of its
+    rescaled skein element, as LaurentPolys.
 
     The coefficient of X[j,k] accumulates every index tuple d with
     sum d = j and sum_active d = k, each weighted by the positive
@@ -694,8 +685,9 @@ def _export(th, frame, symmetric):
     plane alone when every entry fits a signed byte, else both.  The
     state is left as it was.
 
-    An integer or raw frame must pass export_range; its Q is a signed
-    'h' array.  The canonical frame is the one whose least entry of Q
+    An integer or raw frame must pass export_range; its Q is signed:
+    the low plane as it is, 'b', when every entry fits a signed byte,
+    else 'h'.  The canonical frame is the one whose least entry of Q
     is 0.  Its Q is decoded in the raw frame first, where sigma x + c +
     e [i = l] lies in [-bound - 1, bound], a signed slot; _rebased then
     finds the least entry and subtracts it from every entry, which
@@ -717,10 +709,10 @@ def _export(th, frame, symmetric):
     if canonical:
         flat, least = _rebased(low, high, n)
         f -= sigma * least
-    else:  # signed high bytes: the low byte's sign when every entry
-        # fits a signed byte, else the high byte with its top bit flipped
-        flat = _joined("h", low, low.translate(_SIGN) if high is None
-                       else high.translate(_FLIP))
+    elif high is None:  # a slot's low byte is its entry, read signed
+        flat = array("b", low)
+    else:  # signed high bytes: the high byte with its top bit flipped
+        flat = _joined("h", low, high.translate(_FLIP))
     return QuiverData(flat, tuple(r[3] - f for r in th.records),
                       tuple(sigma * (r[2] - f) for r in th.records),
                       th.framing + f,

@@ -420,6 +420,13 @@ def framing_factor(j, n):
     return _mono(-j * n, j * j * n, -j * n)
 
 
+def mirror(value):
+    """q -> 1/q, a -> 1/a on a LaurentPoly or a QFraction."""
+    if isinstance(value, QFraction):
+        return QFraction(value.num.mirror(), value.den.mirror())
+    return value.mirror()
+
+
 def raw_closure_reference(terms, j):
     """skein.raw_closure through twist_reference and close_reference."""
     e = basis_element(j, UP, 0)

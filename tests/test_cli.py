@@ -464,37 +464,57 @@ class TestPayloadWriter:
         return [[upper[min(i, l)][abs(l - i)] for l in range(n)]
                 for i in range(n)]
 
+    @classmethod
+    def typecodes(cls, rows):
+        """The typecodes of the arrays that hold every entry of rows."""
+        found = []
+        for typecode in "bBhH":
+            try:
+                cls.flat(rows, typecode)
+            except OverflowError:
+                continue
+            found.append(typecode)
+        return found
+
     def test_entry_outside_the_proven_range_raises(self, monkeypatch):
         # the writer prints only entries in the range export proved: an
         # entry past it, above or below (no wraparound of a negative
-        # entry or of a low byte), leaves the byte path for the digit
-        # table, which raises KeyError, never another number
+        # entry or of a byte), raises KeyError, never another number, on
+        # both paths: a byte array's bytes and the digit table of a
+        # 16-bit array
         monkeypatch.setattr(cli, "_DIGITS", {})
         payload = {"p": 1, "vertices": 2, "Q": None, "a_vec": [0, 0]}
         for rows, entries in ((((0, 4), (4, 3)), (0, 4)),
                               (((-7, 5), (5, 7)), (-7, 7)),
                               (((0, 130), (130, 3)), (0, 200))):
-            for typecode in ("h", "H", "B") if entries[0] == 0 else ("h",):
+            for typecode in self.typecodes(rows):
                 line = cli._payload_line(
                     {**payload, "Q": self.flat(rows, typecode)}, entries)
                 assert line == json.dumps({**payload, "Q": rows}) + "\n"
-        # the byte path printed the first two, the table the third
-        assert set(cli._DIGITS) == set(range(201))
+        # every 16-bit array went to the table, each with its range
+        assert set(cli._DIGITS) == set(range(-7, 201))
         cli._DIGITS.clear()
         for rows, entries in ((((0, 5), (5, 3)), (0, 4)),
                               (((0, -1), (-1, 3)), (0, 4)),
                               (((0, 256), (256, 3)), (0, 4)),
                               (((0, 201), (201, 3)), (0, 200)),
                               (((0, -201), (-201, 3)), (-200, 200))):
-            with pytest.raises(KeyError):
-                cli._payload_line({**payload, "Q": self.flat(rows)},
-                                  entries)
-        # an unsigned buffer is read unsigned, even where the proven
-        # range holds negative entries: 65535 is not -1, nor 65529 -7,
-        # nor are 255 and 249 in a byte buffer
-        for x, typecode in ((65535, "H"), (65529, "H"), (255, "B"),
-                            (249, "B")):
-            for entries in ((0, 4), (-7, 7)):
+            for typecode in self.typecodes(rows):
+                with pytest.raises(KeyError):
+                    cli._payload_line(
+                        {**payload, "Q": self.flat(rows, typecode)},
+                        entries)
+        # an array is read by its typecode's signedness, even where the
+        # proven range holds entries of the other reading: unsigned,
+        # 65535 is not -1, nor 65529 -7, nor are 255 and 249 in a byte
+        # array; signed, the bytes of -1 and -7 are not 255 and 249
+        for x, typecode, ranges in ((65535, "H", ((0, 4), (-7, 7))),
+                                    (65529, "H", ((0, 4), (-7, 7))),
+                                    (255, "B", ((0, 4), (-7, 7))),
+                                    (249, "B", ((0, 4), (-7, 7))),
+                                    (-1, "b", ((0, 255),)),
+                                    (-7, "b", ((0, 255),))):
+            for entries in ranges:
                 with pytest.raises(KeyError):
                     cli._payload_line({**payload, "Q": self.flat(
                         ((0, x), (x, 3)), typecode)}, entries)
@@ -504,18 +524,19 @@ class TestPayloadWriter:
     def test_byte_path_edges(self, monkeypatch, x):
         # each digit count and sign at the edges of a signed byte, alone
         # (n = 1) and among entries of other widths, is the text
-        # json.dumps writes; 128 and -129 go to the digit table
+        # json.dumps writes, from every array that holds the entries: a
+        # byte array by its bytes, never through the digit table, and a
+        # 16-bit one, byte-sized entries included, through the table
         monkeypatch.setattr(cli, "_DIGITS", {})
         for rows in ([[x]], self.symmetric([[x, -1, 100], [x, 7], [0]]),
                      self.symmetric([[5, x], [x]])):
             n = len(rows)
-            assert self.text(self.flat(rows), n, (-300, 300)) == (
-                json.dumps(rows))
-            if min(map(min, rows)) >= 0:
-                for typecode in "HB":
-                    assert self.text(self.flat(rows, typecode), n,
-                                     (0, 300)) == json.dumps(rows)
-        assert bool(cli._DIGITS) == (x in (128, -129))
+            for typecode in self.typecodes(rows):
+                cli._DIGITS.clear()
+                flat = self.flat(rows, typecode)
+                entries = (-300, 300) if typecode.islower() else (0, 300)
+                assert self.text(flat, n, entries) == json.dumps(rows)
+                assert bool(cli._DIGITS) == (flat.itemsize == 2)
 
     def test_byte_buffer_is_read_unsigned_on_the_byte_path(self,
                                                            monkeypatch):
@@ -560,13 +581,13 @@ class TestPayloadWriter:
         # widths of the byte path as often as the digit table
         rows = self.symmetric(upper)
         n = len(rows)
-        assert self.text(self.flat(rows), n, (-300, 300)) == (
-            json.dumps(rows))
-        # as in the canonical frame: unsigned, the least entry 0, and a
-        # byte buffer when every entry fits a byte, read unsigned
+        for typecode in self.typecodes(rows):
+            assert self.text(self.flat(rows, typecode), n, (-300, 300)) == (
+                json.dumps(rows))
+        # as in the canonical frame: the least entry 0, read unsigned
         least = min(map(min, rows))
         shifted = [[x - least for x in row] for row in rows]
-        for typecode in "HB" if max(map(max, shifted)) <= 255 else "H":
+        for typecode in self.typecodes(shifted):
             assert self.text(self.flat(shifted, typecode), n,
                              (0, 600)) == json.dumps(shifted)
 

@@ -15,8 +15,8 @@ from quivertangle.skein import oracle_homfly
 
 from conftest import (balanced_from_plus, compositions, distinct_slopes,
                       laurent_str_joined_reference,
-                      laurent_str_reference, neg_q_pow, q_gcd_reference,
-                      reduce_fraction_reference)
+                      laurent_str_reference, mirror, neg_q_pow,
+                      q_gcd_reference, reduce_fraction_reference)
 
 
 A = a_pow(1)
@@ -205,7 +205,7 @@ class TestQFraction:
 
     def test_mirror_and_normalized_pair(self):
         f = QFraction(A * Q**2, ONE - Q**2)
-        g = f.mirror()
+        g = mirror(f)
         assert g * QFraction(ONE - q_pow(-2)) == QFraction(a_pow(-1)
                                                            * q_pow(-2))
         num, den = f.normalized_pair()

@@ -43,8 +43,9 @@ from conftest import (IndexRecord, QuiverState, absorb_list_frozen,
                       compositions, decode_rows, distinct_slopes, expand,
                       export_quivers, flatten, framing_factor,
                       framing_shift_reference, freeze, freeze_matrix,
-                      inactives, link_route_coeff, mirror_quiver, odd_cfs,
-                      permutation_equal, permute, q_invert_reference,
+                      inactives, link_route_coeff, mirror, mirror_quiver,
+                      odd_cfs, permutation_equal, permute,
+                      q_invert_reference,
                       quiver_data, quiver_rows,
                       reduce_cf, reduce_steps, rescale, run_step,
                       state_expand_reference, state_expand_walk_reference,
@@ -106,12 +107,14 @@ def _triples(elements):
 
 
 @pytest.mark.parametrize("flat", [
-    lambda rows: array("h", flatten(rows)), flatten], ids=["array", "list"])
+    lambda rows: array("h", flatten(rows)),
+    lambda rows: array("b", flatten(rows)), flatten],
+    ids=["array", "byte-array", "list"])
 @settings(max_examples=80, deadline=None)
 @given(small_states(max_n=8), hs.integers(0, 4))
 def test_state_expand_matches_brute_force(flat, st, N):
-    # M handed over flat, as the signed 16-bit buffer export gives and
-    # as a plain list
+    # M handed over flat, as the signed 16-bit and byte buffers export
+    # gives and as a plain list
     assert _triples(expand(st, N, flat)) \
         == _triples(state_expand_reference(st, N))
 
@@ -666,7 +669,7 @@ class TestDataTransforms:
         mir = mirror_quiver(qd, polynomial=False)
         assert mir.framing == -qd.framing == 0
         for j in range(3):
-            assert link_route_coeff(mir, j) == link_route_coeff(qd, j).mirror()
+            assert link_route_coeff(mir, j) == mirror(link_route_coeff(qd, j))
 
     def test_mirror_requires_antisymmetric(self):
         qd = q_invert(link_quiver(Slope(3, 1)), "raw")
@@ -793,7 +796,8 @@ class TestDataTransforms:
     def test_canonical_buffer_is_a_byte_buffer_when_it_fits(self):
         # on real quivers: the unknot's one vertex, the export sweep, and
         # the 129/1 and 257/1 knot quivers, whose raw entries pass a
-        # signed byte and whose canonical ones reach 129 and 257
+        # signed byte and whose canonical ones reach 129 and 257; the
+        # raw and zero frames are signed, 'b' when every entry fits
         quivers = [knot_quiver(Slope(1, 1)), knot_quiver(Slope(129, 1)),
                    knot_quiver(Slope(257, 1)),
                    *(state for _, state in export_quivers())]
@@ -804,9 +808,40 @@ class TestDataTransforms:
                 assert min(flat) == 0
                 assert flat.typecode == ("B" if max(flat) <= 255 else "H")
                 seen.add((flat.typecode, max(flat) > 127))
-                assert export(state, "raw").flat.typecode == "h"
-                assert export(state, 0).flat.typecode == "h"
-        assert seen == {("B", False), ("B", True), ("H", True)}
+                for frame in ("raw", 0):
+                    flat = export(state, frame).flat
+                    assert flat.typecode == (
+                        "b" if -128 <= min(flat) <= max(flat) <= 127
+                        else "h")
+                    seen.add(flat.typecode)
+        assert seen == {("B", False), ("B", True), ("H", True), "b", "h"}
+
+    def test_buffer_is_a_byte_array_exactly_when_every_entry_fits(self):
+        # the one buffer contract of export, on every slope with p < 40
+        # by both routes, the link slopes 127/1, 129/1 and 257/1 and the
+        # knot 129/1, in both conventions and five frames: a byte array
+        # exactly when every entry fits that byte, signed 'b' in an
+        # integer or raw frame and unsigned 'B' in the canonical one,
+        # else 'h' or 'H'
+        slopes = [Slope(1, 1)] + [Slope(p, q) for p in range(2, 40)
+                                  for q in range(1, p) if gcd(p, q) == 1]
+        states = [link_quiver(Slope(p, 1)) for p in (127, 129, 257)]
+        states.append(knot_quiver(Slope(129, 1)))
+        for s in slopes:
+            states.append(link_quiver(s))
+            if is_knot(s):
+                states.append(knot_quiver(s))
+        seen = set()
+        for state in states:
+            for export in (framing_shift, q_invert):
+                for frame in ("canonical", "raw", -3, 0, 4):
+                    flat = export(state, frame).flat
+                    codes, least = (("BH", 0) if frame == "canonical"
+                                    else ("bh", -128))
+                    fits = least <= min(flat) <= max(flat) <= least + 255
+                    assert flat.typecode == codes[not fits], frame
+                    seen.add(flat.typecode)
+        assert seen == {"b", "B", "h", "H"}
 
     def test_quiver_data_checks_its_rows(self):
         # Q given as lists is held flat and read back as row tuples; an

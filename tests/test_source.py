@@ -104,6 +104,26 @@ def _package_imports(tree):
     return found
 
 
+def test_cli_reads_no_private_name_of_another_module():
+    # a format a module keeps private is known only there: cli imports
+    # no _-prefixed name of another package module, and reads none as an
+    # attribute of one bound by `from . import module`
+    path = Path(quivertangle.__file__).parent / "cli.py"
+    tree = ast.parse(path.read_text(), str(path))
+    imports = [node for node in ast.walk(tree)
+               if isinstance(node, ast.ImportFrom) and node.level == 1]
+    modules = {alias.asname or alias.name for node in imports
+               if node.module is None for alias in node.names}
+    found = [f"{node.module}.{alias.name}" for node in imports
+             if node.module for alias in node.names
+             if alias.name.startswith("_")]
+    found += [f"{node.value.id}.{node.attr}" for node in ast.walk(tree)
+              if isinstance(node, ast.Attribute)
+              and isinstance(node.value, ast.Name)
+              and node.value.id in modules and node.attr.startswith("_")]
+    assert not found, found
+
+
 def test_the_oracle_and_the_quiver_routes_import_nothing_of_each_other():
     # the skein oracle checks the quiver routes, so it must stay
     # independent of them: quiverstate and knotpipeline import nothing
