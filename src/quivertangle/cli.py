@@ -42,8 +42,12 @@ def _parse_input(text):
     p >= q, or an odd-length JSON list of positive integers."""
     if not text.lstrip().startswith("["):
         try:
-            p, q = text.split("/")
-            slope = Slope(int(p), int(q))
+            p, q = map(int, text.split("/"))
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"bad slope {text!r}: expected p/q, two integers") from None
+        try:
+            slope = Slope(p, q)
             return slope, cf_expand(slope)
         except ValueError as exc:
             raise argparse.ArgumentTypeError(f"bad slope {text!r}: {exc}")
@@ -303,16 +307,27 @@ def _out_io(out_path, call, *args):
 
 def _emit(lines, out_path):
     """Write each of the lines as it arrives, to the --out path or to
-    stdout without one.  Only the open and the writes are a usage error
-    when they fail, never the work that makes the lines; a run that
-    fails midway leaves the lines written so far."""
+    stdout without one; False when stdout's reader has gone, which stops
+    the writing quietly.  Only the open and the writes of the --out path
+    are a usage error when they fail, never the work that makes the
+    lines; a run that fails midway leaves the lines written so far."""
     if not out_path:
-        sys.stdout.writelines(lines)
-        return
+        try:
+            sys.stdout.writelines(lines)
+            sys.stdout.flush()
+        except BrokenPipeError:
+            # as the Python signal docs advise: stdout now writes to
+            # devnull, so the flush at exit cannot raise
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+            return False
+        return True
     with _out_io(out_path, open, out_path, "w") as fh:
         for line in lines:
             _out_io(out_path, fh.write, line)
         _out_io(out_path, fh.flush)
+    return True
 
 
 def _checks(args, routes, defaults):
@@ -410,8 +425,11 @@ def _cmd_batch(args):
         # command would pay for its import at start-up
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            # each line is written as the pool returns it, in order
-            _emit(pool.map(_batch_worker, tasks, chunksize=8), args.out)
+            # each line is written as the pool returns it, in order; once
+            # the reader has gone, the tasks not started are dropped
+            if not _emit(pool.map(_batch_worker, tasks, chunksize=8),
+                         args.out):
+                pool.shutdown(cancel_futures=True)
     else:
         _emit(map(_batch_worker, tasks), args.out)
     elapsed = time.perf_counter() - start

@@ -17,9 +17,11 @@ The paired actions are closed-form block transforms on the state
 in state order); L and U denote strictly lower/upper triangular
 all-ones blocks, which only pair equal-size same-source blocks.
 
-Every step (`_pair`, `_resum`, `_final_close`) works in place on the
-one thawed packed state of `quiverstate` (`_Thawed`), which
-`_reduce_and_close` builds from the trivial tangle and closes.
+Every step works in place on the one thawed packed state of
+`quiverstate` (`_Thawed`), which `_reduce_and_close` builds from the
+trivial tangle and closes: a pair or the closure is one lookup in
+_TRANSFORMS, which states the bookkeeping type the step needs, and one
+`_apply_template`; a re-summed stretch is `_resum`.
 """
 
 from __future__ import annotations
@@ -84,21 +86,27 @@ def _k_type_for(kind):
 
 
 def _expand(pair, before, blocks, upper):
-    """The _TRANSFORMS entry of an _UPPER one: (boundary after, or None
-    for the closure; output blocks (active, k_flag, source, s_shift,
-    a_shift); the whole M template of (shift, tri) entries).  A pair's
-    later twist acts last and sets the flags by _k_type_for."""
-    last = pair if pair == "close" else pair[0]
-    after = (None if pair == "close" else
-             boundary_after(boundary_after(before, pair[1]), pair[0]))
+    """The _TRANSFORMS entry of an _UPPER one: (the bookkeeping type the
+    template needs, as _k_type gives it; boundary after, or None for the
+    closure; output blocks (active, k_flag, source, s_shift, a_shift);
+    the whole M template of (shift, tri) entries).  A pair needs the
+    type of its earlier twist and its later twist sets the flags, both
+    by _k_type_for; the closure consumes a top crossing at UP, so it
+    needs k-type there and (j-k)-type at RI."""
+    if pair == "close":
+        needs, after, last = before == UP, None, pair
+    else:
+        needs, last = _k_type_for(pair[1]), pair[0]
+        after = boundary_after(boundary_after(before, pair[1]), pair[0])
     mspec = [[None] * len(blocks) for _ in blocks]
     for b, row in enumerate(upper):
         for c, entry in enumerate(row, b):
             shift, tri = entry if isinstance(entry, tuple) else (entry, None)
             mspec[b][c] = shift, tri
             mspec[c][b] = shift, {"L": "U", "U": "L"}.get(tri)
-    return after, [(active, int(active == _k_type_for(last)), src, ds, da)
-                   for active, src, ds, da in blocks], mspec
+    out = [(active, int(active == _k_type_for(last)), src, ds, da)
+           for active, src, ds, da in blocks]
+    return needs, after, out, mspec
 
 
 # each _UPPER entry expanded once, in the form _apply_template reads
@@ -108,7 +116,7 @@ _TRANSFORMS = {key: _expand(*key, *value) for key, value in _UPPER.items()}
 # what a template adds to any |entry| of M: its largest |shift| and a
 # triangle's one
 TEMPLATE_STEP = max(abs(shift) + bool(tri)
-                    for _, _, mspec in _TRANSFORMS.values()
+                    for _, _, _, mspec in _TRANSFORMS.values()
                     for mrow in mspec for shift, tri in mrow)
 
 
@@ -130,23 +138,25 @@ def _k_type(records):
     raise ValueError("state bookkeeping is neither k nor j-k type")
 
 
-def _require_type(records, k_type, step):
-    if _k_type(records) != k_type:
-        raise ValueError(f"{step} needs {'k' if k_type else '(j-k)'}-type "
-                         "bookkeeping")
-
-
-def _apply_template(th, key):
-    """The block transform _TRANSFORMS[key] of a thawed state, in place:
-    its actives form the "+" block and its inactives the "-" block,
-    each in state order (the denotation is permutation-covariant).
+def _apply_template(th, step):
+    """The block transform of step (a pair TT, RR, RT or TR, the later
+    twist first, or "close") on a thawed state, in place: its
+    _TRANSFORMS entry at th.obj, whose stated bookkeeping type the state
+    must have, else ValueError.  The state's actives form the "+" block
+    and its inactives the "-" block, each in state order (the
+    denotation is permutation-covariant).
 
     Each input row is spread once: its slots of each source moved to
     every output block of that source.  An output row is its input
     row's spread plus one packed vector of its block's shifts and
     triangles; the triangles move by one slot per row."""
-    out_obj, blocks, mspec = _TRANSFORMS[key]
+    if (step, th.obj) not in _TRANSFORMS:
+        raise ValueError(f"no {step} transform at boundary {th.obj}")
+    needs, out_obj, blocks, mspec = _TRANSFORMS[step, th.obj]
     records, rows = th.records, th.rows
+    if _k_type(records) != needs:
+        raise ValueError(f"{step} at {th.obj} needs "
+                         f"{'k' if needs else '(j-k)'}-type bookkeeping")
     members = {_P: [i for i, r in enumerate(records) if r[0]],
                _M_: [i for i, r in enumerate(records) if not r[0]]}
     offsets, n = [], 0
@@ -191,40 +201,22 @@ def _apply_template(th, key):
     th.obj = out_obj or th.obj
 
 
-def _pair(th, pair):
-    """Apply a pair of twists (TT, RR, RT=T-then-R, TR=R-then-T) to a
-    thawed state, in place, as a closed-form block transform.  Requires
-    the matching Pochhammer bookkeeping type: k-type (flags on the
-    actives) for TT and RT, (j-k)-type (flags on the inactives) for RR
-    and TR."""
-    if (pair, th.obj) not in _TRANSFORMS:
-        raise ValueError(f"no {pair} transform at boundary {th.obj}")
-    _require_type(th.records, _k_type_for(pair[1]), pair)
-    _apply_template(th, (pair, th.obj))
-
-
 def _resum(th, kind, count):
     """Process, in place, a whole stretch of count twists of kind whose
     bookkeeping type is the wrong one for it: act with generic single
     twists (the Pochhammer factor rides along on the flagged indices),
-    then split the flagged mass so the numerator matches the new
-    active/inactive decomposition, which leaves (j-k)-type bookkeeping
-    after a T stretch and k-type after an R stretch."""
+    then split the flagged mass of the class t = _k_type_for(kind) so
+    the numerator matches the new active/inactive decomposition, which
+    leaves the flags on the class that is not t:
+
+        T: (q^2;q^2)_{j-k_old} = (q^2;q^2)_{j-k} (q^{2+2(j-k)};q^2)_{k-k_old}
+        R: (q^2;q^2)_{k_old} = (q^2;q^2)_k (q^{2+2k};q^2)_{k_old-k}"""
     for _ in range(count):
         _twist(th, kind)
-    records = th.records
-    if kind == "T":
-        # (q^2;q^2)_{j-k_old} = (q^2;q^2)_{j-k} (q^{2+2(j-k)};q^2)_{k-k_old}
-        targets = [i for i, r in enumerate(records) if r[0] and r[1]]
-        coeff = (1, 0)
-        new_k_type = False
-    else:
-        # (q^2;q^2)_{k_old} = (q^2;q^2)_k (q^{2+2k};q^2)_{k_old-k}
-        targets = [i for i, r in enumerate(records) if not r[0] and r[1]]
-        coeff = (0, 1)
-        new_k_type = True
-    _absorb(th, targets, coeff)
-    th.records = [(active, 1 if active == new_k_type else 0, s, a)
+    t = _k_type_for(kind)
+    _absorb(th, [i for i, r in enumerate(th.records) if r[0] == t and r[1]],
+            (int(t), int(not t)))
+    th.records = [(active, int(active != t), s, a)
                   for active, _, s, a in th.records]
 
 
@@ -257,7 +249,7 @@ def _reduce(terms, th):
             i += 1
             continue
         while x >= 2:
-            _pair(th, kind * 2)
+            _apply_template(th, kind * 2)
             yield kind * 2
             x -= 2
         if x == 1:
@@ -265,30 +257,19 @@ def _reduce(terms, th):
                 raise ValueError("dangling single twist cannot be paired")
             other = "R" if kind == "T" else "T"
             pair = other + kind  # kind acts first
-            _pair(th, pair)
+            _apply_template(th, pair)
             yield pair
             counts[i + 1] -= 1
         i += 1
 
 
-def _final_close(th):
-    """Consume the withheld top crossing and close the tangle, in place:
-    afterwards the records and rows are the exported vertices and Q, in
-    the diagram frame with the antisymmetric color convention.  Needs
-    k-type bookkeeping at UP and (j-k)-type at RI."""
-    if th.obj not in (UP, RI):
-        raise ValueError(
-            f"pre-final state of type {th.obj} is not closable; "
-            "use an equivalent slope representative")
-    _require_type(th.records, th.obj == UP, f"closing at {th.obj}")
-    _apply_template(th, ("close", th.obj))
-
-
 def _reduce_and_close(terms, bound):
+    """_reduce on the trivial state, then the closure, which consumes the
+    withheld top crossing (antisymmetric convention, diagram frame)."""
     th = _trivial(bound)
     for _ in _reduce(terms, th):
         pass
-    _final_close(th)
+    _apply_template(th, "close")
     return th
 
 

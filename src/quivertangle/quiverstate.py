@@ -40,7 +40,7 @@ accumulates an extra q^{k^2} (k = sum of active indices) relative to
 the plain twist action; the twist bridges between the two forms by
 adding an all-ones block on the active indices of M before the rule
 (one more bump of the rule's) and removing one on the active indices
-after the split (the kernel's bridge).  The monomial's record shifts
+after the split (the kernel's twist flag).  The monomial's record shifts
 and bumps, the Pochhammer's coefficients and the bridge each depend
 only on an index's class, active or inactive (_TWISTS lists them per
 twist), so the kernel builds each as a packed vector once per class and
@@ -112,12 +112,13 @@ class _Thawed:
 # within the bound before the step.  Every other change of a row is an
 # add of a packed vector, exact on the row's int whatever its slots hold
 # in between, so only the final slots must lie in range:
-# - _absorb with |bump| <= b, |coeff| <= c and |bridge| <= r: an entry
-#   gains at most a bump, two coefficients, a one and the bridge,
-#   b + 2c + 1 + r;
-# - _twist: 6 (b = 2, c = r = 1); TWIST_STEP keeps the 8 of its bumps,
-#   absorb and bridge as separate passes (4 + 3 + 1), since every route's
-#   bound, and with it the frames export admits, is sized from it;
+# - _absorb with |bump| <= b and |coeff| <= c: an entry gains at most a
+#   bump, two coefficients, a one and, with the twist flag, the
+#   bridge's 1: b + 2c + 1, plus 1 in a twist;
+# - _twist: 6 (b = 2, c = 1, and the twist flag); TWIST_STEP keeps the
+#   8 of its bumps, absorb and bridge as separate passes (4 + 3 + 1),
+#   since every route's bound, and with it the frames export admits, is
+#   sized from it;
 # - _close: at UP 7 (b = c = 2), at OP 4 (b = c = 1) and then 3 (c = 1);
 # - _mirror: |c| + |e| <= 2.
 TWIST_STEP = 8
@@ -375,12 +376,11 @@ def state_expand(records, M, N):
 
 
 def _absorb(th, targets, coeff, const_a=0, ds=_ZERO, da=_ZERO, bump=_NONE,
-            bridge=0, alpha_active=None, beta_active=None):
+            twist=False):
     """One step of the thawed state th, in place: shift each record's
     (s, a) by (ds, da) and bump M, multiply by (q^2 a^{const_a}
-    q^{2 coeff.d}; q^2)_D, D the sum of the target indices, absorb it by
-    splitting each target index into (beta, alpha), and add bridge on
-    every entry (i, l) of two indices active afterwards.  coeff, ds, da
+    q^{2 coeff.d}; q^2)_D, D the sum of the target indices, and absorb
+    it by splitting each target index into (beta, alpha).  coeff, ds, da
     and bump are per class: each a pair (inactive, active) keyed by the
     class of an index, bump's a pair (delta on the inactive columns,
     delta on the active ones) for a row of that class.
@@ -389,22 +389,22 @@ def _absorb(th, targets, coeff, const_a=0, ds=_ZERO, da=_ZERO, bump=_NONE,
     appended at the end in target order, carry the per-unit monomial
     -q a^{const_a}, and receive the quadratic cross-term bookkeeping
     that rewrites the positive multinomial over the coarse indices as
-    the one over the split ones.  alpha_active/beta_active override the
-    activity flags of the split halves (None keeps the parent's); an
-    alpha's coefficient and bumps are its parent's, by the parent's
-    class."""
+    the one over the split ones.  An alpha's coefficient and bumps are
+    its parent's, by the parent's class.  Each half keeps its parent's
+    class, except in a twist: there every alpha is active, every beta
+    inactive, and -1 is added on every entry (i, l) of two indices
+    active afterwards (the q^{k^2} bridge's second half)."""
     if len(set(targets)) != len(targets):
         raise ValueError("absorb targets must be distinct")
     records, rows = th.records, th.rows
     n, m = len(records), len(targets)
     cls = [r[0] for r in records]
     parents = list(map(cls.__getitem__, targets))
-    alphas = parents if alpha_active is None else [alpha_active] * m
-    post = cls  # the classes after the step
-    if beta_active is not None:
-        post = cls[:]
+    alphas, post = parents, cls  # the classes after the step
+    if twist:
+        alphas, post = [True] * m, cls[:]
         for t in targets:
-            post[t] = beta_active
+            post[t] = False
     if ds != _ZERO or da != _ZERO or post is not cls:
         records[:] = [(p, k, s + ds[c], a + da[c])
                       for p, (c, k, s, a) in zip(post, records)]
@@ -423,7 +423,7 @@ def _absorb(th, targets, coeff, const_a=0, ds=_ZERO, da=_ZERO, bump=_NONE,
     span = _ones(n, n + m)  # the alpha columns
     act = _slots(cls + parents)  # the columns of active parents
     inact = _ones(0, n + m) - act
-    bridged = bridge and bridge * _slots(post + alphas)
+    bridged = -_slots(post + alphas) if twist else 0
     (b00, b01), (b10, b11) = bump
     adds = [b00 * inact + b01 * act + coeff[0] * span,
             b10 * inact + b11 * act + coeff[1] * span + bridged]
@@ -434,15 +434,10 @@ def _absorb(th, targets, coeff, const_a=0, ds=_ZERO, da=_ZERO, bump=_NONE,
             spread |= ((row >> right) & mask) << left
         rows[y] = spread + adds[cls[y]]
     # an alpha row is its target row plus the coefficient columns, the
-    # alpha block and the bridge its class gains over its parent's; a
-    # beta row gains the "after" columns and its own bridge change
+    # alpha block and, of an inactive parent, the bridge; a beta row
+    # gains the "after" columns and sheds the bridge of an active parent
     base = coeff[0] * inact + coeff[1] * act + span
-    lift, fix = [base, base], [0, 0]
-    if alpha_active is not None:
-        lift = [base + alpha_active * bridged,
-                base + (alpha_active - 1) * bridged]
-    if beta_active is not None:
-        fix = [beta_active * bridged, (beta_active - 1) * bridged]
+    lift, fix = [base + bridged, base], [0, -bridged]
     earlier, after = 0, span  # the targets before alpha_l, the alphas after
     for l, t in enumerate(targets, n):
         row, c = rows[t], cls[t]
@@ -488,9 +483,7 @@ def _twist(th, kind):
         raise ValueError(f"no {kind!r} twist at boundary {th.obj}")
     target, ds, da, bump, coeff, const_a = _TWISTS[kind, th.obj]
     targets = [i for i, r in enumerate(th.records) if r[0] == target]
-    # a T twist's targets are inactive already
-    _absorb(th, targets, coeff, const_a, ds, da, bump, -1, True,
-            False if target else None)
+    _absorb(th, targets, coeff, const_a, ds, da, bump, twist=True)
     th.obj = boundary_after(th.obj, kind)
 
 

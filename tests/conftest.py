@@ -1,8 +1,8 @@
 """Shared test helpers: the frozen state (the reference value type),
-its thaw and freeze, one kernel step on a frozen state and the knot
-route's states after each step; the skein twist, closure and tangle
-element on decoded coefficients, and the framing factor the oracle's
-decode applies; brute-force quiver and state expansions, the previous
+its thaw and freeze, one kernel step on a frozen state, a state keyed
+for a template and the knot route's states after each step; the skein
+twist, closure and tangle element on decoded coefficients, and the
+framing factor the oracle's decode applies; brute-force quiver and state expansions, the previous
 recursive expansion walk, rescaled skein elements, the LaurentPoly
 loops of the skein twist and closure, the previous LaurentPoly
 writers, the rational-arithmetic reference for q-fraction reduction,
@@ -103,17 +103,26 @@ def freeze(th):
 
 
 def run_step(st, step, kernel, *args, framing=None):
-    """kernel(th, *args), one call of _twist, _absorb, _close, _pair,
-    _resum, _final_close or _apply_template, on a thawed copy of st
-    sized for a step that adds at most step to any |entry|.  Returns
-    the frozen result, or, given the framing of a closure, the quiver
-    data the route would export."""
+    """kernel(th, *args), one call of _twist, _absorb, _close, _resum
+    or _apply_template (a pair or the knot route's closure), on a thawed
+    copy of st sized for a step that adds at most step to any |entry|.
+    Returns the frozen result, or, given the framing of a closure, the
+    quiver data the route would export."""
     th = thaw(st, step)
     kernel(th, *args)
     if framing is None:
         return freeze(th)
     th.framing = framing
     return framing_shift(th, "raw")
+
+
+def keyed_state(st, key):
+    """st at the boundary of the _TRANSFORMS key with the bookkeeping
+    flags its template needs (on the actives for k-type, else on the
+    inactives); a template's output never reads its input flags."""
+    needs = _TRANSFORMS[key][0]
+    return QuiverState(key[1], tuple(replace(r, extra_poch=int(
+        r.active == needs)) for r in st.indices), st.M)
 
 
 def reduce_steps(terms):
@@ -857,7 +866,7 @@ def close_link_reference(st, framing=0):
 def apply_template_reference(st, key):
     """Reference for knotpipeline._apply_template: the output matrix
     filled one entry at a time."""
-    out_obj, blocks, mspec = _TRANSFORMS[key]
+    _, out_obj, blocks, mspec = _TRANSFORMS[key]
     members = {"+": actives(st.indices), "-": inactives(st.indices)}
     records, spans = [], []
     for active, kflag, src, ds, da in blocks:
@@ -1075,15 +1084,17 @@ def close_list(obj, records, M):
         absorb_list(records, M, [-1] * len(records), 2, 2, inact)
 
 
-def class_step(st, absorb, targets, coeff, const_a, ds, da, bump, bridge,
-               alpha_active, beta_active):
+def class_step(st, absorb, targets, coeff, const_a, ds, da, bump, twist):
     """The frozen state after one step of quiverstate._absorb, run on an
     entry-by-entry absorb kernel: the per-class record shifts and bumps
     applied one index and one entry at a time, the per-class
     coefficients expanded into one per index, absorb(state, coeff list,
     const_a, targets, alpha_active, beta_active) (the list kernel or the
     reference, const_q = 2), then bridge on every entry of two indices
-    active afterwards."""
+    active afterwards.  A twist has active alphas, inactive betas and
+    bridge -1; any other step keeps each half's class and bridges 0."""
+    bridge, alpha_active, beta_active = ((-1, True, False) if twist
+                                         else (0, None, None))
     records, M = list(st.indices), [list(row) for row in st.M]
     for c in (False, True):
         members = [i for i, r in enumerate(st.indices) if r.active == c]
@@ -1122,7 +1133,7 @@ def absorb_reference_positive(st, coeff, const_a, targets, alpha_active,
 def apply_template_list(st, key):
     """The block transform _TRANSFORMS[key] of a frozen state, one
     segment of row list per output block."""
-    out_obj, blocks, mspec = _TRANSFORMS[key]
+    _, out_obj, blocks, mspec = _TRANSFORMS[key]
     members = {"+": actives(st.indices), "-": inactives(st.indices)}
     records, sources = [], []
     for active, kflag, src, ds, da in blocks:

@@ -890,6 +890,36 @@ class TestExitCodes:
                                             proc.stdout), argv
         assert fresh[1].returncode == 2
 
+    @pytest.mark.parametrize("text", ["3", "1/2/3", "3/x"])
+    def test_malformed_slopes_name_their_form(self, text, capsys):
+        # refused by the form they miss, not by Python's unpack or int()
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["compute", text])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert (f"error: argument input: bad slope {text!r}: expected p/q, "
+                "two integers\n") in err, err
+
+    @pytest.mark.parametrize("argv, size", [
+        (["enumerate", "--max-crossings", "16"], None),
+        (["batch", "--max-crossings", "12", "--jobs", "2"], None),
+        (["compute", "2047/2"], 100),
+    ])
+    def test_a_closed_stdout_ends_quietly(self, argv, size):
+        # a reader that takes one line, or 100 bytes, and closes the
+        # pipe: the command stops writing and returns its own code
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(
+            os.path.dirname(quivertangle.__file__)))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "quivertangle.cli", *argv], env=env,
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        head = (proc.stdout.readline() if size is None
+                else proc.stdout.read(size))
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=120)
+        assert head.startswith(b"{"), head
+        assert (proc.returncode, b"Traceback" in err) == (0, False), err
+
     def test_knot_pipeline_on_link_is_a_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
             cli.main(["compute", "4/1", "--pipeline", "knot"])
@@ -1093,20 +1123,25 @@ class TestExitCodes:
         # each call must raise a ValueError naming its rule: the export
         # of a closed state whose Q is not symmetric (one off-diagonal
         # slot of its first packed row bumped); an even-length CF,
-        # refused up front rather than later as an unclosable state; and
-        # tangles ending on RI, which do not close North-South
+        # refused up front rather than later as an unclosable state;
+        # tangles ending on RI, which do not close North-South; and a
+        # template on a state without the bookkeeping type it needs
         cases = [
             ("framing_shift(asymmetric, 0)", "symmetric"),
             ("knot_quiver([1, 2])", "odd-length"),
             ("link_quiver([1, 1, 1])", "North-South"),
             ("link_quiver([2, 1, 1])", "North-South"),
+            ("_apply_template(flagged, 'TT')", "needs k-type bookkeeping"),
         ]
         proc = run_python("-c", (
-            "from quivertangle.knotpipeline import knot_quiver\n"
-            "from quivertangle.quiverstate import (W, framing_shift,\n"
+            "from quivertangle.knotpipeline import (_apply_template,\n"
+            "                                       knot_quiver)\n"
+            "from quivertangle.quiverstate import (W, _Thawed, _pack,\n"
+            "                                      framing_shift,\n"
             "                                      link_quiver)\n"
             "asymmetric = link_quiver([3])\n"
             "asymmetric.rows[0] += 1 << W\n"
+            "flagged = _Thawed('UP', [(False, 1, 0, 0)], [_pack((0,))], 8)\n"
             f"for call, rule in {cases!r}:\n"
             "    try:\n"
             "        eval(call)\n"

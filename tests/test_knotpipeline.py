@@ -5,19 +5,19 @@ gradings."""
 import pytest
 
 from quivertangle.knotpipeline import (_TRANSFORMS, TEMPLATE_STEP,
-                                       _final_close, _pair, delta_vector,
+                                       _apply_template, delta_vector,
                                        homology_generators, knot_quiver,
                                        signature)
 from quivertangle.qseries import LaurentPoly, QFraction, ZERO
 from quivertangle.quiverstate import framing_shift, link_quiver, q_invert
 from quivertangle.skein import basis_element, oracle_homfly
-from quivertangle.tangles import (RI, Slope, UP, boundary_after, cf_expand,
-                                  cf_value, enumerate_rational_knots, is_knot,
-                                  writhe)
+from quivertangle.tangles import (OP, RI, Slope, UP, cf_expand, cf_value,
+                                  enumerate_rational_knots, is_knot, writhe)
 
 from conftest import (IndexRecord, QuiverState, delta_homogeneous,
-                      delta_vector_reference, distinct_slopes, expand, freeze_matrix,
-                      framing_factor, goeritz_signature, knot_route_poly,
+                      apply_template_reference, delta_vector_reference,
+                      distinct_slopes, expand, freeze_matrix, framing_factor,
+                      goeritz_signature, keyed_state, knot_route_poly,
                       odd_cfs, permutation_equal, quiver_data, quiver_rows,
                       reduce_cf, reduce_steps, rescale, run_step,
                       trivial_state, twist)
@@ -45,14 +45,14 @@ def skein_after(word, j):
 
 class TestFixedOrderRegressions:
     def test_double_top_twist_on_trivial(self):
-        st = run_step(trivial_state(), TEMPLATE_STEP, _pair, "TT")
+        st = run_step(trivial_state(), TEMPLATE_STEP, _apply_template, "TT")
         assert_state(st, UP,
                      [(1, 1, -1, 0), (0, 0, -2, 0)],
                      [[0, 0], [0, 0]])
 
     def test_trefoil_closure(self):
-        st = run_step(trivial_state(), TEMPLATE_STEP, _pair, "TT")
-        qd = run_step(st, TEMPLATE_STEP, _final_close, framing=0)
+        st = run_step(trivial_state(), TEMPLATE_STEP, _apply_template, "TT")
+        qd = run_step(st, TEMPLATE_STEP, _apply_template, "close", framing=0)
         assert qd.q_vec == (-1, -3, 0)
         assert qd.a_vec == (-1, -1, 1)
         assert quiver_rows(qd) == ((3, 1, 1), (1, 1, 0), (1, 0, 0))
@@ -72,12 +72,12 @@ class TestFixedOrderRegressions:
         assert quiver_rows(sym) == ((0, 1, 1), (1, 2, 2), (1, 2, 3))
 
     def test_13_3_intermediates(self):
-        st = run_step(trivial_state(), TEMPLATE_STEP, _pair, "RT")
+        st = run_step(trivial_state(), TEMPLATE_STEP, _apply_template, "RT")
         assert_state(st, "OP",
                      [(1, 0, 0, 0), (0, 1, -2, -1)],
                      [[0, 1], [1, 1]])
 
-        st = run_step(st, TEMPLATE_STEP, _pair, "TR")
+        st = run_step(st, TEMPLATE_STEP, _apply_template, "TR")
         assert_state(st, UP,
                      [(1, 1, -1, 0), (1, 1, -3, -2), (0, 0, -2, 0),
                       (0, 0, -4, -2), (0, 0, -3, -2)],
@@ -87,7 +87,7 @@ class TestFixedOrderRegressions:
                       [1, 2, 1, 2, 2],
                       [2, 3, 1, 2, 3]])
 
-        st = run_step(st, TEMPLATE_STEP, _pair, "TT")
+        st = run_step(st, TEMPLATE_STEP, _apply_template, "TT")
         assert_state(st, UP,
                      [(1, 1, -1, 0), (1, 1, -3, -2), (1, 1, -3, 0),
                       (1, 1, -5, -2), (1, 1, -4, -2), (0, 0, -4, 0),
@@ -101,7 +101,7 @@ class TestFixedOrderRegressions:
                       [1, 2, 1, 2, 3, 1, 2, 2],
                       [2, 3, 1, 2, 3, 1, 2, 3]])
 
-        qd = run_step(st, TEMPLATE_STEP, _final_close, framing=0)
+        qd = run_step(st, TEMPLATE_STEP, _apply_template, "close", framing=0)
         assert qd.q_vec == (-1, -3, -3, -5, -4, -5, -7, -6,
                             0, -2, -2, -4, -3)
         assert qd.a_vec == (-1, -3, -1, -3, -3, -1, -3, -3,
@@ -150,8 +150,11 @@ class TestStepLevelInvariant:
     def test_every_pair_tracks_the_oracle(self):
         # the positive-form state expansion equals the rescaled skein
         # element after each step of the paired algorithm, and reduce_cf
-        # returns the state after the last step
+        # returns the state after the last step; the boundary and the
+        # coefficients check every pair template the sweep reaches, which
+        # is all eight of them (the closures: test_zero_frame_polynomials)
         order = 3
+        reached = set()
         for cf in odd_cfs(6):
             if not is_knot(cf_value(cf)):
                 continue
@@ -162,6 +165,7 @@ class TestStepLevelInvariant:
                     kind, count = step.split("^")
                     word += kind * int(count)
                 else:
+                    reached.add((step, last.obj))
                     # the pair name lists the later twist first
                     word += step[::-1] if step in ("TR", "RT") else step
                 for j in range(order + 1):
@@ -171,6 +175,7 @@ class TestStepLevelInvariant:
                     assert exp.coeffs == orc.coeffs, (cf, word, j)
                 last = st
             assert reduce_cf(cf) == last, cf
+        assert reached == {key for key in _TRANSFORMS if key[0] != "close"}
 
     def test_vertex_count_is_p(self):
         for cf in ([1], [3], [1, 2, 4], [2, 2, 1], [5]):
@@ -191,23 +196,41 @@ class TestStepLevelInvariant:
         at_ri = QuiverState(RI, st.indices, st.M)
         for pair in ("RR", "TR"):
             with pytest.raises(ValueError):
-                run_step(st, TEMPLATE_STEP, _pair, pair)
+                run_step(st, TEMPLATE_STEP, _apply_template, pair)
         with pytest.raises(ValueError):
-            run_step(at_ri, TEMPLATE_STEP, _pair, "TT")
+            run_step(at_ri, TEMPLATE_STEP, _apply_template, "TT")
         with pytest.raises(ValueError):
-            run_step(at_ri, TEMPLATE_STEP, _final_close, framing=0)
+            run_step(at_ri, TEMPLATE_STEP, _apply_template, "close", framing=0)
 
     def test_template_boundaries_follow_the_twists(self):
-        # _pair trusts the table: a pair's output boundary is its two
-        # twists' (the later one is named first), and the closures end
-        # on no boundary
+        # ten templates: every pair ends on a boundary, which
+        # test_every_pair_tracks_the_oracle checks against the oracle's,
+        # and the closures, at UP and RI, end on none
         assert len(_TRANSFORMS) == 10
-        for (pair, before), (after, _, _) in _TRANSFORMS.items():
+        for (pair, before), (_, after, _, _) in _TRANSFORMS.items():
             if pair == "close":
-                assert after is None, before
+                assert before in (UP, RI) and after is None, before
             else:
-                assert after == boundary_after(
-                    boundary_after(before, pair[1]), pair[0]), (pair, before)
+                assert after in (UP, OP, RI), (pair, before)
+
+    def test_every_template_needs_its_stated_type(self):
+        # each template applies to a state of the type its entry states
+        # at its boundary, and refuses the other type: k-type for TT and
+        # RT (the earlier twist is T) and for the closure at UP
+        st = state(UP, [(1, 0, 1, 0), (0, 0, -1, 2), (1, 0, 0, 1)],
+                   [[1, 0, 2], [0, -1, 1], [2, 1, 0]])
+        for key, (needs, _, _, _) in _TRANSFORMS.items():
+            step, before = key
+            assert needs == (before == UP if step == "close"
+                             else step[1] == "T"), key
+            good = keyed_state(st, key)
+            assert (run_step(good, TEMPLATE_STEP, _apply_template, step)
+                    == apply_template_reference(good, key)), key
+            bad = QuiverState(before, tuple(
+                IndexRecord(r.active, 1 - r.extra_poch, r.s, r.a)
+                for r in good.indices), good.M)
+            with pytest.raises(ValueError, match="-type bookkeeping"):
+                run_step(bad, TEMPLATE_STEP, _apply_template, step)
 
     def test_unknot(self):
         qd = knot_quiver(Slope(1, 1))

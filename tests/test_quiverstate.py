@@ -17,8 +17,8 @@ from hypothesis import strategies as hs
 import quivertangle
 from quivertangle import quiverstate
 from quivertangle.qseries import QFraction
-from quivertangle.knotpipeline import (KNOT_ROUTE, _TRANSFORMS, TEMPLATE_STEP,
-                                       _apply_template, _final_close,
+from quivertangle.knotpipeline import (KNOT_ROUTE, _TRANSFORMS, _UPPER,
+                                       TEMPLATE_STEP, _apply_template,
                                        _knot_bound, _resum, knot_quiver,
                                        signature)
 from quivertangle.quiverstate import (CLOSE_STEP, LINK_ROUTE, MAX_VERTICES,
@@ -43,7 +43,8 @@ from conftest import (IndexRecord, QuiverState, absorb_list_frozen,
                       compositions, decode_rows, distinct_slopes, expand,
                       export_quivers, flatten, framing_factor,
                       framing_shift_reference, freeze, freeze_matrix,
-                      inactives, link_route_coeff, mirror, mirror_quiver,
+                      inactives, keyed_state, link_route_coeff, mirror,
+                      mirror_quiver,
                       odd_cfs, permutation_equal, permute,
                       q_invert_reference,
                       quiver_data, quiver_rows,
@@ -154,25 +155,23 @@ def _snapshot(st):
 
 
 _PAIRS = hs.tuples(hs.integers(-2, 2), hs.integers(-2, 2))
-_FLAGS = hs.sampled_from((None, True, False))
 
 
 def draw_step(data, symmetric=False):
     """The per-class arguments of one _absorb step after its targets
-    (coeff, const_a, ds, da, bump, bridge, alpha_active, beta_active),
-    and the most the step moves any entry: b + 2c + 1 + r for bumps,
-    coefficients and bridge of absolute value at most b, c and r.  With
-    symmetric, the bump of an inactive row on the active columns equals
-    that of an active row on the inactive ones."""
+    (coeff, const_a, ds, da, bump, twist), and the most the step moves
+    any entry: b + 2c + 1 for bumps and coefficients of absolute value
+    at most b and c, plus the twist's bridge of 1.  With symmetric, the
+    bump of an inactive row on the active columns equals that of an
+    active row on the inactive ones."""
     coeff, ds, da = data.draw(_PAIRS), data.draw(_PAIRS), data.draw(_PAIRS)
     bump = (data.draw(_PAIRS), data.draw(_PAIRS))
     if symmetric:
         bump = (bump[0], (bump[0][1], bump[1][1]))
-    bridge = data.draw(hs.integers(-1, 1))
+    twist = data.draw(hs.booleans())
     step = (max(map(abs, bump[0] + bump[1])) + 2 * max(map(abs, coeff))
-            + 1 + abs(bridge))
-    return (coeff, data.draw(hs.integers(-2, 2)), ds, da, bump, bridge,
-            data.draw(_FLAGS), data.draw(_FLAGS)), step
+            + 1 + twist)
+    return (coeff, data.draw(hs.integers(-2, 2)), ds, da, bump, twist), step
 
 
 def draw_targets(data, n):
@@ -190,9 +189,9 @@ def test_kernel_matches_reference(st, data):
     assert run_step(st, TWIST_STEP, _twist, kind) \
         == apply_twist_reference(st, kind, refine=False)
 
-    # one step with per-class shifts, bumps, coefficients and bridge,
-    # targets of mixed classes, against the reference absorb with every
-    # per-class value expanded to each index
+    # one step with per-class shifts, bumps, coefficients and the twist
+    # flag, targets of mixed classes, against the reference absorb with
+    # every per-class value expanded to each index
     targets = draw_targets(data, st.n)
     args, step = draw_step(data)
     inputs = list(targets)
@@ -201,8 +200,8 @@ def test_kernel_matches_reference(st, data):
     assert targets == inputs
 
     key = data.draw(hs.sampled_from(sorted(_TRANSFORMS)))
-    keyed = QuiverState(key[1], st.indices, st.M)
-    assert run_step(keyed, TEMPLATE_STEP, _apply_template, key) \
+    keyed = keyed_state(st, key)
+    assert run_step(keyed, TEMPLATE_STEP, _apply_template, key[0]) \
         == apply_template_reference(keyed, key)
 
     # a closable state: no flags and a symmetric M (the upper triangle
@@ -251,9 +250,9 @@ class TestPackedKernel:
             st = data.draw(edge_states(step))
             return st, thaw(st, step)
 
-        # one step with per-class shifts, bumps, coefficients and
-        # bridge, targets of mixed classes, on entries at the edge its
-        # constant leaves
+        # one step with per-class shifts, bumps, coefficients and the
+        # twist flag, targets of mixed classes, on entries at the edge
+        # its constant leaves
         args, step = draw_step(data)
         st, th = thawed(step)
         targets = draw_targets(data, st.n)
@@ -269,12 +268,11 @@ class TestPackedKernel:
         assert freeze(th) == QuiverState(obj, tuple(records),
                                          freeze_matrix(M))
 
-        st, th = thawed(TEMPLATE_STEP)
         key = data.draw(hs.sampled_from(sorted(_TRANSFORMS)))
-        th.obj = key[1]
-        _apply_template(th, key)
-        assert freeze(th) == apply_template_list(replace(st, obj=key[1]),
-                                                 key)
+        st = keyed_state(data.draw(edge_states(TEMPLATE_STEP)), key)
+        th = thaw(st, TEMPLATE_STEP)
+        _apply_template(th, key[0])
+        assert freeze(th) == apply_template_list(st, key)
 
         st, th = thawed(CLOSE_STEP)
         obj = data.draw(hs.sampled_from((UP, OP)))
@@ -308,8 +306,8 @@ class TestPackedKernel:
             th.rows = Rows(th.rows)
             return th
 
-        def absorb(th, *args, kernel=quiverstate._absorb):
-            kernel(th, *args)
+        def absorb(th, *args, kernel=quiverstate._absorb, **twist):
+            kernel(th, *args, **twist)
             counts["absorbs"] += 1
             counts["n + m"] += th.n
 
@@ -438,19 +436,19 @@ class TestSymmetricInvariant:
     M as it stands: each step maps symmetric M to symmetric M."""
 
     def test_templates_are_symmetric(self):
-        # shift(b, c) = shift(c, b), an L block on (b, c) faces a U block
-        # on (c, b), and a triangle pairs two blocks of one source but
-        # never sits on a diagonal block
-        transpose = {None: None, "L": "U", "U": "L"}
-        for key, (_, blocks, mspec) in _TRANSFORMS.items():
-            assert len(mspec) == len(blocks), key
-            for b, mrow in enumerate(mspec):
-                assert len(mrow) == len(blocks), key
-                for c, (shift, tri) in enumerate(mrow):
-                    assert mspec[c][b] == (shift, transpose[tri]), (key, b, c)
-                    if tri:
+        # the table states each template's upper triangle only, which
+        # _expand mirrors: row b holds the entries (b, c) for c >= b, and
+        # a triangle (an entry (shift, tri)) sits only off the diagonal,
+        # between two blocks of one source
+        for key, (blocks, upper) in _UPPER.items():
+            assert [len(row) for row in upper] \
+                == [len(blocks) - b for b in range(len(blocks))], key
+            for b, row in enumerate(upper):
+                for c, entry in enumerate(row, b):
+                    if isinstance(entry, tuple):
+                        assert entry[1] in ("L", "U"), (key, b, c)
                         assert b != c, (key, b)
-                        assert blocks[b][2] == blocks[c][2], (key, b, c)
+                        assert blocks[b][1] == blocks[c][1], (key, b, c)
 
     @settings(max_examples=150, deadline=None)
     @given(symmetric_states(), hs.data())
@@ -464,8 +462,8 @@ class TestSymmetricInvariant:
         out = run_step(st, step, _absorb, draw_targets(data, st.n), *args)
         assert _is_symmetric(out.M)
         for key in _TRANSFORMS:
-            keyed = QuiverState(key[1], st.indices, st.M)
-            out = run_step(keyed, TEMPLATE_STEP, _apply_template, key)
+            out = run_step(keyed_state(st, key), TEMPLATE_STEP,
+                           _apply_template, key[0])
             assert _is_symmetric(out.M), key
 
     def test_route_states_are_symmetric(self):
@@ -498,7 +496,7 @@ class TestSymmetricInvariant:
         flagged = (IndexRecord(True, 1, 0, 0), IndexRecord(False, 0, 0, 0))
         with pytest.raises(ValueError, match="symmetric"):
             run_step(QuiverState(UP, flagged, ((0, 1), (0, 0))),
-                     TEMPLATE_STEP, _final_close, framing=0)
+                     TEMPLATE_STEP, _apply_template, "close", framing=0)
 
     # export of two asymmetric 2 x 2 buffers, in both conventions at the
     # canonical, raw and zero frames: one whose off-diagonal pair
