@@ -12,6 +12,7 @@ import argparse
 import errno
 import json
 import os
+import re
 import sys
 import time
 
@@ -37,15 +38,20 @@ DEFAULT_ORDER = {KNOT_ROUTE: DEFAULT_KNOT_ORDER,
                  LINK_ROUTE: DEFAULT_LINK_ORDER}
 
 
+# each side of a slope: an optional minus and ASCII digits, none of the
+# other literal forms int() takes (1_3, +13, spaces, other digits)
+_SLOPE = re.compile(r"(-?[0-9]+)/(-?[0-9]+)")
+
+
 def _parse_input(text):
     """(slope, CF terms) of the positional input: a slope p/q with
     p >= q, or an odd-length JSON list of positive integers."""
     if not text.lstrip().startswith("["):
-        try:
-            p, q = map(int, text.split("/"))
-        except ValueError:
+        match = _SLOPE.fullmatch(text)
+        if not match:
             raise argparse.ArgumentTypeError(
-                f"bad slope {text!r}: expected p/q, two integers") from None
+                f"bad slope {text!r}: expected p/q, two integers")
+        p, q = map(int, match.groups())
         try:
             slope = Slope(p, q)
             return slope, cf_expand(slope)
@@ -307,13 +313,17 @@ def _out_io(out_path, call, *args):
 
 def _emit(lines, out_path):
     """Write each of the lines as it arrives, to the --out path or to
-    stdout without one; False when stdout's reader has gone, which stops
-    the writing quietly.  Only the open and the writes of the --out path
-    are a usage error when they fail, never the work that makes the
-    lines; a run that fails midway leaves the lines written so far."""
+    stdout without one, and return how many were written: on stdout,
+    those handed to it before its reader left, which stops the writing
+    quietly.  Only the open and the writes of the --out path are a usage
+    error when they fail, never the work that makes the lines; a run
+    that fails midway leaves the lines written so far."""
+    written = 0
     if not out_path:
         try:
-            sys.stdout.writelines(lines)
+            for line in lines:
+                sys.stdout.write(line)
+                written += 1
             sys.stdout.flush()
         except BrokenPipeError:
             # as the Python signal docs advise: stdout now writes to
@@ -321,13 +331,13 @@ def _emit(lines, out_path):
             devnull = os.open(os.devnull, os.O_WRONLY)
             os.dup2(devnull, sys.stdout.fileno())
             os.close(devnull)
-            return False
-        return True
+        return written
     with _out_io(out_path, open, out_path, "w") as fh:
         for line in lines:
             _out_io(out_path, fh.write, line)
+            written += 1
         _out_io(out_path, fh.flush)
-    return True
+    return written
 
 
 def _checks(args, routes, defaults):
@@ -427,14 +437,15 @@ def _cmd_batch(args):
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             # each line is written as the pool returns it, in order; once
             # the reader has gone, the tasks not started are dropped
-            if not _emit(pool.map(_batch_worker, tasks, chunksize=8),
-                         args.out):
+            written = _emit(pool.map(_batch_worker, tasks, chunksize=8),
+                            args.out)
+            if written < len(tasks):
                 pool.shutdown(cancel_futures=True)
     else:
-        _emit(map(_batch_worker, tasks), args.out)
+        written = _emit(map(_batch_worker, tasks), args.out)
     elapsed = time.perf_counter() - start
     sys.stderr.write(
-        f"batch: {len(tasks)} knots in {elapsed:.2f}s "
+        f"batch: {written} knots in {elapsed:.2f}s "
         f"({jobs} worker{'s' if jobs != 1 else ''})\n")
     return 0
 

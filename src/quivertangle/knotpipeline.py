@@ -13,7 +13,7 @@ the Pochhammer numerator at the new splitting (the "re-summation"
 step).
 
 The paired actions are closed-form block transforms on the state
-(records split into the active block "+" and the inactive block "-",
+(indices split into the active block "+" and the inactive block "-",
 in state order); L and U denote strictly lower/upper triangular
 all-ones blocks, which only pair equal-size same-source blocks.
 
@@ -26,8 +26,11 @@ _TRANSFORMS, which states the bookkeeping type the step needs, and one
 
 from __future__ import annotations
 
+from itertools import compress
+from operator import and_, eq, not_
+
 from .quiverstate import (MIRROR_STEP, TWIST_STEP, W, Route, _absorb,
-                          _diagonal, _gather, _ones, _trivial, _twist,
+                          _gather, _ones, _trivial, _twist, _unpacked,
                           quiver_route, route_size)
 from .tangles import (OP, RI, UP, boundary_after, boundary_walk, cf_value,
                       is_knot)
@@ -104,7 +107,7 @@ def _expand(pair, before, blocks, upper):
             shift, tri = entry if isinstance(entry, tuple) else (entry, None)
             mspec[b][c] = shift, tri
             mspec[c][b] = shift, {"L": "U", "U": "L"}.get(tri)
-    out = [(active, int(active == _k_type_for(last)), src, ds, da)
+    out = [(bool(active), int(active == _k_type_for(last)), src, ds, da)
            for active, src, ds, da in blocks]
     return needs, after, out, mspec
 
@@ -113,27 +116,29 @@ def _expand(pair, before, blocks, upper):
 _TRANSFORMS = {key: _expand(*key, *value) for key, value in _UPPER.items()}
 
 
-# what a template adds to any |entry| of M: its largest |shift| and a
-# triangle's one
-TEMPLATE_STEP = max(abs(shift) + bool(tri)
-                    for _, _, _, mspec in _TRANSFORMS.values()
-                    for mrow in mspec for shift, tri in mrow)
+# what a template adds to any |entry| of M (its largest |shift| and a
+# triangle's one) or of s and a (a block's shift)
+TEMPLATE_STEP = max(
+    [abs(shift) + bool(tri) for _, _, _, mspec in _TRANSFORMS.values()
+     for mrow in mspec for shift, tri in mrow]
+    + [abs(d) for _, _, blocks, _ in _TRANSFORMS.values()
+       for *_, ds, da in blocks for d in (ds, da)])
 
 
 def _knot_bound(terms):
-    """A bound on every |entry| of M the knot route builds from terms,
-    mirror included.  A re-summed stretch of x twists adds at most
-    TWIST_STEP x + 3 (its absorb has |coeff| <= 1), a pair of twists
+    """A bound on every |entry| of M, s and a the knot route builds
+    from terms, mirror included.  A re-summed stretch of x twists adds at
+    most TWIST_STEP x + 3 (its absorb has |coeff| <= 1), a pair of twists
     TEMPLATE_STEP, and the closure TEMPLATE_STEP."""
     return (TWIST_STEP + 3) * sum(terms) + TEMPLATE_STEP + MIRROR_STEP
 
 
-def _k_type(records):
+def _k_type(th):
     """True if the extra Pochhammer flags sit exactly on the actives
     (length k); False if exactly on the inactives (length j-k)."""
-    if all(r[1] == r[0] for r in records):
+    if th.flags == th.active:
         return True
-    if all(r[1] != r[0] for r in records):
+    if not any(map(eq, th.flags, th.active)):
         return False
     raise ValueError("state bookkeeping is neither k nor j-k type")
 
@@ -146,29 +151,37 @@ def _apply_template(th, step):
     and its inactives the "-" block, each in state order (the
     denotation is permutation-covariant).
 
-    Each input row is spread once: its slots of each source moved to
-    every output block of that source.  An output row is its input
-    row's spread plus one packed vector of its block's shifts and
-    triangles; the triangles move by one slot per row."""
+    Each input row, and s and a, is spread once: its slots of each
+    source moved to every output block of that source.  An output row
+    is its input row's spread plus one packed vector of its block's
+    shifts and triangles; the triangles move by one slot per row.  s
+    and a add one packed vector of the blocks' shifts, and the classes
+    and flags of an output block are its constants."""
     if (step, th.obj) not in _TRANSFORMS:
         raise ValueError(f"no {step} transform at boundary {th.obj}")
     needs, out_obj, blocks, mspec = _TRANSFORMS[step, th.obj]
-    records, rows = th.records, th.rows
-    if _k_type(records) != needs:
+    if _k_type(th) != needs:
         raise ValueError(f"{step} at {th.obj} needs "
                          f"{'k' if needs else '(j-k)'}-type bookkeeping")
-    members = {_P: [i for i, r in enumerate(records) if r[0]],
-               _M_: [i for i, r in enumerate(records) if not r[0]]}
-    offsets, n = [], 0
+    cls = th.active
+    members = {_P: list(compress(range(len(cls)), cls)),
+               _M_: list(compress(range(len(cls)), map(not_, cls)))}
+    offsets, ones, n = [], [], 0  # ones: each block's slots
     for block in blocks:
+        size = len(members[block[2]])
         offsets.append(n)
-        n += len(members[block[2]])
+        ones.append(_ones(n, n + size))
+        n += size
     pieces = []  # (right, mask, left shifts): one per run of a source
     for src, cols in members.items():
         lefts = [W * off for block, off in zip(blocks, offsets)
                  if block[2] == src]
         pieces += [(right, mask, [left + l for l in lefts])
                    for right, mask, left in _gather(cols, 0)]
+    # in place, so that each input row is freed as its spread replaces
+    # it; s and a are spread as two more rows
+    rows = th.rows
+    rows += (th.s, th.a)
     for x, row in enumerate(rows):
         spread = 0
         for right, mask, lefts in pieces:
@@ -176,28 +189,30 @@ def _apply_template(th, step):
             for left in lefts:
                 spread |= piece << left
         rows[x] = spread
-    out = []
-    for (_, _, src, _, _), mrow in zip(blocks, mspec):
+    a, s = rows.pop(), rows.pop()
+    out, th.active, th.flags = [], [], []
+    for (active, kflag, src, ds, da), mrow, own in zip(blocks, mspec, ones):
+        s += ds * own
+        a += da * own
         # the block's vector at its first row, and its change per row
         extra = step = 0
-        for (shift, tri), off, block in zip(mrow, offsets, blocks):
-            size = len(members[block[2]])
+        for (shift, tri), off, o in zip(mrow, offsets, ones):
             if shift:
-                extra += shift * _ones(off, off + size)
+                extra += shift * o
             if tri == "L":
                 step += 1 << (W * off)
-            elif tri == "U":
-                extra += _ones(off + 1, off + size)
+            elif tri == "U":  # o less its first slot; a triangle pairs
+                # blocks of one source, so an empty o leaves no row here
+                extra += o - (1 << (W * off))
                 step -= 1 << (W * (off + 1))
         for x in members[src]:
             out.append(rows[x] + extra)
             extra += step
             step <<= W
-    th.records = [(bool(active), kflag, records[i][2] + ds,
-                   records[i][3] + da)
-                  for active, kflag, src, ds, da in blocks
-                  for i in members[src]]
-    th.rows = out
+        size = len(members[src])
+        th.active += [active] * size
+        th.flags += [kflag] * size
+    th.rows, th.s, th.a = out, s, a
     th.obj = out_obj or th.obj
 
 
@@ -214,10 +229,11 @@ def _resum(th, kind, count):
     for _ in range(count):
         _twist(th, kind)
     t = _k_type_for(kind)
-    _absorb(th, [i for i, r in enumerate(th.records) if r[0] == t and r[1]],
+    cls = th.active  # the flagged indices of class t:
+    flagged = map(and_, cls if t else map(not_, cls), th.flags)
+    _absorb(th, list(compress(range(len(cls)), flagged)),
             (int(t), int(not t)))
-    th.records = [(active, int(active != t), s, a)
-                  for active, _, s, a in th.records]
+    th.flags = [int(active != t) for active in th.active]
 
 
 def _reduce(terms, th):
@@ -242,7 +258,7 @@ def _reduce(terms, th):
         if x == 0:
             i += 1
             continue
-        natural = _k_type(th.records) == _k_type_for(kind)
+        natural = _k_type(th) == _k_type_for(kind)
         if not natural:
             _resum(th, kind, x)
             yield f"{kind}^{x}"
@@ -310,9 +326,9 @@ def signature(slope_or_terms):
 
 def homology_generators(th):
     """Generators of the reduced triply-graded homology, one per
-    vertex, read off the diagonal and the records of the closed state
+    vertex, read off the diagonal, s and a of the closed state
     knot_quiver builds (closure frame, antisymmetric convention), each
     an (a, q, t) trigrading; in that frame every generator satisfies
     2t - 2a - q = signature."""
-    return tuple((a, -d - s, -d)
-                 for (_, _, s, a), d in zip(th.records, _diagonal(th)))
+    diagonal, s, a = _unpacked(th)
+    return tuple((a_i, -d - s_i, -d) for d, s_i, a_i in zip(diagonal, s, a))

@@ -14,23 +14,24 @@ bumps entry (i, l) by what it bumps (l, i), and `_absorb` gives each
 new row and column the same values), so closure exports M as Q as it
 stands.
 
-A state is held one way, as a `_Thawed`: its records as plain tuples
-(active, extra_poch, s, a) and M packed one int per row, one 16-bit
-slot per entry, so a step costs a few bigint operations per row.
-`_twist`, `_absorb` and `_close` work on it in place; a route runs its
-whole word, its closure and any mirror on one thawed state and returns
-it closed, with its framing and the bound its slots were sized for.
-Export (`framing_shift`, `q_invert`) is the one place where a closed
-state is decoded, in the output frame it is given: one packed affine
-map per row, the rows joined into the low and high byte planes of one
-flat buffer, and one bytes compare of each plane that fixes the entries
-with its transpose; the canonical frame then subtracts the least entry,
-by one byte translate when every entry fits a byte.  That buffer is a
-byte array whenever every entry fits a byte, else 16-bit, and it is the
-one form of Q past export (QuiverData.flat): the writer prints it, a
-byte array by its bytes as they are, and `state_expand`, which takes a
-state as its records and M flat in row-major order, expands it to its
-coefficients per color.
+A state is held one way, as a `_Thawed`: the classes of its indices as
+two lists (active, and membership in the extra Pochhammer numerator),
+and s, a and each row of M as one packed int of 16-bit slots, so a step
+costs a few bigint operations per row.  `_twist`, `_absorb` and
+`_close` work on it in place; a route runs its whole word, its closure
+and any mirror on one thawed state and returns it closed, with its
+framing and the bound its slots were sized for.  Export (`framing_shift`,
+`q_invert`) is the one place where a closed state is decoded, in the
+output frame it is given: s and a once each, and one packed affine map
+per row, the rows joined into the low and high byte planes of one flat
+buffer, and one bytes compare of each plane that fixes the entries with
+its transpose; the canonical frame then subtracts the least entry, by
+one byte translate when every entry fits a byte.  That buffer is a byte
+array whenever every entry fits a byte, else 16-bit, and it is the one
+form of Q past export (QuiverData.flat): the writer prints it, a byte
+array by its bytes as they are, and `state_expand`, which takes a state
+as its records (active, extra_poch, s, a) and M flat in row-major order,
+expands it to its coefficients per color.
 
 Every step of the link route is one or two calls of one kernel,
 `_absorb`.  A twist acts in "product form": multiply by a
@@ -40,11 +41,11 @@ accumulates an extra q^{k^2} (k = sum of active indices) relative to
 the plain twist action; the twist bridges between the two forms by
 adding an all-ones block on the active indices of M before the rule
 (one more bump of the rule's) and removing one on the active indices
-after the split (the kernel's twist flag).  The monomial's record shifts
-and bumps, the Pochhammer's coefficients and the bridge each depend
-only on an index's class, active or inactive (_TWISTS lists them per
-twist), so the kernel builds each as a packed vector once per class and
-changes every old row in one pass.
+after the split (the kernel's twist flag).  The monomial's shifts of s
+and a and its bumps, the Pochhammer's coefficients and the bridge each
+depend only on an index's class, active or inactive (_TWISTS lists them
+per twist), so the kernel builds each as a packed vector once per class
+and changes every old row, and s and a, in one pass.
 """
 
 from __future__ import annotations
@@ -52,6 +53,8 @@ from __future__ import annotations
 import struct
 import sys
 from array import array
+from itertools import compress
+from operator import not_
 from typing import Callable, NamedTuple
 
 from .qseries import LaurentPoly, ZERO, poch_q2, qmultinomial
@@ -85,20 +88,26 @@ class QuiverData(NamedTuple):
 
 class _Thawed:
     """A state the kernel (_twist, _absorb, _close, and the knot
-    route's templates) works on in place: its boundary obj, its records
-    as plain tuples (active, extra_poch, s, a), and M packed one int per
-    row.  Row i is sum_l (M_il + 2^(W-1)) 2^(W l): one offset-binary
-    slot of W bits per entry, so adding a packed vector adds entrywise,
-    with no carry between slots, as long as every entry stays within
-    +-(2^(W-1) - 1).  The state holds bound, proven for the whole
-    computation of its route, and slot_width checks that it fits before
-    anything is packed, never the entries a route produces.  A closed
-    state also records the framing of its quiver data."""
-    __slots__ = ("obj", "records", "rows", "bound", "framing")
+    route's templates) works on in place, built from its boundary obj,
+    its records (active, extra_poch, s, a) and M packed one int per row.
+    It holds the classes as two lists, active and flags (the
+    extra_poch), and s and a packed like a row: row i is sum_l (M_il +
+    2^(W-1)) 2^(W l), one offset-binary slot of W bits per entry, so
+    adding a packed vector adds entrywise, with no carry between slots,
+    as long as every entry stays within +-(2^(W-1) - 1).  The state
+    holds bound, proven for the whole computation of its route on M, s
+    and a, and slot_width checks that it fits before anything is packed,
+    never the entries a route produces.  A closed state also records the
+    framing of its quiver data."""
+    __slots__ = ("obj", "active", "flags", "s", "a", "rows", "bound",
+                 "framing")
 
     def __init__(self, obj, records, rows, bound):
         slot_width(bound)
-        self.obj, self.records, self.rows = obj, records, rows
+        self.obj, self.rows = obj, rows
+        self.active = [r[0] for r in records]
+        self.flags = [r[1] for r in records]
+        self.s, self.a = (_pack([r[i] for r in records]) for i in (2, 3))
         self.bound, self.framing = bound, 0
 
     @property
@@ -106,21 +115,26 @@ class _Thawed:
         return len(self.rows)
 
 
-# No step moves any entry of M by more than its constant.  A step reads
-# slots only where its spread copies target slots (_absorb's, and the
-# knot route's templates), off each old row as the step found it, so
-# within the bound before the step.  Every other change of a row is an
-# add of a packed vector, exact on the row's int whatever its slots hold
-# in between, so only the final slots must lie in range:
-# - _absorb with |bump| <= b and |coeff| <= c: an entry gains at most a
-#   bump, two coefficients, a one and, with the twist flag, the
-#   bridge's 1: b + 2c + 1, plus 1 in a twist;
-# - _twist: 6 (b = 2, c = 1, and the twist flag); TWIST_STEP keeps the
-#   8 of its bumps, absorb and bridge as separate passes (4 + 3 + 1),
-#   since every route's bound, and with it the frames export admits, is
-#   sized from it;
-# - _close: at UP 7 (b = c = 2), at OP 4 (b = c = 1) and then 3 (c = 1);
-# - _mirror: |c| + |e| <= 2.
+# No step moves any entry of M, s or a by more than its constant.  A
+# step reads slots only where its spread copies target slots (_absorb's,
+# and the knot route's templates), off each old row, s and a as the
+# step found them, so within the bound before the step.  Every other
+# change of a packed int is an add, exact whatever its slots hold in
+# between, so only the final slots must lie in range:
+# - _absorb with |bump| <= b and |coeff| <= c: an entry of M gains at
+#   most a bump, two coefficients, a one and, with the twist flag, the
+#   bridge's 1: b + 2c + 1, plus 1 in a twist; s gains at most |ds| + 1
+#   and a at most |da| + |const_a|;
+# - _twist: 6 on M (b = 2, c = 1, and the twist flag) and 2 on s and a;
+#   TWIST_STEP keeps the 8 of its bumps, absorb and bridge as separate
+#   passes (4 + 3 + 1), since every route's bound, and with it the
+#   frames export admits, is sized from it;
+# - _close: on M at UP 7 (b = c = 2), at OP 4 (b = c = 1) and then 3
+#   (c = 1); at most 3 on s and a;
+# - _mirror: |c| + |e| <= 2 on M, 1 on s and 0 on a.
+# A re-summed stretch of x twists moves s and a by 2x + 1, within its
+# TWIST_STEP x + 3, and a template by TEMPLATE_STEP at most, so |s| and
+# |a| stay within either route's bound.
 TWIST_STEP = 8
 CLOSE_STEP = 7
 MIRROR_STEP = 2
@@ -169,7 +183,7 @@ def _gather(cols, base):
 
 
 def _pack(values):
-    """A row of entries as one int of offset-binary slots."""
+    """A row of entries, or s or a, as one int of offset-binary slots."""
     n = len(values)
     raw = struct.pack(f"<{n}h", *values)
     return int.from_bytes(raw, "little") ^ (_ones(0, n) << (W - 1))
@@ -224,6 +238,16 @@ def _joined(typecode, low, high):
     return flat
 
 
+def _vector(packed, n):
+    """The n entries of a packed row or vector as a signed W-bit array,
+    the inverse of _pack: one xor, one to_bytes and one array."""
+    raw = packed ^ (_ones(0, n) << (W - 1))
+    flat = array("h", raw.to_bytes(n * W // 8, "little"))
+    if sys.byteorder == "big":
+        flat.byteswap()
+    return flat
+
+
 def _rebased(low, high, n):
     """The entries of the n x n buffer whose offset-binary byte planes
     _flat gives, minus the least of them, as an unsigned array, and that
@@ -271,11 +295,13 @@ def _affine(rows, sigma, K, e):
         unit <<= W
 
 
-def _diagonal(th):
-    """The diagonal entries M_ii of a thawed state, off its packed rows."""
+def _unpacked(th):
+    """(the diagonal entries M_ii, s, a) of a thawed state, each read
+    off its packed rows or vector once."""
     mask, half = (1 << W) - 1, 1 << (W - 1)
-    return [((row >> (W * i)) & mask) - half
-            for i, row in enumerate(th.rows)]
+    return ([((row >> (W * i)) & mask) - half
+             for i, row in enumerate(th.rows)],
+            _vector(th.s, th.n), _vector(th.a, th.n))
 
 
 def state_expand(records, M, N):
@@ -377,7 +403,7 @@ def state_expand(records, M, N):
 
 def _absorb(th, targets, coeff, const_a=0, ds=_ZERO, da=_ZERO, bump=_NONE,
             twist=False):
-    """One step of the thawed state th, in place: shift each record's
+    """One step of the thawed state th, in place: shift each index's
     (s, a) by (ds, da) and bump M, multiply by (q^2 a^{const_a}
     q^{2 coeff.d}; q^2)_D, D the sum of the target indices, and absorb
     it by splitting each target index into (beta, alpha).  coeff, ds, da
@@ -385,49 +411,48 @@ def _absorb(th, targets, coeff, const_a=0, ds=_ZERO, da=_ZERO, bump=_NONE,
     class of an index, bump's a pair (delta on the inactive columns,
     delta on the active ones) for a row of that class.
 
-    Beta stays in place with its parent's record; the alphas are
+    Beta stays in place with its parent's flag, s and a; the alphas are
     appended at the end in target order, carry the per-unit monomial
     -q a^{const_a}, and receive the quadratic cross-term bookkeeping
     that rewrites the positive multinomial over the coarse indices as
-    the one over the split ones.  An alpha's coefficient and bumps are
-    its parent's, by the parent's class.  Each half keeps its parent's
-    class, except in a twist: there every alpha is active, every beta
-    inactive, and -1 is added on every entry (i, l) of two indices
-    active afterwards (the q^{k^2} bridge's second half)."""
+    the one over the split ones.  An alpha's coefficient, bumps and
+    shifts are its parent's, by the parent's class.  Each half keeps its
+    parent's class, except in a twist: there every alpha is active,
+    every beta inactive, and -1 is added on every entry (i, l) of two
+    indices active afterwards (the q^{k^2} bridge's second half)."""
     if len(set(targets)) != len(targets):
         raise ValueError("absorb targets must be distinct")
-    records, rows = th.records, th.rows
-    n, m = len(records), len(targets)
-    cls = [r[0] for r in records]
-    parents = list(map(cls.__getitem__, targets))
-    alphas, post = parents, cls  # the classes after the step
-    if twist:
-        alphas, post = [True] * m, cls[:]
-        for t in targets:
-            post[t] = False
-    if ds != _ZERO or da != _ZERO or post is not cls:
-        records[:] = [(p, k, s + ds[c], a + da[c])
-                      for p, (c, k, s, a) in zip(post, records)]
-    records += [(alpha, k, s + 1, a + const_a) for alpha, (_, k, s, a)
-                in zip(alphas, map(records.__getitem__, targets))]
+    cls, rows = th.active, th.rows
+    n, m = len(cls), len(targets)
 
-    # Each alpha starts as a copy of its target (a column, then a row)
-    # and gains the cross terms 2 (coeff.d) alpha_i, alpha_i^2 and the
-    # ordered cross terms 2 alpha_i (d_1 + ... + d_{i-1}): in row alpha_i
-    # coeff, ones on the alpha block and on targets l < i; in every row
-    # y, coeff_y on the alpha columns, and in row target l one more on
-    # the alphas after alpha_l.  Packed, each old row copies its target
-    # slots to its top slots (one shift and mask per run, _gather) and
+    # Each alpha starts as a copy of its target (a column, then a row,
+    # and a slot of s and a) and gains the cross terms 2 (coeff.d)
+    # alpha_i, alpha_i^2 and the ordered cross terms 2 alpha_i (d_1 +
+    # ... + d_{i-1}): in row alpha_i coeff, ones on the alpha block and
+    # on targets l < i; in every row y, coeff_y on the alpha columns, and
+    # in row target l one more on the alphas after alpha_l.  Packed, each
+    # old row, s, a and the active columns copy their target slots to
+    # their top slots (one shift and mask per run, _gather); a row then
     # adds its class's vector: its bumps (a target column's land on its
-    # copy), its coefficient on the alpha columns and the bridge.
+    # copy), its coefficient on the alpha columns and the bridge; s and a
+    # add the shift of each slot's class, and the alphas' 1 and const_a.
+    moves = _gather(targets, n)
     span = _ones(n, n + m)  # the alpha columns
-    act = _slots(cls + parents)  # the columns of active parents
+    old = _slots(cls)  # the active columns before the step
+    act, s, a, picked = old, th.s, th.a, 0  # act: of the active parents
+    for right, mask, left in moves:
+        act |= ((act >> right) & mask) << left
+        s |= ((s >> right) & mask) << left
+        a |= ((a >> right) & mask) << left
+        picked |= ((span >> left) & mask) << right  # the target columns
     inact = _ones(0, n + m) - act
-    bridged = -_slots(post + alphas) if twist else 0
+    th.s = s + ds[0] * inact + ds[1] * act + span
+    th.a = a + da[0] * inact + da[1] * act + const_a * span
+    # a twist's columns active afterwards: old non-targets, and the alphas
+    bridged = -(old - (old & picked) + span) if twist else 0
     (b00, b01), (b10, b11) = bump
     adds = [b00 * inact + b01 * act + coeff[0] * span,
             b10 * inact + b11 * act + coeff[1] * span + bridged]
-    moves = _gather(targets, n)
     for y, row in enumerate(rows):
         spread = row
         for right, mask, left in moves:
@@ -445,11 +470,18 @@ def _absorb(th, targets, coeff, const_a=0, ds=_ZERO, da=_ZERO, bump=_NONE,
         earlier += 1 << (W * t)
         after -= 1 << (W * l)
         rows[t] = row + after + fix[c]
+    th.flags += list(map(th.flags.__getitem__, targets))
+    if twist:
+        for t in targets:
+            cls[t] = False
+        cls += [True] * m
+    else:
+        cls += list(map(cls.__getitem__, targets))
 
 
 # The plain twist actions, keyed by (kind, boundary before), each one
 # step of _absorb between the two halves of the q^{k^2} bridge: (target
-# class, ds, da, bump, coeff, const_a), the record shifts, bumps and
+# class, ds, da, bump, coeff, const_a), the shifts of s and a, bumps and
 # coefficients per class as _absorb takes them.  The bumps hold the
 # rule's monomial and the bridge's ones on the active block (in a T
 # twist the bridge's and the rule's act x act make 2); the targets are
@@ -482,7 +514,9 @@ def _twist(th, kind):
     if (kind, th.obj) not in _TWISTS:
         raise ValueError(f"no {kind!r} twist at boundary {th.obj}")
     target, ds, da, bump, coeff, const_a = _TWISTS[kind, th.obj]
-    targets = [i for i, r in enumerate(th.records) if r[0] == target]
+    cls = th.active
+    targets = list(compress(range(len(cls)),
+                            cls if target else map(not_, cls)))
     _absorb(th, targets, coeff, const_a, ds, da, bump, twist=True)
     th.obj = boundary_after(th.obj, kind)
 
@@ -491,29 +525,29 @@ def _close(th):
     """Closure of a full tangle state (the link-route algorithm), in
     place: substitute the closure scalar for X[j,k], cancel the
     rescaling numerator (q^2;q^2)_j against the closure denominator and
-    absorb the remaining Pochhammer numerators.  Afterwards the records
-    and rows are the exported vertices and Q, in the frame of the twist
+    absorb the remaining Pochhammer numerators.  Afterwards s, a and
+    the rows are the exported vertices and Q, in the frame of the twist
     diagram: the caller records that frame (the diagram writhe) as the
     framing, and export takes it to the output frame."""
-    obj, records = th.obj, th.records
+    obj, cls = th.obj, th.active
     if obj not in (UP, OP):
         raise ValueError(f"cannot close {obj} North-South")
-    if any(r[1] for r in records):
+    if any(th.flags):
         raise ValueError("closure needs a state with no extra "
                          "Pochhammer flags")
     # the positive multinomial is (q^2;q^2)_{sum d} over plain
     # Pochhammer denominators; its numerator is a pending cancellation
     if obj == UP:
         # X[j,k] -> a^{-j} q^{j^2+k^2} (a^2 q^{2-2j-2k};q^2)_j / (q^2;q^2)_j
-        _absorb(th, list(range(len(records))), (-1, -2), 2, _ZERO,
+        _absorb(th, list(range(len(cls))), (-1, -2), 2, _ZERO,
                 (-1, -1), ((1, 1), (1, 2)))
     else:
         # X[j,k] -> a^{k-j} q^{(j-k)^2} (a^2 q^{2-2j};q^2)_{j-k}
         #           / (q^2;q^2)_{j-k}
         # The (q^2;q^2)_j numerator cancels only partially; the quotient
         # (q^{2+2(j-k)};q^2)_k is absorbed over the active indices.
-        act = [i for i, r in enumerate(records) if r[0]]
-        inact = [i for i, r in enumerate(records) if not r[0]]
+        act = list(compress(range(len(cls)), cls))
+        inact = list(compress(range(len(cls)), map(not_, cls)))
         _absorb(th, act, (1, 0), 0, _ZERO, (-1, 0), ((1, 0), _ZERO))
         _absorb(th, inact, (-1, -1), 2)
 
@@ -526,8 +560,9 @@ _Q_INVERT = (-1, -1, 1)
 def _mirror(th, polynomial):
     """Mirror image at the quiver-data level (q -> q^{-1}, a -> a^{-1}
     on the invariants the data encodes) of a closed thawed state, in
-    place: one _affine pass over its packed rows.  Its framing is the
-    caller's to record (route_size negates the writhe).
+    place: one _affine pass over its packed rows and one affine map on
+    each of s and a.  Its framing is the caller's to record (route_size
+    negates the writhe).
 
     polynomial=True mirrors the numerator polynomials P_j = (coefficient
     of x^j) * (q^2;q^2)_j: inverting q in the positive multinomial
@@ -541,8 +576,11 @@ def _mirror(th, polynomial):
     _, c, e = _Q_INVERT if polynomial else (-1, 0, 1)
     q_shift = 0 if polynomial else 1
     th.rows = list(_affine(th.rows, -1, c, e))
-    th.records = [(active, k, q_shift - s, -a)
-                  for active, k, s, a in th.records]
+    # slot x + 2^(W-1) of s or a becomes k - x + 2^(W-1): k + 2^W less
+    # the slot, in every slot at once
+    ones = _ones(0, th.n)
+    th.s = (q_shift + (1 << W)) * ones - th.s
+    th.a = (1 << W) * ones - th.a
 
 
 class Route(NamedTuple):
@@ -706,9 +744,11 @@ def _export(th, frame, symmetric):
         flat = array("b", low)
     else:  # signed high bytes: the high byte with its top bit flipped
         flat = _joined("h", low, high.translate(_FLIP))
-    return QuiverData(flat, tuple(r[3] - f for r in th.records),
-                      tuple(sigma * (r[2] - f) for r in th.records),
-                      th.framing + f,
+    # s and a are decoded once each and shifted as ints: in the
+    # canonical frame |f| reaches bound + 1, so x - f may pass a slot
+    s, a = _vector(th.s, n), _vector(th.a, n)
+    return QuiverData(flat, tuple([x - f for x in a]),
+                      tuple([sigma * (x - f) for x in s]), th.framing + f,
                       "symmetric" if symmetric else "antisymmetric")
 
 

@@ -1,5 +1,6 @@
 """Shared test helpers: the frozen state (the reference value type),
-its thaw and freeze, one kernel step on a frozen state, a state keyed
+its thaw and freeze, the one decoder of a thawed state's records, one
+kernel step on a frozen state, a state keyed
 for a template and the knot route's states after each step; the skein
 twist, closure and tangle element on decoded coefficients, and the
 framing factor the oracle's decode applies; brute-force quiver and state expansions, the previous
@@ -27,7 +28,7 @@ from quivertangle.knotpipeline import (_TRANSFORMS, _knot_bound, _reduce,
 from quivertangle.qseries import (LaurentPoly, ONE, QFraction, ZERO, poch_q2,
                                   q_pow, qbinom_plus, qmultinomial)
 from quivertangle.quiverstate import (W, QuiverData, _Q_INVERT, _Thawed,
-                                      _diagonal, _pack, _trivial,
+                                      _pack, _trivial, _unpacked,
                                       framing_shift,
                                       link_quiver, state_expand)
 from quivertangle.skein import (SkeinElement, _evaluate_packed, _mono,
@@ -96,9 +97,18 @@ def decode_rows(rows, n):
                  for row in rows)
 
 
+def thawed_records(th):
+    """The records (active, extra_poch, s, a) of a thawed state: its
+    two class lists, and s and a decoded off their packed vectors.  The
+    one reader of a thawed state's records in the tests."""
+    _, s, a = _unpacked(th)
+    return list(zip(th.active, th.flags, s, a))
+
+
 def freeze(th):
     """The frozen state of a thawed one, each row decoded once."""
-    return QuiverState(th.obj, tuple(IndexRecord(*r) for r in th.records),
+    return QuiverState(th.obj, tuple(IndexRecord(*r)
+                                     for r in thawed_records(th)),
                        decode_rows(th.rows, th.n))
 
 
@@ -474,7 +484,8 @@ def delta_vector_reference(th):
     its diagonal and records (knotpipeline.delta_vector reads it off the
     homology generators instead)."""
     return tuple(s - d - 2 * a
-                 for (_, _, s, a), d in zip(th.records, _diagonal(th)))
+                 for (_, _, s, a), d in zip(thawed_records(th),
+                                            _unpacked(th)[0]))
 
 
 def delta_homogeneous(qd):

@@ -436,12 +436,14 @@ class TestPayloadWriter:
                         slope, pipeline, convention, frame)
 
     def test_batch_lines_are_their_computes(self, capsys):
+        # every line written, and counted in the summary on stderr
         for flags in ((), ("--frame", "-3", "--convention", "anti")):
-            code, out, _ = run(capsys, "batch", "--max-crossings", "8",
-                               "--jobs", "1", *flags)
+            code, out, err = run(capsys, "batch", "--max-crossings", "8",
+                                 "--jobs", "1", *flags)
             assert code == 0
             lines = out.splitlines(keepends=True)
-            assert len(lines) == len(enumerate_rational_knots(8))
+            assert len(lines) == len(enumerate_rational_knots(8)) == 26
+            assert err.startswith("batch: 26 knots in "), err
             for line in lines:
                 data = json.loads(line)
                 _, plain, _ = run(capsys, "compute",
@@ -890,9 +892,13 @@ class TestExitCodes:
                                             proc.stdout), argv
         assert fresh[1].returncode == 2
 
-    @pytest.mark.parametrize("text", ["3", "1/2/3", "3/x"])
+    @pytest.mark.parametrize("text", ["3", "1/2/3", "3/x", "1_3/3",
+                                      " +13/ 3", "\uff11\uff13/3"])
     def test_malformed_slopes_name_their_form(self, text, capsys):
-        # refused by the form they miss, not by Python's unpack or int()
+        # refused by the form they miss, not by Python's unpack or int():
+        # each side is an optional minus and ASCII digits, not one of the
+        # other literal forms int() takes (an underscore, a plus, spaces,
+        # full-width digits)
         with pytest.raises(SystemExit) as exc:
             cli.main(["compute", text])
         assert exc.value.code == 2
@@ -919,6 +925,12 @@ class TestExitCodes:
         _, err = proc.communicate(timeout=120)
         assert head.startswith(b"{"), head
         assert (proc.returncode, b"Traceback" in err) == (0, False), err
+        if argv[0] == "batch":
+            # its summary counts the lines handed to stdout before the
+            # reader left, fewer than its 362 knots: the 11 MB of output
+            # cannot all pass the pipe before the reader closes it
+            written = int(err.split(b"batch: ")[1].split()[0])
+            assert 1 <= written < 362, err
 
     def test_knot_pipeline_on_link_is_a_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -7,7 +7,8 @@ import subprocess
 import sys
 from array import array
 from collections import Counter
-from dataclasses import replace
+from dataclasses import astuple, replace
+from itertools import chain
 from math import gcd, isqrt
 
 import pytest
@@ -40,7 +41,7 @@ from conftest import (IndexRecord, QuiverState, absorb_list_frozen,
                       apply_template_list, apply_template_reference,
                       apply_twist_reference, class_step, close_list,
                       canonical_shift_reference, close_link_reference,
-                      compositions, decode_rows, distinct_slopes, expand,
+                      compositions, distinct_slopes, expand,
                       export_quivers, flatten, framing_factor,
                       framing_shift_reference, freeze, freeze_matrix,
                       inactives, keyed_state, link_route_coeff, mirror,
@@ -50,7 +51,8 @@ from conftest import (IndexRecord, QuiverState, absorb_list_frozen,
                       quiver_data, quiver_rows,
                       reduce_cf, reduce_steps, rescale, run_step,
                       state_expand_reference, state_expand_walk_reference,
-                      thaw, trivial_state, twist, twist_list)
+                      thaw, thawed_records, trivial_state, twist,
+                      twist_list)
 
 
 STEP_ORDER = 3
@@ -277,7 +279,7 @@ class TestPackedKernel:
         st, th = thawed(CLOSE_STEP)
         obj = data.draw(hs.sampled_from((UP, OP)))
         th.obj = obj
-        th.records = [(r[0], 0, *r[2:]) for r in th.records]
+        th.flags = [0] * th.n
         _close(th)
         records, M = _listed(st)
         records = [replace(r, extra_poch=0) for r in records]
@@ -289,7 +291,8 @@ class TestPackedKernel:
         # on the link route every step is the kernel's one pass over the
         # rows: one _absorb per twist, one for a closure at UP and two at
         # OP; nothing else in quiverstate iterates the rows, and each
-        # _absorb writes each old row once and each target row once more
+        # _absorb writes each old row once, each target row once more,
+        # and the packed s and a once each
         counts, steps = Counter(), []
 
         class Rows(list):
@@ -301,9 +304,17 @@ class TestPackedKernel:
                 counts["writes"] += 1
                 super().__setitem__(i, row)
 
+        class Counted(quiverstate._Thawed):
+            __slots__ = ()
+
+            def __setattr__(self, name, value):
+                counts["vectors"] += name in ("s", "a")
+                super().__setattr__(name, value)
+
         def thawed(bound, trivial=quiverstate._trivial):
             th = trivial(bound)
             th.rows = Rows(th.rows)
+            th.__class__ = Counted
             return th
 
         def absorb(th, *args, kernel=quiverstate._absorb, **twist):
@@ -334,6 +345,7 @@ class TestPackedKernel:
                 absorbs = 2 if step[:2] == ("_close", OP) else 1
                 assert step[2] == {"absorbs": absorbs, "passes": absorbs,
                                    "writes": step[2]["n + m"],
+                                   "vectors": 2 * absorbs,
                                    "n + m": step[2]["n + m"]}, (slope, step)
             assert {n for n, _, _ in twists} == {"_twist"}
             assert name == "_close"
@@ -368,13 +380,13 @@ class TestPackedKernel:
 
     def test_proven_bound_holds_on_both_routes(self):
         # every slope with p <= 60: no step adds more than its constant
-        # to the largest |entry|, and no entry of either route, closure
-        # and mirror included, exceeds the bound its slots come from
-        def largest(M):
-            return max(max(map(max, M)), -min(map(min, M)))
-
-        def matrix(th):
-            return decode_rows(th.rows, th.n)
+        # to the largest |entry| of M, s and a, and no such entry of
+        # either route, closure and mirror included, exceeds the bound
+        # its slots come from
+        def largest(st):
+            entries = [*chain.from_iterable(st.M),
+                       *(r.s for r in st.indices), *(r.a for r in st.indices)]
+            return max(max(entries), -min(entries))
 
         checked = 0
         for p in range(1, 61):
@@ -388,21 +400,21 @@ class TestPackedKernel:
                 before = 0
                 for kind in twist_sequence(terms):
                     _twist(th, kind)
-                    after = largest(matrix(th))
+                    after = largest(freeze(th))
                     assert after <= before + TWIST_STEP, (p, q)
                     before = after
                 _close(th)
-                after = largest(matrix(th))
+                after = largest(freeze(th))
                 assert after <= before + CLOSE_STEP, (p, q)
                 if mirrored:
                     _mirror(th, polynomial=False)
-                    assert largest(matrix(th)) <= after + MIRROR_STEP
-                assert largest(matrix(th)) <= bound, (p, q)
+                    assert largest(freeze(th)) <= after + MIRROR_STEP
+                assert largest(freeze(th)) <= bound, (p, q)
                 if not is_knot(slope):
                     continue
                 bound, before = _knot_bound(terms), 0
                 for step, st in reduce_steps(terms):
-                    after = largest(st.M)
+                    after = largest(st)
                     if "^" in step:  # a re-summed stretch
                         grow = TWIST_STEP * int(step[2:]) + 3
                     else:  # a pair
@@ -412,10 +424,55 @@ class TestPackedKernel:
                     checked += 1
                 th = knot_quiver(slope)
                 assert th.bound == bound
-                assert largest(matrix(th)) <= (before + TEMPLATE_STEP
+                assert largest(freeze(th)) <= (before + TEMPLATE_STEP
                                                + mirrored * MIRROR_STEP), (p, q)
-                assert largest(matrix(th)) <= bound, (p, q)
+                assert largest(freeze(th)) <= bound, (p, q)
         assert checked > 2000
+
+
+    def test_s_and_a_fit_the_plan_bound(self):
+        # every decoded |s| and |a| after each step of both routes,
+        # closure and mirror included, on the slope of every CF with term
+        # sum <= 10, grows by no more than the step's constant for s and
+        # a (see quiverstate.TWIST_STEP) and is within the bound of the
+        # route's plan, which sizes their slots; so are those of the
+        # closed states of the largest link and knot requests
+        def largest(records):
+            return max(max(abs(s), abs(a)) for _, _, s, a in records)
+
+        slopes = distinct_slopes(10)
+        for slope in slopes:
+            plan = route_size(slope, LINK_ROUTE)
+            th, before = _trivial(plan.bound), 0
+            for kind in twist_sequence(plan.terms):
+                _twist(th, kind)
+                after = largest(thawed_records(th))
+                assert after <= min(before + 2, plan.bound), slope
+                before = after
+            _close(th)
+            after = largest(thawed_records(th))
+            assert after <= before + 3, slope
+            if plan.mirrored:
+                _mirror(th, polynomial=False)
+            assert largest(thawed_records(th)) <= min(
+                after + plan.mirrored, plan.bound), slope
+            if not is_knot(slope):
+                continue
+            plan, before = route_size(slope, KNOT_ROUTE), 0
+            for step, st in reduce_steps(plan.terms):
+                after = largest(map(astuple, st.indices))
+                grow = (2 * int(step[2:]) + 1 if "^" in step
+                        else TEMPLATE_STEP)
+                assert after <= min(before + grow, plan.bound), step
+                before = after
+            assert largest(thawed_records(knot_quiver(plan))) <= plan.bound
+        assert len(slopes) == 512
+        for slope, route in ((Slope(1023, 1), LINK_ROUTE),
+                             (Slope(2047, 2), KNOT_ROUTE)):
+            plan = route_size(slope, route)
+            th = quiver_route(plan, route)
+            assert th.n == plan.n
+            assert largest(thawed_records(th)) <= plan.bound, slope
 
 
 def _is_symmetric(M):
@@ -710,7 +767,7 @@ class TestDataTransforms:
         mirrored = 0
         for slope, state in export_quivers():
             mirrored += resolve_terms(slope)[1]
-            rows, records = list(state.rows), list(state.records)
+            rows, records = list(state.rows), thawed_records(state)
             raw = framing_shift(state, "raw")
             for symmetric in (False, True):
                 export = q_invert if symmetric else framing_shift
@@ -723,7 +780,7 @@ class TestDataTransforms:
                 for frame, f in shifts.items():
                     assert export(state, frame) == reference(raw, f), (
                         slope, symmetric, frame)
-            assert (state.rows, state.records) == (rows, records)
+            assert (state.rows, thawed_records(state)) == (rows, records)
         assert mirrored > 20
 
     def test_export_stays_in_its_proven_range(self):
@@ -881,7 +938,8 @@ class TestPlan:
         assert route_size(plan, LINK_ROUTE) is plan
         assert plan.bound < route_size(Slope(13, 3), KNOT_ROUTE).bound
         built, direct = link_quiver(plan), link_quiver(Slope(13, 3))
-        assert (built.rows, built.records) == (direct.rows, direct.records)
+        assert (built.rows, thawed_records(built)) \
+            == (direct.rows, thawed_records(direct))
         for build in (knot_quiver, signature):
             with pytest.raises(ValueError,
                                match="not a plan of the knot route"):

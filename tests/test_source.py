@@ -107,7 +107,7 @@ def _package_imports(tree):
 # the one reader of another module's private names on purpose: the knot
 # route steps the packed state through the quiverstate kernel
 PRIVATE_READS_ALLOWED = {f"knotpipeline: quiverstate.{name}" for name in (
-    "_absorb", "_diagonal", "_gather", "_ones", "_trivial", "_twist")}
+    "_absorb", "_gather", "_ones", "_trivial", "_twist", "_unpacked")}
 
 
 def test_modules_read_no_private_name_of_another_module():
