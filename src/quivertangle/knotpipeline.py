@@ -29,7 +29,7 @@ from __future__ import annotations
 from itertools import compress
 from operator import and_, eq, not_
 
-from .quiverstate import (MIRROR_STEP, TWIST_STEP, W, Route, _absorb,
+from .quiverstate import (MIRROR_STEP, TWIST_STEP, Route, _absorb,
                           _gather, _ones, _trivial, _twist, _unpacked,
                           quiver_route, route_size)
 from .tangles import (OP, RI, UP, boundary_after, boundary_walk, cf_value,
@@ -163,21 +163,21 @@ def _apply_template(th, step):
     if _k_type(th) != needs:
         raise ValueError(f"{step} at {th.obj} needs "
                          f"{'k' if needs else '(j-k)'}-type bookkeeping")
-    cls = th.active
+    cls, w = th.active, th.w
     members = {_P: list(compress(range(len(cls)), cls)),
                _M_: list(compress(range(len(cls)), map(not_, cls)))}
     offsets, ones, n = [], [], 0  # ones: each block's slots
     for block in blocks:
         size = len(members[block[2]])
         offsets.append(n)
-        ones.append(_ones(n, n + size))
+        ones.append(_ones(n, n + size, w))
         n += size
     pieces = []  # (right, mask, left shifts): one per run of a source
     for src, cols in members.items():
-        lefts = [W * off for block, off in zip(blocks, offsets)
+        lefts = [w * off for block, off in zip(blocks, offsets)
                  if block[2] == src]
         pieces += [(right, mask, [left + l for l in lefts])
-                   for right, mask, left in _gather(cols, 0)]
+                   for right, mask, left in _gather(cols, 0, w)]
     # in place, so that each input row is freed as its spread replaces
     # it; s and a are spread as two more rows
     rows = th.rows
@@ -200,15 +200,15 @@ def _apply_template(th, step):
             if shift:
                 extra += shift * o
             if tri == "L":
-                step += 1 << (W * off)
+                step += 1 << (w * off)
             elif tri == "U":  # o less its first slot; a triangle pairs
                 # blocks of one source, so an empty o leaves no row here
-                extra += o - (1 << (W * off))
-                step -= 1 << (W * (off + 1))
+                extra += o - (1 << (w * off))
+                step -= 1 << (w * (off + 1))
         for x in members[src]:
             out.append(rows[x] + extra)
             extra += step
-            step <<= W
+            step <<= w
         size = len(members[src])
         th.active += [active] * size
         th.flags += [kflag] * size

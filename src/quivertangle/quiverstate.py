@@ -16,17 +16,19 @@ stands.
 
 A state is held one way, as a `_Thawed`: the classes of its indices as
 two lists (active, and membership in the extra Pochhammer numerator),
-and s, a and each row of M as one packed int of 16-bit slots, so a step
-costs a few bigint operations per row.  `_twist`, `_absorb` and
-`_close` work on it in place; a route runs its whole word, its closure
-and any mirror on one thawed state and returns it closed, with its
-framing and the bound its slots were sized for.  Export (`framing_shift`,
-`q_invert`) is the one place where a closed state is decoded, in the
-output frame it is given: s and a once each, and one packed affine map
-per row, the rows joined into the low and high byte planes of one flat
-buffer, and one bytes compare of each plane that fixes the entries with
-its transpose; the canonical frame then subtracts the least entry, by
-one byte translate when every entry fits a byte.  That buffer is a byte
+and s, a and each row of M as one packed int of 8-bit slots (16-bit when
+its route's proven bound passes a byte), so a step costs a few bigint
+operations per row.  `_twist`, `_absorb` and `_close` work on it in
+place; a route runs its whole word, its closure and any mirror on one
+thawed state and returns it closed, with its framing and the bound its
+slots were sized for.  Export (`framing_shift`, `q_invert`) is the one
+place where a closed state is decoded, in the output frame it is given:
+s and a once each, and one packed affine map per row (on 16-bit copies
+of 8-bit rows when the frame may pass a byte), the rows joined into the
+byte planes of one flat buffer, and one bytes compare of each plane
+that fixes the entries with its transpose; the canonical frame then
+subtracts the least entry, by one byte translate when every entry fits
+a byte.  That buffer is a byte
 array whenever every entry fits a byte, else 16-bit, and it is the one
 form of Q past export (QuiverData.flat): the writer prints it, a byte
 array by its bytes as they are, and `state_expand`, which takes a state
@@ -89,25 +91,25 @@ class QuiverData(NamedTuple):
 class _Thawed:
     """A state the kernel (_twist, _absorb, _close, and the knot
     route's templates) works on in place, built from its boundary obj,
-    its records (active, extra_poch, s, a) and M packed one int per row.
-    It holds the classes as two lists, active and flags (the
-    extra_poch), and s and a packed like a row: row i is sum_l (M_il +
-    2^(W-1)) 2^(W l), one offset-binary slot of W bits per entry, so
-    adding a packed vector adds entrywise, with no carry between slots,
-    as long as every entry stays within +-(2^(W-1) - 1).  The state
-    holds bound, proven for the whole computation of its route on M, s
-    and a, and slot_width checks that it fits before anything is packed,
-    never the entries a route produces.  A closed state also records the
-    framing of its quiver data."""
-    __slots__ = ("obj", "active", "flags", "s", "a", "rows", "bound",
+    its records (active, extra_poch, s, a) and the rows of M.  It holds
+    the classes as two lists, active and flags (the extra_poch), and M
+    one packed int per row, s and a packed like a row: row i is sum_l
+    (M_il + 2^(w-1)) 2^(w l), one offset-binary slot of w bits per
+    entry, so adding a packed vector adds entrywise, with no carry
+    between slots, as long as every entry stays within +-(2^(w-1) - 1).
+    The state holds bound, proven for its route's whole computation on
+    M, s and a, and w = slot_width(bound), fixed before anything is
+    packed, never from the entries a route produces.  A closed state
+    also records the framing of its quiver data."""
+    __slots__ = ("obj", "active", "flags", "s", "a", "rows", "bound", "w",
                  "framing")
 
-    def __init__(self, obj, records, rows, bound):
-        slot_width(bound)
-        self.obj, self.rows = obj, rows
+    def __init__(self, obj, records, M, bound):
+        self.w = w = slot_width(bound)
+        self.obj, self.rows = obj, [_pack(row, w) for row in M]
         self.active = [r[0] for r in records]
         self.flags = [r[1] for r in records]
-        self.s, self.a = (_pack([r[i] for r in records]) for i in (2, 3))
+        self.s, self.a = (_pack([r[i] for r in records], w) for i in (2, 3))
         self.bound, self.framing = bound, 0
 
     @property
@@ -125,68 +127,70 @@ class _Thawed:
 #   most a bump, two coefficients, a one and, with the twist flag, the
 #   bridge's 1: b + 2c + 1, plus 1 in a twist; s gains at most |ds| + 1
 #   and a at most |da| + |const_a|;
-# - _twist: 6 on M (b = 2, c = 1, and the twist flag) and 2 on s and a;
-#   TWIST_STEP keeps the 8 of its bumps, absorb and bridge as separate
-#   passes (4 + 3 + 1), since every route's bound, and with it the
-#   frames export admits, is sized from it;
+# - _twist: TWIST_STEP on M (b = 2, c = 1, and the twist flag: its
+#   bumps, absorb and bridge are one add per row) and 2 on s and a;
 # - _close: on M at UP 7 (b = c = 2), at OP 4 (b = c = 1) and then 3
 #   (c = 1); at most 3 on s and a;
 # - _mirror: |c| + |e| <= 2 on M, 1 on s and 0 on a.
 # A re-summed stretch of x twists moves s and a by 2x + 1, within its
 # TWIST_STEP x + 3, and a template by TEMPLATE_STEP at most, so |s| and
-# |a| stay within either route's bound.
-TWIST_STEP = 8
+# |a| stay within either route's bound.  So do its states' slot width
+# and the frames export admits, both sized from the bound.
+TWIST_STEP = 6
 CLOSE_STEP = 7
 MIRROR_STEP = 2
 
-W = 16  # bits per slot: struct format and array typecode "h" hold one
+_TYPECODE = {8: "b", 16: "h"}  # per slot width: struct and array code
+WIDE = 16  # the widest slot, and the signed one export fits Q to
 
 
 def slot_width(bound):
-    """W, when every entry of absolute value at most bound fits a W-bit
-    slot; otherwise ValueError, naming the bound.  Every admitted input
-    fits: a route's bound grows with the term sum of its CF, which is at
-    most the numerator p, so at MAX_VERTICES the largest are 22,523 on
-    the knot route (2047/1) and 8,193 on the link route (1023/1)."""
-    if bound >= 1 << (W - 1):
-        raise ValueError(f"entries up to {bound} do not fit a {W}-bit "
-                         "slot")
-    return W
+    """The slot width w, in bits, of a state whose entries stay within
+    bound: 8 when they fit a signed byte, else 16; past that ValueError,
+    naming the bound.  Every admitted input fits: a route's bound grows
+    with the term sum of its CF, at most the numerator p, so at
+    MAX_VERTICES the largest are 18,429 on the knot route (2047/1) and
+    6,147 on the link route (1023/1); 8 bits hold every term sum up to
+    13 on the first and 19 on the second."""
+    for w in _TYPECODE:
+        if bound < 1 << (w - 1):
+            return w
+    raise ValueError(f"entries up to {bound} do not fit a {WIDE}-bit slot")
 
 
-def _ones(lo, hi):
-    """The packed vector with 1 in slots lo..hi-1."""
-    return int.from_bytes((1).to_bytes(W // 8, "little") * (hi - lo),
-                          "little") << (W * lo)
+def _ones(lo, hi, w):
+    """The packed vector of w-bit slots with 1 in slots lo..hi-1."""
+    return int.from_bytes((1).to_bytes(w // 8, "little") * (hi - lo),
+                          "little") << (w * lo)
 
 
-def _slots(flags):
-    """The packed vector with 1 in slot l for each true flags[l], 0 in
-    the others."""
-    step = W // 8
+def _slots(flags, w):
+    """The packed vector of w-bit slots with 1 in slot l for each true
+    flags[l], 0 in the others."""
+    step = w // 8
     buf = bytearray(len(flags) * step)
     buf[::step] = bytes(flags)
     return int.from_bytes(buf, "little")
 
 
-def _gather(cols, base):
+def _gather(cols, base, w):
     """(right shift, mask, left shift) of each run of consecutive
     entries of cols: (row >> right & mask) << left, summed over the
-    runs, moves slot cols[k] of a row to slot base + k."""
+    runs, moves slot cols[k] of a row of w-bit slots to slot base + k."""
     runs, first = [], 0  # first: the k that starts the run
     for k in range(1, len(cols) + 1):
         if k == len(cols) or cols[k] != cols[k - 1] + 1:
-            runs.append((W * cols[first], (1 << (W * (k - first))) - 1,
-                         W * (base + first)))
+            runs.append((w * cols[first], (1 << (w * (k - first))) - 1,
+                         w * (base + first)))
             first = k
     return runs
 
 
-def _pack(values):
+def _pack(values, w):
     """A row of entries, or s or a, as one int of offset-binary slots."""
     n = len(values)
-    raw = struct.pack(f"<{n}h", *values)
-    return int.from_bytes(raw, "little") ^ (_ones(0, n) << (W - 1))
+    raw = struct.pack(f"<{n}{_TYPECODE[w]}", *values)
+    return int.from_bytes(raw, "little") ^ (_ones(0, n, w) << (w - 1))
 
 
 # per class (inactive, active): no shift, and no bump
@@ -197,17 +201,20 @@ _NONE = (_ZERO, _ZERO)
 def _trivial(bound):
     """The trivial upward tangle, thawed for a route whose entries stay
     within bound: one inactive index, all exponents 0."""
-    return _Thawed(UP, [(False, 0, 0, 0)], [_pack((0,))], bound)
+    return _Thawed(UP, [(False, 0, 0, 0)], [(0,)], bound)
 
 
-def _flat(rows, n):
+def _flat(rows, n, w):
     """The byte planes (low, high) of the entries of n offset-binary
-    packed rows of n slots (any iterable), row-major: the low and the
-    high byte of each slot, read off the rows' little-endian bytes
-    joined.  A slot keeps its entry's low byte; high is None when every
-    entry fits a signed byte, whose slot's high byte its low byte
-    fixes (_OFFSET_SIGN)."""
-    data = b"".join(row.to_bytes(n * W // 8, "little") for row in rows)
+    packed rows of n w-bit slots (any iterable), row-major: the low and
+    the high byte of each entry, read off the rows' little-endian bytes
+    joined.  high is None when every entry fits a signed byte, whose
+    low byte fixes it: at 8 bits always, the one plane with the offset
+    bit flipped; at 16 a slot keeps its entry's low byte, and its high
+    byte is then the one its low byte fixes (_OFFSET_SIGN)."""
+    data = b"".join(row.to_bytes(n * w // 8, "little") for row in rows)
+    if w == 8:
+        return data.translate(_FLIP), None
     low, high = data[::2], data[1::2]
     del data
     return low, None if high == low.translate(_OFFSET_SIGN) else high
@@ -238,11 +245,12 @@ def _joined(typecode, low, high):
     return flat
 
 
-def _vector(packed, n):
-    """The n entries of a packed row or vector as a signed W-bit array,
-    the inverse of _pack: one xor, one to_bytes and one array."""
-    raw = packed ^ (_ones(0, n) << (W - 1))
-    flat = array("h", raw.to_bytes(n * W // 8, "little"))
+def _vector(packed, n, w):
+    """The n entries of a packed row or vector of w-bit slots as a
+    signed w-bit array, the inverse of _pack: one xor, one to_bytes and
+    one array."""
+    raw = packed ^ (_ones(0, n, w) << (w - 1))
+    flat = array(_TYPECODE[w], raw.to_bytes(n * w // 8, "little"))
     if sys.byteorder == "big":
         flat.byteswap()
     return flat
@@ -272,36 +280,48 @@ def _rebased(low, high, n):
     least = min(flat)
     raw = int.from_bytes(flat, sys.byteorder)
     del flat
-    raw -= least * _ones(0, len(low))
+    raw -= least * _ones(0, len(low), WIDE)
     data = raw.to_bytes(2 * len(low), sys.byteorder)
     del raw
     upper = data[1 - _LOW::2]
     flat = (array("B", data[_LOW::2]) if upper.count(0) == len(upper)
             else array("H", data))
-    return flat, least - (1 << (W - 1))
+    return flat, least - (1 << (WIDE - 1))
 
 
-def _affine(rows, sigma, K, e):
+def _affine(rows, n, w, sigma, K, e):
     """The offset-binary packed rows of sigma M + K J + e I (sigma =
-    +-1, J all ones) from those of M, one at a time.  Slot x + 2^(W-1)
-    becomes sigma x + K + e [i = l] + 2^(W-1) under one add or
-    subtraction per row, of the constant K + (1 - sigma) 2^(W-1) in
-    every slot, and one add of e in slot i.  The caller proves that
-    every new slot lies in [0, 2^W)."""
-    base = (K + (1 - sigma) * (1 << (W - 1))) * _ones(0, len(rows))
+    +-1, J all ones) from the n rows of M (any iterable) of w-bit
+    slots, one at a time.  Slot x + 2^(w-1) becomes sigma x + K + e [i =
+    l] + 2^(w-1) under one add or subtraction per row, of the constant
+    K + (1 - sigma) 2^(w-1) in every slot, and one add of e in slot i.
+    The caller proves that every new slot lies in [0, 2^w)."""
+    base = (K + (1 - sigma) * (1 << (w - 1))) * _ones(0, n, w)
     unit = e
     for row in rows:
         yield (base + row if sigma > 0 else base - row) + unit
-        unit <<= W
+        unit <<= w
+
+
+def _widened(rows, n):
+    """The n packed rows of 8-bit slots (any iterable) as rows of 16-bit
+    slots, one at a time: each slot x + 2^7 moves to the low byte of its
+    16-bit slot, and one add of 2^15 - 2^7 in every slot re-offsets it."""
+    lift = ((1 << (WIDE - 1)) - (1 << 7)) * _ones(0, n, WIDE)
+    buf = bytearray(2 * n)
+    for row in rows:
+        buf[::2] = row.to_bytes(n, "little")
+        yield int.from_bytes(buf, "little") + lift
 
 
 def _unpacked(th):
     """(the diagonal entries M_ii, s, a) of a thawed state, each read
     off its packed rows or vector once."""
-    mask, half = (1 << W) - 1, 1 << (W - 1)
-    return ([((row >> (W * i)) & mask) - half
+    w, n = th.w, th.n
+    mask, half = (1 << w) - 1, 1 << (w - 1)
+    return ([((row >> (w * i)) & mask) - half
              for i, row in enumerate(th.rows)],
-            _vector(th.s, th.n), _vector(th.a, th.n))
+            _vector(th.s, n, w), _vector(th.a, n, w))
 
 
 def state_expand(records, M, N):
@@ -422,7 +442,7 @@ def _absorb(th, targets, coeff, const_a=0, ds=_ZERO, da=_ZERO, bump=_NONE,
     indices active afterwards (the q^{k^2} bridge's second half)."""
     if len(set(targets)) != len(targets):
         raise ValueError("absorb targets must be distinct")
-    cls, rows = th.active, th.rows
+    cls, rows, w = th.active, th.rows, th.w
     n, m = len(cls), len(targets)
 
     # Each alpha starts as a copy of its target (a column, then a row,
@@ -436,16 +456,16 @@ def _absorb(th, targets, coeff, const_a=0, ds=_ZERO, da=_ZERO, bump=_NONE,
     # adds its class's vector: its bumps (a target column's land on its
     # copy), its coefficient on the alpha columns and the bridge; s and a
     # add the shift of each slot's class, and the alphas' 1 and const_a.
-    moves = _gather(targets, n)
-    span = _ones(n, n + m)  # the alpha columns
-    old = _slots(cls)  # the active columns before the step
+    moves = _gather(targets, n, w)
+    span = _ones(n, n + m, w)  # the alpha columns
+    old = _slots(cls, w)  # the active columns before the step
     act, s, a, picked = old, th.s, th.a, 0  # act: of the active parents
     for right, mask, left in moves:
         act |= ((act >> right) & mask) << left
         s |= ((s >> right) & mask) << left
         a |= ((a >> right) & mask) << left
         picked |= ((span >> left) & mask) << right  # the target columns
-    inact = _ones(0, n + m) - act
+    inact = _ones(0, n + m, w) - act
     th.s = s + ds[0] * inact + ds[1] * act + span
     th.a = a + da[0] * inact + da[1] * act + const_a * span
     # a twist's columns active afterwards: old non-targets, and the alphas
@@ -467,8 +487,8 @@ def _absorb(th, targets, coeff, const_a=0, ds=_ZERO, da=_ZERO, bump=_NONE,
     for l, t in enumerate(targets, n):
         row, c = rows[t], cls[t]
         rows.append(row + lift[c] + earlier)
-        earlier += 1 << (W * t)
-        after -= 1 << (W * l)
+        earlier += 1 << (w * t)
+        after -= 1 << (w * l)
         rows[t] = row + after + fix[c]
     th.flags += list(map(th.flags.__getitem__, targets))
     if twist:
@@ -575,12 +595,13 @@ def _mirror(th, polynomial):
     increments and q_vec -> 1 - q_vec."""
     _, c, e = _Q_INVERT if polynomial else (-1, 0, 1)
     q_shift = 0 if polynomial else 1
-    th.rows = list(_affine(th.rows, -1, c, e))
-    # slot x + 2^(W-1) of s or a becomes k - x + 2^(W-1): k + 2^W less
+    n, w = th.n, th.w
+    th.rows = list(_affine(th.rows, n, w, -1, c, e))
+    # slot x + 2^(w-1) of s or a becomes k - x + 2^(w-1): k + 2^w less
     # the slot, in every slot at once
-    ones = _ones(0, th.n)
-    th.s = (q_shift + (1 << W)) * ones - th.s
-    th.a = (1 << W) * ones - th.a
+    ones = _ones(0, n, w)
+    th.s = (q_shift + (1 << w)) * ones - th.s
+    th.a = (1 << w) * ones - th.a
 
 
 class Route(NamedTuple):
@@ -687,16 +708,17 @@ def export_range(th, frame, symmetric):
     framing and bound), proven from the bound alone (see _export):
     [0, 2 bound + 1] in the canonical frame; else, with f the shift to
     the frame, |sigma (x + f) + c + e [i = l]| <= bound + |f + sigma c|
-    + e.  A frame where that passes 2^(W-1) - 1, the signed slot's
-    largest entry, is refused with ValueError, naming the frames the
-    quiver takes."""
+    + e.  A frame where that passes 2^(WIDE-1) - 1, the largest entry of
+    a signed 16-bit slot, is refused with ValueError, naming the frames
+    the quiver takes.  The range never reads the state's slot width:
+    export widens an 8-bit state's rows for a frame that passes a byte."""
     if frame == "canonical":
         return 0, 2 * th.bound + 1
     sigma, c, e = _Q_INVERT if symmetric else (1, 0, 0)
     frame = th.framing if frame == "raw" else frame
     reach = th.bound + abs(frame - th.framing + sigma * c) + e
-    if reach >= 1 << (W - 1):
-        slack = (1 << (W - 1)) - 1 - th.bound - e
+    if reach >= 1 << (WIDE - 1):
+        slack = (1 << (WIDE - 1)) - 1 - th.bound - e
         center = th.framing - sigma * c
         raise ValueError(
             f"frame {frame} is out of range: with entries bounded by "
@@ -716,11 +738,14 @@ def _export(th, frame, symmetric):
     plane alone when every entry fits a signed byte, else both.  The
     state is left as it was.
 
-    An integer or raw frame must pass export_range; its Q is signed:
-    the low plane as it is, 'b', when every entry fits a signed byte,
-    else 'h'.  The canonical frame is the one whose least entry of Q
-    is 0.  Its Q is decoded in the raw frame first, where sigma x + c +
-    e [i = l] lies in [-bound - 1, bound], a signed slot; _rebased then
+    An integer or raw frame must pass export_range; when its reach
+    passes the state's signed slot, which only an 8-bit state's can,
+    the affine pass runs on a 16-bit copy of the rows (_widened).  Its
+    Q is signed: the low plane as it is, 'b', when every entry fits a
+    signed byte, else 'h'.  The canonical frame is the one whose least
+    entry of Q is 0.  Its Q is decoded in the raw frame first, where
+    sigma x + c + e [i = l] lies in [-bound - 1, bound], within the
+    state's own signed slot, which bound < 2^(w-1) sizes; _rebased then
     finds the least entry and subtracts it from every entry, which
     leaves them in [0, 2 bound + 1]: an unsigned 'B' array when they
     all fit a byte, else 'H'."""
@@ -729,13 +754,15 @@ def _export(th, frame, symmetric):
                         "is in the antisymmetric color convention")
     sigma, c, e = _Q_INVERT if symmetric else (1, 0, 0)
     canonical = frame == "canonical"
+    n, w, rows = th.n, th.w, th.rows
     if canonical:
         f = 0
     else:
-        export_range(th, frame, symmetric)
+        _, reach = export_range(th, frame, symmetric)
         f = 0 if frame == "raw" else frame - th.framing
-    n = th.n
-    low, high = _flat(_affine(th.rows, sigma, sigma * f + c, e), n)
+        if reach >= 1 << (w - 1):
+            rows, w = _widened(rows, n), WIDE
+    low, high = _flat(_affine(rows, n, w, sigma, sigma * f + c, e), n, w)
     _check_symmetric((low,) if high is None else (low, high), n)
     if canonical:
         flat, least = _rebased(low, high, n)
@@ -746,7 +773,7 @@ def _export(th, frame, symmetric):
         flat = _joined("h", low, high.translate(_FLIP))
     # s and a are decoded once each and shifted as ints: in the
     # canonical frame |f| reaches bound + 1, so x - f may pass a slot
-    s, a = _vector(th.s, n), _vector(th.a, n)
+    s, a = _vector(th.s, n, th.w), _vector(th.a, n, th.w)
     return QuiverData(flat, tuple([x - f for x in a]),
                       tuple([sigma * (x - f) for x in s]), th.framing + f,
                       "symmetric" if symmetric else "antisymmetric")

@@ -27,8 +27,8 @@ from quivertangle.knotpipeline import (_TRANSFORMS, _knot_bound, _reduce,
                                        knot_quiver)
 from quivertangle.qseries import (LaurentPoly, ONE, QFraction, ZERO, poch_q2,
                                   q_pow, qbinom_plus, qmultinomial)
-from quivertangle.quiverstate import (W, QuiverData, _Q_INVERT, _Thawed,
-                                      _pack, _trivial, _unpacked,
+from quivertangle.quiverstate import (QuiverData, _Q_INVERT, _Thawed,
+                                      _trivial, _unpacked,
                                       framing_shift,
                                       link_quiver, state_expand)
 from quivertangle.skein import (SkeinElement, _evaluate_packed, _mono,
@@ -81,19 +81,23 @@ def _records(st):
     return [(r.active, r.extra_poch, r.s, r.a) for r in st.indices]
 
 
-def thaw(st, step):
+def thaw(st, step, wide=False):
     """A thawed copy of st for a step that adds at most step to any
-    |entry|: the bound starts from st's largest |entry|."""
+    |entry|: the bound starts from st's largest |entry|, and wide raises
+    it past a signed byte, so that its slots are 16 bits whatever its
+    entries."""
     bound = max((max(max(row), -min(row)) for row in st.M), default=0)
-    return _Thawed(st.obj, _records(st), [_pack(row) for row in st.M],
-                   bound + step)
+    th = _Thawed(st.obj, _records(st), st.M,
+                 max(bound + step, 128) if wide else bound + step)
+    assert th.w == 16 or not wide
+    return th
 
 
-def decode_rows(rows, n):
-    """The matrix of n offset-binary packed rows as row tuples, each
-    slot read by its own shift and mask."""
-    mask, half = (1 << W) - 1, 1 << (W - 1)
-    return tuple(tuple(((row >> (W * l)) & mask) - half for l in range(n))
+def decode_rows(rows, n, w):
+    """The matrix of n offset-binary packed rows of w-bit slots as row
+    tuples, each slot read by its own shift and mask."""
+    mask, half = (1 << w) - 1, 1 << (w - 1)
+    return tuple(tuple(((row >> (w * l)) & mask) - half for l in range(n))
                  for row in rows)
 
 
@@ -109,16 +113,16 @@ def freeze(th):
     """The frozen state of a thawed one, each row decoded once."""
     return QuiverState(th.obj, tuple(IndexRecord(*r)
                                      for r in thawed_records(th)),
-                       decode_rows(th.rows, th.n))
+                       decode_rows(th.rows, th.n, th.w))
 
 
-def run_step(st, step, kernel, *args, framing=None):
+def run_step(st, step, kernel, *args, framing=None, wide=False):
     """kernel(th, *args), one call of _twist, _absorb, _close, _resum
     or _apply_template (a pair or the knot route's closure), on a thawed
-    copy of st sized for a step that adds at most step to any |entry|.
-    Returns the frozen result, or, given the framing of a closure, the
-    quiver data the route would export."""
-    th = thaw(st, step)
+    copy of st sized for a step that adds at most step to any |entry|
+    (thaw; wide for 16-bit slots).  Returns the frozen result, or, given
+    the framing of a closure, the quiver data the route would export."""
+    th = thaw(st, step, wide)
     kernel(th, *args)
     if framing is None:
         return freeze(th)

@@ -130,10 +130,10 @@ class TestCompute:
         # checked
         calls = []
         for name in ("_flat", "_check_symmetric"):
-            def counted(rows, n, step=getattr(quiverstate, name),
+            def counted(rows, n, *width, step=getattr(quiverstate, name),
                         name=name):
                 calls.append((name, n))
-                return step(rows, n)
+                return step(rows, n, *width)
 
             monkeypatch.setattr(quiverstate, name, counted)
         for slope, pipeline, n in (("13/3", "knot", 13), ("13/3", "link", 32),
@@ -1148,12 +1148,11 @@ class TestExitCodes:
         proc = run_python("-c", (
             "from quivertangle.knotpipeline import (_apply_template,\n"
             "                                       knot_quiver)\n"
-            "from quivertangle.quiverstate import (W, _Thawed, _pack,\n"
-            "                                      framing_shift,\n"
+            "from quivertangle.quiverstate import (_Thawed, framing_shift,\n"
             "                                      link_quiver)\n"
             "asymmetric = link_quiver([3])\n"
-            "asymmetric.rows[0] += 1 << W\n"
-            "flagged = _Thawed('UP', [(False, 1, 0, 0)], [_pack((0,))], 8)\n"
+            "asymmetric.rows[0] += 1 << asymmetric.w\n"
+            "flagged = _Thawed('UP', [(False, 1, 0, 0)], [(0,)], 8)\n"
             f"for call, rule in {cases!r}:\n"
             "    try:\n"
             "        eval(call)\n"

@@ -23,8 +23,9 @@ from quivertangle.knotpipeline import (KNOT_ROUTE, _TRANSFORMS, _UPPER,
                                        _knot_bound, _resum, knot_quiver,
                                        signature)
 from quivertangle.quiverstate import (CLOSE_STEP, LINK_ROUTE, MAX_VERTICES,
-                                      MIRROR_STEP, TWIST_STEP, W, QuiverData,
-                                      Route,
+                                      MIRROR_STEP, TWIST_STEP, WIDE,
+                                      QuiverData,
+                                      Route, _Thawed,
                                       _Q_INVERT, _absorb, _close,
                                       _flat, _link_bound, _mirror, _pack,
                                       _rebased, _trivial, _twist,
@@ -183,12 +184,13 @@ def draw_targets(data, n):
 
 
 @settings(max_examples=150, deadline=None)
-@given(small_states(max_n=5), hs.data())
-def test_kernel_matches_reference(st, data):
-    # the in-place kernel against the frozen-state steps it replaced
+@given(small_states(max_n=5), hs.booleans(), hs.data())
+def test_kernel_matches_reference(st, wide, data):
+    # the in-place kernel against the frozen-state steps it replaced, on
+    # 8-bit slots or, wide, on 16-bit ones
     before = _snapshot(st)
     kind = data.draw(hs.sampled_from("TR"))
-    assert run_step(st, TWIST_STEP, _twist, kind) \
+    assert run_step(st, TWIST_STEP, _twist, kind, wide=wide) \
         == apply_twist_reference(st, kind, refine=False)
 
     # one step with per-class shifts, bumps, coefficients and the twist
@@ -197,14 +199,14 @@ def test_kernel_matches_reference(st, data):
     targets = draw_targets(data, st.n)
     args, step = draw_step(data)
     inputs = list(targets)
-    assert run_step(st, step, _absorb, targets, *args) \
+    assert run_step(st, step, _absorb, targets, *args, wide=wide) \
         == class_step(st, absorb_reference_positive, targets, *args)
     assert targets == inputs
 
     key = data.draw(hs.sampled_from(sorted(_TRANSFORMS)))
     keyed = keyed_state(st, key)
-    assert run_step(keyed, TEMPLATE_STEP, _apply_template, key[0]) \
-        == apply_template_reference(keyed, key)
+    assert run_step(keyed, TEMPLATE_STEP, _apply_template, key[0],
+                    wide=wide) == apply_template_reference(keyed, key)
 
     # a closable state: no flags and a symmetric M (the upper triangle
     # mirrored); the reference closes it in the balanced reading, whose
@@ -217,7 +219,7 @@ def test_kernel_matches_reference(st, data):
                 for i, row in enumerate(M)]
     plain = QuiverState(obj, records, freeze_matrix(M))
     unfolded = QuiverState(obj, records, freeze_matrix(balanced))
-    assert run_step(plain, CLOSE_STEP, _close, framing=1) \
+    assert run_step(plain, CLOSE_STEP, _close, framing=1, wide=wide) \
         == close_link_reference(unfolded, 1)
     assert _snapshot(st) == before
 
@@ -225,9 +227,11 @@ def test_kernel_matches_reference(st, data):
 @hs.composite
 def edge_states(draw, step, max_n=5):
     """small_states whose entries lie within a few units of the edge
-    +-(2^(W-1) - 1 - step), one of them on it, or are small: a step
-    that adds at most step to any |entry| fills its W-bit slots."""
-    edge = (1 << (W - 1)) - 1 - step
+    +-(2^(w-1) - 1 - step) of a slot width w of 8 or 16 bits, one of
+    them on it, or are small: a step that adds at most step to any
+    |entry| fills its w-bit slots, the width thaw sizes them to."""
+    w = draw(hs.sampled_from((8, 16)))
+    edge = (1 << (w - 1)) - 1 - step
     st = draw(small_states(max_n, hs.one_of(
         hs.integers(-3, 3), hs.integers(edge - 3, edge),
         hs.integers(-edge, -edge + 3))))
@@ -362,11 +366,34 @@ class TestPackedKernel:
                     assert sum(resolve_terms(Slope(p, q))[0]) <= p, (p, q)
         knot, link = _knot_bound([MAX_VERTICES - 1]), _link_bound(
             [MAX_VERTICES // 2 - 1])
-        assert (knot, link) == (22523, 8193)
-        assert slot_width(knot) == slot_width(link) == W == 16
+        assert (knot, link) == (18429, 6147)
+        assert slot_width(knot) == slot_width(link) == WIDE == 16
+
+    def test_small_plans_pack_at_eight_bits(self):
+        # every knot up to 12 crossings, and every link whose CF term sum
+        # is at most 19 (the link bound reads the sum alone), has a plan
+        # bound within a signed byte, so its route runs on 8-bit slots;
+        # one term more passes it on either route
+        knots = enumerate_rational_knots(12)
+        assert len(knots) == 362
+        for slope in knots:
+            assert slot_width(route_size(slope, KNOT_ROUTE).bound) == 8
+        assert slot_width(_knot_bound([13])) == 8
+        assert slot_width(_knot_bound([14])) == 16
+        assert [slot_width(_link_bound([total])) for total in range(1, 21)] \
+            == [8] * 19 + [16]
+        for p in range(2, 51, 2):
+            for q in range(1, p):
+                if gcd(p, q) == 1:
+                    plan = route_size(Slope(p, q), LINK_ROUTE)
+                    assert (slot_width(plan.bound) == 8) == (
+                        sum(plan.terms) <= 19), (p, q)
+        assert knot_quiver(Slope(233, 89)).w == 8
+        assert link_quiver(Slope(34, 21)).w == 8
 
     def test_wider_bound_is_refused(self):
-        assert slot_width(0) == slot_width((1 << 15) - 1) == 16
+        assert slot_width(0) == slot_width(127) == 8
+        assert slot_width(128) == slot_width((1 << 15) - 1) == 16
         with pytest.raises(ValueError, match="32768 do not fit a 16-bit"):
             slot_width(1 << 15)
         # a twist could take this entry to 2^15: refused before packing
@@ -559,13 +586,15 @@ class TestSymmetricInvariant:
     # canonical, raw and zero frames: one whose off-diagonal pair
     # differs only in the high byte (3 against 259, so not every entry
     # fits a byte and the high plane is checked), one whose pair differs
-    # in the low byte; each must be refused
+    # in the low byte, on 16-bit slots and on the one plane of 8-bit
+    # ones; each must be refused
     ASYMMETRIC = """
-from quivertangle.quiverstate import _Thawed, _pack, framing_shift, q_invert
+from quivertangle.quiverstate import _Thawed, framing_shift, q_invert
 from quivertangle.tangles import UP
 refused = 0
-for M in (((0, 3), (259, 0)), ((0, 3), (4, 0))):
-    th = _Thawed(UP, [(False, 0, 0, 0)] * 2, [_pack(row) for row in M], 300)
+for M, bound in ((((0, 3), (259, 0)), 300), (((0, 3), (4, 0)), 300),
+                 (((0, 3), (4, 0)), 8)):
+    th = _Thawed(UP, [(False, 0, 0, 0)] * 2, M, bound)
     for export in (framing_shift, q_invert):
         for frame in ("canonical", "raw", 0):
             try:
@@ -583,7 +612,7 @@ print(refused)
             [sys.executable, *(["-O"] if optimized else []), "-c",
              self.ASYMMETRIC], env=dict(os.environ, PYTHONPATH=src),
             capture_output=True, text=True, timeout=60)
-        assert (proc.returncode, proc.stdout) == (0, "12\n"), proc.stderr
+        assert (proc.returncode, proc.stdout) == (0, "18\n"), proc.stderr
 
 
 def test_balanced_reading_closes_to_the_same_quiver():
@@ -787,8 +816,8 @@ class TestDataTransforms:
         # every entry export gives lies in export_range, read off the
         # state's bound alone, for frames canonical, raw, 0, -3, 4 and
         # the two extremes export_range admits; at the extremes the
-        # range reaches exactly the signed slot's 2^(W-1) - 1
-        top = (1 << (W - 1)) - 1
+        # range reaches exactly the signed 16-bit slot's 2^15 - 1
+        top = (1 << (WIDE - 1)) - 1
         for slope, state in export_quivers():
             for symmetric, (sigma, c, e) in ((False, (1, 0, 0)),
                                              (True, _Q_INVERT)):
@@ -803,6 +832,49 @@ class TestDataTransforms:
                     assert max(flat) <= hi, (slope, frame)
                     if frame in (center - slack, center + slack):
                         assert (lo, hi) == (-top, top)
+
+    def test_widened_export_gives_the_16_bit_bytes(self, monkeypatch):
+        # on the 8-bit states of the export sweep, in both conventions:
+        # frames whose reach is 127, the last an 8-bit slot holds, 128,
+        # the first that widens the rows, and export_range's extremes
+        # give the bytes of the same state on 16-bit slots, and leave the
+        # state as it was; the canonical frame never widens
+        widened = []
+
+        def counted(rows, n, widen=quiverstate._widened):
+            widened.append(n)
+            return widen(rows, n)
+
+        monkeypatch.setattr(quiverstate, "_widened", counted)
+        top = (1 << (WIDE - 1)) - 1
+        for slope, state in export_quivers():
+            assert state.w == 8, slope
+            twin = _Thawed(state.obj, thawed_records(state),
+                           freeze(state).M, 128)
+            twin.bound, twin.framing = state.bound, state.framing
+            assert twin.w == 16
+            before = (list(state.rows), state.s, state.a, state.w)
+            for symmetric, (sigma, c, e) in ((False, (1, 0, 0)),
+                                             (True, _Q_INVERT)):
+                export = q_invert if symmetric else framing_shift
+                center = state.framing - sigma * c
+                frames = {"canonical": 0}
+                for reach in (127, 128, top):
+                    slack = reach - state.bound - e
+                    assert slack >= 0, slope
+                    frames[center - slack] = frames[center + slack] = reach
+                for frame, reach in frames.items():
+                    if reach:
+                        assert export_range(state, frame, symmetric) == (
+                            -reach, reach)
+                    widened.clear()
+                    got, want = export(state, frame), export(twin, frame)
+                    assert got == want, (slope, frame)
+                    assert got.flat.typecode == want.flat.typecode
+                    assert got.flat.tobytes() == want.flat.tobytes()
+                    assert widened == ([state.n] if reach > 127 else []), (
+                        slope, frame)
+            assert (list(state.rows), state.s, state.a, state.w) == before
 
     def test_canonical_shift_matches_reference(self):
         # the shift export takes to the canonical frame, read off the
@@ -836,17 +908,20 @@ class TestDataTransforms:
         # from the byte planes _flat decodes: by byte tables from the
         # least diagonal entry when every entry fits a signed byte, else
         # by one subtraction on the whole buffer; up to the 16-bit
-        # extremes.  The buffer is 'B' exactly when every entry it holds
-        # fits a byte
+        # extremes, from 16-bit slots and, when every entry fits a signed
+        # byte, from 8-bit ones.  The buffer is 'B' exactly when every
+        # entry it holds fits a byte
         n = isqrt(len(entries))
-        low, high = _flat([_pack(entries[i:i + n])
-                           for i in range(0, n * n, n)], n)
-        assert (high is None) == all(-128 <= x <= 127 for x in entries)
-        flat, least = _rebased(low, high, n)
-        assert least == min(entries)
-        assert flat.typecode == ("B" if max(entries) - least <= 255
-                                 else "H")
-        assert list(flat) == [x - least for x in entries]
+        fits = all(-128 <= x <= 127 for x in entries)
+        for w in (8, 16) if fits else (16,):
+            low, high = _flat([_pack(entries[i:i + n], w)
+                               for i in range(0, n * n, n)], n, w)
+            assert (high is None) == fits
+            flat, least = _rebased(low, high, n)
+            assert least == min(entries)
+            assert flat.typecode == ("B" if max(entries) - least <= 255
+                                     else "H")
+            assert list(flat) == [x - least for x in entries]
 
     def test_canonical_buffer_is_a_byte_buffer_when_it_fits(self):
         # on real quivers: the unknot's one vertex, the export sweep, and
