@@ -8,7 +8,7 @@ import sys
 from array import array
 from collections import Counter
 from dataclasses import astuple, replace
-from itertools import chain
+from itertools import chain, product
 from math import gcd, isqrt
 
 import pytest
@@ -456,6 +456,43 @@ class TestPackedKernel:
                 assert largest(freeze(th)) <= bound, (p, q)
         assert checked > 2000
 
+    def test_step_constants_cover_every_move(self):
+        # every step takes each entry x of M, s and a (or of the copy an
+        # alpha or a block starts as) to +-x plus a constant its classes
+        # alone fix, so on the zero state of every class list of up to 4
+        # indices its largest |entry| is its largest move: within the
+        # constant each route's bound is summed from
+        def moved(obj, active, flags, step, *args):
+            n = len(active)
+            th = _Thawed(obj, [(c, f, 0, 0) for c, f in zip(active, flags)],
+                         [[0] * n] * n, 0)
+            try:
+                step(th, *args)
+            except ValueError:  # no such step at obj, or flagged
+                return 0
+            st = freeze(th)
+            return max(map(abs, [*chain.from_iterable(st.M),
+                                 *(r.s for r in st.indices),
+                                 *(r.a for r in st.indices)]))
+
+        for n in range(1, 5):
+            for active in product((False, True), repeat=n):
+                for key, (needs, *_) in _TRANSFORMS.items():
+                    flags = [int(c == needs) for c in active]  # keyed_state's
+                    assert moved(key[1], active, flags, _apply_template,
+                                 key[0]) <= TEMPLATE_STEP, key
+                for polynomial in (False, True):
+                    assert moved(UP, active, [0] * n, _mirror,
+                                 polynomial) <= MIRROR_STEP
+                for obj, flags in product((UP, OP, RI),
+                                          product((0, 1), repeat=n)):
+                    assert moved(obj, active, flags, _close) <= CLOSE_STEP
+                    for kind in "TR":
+                        assert moved(obj, active, flags, _twist,
+                                     kind) <= TWIST_STEP
+                        for x in (1, 2, 3):
+                            assert moved(obj, active, flags, _resum, kind,
+                                         x) <= TWIST_STEP * x + 3
 
     def test_s_and_a_fit_the_plan_bound(self):
         # every decoded |s| and |a| after each step of both routes,
