@@ -38,9 +38,13 @@ DEFAULT_ORDER = {KNOT_ROUTE: DEFAULT_KNOT_ORDER,
                  LINK_ROUTE: DEFAULT_LINK_ORDER}
 
 
-# each side of a slope: an optional minus and ASCII digits, none of the
-# other literal forms int() takes (1_3, +13, spaces, other digits)
-_SLOPE = re.compile(r"(-?[0-9]+)/(-?[0-9]+)")
+# every integer of an argument (a slope side, a color, an option's
+# value): an optional minus and ASCII digits, none of the other literal
+# forms int() takes (1_3, +13, spaces, other digits)
+_INT = "(-?[0-9]+)"
+_INTEGER = re.compile(_INT)
+_SLOPE = re.compile(f"{_INT}/{_INT}")
+_COLORS = re.compile(rf"{_INT}\.\.{_INT}")
 
 
 def _parse_input(text):
@@ -71,30 +75,21 @@ def _parse_input(text):
 
 
 def _parse_colors(text):
-    error = argparse.ArgumentTypeError(
-        f"bad color range {text!r}: expected A..B")
-    try:
-        lo, hi = map(int, text.split(".."))
-    except ValueError:
-        raise error from None
-    if not 0 <= lo <= hi:
-        raise error
-    return lo, hi
+    match = _COLORS.fullmatch(text)
+    if not (match and 0 <= int(match[1]) <= int(match[2])):
+        raise argparse.ArgumentTypeError(
+            f"bad color range {text!r}: expected A..B")
+    return int(match[1]), int(match[2])
 
 
 def _bounded_int(low):
     """Argument type for an integer option of at least low; a bound
     above is refused by the command's handler, like every other."""
     def parse(text):
-        error = argparse.ArgumentTypeError(
-            f"bad value {text!r}: expected an integer >= {low}")
-        try:
-            value = int(text)
-        except ValueError:
-            raise error from None
-        if value < low:
-            raise error
-        return value
+        if not (_INTEGER.fullmatch(text) and int(text) >= low):
+            raise argparse.ArgumentTypeError(
+                f"bad value {text!r}: expected an integer >= {low}")
+        return int(text)
     return parse
 
 
@@ -111,11 +106,10 @@ def _batch_crossings():
 def _parse_frame(text):
     if text in ("canonical", "raw"):
         return text
-    try:
-        return int(text)
-    except ValueError:
+    if not _INTEGER.fullmatch(text):
         raise argparse.ArgumentTypeError(
             f"bad frame {text!r}: expected canonical, raw, or an integer")
+    return int(text)
 
 
 def _fraction_obj(frac):

@@ -8,7 +8,7 @@ module (or anything built on it) touches floating point.
 from __future__ import annotations
 
 from functools import lru_cache
-from math import gcd, isqrt
+from math import gcd
 
 
 class LaurentPoly:
@@ -294,10 +294,16 @@ def qmultinomial(N, parts):
 class QFraction:
     """Quotient of a LaurentPoly by a q-only LaurentPoly.
 
-    Normalization is lazy: construction and arithmetic never run a gcd;
-    equality compares numerators over one shared denominator and
-    cross-multiplies otherwise, and reduction happens only on demand
-    (serialization or clearing to a Laurent polynomial).
+    A denominator that is reduced must be +-c q^s times cyclotomic
+    polynomials Phi_m with m up to its degree, as (q^2;q^2)_j, its
+    mirror and their products all are.  Each Phi_m is irreducible and
+    monic, so by Gauss's lemma the gcd of the numerator and such a
+    denominator is the product of the Phi_m they share, each to the
+    lower multiplicity; reduction divides those out (_reduce_fraction).
+    It is lazy: construction and arithmetic never reduce; equality
+    compares numerators over one shared denominator and cross-multiplies
+    otherwise, and reduction happens only on demand (serialization or
+    clearing to a Laurent polynomial).
     """
 
     __slots__ = ("num", "den")
@@ -364,7 +370,8 @@ class QFraction:
     def normalized_pair(self):
         """Reduced (num, den): no common factor, no common integer
         content, and den with positive lead and lowest q-degree zero.
-        Equal fractions give equal pairs."""
+        Equal fractions give equal pairs.  ValueError when den is not
+        cyclotomic (see the class docstring)."""
         return _reduce_fraction(self.num, self.den)
 
     def subs_a_q2(self):
@@ -388,50 +395,6 @@ def _q_vec(p):
     for (eq, _), c in p.terms.items():
         vec[eq - lo] = c
     return lo, vec
-
-
-def _primitive(vec):
-    """vec divided by the gcd of its entries, trailing zeros dropped."""
-    while not vec[-1]:
-        vec.pop()
-    content = gcd(*vec)
-    return [c // content for c in vec] if content != 1 else vec
-
-
-def _q_gcd(f, g):
-    """gcd of two nonzero q-only LaurentPolys up to units of Z[q, 1/q]:
-    a primitive polynomial in q with positive lead and lowest exponent 0.
-
-    A primitive pseudo-remainder sequence: both inputs are made
-    primitive, and so is every pseudo-remainder, so the coefficients
-    stay integers of bounded size.  Raises ValueError on a zero input.
-    """
-    if f.is_zero() or g.is_zero():
-        raise ValueError("gcd of a zero polynomial")
-    a, b = _primitive(_q_vec(f)[1]), _primitive(_q_vec(g)[1])
-    while len(b) > 1:
-        lb, db = b[-1], len(b) - 1
-        while len(a) > db:
-            c = a.pop()
-            if not c:
-                continue
-            if c % lb:
-                a = [x * lb for x in a]
-            else:
-                c //= lb
-            off = len(a) - db
-            for i in range(db):
-                a[off + i] -= c * b[i]
-        if not any(a):
-            break
-        a, b = b, _primitive(a)
-    if len(b) == 1:
-        return ONE
-    if b[-1] < 0:
-        b = [-c for c in b]
-    out = LaurentPoly()
-    out.terms = {(i, 0): c for i, c in enumerate(b) if c}
-    return out
 
 
 def _divmod(vec, divisor):
@@ -468,39 +431,35 @@ def _cyclotomic(m):
 
 
 @lru_cache(maxsize=None)
-def _pochhammer_orders(j):
-    """The coefficient list of (q^2;q^2)_j from its lowest degree, its
-    negation, and the m of its irreducible factors Phi_m: every
-    1 - q^(2k) with k <= j is -prod_{m | 2k} Phi_m, so m is even and at
-    most 2j, or odd and at most j."""
-    vec = _q_vec(poch_q2(j))[1]
-    return vec, [-c for c in vec], [m for m in range(1, 2 * j + 1)
-                                    if m % 2 == 0 or m <= j]
+def _cyclotomic_factors(dvec):
+    """The (m, multiplicity) of each Phi_m that divides the coefficient
+    tuple dvec, lowest degree first, by trial division for m up to its
+    degree; None when a factor of positive degree is left over."""
+    rest, factors = list(dvec), []
+    for m in range(1, len(dvec)):
+        if len(rest) == 1:
+            break
+        phi, k = _cyclotomic(m), 0
+        while True:
+            quot, rem = _divmod(rest, phi)
+            if any(rem):
+                break
+            rest, k = quot, k + 1
+        if k:
+            factors.append((m, k))
+    return tuple(factors) if len(rest) == 1 else None
 
 
-def _coprime_by_residues(num, dvec):
-    """True when num has no common factor of positive q-degree with the
-    denominator whose coefficients, from its lowest q-exponent, are
-    dvec, proven by cyclotomic residues; False when the denominator is
-    not +-q^s (q^2;q^2)_j (the same list also matches its mirror, a
-    palindrome up to sign) or some residue does not prove it.
-
-    Each factor Phi_m of the denominator divides q^m - 1, so an a-slice
-    of num is divisible by Phi_m exactly when its exponents folded
-    modulo m leave no remainder on division by Phi_m.  A Phi_m common
-    to num and den must divide every a-slice; one nonzero residue per m
-    rules it out."""
-    span = len(dvec) - 1
-    j = (isqrt(4 * span + 1) - 1) // 2
-    if j * (j + 1) != span:
-        return False
-    vec, neg, orders = _pochhammer_orders(j)
-    if dvec != vec and dvec != neg:
-        return False
+def _shared_factors(num, factors):
+    """The (m, multiplicity in den) of factors whose Phi_m divides every
+    a-slice of num.  Phi_m divides q^m - 1, so a slice is divisible by
+    Phi_m exactly when its exponents folded modulo m leave no remainder
+    on division by Phi_m; one nonzero residue rules Phi_m out."""
     slices = {}
     for (eq, ea), c in num.terms.items():
         slices.setdefault(ea, []).append((eq, c))
-    for m in orders:
+    shared = []
+    for m, k in factors:
         phi = _cyclotomic(m)
         for terms in slices.values():
             folded = [0] * m
@@ -509,8 +468,8 @@ def _coprime_by_residues(num, dvec):
             if any(_divmod(folded, phi)[1]):
                 break
         else:
-            return False
-    return True
+            shared.append((m, k))
+    return shared
 
 
 def _reduce_fraction(num, den):
@@ -518,26 +477,43 @@ def _reduce_fraction(num, den):
     q-degree and no common integer content, and den with lowest
     q-exponent 0 and positive lead.
 
-    When den is +-q^s (q^2;q^2)_j or its mirror, as every closure
-    denominator of the skein oracle is, coprimality is certified by
-    cyclotomic residues (_coprime_by_residues), with no gcd.  Any other
-    denominator, and any fraction the residues do not certify, is
-    reduced by the gcd of den and every a-slice of num (_q_gcd).  The
-    content and the unit +-q^dmin are divided out last, in one pass."""
+    den must be +-c q^s times cyclotomic polynomials Phi_m with m up to
+    its degree, as (q^2;q^2)_j, its mirror and their products all are;
+    any other den raises ValueError, unless num is zero.  Each Phi_m is irreducible and
+    monic, so by Gauss's lemma the gcd of den and every a-slice of num
+    is the product of the Phi_m they share, each to the lower of the two
+    multiplicities: dividing those out is the whole reduction.
+
+    The shared Phi_m are found by cyclotomic residues
+    (_shared_factors), so a coprime fraction costs one fold per factor
+    and no division.  When some Phi_m is shared, num is first divided
+    by the whole of den, which succeeds whenever num/den is a Laurent
+    polynomial (as every link value is at a = q^2).  The content and
+    the unit +-q^dmin are divided out last, in one pass."""
     if num.is_zero():
         return ZERO, ONE
     if den.is_one():
         return num, ONE
     dmin, dvec = _q_vec(den)
-    if not _coprime_by_residues(num, dvec):
-        g = den
-        for sl in num.a_slices().values():
-            g = _q_gcd(g, sl)
-            if g.is_one():
-                break
-        if not g.is_one():
-            num = num.divide_exact(g)
-            dmin, dvec = _q_vec(den.divide_exact(g))
+    factors = _cyclotomic_factors(tuple(dvec))
+    if factors is None:
+        raise ValueError(f"denominator {den} is not +-c q^s times "
+                         "cyclotomic polynomials")
+    shared = _shared_factors(num, factors)
+    if shared:
+        try:
+            return num.divide_exact(den), ONE
+        except ValueError:
+            pass
+        for m, k in shared:
+            phi = _cyclotomic(m)
+            divisor = LaurentPoly({(i, 0): c for i, c in enumerate(phi)})
+            for _ in range(k):
+                try:
+                    num = num.divide_exact(divisor)
+                except ValueError:
+                    break
+                dvec = _divmod(dvec, phi)[0]
     content = gcd(*num.terms.values(), *dvec)
     unit = content if dvec[-1] > 0 else -content
     out_num, out_den = LaurentPoly(), LaurentPoly()

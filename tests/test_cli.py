@@ -622,6 +622,19 @@ class TestVerifyCommand:
                 for r in reports] == [("knot", 3, True), ("link", 2, True)]
         assert closed == [0, 1, 2, 3]
 
+    def test_mismatch_difference_is_reduced(self, capsys, monkeypatch):
+        # an oracle off by +1 at color 2 of the link 4/1: the route's
+        # value minus the oracle's has a numerator that holds every
+        # factor of its denominator, and the report prints it reduced
+        oracle = verify.oracle_homfly
+        monkeypatch.setattr(verify, "oracle_homfly", lambda s, colors: [
+            value + 1 if j == 2 else value
+            for j, value in zip(colors, oracle(s, colors))])
+        code, out, _ = run(capsys, "verify", "4/1", "--pipeline", "link")
+        assert code == 1
+        report = json.loads(out)
+        assert (report["first_mismatch"], report["difference"]) == (2, "-1")
+
     def test_link_single_pipeline(self, capsys):
         code, out, _ = run(capsys, "verify", "2/1", "--order", "1")
         lines = [json.loads(x) for x in out.splitlines()]
@@ -905,6 +918,47 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert (f"error: argument input: bad slope {text!r}: expected p/q, "
                 "two integers\n") in err, err
+
+    @pytest.mark.parametrize("argv, message", [
+        (["oracle", "3/1", "--colors", "0_0..1"],
+         "argument --colors: bad color range '0_0..1': expected A..B"),
+        (["oracle", "3/1", "--colors", "\u0661..\u0661"],
+         "argument --colors: bad color range '\u0661..\u0661': "
+         "expected A..B"),
+        (["oracle", "3/1", "--colors", " 0..+1"],
+         "argument --colors: bad color range ' 0..+1': expected A..B"),
+        (["compute", "3/1", "--order", "0_1"],
+         "argument --order: bad value '0_1': expected an integer >= 0"),
+        (["compute", "3/1", "--frame", "1_0"],
+         "argument --frame: bad frame '1_0': expected canonical, raw, "
+         "or an integer"),
+        (["enumerate", "--max-crossings", "0_3"],
+         "argument --max-crossings: bad value '0_3': expected an integer "
+         ">= 3"),
+        (["batch", "--jobs", "+1"],
+         "argument --jobs: bad value '+1': expected an integer >= 0"),
+    ])
+    def test_malformed_integers_name_their_form(self, argv, message, capsys):
+        # every integer of an option takes the grammar of a slope side:
+        # an optional minus and ASCII digits, no other form int() takes
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == "" and f"error: {message}\n" in err, err
+
+    def test_malformed_integers_are_refused_under_optimized_mode(self):
+        # the integer grammar is raised, not asserted: python -O, which
+        # strips assert statements, refuses the same inputs
+        for argv, message in (
+                (["oracle", "3/1", "--colors", "0_0..1"],
+                 "bad color range '0_0..1': expected A..B"),
+                (["compute", "3/1", "--order", "0_1"],
+                 "bad value '0_1': expected an integer >= 0")):
+            proc = run_python("-m", "quivertangle.cli", *argv,
+                              optimized=True)
+            assert (proc.returncode, proc.stdout) == (2, b""), argv
+            assert message in proc.stderr.decode(), proc.stderr
 
     @pytest.mark.parametrize("argv, size", [
         (["enumerate", "--max-crossings", "16"], None),

@@ -1,22 +1,23 @@
 """Exact Laurent polynomial / q-series layer: unit examples, canonical
 printing, and the q-combinatorial identities the pipelines rely on."""
 
+import re
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from math import gcd
 
-from quivertangle import qseries
 from quivertangle.qseries import (ONE, LaurentPoly, QFraction, ZERO,
-                                  _q_gcd, a_pow, pochhammer, poch_q2, q_pow,
+                                  a_pow, pochhammer, poch_q2, q_pow,
                                   qbinom_plus, qmultinomial)
 from quivertangle.skein import oracle_homfly
 
 from conftest import (balanced_from_plus, compositions, distinct_slopes,
                       laurent_str_joined_reference,
                       laurent_str_reference, mirror, neg_q_pow,
-                      q_gcd_reference, reduce_fraction_reference)
+                      reduce_fraction_reference)
 
 
 A = a_pow(1)
@@ -239,13 +240,6 @@ class TestQFraction:
             with pytest.raises(TypeError):
                 hash(value)
 
-    def test_q_gcd_refuses_zero(self):
-        with pytest.raises(ValueError):
-            _q_gcd(ZERO, ONE - Q)
-        with pytest.raises(ValueError):
-            _q_gcd(ONE - Q, ZERO)
-        assert _q_gcd(q_pow(3) * (ONE - Q**2), ONE + Q) == ONE + Q
-
 
 @settings(max_examples=200, deadline=None)
 @given(st.integers(0, 10))
@@ -348,6 +342,19 @@ _FACTORS = [ONE - q_pow(2 * i) for i in range(1, 5)] + [
     3 + 2 * Q, 2 - Q**3, 2 * ONE, 3 * ONE]
 
 
+def _refused(num, den):
+    """True when normalized_pair must refuse num/den: num is nonzero and
+    den has one of the factors of _FACTORS that is not cyclotomic, both
+    irreducible, so they divide den only where they were picked."""
+    for factor in (3 + 2 * Q, 2 - Q**3):
+        try:
+            den.divide_exact(factor)
+        except ValueError:
+            continue
+        return bool(num)
+    return False
+
+
 @st.composite
 def _fractions(draw):
     """num/den with den a signed monomial times factors (1 - q^{2i}),
@@ -370,7 +377,13 @@ def _fractions(draw):
 @settings(max_examples=150, deadline=None)
 @given(_fractions())
 def test_normalized_pair_matches_rational_reference(frac):
+    # a denominator with a factor that is not cyclotomic is refused;
+    # every other one gives the reference's pair
     num, den = frac
+    if _refused(num, den):
+        with pytest.raises(ValueError, match="cyclotomic"):
+            QFraction(num, den).normalized_pair()
+        return
     got = QFraction(num, den).normalized_pair()
     ref_num, ref_den = reduce_fraction_reference(num, den)
     # the reference leaves an integer content common to num and den
@@ -379,8 +392,6 @@ def test_normalized_pair_matches_rational_reference(frac):
         assert content == 1
     assert got == (ref_num.divide_exact(content),
                    ref_den.divide_exact(content))
-    for sl in num.a_slices().values():
-        assert _q_gcd(den, sl) == q_gcd_reference(den, sl)
 
 
 @st.composite
@@ -408,7 +419,12 @@ def test_equality_agrees_with_cross_multiplication(pair):
     equal = num * den2 == num2 * den
     assert (f == g) == (g == f) == equal
     assert (f != g) == (not equal)
-    if equal:
+    refused = [x for x, n, d in ((f, num, den), (g, num2, den2))
+               if _refused(n, d)]
+    for x in refused:
+        with pytest.raises(ValueError, match="cyclotomic"):
+            x.normalized_pair()
+    if equal and not refused:
         assert f.normalized_pair() == g.normalized_pair()
 
 
@@ -430,14 +446,15 @@ _POCH_FACTORS = [_cyclotomic_poly(m) for m in range(1, 13)] + [
 
 @st.composite
 def _pochhammer_fractions(draw):
-    """num/den with den +-q^s (q^2;q^2)_j or its mirror, j <= 6, and num
-    a random polynomial over several a-slices times some cyclotomic
-    factors Phi_m and factors 1 - q^(2i)."""
-    j = draw(st.integers(0, 6))
+    """num/den with den +-q^s times (q^2;q^2)_j, its mirror, its square,
+    its product with its mirror or its double, j <= 6, and num a random
+    polynomial over several a-slices times some cyclotomic factors Phi_m
+    and factors 1 - q^(2i)."""
+    poch = poch_q2(draw(st.integers(0, 6)))
     den = LaurentPoly.mono(draw(st.sampled_from([1, -1])),
-                           draw(st.integers(-3, 3))) * poch_q2(j)
-    if draw(st.booleans()):
-        den = den.mirror()
+                           draw(st.integers(-3, 3))) * draw(st.sampled_from(
+        [poch, poch.mirror(), poch * poch, poch * poch.mirror(),
+         2 * poch]))
     num = LaurentPoly(draw(st.dictionaries(
         st.tuples(st.integers(-3, 3), st.integers(-2, 2)),
         st.integers(-4, 4), min_size=1, max_size=6)))
@@ -450,8 +467,8 @@ def _pochhammer_fractions(draw):
 @settings(max_examples=150, deadline=None)
 @given(_pochhammer_fractions())
 def test_pochhammer_denominators_match_rational_reference(frac):
-    # the cyclotomic certificate, or the gcd where it does not certify,
-    # gives the reference's pair with the common content divided out
+    # dividing out the shared Phi_m gives the reference's pair with the
+    # common content divided out
     num, den = frac
     ref_num, ref_den = reduce_fraction_reference(num, den)
     content = gcd(*ref_num.terms.values(), *ref_den.terms.values())
@@ -459,33 +476,31 @@ def test_pochhammer_denominators_match_rational_reference(frac):
         ref_num.divide_exact(content), ref_den.divide_exact(content))
 
 
-def _gcd_not_called(f, g):
-    raise AssertionError("the gcd ran")
-
-
 class TestCyclotomicCertificate:
-    def test_common_cyclotomic_factor_takes_the_gcd(self, monkeypatch):
-        # Phi_3 divides both a-slices of num and (q^2;q^2)_3, so no
-        # residue certifies the fraction: the gcd runs and cancels Phi_3
+    def test_common_cyclotomic_factor_is_divided_out(self, monkeypatch):
+        # Phi_3 divides both a-slices of num and (q^2;q^2)_3, and no
+        # other factor of it does: the whole denominator does not divide
+        # num, so Phi_3 alone is divided out of both
         phi3 = ONE + Q + Q**2
         num, den = phi3 * (ONE + A), poch_q2(3)
-        calls = []
+        divisors = []
+        divide_exact = LaurentPoly.divide_exact
 
-        def counted(f, g):
-            calls.append(g)
-            return _q_gcd(f, g)
+        def counted(self, divisor):
+            divisors.append(divisor)
+            return divide_exact(self, divisor)
 
-        monkeypatch.setattr(qseries, "_q_gcd", counted)
+        monkeypatch.setattr(LaurentPoly, "divide_exact", counted)
         got_num, got_den = QFraction(num, den).normalized_pair()
+        monkeypatch.undo()
         rest = poch_q2(3).divide_exact(phi3)
-        assert calls
-        assert (got_num, got_den) in ((ONE + A, rest), (-ONE - A, -rest))
+        assert divisors == [den, phi3]
+        # (q^2;q^2)_3 has the lead -1
+        assert (got_num, got_den) == (-ONE - A, -rest)
 
-    def test_one_residue_per_factor_certifies(self, monkeypatch):
+    def test_one_residue_per_factor_certifies(self):
         # a slice divisible by every factor of the denominator is
-        # certified by another slice, whichever slice is read first:
-        # no gcd runs
-        monkeypatch.setattr(qseries, "_q_gcd", _gcd_not_called)
+        # certified by another slice, whichever slice is read first
         for j in range(1, 5):
             den = poch_q2(j)
             divisible = den * (ONE + Q)
@@ -496,27 +511,25 @@ class TestCyclotomicCertificate:
                 assert (QFraction(num, den).normalized_pair()
                         == (sign * num, sign * den)), (j, num)
 
-    def test_link_values_are_certified(self, monkeypatch):
+    def test_link_values_are_certified(self):
         # every link value of the oracle with CF term sum <= 6 at
-        # colors 1..4 keeps a denominator, and is certified reduced with
-        # no gcd; at a = q^2 the slices merge and share factors with it
-        values = [(j, value) for s in distinct_slopes(6, knots=False)
-                  for j, value in enumerate(oracle_homfly(s, [1, 2, 3, 4]),
-                                            1)]
-        jones = [value.subs_a_q2().normalized_pair() for _, value in values]
-        monkeypatch.setattr(qseries, "_q_gcd", _gcd_not_called)
-        for (j, value), (_, den) in zip(values, jones):
-            _, den_plain = value.normalized_pair()
-            assert den_plain in (poch_q2(j), -poch_q2(j)), (j, value)
-            assert len(den.terms) < len(den_plain.terms)
+        # colors 1..4 keeps a denominator, and is certified reduced; at
+        # a = q^2 the slices merge and the denominator divides them
+        for s in distinct_slopes(6, knots=False):
+            for j, value in enumerate(oracle_homfly(s, [1, 2, 3, 4]), 1):
+                _, den = value.normalized_pair()
+                assert den in (poch_q2(j), -poch_q2(j)), (s, j)
+                assert value.subs_a_q2().normalized_pair()[1] == ONE, (s, j)
 
-    def test_other_denominators_take_the_gcd(self):
-        # a denominator that is not a Pochhammer, such as the product a
-        # verify mismatch difference carries, is reduced by the gcd
-        # and gives the reference's pair
+    def test_other_denominators_divide_or_are_refused(self):
+        # a product of Pochhammers, such as a verify mismatch difference
+        # carries, or one with an integer content, gives the reference's
+        # pair; a factor that is not cyclotomic is refused
         num = (ONE - Q**4) * (A + Q) + A**2 * (ONE - Q**2)
-        for den in (poch_q2(2) * poch_q2(1), (ONE - Q**2) * (3 + 2 * Q),
-                    2 * poch_q2(2)):
+        den = (ONE - Q**2) * (3 + 2 * Q)
+        with pytest.raises(ValueError, match=re.escape(f"denominator {den} ")):
+            QFraction(num, den).normalized_pair()
+        for den in (poch_q2(2) * poch_q2(1), 2 * poch_q2(2)):
             ref_num, ref_den = reduce_fraction_reference(num, den)
             content = gcd(*ref_num.terms.values(), *ref_den.terms.values())
             assert QFraction(num, den).normalized_pair() == (

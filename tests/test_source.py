@@ -43,12 +43,13 @@ UNREAD_ALLOWED = {"__init__.__version__"}
 def test_every_src_definition_is_read_in_src():
     # a top-level function, class, method or constant that only tests
     # read belongs in the tests; dunder methods are called implicitly.
-    # A top-level name is read by a bare name only in its defining
-    # module or in a module that imports it with `from .module import
-    # name`, so a parameter or local of the same name elsewhere does not
-    # count, or as an attribute of its module bound by `from . import
-    # module`, such as quiverstate.MAX_VERTICES; an attribute of any
-    # other object does not count.  A method is read by an attribute
+    # A top-level name is read only outside its own definition, so a
+    # recursion alone does not count; by a bare name only in its
+    # defining module or in a module that imports it with `from .module
+    # import name`, so a parameter or local of the same name elsewhere
+    # does not count, or as an attribute of its module bound by `from .
+    # import module`, such as quiverstate.MAX_VERTICES; an attribute of
+    # any other object does not count.  A method is read by an attribute
     # read of its name in any module
     package = Path(quivertangle.__file__).parent
     defined, names, attrs = [], set(), set()
@@ -73,15 +74,19 @@ def test_every_src_definition_is_read_in_src():
                     for alias in node.names}
         modules = {alias: name for alias, (module, name) in imported.items()
                    if module is None}
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-                names.add(imported.get(node.id, (path.stem, node.id)))
-            elif (isinstance(node, ast.Attribute)
-                  and isinstance(node.ctx, ast.Load)):
-                attrs.add(node.attr)
-                if (isinstance(node.value, ast.Name)
-                        and node.value.id in modules):
-                    names.add((modules[node.value.id], node.attr))
+        for top in tree.body:
+            own = getattr(top, "name", None)
+            for node in ast.walk(top):
+                if (isinstance(node, ast.Name)
+                        and isinstance(node.ctx, ast.Load)
+                        and node.id != own):
+                    names.add(imported.get(node.id, (path.stem, node.id)))
+                elif (isinstance(node, ast.Attribute)
+                      and isinstance(node.ctx, ast.Load)):
+                    attrs.add(node.attr)
+                    if (isinstance(node.value, ast.Name)
+                            and node.value.id in modules):
+                        names.add((modules[node.value.id], node.attr))
     assert len(defined) > 100
     unread = {f"{owner}.{name}" for owner, name in defined
               if (owner.split(".")[0], name) not in names
